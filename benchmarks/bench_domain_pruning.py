@@ -30,7 +30,7 @@ from _common import fmt, publish, publish_json
 
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
-from repro.core.domain import DomainPruner
+from repro.oracle import DomainPruner
 from repro.core.vector_domain import VectorDomainPruner
 from repro.data.generators.hospital import generate_hospital
 from repro.dataset.stats import Statistics
@@ -86,13 +86,13 @@ def run_bench() -> dict:
 
     started = time.perf_counter()
     vector = VectorDomainPruner(engine, tau=config.tau, max_domain=config.max_domain)
-    vector_domains = vector.prune(cells)
+    vector_pruned = vector.prune(cells)
     t_vector = time.perf_counter() - started
 
     # The vectorized path is an optimisation, never a semantic change:
     # every cell's candidate domain must match the oracle's exactly —
     # same values, same ranking, same tie-breaks.
-    assert vector_domains == naive_domains
+    assert vector_pruned == naive_domains
 
     speedup = t_naive / t_vector
     candidates = sum(len(domain) for domain in naive_domains)

@@ -26,10 +26,10 @@ except ModuleNotFoundError:  # plain `python benchmarks/...` from a checkout
 
 from _common import fmt, publish, publish_json  # noqa: E402
 
-from repro.core.domain import DomainPruner  # noqa: E402
 from repro.data.generators.hospital import generate_hospital  # noqa: E402
 from repro.detect.violations import ViolationDetector  # noqa: E402
 from repro.engine import Engine  # noqa: E402
+from repro.oracle import DomainPruner, NaiveViolationDetector  # noqa: E402
 
 #: Acceptance floor: the engine must beat the naive grounding path by at
 #: least this factor on the default workload.
@@ -57,7 +57,7 @@ def run_bench() -> dict:
     constraints = generated.constraints
 
     naive_detection, t_naive_detect = _timed(
-        lambda: ViolationDetector(constraints).detect(dataset))
+        lambda: NaiveViolationDetector(constraints).detect(dataset))
     cells = sorted(naive_detection.noisy_cells)[:DOMAIN_CELLS]
     naive_domains, t_naive_domains = _timed(
         lambda: DomainPruner(dataset, tau=generated.recommended_tau)
@@ -70,8 +70,9 @@ def run_bench() -> dict:
             lambda: ViolationDetector(constraints, engine=engine)
             .detect(dataset))
         domains, t_domains = _timed(
-            lambda: DomainPruner(dataset, tau=generated.recommended_tau,
-                                 engine=engine).domains(cells))
+            lambda: DomainPruner(dataset, stats=engine.statistics(),
+                                 tau=generated.recommended_tau)
+            .domains(cells))
         # The engine is an optimisation, never a semantic change.
         assert detection.noisy_cells == naive_detection.noisy_cells
         assert (detection.hypergraph.violations

@@ -28,11 +28,11 @@ except ModuleNotFoundError:  # plain `python benchmarks/...` from a checkout
 
 from _common import fmt, publish, publish_json  # noqa: E402
 
-from repro.core.domain import DomainPruner  # noqa: E402
 from repro.core.partition import PairEnumerator, VectorPairEnumerator  # noqa: E402
 from repro.data.generators.hospital import generate_hospital  # noqa: E402
 from repro.detect.violations import ViolationDetector  # noqa: E402
 from repro.engine import Engine  # noqa: E402
+from repro.oracle import DomainPruner  # noqa: E402
 
 #: Acceptance floor: engine enumeration must beat the naive enumerator by
 #: at least this factor (total across both grounding modes, NumPy backend).
@@ -88,8 +88,8 @@ def run_bench() -> dict:
     detection = ViolationDetector(generated.constraints,
                                   engine=engine).detect(dataset)
     cells = sorted(detection.noisy_cells)
-    domains = DomainPruner(dataset, tau=generated.recommended_tau,
-                           engine=engine).domains(cells)
+    domains = DomainPruner(dataset, stats=engine.statistics(),
+                           tau=generated.recommended_tau).domains(cells)
     dcs = [dc for dc in generated.constraints if not dc.is_single_tuple]
     hypergraph = detection.hypergraph
 

@@ -32,11 +32,11 @@ from _common import fmt, publish, publish_json  # noqa: E402
 
 from repro.core.compiler import ModelCompiler  # noqa: E402
 from repro.core.config import HoloCleanConfig  # noqa: E402
-from repro.core.domain import DomainPruner  # noqa: E402
 from repro.data.generators.hospital import generate_hospital  # noqa: E402
 from repro.detect.violations import ViolationDetector  # noqa: E402
 from repro.engine import Engine  # noqa: E402
 from repro.inference.variables import VariableBlock  # noqa: E402
+from repro.oracle import DomainPruner, NaiveModelCompiler  # noqa: E402
 
 #: Acceptance floor: the engine-backed table construction must beat the
 #: naive per-pair loop by at least this factor (total across both
@@ -97,8 +97,8 @@ def run_bench() -> dict:
     detection = ViolationDetector(generated.constraints,
                                   engine=engine).detect(dataset)
     cells = sorted(detection.noisy_cells)
-    domains = DomainPruner(dataset, tau=generated.recommended_tau,
-                           engine=engine).domains(cells)
+    domains = DomainPruner(dataset, stats=engine.statistics(),
+                           tau=generated.recommended_tau).domains(cells)
 
     modes = {}
     naive_total = 0.0
@@ -109,9 +109,8 @@ def run_bench() -> dict:
                                  use_partitioning=use_partitioning,
                                  tau=generated.recommended_tau,
                                  max_factor_pairs=MAX_PAIRS)
-        naive = ModelCompiler(dataset, generated.constraints,
-                              config.with_(use_engine=False), detection,
-                              engine=None)
+        naive = NaiveModelCompiler(dataset, generated.constraints, config,
+                                   detection)
         vector = ModelCompiler(dataset, generated.constraints, config,
                                detection, engine=engine)
         naive_graph, naive_skipped, t_naive = _ground(naive, domains)

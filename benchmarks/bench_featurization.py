@@ -32,7 +32,6 @@ from _common import fmt, publish, publish_json
 
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
-from repro.core.domain import DomainPruner
 from repro.core.featurize import FeaturizationContext
 from repro.core.relations import init_value_relation
 from repro.data.generators.hospital import generate_hospital
@@ -40,6 +39,7 @@ from repro.dataset.stats import Statistics
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
 from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
+from repro.oracle import DomainPruner, NaiveModelCompiler
 
 #: Acceptance floor: engine-backed featurization must beat the naive
 #: per-cell stack by at least this factor on the 10k-tuple workload.
@@ -101,13 +101,12 @@ def run_bench() -> dict:
     detection = detector.detect(dataset)
     pruner = DomainPruner(
         dataset,
+        stats=engine.statistics(),
         tau=config.tau,
         max_domain=config.max_domain,
-        engine=engine,
     )
 
     constraints = generated.constraints
-    naive_config = config.with_(use_engine=False)
     vector_compiler = ModelCompiler(
         dataset,
         constraints,
@@ -115,8 +114,14 @@ def run_bench() -> dict:
         detection,
         engine=engine,
     )
-    naive_compiler = ModelCompiler(dataset, constraints, naive_config, detection)
-    specs = collect_specs(vector_compiler, pruner)
+    naive_compiler = NaiveModelCompiler(
+        dataset,
+        constraints,
+        config,
+        detection,
+        engine=engine,
+    )
+    specs = collect_specs(naive_compiler, pruner)
 
     naive_stats = Statistics(dataset)
     naive_space, naive_matrix, t_naive = featurize(naive_compiler, specs, naive_stats)

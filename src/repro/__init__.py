@@ -69,7 +69,6 @@ from repro.core import (
     RepairResult,
     RepairSession,
     CellInference,
-    DomainPruner,
     VARIANTS,
 )
 
@@ -120,7 +119,6 @@ __all__ = [
     "RepairResult",
     "RepairSession",
     "CellInference",
-    "DomainPruner",
     "VARIANTS",
     "__version__",
 ]

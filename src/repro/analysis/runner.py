@@ -24,6 +24,7 @@ from pathlib import Path
 from repro.analysis.base import AnalysisContext, Checker, Finding, SourceModule
 from repro.analysis.config_drift import ConfigDriftChecker
 from repro.analysis.determinism import DeterminismChecker
+from repro.analysis.oracle_import import OracleImportChecker
 from repro.analysis.parallel_safety import ParallelSafetyChecker
 from repro.analysis.purity import PurityChecker
 from repro.analysis.telemetry import TelemetryChecker
@@ -42,6 +43,7 @@ def default_checkers() -> list[Checker]:
         ParallelSafetyChecker(),
         TelemetryChecker(),
         ConfigDriftChecker(),
+        OracleImportChecker(),
     ]
 
 

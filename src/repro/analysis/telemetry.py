@@ -64,10 +64,7 @@ STATS_SOURCES = (
 )
 
 #: Compiler functions whose local ``grounding`` dict feeds the report.
-GROUNDING_FUNCTIONS = (
-    ("src/repro/core/compiler.py", "_ground_factors", "grounding_"),
-    ("src/repro/core/compiler.py", "_featurize_all", "grounding_"),
-)
+GROUNDING_FUNCTIONS = (("src/repro/core/compiler.py", "_ground_factors", "grounding_"),)
 
 _METRIC_METHODS = {
     "gauge": "gauge",

@@ -88,13 +88,12 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default stdout)")
     parser.add_argument("--min-confidence", type=float, default=0.0,
                         help="only apply repairs at or above this marginal")
-    parser.add_argument("--engine", choices=("numpy", "sqlite", "off"),
+    parser.add_argument("--engine", choices=("numpy", "sqlite"),
                         default="numpy",
                         help="grounding engine backend for detection, "
                              "statistics, domain pruning, and DC-factor "
-                             "pair enumeration: vectorized NumPy (default), "
-                             "in-memory SQLite, or 'off' for the naive "
-                             "tuple-at-a-time path")
+                             "pair enumeration: vectorized NumPy (default) "
+                             "or in-memory SQLite")
     parser.add_argument("--trace-level", choices=("off", "stage", "deep"),
                         default="stage",
                         help="telemetry span granularity: one span per "
@@ -176,8 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     config = HoloCleanConfig.variant(
         args.variant, tau=args.tau, epochs=args.epochs, seed=args.seed,
         source_entity_attributes=entity,
-        use_engine=args.engine != "off",
-        engine_backend=args.engine if args.engine != "off" else "numpy",
+        engine_backend=args.engine,
         trace_level=args.trace_level,
         trace_memory=args.trace_memory)
 

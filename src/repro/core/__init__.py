@@ -10,7 +10,6 @@ the staged Detect → Compile → Learn → Infer → Apply API of
 """
 
 from repro.core.config import HoloCleanConfig, VARIANTS
-from repro.core.domain import DomainPruner
 from repro.core.partition import (
     PairEnumerator,
     TupleGroup,
@@ -51,7 +50,6 @@ from repro.core import rules
 __all__ = [
     "HoloCleanConfig",
     "VARIANTS",
-    "DomainPruner",
     "PairEnumerator",
     "TupleGroup",
     "VectorPairEnumerator",

@@ -14,34 +14,29 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.matching import MatchingDependency
 from repro.core.config import HoloCleanConfig
-from repro.core.domain import DomainPruner
 from repro.core.factor_tables import VectorFactorTableBuilder
-from repro.core.featurize import FeaturizationContext, default_featurizers
-from repro.core.partition import VectorPairEnumerator, make_pair_enumerator
+from repro.core.featurize import FeaturizationContext
+from repro.core.partition import make_pair_enumerator
 from repro.core.relations import CompiledRelations, init_value_relation
 from repro.core.vector_domain import (EntityVoteModes, VectorDomainPruner,
                                       merged_negative_domains)
 from repro.core.vector_featurize import VectorFeaturizer
 from repro.core import rules as ddlog
 from repro.dataset.dataset import Cell, Dataset
-from repro.dataset.stats import Statistics
 from repro.detect.base import DetectionResult
+from repro.engine import Engine, engine_for
 from repro.external.dictionary import ExternalDictionary
 from repro.external.matcher import match_dictionary
 from repro.inference.factor_graph import ConstraintFactor, FactorGraph
 from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
 from repro.inference.variables import VariableBlock
 from repro.obs.trace import deep_span
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Engine
 
 
 @dataclass
@@ -90,37 +85,35 @@ class CompiledModel:
 
 
 class ModelCompiler:
-    """Compiles one dataset + detection result into a :class:`CompiledModel`."""
+    """Compiles one dataset + detection result into a :class:`CompiledModel`.
+
+    Every grounding step runs set-at-a-time over ``engine`` (``None``
+    builds one over ``dataset``; an engine built over another dataset
+    raises ``ValueError``).  The step methods — :meth:`_prune_domains`,
+    :meth:`_weak_labels`, :meth:`_evidence_negatives`,
+    :meth:`_featurize_all`, :meth:`_ground_factors` — are the seams
+    :class:`repro.oracle.NaiveModelCompiler` overrides with the
+    tuple-at-a-time reference the equivalence tests compare against.
+    """
 
     def __init__(self, dataset: Dataset, constraints: list[DenialConstraint],
                  config: HoloCleanConfig, detection: DetectionResult,
                  dictionaries: list[ExternalDictionary] = (),
                  matching_dependencies: list[MatchingDependency] = (),
-                 stats: Statistics | None = None,
-                 engine: "Engine | None" = None):
+                 engine: Engine | None = None):
         self.dataset = dataset
         self.constraints = list(constraints)
         self.config = config
         self.detection = detection
         self.dictionaries = list(dictionaries)
         self.matching_dependencies = list(matching_dependencies)
-        self.engine = engine if engine is not None and engine.dataset is dataset else None
-        if stats is None:
-            # The engine's statistics serve Algorithm 2 and the
-            # co-occurrence featurizers from one vectorized computation.
-            stats = (self.engine.statistics() if self.engine is not None
-                     else Statistics(dataset))
-        self.stats = stats
-        #: Set-at-a-time Algorithm 2 pruner; built only when pruning runs
-        #: through the shared engine statistics (the default wiring) so
-        #: the naive :class:`DomainPruner` stays the correctness oracle.
-        self._vector_pruner: VectorDomainPruner | None = None
-        if (self.engine is not None and config.vector_domains
-                and getattr(stats, "_engine", None) is self.engine):
-            self._vector_pruner = VectorDomainPruner(
-                self.engine, tau=config.tau, max_domain=config.max_domain,
-                strategy=config.domain_strategy)
-        self._voter: EntityVoteModes | None = None
+        self.engine = engine_for(dataset, engine)
+        # One vectorized computation serves Algorithm 2 and the
+        # co-occurrence featurizers.
+        self.stats = self.engine.statistics()
+        self._pruner = VectorDomainPruner(
+            self.engine, tau=config.tau, max_domain=config.max_domain,
+            strategy=config.domain_strategy)
 
     # ------------------------------------------------------------------
     def compile(self) -> CompiledModel:
@@ -129,23 +122,17 @@ class ModelCompiler:
         query_cells = sorted(
             c for c in self.detection.noisy_cells if c.attribute in repairable)
 
-        pruner = DomainPruner(self.dataset, self.stats, tau=config.tau,
-                              max_domain=config.max_domain,
-                              strategy=config.domain_strategy)
-        prune_path = "vector" if self._vector_pruner is not None else "naive"
-        with deep_span("compile.prune_domains", cells=len(query_cells),
-                       path=prune_path):
-            query_domains = self._prune_domains(pruner, query_cells)
+        with deep_span("compile.prune_domains", cells=len(query_cells)):
+            query_domains = self._prune_domains(query_cells)
 
         evidence_cells = self._sample_evidence(set(query_domains))
-        with deep_span("compile.prune_evidence", cells=len(evidence_cells),
-                       path=prune_path):
-            evidence_domains = self._prune_domains(pruner, evidence_cells)
+        with deep_span("compile.prune_evidence", cells=len(evidence_cells)):
+            evidence_domains = self._prune_domains(evidence_cells)
 
         # The slice of the InitValue relation this model grounds against,
-        # materialised once (column-decoded by the engine when available)
-        # and consulted for every variable's initial value instead of
-        # per-cell dataset probes.
+        # materialised once (column-decoded by the engine) and consulted
+        # for every variable's initial value instead of per-cell dataset
+        # probes.
         init_values = init_value_relation(
             self.dataset, engine=self.engine,
             cells=[*sorted(query_domains), *sorted(evidence_domains)])
@@ -183,8 +170,6 @@ class ModelCompiler:
                                                 query_specs)
             if label >= 0 and len(domain) >= 2]
 
-        evidence_ids: list[int] = []
-        evidence_labels: list[int] = []
         sorted_evidence = sorted(evidence_domains)
         extended = self._evidence_negatives(
             sorted_evidence, [evidence_domains[cell]
@@ -217,9 +202,8 @@ class ModelCompiler:
         graph = FactorGraph(variables, matrix, space)
 
         skipped = 0
-        grounding: dict[str, int | str] = dict(feature_stats)
-        if self._vector_pruner is not None:
-            grounding.update(self._vector_pruner.stats)
+        grounding: dict[str, int | str] = {**feature_stats,
+                                           **self._pruner.stats}
         if config.use_dc_factors:
             skipped, factor_grounding = self._ground_factors(
                 graph, query_domains)
@@ -228,11 +212,10 @@ class ModelCompiler:
         # Multi-core fan-out accounting (prune / featurize / factor /
         # stream dispatches), surfaced as ``grounding_shards_*`` — absent
         # from single-process runs so their size reports are unchanged.
-        if self.engine is not None:
-            shard = getattr(self.engine.backend, "shard_stats", None)
-            if shard and shard.get("calls"):
-                for key, value in shard.items():
-                    grounding[f"shards_{key}"] = value
+        shard = self.engine.backend.shard_stats
+        if shard.get("calls"):
+            for key, value in shard.items():
+                grounding[f"shards_{key}"] = value
 
         relations = CompiledRelations(self.dataset,
                                       {**query_domains, **evidence_domains},
@@ -264,35 +247,27 @@ class ModelCompiler:
                              skipped_factors=skipped, grounding=grounding)
 
     # ------------------------------------------------------------------
-    def _prune_domains(self, pruner: DomainPruner,
-                       cells: list[Cell]) -> dict[Cell, list[str]]:
-        """Candidate domains for ``cells``, vectorized / sharded when possible.
+    def _prune_domains(self, cells: list[Cell]) -> dict[Cell, list[str]]:
+        """Algorithm 2 candidate domains for ``cells``, set-at-a-time.
 
-        With the default wiring (engine statistics shared end to end and
-        ``vector_domains`` on) pruning runs set-at-a-time through
-        :class:`VectorDomainPruner` — sharded across worker processes
-        when the backend can fan out, serial otherwise.  Workers replay
-        the same vectorized kernel over their own engine, so dispatch is
-        only sound when this compiler also prunes through the shared
-        engine statistics; any custom ``stats`` (and
-        ``vector_domains=False``) keeps the naive per-cell oracle.
-        Output is byte-identical on every path: per-cell pruning is
-        independent and results merge back in cell order.
+        A sharding backend prunes contiguous cell chunks in worker
+        processes, each replaying the same vectorized kernel over its own
+        engine; per-cell pruning is independent and results merge back in
+        cell order, so the output is byte-identical to pruning inline.
         """
-        vector = self._vector_pruner
-        if vector is None or pruner.stats is not self.stats:
+        pruner = self._pruner
+        backend = self.engine.backend
+        chunk = max(1, -(-len(cells) // (backend.workers * 4)))
+        params = (pruner.tau, pruner.max_domain, pruner.strategy,
+                  tuple(pruner.attributes))
+        batches = backend.shard_map(
+            "prune", [(cells[i:i + chunk], params)
+                      for i in range(0, len(cells), chunk)])
+        if batches is None:
             return pruner.domains(cells)
-        backend = self.engine.backend if self.engine is not None else None
-        prune = getattr(backend, "prune_cells", None)
-        if prune is not None and cells:
-            params = (pruner.tau, pruner.max_domain, pruner.strategy,
-                      tuple(pruner.attributes))
-            results = prune(list(cells), params)
-            if results is not None:
-                vector.tally(len(cells), sum(len(d) for d in results))
-                return {cell: domain
-                        for cell, domain in zip(cells, results) if domain}
-        return vector.domains(cells)
+        pruned = [domain for batch in batches for domain in batch]
+        pruner.tally(len(cells), sum(len(d) for d in pruned))
+        return {cell: domain for cell, domain in zip(cells, pruned) if domain}
 
     # ------------------------------------------------------------------
     def _featurize_all(self, context: FeaturizationContext,
@@ -300,75 +275,32 @@ class ModelCompiler:
                        builder: FeatureMatrixBuilder) -> dict[str, int | str]:
         """Ground the unary features of every variable in ``specs``.
 
-        With an engine, the whole stack grounds set-at-a-time over the
-        column store (:class:`VectorFeaturizer`, byte-identical output);
-        the naive per-cell loop remains the correctness oracle.
+        The whole stack grounds set-at-a-time over the column store
+        (:class:`VectorFeaturizer`); returns its ``feature_*`` counters.
         """
-        if self.engine is not None:
-            featurizer = VectorFeaturizer(self.engine, context,
-                                          self.constraints)
-            return featurizer.featurize(specs, builder)
-        featurizers = default_featurizers(context, self.constraints)
-        for vid, (cell, domain) in enumerate(specs):
-            self._featurize(builder, featurizers, vid, cell, domain)
-        return {"feature_path": "naive"}
-
-    def _featurize(self, builder: FeatureMatrixBuilder, featurizers,
-                   vid: int, cell: Cell, domain: list[str]) -> None:
-        for featurizer in featurizers:
-            per_candidate = featurizer.features(cell, domain)
-            for cand_idx, entries in enumerate(per_candidate):
-                for key, value in entries:
-                    if value != 0.0:
-                        builder.add(vid, cand_idx, key, value)
-
-    def _weak_label(self, context: FeaturizationContext, cell: Cell,
-                    domain: list[str], init_index: int) -> int:
-        """Weak training label for a noisy cell (candidate index, or -1).
-
-        Default: the observed value (assumption (i) of Section 5.2 —
-        errors are rarer than correct cells).  With source provenance and
-        an entity key configured (Flights), the label is bootstrapped
-        from the *plurality vote* of the cell's entity group instead —
-        the EM seed of truth-finding systems like SLiMFast [35]; training
-        against per-tuple observations would only teach the model to echo
-        each source's own report.
-        """
-        group = context.entity_group_of(cell.tid)
-        if context.source_attribute is not None and len(group) >= 3:
-            idx = self.dataset.schema.index_of(cell.attribute)
-            votes: dict[str, int] = {}
-            for tid in group:
-                v = self.dataset.row_ref(tid)[idx]
-                if v is not None:
-                    votes[v] = votes.get(v, 0) + 1
-            if votes:
-                mode = max(sorted(votes), key=lambda v: votes[v])
-                if mode in domain:
-                    return domain.index(mode)
-        return init_index
+        featurizer = VectorFeaturizer(self.engine, context, self.constraints)
+        return featurizer.featurize(specs, builder)
 
     def _weak_labels(self, context: FeaturizationContext,
                      specs: list[tuple[Cell, list[str]]],
                      init_indices: list[int]) -> list[int]:
-        """Weak labels for every query cell, vectorized when possible.
+        """Weak training label per query cell (candidate index, or -1).
 
-        The engine path replays :meth:`_weak_label` set-at-a-time: one
-        entity-key group-by over the column store, then one plurality
-        vote per (attribute, cell set) via :class:`EntityVoteModes`.
-        Without the engine (or without an entity key) the per-cell
-        oracle runs unchanged.
+        Default: the observed value (assumption (i) of Section 5.2 —
+        errors are rarer than correct cells).  With source provenance and
+        an entity key configured (Flights), the label is bootstrapped
+        from the *plurality vote* of the cell's entity group (three or
+        more tuples) instead — the EM seed of truth-finding systems like
+        SLiMFast [35]; training against per-tuple observations would only
+        teach the model to echo each source's own report.  One entity-key
+        group-by over the column store, then one vote per (attribute,
+        cell set) via :class:`EntityVoteModes`.
         """
         entity_attrs = list(self.config.source_entity_attributes)
         if (context.source_attribute is None or not entity_attrs
                 or not specs):
             return list(init_indices)
-        if self._vector_pruner is None:
-            return [self._weak_label(context, cell, domain, init_index)
-                    for (cell, domain), init_index in zip(specs,
-                                                          init_indices)]
-        if self._voter is None:
-            self._voter = EntityVoteModes(self.engine, entity_attrs)
+        voter = EntityVoteModes(self.engine, entity_attrs)
         labels = list(init_indices)
         groups: dict[str, list[int]] = {}
         for position, (cell, _) in enumerate(specs):
@@ -377,8 +309,8 @@ class ModelCompiler:
         for attribute, positions in groups.items():
             tids = np.asarray([specs[p][0].tid for p in positions],
                               dtype=np.int64)
-            modes = self._voter.modes(
-                attribute, tids, self._vector_pruner._lex_rank(attribute))
+            modes = voter.modes(
+                attribute, tids, self._pruner._lex_rank(attribute))
             values = store.values(attribute)
             for position, code in zip(positions, modes.tolist()):
                 if code < 0:
@@ -391,40 +323,20 @@ class ModelCompiler:
 
     def _evidence_negatives(self, cells: list[Cell],
                             domains: list[list[str]]) -> list[list[str]]:
-        """Extend every evidence domain with negatives in one pass.
+        """Extend every evidence domain with frequent negative candidates.
 
-        The engine path ranks each attribute's values once and merges
-        per-cell prefixes (:func:`merged_negative_domains`); the naive
-        per-cell :meth:`_with_negatives` walk stays the oracle.
+        Evidence cells in homogeneous attributes often prune down to a
+        singleton domain and then carry no learning signal; the most
+        frequent attribute values act as contrastive negatives.  Each
+        attribute's values are ranked once and merged into per-cell
+        prefixes (:func:`merged_negative_domains`).
         """
         wanted = self.config.evidence_negatives
         if wanted <= 0 or not cells:
             return domains
-        if self._vector_pruner is not None:
-            return merged_negative_domains(
-                self.engine, self.stats, cells, domains, wanted,
-                self.config.max_domain)
-        return [self._with_negatives(cell, domain)
-                for cell, domain in zip(cells, domains)]
-
-    def _with_negatives(self, cell: Cell, domain: list[str]) -> list[str]:
-        """Extend an evidence domain with frequent negative candidates.
-
-        Evidence cells in homogeneous attributes often prune down to a
-        singleton domain and then carry no learning signal; the most
-        frequent attribute values act as contrastive negatives.
-        """
-        wanted = self.config.evidence_negatives
-        if wanted <= 0:
-            return domain
-        extended = list(domain)
-        for value, _count in self.stats.most_common(cell.attribute,
-                                                    wanted + len(domain)):
-            if len(extended) >= len(domain) + wanted:
-                break
-            if value not in extended:
-                extended.append(value)
-        return extended[: self.config.max_domain]
+        return merged_negative_domains(
+            self.engine, self.stats, cells, domains, wanted,
+            self.config.max_domain)
 
     def _sample_evidence(self, query_cells: set[Cell]) -> list[Cell]:
         """Clean cells used as ERM evidence, subsampled for scale.
@@ -477,27 +389,17 @@ class ModelCompiler:
             chunk_pairs=config.factor_chunk_pairs,
             stream_budget=config.factor_stream_budget)
         hypergraph = self.detection.hypergraph
-        # With the engine enumerator, factor tables are built set-at-a-time
-        # over the column store; constraints it cannot vectorize (binary
-        # similarity) fall back to the per-pair oracle below.
-        builder = None
-        if isinstance(enumerator, VectorPairEnumerator):
-            builder = VectorFactorTableBuilder(
-                self.engine, self.dataset, graph.variables, query_domains,
-                max_table_cells=config.max_factor_table,
-                weight=config.dc_factor_weight)
-        # A sharding backend grounds supported constraints' chunks in
-        # worker processes; the phase context hands workers everything a
-        # builder clone needs (inherited zero-copy under fork).
-        dispatch = None
-        if builder is not None and self.engine is not None:
-            backend = self.engine.backend
-            dispatch = getattr(backend, "factor_chunks", None)
-            if dispatch is not None and any(
-                    builder.supports(dc) for dc in self.constraints):
-                backend.configure(factors=(
-                    self.constraints, graph.variables, query_domains,
-                    config.max_factor_table, config.dc_factor_weight))
+        # Factor tables are built set-at-a-time over the column store;
+        # constraints the builder cannot vectorize (binary similarity)
+        # ground pair by pair below.
+        builder = VectorFactorTableBuilder(
+            self.engine, self.dataset, graph.variables, query_domains,
+            max_table_cells=config.max_factor_table,
+            weight=config.dc_factor_weight)
+        # What a sharding backend's workers need to clone the builder
+        # (inherited zero-copy under fork).
+        shard_context = (self.constraints, graph.variables, query_domains,
+                         config.max_factor_table, config.dc_factor_weight)
         skipped = 0
         pairs = 0
         for ci, dc in enumerate(self.constraints):
@@ -505,10 +407,10 @@ class ModelCompiler:
                 dc_pairs = 0
                 if dc.is_single_tuple:
                     skipped += self._ground_single_tuple_factors(graph, dc)
-                elif builder is not None and builder.supports(dc):
+                elif builder.supports(dc):
                     dc_pairs, dc_skipped = self._ground_vector_dc(
                         graph, ci, dc, enumerator, builder, hypergraph,
-                        dispatch)
+                        shard_context)
                     skipped += dc_skipped
                 else:
                     for t1, t2 in enumerator.pairs_for(
@@ -521,52 +423,45 @@ class ModelCompiler:
                     sp.attributes["pairs"] = dc_pairs
         grounding: dict[str, int | str] = {
             "enumerator": type(enumerator).__name__}
-        grounding.update(getattr(enumerator, "stats", {}))
+        grounding.update(enumerator.stats)
         # The pairs actually walked by the grounding loop is authoritative
         # (the enumerator's own counter must not shadow it).
         grounding["pairs"] = pairs
-        if builder is not None:
-            grounding.update(
-                {f"table_{key}": value
-                 for key, value in builder.stats.items()})
+        grounding.update(
+            {f"table_{key}": value for key, value in builder.stats.items()})
         return skipped, grounding
 
     def _ground_vector_dc(self, graph: FactorGraph, ci: int,
                           dc: DenialConstraint, enumerator, builder,
-                          hypergraph, dispatch) -> tuple[int, int]:
+                          hypergraph, shard_context) -> tuple[int, int]:
         """Ground one vectorizable constraint's pair chunks.
 
-        With a sharding backend the chunks are buffered and fanned out:
-        each worker runs the same ``_ground_chunk`` over its own builder
-        clone and the parent merges factors, skip counts, and stats
-        deltas back in chunk order — byte-identical to the serial walk.
-        When dispatch is unavailable (or the pool broke mid-run) the
-        chunks ground inline.
+        The chunks are offered to the backend's fan-out: each worker of a
+        sharding backend runs the same ``_ground_chunk`` over its own
+        builder clone and the parent merges factors, skip counts, and
+        stats deltas back in chunk order — byte-identical to grounding
+        inline, which is what happens when ``shard_map`` answers ``None``
+        (single-process backend, or the pool broke mid-run).
         """
         config = self.config
-        chunks = enumerator.pair_chunks(
+        chunks = [(ci, left, right) for left, right in enumerator.pair_chunks(
             dc, use_partitioning=config.use_partitioning,
-            hypergraph=hypergraph)
-        pairs = 0
+            hypergraph=hypergraph)]
+        pairs = sum(len(left) for _, left, _ in chunks)
         skipped = 0
-        if dispatch is not None:
-            buffered = [(ci, left, right) for left, right in chunks]
-            results = dispatch(buffered) if buffered else []
-            if results is not None:
-                for (_, left, _), (factors, chunk_skipped, delta) in zip(
-                        buffered, results):
-                    pairs += len(left)
-                    graph.add_factors(factors)
-                    skipped += chunk_skipped
-                    for key, value in delta.items():
-                        builder.stats[key] += value
-                return pairs, skipped
-            chunks = ((left, right) for _, left, right in buffered)
-        for left, right in chunks:
-            pairs += len(left)
-            factors, chunk_skipped = builder.ground_chunk(dc, left, right)
+        results = self.engine.backend.shard_map("factor", chunks,
+                                                factors=shard_context)
+        if results is None:
+            for _, left, right in chunks:
+                factors, chunk_skipped = builder.ground_chunk(dc, left, right)
+                graph.add_factors(factors)
+                skipped += chunk_skipped
+            return pairs, skipped
+        for factors, chunk_skipped, delta in results:
             graph.add_factors(factors)
             skipped += chunk_skipped
+            for key, value in delta.items():
+                builder.stats[key] += value
         return pairs, skipped
 
     def _ground_single_tuple_factors(self, graph: FactorGraph,

@@ -108,17 +108,10 @@ class HoloCleanConfig:
     weak_label_training: bool | None = None
 
     # --- grounding engine ----------------------------------------------------
-    #: Route violation detection, statistics, domain pruning, featurization
-    #: (the set-at-a-time :class:`~repro.core.vector_featurize.VectorFeaturizer`),
-    #: and DC-factor pair enumeration through the vectorized relational
-    #: engine (:mod:`repro.engine`).  The staged API builds one
-    #: :class:`~repro.engine.Engine` per :class:`~repro.core.stages.RepairContext`
-    #: and every stage shares it.  The naive Python path is kept as a
-    #: correctness oracle; both produce identical results, the engine is
-    #: just what lets grounding scale.
-    use_engine: bool = True
-
-    #: Execution backend for the engine, by registry name (see
+    #: Execution backend of the grounding engine (:mod:`repro.engine`; one
+    #: :class:`~repro.engine.Engine` per
+    #: :class:`~repro.core.stages.RepairContext`, shared by every stage),
+    #: by registry name (see
     #: :func:`repro.engine.backend.register_backend`): ``"numpy"``
     #: (vectorized arrays, default), ``"sqlite"`` (in-memory DBMS
     #: grounding, the paper's original architecture), ``"parallel"``
@@ -131,14 +124,6 @@ class HoloCleanConfig:
     #: :class:`~repro.engine.parallel.ParallelBackend` with ``n`` workers.
     #: Results are byte-identical either way.
     parallel_workers: int = 0
-
-    #: Route Algorithm 2 domain pruning (and the compiler's weak-label /
-    #: evidence-negative scaffolding) through the set-at-a-time
-    #: :class:`~repro.core.vector_domain.VectorDomainPruner` when the
-    #: engine is on.  ``False`` keeps the per-cell naive oracle
-    #: (:class:`~repro.core.domain.DomainPruner`) even with the engine —
-    #: output is byte-identical either way.
-    vector_domains: bool = True
 
     # --- observability --------------------------------------------------------
     #: Trace-span verbosity of the telemetry subsystem (:mod:`repro.obs`):

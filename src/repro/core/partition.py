@@ -11,18 +11,19 @@ ways, both implemented here:
   connected components of the per-constraint conflict hypergraph, limiting
   factors to ``O(Σ_g |g|²)`` instead of ``O(|Σ| |D|²)``.
 
-Two enumerators implement the same contract: the tuple-at-a-time
-:class:`PairEnumerator` (the correctness oracle) and the engine-backed
-:class:`VectorPairEnumerator`, which pushes the candidate-domain self-join
-into the relational backend (the paper's DBMS grounding) and reproduces
-the naive pair stream byte for byte — set *and* order.
+Grounding runs through the engine-backed :class:`VectorPairEnumerator`,
+which pushes the candidate-domain self-join into the relational backend
+(the paper's DBMS grounding).  Its base class, the tuple-at-a-time
+:class:`PairEnumerator`, defines the contract, walks the constraints that
+have no equality join, and is the reference whose pair stream the engine
+enumerator reproduces byte for byte — set *and* order.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,10 +31,8 @@ from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import TupleRef
 from repro.dataset.dataset import Cell, Dataset
 from repro.detect.hypergraph import ConflictHypergraph
+from repro.engine import Engine, engine_for, ops
 from repro.obs.trace import deep_enabled, deep_span
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Engine
 
 
 @dataclass(frozen=True)
@@ -202,9 +201,14 @@ class PairEnumerator:
 
     def _pair_chunks(self, dc: DenialConstraint, use_partitioning: bool,
                      hypergraph: ConflictHypergraph | None):
-        """Naive chunk production: batch the tuple-at-a-time walk."""
+        """Naive chunk production: batch the tuple-at-a-time walk.
+
+        Names the base-class walk, because the engine enumerator builds
+        its own ``pairs_for`` on top of ``pair_chunks``.
+        """
         buffer: list[tuple[int, int]] = []
-        for pair in self.pairs_for(dc, use_partitioning, hypergraph):
+        for pair in PairEnumerator.pairs_for(self, dc, use_partitioning,
+                                             hypergraph):
             buffer.append(pair)
             if len(buffer) >= self.chunk_pairs:
                 chunk = np.asarray(buffer, dtype=np.int64)
@@ -242,13 +246,11 @@ class VectorPairEnumerator(PairEnumerator):
     Physicians-scale joins stream instead of being truncated.
     """
 
-    def __init__(self, engine: "Engine", dataset: Dataset,
+    def __init__(self, engine: Engine | None, dataset: Dataset,
                  domains: dict[Cell, list[str]], max_pairs: int = 200_000,
                  chunk_pairs: int = 65_536, stream_budget: int = 1_048_576):
         super().__init__(dataset, domains, max_pairs)
-        if engine.dataset is not dataset:
-            raise ValueError("engine was built over a different dataset")
-        self.engine = engine
+        self.engine = engine_for(dataset, engine)
         self.chunk_pairs = max(1, chunk_pairs)
         self.stream_budget = max(self.chunk_pairs, stream_budget)
         self._indexes: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
@@ -271,7 +273,11 @@ class VectorPairEnumerator(PairEnumerator):
                      hypergraph: ConflictHypergraph | None):
         """Columnar chunk production (the base-class contract's engine)."""
         if not dc.equijoin_predicates:
-            yield from self._fallback_chunks(dc, use_partitioning, hypergraph)
+            # No join to push down: batch the all-pairs walk.
+            for left, right in super()._pair_chunks(dc, use_partitioning,
+                                                    hypergraph):
+                self.stats["pairs"] += len(left)
+                yield left, right
             return
         remaining = [self.max_pairs]
         if not use_partitioning or hypergraph is None:
@@ -293,8 +299,6 @@ class VectorPairEnumerator(PairEnumerator):
         chunking (same stream, bounded memory).  One ``max_pairs`` cap is
         shared across groups, as in the naive walk.
         """
-        from repro.engine import ops
-
         components = hypergraph.tuple_components(dc.name)
         layout = self._component_layout(components)
         if layout is None:
@@ -329,24 +333,6 @@ class VectorPairEnumerator(PairEnumerator):
                                              member_tids[lo:hi], remaining)
             if remaining[0] <= 0:
                 return
-
-    def _fallback_chunks(self, dc: DenialConstraint, use_partitioning: bool,
-                         hypergraph: ConflictHypergraph | None):
-        """Constraints without equijoins: batch the naive all-pairs walk."""
-        buffer: list[tuple[int, int]] = []
-
-        def flush():
-            chunk = np.asarray(buffer, dtype=np.int64)
-            self.stats["pairs"] += len(buffer)
-            buffer.clear()
-            return chunk[:, 0], chunk[:, 1]
-
-        for pair in super().pairs_for(dc, use_partitioning, hypergraph):
-            buffer.append(pair)
-            if len(buffer) >= self.chunk_pairs:
-                yield flush()
-        if buffer:
-            yield flush()
 
     # ------------------------------------------------------------------
     # Tuple-at-a-time API (drop-in for the naive enumerator)
@@ -446,8 +432,6 @@ class VectorPairEnumerator(PairEnumerator):
         ``remaining`` is a one-element mutable budget shared across the
         groups of one constraint (the naive enumerator's global cap).
         """
-        from repro.engine import ops
-
         if remaining[0] <= 0 or not len(tids):
             return
         indptr, codes = self._combined_index(dc)
@@ -458,8 +442,6 @@ class VectorPairEnumerator(PairEnumerator):
     def _bucketed_chunks(self, bucket_ids: np.ndarray,
                          member_tids: np.ndarray, remaining: list[int]):
         """One group's normalised bucket membership → pair-array chunks."""
-        from repro.engine import ops
-
         if not len(bucket_ids) or remaining[0] <= 0:
             return
         self.stats["groups"] += 1
@@ -479,21 +461,7 @@ class VectorPairEnumerator(PairEnumerator):
         stride = int(member_tids.max()) + 1
         units = self._stream_units(bucket_ids, member_tids, starts, sizes,
                                    per_bucket)
-        runner = getattr(backend, "stream_pair_units", None)
-        if runner is not None:
-            yield from self._parallel_stream(units, runner, backend, stride,
-                                             remaining)
-            return
-        seen = np.empty(0, dtype=np.int64)
-        for unit in units:
-            if remaining[0] <= 0:
-                return
-            left, right = self._run_stream_unit(unit, backend)
-            self.stats["chunks"] += 1
-            chunk, seen = self._fresh_clip(left, right, stride, seen,
-                                           remaining)
-            if chunk is not None:
-                yield chunk
+        yield from self._stream(units, backend, stride, remaining)
 
     def _stream_units(self, bucket_ids: np.ndarray, member_tids: np.ndarray,
                       starts: np.ndarray, sizes: np.ndarray,
@@ -503,14 +471,12 @@ class VectorPairEnumerator(PairEnumerator):
         Each unit is independent of the others and of any enumerator
         state, so a sharding backend can execute a window of them
         concurrently; executing them in order through
-        :meth:`_run_stream_unit` reproduces the sequential walk exactly.
+        :meth:`_run_stream_unit` is the sequential walk.
         Unit kinds: ``("block", members, start, budget)`` — one bounded
         block of an oversized bucket's nested pair walk — and
         ``("domain", bucket_ids, member_tids)`` — one run of consecutive
         buckets totalling at most ``chunk_pairs`` estimated pairs.
         """
-        from repro.engine import ops
-
         bucket = 0
         num_buckets = len(starts)
         while bucket < num_buckets:
@@ -543,53 +509,42 @@ class VectorPairEnumerator(PairEnumerator):
 
     @staticmethod
     def _run_stream_unit(unit, backend):
-        """Execute one stream unit sequentially (the oracle path)."""
-        from repro.engine import ops
-
+        """Execute one stream unit in this process."""
         if unit[0] == "block":
             left, right, _ = ops.bucket_pair_block(unit[1], unit[2], unit[3])
             return left, right
         return backend.domain_join_pairs(unit[1], unit[2])
 
-    def _parallel_stream(self, units, runner, backend, stride: int,
-                         remaining: list[int]):
-        """Execute stream units through a sharding backend, windowed.
+    def _stream(self, units, backend, stride: int, remaining: list[int]):
+        """Execute stream units through the backend's fan-out, windowed.
 
-        Windows of units run concurrently on the backend's pool; results
-        come back in unit order, so the sequential dedup/budget clip
-        (:meth:`_fresh_clip`) — and therefore the emitted stream — is
-        byte-identical to the serial walk.  A window computed past the
-        ``max_pairs`` budget is discarded unprocessed, exactly where the
-        serial walk would have stopped.  If the pool degrades mid-stream
-        (``runner`` returns ``None``), the rest runs serially.
+        Windows of units run concurrently on a sharding backend's pool;
+        results come back in unit order, so the sequential dedup/budget
+        clip (:meth:`_fresh_clip`) — and therefore the emitted stream —
+        is byte-identical to the in-process walk.  A window computed past
+        the ``max_pairs`` budget is discarded unprocessed, exactly where
+        the in-process walk stops.  When ``shard_map`` answers ``None``
+        (single-process backend, or the pool degraded mid-stream), the
+        rest of the units run in this process.
         """
-        import itertools
-
         seen = np.empty(0, dtype=np.int64)
-        window = max(2 * getattr(backend, "workers", 1), 2)
-        batch = list(itertools.islice(units, window))
-        while batch:
-            results = runner(batch)
-            if results is None:
-                for unit in itertools.chain(batch, units):
-                    if remaining[0] <= 0:
-                        return
-                    left, right = self._run_stream_unit(unit, backend)
-                    self.stats["chunks"] += 1
-                    chunk, seen = self._fresh_clip(left, right, stride, seen,
-                                                   remaining)
-                    if chunk is not None:
-                        yield chunk
+        window = 2 * backend.workers
+        while remaining[0] > 0:
+            batch = list(itertools.islice(units, window))
+            if not batch:
                 return
+            results = backend.shard_map("stream", batch)
+            if results is None:
+                results = (self._run_stream_unit(unit, backend)
+                           for unit in itertools.chain(batch, units))
             for left, right in results:
-                if remaining[0] <= 0:
-                    return
                 self.stats["chunks"] += 1
                 chunk, seen = self._fresh_clip(left, right, stride, seen,
                                                remaining)
                 if chunk is not None:
                     yield chunk
-            batch = list(itertools.islice(units, window))
+                if remaining[0] <= 0:
+                    return
 
     def _fresh_clip(self, left: np.ndarray, right: np.ndarray, stride: int,
                     seen: np.ndarray, remaining: list[int],
@@ -623,17 +578,19 @@ class VectorPairEnumerator(PairEnumerator):
 
 
 def make_pair_enumerator(dataset: Dataset, domains: dict[Cell, list[str]],
-                         engine: "Engine | None" = None,
+                         engine: Engine | None = None,
                          max_pairs: int = 200_000,
                          chunk_pairs: int = 65_536,
-                         stream_budget: int = 1_048_576) -> PairEnumerator:
-    """The engine-backed enumerator when an engine is available, else naive."""
-    if engine is not None and engine.dataset is dataset:
-        return VectorPairEnumerator(engine, dataset, domains,
-                                    max_pairs=max_pairs,
-                                    chunk_pairs=chunk_pairs,
-                                    stream_budget=stream_budget)
-    return PairEnumerator(dataset, domains, max_pairs=max_pairs)
+                         stream_budget: int = 1_048_576) -> VectorPairEnumerator:
+    """:class:`VectorPairEnumerator` under its dataset-first call shape.
+
+    Kept only because the repository benchmark (``bench_e2e``) and the
+    compiler construct their enumerator through this name and these
+    keywords; it adds nothing to the constructor.
+    """
+    return VectorPairEnumerator(engine, dataset, domains, max_pairs=max_pairs,
+                                chunk_pairs=chunk_pairs,
+                                stream_budget=stream_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -646,14 +603,12 @@ def _merge_csr(index1, index2) -> tuple[np.ndarray, np.ndarray]:
     ``index2``'s — the order the naive enumerator scans a tuple's two
     join-attribute cells.  Both indexes must share one codebook.
     """
-    from repro.engine.ops import expand_ranges
-
     counts1 = np.diff(index1.indptr)
     counts2 = np.diff(index2.indptr)
     indptr = np.concatenate(([0], np.cumsum(counts1 + counts2)))
     codes = np.empty(int(indptr[-1]), dtype=np.int64)
-    codes[expand_ranges(indptr[:-1], counts1)] = index1.codes
-    codes[expand_ranges(indptr[:-1] + counts1, counts2)] = index2.codes
+    codes[ops.expand_ranges(indptr[:-1], counts1)] = index1.codes
+    codes[ops.expand_ranges(indptr[:-1] + counts1, counts2)] = index2.codes
     return indptr, codes
 
 
@@ -665,10 +620,8 @@ def _take_rows(indptr: np.ndarray, codes: np.ndarray, tids: np.ndarray,
     number of rows contributed by ``tids[k]`` (so callers can repeat
     further per-tid labels alongside).
     """
-    from repro.engine.ops import expand_ranges
-
     counts = indptr[tids + 1] - indptr[tids]
-    source = expand_ranges(indptr[tids], counts)
+    source = ops.expand_ranges(indptr[tids], counts)
     if not len(source):
         return source, source, counts
     return codes[source], np.repeat(tids, counts), counts

@@ -8,9 +8,9 @@ Reproduces the three-module workflow of Figure 2:
 2. **Compilation** — Algorithm 2 prunes candidate domains, featurizers
    ground the unary rules, and (in factor variants) Algorithm 1 grounds
    denial constraints into factors, optionally restricted by Algorithm 3's
-   tuple partitioning.  With the engine enabled the factor self-join runs
-   on the relational backend (``VectorPairEnumerator``); the resulting
-   grounding counters surface in ``RepairResult.size_report``.
+   tuple partitioning.  The factor self-join runs on the relational
+   backend (``VectorPairEnumerator``); the resulting grounding counters
+   surface in ``RepairResult.size_report``.
 3. **Repair** — weights are learned by ERM over the evidence cells;
    marginals come from the exact softmax (independent-variable relaxation)
    or Gibbs sampling (factor variants); each noisy cell is assigned its

@@ -3,71 +3,43 @@
 HoloClean's compiler first generates the relations ``Tuple``,
 ``InitValue``, ``Domain``, ``HasFeature``, and (optionally) ``ExtDict`` /
 ``Matched``; inference rules are then grounded against them.  Our grounding
-works directly on these structures; the builders below expose them for
-inspection and testing.
+works directly on these structures; ``InitValue`` and a compiled model's
+relation bundle are exposed below for inspection and testing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
-from repro.core.domain import DomainPruner
 from repro.dataset.dataset import Cell, Dataset
+from repro.engine import Engine, engine_for
 from repro.external.matcher import MatchedRelation
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Engine
 
-
-def tuple_relation(dataset: Dataset) -> range:
-    """``Tuple(t)``: all tuple identifiers."""
-    return dataset.tuple_ids
-
-
-def init_value_relation(dataset: Dataset,
-                        attributes: list[str] | None = None,
-                        engine: "Engine | None" = None,
+def init_value_relation(dataset: Dataset, engine: Engine | None = None,
                         cells=None) -> dict[Cell, str | None]:
     """``InitValue(t, a, v)``: every cell's initial observed value.
 
-    With an engine, values are decoded column-at-a-time from the columnar
-    store instead of probing the row store cell-by-cell; the resulting
-    mapping (including its key order) is identical.  ``cells`` restricts
-    the relation to the given cells (in their iteration order) — what the
-    compiler uses to materialise exactly the slice of ``InitValue`` its
-    variables ground against, instead of all ``|D| × |attrs|`` cells.
+    Values are decoded column-at-a-time from the columnar store of
+    ``engine`` (``None`` builds one over ``dataset``).  ``cells``
+    restricts the relation to the given cells (in their iteration order)
+    — what the compiler uses to materialise exactly the slice of
+    ``InitValue`` its variables ground against; the default is all
+    ``|D| × |attrs|`` cells in row-major order.
     """
-    if cells is not None:
-        if engine is not None and engine.dataset is dataset:
-            columns: dict[str, list[str | None]] = {}
-            out: dict[Cell, str | None] = {}
-            for cell in cells:
-                column = columns.get(cell.attribute)
-                if column is None:
-                    column = engine.store.decoded_column(cell.attribute)
-                    columns[cell.attribute] = column
-                out[cell] = column[cell.tid]
-            return out
-        return {cell: dataset.cell_value(cell) for cell in cells}
-    attrs = attributes or dataset.schema.names
-    if engine is not None and engine.dataset is dataset:
-        full_columns = {a: engine.store.decoded_column(a) for a in attrs}
-        return {
-            Cell(tid, a): full_columns[a][tid]
-            for tid in dataset.tuple_ids
-            for a in attrs
-        }
-    return {
-        Cell(tid, a): dataset.value(tid, a)
-        for tid in dataset.tuple_ids
-        for a in attrs
-    }
-
-
-def domain_relation(pruner: DomainPruner, cells) -> dict[Cell, list[str]]:
-    """``Domain(t, a, d)``: pruned candidate values per cell (Algorithm 2)."""
-    return pruner.domains(cells)
+    store = engine_for(dataset, engine).store
+    if cells is None:
+        cells = (Cell(tid, a) for tid in dataset.tuple_ids
+                 for a in dataset.schema.names)
+    columns: dict[str, list[str | None]] = {}
+    out: dict[Cell, str | None] = {}
+    for cell in cells:
+        column = columns.get(cell.attribute)
+        if column is None:
+            column = store.decoded_column(cell.attribute)
+            columns[cell.attribute] = column
+        out[cell] = column[cell.tid]
+    return out
 
 
 @dataclass
@@ -75,8 +47,8 @@ class CompiledRelations:
     """The materialised relations behind one compiled model.
 
     ``init_values`` is the materialised ``InitValue`` relation the
-    compiler grounded against (column-decoded by the engine when one is
-    available); cells outside it — attributes the model never touched —
+    compiler grounded against (column-decoded by the engine); cells
+    outside it — attributes the model never touched —
     fall back to a live dataset probe.
     """
 

@@ -156,14 +156,14 @@ class RepairContext:
     feedback: dict[Cell, str] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    def ensure_engine(self) -> Engine | None:
-        """The shared grounding engine (or ``None`` when disabled).
+    def ensure_engine(self) -> Engine:
+        """The shared grounding engine.
 
         One columnar encoding of the dirty dataset feeds detection,
         pruning, featurization, and DC-factor pair enumeration; it is
         built lazily on first demand and cached on the context.
         """
-        if self.engine is None and self.config.use_engine:
+        if self.engine is None:
             self.engine = Engine(
                 self.dataset,
                 backend=self.config.engine_backend,

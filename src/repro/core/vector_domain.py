@@ -1,6 +1,6 @@
 """Set-at-a-time Algorithm 2 domain pruning over the column store.
 
-:class:`VectorDomainPruner` replays :class:`repro.core.domain.DomainPruner`
+:class:`VectorDomainPruner` replays :class:`repro.oracle.DomainPruner`
 — the per-cell, string-keyed candidate generator of Algorithm 2 — in code
 space, byte-identical output included: cells are grouped by attribute, the
 ``Pr[v | v'] >= tau`` test runs as one CSR expansion per ``(attr, other)``
@@ -15,8 +15,8 @@ The module also hosts the compiler's other per-cell Algorithm 2
 scaffolding, vectorized over the same store: entity-group plurality votes
 (:class:`EntityVoteModes`, the weak-supervision seed) and the evidence
 negative-candidate merge (:func:`merged_negative_domains`).  The naive
-implementations stay behind as the correctness oracles; the hypothesis
-suite in ``tests/core/test_vector_domain.py`` pins byte-equality.
+implementations live in :mod:`repro.oracle` as the correctness oracles; the
+hypothesis suite in ``tests/core/test_vector_domain.py`` pins byte-equality.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ def _lex_rank_table(values: list[str]) -> np.ndarray:
 class VectorDomainPruner:
     """Algorithm 2 candidate domains, one attribute group at a time.
 
-    Mirrors :class:`~repro.core.domain.DomainPruner`'s constructor knobs
+    Mirrors :class:`~repro.oracle.DomainPruner`'s constructor knobs
     and ``candidates`` / ``domains`` surface, but prunes whole cell sets
     against the engine's cached code-space count tables instead of
     walking per-cell co-occurrence dicts.
@@ -274,7 +274,7 @@ class VectorDomainPruner:
 class EntityVoteModes:
     """Plurality-vote winners per entity group, one attribute at a time.
 
-    Vectorizes the compiler's ``_weak_label`` scaffolding: tuples are
+    Vectorizes ``NaiveModelCompiler._weak_label``: tuples are
     grouped once by their composite entity key (NULL components exclude a
     tuple, exactly like ``FeaturizationContext.entity_group_of``), and
     :meth:`modes` returns each queried tuple's group-plurality code for
@@ -350,7 +350,7 @@ def merged_negative_domains(
 ) -> list[list[str]]:
     """Evidence domains extended with frequent negatives, set-at-a-time.
 
-    Replays ``ModelCompiler._with_negatives`` for every evidence cell at
+    Replays ``NaiveModelCompiler._with_negatives`` for every evidence cell at
     once: instead of a per-cell ``most_common(attr, wanted + len(domain))``
     heap walk, each attribute is ranked once and every cell probes only
     its own ``wanted + len(domain)`` ranked prefix, appending the first

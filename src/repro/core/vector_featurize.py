@@ -461,27 +461,24 @@ class VectorFeaturizer:
         return out
 
     def _dispatch_dcs(self, rank: int, sequence, plan):
-        """Fan code-comparable DC evaluations out to a sharding backend.
+        """Offer code-comparable DC evaluations to the backend's fan-out.
 
-        Each worker rebuilds this featurizer's attribute blocks from the
-        shared column store (a deterministic function of the specs) and
-        evaluates whole constraints; entry batches merge back in the
-        serial walk's (constraint, attribute-block) order.  Returns
-        ``{di: [_Entries]}`` for dispatched constraints, or ``None`` to
-        keep the serial path (no sharding backend, nothing to dispatch,
-        or a broken pool).  Similarity constraints need the naive
-        per-cell oracle and always stay parent-side.
+        Each worker of a sharding backend rebuilds this featurizer's
+        attribute blocks from the shared column store (a deterministic
+        function of the specs) and evaluates whole constraints; entry
+        batches merge back in the inline walk's (constraint,
+        attribute-block) order.  Returns ``{di: [_Entries]}`` for
+        dispatched constraints, or ``None`` to evaluate inline
+        (single-process backend, nothing to dispatch, or a broken pool).
+        Similarity constraints need the per-cell featurizer and always
+        stay parent-side.
         """
-        backend = self.engine.backend
-        dispatch = getattr(backend, "dc_feature_batches", None)
-        if dispatch is None:
-            return None
         tasks = [(di, rank, mode) for di, _, mode in plan if mode != "naive"]
         if not tasks:
             return None
-        backend.configure(featurize=(
-            self._specs, self.constraints, self.context.config, sequence))
-        results = dispatch(tasks)
+        results = self.engine.backend.shard_map(
+            "dcfeat", tasks, featurize=(
+                self._specs, self.constraints, self.context.config, sequence))
         if results is None:
             return None
         return {di: entries

@@ -11,19 +11,19 @@ constraint like ``¬(t1.Zip = t2.Zip ∧ t1.City ≠ t2.City)`` costs
 O(|D| + Σ_group |group|²) instead of O(|D|²).  Constraints with no
 equality predicate fall back to a guarded all-pairs scan.
 
-When a grounding :class:`~repro.engine.Engine` is supplied, the join and
-the equality/inequality residual predicates run vectorized over the
-engine's coded columns; only residuals the engine cannot express
-(constants, order comparisons, similarity) fall back to per-pair Python
-evaluation, and only on pairs the vectorized mask lets through.  The
-engine path reproduces the naive pair stream order exactly, so both paths
-emit byte-identical violation lists.
+The join and the equality/inequality residual predicates run vectorized
+over the coded columns of a grounding :class:`~repro.engine.Engine`; only
+residuals the engine cannot express (constants, order comparisons,
+similarity) are evaluated per pair in Python, and only on pairs the
+vectorized mask lets through.  The tuple-at-a-time hash join below serves
+the joins the engine does not take — join-free constraints and joins over
+the ``max_engine_pairs`` memory guard — and emits the same pair stream in
+the same order (pinned against :class:`repro.oracle.NaiveViolationDetector`).
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -32,9 +32,7 @@ from repro.constraints.predicates import Operator, Predicate, TupleRef
 from repro.dataset.dataset import Cell, Dataset
 from repro.detect.base import DetectionResult, ErrorDetector
 from repro.detect.hypergraph import ConflictHypergraph, Violation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Engine
+from repro.engine import Engine, engine_for
 
 
 class QuadraticScanError(RuntimeError):
@@ -66,21 +64,20 @@ class ViolationDetector(ErrorDetector):
         the paper's Physicians run records 5.4M violations, which stays
         within this default).
     engine:
-        Optional grounding engine.  When given (and built over the same
-        dataset passed to :meth:`detect`), two-tuple constraints with
-        equality predicates run as vectorized hash joins on the engine's
-        columnar store; otherwise the naive Python path runs.  Results
-        are identical either way.
+        The grounding engine whose columnar store runs the equality
+        joins; ``None`` builds one over the dataset passed to
+        :meth:`detect`.  An engine built over a different dataset raises
+        ``ValueError`` there.
     max_engine_pairs:
-        Memory guard for the engine path: joins estimated to materialise
-        more candidate pairs than this fall back to the streaming naive
-        join (same results, O(1) pair memory).
+        Memory guard: joins estimated to materialise more candidate pairs
+        than this stream through the tuple-at-a-time join instead (same
+        results, O(1) pair memory).
     """
 
     def __init__(self, constraints: list[DenialConstraint],
                  max_quadratic_tuples: int = 20_000,
                  max_pairs_per_constraint: int = 10_000_000,
-                 engine: "Engine | None" = None,
+                 engine: Engine | None = None,
                  max_engine_pairs: int = 20_000_000):
         self.constraints = list(constraints)
         self.max_quadratic_tuples = max_quadratic_tuples
@@ -90,22 +87,16 @@ class ViolationDetector(ErrorDetector):
 
     # ------------------------------------------------------------------
     def detect(self, dataset: Dataset) -> DetectionResult:
+        engine = engine_for(dataset, self.engine)
         hypergraph = ConflictHypergraph(self.constraints)
-        engine = self._engine_for(dataset)
         for dc in self.constraints:
             if dc.is_single_tuple:
                 self._detect_single(dataset, dc, hypergraph)
-            elif engine is not None and dc.equijoin_predicates:
+            elif dc.equijoin_predicates:
                 self._detect_pairs_engine(engine, dataset, dc, hypergraph)
             else:
                 self._detect_pairs(dataset, dc, hypergraph)
         return DetectionResult(noisy_cells=hypergraph.cells(), hypergraph=hypergraph)
-
-    def _engine_for(self, dataset: Dataset) -> "Engine | None":
-        """The configured engine, if it actually covers ``dataset``."""
-        if self.engine is not None and self.engine.dataset is dataset:
-            return self.engine
-        return None
 
     # ------------------------------------------------------------------
     # Single-tuple constraints
@@ -197,10 +188,10 @@ class ViolationDetector(ErrorDetector):
     # ------------------------------------------------------------------
     # Two-tuple constraints via the vectorized engine
     # ------------------------------------------------------------------
-    def _detect_pairs_engine(self, engine: "Engine", dataset: Dataset,
+    def _detect_pairs_engine(self, engine: Engine, dataset: Dataset,
                              dc: DenialConstraint,
                              hypergraph: ConflictHypergraph) -> None:
-        """Engine fast path: vectorized join + vectorized residual mask.
+        """Vectorized join + vectorized residual mask.
 
         Emits exactly the violations (and order) of :meth:`_detect_pairs`.
         """
@@ -290,7 +281,7 @@ def _is_vectorizable(pred: Predicate) -> bool:
     return pred.is_binary and pred.op is Operator.NEQ
 
 
-def _residual_mask(engine: "Engine", predicates: list[Predicate],
+def _residual_mask(engine: Engine, predicates: list[Predicate],
                    rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
     """Conjunction of vectorizable residuals over candidate pairs.
 

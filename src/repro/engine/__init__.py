@@ -15,11 +15,12 @@ reproduction's equivalent subsystem:
 * :mod:`~repro.engine.parallel` — :class:`ParallelBackend`, multi-core
   sharded grounding over ``multiprocessing`` + shared memory.
 
-The :class:`Engine` facade bundles one store with one backend and is what
-the pipeline passes to the violation detector, domain pruner, and
-compiler when ``HoloCleanConfig.use_engine`` is on (the default).  Every
-engine-backed path returns byte-identical results to the naive Python
-path, which is kept as a correctness oracle.
+The :class:`Engine` facade bundles one store with one backend; the
+pipeline builds one per repair and hands it to the violation detector and
+the compiler.  Every grounding entry point takes ``engine=None`` to mean
+"build one over my dataset" (:func:`engine_for`) — there is no engine-less
+grounding path.  The tuple-at-a-time reference implementations the
+equivalence tests compare against live in :mod:`repro.oracle`.
 """
 
 from __future__ import annotations
@@ -93,18 +94,19 @@ class Engine:
         return self._statistics
 
     def close(self) -> None:
-        """Release backend resources (worker pools, shared memory, DBs)."""
-        backend = self._backend
-        if backend is not None:
-            close = getattr(backend, "close", None)
-            if close is not None:
-                close()
+        """Release backend resources (worker pools, shared memory, DBs).
+
+        The closed backend is dropped, so a later access rebuilds one
+        lazily over the same store instead of reaching a dead handle.
+        """
+        if self._backend is not None:
+            self._backend.close()
+            self._backend = None
 
     def refresh(self) -> None:
         """Invalidate the encoded snapshot after the dataset was mutated."""
         self.close()
         self._store = None
-        self._backend = None
         if self._statistics is not None:
             # Cached counts were computed from the stale encoding; drop
             # them so any caller still holding the instance stays honest.
@@ -114,6 +116,20 @@ class Engine:
 
     def __repr__(self) -> str:
         return f"Engine(backend={self.backend_name!r}, dataset={self.dataset.name!r})"
+
+
+def engine_for(dataset: Dataset, engine: Engine | None = None) -> Engine:
+    """``engine`` checked against ``dataset``; a fresh one for ``None``.
+
+    The one place grounding entry points resolve their ``engine=``
+    argument: an engine encodes one dataset, so handing it another is a
+    caller bug and raises instead of grounding over the wrong snapshot.
+    """
+    if engine is None:
+        return Engine(dataset)
+    if engine.dataset is not dataset:
+        raise ValueError("engine was built over a different dataset")
+    return engine
 
 
 def __getattr__(name: str):
@@ -135,6 +151,7 @@ __all__ = [
     "ParallelBackend",
     "SQLiteBackend",
     "backend_names",
+    "engine_for",
     "make_backend",
     "register_backend",
 ]

@@ -39,6 +39,12 @@ class Backend(Protocol):
 
     name: str
     store: ColumnStore
+    #: Processes a fan-out spreads over (1 on single-process backends);
+    #: callers size their task lists and stream windows from it.
+    workers: int
+    #: Fan-out counters (``workers`` / ``calls`` / ``tasks``), surfaced as
+    #: ``grounding_shards_*``; empty on backends that never fan out.
+    shard_stats: dict[str, int]
 
     def value_counts(self, attribute: str) -> np.ndarray:
         """Occurrences per code of one attribute (dense, NULLs excluded)."""
@@ -73,6 +79,20 @@ class Backend(Protocol):
         """
         ...
 
+    def shard_map(self, kind: str, tasks: list[tuple], **context) -> list | None:
+        """Run compiler-level ``tasks`` of one ``kind`` on worker processes.
+
+        Returns the results in task order, or ``None`` for "run them
+        inline" — always on single-process backends, and on a sharding
+        backend whose pool is unavailable.  ``context`` names the phase
+        artifacts workers need beyond the column store.
+        """
+        ...
+
+    def close(self) -> None:
+        """Release what the backend holds (connections, pools, memory)."""
+        ...
+
 
 class _BaseBackend:
     """Shared key construction; subclasses supply the join executors.
@@ -84,9 +104,11 @@ class _BaseBackend:
     """
 
     name = "base"
+    workers = 1
 
     def __init__(self, store: ColumnStore):
         self.store = store
+        self.shard_stats: dict[str, int] = {}
         #: join_attrs → (key1, key2, symmetric); safe because the store is
         #: an immutable snapshot.  Lets estimated_join_pairs + join_pairs
         #: share one composite-key construction per constraint.
@@ -151,6 +173,12 @@ class _BaseBackend:
             if sp is not None:
                 sp.attributes["pairs"] = int(len(left))
             return left, right
+
+    def shard_map(self, kind: str, tasks: list[tuple], **context) -> None:
+        return None
+
+    def close(self) -> None:
+        pass
 
     # -- executors (subclass responsibility) ----------------------------
     def _symmetric_pairs(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

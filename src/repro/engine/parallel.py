@@ -258,11 +258,6 @@ def _task_domain(state: _WorkerState, bucket_ids, member_tids):
     return ops.bucket_join_pairs(bucket_ids, member_tids)
 
 
-def _task_block(state: _WorkerState, members, start: int, budget: int):
-    left, right, _ = ops.bucket_pair_block(members, start, budget)
-    return left, right
-
-
 def _task_prune(state: _WorkerState, cells, params):
     # Workers replay the parent's set-at-a-time kernel (one vectorized
     # pass per attribute group of the chunk), not per-cell DomainPruner
@@ -322,14 +317,20 @@ def _task_dc_features(state: _WorkerState, di: int, rank: int, mode: str):
     return featurizer._pair_dc(rank, di, dc)
 
 
+def _task_stream(state: _WorkerState, *unit):
+    from repro.core.partition import VectorPairEnumerator
+
+    return VectorPairEnumerator._run_stream_unit(unit, state.backend)
+
+
 _TASK_HANDLERS = {
     "sym": _task_symmetric,
     "asym": _task_asymmetric,
     "domain": _task_domain,
-    "block": _task_block,
     "prune": _task_prune,
     "factor": _task_factor,
     "dcfeat": _task_dc_features,
+    "stream": _task_stream,
 }
 
 
@@ -367,13 +368,9 @@ class ParallelBackend(_BaseBackend):
 
     Wraps an ``inner`` backend (by registry name or instance); counts and
     under-threshold joins delegate to it unchanged, large joins shard.  The
-    compiler-level fan-outs (``prune_cells``, ``dc_feature_batches``,
-    ``factor_chunks``, ``stream_pair_units``) return ``None`` when the pool
-    is unavailable so callers can fall back to their serial path.
-
-    ``configure(**context)`` sets the phase context workers need (factor /
-    featurize artifacts); changing it restarts the pool, and the ``fork``
-    start method hands the context to workers without pickling.
+    compiler-level fan-outs (prune / featurize / factor / stream tasks) go
+    through :meth:`shard_map`, which returns ``None`` when the pool is
+    unavailable so callers ground inline.
     """
 
     name = "parallel"
@@ -443,11 +440,6 @@ class ParallelBackend(_BaseBackend):
         """Whether sharded dispatch is currently possible."""
         return self._ensure_pool() is not None
 
-    def configure(self, **context) -> None:
-        """Install phase context for workers (restarts the pool)."""
-        self._context.update(context)
-        self._close_pool()
-
     def close(self) -> None:
         """Terminate the pool, release shared memory, close the inner."""
         self._close_pool()
@@ -458,9 +450,7 @@ class ParallelBackend(_BaseBackend):
                 shm.unlink()
             except FileNotFoundError:
                 pass
-        inner_close = getattr(self.inner, "close", None)
-        if inner_close is not None:
-            inner_close()
+        self.inner.close()
 
     # -- generic ordered fan-out ----------------------------------------
     def _try_map(self, tasks: list[tuple], label: str):
@@ -580,45 +570,27 @@ class ParallelBackend(_BaseBackend):
         keep = np.sort(first)
         return left[keep], right[keep]
 
-    # -- compiler-level fan-outs -----------------------------------------
-    def prune_cells(self, cells: list, params: tuple):
-        """Candidate domains per cell, in cell order; None if unavailable.
+    # -- compiler-level fan-out -------------------------------------------
+    def shard_map(self, kind: str, tasks: list[tuple], **context):
+        """Run ``(kind, *task)`` work units on the pool, in task order.
 
-        ``params`` is ``(tau, max_domain, strategy, attributes)`` — enough
-        for workers to rebuild the pruner over their own statistics.
+        Task kinds: ``prune`` ``(cells, params)`` with ``params =
+        (tau, max_domain, strategy, attributes)``; ``dcfeat`` ``(di, rank,
+        mode)`` under a ``featurize=`` context; ``factor`` ``(ci, left,
+        right)`` under a ``factors=`` context; ``stream`` enumerator units
+        (``("domain", bucket_ids, member_tids)`` / ``("block", members,
+        start, budget)``).  A context object not seen before restarts the
+        pool, and the ``fork`` start method hands it to the new workers
+        without pickling.  Returns ``None`` when the pool is unavailable.
         """
-        if not cells:
+        if kind not in _TASK_HANDLERS:
+            raise ValueError(f"unknown shard task kind {kind!r}")
+        if any(self._context.get(key) is not value for key, value in context.items()):
+            self._context.update(context)
+            self._close_pool()
+        if not tasks:
             return []
-        chunk = max(1, (len(cells) + self.workers * 4 - 1) // (self.workers * 4))
-        tasks = [
-            ("prune", cells[i : i + chunk], params)
-            for i in range(0, len(cells), chunk)
-        ]
-        results = self._try_map(tasks, "prune_domains")
-        if results is None:
-            return None
-        return [domain for batch in results for domain in batch]
-
-    def dc_feature_batches(self, tasks: list[tuple[int, int, str]]):
-        """Entry batches for ``(di, rank, mode)`` DC tasks, in task order."""
-        return self._try_map(
-            [("dcfeat", di, rank, mode) for di, rank, mode in tasks],
-            "featurize_dc",
-        )
-
-    def factor_chunks(self, tasks: list[tuple[int, np.ndarray, np.ndarray]]):
-        """Ground ``(ci, left, right)`` chunks; results in chunk order."""
-        return self._try_map(
-            [("factor", ci, left, right) for ci, left, right in tasks],
-            "ground_factors",
-        )
-
-    def stream_pair_units(self, units: list[tuple]):
-        """Execute enumerator stream units (``domain`` / ``block``) in order."""
-        for unit in units:
-            if unit[0] not in ("domain", "block"):
-                raise ValueError(f"unknown stream unit kind {unit[0]!r}")
-        return self._try_map(list(units), "pair_stream")
+        return self._try_map([(kind, *task) for task in tasks], kind)
 
 
 register_backend("parallel", ParallelBackend)

@@ -17,13 +17,8 @@ Two engineering details beyond the pseudocode:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.stats import Statistics
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.engine import Engine
 
 
 class DomainPruner:
@@ -44,20 +39,12 @@ class DomainPruner:
     def __init__(self, dataset: Dataset, stats: Statistics | None = None,
                  tau: float = 0.5, max_domain: int = 24,
                  attributes: list[str] | None = None,
-                 strategy: str = "cooccurrence",
-                 engine: "Engine | None" = None):
+                 strategy: str = "cooccurrence"):
         if strategy not in ("cooccurrence", "active"):
             raise ValueError(
                 f"strategy must be 'cooccurrence' or 'active', got {strategy!r}")
         self.dataset = dataset
-        if stats is None:
-            # Engine-backed statistics answer the Algorithm 2 inner-loop
-            # query (cooccurring_values) from a prebuilt index.
-            if engine is not None and engine.dataset is dataset:
-                stats = engine.statistics()
-            else:
-                stats = Statistics(dataset)
-        self.stats = stats
+        self.stats = stats if stats is not None else Statistics(dataset)
         self.tau = tau
         self.max_domain = max_domain
         self.attributes = attributes or dataset.schema.data_attributes

@@ -43,7 +43,7 @@ class TestCli:
         assert code == 0
         assert read_csv(output).value(0, "Zip") == "60608"
 
-    @pytest.mark.parametrize("engine", ["numpy", "sqlite", "off"])
+    @pytest.mark.parametrize("engine", ["numpy", "sqlite"])
     def test_engine_choices_agree(self, workspace, engine):
         tmp_path, input_csv, dcs = workspace
         output = tmp_path / f"repaired-{engine}.csv"
@@ -52,8 +52,16 @@ class TestCli:
                      "--epochs", "30", "--seed", "1", "--engine", engine,
                      "--report", str(tmp_path / f"r-{engine}.txt")])
         assert code == 0
-        # Every backend (and the naive path) repairs the Figure 1 zip.
+        # Every backend repairs the Figure 1 zip.
         assert read_csv(output).value(0, "Zip") == "60608"
+
+    def test_engine_off_is_not_a_choice(self, workspace, capsys):
+        tmp_path, input_csv, dcs = workspace
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--input", str(input_csv), "--constraints", str(dcs),
+                  "--output", str(tmp_path / "out.csv"), "--engine", "off"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'off'" in capsys.readouterr().err
 
     def test_no_constraints_is_an_error(self, workspace, capsys):
         tmp_path, input_csv, _ = workspace

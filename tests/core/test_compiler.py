@@ -171,16 +171,40 @@ class TestInitValueRelation:
         relation in production; it must equal the naive probe map, key
         order included."""
         from repro.engine import Engine
+        from repro.oracle import NaiveModelCompiler
 
         config = HoloCleanConfig(tau=0.3, seed=1)
         detection = ViolationDetector(figure1_constraints).detect(
             figure1_dataset)
-        naive = ModelCompiler(figure1_dataset, figure1_constraints,
-                              config.with_(use_engine=False), detection,
-                              engine=None).compile()
+        naive = NaiveModelCompiler(figure1_dataset, figure1_constraints,
+                                   config, detection).compile()
         fast = ModelCompiler(figure1_dataset, figure1_constraints, config,
                              detection,
                              engine=Engine(figure1_dataset)).compile()
         assert fast.relations.init_values == naive.relations.init_values
         assert (list(fast.relations.init_values)
                 == list(naive.relations.init_values))
+
+
+class TestEngineArgument:
+    def test_no_engine_means_build_one(self, compiled):
+        # ``engine=None`` never selects a naive path: the compiler builds
+        # an engine over its dataset and grounds through it.
+        model, _ = compiled
+        assert model.grounding["feature_path"] == "vector"
+        assert model.grounding["prune_path"] == "vector"
+        assert model.grounding["prune_cells"] > 0
+        report = model.size_report()
+        assert report["grounding_feature_path"] == "vector"
+        assert report["grounding_prune_cells"] > 0
+
+    def test_foreign_engine_is_rejected(self, figure1_dataset,
+                                        figure1_constraints, compiled):
+        from repro.engine import Engine
+
+        _, detection = compiled
+        with pytest.raises(ValueError,
+                           match="engine was built over a different dataset"):
+            ModelCompiler(figure1_dataset, figure1_constraints,
+                          HoloCleanConfig(), detection,
+                          engine=Engine(figure1_dataset.copy()))

@@ -31,6 +31,13 @@ class TestValidation:
                             use_cooccur=False, use_minimality=False,
                             use_frequency=False)
 
+    @pytest.mark.parametrize("field", ["use_engine", "vector_domains"])
+    def test_removed_engine_switches_are_not_fields(self, field):
+        # The engine is mandatory: the flags that once routed around it
+        # are gone, not ignored.
+        with pytest.raises(TypeError, match=field):
+            HoloCleanConfig(**{field: False})
+
 
 class TestVariants:
     def test_all_variants_construct(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.domain import DomainPruner
+from repro.oracle import DomainPruner
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 

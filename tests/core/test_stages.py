@@ -38,8 +38,7 @@ from repro.inference.softmax import SoftmaxTrainer
 def legacy_repair(dataset, constraints, config, detection=None):
     """The pre-refactor ``HoloClean.repair()``, inlined as the oracle."""
     timings = {}
-    engine = (Engine(dataset, backend=config.engine_backend)
-              if config.use_engine else None)
+    engine = Engine(dataset, backend=config.engine_backend)
 
     if detection is None:
         detection = ViolationDetector(constraints, engine=engine).detect(dataset)
@@ -217,16 +216,6 @@ class TestPlanExecution:
         assert ctx.engine is not None
         assert any(str(k).startswith("grounding_")
                    for k in ctx.result.size_report)
-
-    def test_engine_off_builds_no_engine(self, figure1_dataset,
-                                         figure1_constraints):
-        ctx = RepairContext(
-            dataset=figure1_dataset, constraints=figure1_constraints,
-            config=HoloCleanConfig(tau=0.3, epochs=5, seed=1,
-                                   use_engine=False))
-        ctx = RepairPlan.default().run(ctx)
-        assert ctx.engine is None
-        assert ctx.result is not None
 
 
 class TestReentry:

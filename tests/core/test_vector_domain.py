@@ -6,7 +6,7 @@ naive per-cell implementations *exactly* — same candidate sets, same
 ordering, same tie-breaks — on NULL-heavy data, score ties, ``max_domain``
 truncation displacing the observed value, the ``active`` strategy, and
 the empty-domain most-common fallback.  A full-pipeline test pins the
-``vector_domains`` knob end to end.
+prune counters across worker counts.
 """
 
 import numpy as np
@@ -15,8 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import HoloCleanConfig, RepairContext, RepairPlan
-from repro.core.compiler import ModelCompiler
-from repro.core.domain import DomainPruner
 from repro.core.featurize import FeaturizationContext
 from repro.core.vector_domain import (
     EntityVoteModes,
@@ -31,6 +29,7 @@ from repro.dataset.schema import Schema
 from repro.dataset.stats import Statistics
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
+from repro.oracle import DomainPruner, NaiveModelCompiler
 
 # Few distinct values over few attributes: ties, NULL-heavy tuples, and
 # shared co-occurrence structure are all likely under sampling.
@@ -187,7 +186,7 @@ class TestNegativeMerge:
         engine = Engine(dataset)
         stats = engine.statistics()
         config = HoloCleanConfig(evidence_negatives=wanted, max_domain=max_domain)
-        compiler = ModelCompiler(
+        compiler = NaiveModelCompiler(
             dataset,
             [],
             config,
@@ -236,15 +235,6 @@ class TestPipelineParity:
         finally:
             if context.engine is not None:
                 context.engine.close()
-
-    def test_vector_domains_off_is_byte_identical(self, hospital):
-        vector, vector_report = self._run(hospital)
-        naive, naive_report = self._run(hospital, vector_domains=False)
-        assert vector == naive
-        assert vector_report["grounding_prune_path"] == "vector"
-        assert vector_report["grounding_prune_cells"] > 0
-        assert vector_report["grounding_prune_candidates"] > 0
-        assert "grounding_prune_path" not in naive_report
 
     def test_parallel_workers_share_prune_counters(self, hospital):
         serial, serial_report = self._run(hospital)

@@ -121,3 +121,14 @@ class TestCaps:
                                      max_pairs_per_constraint=5)
         result = detector.detect(ds)
         assert len(result.hypergraph) == 5
+
+
+class TestEngineArgument:
+    def test_foreign_engine_is_rejected(self, zip_city_data, zip_city_dc):
+        from repro.engine import Engine
+
+        detector = ViolationDetector([zip_city_dc],
+                                     engine=Engine(zip_city_data.copy()))
+        with pytest.raises(ValueError,
+                           match="engine was built over a different dataset"):
+            detector.detect(zip_city_data)

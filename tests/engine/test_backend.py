@@ -111,3 +111,22 @@ class TestEngineFacade:
     def test_statistics_shared_instance(self, dataset):
         engine = Engine(dataset)
         assert engine.statistics() is engine.statistics()
+
+    @pytest.mark.parametrize("options", [
+        {"backend": "numpy"},
+        {"backend": "sqlite"},
+        {"backend": "sqlite", "parallel_workers": 2},
+    ])
+    def test_close_then_reuse_rebuilds_backend(self, dataset, options):
+        # close() used to leave the dead backend cached: the next kernel
+        # call died with "Cannot operate on a closed database".
+        engine = Engine(dataset, **options)
+        before = {a: engine.backend.value_counts(a) for a in dataset.schema.names}
+        closed = engine.backend
+        engine.close()
+        try:
+            assert engine.backend is not closed
+            for attr, counts in before.items():
+                assert np.array_equal(engine.backend.value_counts(attr), counts)
+        finally:
+            engine.close()

@@ -1,7 +1,8 @@
 """The engine's contract: byte-identical results to the naive oracle.
 
-The naive Python paths (tuple-at-a-time violation detection, row-scan
-statistics, Algorithm 2 over them) are kept as the correctness oracle;
+The naive Python references (:mod:`repro.oracle`: tuple-at-a-time
+violation detection, row-scan statistics, Algorithm 2 over them) are the
+correctness oracle;
 every engine backend must reproduce their output *exactly* — same noisy
 cells, same violation list in the same order, same pruned domains —
 on the paper's generators and on adversarial random datasets.
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Operator, Predicate, TupleRef
 from repro.core.config import HoloCleanConfig
-from repro.core.domain import DomainPruner
 from repro.core.pipeline import HoloClean
+from repro.core.stages import RepairContext, RepairPlan
 from repro.data.generators.flights import generate_flights
 from repro.data.generators.hospital import generate_hospital
 from repro.dataset.dataset import Dataset
@@ -23,6 +24,8 @@ from repro.dataset.schema import Schema
 from repro.dataset.stats import Statistics
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
+from repro.oracle import (DomainPruner, NaiveModelCompiler,
+                          NaiveViolationDetector)
 
 BACKENDS = ("numpy", "sqlite")
 
@@ -38,7 +41,7 @@ def flights():
 
 
 def naive_detection(generated):
-    return ViolationDetector(generated.constraints).detect(generated.dirty)
+    return NaiveViolationDetector(generated.constraints).detect(generated.dirty)
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +93,9 @@ def test_domains_identical_on_generators(name, backend, request):
     dataset = generated.dirty
     noisy = sorted(naive_detection(generated).noisy_cells)
     naive_pruner = DomainPruner(dataset, tau=generated.recommended_tau)
-    fast_pruner = DomainPruner(dataset, tau=generated.recommended_tau,
-                               engine=Engine(dataset, backend=backend))
+    fast_pruner = DomainPruner(
+        dataset, stats=Engine(dataset, backend=backend).statistics(),
+        tau=generated.recommended_tau)
     naive_domains = naive_pruner.domains(noisy)
     fast_domains = fast_pruner.domains(noisy)
     # Exact equality: same cells, same candidate lists, same ranking order.
@@ -102,9 +106,11 @@ def test_domains_identical_on_generators(name, backend, request):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_init_value_relation_identical(backend, flights):
     from repro.core.relations import init_value_relation
+    from repro.dataset.dataset import Cell
 
     dataset = flights.dirty
-    naive = init_value_relation(dataset)
+    naive = {Cell(tid, a): dataset.value(tid, a)
+             for tid in dataset.tuple_ids for a in dataset.schema.names}
     fast = init_value_relation(dataset, engine=Engine(dataset, backend=backend))
     assert fast == naive
     assert list(fast) == list(naive)  # row-major key order preserved
@@ -134,22 +140,29 @@ def test_pathological_join_falls_back_to_naive(monkeypatch):
         Predicate(TupleRef(1, "K"), Operator.EQ, TupleRef(2, "K")),
         Predicate(TupleRef(1, "V"), Operator.NEQ, TupleRef(2, "V")),
     ], name="const_key")
-    naive = ViolationDetector([dc]).detect(dataset)
+    naive = NaiveViolationDetector([dc]).detect(dataset)
     guarded = ViolationDetector([dc], engine=Engine(dataset),
                                 max_engine_pairs=10).detect(dataset)
     assert guarded.hypergraph.violations == naive.hypergraph.violations
 
 
 # ---------------------------------------------------------------------------
-# Full pipeline: engine on/off and across backends
+# Full pipeline: naive reference vs every backend
 # ---------------------------------------------------------------------------
+def naive_repair(dataset, constraints, config):
+    """The default plan with detection and compilation done by the oracle."""
+    ctx = RepairContext(dataset=dataset, constraints=constraints, config=config)
+    ctx.detection = NaiveViolationDetector(constraints).detect(dataset)
+    ctx.model = NaiveModelCompiler(dataset, constraints, config,
+                                   ctx.detection).compile()
+    return RepairPlan.default().starting_at("learn").run(ctx).result
+
+
 def test_pipeline_repairs_identical_across_engines(hospital):
-    results = {}
-    for label, config in {
-        "naive": HoloCleanConfig(use_engine=False),
-        "numpy": HoloCleanConfig(use_engine=True, engine_backend="numpy"),
-        "sqlite": HoloCleanConfig(use_engine=True, engine_backend="sqlite"),
-    }.items():
+    results = {"naive": naive_repair(hospital.dirty, hospital.constraints,
+                                     HoloCleanConfig())}
+    for label in ("numpy", "sqlite"):
+        config = HoloCleanConfig(engine_backend=label)
         result = HoloClean(config).repair(hospital.dirty, hospital.constraints)
         results[label] = result
     baseline = results["naive"]
@@ -188,7 +201,7 @@ RANDOM_DCS = [
 @given(rows=ROWS)
 def test_random_datasets_identical(rows):
     dataset = Dataset(Schema(["A", "B", "C"]), [list(r) for r in rows])
-    naive = ViolationDetector(RANDOM_DCS).detect(dataset)
+    naive = NaiveViolationDetector(RANDOM_DCS).detect(dataset)
     for backend in BACKENDS:
         engine = Engine(dataset, backend=backend)
         fast = ViolationDetector(RANDOM_DCS, engine=engine).detect(dataset)

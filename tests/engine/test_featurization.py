@@ -23,6 +23,7 @@ from repro.dataset.dataset import Dataset
 from repro.dataset.schema import Schema
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
+from repro.oracle import NaiveModelCompiler
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +40,7 @@ def compile_pair(dataset, constraints, config, backend="numpy"):
     """Compile once naive, once engine-backed, off one shared detection."""
     engine = Engine(dataset, backend=backend)
     detection = ViolationDetector(constraints, engine=engine).detect(dataset)
-    naive_config = config.with_(use_engine=False)
-    naive = ModelCompiler(dataset, constraints, naive_config, detection).compile()
+    naive = NaiveModelCompiler(dataset, constraints, config, detection).compile()
     compiler = ModelCompiler(dataset, constraints, config, detection, engine=engine)
     return naive, compiler.compile()
 

@@ -17,7 +17,6 @@ from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Const, Operator, Predicate, TupleRef
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
-from repro.core.domain import DomainPruner
 from repro.core.partition import (
     PairEnumerator,
     VectorPairEnumerator,
@@ -29,6 +28,7 @@ from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
+from repro.oracle import DomainPruner, NaiveModelCompiler
 
 BACKENDS = ("numpy", "sqlite")
 
@@ -160,17 +160,18 @@ def test_non_equijoin_fallback_matches_naive_and_counts_pairs():
     assert vector.stats["pairs"] == total > 0
 
 
-def test_make_pair_enumerator_dispatch(hospital):
+def test_make_pair_enumerator_always_engine_backed(hospital):
     dataset = hospital.dirty
     engine = Engine(dataset)
-    assert isinstance(make_pair_enumerator(dataset, {}, engine=engine),
-                      VectorPairEnumerator)
-    naive = make_pair_enumerator(dataset, {}, engine=None)
-    assert type(naive) is PairEnumerator
-    # An engine built over a different dataset must not be used.
-    other = hospital.clean.copy()
-    assert type(make_pair_enumerator(other, {}, engine=engine)) \
-        is PairEnumerator
+    given = make_pair_enumerator(dataset, {}, engine=engine)
+    assert type(given) is VectorPairEnumerator and given.engine is engine
+    # No engine means "build one over my dataset", never "go naive".
+    built = make_pair_enumerator(dataset, {}, engine=None)
+    assert type(built) is VectorPairEnumerator
+    assert built.engine.dataset is dataset
+    # An engine built over a different dataset is a caller bug.
+    with pytest.raises(ValueError, match="engine was built over a different dataset"):
+        make_pair_enumerator(hospital.clean.copy(), {}, engine=engine)
 
 
 def test_enumerator_rejects_foreign_engine(hospital):
@@ -198,9 +199,8 @@ def test_factor_graphs_identical(backend, use_partitioning, hospital):
     config = HoloCleanConfig(use_dc_factors=True,
                              use_partitioning=use_partitioning,
                              tau=hospital.recommended_tau)
-    naive_model = ModelCompiler(dataset, hospital.constraints,
-                                config.with_(use_engine=False), detection,
-                                engine=None).compile()
+    naive_model = NaiveModelCompiler(dataset, hospital.constraints, config,
+                                     detection).compile()
     engine = Engine(dataset, backend=backend)
     engine_model = ModelCompiler(dataset, hospital.constraints,
                                  config.with_(engine_backend=backend),
@@ -271,9 +271,8 @@ def test_vectorized_tables_match_naive(rows, max_table, use_partitioning):
     config = HoloCleanConfig(use_dc_factors=True,
                              use_partitioning=use_partitioning,
                              tau=0.1, max_factor_table=max_table)
-    naive_model = ModelCompiler(dataset, TABLE_DCS,
-                                config.with_(use_engine=False), detection,
-                                engine=None).compile()
+    naive_model = NaiveModelCompiler(dataset, TABLE_DCS, config,
+                                     detection).compile()
     expected = factor_signature(naive_model.graph)
     for backend in BACKENDS:
         engine = Engine(dataset, backend=backend)
@@ -300,9 +299,8 @@ def test_binary_similarity_falls_back_to_oracle():
     ], name="sim_dc")
     detection = ViolationDetector([dc]).detect(dataset)
     config = HoloCleanConfig(use_dc_factors=True, tau=0.1)
-    naive_model = ModelCompiler(dataset, [dc],
-                                config.with_(use_engine=False), detection,
-                                engine=None).compile()
+    naive_model = NaiveModelCompiler(dataset, [dc], config,
+                                     detection).compile()
     engine_model = ModelCompiler(dataset, [dc], config, detection,
                                  engine=Engine(dataset)).compile()
     assert factor_signature(engine_model.graph) \

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import repro
 from repro import HoloCleanConfig, RepairContext, RepairPlan
-from repro.core.domain import DomainPruner
 from repro.core.partition import PairEnumerator, VectorPairEnumerator
 from repro.data.generators.flights import generate_flights
 from repro.data.generators.hospital import generate_hospital
@@ -27,6 +26,7 @@ from repro.engine import Engine, NumpyBackend, make_backend, register_backend
 from repro.engine.backend import _BACKENDS, backend_names
 from repro.engine.parallel import ParallelBackend
 from repro.engine.store import ColumnStore
+from repro.oracle import DomainPruner
 
 WORKER_COUNTS = (1, 2, 4)
 
@@ -208,13 +208,13 @@ def test_broken_pool_degrades_to_inner(hospital):
             actual = backend.join_pairs(attrs)
             assert np.array_equal(actual[0], expected[0]), attrs
             assert np.array_equal(actual[1], expected[1]), attrs
-        # Compiler-level fan-outs report unavailability instead of failing.
-        assert backend.dc_feature_batches([(0, 0, "pair")]) is None
-        assert backend.factor_chunks([(0, np.zeros(1), np.zeros(1))]) is None
-        assert backend.stream_pair_units([("domain", None, None)]) is None
-        assert backend.prune_cells([object()], ()) is None
-        assert backend.prune_cells([], ()) == []
+        # The compiler-level fan-out reports unavailability ("run inline")
+        # instead of failing — the same answer a serial backend gives.
+        assert backend.shard_map("prune", [([object()], ())]) is None
+        assert oracle.shard_map("prune", [([object()], ())]) is None
         assert backend.shard_stats["calls"] == 0
+        with pytest.raises(ValueError, match="unknown shard task kind"):
+            backend.shard_map("bogus", [])
     finally:
         backend.close()
 

@@ -11,7 +11,7 @@ from repro.constraints.similarity import (
     levenshtein,
     normalized_similarity,
 )
-from repro.core.domain import DomainPruner
+from repro.oracle import DomainPruner
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 from repro.dataset.stats import Statistics

@@ -188,6 +188,17 @@ class TestErrorMapping:
 
         serve(body)
 
+    def test_removed_config_field_400(self, hospital):
+        async def body(server):
+            request = payload_for(hospital)
+            request["config"]["vector_domains"] = False
+            status, _, payload = await _request(
+                server.port, "POST", "/repair", request
+            )
+            assert status == 400 and "unknown config field" in payload["error"]
+
+        serve(body)
+
     def test_invalid_json_400(self):
         async def body(server):
             raw = (
