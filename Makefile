@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint lint-deep bench bench-ci clean
+.PHONY: test lint lint-deep bench bench-ci bench-e2e-smoke clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -32,6 +32,12 @@ bench-ci:
 	$(PYTHON) benchmarks/bench_pipeline.py
 	$(PYTHON) benchmarks/bench_serving.py
 	$(PYTHON) benchmarks/check_regression.py
+
+# The repository benchmark (BENCHMARK.json) at toy sizes: every workload,
+# both passes, one repetition (~25 s), then its own smoke tests.
+bench-e2e-smoke:
+	$(PYTHON) bench_e2e/run.py --smoke
+	$(PYTHON) -m pytest bench_e2e/test_smoke.py
 
 clean:
 	rm -rf .pytest_cache

@@ -58,6 +58,10 @@ def run_bench() -> dict:
 
     naive_detection, t_naive_detect = _timed(
         lambda: NaiveViolationDetector(constraints).detect(dataset))
+    # Detection is timed as it runs in a repair: tuple-id blocks only.
+    # The Violation objects the parity assert compares are materialised
+    # here and below, outside every timed region.
+    naive_violations = naive_detection.hypergraph.violations
     cells = sorted(naive_detection.noisy_cells)[:DOMAIN_CELLS]
     naive_domains, t_naive_domains = _timed(
         lambda: DomainPruner(dataset, tau=generated.recommended_tau)
@@ -75,8 +79,7 @@ def run_bench() -> dict:
             .domains(cells))
         # The engine is an optimisation, never a semantic change.
         assert detection.noisy_cells == naive_detection.noisy_cells
-        assert (detection.hypergraph.violations
-                == naive_detection.hypergraph.violations)
+        assert detection.hypergraph.violations == naive_violations
         assert domains == naive_domains
         rows[backend] = (t_detect, t_domains)
 

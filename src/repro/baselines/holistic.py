@@ -63,7 +63,7 @@ class HolisticRepair(RepairMethod):
         for _round in range(self.max_rounds):
             deadline.check(self.name)
             detection = detector.detect(working)
-            if not detection.hypergraph.violations:
+            if not len(detection.hypergraph):
                 break
             changed = self._repair_round(working, detection, deadline)
             for cell, value in changed.items():

@@ -509,27 +509,35 @@ class ApplyStage(Stage):
         resolved = resolve_feedback(model, ctx.feedback)
         repaired = dataset.copy(name=f"{dataset.name}-repaired")
         inferences: dict[Cell, CellInference] = {}
+        # Init values are read straight off the rows: one schema lookup
+        # per attribute instead of one per query variable.
+        row_ref = dataset.row_ref
+        column_of = {a: dataset.schema.index_of(a) for a in dataset.schema.names}
+        variables, marginals = model.graph.variables, ctx.marginals
         for vid in model.query_ids:
-            info = model.graph.variables[vid]
+            info = variables[vid]
             if vid in resolved.clamps:
                 index = resolved.clamps[vid]
                 marginal = np.zeros(info.domain_size)
                 marginal[index] = 1.0
             else:
-                marginal = ctx.marginals[vid]
-                index = int(np.argmax(marginal))
+                marginal = marginals[vid]
+                if marginal.dtype != np.float64:
+                    marginal = marginal.astype(np.float64)
+                index = int(marginal.argmax())
+            cell = info.cell
             chosen = info.domain[index]
             inference = CellInference(
-                cell=info.cell,
-                init_value=dataset.cell_value(info.cell),
+                cell=cell,
+                init_value=row_ref(cell.tid)[column_of[cell.attribute]],
                 chosen_value=chosen,
                 confidence=float(marginal[index]),
                 domain=list(info.domain),
-                marginal=np.asarray(marginal, dtype=np.float64),
+                marginal=marginal,
             )
-            inferences[info.cell] = inference
+            inferences[cell] = inference
             if inference.is_repair:
-                repaired.set_value(info.cell.tid, info.cell.attribute, chosen)
+                repaired.set_value(cell.tid, cell.attribute, chosen)
 
         # Feedback values outside the candidate domain are applied as-is.
         for cell, value in resolved.out_of_domain.items():

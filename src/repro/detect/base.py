@@ -8,6 +8,7 @@ constraints additionally return the conflict hypergraph they discovered.
 from __future__ import annotations
 
 import abc
+import itertools
 from dataclasses import dataclass, field
 
 from repro.dataset.dataset import Cell, Dataset
@@ -29,12 +30,9 @@ class DetectionResult:
         attributes).
         """
         attrs = attributes if attributes is not None else dataset.schema.names
-        return [
-            Cell(tid, a)
-            for tid in dataset.tuple_ids
-            for a in attrs
-            if Cell(tid, a) not in self.noisy_cells
-        ]
+        noisy = self.noisy_cells
+        cells = map(Cell._make, itertools.product(dataset.tuple_ids, attrs))
+        return [cell for cell in cells if cell not in noisy]
 
     def merge(self, other: "DetectionResult") -> None:
         self.noisy_cells |= other.noisy_cells

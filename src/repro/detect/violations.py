@@ -1,9 +1,11 @@
 """Denial-constraint violation detection.
 
 For each constraint the detector enumerates violating tuples (single-tuple
-constraints) or tuple pairs (two-tuple constraints) and emits one
-:class:`~repro.detect.hypergraph.Violation` hyperedge per finding.  Cells
-named by the constraint's predicates on the violating tuples become noisy.
+constraints) or tuple pairs (two-tuple constraints) and appends them as one
+columnar block of tuple-id rows to the
+:class:`~repro.detect.hypergraph.ConflictHypergraph` — one hyperedge per
+row.  Cells named by the constraint's predicates on the violating tuples
+become noisy.
 
 Two-tuple constraints are evaluated with a hash join on their equality
 predicates — the same strategy DeepDive's grounding queries use — so a
@@ -29,14 +31,20 @@ import numpy as np
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Operator, Predicate, TupleRef
-from repro.dataset.dataset import Cell, Dataset
+from repro.dataset.dataset import Dataset
 from repro.detect.base import DetectionResult, ErrorDetector
-from repro.detect.hypergraph import ConflictHypergraph, Violation
+from repro.detect.hypergraph import ConflictHypergraph
 from repro.engine import Engine, engine_for
+from repro.obs.trace import deep_span
 
 
 class QuadraticScanError(RuntimeError):
     """Raised when a join-free constraint would force a too-large O(n²) scan."""
+
+
+def _pair_attributes(dc: DenialConstraint) -> tuple[list[str], list[str]]:
+    """The attributes a two-tuple constraint names on (t1, t2)."""
+    return sorted(dc.attributes_of(1)), sorted(dc.attributes_of(2))
 
 
 def _join_sides(pred: Predicate) -> tuple[str, str]:
@@ -96,19 +104,18 @@ class ViolationDetector(ErrorDetector):
                 self._detect_pairs_engine(engine, dataset, dc, hypergraph)
             else:
                 self._detect_pairs(dataset, dc, hypergraph)
-        return DetectionResult(noisy_cells=hypergraph.cells(), hypergraph=hypergraph)
+        with deep_span("detect.noisy_cells", violations=len(hypergraph)):
+            noisy = hypergraph.cells()
+        return DetectionResult(noisy_cells=noisy, hypergraph=hypergraph)
 
     # ------------------------------------------------------------------
     # Single-tuple constraints
     # ------------------------------------------------------------------
     def _detect_single(self, dataset: Dataset, dc: DenialConstraint,
                        hypergraph: ConflictHypergraph) -> None:
-        attrs = sorted(dc.attributes_of(1))
-        for tid in dataset.tuple_ids:
-            values = dataset.tuple_dict(tid)
-            if dc.violates(values):
-                cells = tuple(Cell(tid, a) for a in attrs)
-                hypergraph.add(Violation(dc.name, (tid,), cells))
+        tids = [tid for tid in dataset.tuple_ids
+                if dc.violates(dataset.tuple_dict(tid))]
+        hypergraph.add_block(dc.name, tids, [sorted(dc.attributes_of(1))])
 
     # ------------------------------------------------------------------
     # Two-tuple constraints via hash join
@@ -121,32 +128,31 @@ class ViolationDetector(ErrorDetector):
         else:
             pair_iter = self._all_pairs(dataset)
 
-        residuals = dc.residual_predicates
-        attrs1 = sorted(dc.attributes_of(1))
-        attrs2 = sorted(dc.attributes_of(2))
-        recorded = 0
+        rows = self._violating_rows(
+            dataset, dc.residual_predicates,
+            ((t1, t2, True, True) for t1, t2 in pair_iter))
+        hypergraph.add_block(dc.name, rows, _pair_attributes(dc))
+
+    def _violating_rows(self, dataset: Dataset, predicates: list[Predicate],
+                        candidates) -> list[tuple[int, int]]:
+        """Per-pair predicate evaluation over ``(t1, t2, forward_ok,
+        backward_ok)`` candidates; returns the violating pairs oriented
+        the way they violate, up to ``max_pairs_per_constraint``."""
+        rows: list[tuple[int, int]] = []
         row_cache = _RowDictCache(dataset)
-        for t1, t2 in pair_iter:
+        for t1, t2, forward_ok, backward_ok in candidates:
             v1 = row_cache.get(t1)
             v2 = row_cache.get(t2)
-            violated_forward = all(p.evaluate(v1, v2) for p in residuals)
             # Order-sensitive predicates (<, >) may only fire with the pair
-            # flipped; the hash join yields each unordered pair once, so
-            # check the reverse direction explicitly.
-            violated_backward = (not violated_forward
-                                 and all(p.evaluate(v2, v1) for p in residuals))
-            if violated_forward:
-                cells = (tuple(Cell(t1, a) for a in attrs1)
-                         + tuple(Cell(t2, a) for a in attrs2))
-                hypergraph.add(Violation(dc.name, (t1, t2), cells))
-                recorded += 1
-            elif violated_backward:
-                cells = (tuple(Cell(t2, a) for a in attrs1)
-                         + tuple(Cell(t1, a) for a in attrs2))
-                hypergraph.add(Violation(dc.name, (t2, t1), cells))
-                recorded += 1
-            if recorded >= self.max_pairs_per_constraint:
+            # flipped; the join yields each unordered pair once, so check
+            # the reverse direction explicitly.
+            if forward_ok and all(p.evaluate(v1, v2) for p in predicates):
+                rows.append((t1, t2))
+            elif backward_ok and all(p.evaluate(v2, v1) for p in predicates):
+                rows.append((t2, t1))
+            if len(rows) >= self.max_pairs_per_constraint:
                 break
+        return rows
 
     def _hash_join_pairs(self, dataset: Dataset, joins: list[Predicate]):
         """Yield unordered candidate pairs sharing all join keys."""
@@ -204,62 +210,34 @@ class ViolationDetector(ErrorDetector):
         t1s, t2s = engine.backend.join_pairs(join_attrs)
         if not len(t1s):
             return
+        with deep_span("detect.residual_mask", constraint=dc.name,
+                       pairs=len(t1s)) as sp:
+            rows = self._residual_rows(engine, dataset, dc, t1s, t2s)
+            if sp is not None:
+                sp.attributes["violations"] = len(rows)
+        hypergraph.add_block(dc.name, rows, _pair_attributes(dc))
 
+    def _residual_rows(self, engine: Engine, dataset: Dataset,
+                       dc: DenialConstraint, t1s: np.ndarray, t2s: np.ndarray):
+        """The joined pairs that violate ``dc``'s residual predicates, as
+        ``(n, 2)`` rows oriented the way they violate."""
         residuals = dc.residual_predicates
         vectorized = [p for p in residuals if _is_vectorizable(p)]
         python = [p for p in residuals if not _is_vectorizable(p)]
         forward = _residual_mask(engine, vectorized, t1s, t2s)
         backward = _residual_mask(engine, vectorized, t2s, t1s)
-
         candidates = np.nonzero(forward | backward)[0]
-        if not len(candidates):
-            return
-        attrs1 = sorted(dc.attributes_of(1))
-        attrs2 = sorted(dc.attributes_of(2))
-
-        if not python:
-            # Every candidate is a violation; orient each pair the way the
-            # naive forward/backward checks would and materialise in bulk.
-            candidates = candidates[: self.max_pairs_per_constraint]
-            fwd_c = forward[candidates]
-            first = np.where(fwd_c, t1s[candidates], t2s[candidates]).tolist()
-            second = np.where(fwd_c, t2s[candidates], t1s[candidates]).tolist()
-            name = dc.name
-            make_cell = Cell._make  # skips the per-field constructor frame
-            hypergraph.add_many(name, [
-                Violation(name, (a, b),
-                          tuple([make_cell((a, x)) for x in attrs1]
-                                + [make_cell((b, x)) for x in attrs2]))
-                for a, b in zip(first, second)
-            ])
-            return
-
-        fwd = forward[candidates].tolist()
-        bwd = backward[candidates].tolist()
-        t1_list = t1s[candidates].tolist()
-        t2_list = t2s[candidates].tolist()
-
-        recorded = 0
-        row_cache = _RowDictCache(dataset)
-        for k, (t1, t2) in enumerate(zip(t1_list, t2_list)):
-            v1 = row_cache.get(t1)
-            v2 = row_cache.get(t2)
-            violated_forward = (fwd[k]
-                                and all(p.evaluate(v1, v2) for p in python))
-            violated_backward = (not violated_forward and bwd[k]
-                                 and all(p.evaluate(v2, v1) for p in python))
-            if violated_forward:
-                cells = (tuple(Cell(t1, a) for a in attrs1)
-                         + tuple(Cell(t2, a) for a in attrs2))
-                hypergraph.add(Violation(dc.name, (t1, t2), cells))
-                recorded += 1
-            elif violated_backward:
-                cells = (tuple(Cell(t2, a) for a in attrs1)
-                         + tuple(Cell(t1, a) for a in attrs2))
-                hypergraph.add(Violation(dc.name, (t2, t1), cells))
-                recorded += 1
-            if recorded >= self.max_pairs_per_constraint:
-                break
+        if python:
+            return self._violating_rows(dataset, python, zip(
+                t1s[candidates].tolist(), t2s[candidates].tolist(),
+                forward[candidates].tolist(), backward[candidates].tolist()))
+        # Every candidate is a violation; orient each pair the way the
+        # naive forward/backward checks would, as whole columns.
+        candidates = candidates[: self.max_pairs_per_constraint]
+        fwd = forward[candidates]
+        left, right = t1s[candidates], t2s[candidates]
+        return np.column_stack((np.where(fwd, left, right),
+                                np.where(fwd, right, left)))
 
     def _all_pairs(self, dataset: Dataset):
         n = dataset.num_tuples

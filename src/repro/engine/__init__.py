@@ -36,6 +36,7 @@ from repro.engine.backend import (
 )
 from repro.engine.parallel import ParallelBackend
 from repro.engine.store import NULL_CODE, ColumnStore
+from repro.obs.trace import deep_span
 
 
 class Engine:
@@ -65,7 +66,8 @@ class Engine:
     @property
     def store(self) -> ColumnStore:
         if self._store is None:
-            self._store = ColumnStore(self.dataset)
+            with deep_span("engine.encode", tuples=self.dataset.num_tuples):
+                self._store = ColumnStore(self.dataset)
         return self._store
 
     @property

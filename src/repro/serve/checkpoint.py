@@ -15,7 +15,8 @@ On-disk layout, one directory per session id::
     <root>/<sid>/
         meta.json     format version, content fingerprints, stage list
         inputs.pkl    dataset, constraints, config, feedback, dictionaries
-        detect.pkl    DetectionResult
+        detect.pkl    DetectionResult: noisy-cell set + the conflict
+                      hypergraph's per-constraint tuple-id arrays
         compile.pkl   CompiledModel
         learn.pkl     learned weights + training losses
         infer.pkl     marginals
@@ -48,7 +49,7 @@ log = get_logger("serve.checkpoint")
 
 #: Bump when the on-disk layout changes; mismatched checkpoints are
 #: rejected (the session simply pays a cold run).
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Stage name → the context artifacts serialized in that stage's file.
 STAGE_ARTIFACTS = (
@@ -159,16 +160,27 @@ class CheckpointStore:
                 f"expected {FORMAT_VERSION}"
             )
         inputs = self._load(directory / "inputs.pkl")
-        ctx = RepairContext(**inputs)
-        for stage, artifacts in STAGE_ARTIFACTS:
-            stage_path = directory / f"{stage}.pkl"
-            if not stage_path.is_file():
-                continue
-            payload = self._load(stage_path)
-            for name in artifacts:
-                if name in payload:
-                    setattr(ctx, name, payload[name])
-        self._verify(sid, meta, ctx)
+        try:
+            ctx = RepairContext(**inputs)
+            for stage, artifacts in STAGE_ARTIFACTS:
+                stage_path = directory / f"{stage}.pkl"
+                if not stage_path.is_file():
+                    continue
+                payload = self._load(stage_path)
+                for name in artifacts:
+                    if name in payload:
+                        setattr(ctx, name, payload[name])
+            self._verify(sid, meta, ctx)
+        except CheckpointError:
+            raise
+        except Exception as exc:
+            # Damaged bytes can unpickle into damaged objects (a renamed
+            # field, an instance missing an attribute) that only fail
+            # once the context is built or fingerprinted.
+            raise CheckpointError(
+                f"checkpoint {sid} does not rebuild a context: "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         return ctx
 
     def delete(self, sid: str) -> bool:
@@ -192,9 +204,17 @@ class CheckpointStore:
     def _load(path: Path) -> dict:
         try:
             with path.open("rb") as handle:
-                return pickle.load(handle)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError) as exc:
-            raise CheckpointError(f"cannot deserialize {path}: {exc}")
+                payload = pickle.load(handle)
+            if not isinstance(payload, dict):
+                raise TypeError(f"expected a dict, found {type(payload).__name__}")
+        except Exception as exc:
+            # Damaged pickle bytes surface as nearly any exception type
+            # (UnicodeDecodeError, OverflowError, MemoryError, ...); all
+            # of them mean the same thing to the caller.
+            raise CheckpointError(
+                f"cannot deserialize {path}: {type(exc).__name__}: {exc}"
+            ) from exc
+        return payload
 
     @staticmethod
     def _verify(sid: str, meta: dict, ctx: RepairContext) -> None:

@@ -401,6 +401,28 @@ class TestTelemetry:
         deep_spans = deep.result.report.trace_spans()
         assert any(s.children for s in deep_spans)
 
+    def test_detect_deep_spans_account_for_the_stage(self, hospital):
+        ctx = RepairContext(dataset=hospital.dirty,
+                            constraints=hospital.constraints,
+                            config=config_for(hospital, trace_level="deep"))
+        ctx = DetectStage().run(ctx)
+        detect, = ctx.tracer.roots
+        joined = len(hospital.constraints)
+        assert [c.name for c in detect.children] == [
+            "engine.encode", *["engine.join_pairs", "detect.residual_mask"] * joined,
+            "detect.noisy_cells"]
+        masks = [c for c in detect.children if c.name == "detect.residual_mask"]
+        assert (sum(c.attributes["violations"] for c in masks)
+                == detect.children[-1].attributes["violations"]
+                == len(ctx.detection.hypergraph))
+        # Nothing in a repair builds Violation objects; whoever asks for
+        # them pays under a span of its own.
+        with ctx.tracer.span("report"):
+            listed = ctx.detection.hypergraph.violations
+        materialize, = ctx.tracer.roots[-1].children
+        assert materialize.name == "detect.materialize_violations"
+        assert materialize.attributes["violations"] == len(listed)
+
     def test_deep_tracing_gibbs_variant_identical(self, figure1_dataset,
                                                   figure1_constraints):
         def run(level):

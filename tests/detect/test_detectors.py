@@ -101,6 +101,11 @@ class TestEnsembleDetector:
         assert Cell(2, "Zip") in result.noisy_cells       # from NullDetector
         assert Cell(1, "City") in result.noisy_cells      # from violations
         assert len(result.hypergraph) == 1                # hypergraph merged
+        # D_c = D \ D_n, row-major, optionally restricted to attributes.
+        assert result.clean_cells(ds) == [Cell(2, "City")]
+        assert result.clean_cells(ds, ["Zip"]) == []
+        assert NullDetector().detect(ds).clean_cells(ds, ["Zip"]) == [
+            Cell(0, "Zip"), Cell(1, "Zip")]
 
     def test_requires_detectors(self):
         with pytest.raises(ValueError, match="at least one"):

@@ -8,6 +8,8 @@ cells, same violation list in the same order, same pruned domains —
 on the paper's generators and on adversarial random datasets.
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from repro.data.generators.hospital import generate_hospital
 from repro.dataset.dataset import Dataset
 from repro.dataset.schema import Schema
 from repro.dataset.stats import Statistics
+from repro.detect.hypergraph import Violation
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
 from repro.oracle import (DomainPruner, NaiveModelCompiler,
@@ -44,6 +47,16 @@ def naive_detection(generated):
     return NaiveViolationDetector(generated.constraints).detect(generated.dirty)
 
 
+def detect_columnar(detector, dataset):
+    """``detector.detect(dataset)``, which must not build one ``Violation``:
+    detection appends tuple-id rows, objects exist only on ``.violations``."""
+    with mock.patch("repro.detect.hypergraph.Violation", wraps=Violation) as built:
+        detection = detector.detect(dataset)
+        assert built.call_count == 0
+        assert len(detection.hypergraph.violations) == built.call_count
+    return detection
+
+
 # ---------------------------------------------------------------------------
 # Violation detection on the paper's generators
 # ---------------------------------------------------------------------------
@@ -53,8 +66,8 @@ def test_violations_identical_on_generators(name, backend, request):
     generated = request.getfixturevalue(name)
     naive = naive_detection(generated)
     engine = Engine(generated.dirty, backend=backend)
-    fast = ViolationDetector(generated.constraints,
-                             engine=engine).detect(generated.dirty)
+    fast = detect_columnar(
+        ViolationDetector(generated.constraints, engine=engine), generated.dirty)
     assert fast.noisy_cells == naive.noisy_cells
     # Byte-identical including order: the factor-grounding stages walk the
     # violation list, so ordering is part of the contract.
@@ -204,7 +217,8 @@ def test_random_datasets_identical(rows):
     naive = NaiveViolationDetector(RANDOM_DCS).detect(dataset)
     for backend in BACKENDS:
         engine = Engine(dataset, backend=backend)
-        fast = ViolationDetector(RANDOM_DCS, engine=engine).detect(dataset)
+        fast = detect_columnar(ViolationDetector(RANDOM_DCS, engine=engine),
+                               dataset)
         assert fast.noisy_cells == naive.noisy_cells, backend
         assert fast.hypergraph.violations == naive.hypergraph.violations, backend
         if dataset.num_tuples:

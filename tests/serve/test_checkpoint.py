@@ -9,6 +9,8 @@ and through the feedback path too.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,12 @@ from repro.core.stages import (
     RepairContext,
     RepairPlan,
 )
-from repro.serve.checkpoint import CheckpointError, CheckpointStore
+from repro.serve.checkpoint import (
+    FORMAT_VERSION,
+    STAGE_ARTIFACTS,
+    CheckpointError,
+    CheckpointStore,
+)
 
 from tests.serve.conftest import config_for
 
@@ -158,9 +165,15 @@ class TestStoreMechanics:
         store = CheckpointStore(tmp_path)
         store.save("sid", ctx)
         meta = store.path("sid") / "meta.json"
-        meta.write_text(meta.read_text().replace('"version": 1', '"version": 99'))
-        with pytest.raises(CheckpointError, match="format version"):
-            store.load("sid")
+        current = f'"version": {FORMAT_VERSION}'
+        assert current in meta.read_text()
+        # Format 1 pickled the hypergraph as Violation objects; it must
+        # stop at the version gate, not inside the unpickler.
+        for other in (1, 99):
+            meta.write_text(meta.read_text().replace(current, f'"version": {other}'))
+            with pytest.raises(CheckpointError, match="format version"):
+                store.load("sid")
+            current = f'"version": {other}'
 
     def test_fingerprint_tamper_rejected(self, hospital, tmp_path):
         ctx = RepairPlan.default().run(_fresh_ctx(hospital))
@@ -181,3 +194,51 @@ class TestStoreMechanics:
         assert (store.path("sid") / "meta.json").read_text() == first
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".")]
         assert leftovers == []
+
+
+class TestDamagedFiles:
+    """Any damage to a stage file is a ``CheckpointError`` — the one
+    exception ``RepairService`` turns into "discard and run cold"."""
+
+    FILES = ["inputs", *(stage for stage, _ in STAGE_ARTIFACTS)]
+
+    @pytest.fixture(scope="class")
+    def saved(self, hospital, tmp_path_factory):
+        store = CheckpointStore(tmp_path_factory.mktemp("damaged"))
+        store.save("sid", RepairPlan.default().run(_fresh_ctx(hospital)))
+        return store
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_byte_flips_and_truncation(self, saved, name):
+        path = saved.path("sid") / f"{name}.pkl"
+        good = path.read_bytes()
+        rng = random.Random(name)
+        try:
+            for trial in range(120):
+                damaged = bytearray(good)
+                if trial % 6 == 0:
+                    cut = rng.randrange(len(damaged))
+                    del damaged[cut:]
+                else:
+                    for _ in range(3):
+                        damaged[rng.randrange(len(damaged))] = rng.randrange(256)
+                path.write_bytes(bytes(damaged))
+                try:
+                    # Flips inside array data still load; nothing but a
+                    # context or a CheckpointError may come out.
+                    assert isinstance(saved.load("sid"), RepairContext)
+                except CheckpointError:
+                    pass
+        finally:
+            path.write_bytes(good)
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_empty_file(self, saved, name):
+        path = saved.path("sid") / f"{name}.pkl"
+        good = path.read_bytes()
+        try:
+            path.write_bytes(b"")
+            with pytest.raises(CheckpointError, match="cannot deserialize"):
+                saved.load("sid")
+        finally:
+            path.write_bytes(good)

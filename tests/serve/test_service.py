@@ -164,6 +164,26 @@ class TestMarginals:
         after = service.marginals(sid)["cells"]
         assert after == before
 
+    @pytest.mark.parametrize("damage", ["truncated", "renamed", "version-1"])
+    def test_bad_checkpoint_means_cold_run(self, service, hospital, damage):
+        first = service.repair(payload_for(hospital))
+        sid = first["session"]
+        service.delete_session(sid)  # evict but keep the checkpoint
+        directory = service.checkpoints.path(sid)
+        detect = directory / "detect.pkl"
+        if damage == "truncated":
+            detect.write_bytes(detect.read_bytes()[:40])
+        elif damage == "renamed":  # unpickles into a ModuleNotFoundError
+            renamed = detect.read_bytes().replace(b"repro.detect", b"repro.detekt")
+            assert renamed != detect.read_bytes()
+            detect.write_bytes(renamed)
+        else:
+            meta = directory / "meta.json"
+            meta.write_text(meta.read_text().replace('"version": 2', '"version": 1'))
+        again = service.repair(payload_for(hospital))
+        assert again["path"] == "cold"
+        assert again["repairs"] == first["repairs"]
+
 
 class TestValidation:
     def test_missing_dataset(self, ephemeral_service):
