@@ -9,6 +9,7 @@ Algorithm 1, and the learning/sampling budgets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 #: The model variants evaluated in Figure 5 of the paper.
 VARIANTS = (
@@ -210,6 +211,12 @@ class HoloCleanConfig:
             raise ValueError(
                 f"trace_level must be 'off', 'stage', or 'deep', got "
                 f"{self.trace_level!r}")
+        for name in ("gibbs_burn_in", "gibbs_sweeps"):
+            count = getattr(self, name)
+            if (not isinstance(count, Integral) or isinstance(count, bool)
+                    or count < 0):
+                raise ValueError(
+                    f"{name} must be an integer >= 0, got {count!r}")
         if self.factor_chunk_pairs < 1:
             raise ValueError("factor_chunk_pairs must be at least 1")
         if self.factor_stream_budget < 1:

@@ -472,6 +472,8 @@ class InferStage(Stage):
             ctx.metrics.gauge("infer.gibbs_samples", outcome.samples)
             ctx.metrics.gauge("infer.gibbs_moves", outcome.moves)
             ctx.metrics.gauge("infer.gibbs_move_rate", outcome.move_rate)
+            ctx.metrics.gauge("infer.gibbs_free_variables", sampler.num_free)
+            ctx.metrics.gauge("infer.gibbs_colours", sampler.num_colours)
         else:
             trainer = SoftmaxTrainer(model.graph.matrix)
             ctx.marginals = trainer.marginals(ctx.weights, model.query_ids)

@@ -53,16 +53,6 @@ class ConstraintFactor:
         idx = tuple(assignment[v] for v in self.var_ids)
         return float(self.table[idx])
 
-    def scores_for(self, var: int, state: np.ndarray) -> np.ndarray:
-        """Weighted contribution per candidate of ``var``, others fixed.
-
-        This is the Gibbs-conditional kernel: index the table with the
-        current state everywhere except ``var``'s axis.
-        """
-        selector = tuple(
-            slice(None) if u == var else int(state[u]) for u in self.var_ids)
-        return self.weight * self.table[selector].astype(np.float64)
-
 
 @dataclass
 class FactorGraph:
@@ -73,12 +63,8 @@ class FactorGraph:
     space: FeatureSpace
     factors: list[ConstraintFactor] = field(default_factory=list)
 
-    def __post_init__(self) -> None:
-        self._adjacency: dict[int, list[int]] | None = None
-
     def add_factor(self, factor: ConstraintFactor) -> None:
         self.factors.append(factor)
-        self._adjacency = None
 
     def add_factors(self, factors) -> int:
         """Append a batch of factors, preserving grounding order.
@@ -89,26 +75,7 @@ class FactorGraph:
         """
         before = len(self.factors)
         self.factors.extend(factors)
-        added = len(self.factors) - before
-        if added:
-            self._adjacency = None
-        return added
-
-    def adjacency(self) -> dict[int, list[int]]:
-        """Variable id → indexes of factors touching it (built lazily)."""
-        if self._adjacency is None:
-            adj: dict[int, list[int]] = {}
-            for fi, f in enumerate(self.factors):
-                for v in f.var_ids:
-                    adj.setdefault(v, []).append(fi)
-            self._adjacency = adj
-        return self._adjacency
-
-    def unary_scores(self, weights: np.ndarray) -> list[np.ndarray]:
-        """Per-variable unary score vectors under the given weights."""
-        flat = self.matrix.scores(weights)
-        starts = self.matrix.var_row_start
-        return [flat[starts[v]:starts[v + 1]] for v in range(len(self.variables))]
+        return len(self.factors) - before
 
     # ------------------------------------------------------------------
     # Grounding-size accounting (used by the scalability experiments)

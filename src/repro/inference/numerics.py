@@ -34,6 +34,18 @@ def segment_softmax(scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return shifted / np.repeat(sums, sizes)
 
 
+def segment_argmax(scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Position within its segment of each segment's first maximum."""
+    if len(starts) < 2:
+        return np.empty(0, dtype=np.int64)
+    sizes = np.diff(starts)
+    if np.any(sizes <= 0):
+        raise ValueError("segments must be non-empty")
+    maxima = np.maximum.reduceat(scores, starts[:-1])
+    hits = np.flatnonzero(scores == np.repeat(maxima, sizes))
+    return hits[np.searchsorted(hits, starts[:-1])] - starts[:-1]
+
+
 def segment_logsumexp(scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Log-sum-exp per segment (one value per segment)."""
     if len(starts) < 2:

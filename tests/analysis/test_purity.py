@@ -80,3 +80,46 @@ def test_non_vectorized_module_ignored(make_module, make_ctx):
         """,
     )
     assert check(make_ctx, elsewhere) == []
+
+
+GIBBS = "src/repro/inference/gibbs.py"
+
+
+def test_gibbs_per_variable_loop_flagged(make_module, make_ctx):
+    # The single-site sampler's shape: one conditional + one draw per
+    # variable per sweep.  It must not come back unnoticed.
+    bad = make_module(
+        GIBBS,
+        """
+        def sweep(order, state, rng):
+            for vid in order.tolist():
+                state[vid] = rng.choice(2)
+            for i in range(len(order)):
+                state[order[i]] = 0
+        """,
+    )
+    findings = check(make_ctx, bad)
+    assert [(f.rule, f.path) for f in findings] == [("loop", GIBBS)] * 2
+
+
+def test_gibbs_sweep_and_colour_loops_clean(make_module, make_ctx):
+    good = make_module(
+        GIBBS,
+        """
+        def run(classes, rng, burn_in, sweeps, num_colours):
+            for sweep in range(burn_in + sweeps):
+                for c in rng.permutation(num_colours):
+                    classes[c].step()
+            for cls in classes:
+                cls.finish()
+        """,
+    )
+    assert check(make_ctx, good) == []
+
+
+def test_real_gibbs_module_has_one_audited_loop(repo_ctx):
+    # Before pragma suppression: the sequential greedy colouring (a setup
+    # pass over free variables, pragma-audited) and nothing else.
+    assert GIBBS in PurityChecker.modules
+    raw = [f for f in PurityChecker().check(repo_ctx) if f.path == GIBBS]
+    assert len(raw) == 1

@@ -1,5 +1,6 @@
 """Tests for HoloCleanConfig and the Figure 5 variant presets."""
 
+import numpy as np
 import pytest
 
 from repro.core.config import VARIANTS, HoloCleanConfig
@@ -30,6 +31,14 @@ class TestValidation:
             HoloCleanConfig(use_dc_feats=False, use_dc_factors=False,
                             use_cooccur=False, use_minimality=False,
                             use_frequency=False)
+
+    @pytest.mark.parametrize("field", ["gibbs_burn_in", "gibbs_sweeps"])
+    @pytest.mark.parametrize("count", [-3, 2.5, "4", True])
+    def test_gibbs_counts_are_non_negative_integers(self, field, count):
+        assert getattr(HoloCleanConfig(**{field: 0}), field) == 0
+        assert getattr(HoloCleanConfig(**{field: np.int64(4)}), field) == 4
+        with pytest.raises(ValueError, match=field):
+            HoloCleanConfig(**{field: count})
 
     @pytest.mark.parametrize("field", ["use_engine", "vector_domains"])
     def test_removed_engine_switches_are_not_fields(self, field):

@@ -438,8 +438,15 @@ class TestTelemetry:
         assert_results_equal(deep.result, baseline.result)
         names = {s.name for root in deep.result.report.trace_spans()
                  for s in root.walk()}
-        assert "infer.gibbs_sweep" in names
-        assert deep.result.report.metrics["labels"]["infer.method"] == "gibbs"
+        assert {"infer.gibbs_setup", "infer.gibbs_sweep"} <= names
+        metrics = deep.result.report.metrics
+        assert metrics["labels"]["infer.method"] == "gibbs"
+        gauges = metrics["gauges"]
+        free = gauges["infer.gibbs_free_variables"]
+        assert gauges["infer.gibbs_sweeps"] == 5  # counting sweeps only
+        assert 0 < gauges["infer.gibbs_colours"] <= free
+        assert gauges["infer.gibbs_samples"] == 7 * free
+        assert free < gauges["infer.query_variables"]
 
 
 class TestStagePreconditions:

@@ -40,40 +40,17 @@ class TestConstraintFactor:
         assert f.value({0: 0, 1: 0}) == 1.0
         assert f.value({0: 0, 1: 1}) == -1.0
 
-    def test_scores_for_slices_correct_axis(self):
-        f = agree_factor(0, 1, weight=3.0)
-        state = np.array([0, 1, 0])
-        scores = f.scores_for(0, state)  # var 1 fixed at candidate 1
-        assert list(scores) == [-3.0, 3.0]
-        scores = f.scores_for(1, state)  # var 0 fixed at candidate 0
-        assert list(scores) == [3.0, -3.0]
-
     def test_arity(self):
         assert agree_factor(0, 1).arity == 2
 
 
 class TestFactorGraph:
-    def test_adjacency(self):
+    def test_unary_scores_are_one_flat_vector_cut_by_var_row_start(self):
         g = make_graph()
-        g.add_factor(agree_factor(0, 1))
-        g.add_factor(agree_factor(1, 2))
-        adj = g.adjacency()
-        assert adj[0] == [0]
-        assert adj[1] == [0, 1]
-        assert adj[2] == [1]
-
-    def test_adjacency_invalidated_on_add(self):
-        g = make_graph()
-        g.add_factor(agree_factor(0, 1))
-        assert 2 not in g.adjacency()
-        g.add_factor(agree_factor(1, 2))
-        assert g.adjacency()[2] == [1]
-
-    def test_unary_scores_per_variable(self):
-        g = make_graph()
-        scores = g.unary_scores(np.array([2.0]))
-        assert len(scores) == 3
-        assert list(scores[0]) == [2.0, 0.0]
+        scores = g.matrix.scores(np.array([2.0]))
+        starts = g.matrix.var_row_start
+        assert len(starts) == 3 + 1
+        assert list(scores[starts[0] : starts[1]]) == [2.0, 0.0]
 
     def test_size_report(self):
         g = make_graph()

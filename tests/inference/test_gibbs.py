@@ -49,20 +49,35 @@ class TestGibbsSampler:
         assert state[0] == 1  # evidence observed value
         assert state[1] == 0  # query init value
 
-    def test_conditional_is_distribution(self):
-        graph, weights = independent_graph()
-        sampler = GibbsSampler(graph, weights)
-        p = sampler.conditional(0, sampler.initial_state())
-        assert p.sum() == pytest.approx(1.0)
-        assert (p >= 0).all()
+    def test_initial_state_of_pruned_init_is_unary_map(self):
+        space = FeatureSpace()
+        builder = FeatureMatrixBuilder(space)
+        block = VariableBlock()
+        block.add(Cell(0, "A"), ["x", "y"], 1, is_evidence=False)
+        builder.start_variable(2)
+        block.add(Cell(1, "A"), ["x", "y", "z"], -1, is_evidence=False)
+        v = builder.start_variable(3)
+        builder.add(v, 1, ("bias",), 2.0)
+        builder.add(v, 2, ("bias",), 2.0)
+        graph = FactorGraph(block, builder.build(), space)
+        state = GibbsSampler(graph, np.ones(len(space))).initial_state()
+        assert state.tolist() == [1, 1]  # first maximum wins the tie
 
-    def test_marginals_match_softmax_when_independent(self):
+    def test_evidence_without_observed_value_rejected(self):
+        graph, weights = coupled_graph()
+        graph.variables[0].init_index = -1
+        with pytest.raises(ValueError, match="observed value"):
+            GibbsSampler(graph, weights)
+
+    def test_independent_marginals_are_the_exact_softmax(self):
+        # No free neighbour: every conditional is the softmax itself, so
+        # the averaged conditionals carry no sampling noise at all.
         graph, weights = independent_graph(bias=1.0)
-        sampler = GibbsSampler(graph, weights, seed=1)
-        result = sampler.run(burn_in=20, sweeps=400)
         expected = np.exp(1.0) / (np.exp(1.0) + 1.0)
-        for vid in (0, 1):
-            assert result.marginals[vid][0] == pytest.approx(expected, abs=0.06)
+        for sweeps in (0, 7):
+            result = GibbsSampler(graph, weights, seed=1).run(burn_in=3, sweeps=sweeps)
+            for vid in (0, 1):
+                assert result.marginals[vid] == pytest.approx([expected, 1 - expected])
 
     def test_hard_factor_pulls_query_to_evidence(self):
         graph, weights = coupled_graph()
@@ -72,36 +87,47 @@ class TestGibbsSampler:
         assert result.map_index(1) == 1
         assert result.marginals[1][1] > 0.9
 
-    def test_deterministic_given_seed(self):
-        graph, weights = independent_graph()
-        r1 = GibbsSampler(graph, weights, seed=7).run(burn_in=5, sweeps=50)
-        r2 = GibbsSampler(graph, weights, seed=7).run(burn_in=5, sweeps=50)
-        for vid in r1.marginals:
-            assert np.array_equal(r1.marginals[vid], r2.marginals[vid])
-
-    def test_zero_sweeps_returns_conditionals(self):
-        graph, weights = independent_graph()
+    def test_zero_sweeps_returns_conditional_at_final_state(self):
+        graph, weights = coupled_graph()
         result = GibbsSampler(graph, weights).run(burn_in=0, sweeps=0)
-        for m in result.marginals.values():
-            assert m.sum() == pytest.approx(1.0)
+        agree = np.exp(4.0) / (np.exp(4.0) + np.exp(-4.0))
+        assert result.marginals[1] == pytest.approx([1 - agree, agree])
+        assert (result.sweeps, result.samples, result.moves) == (0, 0, 0)
 
     def test_marginals_only_for_query_vars(self):
         graph, weights = coupled_graph()
         result = GibbsSampler(graph, weights).run(burn_in=2, sweeps=5)
         assert set(result.marginals) == {1}
 
+    @pytest.mark.parametrize("burn_in, sweeps", [(0, -3), (-5, 2), (-1, -1)])
+    def test_negative_counts_rejected(self, burn_in, sweeps):
+        graph, weights = coupled_graph()
+        with pytest.raises(ValueError, match=">= 0"):
+            GibbsSampler(graph, weights).run(burn_in=burn_in, sweeps=sweeps)
+
+    def test_mismatched_table_shape_rejected(self):
+        graph, weights = coupled_graph()
+        graph.add_factor(ConstraintFactor((0, 1), np.ones((2, 3), dtype=np.int8), 1.0))
+        with pytest.raises(ValueError, match="shape"):
+            GibbsSampler(graph, weights)
+
 
 # ---------------------------------------------------------------------------
 # Exactness: sampled marginals vs brute-force joint enumeration
 # ---------------------------------------------------------------------------
+def unary_scores(graph, weights):
+    """Per-variable views of the graph's flat unary score vector."""
+    return np.split(graph.matrix.scores(weights), graph.matrix.var_row_start[1:-1])
+
+
 def exact_marginals(graph, weights):
     """Query marginals by enumerating the full joint distribution.
 
     ``p(x) ∝ exp(Σ_v unary_v[x_v] + Σ_f w_f · table_f[x])`` with evidence
-    variables pinned to their observed values — the distribution whose
-    conditionals :meth:`GibbsSampler.conditional` implements.
+    variables pinned to their observed values — the distribution the
+    sampler's colour-class steps must leave invariant.
     """
-    unary = graph.unary_scores(weights)
+    unary = unary_scores(graph, weights)
     query = graph.variables.query_ids()
     state = np.zeros(len(graph.variables), dtype=np.int64)
     for var in graph.variables:
@@ -149,16 +175,89 @@ def three_variable_graph():
     return graph, np.ones(len(space))
 
 
+def random_graph(seed, free=5, extra_factors=4):
+    """A seeded graph with every kind of factor member.
+
+    Variable 0 is evidence, variable 1 a one-candidate query variable,
+    the remaining ``free`` query variables have 2–3 candidates and random
+    unary scores.  A three-way factor over free variables forces three
+    colours, one arity-4 factor contains both fixed kinds, and
+    ``extra_factors`` more of arity 2–4 land on random members.
+    """
+    rng = np.random.default_rng(seed)
+    space = FeatureSpace()
+    builder = FeatureMatrixBuilder(space)
+    block = VariableBlock()
+    sizes = [2, 1] + rng.integers(2, 4, size=free).tolist()
+    for vid, size in enumerate(sizes):
+        domain = [f"c{k}" for k in range(size)]
+        block.add(Cell(vid, "A"), domain, int(rng.integers(size)), is_evidence=vid == 0)
+        builder.start_variable(size)
+        for candidate in range(size):
+            builder.add(vid, candidate, ("bias", vid, candidate), rng.normal())
+    graph = FactorGraph(block, builder.build(), space)
+    scopes = [(2, 3, 4), (0, 1, 5, len(sizes) - 1)] + [
+        tuple(rng.choice(len(sizes), size=rng.integers(2, 5), replace=False).tolist())
+        for _ in range(extra_factors)
+    ]
+    for scope in scopes:
+        table = rng.choice([-1, 1], size=[sizes[v] for v in scope]).astype(np.int8)
+        graph.add_factor(ConstraintFactor(scope, table, float(rng.uniform(0.1, 0.5))))
+    return graph, np.ones(len(space))
+
+
+def free_mask(graph):
+    return np.array([not v.is_evidence and v.domain_size > 1 for v in graph.variables])
+
+
+def exact_conditional(graph, weights, vid, state):
+    """One variable's conditional given the rest, read off the tables."""
+    scores = unary_scores(graph, weights)[vid].copy()
+    trial = state.copy()
+    for candidate in range(len(scores)):
+        trial[vid] = candidate
+        for f in graph.factors:
+            if vid in f.var_ids:
+                cell = tuple(trial[u] for u in f.var_ids)
+                scores[candidate] += f.weight * f.table[cell]
+    scores = np.exp(scores - scores.max())
+    return scores / scores.sum()
+
+
 class TestGibbsExactness:
     def test_marginals_match_joint_enumeration(self):
         graph, weights = three_variable_graph()
         expected = exact_marginals(graph, weights)
         sampler = GibbsSampler(graph, weights, seed=11)
-        result = sampler.run(burn_in=100, sweeps=6000)
+        result = sampler.run(burn_in=100, sweeps=12000)
         assert set(result.marginals) == set(expected)
         for vid, marginal in expected.items():
             assert marginal.sum() == pytest.approx(1.0)
-            np.testing.assert_allclose(result.marginals[vid], marginal, atol=0.03)
+            np.testing.assert_allclose(result.marginals[vid], marginal, atol=0.01)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_packed_conditionals_match_the_tables(self, seed):
+        # No sampling noise: with zero sweeps the result is the conditional
+        # at the initial state, which pins offsets, strides and padding.
+        graph, weights = random_graph(seed, free=30, extra_factors=80)
+        sampler = GibbsSampler(graph, weights)
+        result = sampler.run(burn_in=0, sweeps=0)
+        state = sampler.initial_state()
+        for vid in graph.variables.query_ids():
+            expected = exact_conditional(graph, weights, vid, state)
+            np.testing.assert_allclose(result.marginals[vid], expected, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_mixed_arity_graphs_match_joint_enumeration(self, seed):
+        graph, weights = random_graph(seed)
+        assert {f.arity for f in graph.factors} >= {3, 4}
+        expected = exact_marginals(graph, weights)
+        sampler = GibbsSampler(graph, weights, seed=seed)
+        assert sampler.num_colours >= 3
+        result = sampler.run(burn_in=100, sweeps=12000)
+        assert set(result.marginals) == set(expected)
+        for vid, marginal in expected.items():
+            np.testing.assert_allclose(result.marginals[vid], marginal, atol=0.01)
 
     def test_enumeration_reduces_to_softmax_when_independent(self):
         # Sanity check of the oracle itself: with no factors the exact
@@ -168,3 +267,68 @@ class TestGibbsExactness:
         softmax = np.exp(1.5) / (np.exp(1.5) + 1.0)
         for vid in (0, 1):
             assert expected[vid][0] == pytest.approx(softmax)
+
+
+class TestGibbsStructure:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_colouring_separates_free_variables_that_share_a_factor(self, seed):
+        graph, weights = random_graph(seed, free=40, extra_factors=60)
+        sampler = GibbsSampler(graph, weights)
+        free = free_mask(graph)
+        assert np.array_equal(sampler.colour >= 0, free)
+        assert sampler.num_free == free.sum()
+        assert sampler.num_colours == sampler.colour.max() + 1
+        for factor in graph.factors:
+            colours = [sampler.colour[v] for v in factor.var_ids if free[v]]
+            assert len(set(colours)) == len(colours)
+
+    def test_cells_of_one_tuple_never_share_a_colour(self):
+        # t0.A and t0.B share no factor, only the neighbour t0.C; apart,
+        # the class shuffle can resample C between them.  t1.A touches
+        # nothing and joins the first class.
+        space = FeatureSpace()
+        builder = FeatureMatrixBuilder(space)
+        block = VariableBlock()
+        for tid, attribute in [(0, "A"), (0, "B"), (0, "C"), (1, "A")]:
+            block.add(Cell(tid, attribute), ["x", "y"], 0, is_evidence=False)
+            builder.start_variable(2)
+        graph = FactorGraph(block, builder.build(), space)
+        agree = np.array([[1, -1], [-1, 1]], dtype=np.int8)
+        graph.add_factor(ConstraintFactor((0, 2), agree, 1.0))
+        graph.add_factor(ConstraintFactor((1, 2), agree, 1.0))
+        sampler = GibbsSampler(graph, np.zeros(len(space)))
+        assert len(set(sampler.colour[:3].tolist())) == 3
+        assert sampler.colour[3] == 0
+        assert sampler.num_colours == 3
+
+    def test_fixed_query_variables_are_certain_and_never_drawn(self):
+        graph, weights = random_graph(3)
+        result = GibbsSampler(graph, weights, seed=3).run(burn_in=2, sweeps=5)
+        assert 0 not in result.marginals  # evidence
+        assert result.marginals[1].tolist() == [1.0]
+        assert result.samples == 7 * free_mask(graph).sum()
+        assert 0 <= result.moves <= result.samples
+
+    def test_every_marginal_sums_to_one(self):
+        graph, weights = random_graph(4, free=40, extra_factors=60)
+        for sweeps in (0, 1, 8):
+            result = GibbsSampler(graph, weights, seed=4).run(burn_in=1, sweeps=sweeps)
+            for info in graph.variables:
+                if not info.is_evidence:
+                    marginal = result.marginals[info.vid]
+                    assert marginal.shape == (info.domain_size,)
+                    assert marginal.sum() == pytest.approx(1.0)
+                    assert (marginal >= 0).all()
+
+    def test_same_graph_and_seed_give_identical_marginals(self):
+        graph, weights = random_graph(5, free=40, extra_factors=60)
+        first = GibbsSampler(graph, weights, seed=7).run(burn_in=2, sweeps=8)
+        second = GibbsSampler(graph, weights, seed=7).run(burn_in=2, sweeps=8)
+        other = GibbsSampler(graph, weights, seed=8).run(burn_in=2, sweeps=8)
+        assert (first.moves, first.samples) == (second.moves, second.samples)
+        for vid, marginal in first.marginals.items():
+            assert np.array_equal(marginal, second.marginals[vid])
+        assert any(
+            not np.array_equal(marginal, other.marginals[vid])
+            for vid, marginal in first.marginals.items()
+        )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.inference.numerics import (
+    segment_argmax,
     segment_logsumexp,
     segment_sizes,
     segment_softmax,
@@ -36,6 +37,26 @@ class TestSegmentSoftmax:
     def test_singleton_segment_is_one(self):
         probs = segment_softmax(np.array([42.0]), np.array([0, 1]))
         assert probs[0] == pytest.approx(1.0)
+
+
+class TestSegmentArgmax:
+    def test_first_maximum_per_segment(self):
+        scores = np.array([1.0, 3.0, 3.0, -2.0, 0.5, 0.1, 0.9])
+        starts = np.array([0, 3, 4, 7])
+        assert segment_argmax(scores, starts).tolist() == [1, 0, 2]
+
+    def test_matches_numpy_argmax(self):
+        rng = np.random.default_rng(0)
+        sizes = rng.integers(1, 6, size=50)
+        starts = np.concatenate(([0], np.cumsum(sizes)))
+        scores = rng.integers(0, 4, size=starts[-1]).astype(np.float64)
+        expected = [int(np.argmax(scores[a:b])) for a, b in zip(starts, starts[1:])]
+        assert segment_argmax(scores, starts).tolist() == expected
+
+    def test_no_segments_and_empty_segment(self):
+        assert len(segment_argmax(np.array([]), np.array([0]))) == 0
+        with pytest.raises(ValueError, match="non-empty"):
+            segment_argmax(np.array([1.0]), np.array([0, 0, 1]))
 
 
 class TestSegmentLogsumexp:

@@ -199,6 +199,17 @@ class TestErrorMapping:
 
         serve(body)
 
+    def test_negative_gibbs_sweeps_400(self, hospital):
+        async def body(server):
+            request = payload_for(hospital)
+            request["config"]["gibbs_sweeps"] = -3
+            status, _, payload = await _request(
+                server.port, "POST", "/repair", request
+            )
+            assert status == 400 and "gibbs_sweeps" in payload["error"]
+
+        serve(body)
+
     def test_invalid_json_400(self):
         async def body(server):
             raw = (
