@@ -27,7 +27,6 @@ bench-ci:
 	$(PYTHON) benchmarks/bench_engine_grounding.py
 	$(PYTHON) benchmarks/bench_factor_grounding.py
 	$(PYTHON) benchmarks/bench_factor_tables.py
-	$(PYTHON) benchmarks/bench_featurization.py
 	$(PYTHON) benchmarks/bench_domain_pruning.py
 	$(PYTHON) benchmarks/bench_pipeline.py
 	$(PYTHON) benchmarks/bench_serving.py

@@ -198,7 +198,12 @@ class ModelCompiler:
 
         if config.use_minimality and ("minimality",) in space:
             space.set_fixed(("minimality",), config.minimality_weight)
-        matrix = builder.build()
+        with deep_span("compile.build_matrix") as sp:
+            matrix = builder.build()
+            if sp is not None:
+                sp.attributes.update(entries=matrix.num_entries,
+                                     features=matrix.num_features)
+        space.freeze()
         graph = FactorGraph(variables, matrix, space)
 
         skipped = 0

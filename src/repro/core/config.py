@@ -8,8 +8,9 @@ Algorithm 1, and the learning/sampling budgets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 #: The model variants evaluated in Figure 5 of the paper.
 VARIANTS = (
@@ -211,7 +212,21 @@ class HoloCleanConfig:
             raise ValueError(
                 f"trace_level must be 'off', 'stage', or 'deep', got "
                 f"{self.trace_level!r}")
-        for name in ("gibbs_burn_in", "gibbs_sweeps"):
+        # Values that would poison the feature matrix (0/0, x/0) or train
+        # nothing must not "succeed" with zero repairs.
+        if not (isinstance(self.dc_feature_cap, Real)
+                and math.isfinite(self.dc_feature_cap)
+                and self.dc_feature_cap > 0):
+            raise ValueError(
+                f"dc_feature_cap must be a finite number > 0, got "
+                f"{self.dc_feature_cap!r}")
+        if not (isinstance(self.cooccur_smoothing, Real)
+                and math.isfinite(self.cooccur_smoothing)
+                and self.cooccur_smoothing >= 0):
+            raise ValueError(
+                f"cooccur_smoothing must be a finite number >= 0, got "
+                f"{self.cooccur_smoothing!r}")
+        for name in ("epochs", "gibbs_burn_in", "gibbs_sweeps"):
             count = getattr(self, name)
             if (not isinstance(count, Integral) or isinstance(count, bool)
                     or count < 0):

@@ -21,15 +21,18 @@ equivalent set-at-a-time stage over the engine's
   (constraints with binary similarity predicates fall back to the naive
   featurizer, as do external-dictionary matches).
 
-The output is **byte-identical** to the naive featurizer stack: the same
-:class:`~repro.inference.features.FeatureSpace` key allocation order, the
-same row order, and the same per-row entry order and values.  Each family
-emits ``(var, candidate, within-rank, key token, value)`` entry arrays;
-one global merge re-establishes the naive loop's interleaving — feature
-keys are allocated in first-appearance order of the
-(variable, featurizer, candidate, entry) stream, rows store entries in
-(featurizer, entry) order — and everything lands through one batched
-:meth:`FeatureMatrixBuilder.add_entries` call.
+Each family emits batches of ``(var, candidate, key token, value)`` entry
+arrays plus the batch's weight keys.  The order contract is local: batches
+are appended in :func:`default_featurizers` order, and inside a family a
+row's entries appear in the order the naive featurizer's per-candidate
+list carries them.  :meth:`VectorFeaturizer._emit` concatenates the
+batches as they stand, allocates a feature index for every key that still
+carries a non-zero entry — in (batch, token) order — and hands everything
+to one :meth:`FeatureMatrixBuilder.add_entries` call; the builder's stable
+sort by row is the only sort over the entry set.  Against the naive stack
+(the oracle) the matrix has the same rows, the same per-row entry order
+and values and the same key *set*; feature indices differ by a
+relabelling through the keys, which no consumer reads.
 """
 
 from __future__ import annotations
@@ -62,19 +65,17 @@ _ORDER_OPS = (Operator.LT, Operator.GT, Operator.LTE, Operator.GTE)
 
 @dataclass
 class _Entries:
-    """One batch of sparse feature entries, pre-merge.
+    """One batch of sparse feature entries.
 
-    ``within`` orders entries inside one (variable, candidate,
-    featurizer) group — it reproduces the order the naive featurizer's
-    per-candidate list would carry, and only needs to be *sortable*, not
-    dense.  ``token`` indexes ``keys`` (batch-local weight keys; the
-    merge dedups equal keys across batches through the feature space).
+    Array order is the contract: the entries of one (variable,
+    candidate) row appear in the order the naive featurizer's
+    per-candidate list would carry them.  ``token`` indexes ``keys``
+    (batch-local weight keys; equal keys of different batches meet in
+    the feature space).
     """
 
-    rank: int
     var: np.ndarray
     cand: np.ndarray
-    within: np.ndarray
     token: np.ndarray
     value: np.ndarray
     keys: list[Hashable]
@@ -109,8 +110,7 @@ class VectorFeaturizer:
     featurizer composition is taken from :func:`default_featurizers`, so
     toggled-off families behave exactly as in the naive path; families
     without a vectorized implementation run through a naive adapter that
-    feeds the same merge, keeping the output byte-identical under any
-    configuration.
+    emits the same kind of batch.
     """
 
     def __init__(self, engine, context: FeaturizationContext,
@@ -138,19 +138,19 @@ class VectorFeaturizer:
         ``specs`` lists ``(cell, domain)`` per variable in variable-id
         order (the order the compiler registered them); entries arrive
         through one batched :meth:`FeatureMatrixBuilder.add_entries`
-        call, byte-identical to the naive per-cell loop.
+        call.
         """
         self._specs = list(specs)
         self._build_blocks()
         stack = default_featurizers(self.context, self.constraints)
         batches: list[_Entries] = []
         vectorized = naive = 0
-        for rank, featurizer in enumerate(stack):
+        for featurizer in stack:
             with deep_span("featurize.family",
                            family=type(featurizer).__name__) as sp:
-                family = self._family(featurizer, rank)
+                family = self._family(featurizer)
                 if family is None:
-                    family = [self._naive_entries(rank, featurizer)]
+                    family = [self._naive_entries(featurizer)]
                     naive += 1
                 else:
                     vectorized += 1
@@ -170,18 +170,18 @@ class VectorFeaturizer:
         self.stats.setdefault("feature_dc_fallbacks", 0)
         return dict(self.stats)
 
-    def _family(self, featurizer: Featurizer, rank: int) -> list[_Entries] | None:
+    def _family(self, featurizer: Featurizer) -> list[_Entries] | None:
         kind = type(featurizer)
         if kind is MinimalityFeaturizer:
-            return self._minimality(rank)
+            return self._minimality()
         if kind is FrequencyFeaturizer:
-            return self._frequency(rank)
+            return self._frequency()
         if kind is CooccurFeaturizer:
-            return self._cooccur(rank)
+            return self._cooccur()
         if kind is SourceFeaturizer:
-            return self._source(rank)
+            return self._source()
         if kind is ConstraintFeaturizer:
-            return self._constraint(featurizer, rank)
+            return self._constraint(featurizer)
         return None  # external matches and unknown subclasses: naive adapter
 
     # ------------------------------------------------------------------
@@ -238,7 +238,7 @@ class VectorFeaturizer:
     # ------------------------------------------------------------------
     # Families
     # ------------------------------------------------------------------
-    def _minimality(self, rank: int) -> list[_Entries]:
+    def _minimality(self) -> list[_Entries]:
         out = []
         for block in self._blocks.values():
             hit = block.flat_code == block.flat_init
@@ -246,12 +246,12 @@ class VectorFeaturizer:
             if not n:
                 continue
             out.append(_Entries(
-                rank, block.flat_var[hit], block.flat_cand[hit],
-                np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+                block.flat_var[hit], block.flat_cand[hit],
+                np.zeros(n, dtype=np.int64),
                 np.ones(n, dtype=np.float64), keys=[("minimality",)]))
         return out
 
-    def _frequency(self, rank: int) -> list[_Entries]:
+    def _frequency(self) -> list[_Entries]:
         out = []
         for attr, block in self._blocks.items():
             counts = self._stats.code_counts(attr)
@@ -264,11 +264,9 @@ class VectorFeaturizer:
             rf = np.zeros(len(count), dtype=np.float64)
             live = denom > 0
             rf[live] = count[live] / denom[live]
-            n = len(rf)
-            pair = np.tile(np.arange(2, dtype=np.int64), n)
             out.append(_Entries(
-                rank, np.repeat(block.flat_var, 2),
-                np.repeat(block.flat_cand, 2), pair, pair.copy(),
+                np.repeat(block.flat_var, 2), np.repeat(block.flat_cand, 2),
+                np.tile(np.arange(2, dtype=np.int64), len(rf)),
                 np.repeat(rf, 2), keys=[("freq", attr), ("freq*",)]))
         return out
 
@@ -289,7 +287,7 @@ class VectorFeaturizer:
         pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
         return np.where(keys[pos] == query, counts[pos], 0)
 
-    def _cooccur(self, rank: int) -> list[_Entries]:
+    def _cooccur(self) -> list[_Entries]:
         ctx = self.context
         store = self.engine.store
         schema = ctx.dataset.schema
@@ -298,7 +296,7 @@ class VectorFeaturizer:
         out = []
         for attr, block in self._blocks.items():
             others = [o for o in schema.data_attributes if o != attr]
-            for j, other in enumerate(others):
+            for other in others:
                 oc = store.codes(other)[block.tids].astype(np.int64)
                 if not (oc >= 0).any():
                     continue  # all-NULL context column: nothing conditions
@@ -324,13 +322,9 @@ class VectorFeaturizer:
                         continue
                     fdenom = np.repeat(denom, block.sizes)[keep_flat]
                     p = joint[hit] / (fdenom[hit] + smoothing)
-                    n = int(hit.sum())
-                    pair = np.tile(
-                        np.arange(2 * j, 2 * j + 2, dtype=np.int64), n)
-                    tok = np.tile(np.arange(2, dtype=np.int64), n)
                     out.append(_Entries(
-                        rank, np.repeat(fvar[hit], 2),
-                        np.repeat(fcand[hit], 2), pair, tok,
+                        np.repeat(fvar[hit], 2), np.repeat(fcand[hit], 2),
+                        np.tile(np.arange(2, dtype=np.int64), len(p)),
                         np.repeat(p, 2),
                         keys=[("cooc", attr, other), ("cooc*",)]))
                 else:  # "value": the paper-literal w(d, f) tying
@@ -343,13 +337,11 @@ class VectorFeaturizer:
                             # repro: allow-loop per-unique-code key labels, not per-row
                             for e in uniq.tolist()]
                     out.append(_Entries(
-                        rank, fvar, fcand,
-                        np.full(len(fvar), j, dtype=np.int64),
-                        token.astype(np.int64),
+                        fvar, fcand, token.astype(np.int64),
                         np.ones(len(fvar), dtype=np.float64), keys=keys))
         return out
 
-    def _source(self, rank: int) -> list[_Entries]:
+    def _source(self) -> list[_Entries]:
         ctx = self.context
         store = self.engine.store
         source_attr = ctx.source_attribute
@@ -395,7 +387,7 @@ class VectorFeaturizer:
             pv, ps = a_codes[ptid], s_codes[ptid]
             # Votes: count per (variable, value, source) plus the first
             # stream position, which fixes the naive Counter's insertion
-            # (= first-partner) order.
+            # (= first-partner) order — the order a row's entries take.
             uvs, vs_id = np.unique(pv * card_s + ps, return_inverse=True)
             ukey = pk * len(uvs) + vs_id
             uniq, first, counts = np.unique(
@@ -403,8 +395,7 @@ class VectorFeaturizer:
             uk, uvs_idx = uniq // len(uvs), uniq % len(uvs)
             uv, us = uvs[uvs_idx] // card_s, uvs[uvs_idx] % card_s
             order = np.lexsort((first, uv, uk))
-            uk, uv, us = uk[order], uv[order], us[order]
-            first, counts = first[order], counts[order]
+            uk, uv, us, counts = uk[order], uv[order], us[order], counts[order]
             gkey = uk * card_a + uv  # ascending after the lexsort
             # Join candidates against the vote groups.
             keep_flat = np.repeat(keep, block.sizes)
@@ -422,16 +413,14 @@ class VectorFeaturizer:
                 continue
             src_pos = ops.expand_ranges(lo, hits)
             out.append(_Entries(
-                rank, np.repeat(fvar, hits), np.repeat(fcand, hits),
-                first[src_pos], us[src_pos],
+                np.repeat(fvar, hits), np.repeat(fcand, hits), us[src_pos],
                 counts[src_pos].astype(np.float64), keys=src_keys))
         return out
 
     # ------------------------------------------------------------------
     # Denial-constraint features (Section 5.2)
     # ------------------------------------------------------------------
-    def _constraint(self, featurizer: ConstraintFeaturizer,
-                    rank: int) -> list[_Entries]:
+    def _constraint(self, featurizer: ConstraintFeaturizer) -> list[_Entries]:
         out: list[_Entries] = []
         fallbacks = 0
         sequence = list(featurizer.constraints) + list(
@@ -445,35 +434,35 @@ class VectorFeaturizer:
             else:
                 mode = "pair"
             plan.append((di, dc, mode))
-        sharded = self._dispatch_dcs(rank, sequence, plan)
+        sharded = self._dispatch_dcs(sequence, plan)
         for di, dc, mode in plan:
             if mode == "naive":
-                out.append(self._naive_dc(rank, di, dc, featurizer))
+                out.append(self._naive_dc(dc, featurizer))
                 fallbacks += 1
             elif sharded is not None:
                 out.extend(sharded[di])
             elif mode == "single":
-                out.extend(self._single_dc(rank, di, dc))
+                out.extend(self._single_dc(dc))
             else:
-                out.extend(self._pair_dc(rank, di, dc))
+                out.extend(self._pair_dc(dc))
         self.stats["feature_dc_fallbacks"] = (
             int(self.stats.get("feature_dc_fallbacks", 0)) + fallbacks)
         return out
 
-    def _dispatch_dcs(self, rank: int, sequence, plan):
+    def _dispatch_dcs(self, sequence, plan):
         """Offer code-comparable DC evaluations to the backend's fan-out.
 
         Each worker of a sharding backend rebuilds this featurizer's
         attribute blocks from the shared column store (a deterministic
         function of the specs) and evaluates whole constraints; entry
-        batches merge back in the inline walk's (constraint,
+        batches come back in the inline walk's (constraint,
         attribute-block) order.  Returns ``{di: [_Entries]}`` for
         dispatched constraints, or ``None`` to evaluate inline
         (single-process backend, nothing to dispatch, or a broken pool).
         Similarity constraints need the per-cell featurizer and always
         stay parent-side.
         """
-        tasks = [(di, rank, mode) for di, _, mode in plan if mode != "naive"]
+        tasks = [(di, mode) for di, _, mode in plan if mode != "naive"]
         if not tasks:
             return None
         results = self.engine.backend.shard_map(
@@ -481,8 +470,7 @@ class VectorFeaturizer:
                 self._specs, self.constraints, self.context.config, sequence))
         if results is None:
             return None
-        return {di: entries
-                for (di, _, _), entries in zip(tasks, results)}
+        return {di: entries for (di, _), entries in zip(tasks, results)}
 
     def _predicate_term(self, pred, lhs_codes: np.ndarray,
                         rhs_codes: np.ndarray | None,
@@ -493,8 +481,7 @@ class VectorFeaturizer:
         keys = space.order_keys if pred.op in _ORDER_OPS else None
         return pred.compare_coded(lhs_codes, rhs_codes, keys)
 
-    def _single_dc(self, rank: int, di: int,
-                   dc: DenialConstraint) -> list[_Entries]:
+    def _single_dc(self, dc: DenialConstraint) -> list[_Entries]:
         out = []
         for attr, block in self._blocks.items():
             if attr not in dc.attributes:
@@ -523,13 +510,12 @@ class VectorFeaturizer:
                 continue
             n = int(violated.sum())
             out.append(_Entries(
-                rank, block.flat_var[violated], block.flat_cand[violated],
-                np.full(n, di, dtype=np.int64), np.zeros(n, dtype=np.int64),
+                block.flat_var[violated], block.flat_cand[violated],
+                np.zeros(n, dtype=np.int64),
                 np.ones(n, dtype=np.float64), keys=[("dc", dc.name)]))
         return out
 
-    def _pair_dc(self, rank: int, di: int,
-                 dc: DenialConstraint) -> list[_Entries]:
+    def _pair_dc(self, dc: DenialConstraint) -> list[_Entries]:
         cap_value = self.context.config.dc_feature_cap
         out = []
         for attr, block in self._blocks.items():
@@ -543,12 +529,11 @@ class VectorFeaturizer:
             hit = totals > 0
             if not hit.any():
                 continue
-            n = int(hit.sum())
             value = (np.minimum(totals[hit].astype(np.float64), cap_value)
                      / cap_value)
             out.append(_Entries(
-                rank, block.flat_var[hit], block.flat_cand[hit],
-                np.full(n, di, dtype=np.int64), np.zeros(n, dtype=np.int64),
+                block.flat_var[hit], block.flat_cand[hit],
+                np.zeros(len(value), dtype=np.int64),
                 value, keys=[("dc", dc.name)]))
         return out
 
@@ -631,7 +616,7 @@ class VectorFeaturizer:
                 return np.zeros(n_flat, dtype=np.int64)
         return np.bincount(kflat[violated], minlength=n_flat)
 
-    def _naive_dc(self, rank: int, di: int, dc: DenialConstraint,
+    def _naive_dc(self, dc: DenialConstraint,
                   featurizer: ConstraintFeaturizer) -> _Entries:
         """One constraint evaluated by the naive oracle (similarity DCs)."""
         config = self.context.config
@@ -659,20 +644,18 @@ class VectorFeaturizer:
                         cand_l.append(i)
                         value_l.append(min(float(total), config.dc_feature_cap)
                                        / config.dc_feature_cap)
-        n = len(var_l)
         return _Entries(
-            rank, np.asarray(var_l, dtype=np.int64),
+            np.asarray(var_l, dtype=np.int64),
             np.asarray(cand_l, dtype=np.int64),
-            np.full(n, di, dtype=np.int64), np.zeros(n, dtype=np.int64),
+            np.zeros(len(var_l), dtype=np.int64),
             np.asarray(value_l, dtype=np.float64), keys=[("dc", dc.name)])
 
     # ------------------------------------------------------------------
     # Naive adapter (external matches, unknown featurizer subclasses)
     # ------------------------------------------------------------------
-    def _naive_entries(self, rank: int, featurizer: Featurizer) -> _Entries:
+    def _naive_entries(self, featurizer: Featurizer) -> _Entries:
         var_l: list[int] = []
         cand_l: list[int] = []
-        within_l: list[int] = []
         token_l: list[int] = []
         value_l: list[float] = []
         tokens: dict[Hashable, int] = {}
@@ -680,7 +663,7 @@ class VectorFeaturizer:
         for vid, (cell, domain) in enumerate(self._specs):
             per_candidate = featurizer.features(cell, domain)
             for ci, entries in enumerate(per_candidate):
-                for wi, (key, value) in enumerate(entries):
+                for key, value in entries:
                     tok = tokens.get(key)
                     if tok is None:
                         tok = len(keys)
@@ -688,59 +671,46 @@ class VectorFeaturizer:
                         keys.append(key)
                     var_l.append(vid)
                     cand_l.append(ci)
-                    within_l.append(wi)
                     token_l.append(tok)
                     value_l.append(value)
         return _Entries(
-            rank, np.asarray(var_l, dtype=np.int64),
+            np.asarray(var_l, dtype=np.int64),
             np.asarray(cand_l, dtype=np.int64),
-            np.asarray(within_l, dtype=np.int64),
             np.asarray(token_l, dtype=np.int64),
             np.asarray(value_l, dtype=np.float64), keys=keys)
 
     # ------------------------------------------------------------------
-    # Merge and emission
+    # Emission
     # ------------------------------------------------------------------
     def _emit(self, batches: list[_Entries],
               builder: FeatureMatrixBuilder) -> int:
-        """Merge family batches into the naive loop's exact entry stream.
+        """Allocate feature keys in emission order and land every entry.
 
-        Weight keys are allocated in the first-appearance order of the
-        (variable, featurizer, candidate, entry) stream — the order the
-        naive ``builder.add`` calls hit ``space.index`` — and rows land
-        in (variable, candidate) order with (featurizer, entry)-ordered
-        entries, all through one :meth:`add_entries` call.
+        The batches are concatenated as they stand; every key that still
+        carries a non-zero entry gets its index in (batch, token) order,
+        and one :meth:`add_entries` call hands the entries over — the
+        builder's stable sort by row keeps each row's batch order.
         """
         batches = [b for b in batches if len(b.var)]
         if not batches:
             return 0
-        var = np.concatenate([b.var for b in batches])
-        cand = np.concatenate([b.cand for b in batches])
-        within = np.concatenate([b.within for b in batches])
-        value = np.concatenate([b.value for b in batches])
-        rank = np.concatenate([
-            np.full(len(b.var), b.rank, dtype=np.int64) for b in batches])
         offsets = np.cumsum([0] + [len(b.keys) for b in batches])
         token = np.concatenate([
             b.token + offset for b, offset in zip(batches, offsets)])
-        all_keys: list[Hashable] = [k for b in batches for k in b.keys]
-
+        value = np.concatenate([b.value for b in batches])
         live = value != 0.0  # the naive loop drops zero-valued entries
-        var, cand, within = var[live], cand[live], within[live]
-        value, rank, token = value[live], rank[live], token[live]
-        if not len(var):
+        token, value = token[live], value[live]
+        if not len(token):
             return 0
+        var = np.concatenate([b.var for b in batches])[live]
+        cand = np.concatenate([b.cand for b in batches])[live]
 
-        alloc_order = np.lexsort((within, cand, rank, var))
-        alloc_tokens = token[alloc_order]
-        uniq, first = np.unique(alloc_tokens, return_index=True)
-        lut = np.full(int(offsets[-1]), -1, dtype=np.int64)
-        # repro: allow-loop per-unique-token LUT fill in first-appearance order
-        for tok in uniq[np.argsort(first, kind="stable")].tolist():
+        all_keys: list[Hashable] = [k for b in batches for k in b.keys]
+        used = np.zeros(len(all_keys), dtype=bool)
+        used[token] = True
+        lut = np.full(len(all_keys), -1, dtype=np.int64)
+        # repro: allow-loop one space.index call per distinct live key
+        for tok in np.flatnonzero(used).tolist():
             lut[tok] = builder.space.index(all_keys[tok])
-        key_idx = lut[token]
-
-        row_order = np.lexsort((within, rank, cand, var))
-        builder.add_entries(var[row_order], cand[row_order],
-                            key_idx[row_order], value[row_order])
-        return int(len(var))
+        builder.add_entries(var, cand, lut[token], value)
+        return len(token)

@@ -298,7 +298,7 @@ def _task_factor(state: _WorkerState, ci: int, left, right):
     return factors, skipped, delta
 
 
-def _task_dc_features(state: _WorkerState, di: int, rank: int, mode: str):
+def _task_dc_features(state: _WorkerState, di: int, mode: str):
     featurizer = state.caches.get("featurizer")
     if featurizer is None:
         from repro.core.featurize import FeaturizationContext
@@ -313,8 +313,8 @@ def _task_dc_features(state: _WorkerState, di: int, rank: int, mode: str):
         state.caches["featurize_sequence"] = sequence
     dc = state.caches["featurize_sequence"][di]
     if mode == "single":
-        return featurizer._single_dc(rank, di, dc)
-    return featurizer._pair_dc(rank, di, dc)
+        return featurizer._single_dc(dc)
+    return featurizer._pair_dc(dc)
 
 
 def _task_stream(state: _WorkerState, *unit):
@@ -575,9 +575,9 @@ class ParallelBackend(_BaseBackend):
         """Run ``(kind, *task)`` work units on the pool, in task order.
 
         Task kinds: ``prune`` ``(cells, params)`` with ``params =
-        (tau, max_domain, strategy, attributes)``; ``dcfeat`` ``(di, rank,
-        mode)`` under a ``featurize=`` context; ``factor`` ``(ci, left,
-        right)`` under a ``factors=`` context; ``stream`` enumerator units
+        (tau, max_domain, strategy, attributes)``; ``dcfeat`` ``(di, mode)``
+        under a ``featurize=`` context; ``factor`` ``(ci, left, right)``
+        under a ``factors=`` context; ``stream`` enumerator units
         (``("domain", bucket_ids, member_tids)`` / ``("block", members,
         start, budget)``).  A context object not seen before restarts the
         pool, and the ``fork`` start method hands it to the new workers

@@ -6,6 +6,11 @@ DeepDive's inference rules carry *parameterised weights* — e.g.
 arbitrary hashable weight keys to dense indices; :class:`FeatureMatrix`
 stores, for every (variable, candidate) row, the sparse vector of feature
 values that ground the unary rules of Section 4.2.
+
+A weight is named by its key; its index is storage.  The one ordering
+decision lives in :meth:`FeatureMatrixBuilder.build`: entries are
+stable-sorted by row, so a row holds its entries in the order they were
+handed to the builder.
 """
 
 from __future__ import annotations
@@ -23,6 +28,15 @@ class FeatureSpace:
     strength of this prior", Section 4.2) and Algorithm 1's constant DC
     factor weight.  :meth:`set_fixed` pins such weights; trainers must
     initialise them to the pinned value and exclude them from updates.
+
+    Indices are handed out in the order keys first reach :meth:`index`.
+    The production featurizer allocates them in emission order: indices
+    follow :func:`~repro.core.featurize.default_featurizers` order, then
+    the family's emission order, then the batch's key list; a key with no
+    non-zero entry gets no index.  The order is otherwise an internal
+    detail — two models are equal when they agree after relabelling
+    indices through their keys — and :meth:`freeze` fixes it once the
+    matrix is built.
     """
 
     def __init__(self):
@@ -60,7 +74,7 @@ class FeatureSpace:
         return dict(self._fixed)
 
     def freeze(self) -> None:
-        """Disallow new keys (used after grounding, before learning)."""
+        """Disallow new keys (the compiler does, once the matrix is built)."""
         self._frozen = True
 
     def __len__(self) -> int:
@@ -173,50 +187,38 @@ class FeatureMatrixBuilder:
         matrix = builder.build()
 
     The vectorized featurization path lands whole entry batches at once
-    through :meth:`add_entries` instead; both mechanisms may be mixed and
-    the built matrix orders each row's entries chronologically, exactly
-    as repeated :meth:`add` calls would.
+    through :meth:`add_entries` instead.  Both mechanisms feed one
+    storage — array chunks in hand-in order — and :meth:`build` fixes the
+    layout with the only sort: a stable sort by row, so each row's
+    entries stay in the order they were handed in.
     """
 
     def __init__(self, space: FeatureSpace):
         self.space = space
         self._var_sizes: list[int] = []
-        self._rows: list[list[tuple[int, int, float]]] = []
-        self._row_base: list[int] = []
-        #: Batched entries: (row ids, insertion seqs, key indices, values).
-        self._batches: list[tuple[np.ndarray, np.ndarray,
-                                  np.ndarray, np.ndarray]] = []
-        self._seq = 0  # global insertion counter across add / add_entries
+        #: Entry chunks ``(var ids, candidate indices, key indices,
+        #: values)`` in hand-in order.
+        self._chunks: list[tuple[np.ndarray, np.ndarray,
+                                 np.ndarray, np.ndarray]] = []
+        #: Per-entry :meth:`add` calls not yet turned into a chunk.
+        self._pending: list[tuple[int, int, int, float]] = []
 
     def start_variable(self, num_candidates: int) -> int:
         """Register a variable with the given domain size; returns its id."""
-        if num_candidates <= 0:
-            raise ValueError("variables need at least one candidate")
-        vid = len(self._var_sizes)
-        self._row_base.append(len(self._rows))
-        self._var_sizes.append(num_candidates)
-        for _ in range(num_candidates):
-            self._rows.append([])
-        return vid
+        return self.start_variables([num_candidates])
 
     def start_variables(self, sizes: list[int]) -> int:
         """Register a block of variables at once; returns the first id.
 
-        Equivalent to calling :meth:`start_variable` for each size in
-        order (ids are contiguous from the returned first id), letting
-        the compiler lay out a whole query / evidence block without one
+        Ids are contiguous from the returned first id, letting the
+        compiler lay out a whole query / evidence block without one
         Python call per variable.
         """
         sizes = [int(size) for size in sizes]
         if any(size <= 0 for size in sizes):
             raise ValueError("variables need at least one candidate")
         first = len(self._var_sizes)
-        base = len(self._rows)
-        for size in sizes:
-            self._row_base.append(base)
-            base += size
         self._var_sizes.extend(sizes)
-        self._rows.extend([] for _ in range(base - len(self._rows)))
         return first
 
     def add(self, var: int, candidate: int, key, value: float) -> None:
@@ -225,26 +227,33 @@ class FeatureMatrixBuilder:
             raise IndexError(
                 f"candidate {candidate} out of range for variable {var} "
                 f"(domain size {self._var_sizes[var]})")
-        self._rows[self._row_base[var] + candidate].append(
-            (self._seq, self.space.index(key), float(value)))
-        self._seq += 1
+        self._pending.append(
+            (var, candidate, self.space.index(key), float(value)))
+
+    def _flush_pending(self) -> None:
+        """Turn the :meth:`add` calls so far into one chunk."""
+        if self._pending:
+            var, cand, key_idx, values = zip(*self._pending)
+            self._chunks.append((np.asarray(var, dtype=np.int64),
+                                 np.asarray(cand, dtype=np.int64),
+                                 np.asarray(key_idx, dtype=np.int64),
+                                 np.asarray(values, dtype=np.float64)))
+            self._pending = []
 
     def add_entries(self, var_ids: np.ndarray, cand_idx: np.ndarray,
                     keys, values: np.ndarray) -> None:
         """Attach a whole batch of entries at once (the vectorized path).
 
         ``keys`` is either an integer array of feature-space indices the
-        caller already allocated (in the correct first-seen order) or a
-        sequence of hashable weight keys resolved here in batch order.
-        Entries keep their batch order, so per-row entry order matches
-        what equivalent sequential :meth:`add` calls would produce.
+        caller already allocated or a sequence of hashable weight keys
+        resolved here in batch order.  Entries keep their batch order
+        inside each row, after everything handed in before this call.
         """
         var_ids = np.asarray(var_ids, dtype=np.int64)
         cand_idx = np.asarray(cand_idx, dtype=np.int64)
         values = np.asarray(values, dtype=np.float64)
         # Validate everything before touching the feature space: a rejected
-        # call must not allocate keys (that would permanently shift the
-        # space's allocation order).
+        # call must not allocate keys.
         if not (len(var_ids) == len(cand_idx) == len(values) == len(keys)):
             raise ValueError("add_entries arrays must align")
         if not len(var_ids):
@@ -261,72 +270,27 @@ class FeatureMatrixBuilder:
         else:
             key_idx = np.fromiter((self.space.index(k) for k in keys),
                                   dtype=np.int64, count=len(keys))
-        base = np.asarray(self._row_base, dtype=np.int64)
-        row_ids = base[var_ids] + cand_idx
-        seqs = np.arange(self._seq, self._seq + len(row_ids), dtype=np.int64)
-        self._seq += len(row_ids)
-        self._batches.append((row_ids, seqs, key_idx, values))
+        self._flush_pending()
+        self._chunks.append((var_ids, cand_idx, key_idx, values))
 
     @property
     def num_vars(self) -> int:
         return len(self._var_sizes)
 
     def build(self) -> FeatureMatrix:
+        self._flush_pending()
         var_row_start = np.zeros(len(self._var_sizes) + 1, dtype=np.int64)
         np.cumsum(self._var_sizes, out=var_row_start[1:])
-        if self._batches:
-            return self._build_merged(var_row_start)
-        row_ptr = np.zeros(len(self._rows) + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in self._rows], out=row_ptr[1:])
-        total = int(row_ptr[-1])
-        indices = np.empty(total, dtype=np.int64)
-        values = np.empty(total, dtype=np.float64)
-        pos = 0
-        for row in self._rows:
-            for _seq, idx, val in row:
-                indices[pos] = idx
-                values[pos] = val
-                pos += 1
-        return FeatureMatrix(var_row_start, indices, values, row_ptr,
-                             num_features=len(self.space))
-
-    def _build_merged(self, var_row_start: np.ndarray) -> FeatureMatrix:
-        """Merge per-entry and batched additions into one CSR matrix.
-
-        Entries are grouped by row and ordered chronologically within a
-        row (via the global insertion counter), which is exactly the
-        layout sequential :meth:`add` calls produce.
-        """
-        rows_l, seqs_l, keys_l, vals_l = [], [], [], []
-        counts = [len(row) for row in self._rows]
-        total = sum(counts)
-        if total:
-            # Column-wise extraction: each array fills straight from a
-            # generator pass over the row lists, with no intermediate
-            # list-of-tuples materialisation.
-            rows_l.append(np.repeat(
-                np.arange(len(self._rows), dtype=np.int64), counts))
-            seqs_l.append(np.fromiter(
-                (entry[0] for row in self._rows for entry in row),
-                dtype=np.int64, count=total))
-            keys_l.append(np.fromiter(
-                (entry[1] for row in self._rows for entry in row),
-                dtype=np.int64, count=total))
-            vals_l.append(np.fromiter(
-                (entry[2] for row in self._rows for entry in row),
-                dtype=np.float64, count=total))
-        for row_ids, seqs, key_idx, values in self._batches:
-            rows_l.append(row_ids)
-            seqs_l.append(seqs)
-            keys_l.append(key_idx)
-            vals_l.append(values)
-        rows = np.concatenate(rows_l)
-        seqs = np.concatenate(seqs_l)
-        keys = np.concatenate(keys_l)
-        vals = np.concatenate(vals_l)
-        order = np.lexsort((seqs, rows))
-        row_ptr = np.zeros(len(self._rows) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(self._rows)),
-                  out=row_ptr[1:])
+        num_rows = int(var_row_start[-1])
+        if self._chunks:
+            var, cand, keys, vals = (
+                np.concatenate(column) for column in zip(*self._chunks))
+        else:
+            var = cand = keys = np.empty(0, dtype=np.int64)
+            vals = np.empty(0, dtype=np.float64)
+        rows = var_row_start[var] + cand
+        order = np.argsort(rows, kind="stable")
+        row_ptr = np.zeros(num_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_rows), out=row_ptr[1:])
         return FeatureMatrix(var_row_start, keys[order], vals[order],
                              row_ptr, num_features=len(self.space))

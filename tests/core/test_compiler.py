@@ -121,6 +121,14 @@ class TestProgramAndReport:
         idx = model.graph.space.get(("minimality",))
         assert idx is not None and idx in fixed
 
+    def test_feature_space_frozen_after_compile(self, compiled):
+        model, _ = compiled
+        space = model.graph.space
+        assert len(space) == model.graph.matrix.num_features
+        with pytest.raises(KeyError, match="frozen"):
+            space.index(("new",))
+        assert space.index(("minimality",)) == space.get(("minimality",))
+
 
 class TestEvidenceSampling:
     def test_mask_sampler_matches_reference(self, figure1_dataset,

@@ -32,13 +32,26 @@ class TestValidation:
                             use_cooccur=False, use_minimality=False,
                             use_frequency=False)
 
-    @pytest.mark.parametrize("field", ["gibbs_burn_in", "gibbs_sweeps"])
+    @pytest.mark.parametrize("field", ["epochs", "gibbs_burn_in", "gibbs_sweeps"])
     @pytest.mark.parametrize("count", [-3, 2.5, "4", True])
     def test_gibbs_counts_are_non_negative_integers(self, field, count):
         assert getattr(HoloCleanConfig(**{field: 0}), field) == 0
         assert getattr(HoloCleanConfig(**{field: np.int64(4)}), field) == 4
         with pytest.raises(ValueError, match=field):
             HoloCleanConfig(**{field: count})
+
+    @pytest.mark.parametrize("field,bad", [
+        ("dc_feature_cap", 0.0), ("dc_feature_cap", -1.0),
+        ("dc_feature_cap", float("inf")), ("dc_feature_cap", "10"),
+        ("cooccur_smoothing", -1.0), ("cooccur_smoothing", float("nan")),
+        ("cooccur_smoothing", None)])
+    def test_feature_value_divisors_are_validated(self, field, bad):
+        # 0/0 in the DC feature and x/0 in the co-occurrence conditional
+        # used to "succeed" with an all-NaN column and zero repairs.
+        with pytest.raises(ValueError, match=field):
+            HoloCleanConfig(**{field: bad})
+        assert HoloCleanConfig(cooccur_smoothing=0).cooccur_smoothing == 0
+        assert HoloCleanConfig(dc_feature_cap=np.float64(3)).dc_feature_cap == 3
 
     @pytest.mark.parametrize("field", ["use_engine", "vector_domains"])
     def test_removed_engine_switches_are_not_fields(self, field):

@@ -423,6 +423,22 @@ class TestTelemetry:
         assert materialize.name == "detect.materialize_violations"
         assert materialize.attributes["violations"] == len(listed)
 
+    def test_compile_deep_spans_include_the_matrix_build(self, hospital):
+        ctx = RepairContext(dataset=hospital.dirty,
+                            constraints=hospital.constraints,
+                            config=config_for(hospital, trace_level="deep"))
+        ctx = RepairPlan([DetectStage(), CompileStage()]).run(ctx)
+        compile_span = ctx.tracer.roots[-1]
+        assert compile_span.name == "compile"
+        names = [c.name for c in compile_span.children]
+        # The single sort over the entry set runs right after featurize.
+        at = names.index("compile.featurize")
+        assert names[at + 1] == "compile.build_matrix"
+        build = compile_span.children[at + 1]
+        matrix = ctx.model.graph.matrix
+        assert build.attributes == {"entries": matrix.num_entries,
+                                    "features": matrix.num_features}
+
     def test_deep_tracing_gibbs_variant_identical(self, figure1_dataset,
                                                   figure1_constraints):
         def run(level):

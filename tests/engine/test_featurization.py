@@ -1,11 +1,15 @@
-"""Vectorized featurization must be byte-identical to the naive stack.
+"""Vectorized featurization must equal the naive stack, key for key.
 
 The contract of :class:`repro.core.vector_featurize.VectorFeaturizer`:
-the engine-grounded :class:`FeatureMatrix` and :class:`FeatureSpace`
-reproduce the naive per-(cell, candidate) featurizer loop *exactly* —
-same key allocation order, same row order, same per-row entry order and
-values — on the paper's generators (leave-one-out and weak-label paths
-included) and on adversarial random datasets.
+the engine-grounded :class:`FeatureMatrix` has the naive per-(cell,
+candidate) featurizer loop's rows, per-row entry order and values
+*exactly*, and its :class:`FeatureSpace` holds the same key set with the
+same pinned weights.  A weight is named by its key, so feature indices
+are compared after relabelling the oracle's through the keys; the order
+the production path allocates them in is its own contract
+(:func:`test_allocation_contract`).  Checked on the paper's generators
+(leave-one-out, weak-label and external-dictionary paths included) and on
+adversarial random datasets.
 """
 
 import numpy as np
@@ -17,12 +21,15 @@ from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Const, Operator, Predicate, TupleRef
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
+from repro.core.featurize import FeaturizationContext
+from repro.core.vector_featurize import VectorFeaturizer
 from repro.data.generators.flights import generate_flights
 from repro.data.generators.hospital import generate_hospital
-from repro.dataset.dataset import Dataset
+from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
+from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
 from repro.oracle import NaiveModelCompiler
 
 
@@ -36,22 +43,34 @@ def flights():
     return generate_flights(num_flights=12)
 
 
-def compile_pair(dataset, constraints, config, backend="numpy"):
+def compile_pair(dataset, constraints, config, backend="numpy", **external):
     """Compile once naive, once engine-backed, off one shared detection."""
     engine = Engine(dataset, backend=backend)
     detection = ViolationDetector(constraints, engine=engine).detect(dataset)
-    naive = NaiveModelCompiler(dataset, constraints, config, detection).compile()
-    compiler = ModelCompiler(dataset, constraints, config, detection, engine=engine)
+    naive = NaiveModelCompiler(
+        dataset, constraints, config, detection, **external
+    ).compile()
+    compiler = ModelCompiler(
+        dataset, constraints, config, detection, engine=engine, **external
+    )
     return naive, compiler.compile()
 
 
+def fixed_by_key(space):
+    return {space.key(idx): value for idx, value in space.fixed_weights.items()}
+
+
 def assert_identical(naive, fast):
-    """Matrix + space byte-equality, the featurization contract."""
-    assert fast.graph.space._keys == naive.graph.space._keys
-    assert fast.graph.space.fixed_weights == naive.graph.space.fixed_weights
+    """The featurization contract: equal matrices, indices compared by key."""
+    ns, fs = naive.graph.space, fast.graph.space
+    assert len(fs) == len(ns) and set(fs._keys) == set(ns._keys)
+    assert fixed_by_key(fs) == fixed_by_key(ns)
     mn, mf = naive.graph.matrix, fast.graph.matrix
-    for name in ("var_row_start", "row_ptr", "indices", "values"):
+    for name in ("var_row_start", "row_ptr", "values"):
         assert np.array_equal(getattr(mf, name), getattr(mn, name)), name
+    relabel = np.array([fs.get(key) for key in ns._keys], dtype=np.int64)
+    assert np.array_equal(relabel[mn.indices], mf.indices)
+    assert mf.num_features == mn.num_features
     assert fast.query_ids == naive.query_ids
     assert fast.evidence_ids == naive.evidence_ids
     assert fast.evidence_labels == naive.evidence_labels
@@ -102,10 +121,27 @@ def test_value_tying_identical(flights):
     assert_identical(naive, fast)
 
 
+def test_external_matches_identical(hospital):
+    # External-dictionary matches have no vectorized family: the naive
+    # adapter is the only batch whose entries arrive in arbitrary
+    # per-entry order, and it lands between the cooccur and DC families.
+    config = HoloCleanConfig(tau=hospital.recommended_tau)
+    naive, fast = compile_pair(
+        hospital.dirty,
+        hospital.constraints,
+        config,
+        dictionaries=hospital.dictionaries,
+        matching_dependencies=hospital.matching_dependencies,
+    )
+    assert fast.grounding["feature_naive_families"] == 1
+    assert sum(key[0] == "ext" for key in fast.graph.space._keys) == 1
+    assert_identical(naive, fast)
+
+
 def test_similarity_and_single_tuple_dcs_fall_back(hospital):
     # A binary-similarity DC cannot evaluate in code space (naive
-    # fallback), a constant single-tuple DC can; both must stay
-    # byte-identical and keep the featurizer's per-row entry order.
+    # fallback), a constant single-tuple DC can; both must keep the
+    # featurizer's per-row entry order.
     constraints = hospital.constraints + [
         DenialConstraint(
             [
@@ -143,6 +179,45 @@ def test_signal_toggles_identical(hospital):
     )
     naive, fast = compile_pair(hospital.dirty, hospital.constraints, config)
     assert_identical(naive, fast)
+
+
+# ---------------------------------------------------------------------------
+# The allocation rule (the production path's own contract, no oracle)
+# ---------------------------------------------------------------------------
+FAMILY_RANK = {"minimality": 0, "freq": 1, "cooc": 2, "src": 3, "ext": 4, "dc": 5}
+
+
+def test_allocation_contract(flights):
+    # Indices follow default_featurizers order: the minimality prior
+    # first, then one contiguous block of keys per family.
+    config = HoloCleanConfig(
+        tau=flights.recommended_tau,
+        source_entity_attributes=flights.source_entity_attributes,
+    )
+    _, fast = compile_pair(flights.dirty, flights.constraints, config)
+    keys = fast.graph.space._keys
+    assert keys[0] == ("minimality",)
+    ranks = [FAMILY_RANK[key[0].rstrip("*")] for key in keys]
+    assert ranks == sorted(ranks)
+    assert set(ranks) == {0, 1, 2, 3, 5}
+
+
+def test_allocation_skips_keys_without_a_nonzero_entry():
+    # Leave-one-out makes every frequency of a cell's own unique value 0:
+    # ("freq", "A") is in its batch's key list but carries no entry the
+    # naive loop would keep, so it gets no index; B's batch comes after.
+    dataset = Dataset(Schema(["A", "B"]), [["x", "1"], ["y", "1"], ["z", "2"]])
+    config = HoloCleanConfig(use_cooccur=False, use_dc_feats=False)
+    engine = Engine(dataset)
+    context = FeaturizationContext(dataset, engine.statistics(), config)
+    specs = [(Cell(0, "A"), ["x"]), (Cell(1, "B"), ["1", "2"])]
+    builder = FeatureMatrixBuilder(FeatureSpace())
+    builder.start_variables([len(domain) for _, domain in specs])
+    stats = VectorFeaturizer(engine, context, []).featurize(specs, builder)
+    assert builder.space._keys == [("minimality",), ("freq", "B"), ("freq*",)]
+    matrix = builder.build()
+    assert stats["feature_entries"] == matrix.num_entries == 6
+    assert matrix.values.tolist() == [1.0, 1.0, 0.5, 0.5, 0.5, 0.5]
 
 
 # ---------------------------------------------------------------------------

@@ -316,14 +316,18 @@ def test_pipeline_identical(variant, hospital):
         )
         ctx = RepairPlan.default().run(ctx)
         try:
-            return _snapshot(ctx), ctx.model.size_report()
+            keys = list(ctx.model.graph.space._keys)
+            return _snapshot(ctx), ctx.model.size_report(), keys
         finally:
             if ctx.engine is not None:
                 ctx.engine.close()
 
-    serial, serial_report = run(0)
-    parallel, parallel_report = run(2)
+    serial, serial_report, serial_keys = run(0)
+    parallel, parallel_report, parallel_keys = run(2)
     assert parallel == serial
+    # Both sides run the same path and sharded dcfeat batches come back in
+    # plan order, so even the index order of the feature keys is equal.
+    assert parallel_keys == serial_keys
     assert parallel_report["grounding_shards_workers"] == 2
     assert parallel_report["grounding_shards_calls"] > 0
     assert "grounding_shards_calls" not in serial_report

@@ -105,6 +105,11 @@ class TestRoundTrip:
         rehydrated = plan.run(rehydrated)
         _assert_same_outcome(warm, rehydrated)
         assert warm.result.inferences[info.cell].chosen_value == verified
+        # The compiler froze the feature space; learning against it and
+        # the pickle round trip both leave it frozen.
+        for ctx in (warm, rehydrated):
+            with pytest.raises(KeyError, match="frozen"):
+                ctx.model.graph.space.index(("new",))
 
     def test_feedback_survives_the_checkpoint_itself(
         self, dataset_fixture, request, tmp_path

@@ -210,6 +210,17 @@ class TestErrorMapping:
 
         serve(body)
 
+    def test_zero_dc_feature_cap_400(self, hospital):
+        async def body(server):
+            request = payload_for(hospital)
+            request["config"]["dc_feature_cap"] = 0.0
+            status, _, payload = await _request(
+                server.port, "POST", "/repair", request
+            )
+            assert status == 400 and "dc_feature_cap" in payload["error"]
+
+        serve(body)
+
     def test_invalid_json_400(self):
         async def body(server):
             raw = (
