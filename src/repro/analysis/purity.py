@@ -30,6 +30,8 @@ VECTORIZED_MODULES = frozenset(
         "src/repro/core/vector_featurize.py",
         "src/repro/core/vector_domain.py",
         "src/repro/inference/gibbs.py",
+        "src/repro/inference/softmax.py",
+        "src/repro/inference/features.py",
     }
 )
 

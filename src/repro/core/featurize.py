@@ -149,6 +149,11 @@ class CooccurFeaturizer(Featurizer):
     * ``"value"`` — the paper-literal ``w(d, f)``: one weight per
       (candidate value, other-cell value) combination with indicator
       value 1.0.
+
+    A tied weight multiplies the *sum* of its values on a candidate, so a
+    candidate carries one entry per weight key: under pair tying the
+    global back-off ``("cooc*",)`` is emitted once, last, with the sum of
+    the candidate's per-pair values (taken in schema order).
     """
 
     name = "cooccur"
@@ -161,6 +166,9 @@ class CooccurFeaturizer(Featurizer):
         tying = ctx.config.cooccur_tying
         init = ctx.dataset.cell_value(cell)
         per_candidate: list[list[FeatureEntry]] = [[] for _ in candidates]
+        # Global back-off: lets sparsely-covered attribute pairs inherit
+        # the generic co-occurrence signal.
+        backoff = [0.0] * len(candidates)
         for other_attr in schema.data_attributes:
             if other_attr == attr:
                 continue
@@ -182,13 +190,14 @@ class CooccurFeaturizer(Featurizer):
                         p = joint / (denom + ctx.config.cooccur_smoothing)
                         per_candidate[i].append(
                             (("cooc", attr, other_attr), p))
-                        # Global backoff: lets sparsely-covered attribute
-                        # pairs inherit the generic co-occurrence signal.
-                        per_candidate[i].append((("cooc*",), p))
+                        backoff[i] += p
             else:  # "value": literal w(d, f)
                 for i, d in enumerate(candidates):
                     per_candidate[i].append(
                         (("cooc", attr, d, other_attr, other_value), 1.0))
+        for entries, total in zip(per_candidate, backoff):
+            if total > 0:
+                entries.append((("cooc*",), total))
         return per_candidate
 
 
@@ -229,19 +238,19 @@ class SourceFeaturizer(Featurizer):
 
 
 class ExternalMatchFeaturizer(Featurizer):
-    """Fires when a candidate agrees with an external dictionary match."""
+    """One ``("ext", k)`` entry per candidate and dictionary ``k``: the
+    number of ``Matched`` facts of ``k`` that name the candidate (two
+    matching dependencies agreeing on a value give 2.0)."""
 
     name = "external"
 
     def features(self, cell: Cell, candidates: list[str]):
-        per_candidate: list[list[FeatureEntry]] = [[] for _ in candidates]
-        for matched in self.context.matched:
-            for match in matched.for_cell(cell):
-                for i, d in enumerate(candidates):
-                    if d == match.value:
-                        per_candidate[i].append(
-                            (("ext", match.dictionary), 1.0))
-        return per_candidate
+        facts = Counter((match.value, match.dictionary)
+                        for matched in self.context.matched
+                        for match in matched.for_cell(cell))
+        return [[(("ext", k), float(n))
+                 for (value, k), n in facts.items() if value == d]
+                for d in candidates]
 
 
 # ---------------------------------------------------------------------------

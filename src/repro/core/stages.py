@@ -423,8 +423,10 @@ class LearnStage(Stage):
         genuine signals (co-occurrence, source reliability) of
         gradient.  We therefore pin it to 0 during the fit and restore
         the configured constant for inference.  ``extra_ids`` /
-        ``extra_labels`` append user-verified cells as strong
-        supervision.
+        ``extra_labels`` are user-verified cells, strong supervision: a
+        verified label replaces the label of a variable already in the
+        training set (weak-label training lists query cells) and is
+        appended otherwise, so each id reaches the trainer once.
         """
         space = model.graph.space
         fixed = space.fixed_weights
@@ -440,10 +442,9 @@ class LearnStage(Stage):
             seed=config.seed,
             fixed_weights=fixed,
         )
-        outcome = trainer.train(
-            model.evidence_ids + list(extra_ids),
-            model.evidence_labels + list(extra_labels),
-        )
+        labels = dict(zip(model.evidence_ids, model.evidence_labels))
+        labels.update(zip(extra_ids, extra_labels))
+        outcome = trainer.train(list(labels), list(labels.values()))
         if minimality_idx is not None:
             outcome.weights[minimality_idx] = config.minimality_weight
         return outcome

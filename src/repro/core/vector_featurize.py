@@ -33,6 +33,13 @@ sort by row is the only sort over the entry set.  Against the naive stack
 (the oracle) the matrix has the same rows, the same per-row entry order
 and values and the same key *set*; feature indices differ by a
 relabelling through the keys, which no consumer reads.
+
+Only entries that can move an answer are emitted: one per (row, weight
+key) — a tied weight multiplies the *sum* of its values, so the pair-tied
+back-off ``("cooc*",)`` is one entry of the row's summed per-pair values
+and the naive adapter sums a repeated key — and none on a one-candidate
+variable, whose softmax is ``[1.0]`` whatever its score (``_build_blocks``
+cuts the featurized set once, for every family, adapter and worker).
 """
 
 from __future__ import annotations
@@ -122,6 +129,7 @@ class VectorFeaturizer:
         self._blocks: dict[str, _AttrBlock] = {}
         self._domains_by_attr: dict[str, dict[Cell, list[str]]] = {}
         self._specs: list[tuple[Cell, list[str]]] = []
+        self._live: list[tuple[int, Cell, list[str]]] = []
         self._spaces: dict[tuple[str, ...], CodeSpace] = {}
         self._space_cands: dict[tuple[int, str], np.ndarray] = {}
         self._joint_cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
@@ -140,8 +148,7 @@ class VectorFeaturizer:
         through one batched :meth:`FeatureMatrixBuilder.add_entries`
         call.
         """
-        self._specs = list(specs)
-        self._build_blocks()
+        self._build_blocks(specs)
         stack = default_featurizers(self.context, self.constraints)
         batches: list[_Entries] = []
         vectorized = naive = 0
@@ -162,7 +169,7 @@ class VectorFeaturizer:
             emitted = self._emit(batches, builder)
         self.stats.update({
             "feature_path": "vector",
-            "feature_rows": int(sum(len(d) for _, d in self._specs)),
+            "feature_rows": int(sum(len(d) for _, _, d in self._live)),
             "feature_entries": emitted,
             "feature_vector_families": vectorized,
             "feature_naive_families": naive,
@@ -187,13 +194,19 @@ class VectorFeaturizer:
     # ------------------------------------------------------------------
     # Shared per-attribute artifacts
     # ------------------------------------------------------------------
-    def _build_blocks(self) -> None:
+    def _build_blocks(self, specs: list[tuple[Cell, list[str]]]) -> None:
+        """Columnarise ``specs``; the one place the featurized set is cut:
+        every cell keeps its domain (the code spaces read it), blocks and
+        naive adapters see only the variables with two or more candidates."""
         store = self.engine.store
+        self._specs = list(specs)
         domains_by_attr: dict[str, dict[Cell, list[str]]] = {}
         vars_by_attr: dict[str, list[int]] = {}
         for vid, (cell, domain) in enumerate(self._specs):
             domains_by_attr.setdefault(cell.attribute, {})[cell] = domain
-            vars_by_attr.setdefault(cell.attribute, []).append(vid)
+            if len(domain) >= 2:
+                self._live.append((vid, cell, domain))
+                vars_by_attr.setdefault(cell.attribute, []).append(vid)
         self._domains_by_attr = domains_by_attr
         for attr, vids in vars_by_attr.items():
             codebook = {v: i for i, v in enumerate(store.values(attr))}
@@ -296,6 +309,8 @@ class VectorFeaturizer:
         out = []
         for attr, block in self._blocks.items():
             others = [o for o in schema.data_attributes if o != attr]
+            # Back-off per row: its per-pair values, summed in schema order.
+            backoff = np.zeros(len(block.flat_var), dtype=np.float64)
             for other in others:
                 oc = store.codes(other)[block.tids].astype(np.int64)
                 if not (oc >= 0).any():
@@ -322,11 +337,11 @@ class VectorFeaturizer:
                         continue
                     fdenom = np.repeat(denom, block.sizes)[keep_flat]
                     p = joint[hit] / (fdenom[hit] + smoothing)
+                    backoff[np.flatnonzero(keep_flat)[hit]] += p
                     out.append(_Entries(
-                        np.repeat(fvar[hit], 2), np.repeat(fcand[hit], 2),
-                        np.tile(np.arange(2, dtype=np.int64), len(p)),
-                        np.repeat(p, 2),
-                        keys=[("cooc", attr, other), ("cooc*",)]))
+                        fvar[hit], fcand[hit],
+                        np.zeros(len(p), dtype=np.int64), p,
+                        keys=[("cooc", attr, other)]))
                 else:  # "value": the paper-literal w(d, f) tying
                     card_o = max(store.cardinality(other), 1)
                     enc = fcode * card_o + focode
@@ -339,6 +354,11 @@ class VectorFeaturizer:
                     out.append(_Entries(
                         fvar, fcand, token.astype(np.int64),
                         np.ones(len(fvar), dtype=np.float64), keys=keys))
+            if backoff.any():  # rows with a zero sum are dropped on emission
+                out.append(_Entries(
+                    block.flat_var, block.flat_cand,
+                    np.zeros(len(backoff), dtype=np.int64), backoff,
+                    keys=[("cooc*",)]))
         return out
 
     def _source(self) -> list[_Entries]:
@@ -624,7 +644,7 @@ class VectorFeaturizer:
         var_l: list[int] = []
         cand_l: list[int] = []
         value_l: list[float] = []
-        for vid, (cell, domain) in enumerate(self._specs):
+        for vid, cell, domain in self._live:
             if cell.attribute not in dc.attributes:
                 continue
             if dc.is_single_tuple:
@@ -660,10 +680,13 @@ class VectorFeaturizer:
         value_l: list[float] = []
         tokens: dict[Hashable, int] = {}
         keys: list[Hashable] = []
-        for vid, (cell, domain) in enumerate(self._specs):
+        for vid, cell, domain in self._live:
             per_candidate = featurizer.features(cell, domain)
             for ci, entries in enumerate(per_candidate):
+                merged: dict[Hashable, float] = {}  # repeats land as their sum
                 for key, value in entries:
+                    merged[key] = merged.get(key, 0.0) + value
+                for key, value in merged.items():
                     tok = tokens.get(key)
                     if tok is None:
                         tok = len(keys)

@@ -307,8 +307,7 @@ def _task_dc_features(state: _WorkerState, di: int, mode: str):
         specs, constraints, config, sequence = state.context["featurize"]
         fctx = FeaturizationContext(state.dataset, state.engine.statistics(), config)
         featurizer = VectorFeaturizer(state.engine, fctx, constraints)
-        featurizer._specs = list(specs)
-        featurizer._build_blocks()
+        featurizer._build_blocks(specs)
         state.caches["featurizer"] = featurizer
         state.caches["featurize_sequence"] = sequence
     dc = state.caches["featurize_sequence"][di]

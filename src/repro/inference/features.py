@@ -19,6 +19,8 @@ from typing import Hashable
 
 import numpy as np
 
+from repro.engine.ops import expand_ranges
+
 
 class FeatureSpace:
     """Bidirectional mapping between weight keys and dense indices.
@@ -96,6 +98,14 @@ class FeatureMatrix:
     indices / values / row_ptr:
         Flat sparse entries: row ``r`` owns entries
         ``row_ptr[r] : row_ptr[r+1]``.
+
+    Three rules bound what a matrix holds.  (1) A tied weight multiplies
+    the *sum* of its values on a row, so the production featurizers emit
+    one entry per (row, weight key); a repeated pair stays legal and
+    means the sum (older checkpoints hold some).  (2) A variable with one
+    candidate keeps its row and carries no entries: its softmax is
+    ``[1.0]`` whatever the score.  (3) Nothing entry-sized is stored
+    beside ``indices`` and ``values``; row ids derive from ``row_ptr``.
     """
 
     def __init__(self, var_row_start: np.ndarray, indices: np.ndarray,
@@ -105,7 +115,6 @@ class FeatureMatrix:
         self.values = values
         self.row_ptr = row_ptr
         self.num_features = num_features
-        self._row_ids: np.ndarray | None = None
 
     @property
     def num_vars(self) -> int:
@@ -120,22 +129,20 @@ class FeatureMatrix:
         return len(self.indices)
 
     def entry_row_ids(self) -> np.ndarray:
-        """Row id of every sparse entry (cached)."""
-        if self._row_ids is None:
-            lengths = np.diff(self.row_ptr)
-            self._row_ids = np.repeat(
-                np.arange(self.num_rows, dtype=np.int64), lengths)
-        return self._row_ids
+        """Row id of every sparse entry (computed on each call)."""
+        return np.repeat(np.arange(self.num_rows, dtype=np.int64),
+                         np.diff(self.row_ptr))
+
+    def entries_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Storage positions of the given rows' entries, row after row in
+        the given order, and each entry's position in ``rows``."""
+        counts = self.row_ptr[rows + 1] - self.row_ptr[rows]
+        return (expand_ranges(self.row_ptr[rows], counts),
+                np.repeat(np.arange(len(rows), dtype=np.int64), counts))
 
     def scores(self, weights: np.ndarray) -> np.ndarray:
         """θ·x per row: the unary potential of every candidate."""
-        if len(weights) != self.num_features:
-            raise ValueError(
-                f"weight vector has {len(weights)} entries, "
-                f"feature space has {self.num_features}")
-        contributions = weights[self.indices] * self.values
-        return np.bincount(self.entry_row_ids(), weights=contributions,
-                           minlength=self.num_rows).astype(np.float64)
+        return self.scores_for_rows(np.arange(self.num_rows), weights)
 
     def scores_for_rows(self, rows: np.ndarray,
                         weights: np.ndarray) -> np.ndarray:
@@ -144,36 +151,17 @@ class FeatureMatrix:
         Gathers just those rows' sparse entries instead of scoring the
         whole matrix — the marginal-inference fast path when only a few
         query variables are requested.  Per-row entries are summed in
-        storage order, so each score is bit-identical to the matching
-        entry of :meth:`scores`.
+        storage order, whichever rows are asked for.
         """
         if len(weights) != self.num_features:
             raise ValueError(
                 f"weight vector has {len(weights)} entries, "
                 f"feature space has {self.num_features}")
-        from repro.engine.ops import expand_ranges
-
-        rows = np.asarray(rows, dtype=np.int64)
-        counts = self.row_ptr[rows + 1] - self.row_ptr[rows]
-        source = expand_ranges(self.row_ptr[rows], counts)
-        if not len(source):
-            return np.zeros(len(rows), dtype=np.float64)
+        source, compact_ids = self.entries_of(np.asarray(rows, dtype=np.int64))
         contributions = weights[self.indices[source]] * self.values[source]
-        compact_ids = np.repeat(np.arange(len(rows), dtype=np.int64), counts)
+        # ``astype`` matters without entries only: bincount then counts ints.
         return np.bincount(compact_ids, weights=contributions,
-                           minlength=len(rows)).astype(np.float64)
-
-    def rows_of(self, var: int) -> range:
-        return range(int(self.var_row_start[var]), int(self.var_row_start[var + 1]))
-
-    def var_scores(self, var: int, weights: np.ndarray) -> np.ndarray:
-        """Unary scores for one variable only (used in unit tests)."""
-        out = []
-        for r in self.rows_of(var):
-            lo, hi = self.row_ptr[r], self.row_ptr[r + 1]
-            out.append(float(np.dot(weights[self.indices[lo:hi]],
-                                    self.values[lo:hi])))
-        return np.asarray(out)
+                           minlength=len(rows)).astype(np.float64, copy=False)
 
 
 class FeatureMatrixBuilder:
@@ -268,6 +256,7 @@ class FeatureMatrixBuilder:
             if int(key_idx.min()) < 0 or int(key_idx.max()) >= len(self.space):
                 raise IndexError("feature index outside the feature space")
         else:
+            # Per key by nature; the production path hands in indices.
             key_idx = np.fromiter((self.space.index(k) for k in keys),
                                   dtype=np.int64, count=len(keys))
         self._flush_pending()

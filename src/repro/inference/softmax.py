@@ -69,11 +69,19 @@ class SoftmaxTrainer:
         their pinned value and never updated.
     """
 
-    def __init__(self, matrix: FeatureMatrix, epochs: int = 40,
-                 learning_rate: float = 0.1, l2: float = 1e-4,
-                 tolerance: float = 1e-6, max_training_vars: int | None = None,
-                 seed: int = 0, fixed_weights: dict[int, float] | None = None,
-                 lr_decay: float = 0.02, average_tail: float = 0.25):
+    def __init__(
+        self,
+        matrix: FeatureMatrix,
+        epochs: int = 40,
+        learning_rate: float = 0.1,
+        l2: float = 1e-4,
+        tolerance: float = 1e-6,
+        max_training_vars: int | None = None,
+        seed: int = 0,
+        fixed_weights: dict[int, float] | None = None,
+        lr_decay: float = 0.02,
+        average_tail: float = 0.25,
+    ):
         self.matrix = matrix
         self.epochs = epochs
         self.learning_rate = learning_rate
@@ -99,6 +107,13 @@ class SoftmaxTrainer:
         labels:
             For each training variable, the *local candidate index* of its
             observed value.
+
+        Each variable id may be listed once (``ValueError`` otherwise).
+        The matrix is read under :class:`FeatureMatrix`'s three rules — a
+        repeated (row, key) entry counts as its sum, a one-candidate
+        variable has gradient 0 with or without entries — and the training
+        rows' entries are gathered by row range in storage order, so every
+        sum runs in that order whatever the order of ``train_vars``.
         """
         if len(train_vars) != len(labels):
             raise ValueError("train_vars and labels must align")
@@ -113,11 +128,12 @@ class SoftmaxTrainer:
 
         train_vars = np.asarray(train_vars, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
-        if (self.max_training_vars is not None
-                and len(train_vars) > self.max_training_vars):
+        if len(np.unique(train_vars)) != len(train_vars):
+            raise ValueError("a training variable is listed more than once")
+        cap = self.max_training_vars
+        if cap is not None and len(train_vars) > cap:
             rng = np.random.default_rng(self.seed)
-            pick = rng.choice(len(train_vars), size=self.max_training_vars,
-                              replace=False)
+            pick = rng.choice(len(train_vars), size=cap, replace=False)
             train_vars, labels = train_vars[pick], labels[pick]
 
         # Compacted row layout for the training variables.
@@ -129,18 +145,7 @@ class SoftmaxTrainer:
         if np.any(labels < 0) or np.any(labels >= sizes):
             raise ValueError("a label is outside its variable's domain")
 
-        # Sparse entries restricted to training rows.
-        entry_rows = m.entry_row_ids()
-        in_train = np.zeros(m.num_rows, dtype=bool)
-        in_train[train_rows] = True
-        keep = in_train[entry_rows]
-        tr_indices = m.indices[keep]
-        tr_values = m.values[keep]
-        tr_entry_rows = entry_rows[keep]
-        # Map global row ids to compacted positions.
-        global_to_comp = np.full(m.num_rows, -1, dtype=np.int64)
-        global_to_comp[train_rows] = np.arange(len(train_rows))
-        tr_entry_comp = global_to_comp[tr_entry_rows]
+        tr_indices, tr_values, tr_entry_comp = self._gather(train_rows)
 
         n = float(len(train_vars))
         y = np.zeros(len(train_rows), dtype=np.float64)
@@ -159,27 +164,27 @@ class SoftmaxTrainer:
         tail_count = 0
         for epoch in range(1, self.epochs + 1):
             with deep_span("learn.epoch", epoch=epoch) as sp:
-                comp_scores = np.bincount(
-                    tr_entry_comp, weights=weights[tr_indices] * tr_values,
-                    minlength=len(train_rows))
+                contributions = weights[tr_indices] * tr_values
+                comp_scores = np.bincount(tr_entry_comp, contributions, len(train_rows))
                 probs = segment_softmax(comp_scores, comp_starts)
-                loss = (-np.log(probs[label_positions] + 1e-300).sum() / n
-                        + 0.5 * self.l2 * float(weights @ weights))
+                loss = (
+                    -np.log(probs[label_positions] + 1e-300).sum() / n
+                    + 0.5 * self.l2 * float(weights @ weights)
+                )
                 losses.append(float(loss))
                 if sp is not None:
                     sp.attributes["loss"] = float(loss)
 
                 residual = probs - y
-                grad = np.bincount(
-                    tr_indices, weights=tr_values * residual[tr_entry_comp],
-                    minlength=m.num_features) / n
-                grad += self.l2 * weights
-                grad *= trainable  # pinned weights stay at their constant
+                weighted = tr_values * residual[tr_entry_comp]
+                grad = np.bincount(tr_indices, weighted, m.num_features)
+                # Pinned weights stay at their constant.
+                grad = (grad / n + self.l2 * weights) * trainable
 
                 m1 = beta1 * m1 + (1 - beta1) * grad
                 m2 = beta2 * m2 + (1 - beta2) * grad * grad
-                m1_hat = m1 / (1 - beta1 ** epoch)
-                m2_hat = m2 / (1 - beta2 ** epoch)
+                m1_hat = m1 / (1 - beta1**epoch)
+                m2_hat = m2 / (1 - beta2**epoch)
                 lr = self.learning_rate / (1.0 + self.lr_decay * epoch)
                 weights -= lr * m1_hat / (np.sqrt(m2_hat) + eps)
 
@@ -203,18 +208,24 @@ class SoftmaxTrainer:
                 weights[idx] = value
         return TrainingResult(weights=weights, losses=losses)
 
+    def _gather(self, train_rows: np.ndarray):
+        """The training rows' entries — feature indices, values and each
+        entry's position in ``train_rows`` — in storage order."""
+        m = self.matrix
+        by_row = np.argsort(train_rows, kind="stable")
+        source, position = m.entries_of(train_rows[by_row])
+        return m.indices[source], m.values[source], by_row[position]
+
     # ------------------------------------------------------------------
-    def marginals(self, weights: np.ndarray,
-                  var_ids: list[int]) -> dict[int, np.ndarray]:
+    def marginals(
+        self, weights: np.ndarray, var_ids: list[int]
+    ) -> dict[int, np.ndarray]:
         """Exact per-variable softmax marginals for the given variables.
 
         Only the requested variables' candidate rows are scored — asking
         for a handful of query variables no longer pays for a θ·x pass
         over the whole matrix.
         """
-        out: dict[int, np.ndarray] = {}
-        if not len(var_ids):
-            return out
         m = self.matrix
         starts = m.var_row_start
         var_arr = np.asarray(var_ids, dtype=np.int64)
@@ -226,6 +237,9 @@ class SoftmaxTrainer:
         # One segmented pass shared with the training loop — the slices
         # below are disjoint views of the normalised score buffer.
         probs = segment_softmax(scores, comp_starts)
-        for k, v in enumerate(var_ids):
-            out[v] = probs[comp_starts[k]:comp_starts[k + 1]]
+        bounds = comp_starts.tolist()
+        out: dict[int, np.ndarray] = {}
+        # repro: allow-loop one dict slot (a view) per requested variable, no arithmetic
+        for k, v in enumerate(var_arr.tolist()):
+            out[v] = probs[bounds[k] : bounds[k + 1]]
         return out

@@ -39,6 +39,8 @@ class NaiveModelCompiler(ModelCompiler):
     def _featurize_all(self, context, specs, builder):
         featurizers = default_featurizers(context, self.constraints)
         for vid, (cell, domain) in enumerate(specs):
+            if len(domain) < 2:
+                continue  # a one-candidate variable carries no entries
             for featurizer in featurizers:
                 per_candidate = featurizer.features(cell, domain)
                 for cand_idx, entries in enumerate(per_candidate):

@@ -123,3 +123,55 @@ def test_real_gibbs_module_has_one_audited_loop(repo_ctx):
     assert GIBBS in PurityChecker.modules
     raw = [f for f in PurityChecker().check(repo_ctx) if f.path == GIBBS]
     assert len(raw) == 1
+
+
+SOFTMAX = "src/repro/inference/softmax.py"
+FEATURES = "src/repro/inference/features.py"
+
+
+def test_learner_per_variable_and_per_row_loops_flagged(make_module, make_ctx):
+    # The shapes the learner and the matrix must not grow back unnoticed:
+    # a Python step per requested variable, a dot product per matrix row.
+    per_variable = make_module(
+        SOFTMAX,
+        """
+        def marginals(probs, var_ids, bounds):
+            return {v: probs[bounds[k] : bounds[k + 1]]
+                    for k, v in enumerate(var_ids.tolist())}
+        """,
+    )
+    per_row = make_module(
+        FEATURES,
+        """
+        def scores(self, weights):
+            out = []
+            for r in range(self.num_rows):
+                lo, hi = self.row_ptr[r], self.row_ptr[r + 1]
+                out.append(weights[self.indices[lo:hi]] @ self.values[lo:hi])
+            return out
+        """,
+    )
+    assert [f.path for f in check(make_ctx, per_variable)] == [SOFTMAX]
+    assert [f.path for f in check(make_ctx, per_row)] == [FEATURES]
+
+
+def test_learner_epoch_and_pinned_weight_loops_clean(make_module, make_ctx):
+    good = make_module(
+        SOFTMAX,
+        """
+        def train(self, step):
+            for epoch in range(1, self.epochs + 1):
+                step(epoch)
+            for idx, value in self.fixed_weights.items():
+                step(idx)
+        """,
+    )
+    assert check(make_ctx, good) == []
+
+
+def test_real_learner_modules_have_one_audited_loop(repo_ctx):
+    # Before pragma suppression: the dict of per-variable views that
+    # marginals() returns (pragma-audited), nothing in the matrix.
+    assert {SOFTMAX, FEATURES} <= PurityChecker.modules
+    raw = [f.path for f in PurityChecker().check(repo_ctx)]
+    assert raw.count(SOFTMAX) == 1 and raw.count(FEATURES) == 0

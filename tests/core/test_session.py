@@ -6,7 +6,9 @@ import pytest
 from repro.core.config import HoloCleanConfig
 from repro.core.pipeline import HoloClean
 from repro.core.session import RepairSession
+from repro.data.generators.flights import generate_flights
 from repro.dataset.dataset import Cell
+from repro.inference.softmax import SoftmaxTrainer
 
 
 @pytest.fixture
@@ -125,3 +127,66 @@ class TestFeedback:
         assert set(second.inferences) == set(first.inferences)
         for cell, inf in second.inferences.items():
             assert inf.marginal.sum() == pytest.approx(1.0)
+
+
+class TestFeedbackOnTrainingVariables:
+    """Flights flags every cell noisy, so the model trains on weak labels
+    and a verified cell is already a training variable."""
+
+    @pytest.fixture
+    def trained_on(self, monkeypatch):
+        """The (ids, labels) of every ``SoftmaxTrainer.train`` call."""
+        calls = []
+        real = SoftmaxTrainer.train
+
+        def spy(trainer, ids, labels):
+            calls.append((list(ids), list(labels)))
+            return real(trainer, ids, labels)
+
+        monkeypatch.setattr(SoftmaxTrainer, "train", spy)
+        return calls
+
+    def test_verified_label_replaces_the_weak_one(self, trained_on):
+        flights = generate_flights(num_flights=8)
+        config = HoloCleanConfig(
+            tau=flights.recommended_tau, epochs=10,
+            source_entity_attributes=flights.source_entity_attributes)
+        session = RepairSession(flights.dirty, flights.constraints, config=config)
+        session.run()
+        model = session.model
+        weak = dict(zip(model.evidence_ids, model.evidence_labels))
+        verified = {}
+        for vid in model.query_ids:
+            info = model.graph.variables[vid]
+            truth = flights.clean.cell_value(info.cell)
+            index = info.candidate_index(truth)
+            if index is not None and weak.get(vid, index) != index:
+                verified[info.cell] = (vid, truth, index)
+        assert len(verified) >= 5  # weak labels the user overrules
+        for cell, (_, truth, _) in verified.items():
+            session.feedback(cell, truth)
+        result = session.rerun()
+
+        ids, labels = trained_on[-1]
+        assert len(set(ids)) == len(ids) == len(model.evidence_ids)
+        trained = dict(zip(ids, labels))
+        for cell, (vid, truth, index) in verified.items():
+            assert trained[vid] == index
+            assert result.repaired.cell_value(cell) == truth
+        untouched = set(weak) - {vid for vid, _, _ in verified.values()}
+        assert all(trained[vid] == weak[vid] for vid in untouched)
+
+    def test_verified_cell_outside_the_training_set_is_appended(
+            self, figure1_dataset, figure1_constraints, trained_on):
+        config = HoloCleanConfig(tau=0.3, epochs=10, weak_label_training=False)
+        session = RepairSession(figure1_dataset, figure1_constraints,
+                                config=config)
+        session.run()
+        model = session.model
+        info = model.graph.variables.by_cell(Cell(0, "Zip"))
+        assert info.vid not in model.evidence_ids
+        session.feedback(info.cell, "60609")
+        session.rerun()
+        ids, labels = trained_on[-1]
+        assert ids == model.evidence_ids + [info.vid]
+        assert labels[-1] == info.candidate_index("60609")

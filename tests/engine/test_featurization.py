@@ -7,7 +7,10 @@ candidate) featurizer loop's rows, per-row entry order and values
 same pinned weights.  A weight is named by its key, so feature indices
 are compared after relabelling the oracle's through the keys; the order
 the production path allocates them in is its own contract
-(:func:`test_allocation_contract`).  Checked on the paper's generators
+(:func:`test_allocation_contract`).  Both sides hold only entries that
+can move an answer: one per (row, weight key) — the pair-tied back-off
+``("cooc*",)`` carries the sum of the row's per-pair values — and none on
+a one-candidate variable.  Checked on the paper's generators
 (leave-one-out, weak-label and external-dictionary paths included) and on
 adversarial random datasets.
 """
@@ -18,10 +21,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.denial import DenialConstraint
+from repro.constraints.matching import MatchingDependency, MatchPredicate
 from repro.constraints.predicates import Const, Operator, Predicate, TupleRef
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
-from repro.core.featurize import FeaturizationContext
+from repro.core.featurize import FeaturizationContext, Featurizer
 from repro.core.vector_featurize import VectorFeaturizer
 from repro.data.generators.flights import generate_flights
 from repro.data.generators.hospital import generate_hospital
@@ -60,8 +64,37 @@ def fixed_by_key(space):
     return {space.key(idx): value for idx, value in space.fixed_weights.items()}
 
 
+def assert_lean(matrix):
+    """One entry per (row, key) and none on a one-candidate variable."""
+    pairs = np.stack([matrix.entry_row_ids(), matrix.indices], axis=1)
+    assert len(np.unique(pairs, axis=0)) == matrix.num_entries
+    single = matrix.var_row_start[:-1][np.diff(matrix.var_row_start) == 1]
+    assert not np.diff(matrix.row_ptr)[single].any()
+
+
+def is_pair_tied(key):
+    return key[0] == "cooc" and len(key) == 3  # ("cooc", attr, other)
+
+
+def cooccur_row_sums(model):
+    """Per row: the sum of its pair-tied ``("cooc", attr, other)`` values,
+    in storage order, and the value of its back-off ``("cooc*",)``."""
+    matrix, keys = model.graph.matrix, model.graph.space._keys
+    rows = matrix.entry_row_ids()
+
+    def row_sums(flags):
+        hit = np.array(flags, dtype=bool)[matrix.indices]
+        return np.bincount(rows[hit], matrix.values[hit], matrix.num_rows)
+
+    per_pair = row_sums([is_pair_tied(key) for key in keys])
+    return per_pair, row_sums([key == ("cooc*",) for key in keys])
+
+
 def assert_identical(naive, fast):
     """The featurization contract: equal matrices, indices compared by key."""
+    for model in (naive, fast):
+        assert_lean(model.graph.matrix)
+        assert np.array_equal(*cooccur_row_sums(model))
     ns, fs = naive.graph.space, fast.graph.space
     assert len(fs) == len(ns) and set(fs._keys) == set(ns._keys)
     assert fixed_by_key(fs) == fixed_by_key(ns)
@@ -138,6 +171,47 @@ def test_external_matches_identical(hospital):
     assert_identical(naive, fast)
 
 
+def test_agreeing_matches_are_one_entry_of_their_count(hospital):
+    # Two matching dependencies of one dictionary agreeing on a City give
+    # the candidate one ("ext", k) entry of value 2.0, not two of 1.0
+    # (assert_lean inside assert_identical rules the second form out).
+    twin = MatchingDependency(
+        [MatchPredicate("ZipCode", "Ext_Zip")], "City", "Ext_City", name="md_city_twin"
+    )
+    config = HoloCleanConfig(tau=hospital.recommended_tau)
+    naive, fast = compile_pair(
+        hospital.dirty,
+        hospital.constraints,
+        config,
+        dictionaries=hospital.dictionaries,
+        matching_dependencies=hospital.matching_dependencies + [twin],
+    )
+    assert_identical(naive, fast)
+    matrix, space = fast.graph.matrix, fast.graph.space
+    ext = matrix.values[matrix.indices == space.get(("ext", "us-addresses"))]
+    assert set(ext.tolist()) == {1.0, 2.0}  # State: one dependency; City: two
+
+
+@pytest.mark.parametrize("name", ["hospital", "flights"])
+def test_backoff_is_the_sum_of_the_pair_values(name, request):
+    # Pair tying: ("cooc*",) appears once on a row and carries the sum of
+    # the row's ("cooc", attr, other) values, taken in schema order.  The
+    # equality itself is asserted for every case through assert_identical
+    # (the 50 random datasets included); here it is shown not to be vacuous.
+    generated = request.getfixturevalue(name)
+    config = HoloCleanConfig(
+        tau=generated.recommended_tau,
+        source_entity_attributes=generated.source_entity_attributes,
+    )
+    _, fast = compile_pair(generated.dirty, generated.constraints, config)
+    per_pair, backoff = cooccur_row_sums(fast)
+    assert np.array_equal(per_pair, backoff)
+    matrix, space = fast.graph.matrix, fast.graph.space
+    pair_tied = np.array([is_pair_tied(key) for key in space._keys])
+    once = (matrix.indices == space.get(("cooc*",))).sum()
+    assert 0 < once == (backoff > 0).sum() < pair_tied[matrix.indices].sum()
+
+
 def test_similarity_and_single_tuple_dcs_fall_back(hospital):
     # A binary-similarity DC cannot evaluate in code space (naive
     # fallback), a constant single-tuple DC can; both must keep the
@@ -202,22 +276,64 @@ def test_allocation_contract(flights):
     assert set(ranks) == {0, 1, 2, 3, 5}
 
 
-def test_allocation_skips_keys_without_a_nonzero_entry():
-    # Leave-one-out makes every frequency of a cell's own unique value 0:
-    # ("freq", "A") is in its batch's key list but carries no entry the
-    # naive loop would keep, so it gets no index; B's batch comes after.
+def featurize_specs(specs):
+    """The production featurizer alone over hand-written specs."""
     dataset = Dataset(Schema(["A", "B"]), [["x", "1"], ["y", "1"], ["z", "2"]])
     config = HoloCleanConfig(use_cooccur=False, use_dc_feats=False)
     engine = Engine(dataset)
     context = FeaturizationContext(dataset, engine.statistics(), config)
-    specs = [(Cell(0, "A"), ["x"]), (Cell(1, "B"), ["1", "2"])]
     builder = FeatureMatrixBuilder(FeatureSpace())
     builder.start_variables([len(domain) for _, domain in specs])
     stats = VectorFeaturizer(engine, context, []).featurize(specs, builder)
-    assert builder.space._keys == [("minimality",), ("freq", "B"), ("freq*",)]
-    matrix = builder.build()
+    return stats, builder.space._keys, builder.build()
+
+
+def test_allocation_skips_keys_without_a_nonzero_entry():
+    # Leave-one-out makes the frequency of a cell's own unique value 0 and
+    # "w" is not in the data: ("freq", "A") is in its batch's key list but
+    # carries no entry the naive loop would keep, so it gets no index; B's
+    # batch comes after.
+    specs = [(Cell(0, "A"), ["x", "w"]), (Cell(1, "B"), ["1", "2"])]
+    stats, keys, matrix = featurize_specs(specs)
+    assert keys == [("minimality",), ("freq", "B"), ("freq*",)]
     assert stats["feature_entries"] == matrix.num_entries == 6
+    assert stats["feature_rows"] == matrix.num_rows == 4
     assert matrix.values.tolist() == [1.0, 1.0, 0.5, 0.5, 0.5, 0.5]
+
+
+def test_one_candidate_spec_allocates_no_key_and_emits_no_entry():
+    # The mirror: a one-candidate variable keeps its row and nothing else.
+    # On its own it leaves the space empty; beside a two-candidate
+    # variable, ("freq", "A") (0.5 on "y" otherwise) is never allocated.
+    stats, keys, matrix = featurize_specs([(Cell(0, "A"), ["y"])])
+    assert keys == [] and matrix.num_rows == 1
+    assert stats["feature_entries"] == matrix.num_entries == 0
+    assert stats["feature_rows"] == 0
+    specs = [(Cell(0, "A"), ["y"]), (Cell(1, "B"), ["1", "2"])]
+    stats, keys, matrix = featurize_specs(specs)
+    assert keys == [("minimality",), ("freq", "B"), ("freq*",)]
+    assert stats["feature_rows"] == 2 and matrix.num_rows == 3
+    assert np.diff(matrix.row_ptr).tolist() == [0, 3, 2]
+
+
+class Twice(Featurizer):
+    """A featurizer the vector path does not know, repeating a key."""
+
+    def features(self, cell, candidates):
+        return [[(("t",), 0.25), (("u",), 1.0), (("t",), 0.5)] for _ in candidates]
+
+
+def test_naive_adapter_sums_a_repeated_key():
+    # The adapter lands a repeated key's sum once, on live variables only.
+    dataset = Dataset(Schema(["A"]), [["x"], ["y"]])
+    engine = Engine(dataset)
+    context = FeaturizationContext(dataset, engine.statistics(), HoloCleanConfig())
+    featurizer = VectorFeaturizer(engine, context, [])
+    featurizer._build_blocks([(Cell(0, "A"), ["x"]), (Cell(1, "A"), ["y", "x"])])
+    batch = featurizer._naive_entries(Twice(context))
+    assert batch.keys == [("t",), ("u",)]
+    assert batch.var.tolist() == [1, 1, 1, 1] and batch.cand.tolist() == [0, 0, 1, 1]
+    assert batch.value.tolist() == [0.75, 1.0, 0.75, 1.0]
 
 
 # ---------------------------------------------------------------------------

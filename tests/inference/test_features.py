@@ -1,5 +1,7 @@
 """Tests for the feature space and CSR feature matrix."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -181,7 +183,7 @@ class TestFeatureMatrixBuilder:
         m = builder.build()
         w = np.array([1.5, 0.25])
         global_scores = m.scores(w)
-        assert list(m.var_scores(1, w)) == list(global_scores[2:4])
+        assert list(m.scores_for_rows(np.arange(2, 4), w)) == list(global_scores[2:4])
 
     def test_entry_row_ids(self):
         space = FeatureSpace()
@@ -192,3 +194,66 @@ class TestFeatureMatrixBuilder:
         builder.add(v, 1, "c", 1.0)
         m = builder.build()
         assert list(m.entry_row_ids()) == [0, 1, 1]
+
+    def test_entries_of_follows_the_given_row_order(self):
+        builder = FeatureMatrixBuilder(FeatureSpace())
+        v = builder.start_variable(3)
+        builder.add(v, 0, "a", 1.0)
+        builder.add(v, 2, "b", 2.0)
+        builder.add(v, 2, "c", 3.0)
+        m = builder.build()
+        source, position = m.entries_of(np.array([2, 1, 0]))
+        assert source.tolist() == [1, 2, 0]
+        assert position.tolist() == [0, 0, 2]
+
+    def test_repeated_row_key_means_the_sum(self):
+        # Production featurizers emit one entry per (row, key); a matrix
+        # with a repeat (older checkpoints hold them) scores it as the sum.
+        builder = FeatureMatrixBuilder(FeatureSpace())
+        v = builder.start_variable(2)
+        builder.add(v, 1, "f", 0.25)
+        builder.add(v, 1, "f", 0.5)
+        m = builder.build()
+        assert m.num_entries == 2
+        assert m.scores(np.array([2.0])).tolist() == [0.0, 1.5]
+
+    def test_entryless_matrix_scores_float_zeros(self):
+        # One-candidate variables carry no entries, so a matrix can be
+        # empty; np.bincount counts in integers on empty input.
+        builder = FeatureMatrixBuilder(FeatureSpace())
+        builder.start_variables([1, 1])
+        m = builder.build()
+        for scores in (
+            m.scores(np.zeros(0)),
+            m.scores_for_rows(np.array([1, 0]), np.zeros(0)),
+        ):
+            assert scores.dtype == np.float64 and not scores.any()
+
+    def test_stores_nothing_entry_sized_beside_indices_and_values(self):
+        # What a checkpoint pickles: scoring must not cache row ids on it.
+        builder = FeatureMatrixBuilder(FeatureSpace())
+        v = builder.start_variable(2)
+        builder.add(v, 0, "a", 1.0)
+        m = builder.build()
+        m.scores(np.ones(1))
+        m.entry_row_ids()
+        assert sorted(vars(m)) == [
+            "indices",
+            "num_features",
+            "row_ptr",
+            "values",
+            "var_row_start",
+        ]
+
+    def test_matrix_pickled_with_cached_row_ids_still_loads(self):
+        # Format-2 checkpoints written before the cache was deleted carry
+        # a ``_row_ids`` array (and repeated (row, key) entries) in the
+        # pickled state; both are ignored or summed, never an error.
+        builder = FeatureMatrixBuilder(FeatureSpace())
+        v = builder.start_variable(2)
+        builder.add(v, 1, "f", 0.25)
+        builder.add(v, 1, "f", 0.5)
+        m = builder.build()
+        m._row_ids = m.entry_row_ids()
+        loaded = pickle.loads(pickle.dumps(m))
+        assert loaded.scores(np.array([2.0])).tolist() == [0.0, 1.5]

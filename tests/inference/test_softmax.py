@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engine.ops import expand_ranges
 from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
 from repro.inference.softmax import SoftmaxTrainer
 
@@ -34,17 +35,15 @@ class TestTraining:
     def test_fixed_weights_not_updated(self):
         matrix, space, labels = build_separable()
         idx = space.index(("bad",))
-        trainer = SoftmaxTrainer(matrix, epochs=30,
-                                 fixed_weights={idx: 0.7})
+        trainer = SoftmaxTrainer(matrix, epochs=30, fixed_weights={idx: 0.7})
         result = trainer.train(list(range(matrix.num_vars)), labels)
         assert result.weights[idx] == pytest.approx(0.7)
 
     def test_l2_shrinks_weights(self):
         matrix, _, labels = build_separable()
-        small = SoftmaxTrainer(matrix, epochs=60, l2=0.0).train(
-            list(range(matrix.num_vars)), labels)
-        large = SoftmaxTrainer(matrix, epochs=60, l2=1.0).train(
-            list(range(matrix.num_vars)), labels)
+        ids = list(range(matrix.num_vars))
+        small = SoftmaxTrainer(matrix, epochs=60, l2=0.0).train(ids, labels)
+        large = SoftmaxTrainer(matrix, epochs=60, l2=1.0).train(ids, labels)
         assert np.abs(large.weights).max() < np.abs(small.weights).max()
 
     def test_empty_training_returns_fixed(self):
@@ -66,6 +65,14 @@ class TestTraining:
         with pytest.raises(ValueError, match="align"):
             SoftmaxTrainer(matrix).train([0, 1], [0])
 
+    def test_repeated_variable_rejected(self):
+        # A second label for a variable is the caller's decision
+        # (LearnStage.train: the verified label replaces the weak one),
+        # never a second copy that silently loses its entries.
+        matrix, _, _ = build_separable()
+        with pytest.raises(ValueError, match="more than once"):
+            SoftmaxTrainer(matrix).train([0, 1, 0], [0, 1, 1])
+
     def test_subsampling_cap(self):
         matrix, _, labels = build_separable(num_vars=40)
         trainer = SoftmaxTrainer(matrix, epochs=5, max_training_vars=10)
@@ -76,10 +83,102 @@ class TestTraining:
         matrix, _, labels = build_separable(num_vars=40)
         runs = []
         for _ in range(2):
-            trainer = SoftmaxTrainer(matrix, epochs=10,
-                                     max_training_vars=10, seed=3)
+            trainer = SoftmaxTrainer(matrix, epochs=10, max_training_vars=10, seed=3)
             runs.append(trainer.train(list(range(40)), labels).weights)
         assert np.array_equal(runs[0], runs[1])
+
+
+def build_random(seed, strip_singletons=False, coalesce=False):
+    """A matrix of 60 variables with 1-4 candidates over 12 keys.
+
+    Every row draws up to 5 (key, value) entries, repeats allowed, values
+    in eighths so a repeat's sum is exact.  ``strip_singletons`` leaves
+    the one-candidate variables without entries; ``coalesce`` lands one
+    summed entry per (row, key) in first-appearance order.  Both twins
+    share the key space of the plain build.
+    """
+    rng = np.random.default_rng(seed)
+    space = FeatureSpace()
+    for k in range(12):
+        space.index(("k", k))
+    builder = FeatureMatrixBuilder(space)
+    sizes = rng.integers(1, 5, size=60).tolist()
+    labels = []
+    for size in sizes:
+        v = builder.start_variable(size)
+        labels.append(int(rng.integers(size)))
+        for cand in range(size):
+            keys = rng.integers(12, size=int(rng.integers(6))).tolist()
+            values = (rng.integers(1, 9, size=len(keys)) / 8.0).tolist()
+            if size == 1 and strip_singletons:
+                continue
+            if coalesce:
+                summed: dict[int, float] = {}
+                for k, value in zip(keys, values):
+                    summed[k] = summed.get(k, 0.0) + value
+                keys, values = list(summed), list(summed.values())
+            for k, value in zip(keys, values):
+                builder.add(v, cand, ("k", k), value)
+    return builder.build(), sizes, labels
+
+
+def mask_gather(matrix, train_rows):
+    """The whole-matrix gather the trainer used before the row-range one."""
+    entry_rows = matrix.entry_row_ids()
+    in_train = np.zeros(matrix.num_rows, dtype=bool)
+    in_train[train_rows] = True
+    keep = in_train[entry_rows]
+    global_to_comp = np.full(matrix.num_rows, -1, dtype=np.int64)
+    global_to_comp[train_rows] = np.arange(len(train_rows))
+    return matrix.indices[keep], matrix.values[keep], global_to_comp[entry_rows[keep]]
+
+
+class TestMatrixRules:
+    """What the trainer may assume about a matrix, and what it may not."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_entries_on_one_candidate_variables_are_never_read(self, seed):
+        full, sizes, labels = build_random(seed)
+        lean, _, _ = build_random(seed, strip_singletons=True)
+        assert 1 in sizes and lean.num_entries < full.num_entries
+        multi = [v for v, size in enumerate(sizes) if size > 1]
+        for ids in (list(range(len(sizes))), multi):  # singletons trained on or not
+            picked = [labels[v] for v in ids]
+            a = SoftmaxTrainer(full, epochs=25).train(ids, picked)
+            b = SoftmaxTrainer(lean, epochs=25).train(ids, picked)
+            assert np.array_equal(a.weights, b.weights)
+            assert a.losses == b.losses
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repeated_row_key_entries_mean_their_sum(self, seed):
+        repeated, sizes, labels = build_random(seed)
+        coalesced, _, _ = build_random(seed, coalesce=True)
+        assert coalesced.num_entries < repeated.num_entries
+        ids = list(range(len(sizes)))
+        a = SoftmaxTrainer(repeated, epochs=25)
+        b = SoftmaxTrainer(coalesced, epochs=25)
+        wa, wb = a.train(ids, labels).weights, b.train(ids, labels).weights
+        assert np.abs(wa - wb).max() < 1e-12
+        ma, mb = a.marginals(wa, ids), b.marginals(wb, ids)
+        assert all(np.abs(ma[v] - mb[v]).max() < 1e-12 for v in ids)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_row_range_gather_equals_the_mask_gather(self, seed):
+        matrix, sizes, _ = build_random(seed)
+        rng = np.random.default_rng(seed)
+        n = len(sizes)
+        id_lists = {
+            "ascending": np.arange(n),
+            "shuffled": rng.permutation(n),
+            "subsampled": rng.choice(n, size=n // 3, replace=False),
+            "interleaved": np.arange(n).reshape(2, -1).T.ravel(),
+        }
+        trainer = SoftmaxTrainer(matrix)
+        for name, ids in id_lists.items():
+            starts = matrix.var_row_start
+            rows = expand_ranges(starts[ids], starts[ids + 1] - starts[ids])
+            for got, want in zip(trainer._gather(rows), mask_gather(matrix, rows)):
+                assert np.array_equal(got, want), name
 
 
 class TestMarginals:
@@ -97,6 +196,13 @@ class TestMarginals:
         result = trainer.train(list(range(matrix.num_vars)), labels)
         marginals = trainer.marginals(result.weights, [0])
         assert marginals[0][labels[0]] > 0.5
+
+    def test_entryless_variables_are_certain(self):
+        # All requested variables have one candidate and so no entries.
+        builder = FeatureMatrixBuilder(FeatureSpace())
+        builder.start_variables([1, 1])
+        marginals = SoftmaxTrainer(builder.build()).marginals(np.zeros(0), [1, 0])
+        assert [marginals[v].tolist() for v in (0, 1)] == [[1.0], [1.0]]
 
 
 class TestRestrictedMarginals:

@@ -14,6 +14,13 @@ here first.
   20-flight Flights: the pinned values were measured at the parent of the
   commit that moved feature-key allocation to emission order, and that
   commit reproduces them to the last digit.
+
+Each case also pins two counts that repeat exactly, ``feature_entries``
+and ``weights`` of the size report, so the feature matrix cannot silently
+re-inflate: they were measured when the matrix went to one entry per
+(row, weight) and none on one-candidate variables (141,776 → 77,588,
+371,252 → 201,314 and 179,863 → 135,635 entries; weights and the three
+quality numbers unchanged to the last digit).
 """
 
 import pytest
@@ -22,11 +29,17 @@ from repro.data import generate_flights, generate_hospital
 from repro.eval.harness import run_holoclean
 
 PINNED_F1 = 0.911
-#: Softmax path: (generator, kwargs, precision, recall, F1).
+#: Factor path: (feature entries, weights).
+FACTOR_COUNTS = (77_588, 373)
+#: Softmax path: (generator, kwargs, precision, recall, F1, entries, weights).
 SOFTMAX_PINS = [
-    (generate_hospital, dict(num_rows=300, seed=0), 0.991, 0.824, 0.900),
-    (generate_flights, dict(num_flights=20, seed=0), 0.897, 0.885, 0.891),
+    (generate_hospital, dict(num_rows=300, seed=0), 0.991, 0.824, 0.900, 201_314, 373),
+    (generate_flights, dict(num_flights=20, seed=0), 0.897, 0.885, 0.891, 135_635, 66),
 ]
+
+
+def counts(result):
+    return result.size_report["feature_entries"], result.size_report["weights"]
 
 
 def test_hospital_factor_path_quality():
@@ -41,18 +54,22 @@ def test_hospital_factor_path_quality():
     metrics = result.report.metrics
     assert metrics["labels"]["infer.method"] == "gibbs"
     assert result.size_report["constraint_factors"] > 1000
+    assert counts(result) == FACTOR_COUNTS
     assert run.quality.f1 == pytest.approx(PINNED_F1, abs=0.03)
     assert run.quality.precision >= 0.95
 
 
 @pytest.mark.parametrize(
-    "generate,kwargs,precision,recall,f1",
+    "generate,kwargs,precision,recall,f1,entries,weights",
     SOFTMAX_PINS,
     ids=["hospital-300", "flights-20"],
 )
-def test_softmax_path_quality(generate, kwargs, precision, recall, f1):
+def test_softmax_path_quality(
+    generate, kwargs, precision, recall, f1, entries, weights
+):
     run, result = run_holoclean(generate(**kwargs))
     assert result.report.metrics["labels"]["infer.method"] == "softmax"
+    assert counts(result) == (entries, weights)
     assert run.quality.f1 == pytest.approx(f1, abs=0.03)
     assert run.quality.precision == pytest.approx(precision, abs=0.03)
     assert run.quality.recall == pytest.approx(recall, abs=0.03)
