@@ -67,21 +67,17 @@ def run_bench() -> dict:
         lambda: DomainPruner(dataset, tau=generated.recommended_tau)
         .domains(cells))
 
-    rows = {}
-    for backend in ("numpy", "sqlite"):
-        engine = Engine(dataset, backend=backend)
-        detection, t_detect = _timed(
-            lambda: ViolationDetector(constraints, engine=engine)
-            .detect(dataset))
-        domains, t_domains = _timed(
-            lambda: DomainPruner(dataset, stats=engine.statistics(),
-                                 tau=generated.recommended_tau)
-            .domains(cells))
-        # The engine is an optimisation, never a semantic change.
-        assert detection.noisy_cells == naive_detection.noisy_cells
-        assert detection.hypergraph.violations == naive_violations
-        assert domains == naive_domains
-        rows[backend] = (t_detect, t_domains)
+    engine = Engine(dataset)
+    detection, t_detect = _timed(
+        lambda: ViolationDetector(constraints, engine=engine).detect(dataset))
+    domains, t_domains = _timed(
+        lambda: DomainPruner(dataset, stats=engine.statistics(),
+                             tau=generated.recommended_tau).domains(cells))
+    # The engine is an optimisation, never a semantic change.
+    assert detection.noisy_cells == naive_detection.noisy_cells
+    assert detection.hypergraph.violations == naive_violations
+    assert domains == naive_domains
+    rows = {"numpy": (t_detect, t_domains)}
 
     naive_total = t_naive_detect + t_naive_domains
     report = {
@@ -118,8 +114,7 @@ def run_bench() -> dict:
         # numbers the committed baselines cannot be compared against.
         publish_json(
             "engine_grounding",
-            metrics={"speedup_numpy": report["speedups"]["numpy"],
-                     "speedup_sqlite": report["speedups"]["sqlite"]},
+            metrics={"speedup_numpy": report["speedups"]["numpy"]},
             meta={"rows": report["rows"],
                   "violations": report["violations"],
                   "noisy_cells": report["noisy_cells"],

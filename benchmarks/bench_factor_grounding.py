@@ -97,31 +97,25 @@ def run_bench() -> dict:
 
     modes = {}
     naive_total = 0.0
-    engine_totals = {"numpy": 0.0, "sqlite": 0.0}
+    engine_total = 0.0
     for use_partitioning in (False, True):
         label = "partitioned" if use_partitioning else "join"
         pairs, t_naive = _consume_naive(dataset, domains, dcs, hypergraph,
                                         use_partitioning)
         naive_total += t_naive
-        per_backend = {}
-        for backend in ("numpy", "sqlite"):
-            backend_engine = Engine(dataset, backend=backend)
-            vec_pairs, t_vec = _consume_vector(backend_engine, dataset,
-                                               domains, dcs, hypergraph,
-                                               use_partitioning)
-            assert vec_pairs == pairs, (label, backend, pairs, vec_pairs)
-            per_backend[backend] = t_vec
-            engine_totals[backend] += t_vec
-        modes[label] = {"pairs": pairs, "naive": t_naive, **per_backend}
+        vec_pairs, t_vec = _consume_vector(Engine(dataset), dataset, domains,
+                                           dcs, hypergraph, use_partitioning)
+        assert vec_pairs == pairs, (label, pairs, vec_pairs)
+        engine_total += t_vec
+        modes[label] = {"pairs": pairs, "naive": t_naive, "numpy": t_vec}
 
-    speedups = {backend: naive_total / total
-                for backend, total in engine_totals.items()}
+    speedups = {"numpy": naive_total / engine_total}
     report = {
         "rows": dataset.num_tuples,
         "noisy_cells": len(cells),
         "modes": modes,
         "naive_total": naive_total,
-        "engine_totals": engine_totals,
+        "engine_total": engine_total,
         "speedups": speedups,
     }
 
@@ -129,13 +123,12 @@ def run_bench() -> dict:
         f"Hospital {dataset.num_tuples} tuples · {len(dcs)} two-tuple DCs · "
         f"{len(cells)} pruned cells · cap {MAX_PAIRS} pairs/DC",
         "",
-        f"{'mode':<14} {'pairs':>9} {'naive(s)':>9} {'numpy(s)':>9} "
-        f"{'sqlite(s)':>10}",
+        f"{'mode':<14} {'pairs':>9} {'naive(s)':>9} {'numpy(s)':>9}",
     ]
     for label, row in modes.items():
         lines.append(
             f"{label:<14} {row['pairs']:>9} {fmt(row['naive'], 9)} "
-            f"{fmt(row['numpy'], 9)} {fmt(row['sqlite'], 10)}")
+            f"{fmt(row['numpy'], 9)}")
     lines.append("")
     lines.append("total speedup: " + ", ".join(
         f"{backend}={ratio:.1f}x" for backend, ratio in speedups.items()))
@@ -145,16 +138,14 @@ def run_bench() -> dict:
         # numbers the committed baselines cannot be compared against.
         publish_json(
             "factor_grounding",
-            metrics={"speedup_numpy": speedups["numpy"],
-                     "speedup_sqlite": speedups["sqlite"]},
+            metrics={"speedup_numpy": speedups["numpy"]},
             meta={"rows": dataset.num_tuples,
                   "noisy_cells": len(cells),
                   "max_pairs": MAX_PAIRS,
                   "pairs_join": modes["join"]["pairs"],
                   "pairs_partitioned": modes["partitioned"]["pairs"],
                   "naive_total_s": naive_total,
-                  "numpy_total_s": engine_totals["numpy"],
-                  "sqlite_total_s": engine_totals["sqlite"]})
+                  "numpy_total_s": engine_total})
     else:
         print(f"downsized run ({ROWS} rows): BENCH json not published",
               file=sys.stderr)

@@ -8,18 +8,10 @@ the run's trace spans.  It doubles as the end-to-end check that coarse
 tracing covers every stage — the run report's trace tree must contain
 exactly the five stage spans.
 
-On multi-core runners a second run repeats the pipeline with
-``parallel_workers`` on, asserts its repairs are byte-identical to the
-serial run, and publishes the compile-stage speedup
-(``compile_parallel_speedup``, pinned in baselines for >= 4 cores via
-``min_cpus``).
-
 Baselines pin ``stages_traced`` (a count, stable across machines); the
 wall times and memory peaks land in ``meta`` as informational context.
 Run as a script (``python benchmarks/bench_pipeline.py``) or via pytest.
-``BENCH_PIPELINE_ROWS`` resizes the workload (default 10,000);
-``BENCH_PIPELINE_WORKERS`` overrides the parallel variant's worker count
-(default ``min(4, cpu_count)``; below 2 the variant is skipped).
+``BENCH_PIPELINE_ROWS`` resizes the workload (default 10,000).
 """
 
 from __future__ import annotations
@@ -41,17 +33,16 @@ from repro.core.stages import STAGE_ORDER, RepairContext, RepairPlan
 from repro.data.generators.hospital import generate_hospital
 
 ROWS = int(os.environ.get("BENCH_PIPELINE_ROWS", 10_000))
-WORKERS = (int(os.environ.get("BENCH_PIPELINE_WORKERS", 0))
-           or min(4, os.cpu_count() or 1))
 
 
-def _run_plan(generated, workers: int = 0) -> dict:
-    """One full pipeline run; returns spans, result, and a repair snapshot."""
-    config = HoloCleanConfig(tau=0.5, trace_level="stage",
-                             trace_memory=True, parallel_workers=workers)
-    ctx = RepairContext(dataset=generated.dirty.copy(name="hospital"),
-                        constraints=list(generated.constraints),
-                        config=config)
+def run_bench() -> dict:
+    generated = generate_hospital(num_rows=ROWS)
+    config = HoloCleanConfig(tau=0.5, trace_level="stage", trace_memory=True)
+    ctx = RepairContext(
+        dataset=generated.dirty.copy(name="hospital"),
+        constraints=list(generated.constraints),
+        config=config,
+    )
     ctx = RepairPlan.default().run(ctx)
     result = ctx.result
     report = result.report
@@ -60,36 +51,19 @@ def _run_plan(generated, workers: int = 0) -> dict:
     spans = {span.name: span for span in report.trace_spans()}
     traced = report.stage_names_traced()
     assert traced == list(STAGE_ORDER), (
-        f"trace tree covers {traced}, expected all of {STAGE_ORDER}")
-    # Everything inference produced, for the serial-vs-parallel
-    # byte-equality assertion: chosen values, domains, marginals, rows.
-    snapshot = (
-        [(cell, inf.chosen_value, tuple(inf.domain), inf.marginal.tobytes())
-         for cell, inf in result.inferences.items()],
-        result.repaired._rows,
+        f"trace tree covers {traced}, expected all of {STAGE_ORDER}"
     )
     if ctx.engine is not None:
         ctx.engine.close()
     if ctx.tracer is not None:
         ctx.tracer.shutdown()
-    return {"result": result, "report": report, "spans": spans,
-            "snapshot": snapshot}
-
-
-def run_bench() -> dict:
-    generated = generate_hospital(num_rows=ROWS)
-    serial = _run_plan(generated)
-    result, report, spans = (serial["result"], serial["report"],
-                             serial["spans"])
 
     metrics: dict = {"stages_traced": len(STAGE_ORDER)}
     for name in STAGE_ORDER:
         metrics[f"{name}_s"] = spans[name].duration
     metrics["total_s"] = sum(spans[name].duration for name in STAGE_ORDER)
 
-    mem_mb = {
-        name: (spans[name].py_mem_peak or 0) / 1e6 for name in STAGE_ORDER
-    }
+    mem_mb = {name: (spans[name].py_mem_peak or 0) / 1e6 for name in STAGE_ORDER}
     lines = [
         f"Hospital {generated.dirty.num_tuples} tuples · "
         f"{len(result.inferences)} noisy cells · "
@@ -98,11 +72,9 @@ def run_bench() -> dict:
         f"{'stage':<8} {'seconds':>9} {'peak MB':>9}",
     ]
     for name in STAGE_ORDER:
-        lines.append(f"{name:<8} {fmt(spans[name].duration, 9)} "
-                     f"{fmt(mem_mb[name], 9)}")
+        lines.append(f"{name:<8} {fmt(spans[name].duration, 9)} {fmt(mem_mb[name], 9)}")
     lines.append(f"{'total':<8} {fmt(metrics['total_s'], 9)}")
 
-    cpus = os.cpu_count() or 1
     meta = {
         "rows": generated.dirty.num_tuples,
         "attributes": len(generated.dirty.schema.names),
@@ -110,36 +82,11 @@ def run_bench() -> dict:
         "repairs": result.num_repairs,
         "config_fingerprint": report.fingerprint,
         "stage_mem_peak_mb": mem_mb,
-        "rss_peak_kb": max(
-            (spans[name].rss_peak_kb or 0) for name in STAGE_ORDER),
+        "rss_peak_kb": max((spans[name].rss_peak_kb or 0) for name in STAGE_ORDER),
         "phase_timings": report.phase_timings,
-        "cpus": cpus,
+        "cpus": os.cpu_count() or 1,
     }
 
-    if WORKERS >= 2:
-        parallel = _run_plan(generated, workers=WORKERS)
-        # Sharded grounding is an optimisation, never a semantic change:
-        # the parallel run must reproduce the serial repairs byte for
-        # byte before its timing counts for anything.
-        assert parallel["snapshot"] == serial["snapshot"], (
-            f"parallel_workers={WORKERS} changed pipeline output")
-        compile_parallel_s = parallel["spans"]["compile"].duration
-        speedup = spans["compile"].duration / max(compile_parallel_s, 1e-9)
-        metrics["compile_parallel_speedup"] = speedup
-        meta["parallel_workers"] = WORKERS
-        meta["compile_parallel_s"] = compile_parallel_s
-        lines.extend([
-            "",
-            f"compile with parallel_workers={WORKERS}: "
-            f"{fmt(compile_parallel_s, 0)}s "
-            f"({speedup:.2f}x, output byte-identical)",
-        ])
-    else:
-        lines.extend([
-            "",
-            f"parallel variant skipped ({cpus} CPU(s); "
-            f"set BENCH_PIPELINE_WORKERS to force)",
-        ])
     publish("pipeline", "\n".join(lines))
 
     publish_json("pipeline", metrics=metrics, meta=meta)
@@ -153,12 +100,10 @@ def test_pipeline_traces_all_stages():
 
 if __name__ == "__main__":
     outcome = run_bench()
-    print(f"stages traced: {outcome['stages_traced']}/{len(STAGE_ORDER)} · "
-          f"total {outcome['total_s']:.2f}s")
-    if "compile_parallel_speedup" in outcome:
-        print(f"compile speedup at {WORKERS} workers: "
-              f"{outcome['compile_parallel_speedup']:.2f}x")
+    print(
+        f"stages traced: {outcome['stages_traced']}/{len(STAGE_ORDER)} · "
+        f"total {outcome['total_s']:.2f}s"
+    )
     if outcome["stages_traced"] != len(STAGE_ORDER):
-        print("FAIL: trace tree does not cover all five stages",
-              file=sys.stderr)
+        print("FAIL: trace tree does not cover all five stages", file=sys.stderr)
         raise SystemExit(1)

@@ -18,11 +18,10 @@ Quickstart
 The staged API exposes the same pipeline as five re-runnable stages
 over a shared :class:`RepairContext` — run the default plan once, then
 re-enter from any stage with new knobs without repeating the ones
-before it (``parallel_workers`` shards grounding across processes with
-byte-identical results):
+before it:
 
 >>> from repro import RepairContext, RepairPlan
->>> ctx = RepairContext(dataset, dcs, HoloCleanConfig(parallel_workers=4))  # doctest: +SKIP
+>>> ctx = RepairContext(dataset, dcs, HoloCleanConfig(tau=0.5))  # doctest: +SKIP
 >>> ctx = RepairPlan.default().run(ctx)  # doctest: +SKIP
 >>> ctx.config, ctx.model = ctx.config.with_(tau=0.7), None  # doctest: +SKIP
 >>> ctx = RepairPlan.default().starting_at("compile").run(ctx)  # detection reused  # doctest: +SKIP
@@ -53,7 +52,7 @@ from repro.detect import (
     OutlierDetector,
     ViolationDetector,
 )
-from repro.engine import ColumnStore, Engine, backend_names, register_backend
+from repro.engine import ColumnStore, Engine
 from repro.external import ExternalDictionary
 from repro.obs import RunReport
 from repro.core import (
@@ -103,8 +102,6 @@ __all__ = [
     "ViolationDetector",
     "ColumnStore",
     "Engine",
-    "backend_names",
-    "register_backend",
     "ExternalDictionary",
     "RunReport",
     "HoloClean",

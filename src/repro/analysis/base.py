@@ -1,7 +1,7 @@
 """Core types of the repo-specific static-analysis framework.
 
 The invariants this repository stakes its value on — byte-identical
-vectorized/sharded grounding, fork-safe parallel tasks, a telemetry key
+vectorized grounding, fork-safe pool tasks, a telemetry key
 inventory that matches the source — are invisible to generic linters.
 :mod:`repro.analysis` parses the codebase with :mod:`ast` and runs a
 pluggable checker suite over it; this module holds the shared pieces:

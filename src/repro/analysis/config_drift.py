@@ -1,16 +1,9 @@
-"""Config/registry-drift checker: docs and registry snapshots stay live.
+"""Config-drift checker: ``docs/configuration.md`` stays live.
 
-Two inventories here rot independently of the telemetry ones:
-
-* the :class:`HoloCleanConfig` dataclass grows fields PR by PR, and
-  ``docs/configuration.md`` must list **every** field (and no phantom
-  ones) — the docs table is the only place defaults and semantics are
-  explained to users;
-* the engine backend registry is populated by ``register_backend``
-  calls at import time, and both the docs and any module-level
-  ``BACKEND_NAMES``-style snapshot must agree with the **live**
-  registry — a snapshot taken before a later ``register_backend`` call
-  silently hides backends from ``__all__`` consumers.
+The :class:`HoloCleanConfig` dataclass changes fields PR by PR, and
+``docs/configuration.md`` must list **every** field (and no phantom
+ones) — the docs table is the only place defaults and semantics are
+explained to users.
 """
 
 from __future__ import annotations
@@ -18,13 +11,7 @@ from __future__ import annotations
 import ast
 import re
 
-from repro.analysis.base import (
-    AnalysisContext,
-    Checker,
-    Finding,
-    call_name,
-    literal_str,
-)
+from repro.analysis.base import AnalysisContext, Checker, Finding
 
 CONFIG_REL = "src/repro/core/config.py"
 DOC_REL = "docs/configuration.md"
@@ -47,23 +34,6 @@ def config_fields(ctx: AnalysisContext) -> dict[str, int]:
     return fields
 
 
-def registered_backends(ctx: AnalysisContext) -> dict[str, tuple[str, int]]:
-    """Backend names registered by literal ``register_backend`` calls."""
-    backends: dict[str, tuple[str, int]] = {}
-    for module in ctx.modules:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            if call_name(node).rpartition(".")[2] != "register_backend":
-                continue
-            if not node.args:
-                continue
-            name = literal_str(node.args[0])
-            if name is not None:
-                backends.setdefault(name, (module.rel, node.lineno))
-    return backends
-
-
 def _documented_tokens(text: str) -> set[str]:
     """Backticked identifiers in the first cell of every table row."""
     tokens: set[str] = set()
@@ -81,15 +51,10 @@ def _documented_tokens(text: str) -> set[str]:
 
 
 class ConfigDriftChecker(Checker):
-    """``HoloCleanConfig`` and the backend registry vs their docs."""
+    """``HoloCleanConfig`` fields vs their docs table."""
 
     name = "config"
-    rules = (
-        "config-undocumented",
-        "config-unknown",
-        "backend-undocumented",
-        "backend-snapshot",
-    )
+    rules = ("config-undocumented", "config-unknown")
     doc_rel = DOC_REL
 
     def check(self, ctx: AnalysisContext) -> list[Finding]:
@@ -112,61 +77,12 @@ class ConfigDriftChecker(Checker):
                 )
             )
         for name in sorted(documented - set(fields)):
-            # The doc also lists backend names; those are not phantom
-            # config fields.
-            if name in registered_backends(ctx):
-                continue
             findings.append(
                 self.finding(
                     "config-unknown",
                     self.doc_rel,
                     ctx.doc_line(self.doc_rel, f"`{name}`"),
-                    f"documented name '{name}' is neither a HoloCleanConfig "
-                    "field nor a registered backend",
+                    f"documented name '{name}' is not a HoloCleanConfig field",
                 )
             )
-
-        doc_text_full = text
-        for name, (rel, line) in sorted(registered_backends(ctx).items()):
-            if f"`{name}`" not in doc_text_full:
-                findings.append(
-                    self.finding(
-                        "backend-undocumented",
-                        rel,
-                        line,
-                        f"backend '{name}' is registered here but never "
-                        f"mentioned in {self.doc_rel}",
-                    )
-                )
-
-        findings.extend(self._check_snapshot(ctx))
         return findings
-
-    # ------------------------------------------------------------------
-    def _check_snapshot(self, ctx: AnalysisContext) -> list[Finding]:
-        """Compare the exported ``BACKEND_NAMES`` to the live registry.
-
-        This is the one dynamic check in the suite: a static pass cannot
-        see registration order across imports, so we import the package
-        and compare.  Skipped silently when the engine's dependencies
-        (NumPy) are absent.
-        """
-        try:
-            import repro.engine as engine
-            from repro.engine.backend import backend_names
-        except ImportError:
-            return []
-        snapshot = tuple(getattr(engine, "BACKEND_NAMES", ()))
-        live = tuple(backend_names())
-        if snapshot == live:
-            return []
-        return [
-            self.finding(
-                "backend-snapshot",
-                "src/repro/engine/backend.py",
-                0,
-                f"BACKEND_NAMES snapshot {snapshot!r} disagrees with the "
-                f"live registry {live!r}; export a live view instead of a "
-                "module-load-time copy",
-            ),
-        ]

@@ -1,6 +1,6 @@
 """Determinism checker: emission-order-critical modules stay reproducible.
 
-The engine's whole contract is that vectorized and sharded grounding is
+The engine's whole contract is that vectorized grounding is
 **byte-identical** to the naive oracles — factor graphs, pair streams,
 and feature matrices are only reproducible because every emission order
 is canonical.  This checker flags constructs that silently break that
@@ -30,7 +30,6 @@ from repro.analysis.base import AnalysisContext, Checker, Finding, call_name
 CRITICAL_MODULES = frozenset(
     {
         "src/repro/engine/ops.py",
-        "src/repro/engine/parallel.py",
         "src/repro/core/partition.py",
         "src/repro/core/factor_tables.py",
         "src/repro/core/vector_featurize.py",

@@ -1,19 +1,15 @@
 """Parallel-safety checker: work shipped to pools must survive the trip.
 
-``ParallelBackend`` fans grounding tasks out over a ``multiprocessing``
-pool.  Two classes of bug slip silently past tests that happen to run on
-a fork-capable machine:
+The serving subsystem ships cold repair jobs through a
+``ProcessPoolExecutor``.  One class of bug slips silently past tests that
+happen to run on a fork-capable machine:
 
 * ``pool-callable`` — lambdas, locally nested functions (closures), and
   ``self``-bound methods handed to a Pool API (``map`` / ``apply_async``
-  / an ``initializer=``).  Under the ``spawn``/``forkserver`` start
-  methods these fail to pickle at dispatch time; bound methods
+  / ``submit`` / an ``initializer=``).  Under the ``spawn``/``forkserver``
+  start methods these fail to pickle at dispatch time; bound methods
   additionally drag the whole ``self`` object graph through the pickle
   even under ``fork``.  Pool callables must be module-level functions.
-* ``shm-finalize`` — a ``SharedMemory`` attach/create whose enclosing
-  class never registers a ``weakref.finalize``: the mapping (and on
-  creation, the named segment itself) then lives until process exit, a
-  leak that accumulates across repairs in a long-lived service.
 """
 
 from __future__ import annotations
@@ -61,10 +57,10 @@ def _nested_function_names(module, node: ast.AST) -> set[str]:
 
 
 class ParallelSafetyChecker(Checker):
-    """Unpicklable pool tasks and unfinalized shared-memory handles."""
+    """Unpicklable pool tasks."""
 
     name = "parallel-safety"
-    rules = ("pool-callable", "shm-finalize")
+    rules = ("pool-callable",)
 
     def check(self, ctx: AnalysisContext) -> list[Finding]:
         findings: list[Finding] = []
@@ -78,7 +74,6 @@ class ParallelSafetyChecker(Checker):
                 if not isinstance(node, ast.Call):
                     continue
                 findings.extend(self._check_dispatch(module, node))
-                findings.extend(self._check_shared_memory(module, node))
         return findings
 
     # ------------------------------------------------------------------
@@ -122,23 +117,3 @@ class ParallelSafetyChecker(Checker):
                     )
                 )
         return out
-
-    def _check_shared_memory(self, module, node: ast.Call) -> list[Finding]:
-        if call_name(node).rpartition(".")[2] != "SharedMemory":
-            return []
-        scope = module.enclosing(node, (ast.ClassDef,)) or module.tree
-        for sub in ast.walk(scope):
-            if isinstance(sub, ast.Call):
-                name = call_name(sub)
-                if name == "weakref.finalize" or name.endswith(".finalize"):
-                    return []
-        return [
-            self.finding(
-                "shm-finalize",
-                module,
-                node.lineno,
-                "SharedMemory handle opened without a matching "
-                "weakref.finalize in the owning scope; the mapping leaks "
-                "until process exit",
-            ),
-        ]

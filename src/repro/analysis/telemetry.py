@@ -20,8 +20,8 @@ linter — the mapping *is* the contract):
   receiver (``extend`` records a series);
 * ``size_report`` keys are the dict-literal keys of ``size_report()``
   functions, plus the per-class stats dicts composed with their
-  documented prefixes (``grounding_``, ``grounding_table_``,
-  ``grounding_shards_``) by ``CompiledModel.size_report``.
+  documented prefixes (``grounding_``, ``grounding_table_``) by
+  ``CompiledModel.size_report``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ DOC_REL = "docs/observability.md"
 #: Where the composed ``grounding_*`` size-report keys come from:
 #: ``(module, class name, attribute, prefix)``.  ``CompiledModel.
 #: size_report`` prepends ``grounding_`` to every stats key; the
-#: compiler additionally namespaces table and shard stats.
+#: compiler additionally namespaces table stats.
 STATS_SOURCES = (
     ("src/repro/core/partition.py", "VectorPairEnumerator", "stats", "grounding_"),
     (
@@ -55,12 +55,6 @@ STATS_SOURCES = (
     ),
     ("src/repro/core/vector_featurize.py", "VectorFeaturizer", "stats", "grounding_"),
     ("src/repro/core/vector_domain.py", "VectorDomainPruner", "stats", "grounding_"),
-    (
-        "src/repro/engine/parallel.py",
-        "ParallelBackend",
-        "shard_stats",
-        "grounding_shards_",
-    ),
 )
 
 #: Compiler functions whose local ``grounding`` dict feeds the report.

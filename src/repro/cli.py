@@ -88,12 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default stdout)")
     parser.add_argument("--min-confidence", type=float, default=0.0,
                         help="only apply repairs at or above this marginal")
-    parser.add_argument("--engine", choices=("numpy", "sqlite"),
-                        default="numpy",
-                        help="grounding engine backend for detection, "
-                             "statistics, domain pruning, and DC-factor "
-                             "pair enumeration: vectorized NumPy (default) "
-                             "or in-memory SQLite")
     parser.add_argument("--trace-level", choices=("off", "stage", "deep"),
                         default="stage",
                         help="telemetry span granularity: one span per "
@@ -175,12 +169,11 @@ def main(argv: list[str] | None = None) -> int:
     config = HoloCleanConfig.variant(
         args.variant, tau=args.tau, epochs=args.epochs, seed=args.seed,
         source_entity_attributes=entity,
-        engine_backend=args.engine,
         trace_level=args.trace_level,
         trace_memory=args.trace_memory)
 
-    log.debug("repairing %s with %d constraints (variant=%s, engine=%s)",
-              args.input, len(constraints), args.variant, args.engine)
+    log.debug("repairing %s with %d constraints (variant=%s)",
+              args.input, len(constraints), args.variant)
     ctx = HoloClean(config).context(dataset, constraints)
     ctx = RepairPlan.default().run(ctx)
     result = ctx.result

@@ -214,14 +214,6 @@ class ModelCompiler:
                 graph, query_domains)
             grounding.update(factor_grounding)
 
-        # Multi-core fan-out accounting (prune / featurize / factor /
-        # stream dispatches), surfaced as ``grounding_shards_*`` — absent
-        # from single-process runs so their size reports are unchanged.
-        shard = self.engine.backend.shard_stats
-        if shard.get("calls"):
-            for key, value in shard.items():
-                grounding[f"shards_{key}"] = value
-
         relations = CompiledRelations(self.dataset,
                                       {**query_domains, **evidence_domains},
                                       matched=matched,
@@ -253,26 +245,8 @@ class ModelCompiler:
 
     # ------------------------------------------------------------------
     def _prune_domains(self, cells: list[Cell]) -> dict[Cell, list[str]]:
-        """Algorithm 2 candidate domains for ``cells``, set-at-a-time.
-
-        A sharding backend prunes contiguous cell chunks in worker
-        processes, each replaying the same vectorized kernel over its own
-        engine; per-cell pruning is independent and results merge back in
-        cell order, so the output is byte-identical to pruning inline.
-        """
-        pruner = self._pruner
-        backend = self.engine.backend
-        chunk = max(1, -(-len(cells) // (backend.workers * 4)))
-        params = (pruner.tau, pruner.max_domain, pruner.strategy,
-                  tuple(pruner.attributes))
-        batches = backend.shard_map(
-            "prune", [(cells[i:i + chunk], params)
-                      for i in range(0, len(cells), chunk)])
-        if batches is None:
-            return pruner.domains(cells)
-        pruned = [domain for batch in batches for domain in batch]
-        pruner.tally(len(cells), sum(len(d) for d in pruned))
-        return {cell: domain for cell, domain in zip(cells, pruned) if domain}
+        """Algorithm 2 candidate domains for ``cells``, set-at-a-time."""
+        return self._pruner.domains(cells)
 
     # ------------------------------------------------------------------
     def _featurize_all(self, context: FeaturizationContext,
@@ -401,22 +375,22 @@ class ModelCompiler:
             self.engine, self.dataset, graph.variables, query_domains,
             max_table_cells=config.max_factor_table,
             weight=config.dc_factor_weight)
-        # What a sharding backend's workers need to clone the builder
-        # (inherited zero-copy under fork).
-        shard_context = (self.constraints, graph.variables, query_domains,
-                         config.max_factor_table, config.dc_factor_weight)
         skipped = 0
         pairs = 0
-        for ci, dc in enumerate(self.constraints):
+        for dc in self.constraints:
             with deep_span("compile.ground_dc", constraint=dc.name) as sp:
                 dc_pairs = 0
                 if dc.is_single_tuple:
                     skipped += self._ground_single_tuple_factors(graph, dc)
                 elif builder.supports(dc):
-                    dc_pairs, dc_skipped = self._ground_vector_dc(
-                        graph, ci, dc, enumerator, builder, hypergraph,
-                        shard_context)
-                    skipped += dc_skipped
+                    for left, right in enumerator.pair_chunks(
+                            dc, use_partitioning=config.use_partitioning,
+                            hypergraph=hypergraph):
+                        dc_pairs += len(left)
+                        factors, chunk_skipped = builder.ground_chunk(
+                            dc, left, right)
+                        graph.add_factors(factors)
+                        skipped += chunk_skipped
                 else:
                     for t1, t2 in enumerator.pairs_for(
                             dc, config.use_partitioning, hypergraph):
@@ -435,39 +409,6 @@ class ModelCompiler:
         grounding.update(
             {f"table_{key}": value for key, value in builder.stats.items()})
         return skipped, grounding
-
-    def _ground_vector_dc(self, graph: FactorGraph, ci: int,
-                          dc: DenialConstraint, enumerator, builder,
-                          hypergraph, shard_context) -> tuple[int, int]:
-        """Ground one vectorizable constraint's pair chunks.
-
-        The chunks are offered to the backend's fan-out: each worker of a
-        sharding backend runs the same ``_ground_chunk`` over its own
-        builder clone and the parent merges factors, skip counts, and
-        stats deltas back in chunk order — byte-identical to grounding
-        inline, which is what happens when ``shard_map`` answers ``None``
-        (single-process backend, or the pool broke mid-run).
-        """
-        config = self.config
-        chunks = [(ci, left, right) for left, right in enumerator.pair_chunks(
-            dc, use_partitioning=config.use_partitioning,
-            hypergraph=hypergraph)]
-        pairs = sum(len(left) for _, left, _ in chunks)
-        skipped = 0
-        results = self.engine.backend.shard_map("factor", chunks,
-                                                factors=shard_context)
-        if results is None:
-            for _, left, right in chunks:
-                factors, chunk_skipped = builder.ground_chunk(dc, left, right)
-                graph.add_factors(factors)
-                skipped += chunk_skipped
-            return pairs, skipped
-        for factors, chunk_skipped, delta in results:
-            graph.add_factors(factors)
-            skipped += chunk_skipped
-            for key, value in delta.items():
-                builder.stats[key] += value
-        return pairs, skipped
 
     def _ground_single_tuple_factors(self, graph: FactorGraph,
                                      dc: DenialConstraint) -> int:

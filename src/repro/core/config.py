@@ -109,24 +109,6 @@ class HoloCleanConfig:
     #: automatically only when clean evidence is scarce.
     weak_label_training: bool | None = None
 
-    # --- grounding engine ----------------------------------------------------
-    #: Execution backend of the grounding engine (:mod:`repro.engine`; one
-    #: :class:`~repro.engine.Engine` per
-    #: :class:`~repro.core.stages.RepairContext`, shared by every stage),
-    #: by registry name (see
-    #: :func:`repro.engine.backend.register_backend`): ``"numpy"``
-    #: (vectorized arrays, default), ``"sqlite"`` (in-memory DBMS
-    #: grounding, the paper's original architecture), ``"parallel"``
-    #: (multi-core sharded grounding), or any backend registered by an
-    #: extension.
-    engine_backend: str = "numpy"
-
-    #: Worker processes for sharded grounding: ``0`` (default) keeps the
-    #: single-process path; ``n >= 1`` wraps the engine backend in a
-    #: :class:`~repro.engine.parallel.ParallelBackend` with ``n`` workers.
-    #: Results are byte-identical either way.
-    parallel_workers: int = 0
-
     # --- observability --------------------------------------------------------
     #: Trace-span verbosity of the telemetry subsystem (:mod:`repro.obs`):
     #: ``"stage"`` (default) records one span per pipeline stage —
@@ -196,18 +178,6 @@ class HoloCleanConfig:
         if not (self.use_dc_feats or self.use_dc_factors or self.use_cooccur
                 or self.use_minimality or self.use_frequency):
             raise ValueError("at least one repair signal must be enabled")
-        # Validate against the live backend registry (importing the
-        # engine package triggers the built-in registrations), so adding
-        # a backend needs no core edits.
-        from repro.engine import backend_names
-
-        if self.engine_backend not in backend_names():
-            raise ValueError(
-                f"unknown engine backend {self.engine_backend!r}; "
-                f"pick one of {backend_names()}")
-        if self.parallel_workers < 0:
-            raise ValueError(
-                f"parallel_workers must be >= 0, got {self.parallel_workers}")
         if self.trace_level not in ("off", "stage", "deep"):
             raise ValueError(
                 f"trace_level must be 'off', 'stage', or 'deep', got "

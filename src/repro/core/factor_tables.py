@@ -247,54 +247,49 @@ class VectorFactorTableBuilder:
         """
         with deep_span("ground.factor_chunk", constraint=dc.name,
                        pairs=len(left)) as sp:
-            factors, skipped = self._ground_chunk(dc, left, right)
+            plan = self._plan_for(dc)
+            num_pairs = len(left)
+            self.stats["pairs"] += num_pairs
+            tids_of = {1: np.asarray(left, dtype=np.int64),
+                       2: np.asarray(right, dtype=np.int64)}
+            key_cols = []
+            slot_vids = []
+            for pos, attr in plan.axis_slots:
+                vids, sizes = self._axis_info(attr)
+                tids = tids_of[pos]
+                key_cols.append(sizes[tids])
+                slot_vids.append(vids[tids])
+
+            out: list[ConstraintFactor | None] = [None] * num_pairs
+            for rep, members in self._shape_groups(key_cols):
+                sizes_rep = [int(col[rep]) for col in key_cols]
+                axis_ids = [s for s, d in enumerate(sizes_rep) if d >= 0]
+                group_pairs = len(members)
+                if not axis_ids:
+                    self.stats["skipped_no_vars"] += group_pairs
+                    continue
+                shape = tuple(sizes_rep[s] for s in axis_ids)
+                cells = int(np.prod(shape))
+                if cells > self.max_table_cells:
+                    self.stats["skipped_cap"] += group_pairs
+                    continue
+                if cells == 0:
+                    # An empty candidate domain: the empty table is trivially
+                    # constant (the naive all-ones test succeeds vacuously).
+                    self.stats["skipped_constant"] += group_pairs
+                    continue
+                self.stats["groups"] += 1
+                block = max(1, _BLOCK_CELLS // cells)
+                for lo in range(0, group_pairs, block):
+                    self._ground_block(dc, plan, tids_of,
+                                       members[lo:lo + block], axis_ids, shape,
+                                       slot_vids, out)
+
+            factors = [factor for factor in out if factor is not None]
+            self.stats["tables"] += len(factors)
             if sp is not None:
                 sp.attributes["factors"] = len(factors)
-            return factors, skipped
-
-    def _ground_chunk(self, dc: DenialConstraint, left: np.ndarray,
-                      right: np.ndarray) -> tuple[list[ConstraintFactor], int]:
-        plan = self._plan_for(dc)
-        num_pairs = len(left)
-        self.stats["pairs"] += num_pairs
-        tids_of = {1: np.asarray(left, dtype=np.int64),
-                   2: np.asarray(right, dtype=np.int64)}
-        key_cols = []
-        slot_vids = []
-        for pos, attr in plan.axis_slots:
-            vids, sizes = self._axis_info(attr)
-            tids = tids_of[pos]
-            key_cols.append(sizes[tids])
-            slot_vids.append(vids[tids])
-
-        out: list[ConstraintFactor | None] = [None] * num_pairs
-        for rep, members in self._shape_groups(key_cols):
-            sizes_rep = [int(col[rep]) for col in key_cols]
-            axis_ids = [s for s, d in enumerate(sizes_rep) if d >= 0]
-            group_pairs = len(members)
-            if not axis_ids:
-                self.stats["skipped_no_vars"] += group_pairs
-                continue
-            shape = tuple(sizes_rep[s] for s in axis_ids)
-            cells = int(np.prod(shape))
-            if cells > self.max_table_cells:
-                self.stats["skipped_cap"] += group_pairs
-                continue
-            if cells == 0:
-                # An empty candidate domain: the empty table is trivially
-                # constant (the naive all-ones test succeeds vacuously).
-                self.stats["skipped_constant"] += group_pairs
-                continue
-            self.stats["groups"] += 1
-            block = max(1, _BLOCK_CELLS // cells)
-            for lo in range(0, group_pairs, block):
-                self._ground_block(dc, plan, tids_of,
-                                   members[lo:lo + block], axis_ids, shape,
-                                   slot_vids, out)
-
-        factors = [factor for factor in out if factor is not None]
-        self.stats["tables"] += len(factors)
-        return factors, num_pairs - len(factors)
+            return factors, num_pairs - len(factors)
 
     @staticmethod
     def _shape_groups(key_cols: list[np.ndarray]):

@@ -21,7 +21,6 @@ enumerator reproduces byte for byte — set *and* order.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -445,7 +444,6 @@ class VectorPairEnumerator(PairEnumerator):
         if not len(bucket_ids) or remaining[0] <= 0:
             return
         self.stats["groups"] += 1
-        backend = self.engine.backend
         starts, sizes = ops.bucket_extents(bucket_ids)
         per_bucket = sizes * (sizes - 1) // 2
         estimated = int(per_bucket.sum())
@@ -459,24 +457,28 @@ class VectorPairEnumerator(PairEnumerator):
 
         self.stats["streamed_groups"] += 1
         stride = int(member_tids.max()) + 1
-        units = self._stream_units(bucket_ids, member_tids, starts, sizes,
-                                   per_bucket)
-        yield from self._stream(units, backend, stride, remaining)
+        seen = np.empty(0, dtype=np.int64)
+        for left, right in self._stream_chunks(bucket_ids, member_tids, starts,
+                                               sizes, per_bucket):
+            self.stats["chunks"] += 1
+            chunk, seen = self._fresh_clip(left, right, stride, seen,
+                                           remaining)
+            if chunk is not None:
+                yield chunk
+            if remaining[0] <= 0:
+                return
 
-    def _stream_units(self, bucket_ids: np.ndarray, member_tids: np.ndarray,
-                      starts: np.ndarray, sizes: np.ndarray,
-                      per_bucket: np.ndarray):
-        """One streamed group's work units, in chunk-emission order.
+    def _stream_chunks(self, bucket_ids: np.ndarray, member_tids: np.ndarray,
+                       starts: np.ndarray, sizes: np.ndarray,
+                       per_bucket: np.ndarray):
+        """One streamed group's raw ``(left, right)`` chunks, in order.
 
-        Each unit is independent of the others and of any enumerator
-        state, so a sharding backend can execute a window of them
-        concurrently; executing them in order through
-        :meth:`_run_stream_unit` is the sequential walk.
-        Unit kinds: ``("block", members, start, budget)`` — one bounded
-        block of an oversized bucket's nested pair walk — and
-        ``("domain", bucket_ids, member_tids)`` — one run of consecutive
-        buckets totalling at most ``chunk_pairs`` estimated pairs.
+        Lazily, one unit at a time: a bounded block of an oversized
+        bucket's nested pair walk, or one backend join over a run of
+        consecutive buckets totalling at most ``chunk_pairs`` estimated
+        pairs.  Cross-chunk dedup and the budget clip are the caller's.
         """
+        backend = self.engine.backend
         bucket = 0
         num_buckets = len(starts)
         while bucket < num_buckets:
@@ -489,9 +491,9 @@ class VectorPairEnumerator(PairEnumerator):
                 size = len(members)
                 position = 0
                 while position < size - 1:
-                    yield ("block", members, position, self.chunk_pairs)
-                    position = ops.bucket_block_end(size, position,
-                                                    self.chunk_pairs)
+                    left, right, position = ops.bucket_pair_block(
+                        members, position, self.chunk_pairs)
+                    yield left, right
                 bucket += 1
                 continue
             # Fixed-size chunk: consecutive buckets totalling at most
@@ -504,47 +506,9 @@ class VectorPairEnumerator(PairEnumerator):
                 end += 1
             lo = int(starts[bucket])
             hi = int(starts[end - 1] + sizes[end - 1])
-            yield ("domain", bucket_ids[lo:hi], member_tids[lo:hi])
+            yield backend.domain_join_pairs(bucket_ids[lo:hi],
+                                            member_tids[lo:hi])
             bucket = end
-
-    @staticmethod
-    def _run_stream_unit(unit, backend):
-        """Execute one stream unit in this process."""
-        if unit[0] == "block":
-            left, right, _ = ops.bucket_pair_block(unit[1], unit[2], unit[3])
-            return left, right
-        return backend.domain_join_pairs(unit[1], unit[2])
-
-    def _stream(self, units, backend, stride: int, remaining: list[int]):
-        """Execute stream units through the backend's fan-out, windowed.
-
-        Windows of units run concurrently on a sharding backend's pool;
-        results come back in unit order, so the sequential dedup/budget
-        clip (:meth:`_fresh_clip`) — and therefore the emitted stream —
-        is byte-identical to the in-process walk.  A window computed past
-        the ``max_pairs`` budget is discarded unprocessed, exactly where
-        the in-process walk stops.  When ``shard_map`` answers ``None``
-        (single-process backend, or the pool degraded mid-stream), the
-        rest of the units run in this process.
-        """
-        seen = np.empty(0, dtype=np.int64)
-        window = 2 * backend.workers
-        while remaining[0] > 0:
-            batch = list(itertools.islice(units, window))
-            if not batch:
-                return
-            results = backend.shard_map("stream", batch)
-            if results is None:
-                results = (self._run_stream_unit(unit, backend)
-                           for unit in itertools.chain(batch, units))
-            for left, right in results:
-                self.stats["chunks"] += 1
-                chunk, seen = self._fresh_clip(left, right, stride, seen,
-                                               remaining)
-                if chunk is not None:
-                    yield chunk
-                if remaining[0] <= 0:
-                    return
 
     def _fresh_clip(self, left: np.ndarray, right: np.ndarray, stride: int,
                     seen: np.ndarray, remaining: list[int],

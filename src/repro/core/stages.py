@@ -164,11 +164,7 @@ class RepairContext:
         built lazily on first demand and cached on the context.
         """
         if self.engine is None:
-            self.engine = Engine(
-                self.dataset,
-                backend=self.config.engine_backend,
-                parallel_workers=self.config.parallel_workers,
-            )
+            self.engine = Engine(self.dataset)
         return self.engine
 
     def ensure_tracer(self) -> Tracer | None:
@@ -329,13 +325,18 @@ class DetectStage(Stage):
         return ctx.detection is None
 
     def execute(self, ctx: RepairContext) -> RepairContext:
-        detector = ViolationDetector(ctx.constraints, engine=ctx.ensure_engine())
-        detection = detector.detect(ctx.dataset)
+        violation_detector = ViolationDetector(
+            ctx.constraints, engine=ctx.ensure_engine()
+        )
+        detection = violation_detector.detect(ctx.dataset)
         for detector in ctx.extra_detectors:
             detection.merge(detector.detect(ctx.dataset))
         ctx.detection = detection
         ctx.metrics.gauge("detect.noisy_cells", len(detection.noisy_cells))
         ctx.metrics.gauge("detect.violations", len(detection.hypergraph))
+        ctx.metrics.gauge(
+            "detect.truncated_constraints", len(violation_detector.truncated)
+        )
         return ctx
 
 

@@ -3,13 +3,23 @@
 :class:`VectorDomainPruner` replays :class:`repro.oracle.DomainPruner`
 — the per-cell, string-keyed candidate generator of Algorithm 2 — in code
 space, byte-identical output included: cells are grouped by attribute, the
-``Pr[v | v'] >= tau`` test runs as one CSR expansion per ``(attr, other)``
-pair over :meth:`EngineStatistics.joint_code_counts`, the per-candidate
-best score is a single ``np.maximum.at`` scatter, and the naive path's
-rank / truncate / init-reinstatement semantics (score ties broken
-lexicographically on the value string, the observed value forced back
-after truncation, most-common fallback for empty domains) collapse to one
-``np.lexsort`` per attribute group.
+per-candidate best score is a single ``np.maximum.at`` scatter, and the
+naive path's rank / truncate / init-reinstatement semantics (score ties
+broken lexicographically on the value string, the observed value forced
+back after truncation, most-common fallback for empty domains) collapse to
+one ``np.lexsort`` per attribute group.
+
+Where τ is tested: ``Pr[v | v'] = joint(v, v') / count(v')`` depends on a
+row of the ``(attr, other)`` count table alone, never on the cell, so the
+``>= tau`` test runs **once per table row** — the survivors and their
+scores are kept as a CSR per ``(attr, other)`` on the pruner
+(:meth:`VectorDomainPruner._passing_table`) and a cell expands only the
+survivors of its context code, at most ``1 / tau`` of them.  Testing after
+the expansion, as the per-cell oracle does, is O(cells × co-occurring
+values), and with fixed-pool attributes a context value co-occurs with O(n)
+values: quadratic in the rows, for byte-identical domains.  The filter
+lives here, not in :meth:`EngineStatistics.conditional_table`, which other
+readers consume unfiltered.
 
 The module also hosts the compiler's other per-cell Algorithm 2
 scaffolding, vectorized over the same store: entity-group plurality votes
@@ -57,7 +67,6 @@ class VectorDomainPruner:
         engine,
         tau: float = 0.5,
         max_domain: int = 24,
-        attributes: list[str] | None = None,
         strategy: str = "cooccurrence",
     ):
         if strategy not in _STRATEGIES:
@@ -68,12 +77,14 @@ class VectorDomainPruner:
         self.dataset = engine.dataset
         self.tau = tau
         self.max_domain = max_domain
-        self.attributes = list(attributes or self.dataset.schema.data_attributes)
+        self.attributes = list(self.dataset.schema.data_attributes)
         self.strategy = strategy
         self._stats = engine.statistics()
         self._lex_ranks: dict[str, np.ndarray] = {}
         self._fallbacks: dict[str, list[str]] = {}
         self._active: dict[str, tuple[list[str], np.ndarray]] = {}
+        #: (attr, other) → CSR of the count-table rows passing τ.
+        self._passing: dict[tuple[str, str], tuple[np.ndarray, ...]] = {}
         #: Pruning counters, surfaced as ``grounding_prune_*`` in the
         #: compiled model's size report.
         self.stats: dict[str, int | str] = {
@@ -85,36 +96,25 @@ class VectorDomainPruner:
     # ------------------------------------------------------------------
     def candidates(self, cell: Cell) -> list[str]:
         """Candidate repairs for one cell (Algorithm 2)."""
-        return self.prune([cell])[0]
+        return self.domains([cell]).get(cell, [])
 
     def domains(self, cells: list[Cell]) -> dict[Cell, list[str]]:
         """Candidate domains per cell, skipping cells that prune to nothing."""
-        pruned = self.prune(cells)
-        return {cell: domain for cell, domain in zip(cells, pruned) if domain}
-
-    def prune(self, cells: list[Cell]) -> list[list[str]]:
-        """Candidate domains aligned with ``cells`` (empties included)."""
-        out: list[list[str] | None] = [None] * len(cells)
+        pruned: list[list[str]] = [[]] * len(cells)
         groups: dict[str, list[int]] = {}
         for position, cell in enumerate(cells):
             groups.setdefault(cell.attribute, []).append(position)
         for attr, positions in groups.items():
             tids = np.asarray([cells[p].tid for p in positions], dtype=np.int64)
             if self.strategy == "active":
-                domains = self._active_group(attr, tids)
+                group = self._active_group(attr, tids)
             else:
-                domains = self._cooccurrence_group(attr, tids)
-            for position, domain in zip(positions, domains):
-                out[position] = domain
-        self.tally(len(cells), sum(len(d) for d in out))
-        return out
-
-    def tally(self, cells: int, candidates: int) -> None:
-        """Account a pruning pass (also fed by the parallel dispatch)."""
-        self.stats["prune_cells"] = int(self.stats["prune_cells"]) + cells
-        self.stats["prune_candidates"] = (
-            int(self.stats["prune_candidates"]) + candidates
-        )
+                group = self._cooccurrence_group(attr, tids)
+            for position, domain in zip(positions, group):
+                pruned[position] = domain
+        self.stats["prune_cells"] += len(cells)
+        self.stats["prune_candidates"] += sum(len(domain) for domain in pruned)
+        return {cell: domain for cell, domain in zip(cells, pruned) if domain}
 
     # ------------------------------------------------------------------
     # Per-attribute lookup tables (cached across prune calls)
@@ -158,6 +158,31 @@ class VectorDomainPruner:
             self._active[attribute] = cached
         return cached
 
+    def _passing_table(
+        self, attribute: str, other: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows of the ``(attribute, other)`` count table with ``Pr >= tau``.
+
+        ``(indptr, codes, scores)``: for a context code ``g`` of ``other``
+        the surviving candidate codes of ``attribute`` are
+        ``codes[indptr[g]:indptr[g + 1]]`` with ``Pr[candidate | g]`` in
+        the matching ``scores`` slice.  The score is the int64 / int64
+        quotient the per-cell oracle computes, so ties at τ fall the same
+        way; a context code in the table has count >= 1, so its
+        zero-denominator skip can never trigger here.
+        """
+        key = (attribute, other)
+        cached = self._passing.get(key)
+        if cached is None:
+            indptr, codes, joint = self._stats.conditional_table(attribute, other)
+            denominator = self._stats.code_counts(other).astype(np.int64)
+            scores = joint / np.repeat(denominator, np.diff(indptr))
+            passed = scores >= self.tau
+            kept = np.concatenate(([0], np.cumsum(passed)))[indptr]
+            cached = (kept, codes[passed], scores[passed])
+            self._passing[key] = cached
+        return cached
+
     # ------------------------------------------------------------------
     # Strategy kernels
     # ------------------------------------------------------------------
@@ -178,7 +203,6 @@ class VectorDomainPruner:
     def _cooccurrence_group(self, attribute: str, tids: np.ndarray) -> list[list[str]]:
         """Algorithm 2 for every cell of one attribute at once."""
         store = self.engine.store
-        stats = self._stats
         n = len(tids)
         cardinality = max(store.cardinality(attribute), 1)
         init_codes = store.codes(attribute)[tids].astype(np.int64)
@@ -202,20 +226,15 @@ class VectorDomainPruner:
             with_context = np.nonzero(context >= 0)[0]
             if not len(with_context):
                 continue
-            indptr, cand_codes, joint = stats.conditional_table(attribute, other)
+            indptr, cand_codes, cand_scores = self._passing_table(attribute, other)
             given = context[with_context]
             counts = indptr[given + 1] - indptr[given]
             rows = ops.expand_ranges(indptr[given], counts)
             if not len(rows):
                 continue
-            # Observed context codes always have count >= 1, so the naive
-            # path's zero-denominator skip can never trigger here.
-            denominator = stats.code_counts(other)[given].astype(np.int64)
-            scores = joint[rows] / np.repeat(denominator, counts)
-            passed = scores >= self.tau
-            cell_parts.append(np.repeat(with_context, counts)[passed])
-            code_parts.append(cand_codes[rows][passed])
-            score_parts.append(scores[passed])
+            cell_parts.append(np.repeat(with_context, counts))
+            code_parts.append(cand_codes[rows])
+            score_parts.append(cand_scores[rows])
 
         if not cell_parts:
             fallback = self._fallback_domain(attribute)

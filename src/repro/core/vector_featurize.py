@@ -443,54 +443,17 @@ class VectorFeaturizer:
     def _constraint(self, featurizer: ConstraintFeaturizer) -> list[_Entries]:
         out: list[_Entries] = []
         fallbacks = 0
-        sequence = list(featurizer.constraints) + list(
-            featurizer.single_constraints)
-        plan: list[tuple[int, DenialConstraint, str]] = []
-        for di, dc in enumerate(sequence):
+        for dc in [*featurizer.constraints, *featurizer.single_constraints]:
             if not all(p.is_code_comparable for p in dc.predicates):
-                mode = "naive"
-            elif dc.is_single_tuple:
-                mode = "single"
-            else:
-                mode = "pair"
-            plan.append((di, dc, mode))
-        sharded = self._dispatch_dcs(sequence, plan)
-        for di, dc, mode in plan:
-            if mode == "naive":
                 out.append(self._naive_dc(dc, featurizer))
                 fallbacks += 1
-            elif sharded is not None:
-                out.extend(sharded[di])
-            elif mode == "single":
+            elif dc.is_single_tuple:
                 out.extend(self._single_dc(dc))
             else:
                 out.extend(self._pair_dc(dc))
         self.stats["feature_dc_fallbacks"] = (
             int(self.stats.get("feature_dc_fallbacks", 0)) + fallbacks)
         return out
-
-    def _dispatch_dcs(self, sequence, plan):
-        """Offer code-comparable DC evaluations to the backend's fan-out.
-
-        Each worker of a sharding backend rebuilds this featurizer's
-        attribute blocks from the shared column store (a deterministic
-        function of the specs) and evaluates whole constraints; entry
-        batches come back in the inline walk's (constraint,
-        attribute-block) order.  Returns ``{di: [_Entries]}`` for
-        dispatched constraints, or ``None`` to evaluate inline
-        (single-process backend, nothing to dispatch, or a broken pool).
-        Similarity constraints need the per-cell featurizer and always
-        stay parent-side.
-        """
-        tasks = [(di, mode) for di, _, mode in plan if mode != "naive"]
-        if not tasks:
-            return None
-        results = self.engine.backend.shard_map(
-            "dcfeat", tasks, featurize=(
-                self._specs, self.constraints, self.context.config, sequence))
-        if results is None:
-            return None
-        return {di: entries for (di, _), entries in zip(tasks, results)}
 
     def _predicate_term(self, pred, lhs_codes: np.ndarray,
                         rhs_codes: np.ndarray | None,

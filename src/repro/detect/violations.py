@@ -35,7 +35,10 @@ from repro.dataset.dataset import Dataset
 from repro.detect.base import DetectionResult, ErrorDetector
 from repro.detect.hypergraph import ConflictHypergraph
 from repro.engine import Engine, engine_for
+from repro.obs.logging import get_logger
 from repro.obs.trace import deep_span
+
+log = get_logger("detect")
 
 
 class QuadraticScanError(RuntimeError):
@@ -70,7 +73,9 @@ class ViolationDetector(ErrorDetector):
         Cap on recorded violating pairs per constraint (the conflict
         hypergraph needs representative evidence, not every duplicate pair;
         the paper's Physicians run records 5.4M violations, which stays
-        within this default).
+        within this default).  A constraint that had more is named in
+        :attr:`truncated` and logged: cells only its dropped violations
+        touch are missing from the noisy set.
     engine:
         The grounding engine whose columnar store runs the equality
         joins; ``None`` builds one over the dataset passed to
@@ -92,11 +97,16 @@ class ViolationDetector(ErrorDetector):
         self.max_pairs_per_constraint = max_pairs_per_constraint
         self.engine = engine
         self.max_engine_pairs = max_engine_pairs
+        #: Constraints whose violations the last :meth:`detect` cut at
+        #: ``max_pairs_per_constraint`` (metric
+        #: ``detect.truncated_constraints``).
+        self.truncated: list[str] = []
 
     # ------------------------------------------------------------------
     def detect(self, dataset: Dataset) -> DetectionResult:
         engine = engine_for(dataset, self.engine)
         hypergraph = ConflictHypergraph(self.constraints)
+        self.truncated = []
         for dc in self.constraints:
             if dc.is_single_tuple:
                 self._detect_single(dataset, dc, hypergraph)
@@ -129,11 +139,19 @@ class ViolationDetector(ErrorDetector):
             pair_iter = self._all_pairs(dataset)
 
         rows = self._violating_rows(
-            dataset, dc.residual_predicates,
+            dataset, dc, dc.residual_predicates,
             ((t1, t2, True, True) for t1, t2 in pair_iter))
         hypergraph.add_block(dc.name, rows, _pair_attributes(dc))
 
-    def _violating_rows(self, dataset: Dataset, predicates: list[Predicate],
+    def _note_truncated(self, dc: DenialConstraint) -> None:
+        self.truncated.append(dc.name)
+        log.warning(
+            "constraint %s has more than max_pairs_per_constraint=%d "
+            "violations; the rest are dropped and their cells may not be "
+            "flagged noisy", dc.name, self.max_pairs_per_constraint)
+
+    def _violating_rows(self, dataset: Dataset, dc: DenialConstraint,
+                        predicates: list[Predicate],
                         candidates) -> list[tuple[int, int]]:
         """Per-pair predicate evaluation over ``(t1, t2, forward_ok,
         backward_ok)`` candidates; returns the violating pairs oriented
@@ -147,11 +165,15 @@ class ViolationDetector(ErrorDetector):
             # flipped; the join yields each unordered pair once, so check
             # the reverse direction explicitly.
             if forward_ok and all(p.evaluate(v1, v2) for p in predicates):
-                rows.append((t1, t2))
+                row = (t1, t2)
             elif backward_ok and all(p.evaluate(v2, v1) for p in predicates):
-                rows.append((t2, t1))
+                row = (t2, t1)
+            else:
+                continue
             if len(rows) >= self.max_pairs_per_constraint:
+                self._note_truncated(dc)
                 break
+            rows.append(row)
         return rows
 
     def _hash_join_pairs(self, dataset: Dataset, joins: list[Predicate]):
@@ -228,12 +250,14 @@ class ViolationDetector(ErrorDetector):
         backward = _residual_mask(engine, vectorized, t2s, t1s)
         candidates = np.nonzero(forward | backward)[0]
         if python:
-            return self._violating_rows(dataset, python, zip(
+            return self._violating_rows(dataset, dc, python, zip(
                 t1s[candidates].tolist(), t2s[candidates].tolist(),
                 forward[candidates].tolist(), backward[candidates].tolist()))
         # Every candidate is a violation; orient each pair the way the
         # naive forward/backward checks would, as whole columns.
-        candidates = candidates[: self.max_pairs_per_constraint]
+        if len(candidates) > self.max_pairs_per_constraint:
+            self._note_truncated(dc)
+            candidates = candidates[: self.max_pairs_per_constraint]
         fwd = forward[candidates]
         left, right = t1s[candidates], t2s[candidates]
         return np.column_stack((np.where(fwd, left, right),

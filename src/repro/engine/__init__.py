@@ -9,11 +9,12 @@ reproduction's equivalent subsystem:
 * :mod:`~repro.engine.ops` — vectorized join / group-by / counting
   primitives over coded columns;
 * :mod:`~repro.engine.stats` — :class:`EngineStatistics`, engine-computed
-  frequencies and co-occurrences behind the standard ``Statistics`` API;
-* :mod:`~repro.engine.backend` — the pluggable :class:`Backend` protocol
-  with a ``register_backend`` registry (NumPy and sqlite3 built in);
-* :mod:`~repro.engine.parallel` — :class:`ParallelBackend`, multi-core
-  sharded grounding over ``multiprocessing`` + shared memory.
+  frequencies and co-occurrences behind the standard ``Statistics`` API
+  (its ``conditional_table`` is the full ``(attr, given)`` count table;
+  Algorithm 2's τ is tested on that table once, by the pruner in
+  :mod:`repro.core.vector_domain`, which caches the surviving rows);
+* :mod:`~repro.engine.backend` — :class:`Backend`, the one executor of
+  the relational plan (vectorized NumPy joins and group-by counts).
 
 The :class:`Engine` facade bundles one store with one backend; the
 pipeline builds one per repair and hands it to the violation detector and
@@ -26,38 +27,24 @@ equivalence tests compare against live in :mod:`repro.oracle`.
 from __future__ import annotations
 
 from repro.dataset.dataset import Dataset
-from repro.engine.backend import (
-    Backend,
-    NumpyBackend,
-    SQLiteBackend,
-    backend_names,
-    make_backend,
-    register_backend,
-)
-from repro.engine.parallel import ParallelBackend
+from repro.engine.backend import Backend
 from repro.engine.store import NULL_CODE, ColumnStore
 from repro.obs.trace import deep_span
 
 
 class Engine:
-    """One dataset's column store plus a relational execution backend.
+    """One dataset's column store plus the relational executor over it.
 
     Construction is cheap; the store and backend are built lazily on
     first use and cached.  ``refresh()`` drops them so the next access
-    re-encodes the (mutated) dataset.  ``parallel_workers > 0`` wraps the
-    named backend in a :class:`ParallelBackend` that shards grounding
-    work across that many worker processes (byte-identical results).
+    re-encodes the (mutated) dataset.  ``backend`` is a class
+    ``(store) -> backend`` — the seam the equivalence tests inject their
+    SQL rendering of the plan through; production never passes it.
     """
 
-    def __init__(self, dataset: Dataset, backend: str = "numpy",
-                 parallel_workers: int = 0):
+    def __init__(self, dataset: Dataset, backend: type[Backend] = Backend):
         self.dataset = dataset
-        self.backend_name = backend
-        if backend not in backend_names():
-            raise ValueError(
-                f"unknown engine backend {backend!r}; "
-                f"pick one of {backend_names()}")
-        self.parallel_workers = int(parallel_workers)
+        self._backend_class = backend
         self._store: ColumnStore | None = None
         self._backend: Backend | None = None
         self._statistics = None
@@ -73,16 +60,7 @@ class Engine:
     @property
     def backend(self) -> Backend:
         if self._backend is None:
-            if self.backend_name == "parallel":
-                self._backend = make_backend(
-                    self.store, "parallel",
-                    workers=self.parallel_workers or None)
-            elif self.parallel_workers > 0:
-                self._backend = make_backend(
-                    self.store, "parallel", workers=self.parallel_workers,
-                    inner=self.backend_name)
-            else:
-                self._backend = make_backend(self.store, self.backend_name)
+            self._backend = self._backend_class(self.store)
         return self._backend
 
     def statistics(self):
@@ -96,7 +74,7 @@ class Engine:
         return self._statistics
 
     def close(self) -> None:
-        """Release backend resources (worker pools, shared memory, DBs).
+        """Release backend resources.
 
         The closed backend is dropped, so a later access rebuilds one
         lazily over the same store instead of reaching a dead handle.
@@ -117,7 +95,10 @@ class Engine:
             stats.drop_caches()
 
     def __repr__(self) -> str:
-        return f"Engine(backend={self.backend_name!r}, dataset={self.dataset.name!r})"
+        return (
+            f"Engine(backend={self._backend_class.__name__}, "
+            f"dataset={self.dataset.name!r})"
+        )
 
 
 def engine_for(dataset: Dataset, engine: Engine | None = None) -> Engine:
@@ -134,26 +115,4 @@ def engine_for(dataset: Dataset, engine: Engine | None = None) -> Engine:
     return engine
 
 
-def __getattr__(name: str):
-    # Live view: resolved on access so it includes every backend
-    # registered by the time the caller asks (including "parallel",
-    # which registers after repro.engine.backend is imported).
-    if name == "BACKEND_NAMES":
-        return backend_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = [
-    "BACKEND_NAMES",
-    "Backend",
-    "ColumnStore",
-    "Engine",
-    "NULL_CODE",
-    "NumpyBackend",
-    "ParallelBackend",
-    "SQLiteBackend",
-    "backend_names",
-    "engine_for",
-    "make_backend",
-    "register_backend",
-]
+__all__ = ["Backend", "ColumnStore", "Engine", "NULL_CODE", "engine_for"]

@@ -43,7 +43,7 @@ class DomainCodeIndex:
         return len(self.indptr) - 1
 
     def row(self, tid: int) -> np.ndarray:
-        return self.codes[self.indptr[tid]:self.indptr[tid + 1]]
+        return self.codes[self.indptr[tid] : self.indptr[tid + 1]]
 
 
 class ColumnStore:
@@ -67,32 +67,9 @@ class ColumnStore:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def from_arrays(cls, dataset: Dataset,
-                    codes: dict[str, np.ndarray],
-                    values: dict[str, list[str]]) -> ColumnStore:
-        """Adopt already-encoded columns instead of re-encoding the dataset.
-
-        ``codes``/``values`` must be a faithful dictionary encoding of
-        ``dataset`` in first-seen order (e.g. another store's arrays
-        shipped through shared memory); no copy of the code arrays is
-        made, so workers can view them zero-copy from a shared block.
-        """
-        store = cls.__new__(cls)
-        store.dataset = dataset
-        store.attributes = list(dataset.schema.names)
-        store._codes = {a: np.asarray(codes[a], dtype=np.int32)
-                        for a in store.attributes}
-        store._values = {a: list(values[a]) for a in store.attributes}
-        store._code_of = {a: {v: i for i, v in enumerate(store._values[a])}
-                          for a in store.attributes}
-        store._shared = {}
-        return store
-
     def _encode(self, dataset: Dataset) -> None:
         n = dataset.num_tuples
-        columns = {a: np.full(n, NULL_CODE, dtype=np.int32)
-                   for a in self.attributes}
+        columns = {a: np.full(n, NULL_CODE, dtype=np.int32) for a in self.attributes}
         dictionaries: dict[str, dict[str, int]] = {a: {} for a in self.attributes}
         names = self.attributes
         for tid in range(n):
@@ -140,8 +117,7 @@ class ColumnStore:
     def decoded_column(self, attribute: str) -> list[str | None]:
         """The whole column decoded back to Python values."""
         values = self._values[attribute]
-        return [None if c < 0 else values[c]
-                for c in self._codes[attribute].tolist()]
+        return [None if c < 0 else values[c] for c in self._codes[attribute].tolist()]
 
     # ------------------------------------------------------------------
     # Cross-attribute comparison
@@ -198,8 +174,7 @@ class ColumnStore:
                 book.setdefault(value, len(book))
         return book
 
-    def recoded_column(self, attribute: str,
-                       codebook: dict[str, int]) -> np.ndarray:
+    def recoded_column(self, attribute: str, codebook: dict[str, int]) -> np.ndarray:
         """The whole column re-coded into ``codebook`` (NULL stays ``-1``).
 
         Values absent from ``codebook`` extend it in place, the same
@@ -217,9 +192,12 @@ class ColumnStore:
         out[valid] = lut[column[valid]]
         return out
 
-    def domain_code_index(self, attribute: str,
-                          domains: dict[Cell, list[str]],
-                          codebook: dict[str, int] | None = None) -> DomainCodeIndex:
+    def domain_code_index(
+        self,
+        attribute: str,
+        domains: dict[Cell, list[str]],
+        codebook: dict[str, int] | None = None,
+    ) -> DomainCodeIndex:
         """The cell→domain-codes index for one attribute.
 
         Row ``t`` lists the codes of the candidate values of cell
@@ -243,8 +221,9 @@ class ColumnStore:
         overrides: dict[int, list[int]] = {}
         for cell, domain in domains.items():
             if cell.attribute == attribute:
-                overrides[cell.tid] = [codebook.setdefault(v, len(codebook))
-                                       for v in domain]
+                overrides[cell.tid] = [
+                    codebook.setdefault(v, len(codebook)) for v in domain
+                ]
 
         column = self._codes[attribute]
         counts = (column >= 0).astype(np.int64)
@@ -255,13 +234,12 @@ class ColumnStore:
 
         evidence = column >= 0
         if overrides:
-            evidence[np.fromiter(overrides, dtype=np.int64,
-                                 count=len(overrides))] = False
+            tids = np.fromiter(overrides, dtype=np.int64, count=len(overrides))
+            evidence[tids] = False
         codes[indptr[:-1][evidence]] = lut[column[evidence]]
         for tid, domain_codes in overrides.items():
-            codes[indptr[tid]:indptr[tid + 1]] = domain_codes
+            codes[indptr[tid] : indptr[tid + 1]] = domain_codes
         return DomainCodeIndex(indptr=indptr, codes=codes)
 
     def __repr__(self) -> str:
-        return (f"ColumnStore(rows={self.num_rows}, "
-                f"attributes={len(self.attributes)})")
+        return f"ColumnStore(rows={self.num_rows}, attributes={len(self.attributes)})"

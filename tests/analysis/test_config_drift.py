@@ -1,4 +1,4 @@
-"""Config/registry-drift checker: fixtures plus the real-repo sync proof."""
+"""Config-drift checker: fixtures plus the real-repo sync proof."""
 
 from __future__ import annotations
 
@@ -16,38 +16,18 @@ class HoloCleanConfig:
     seed: int = 42
 """
 
-BACKEND_SOURCE = """
-def register_backend(name, factory):
-    pass
-
-
-register_backend("numpy", object)
-"""
-
 DOC_IN_SYNC = """# Configuration
 
 | Field | Default |
 | --- | --- |
 | `tau` | `0.5` |
 | `seed` | `42` |
-
-| Backend | Meaning |
-| --- | --- |
-| `numpy` | arrays |
 """
 
 
 def run_checker(make_ctx, make_module, doc, config_source=CONFIG_SOURCE):
-    ctx = make_ctx(
-        make_module(CONFIG_REL, config_source),
-        make_module("src/repro/engine/backend.py", BACKEND_SOURCE),
-        docs={DOC_REL: doc},
-    )
-    # The live-registry snapshot check concerns the real installed
-    # package, not the fixture; keep fixture assertions static-only.
-    checker = ConfigDriftChecker()
-    checker._check_snapshot = lambda ctx: []
-    return checker.check(ctx)
+    ctx = make_ctx(make_module(CONFIG_REL, config_source), docs={DOC_REL: doc})
+    return ConfigDriftChecker().check(ctx)
 
 
 def test_in_sync_doc_is_clean(make_ctx, make_module):
@@ -71,22 +51,6 @@ def test_phantom_doc_field_flagged(make_ctx, make_module):
     assert findings[0].path == DOC_REL
 
 
-def test_undocumented_backend_flagged(make_ctx, make_module):
-    doc = DOC_IN_SYNC.replace("| `numpy` | arrays |\n", "")
-    findings = run_checker(make_ctx, make_module, doc)
-    assert [f.rule for f in findings] == ["backend-undocumented"]
-    assert "numpy" in findings[0].message
-
-
 def test_real_repo_config_docs_in_sync(repo_ctx):
     findings = ConfigDriftChecker().check(repo_ctx)
     assert findings == [], [f.render() for f in findings]
-
-
-def test_live_backend_names_include_parallel():
-    """The exported BACKEND_NAMES view must track late registrations."""
-    import repro.engine as engine
-    from repro.engine.backend import backend_names
-
-    assert "parallel" in engine.BACKEND_NAMES
-    assert tuple(engine.BACKEND_NAMES) == tuple(backend_names())

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.analysis.parallel_safety import ParallelSafetyChecker
 
-REL = "src/repro/engine/parallel.py"
+REL = "src/repro/serve/service.py"
 
 
 def check(make_ctx, module):
@@ -81,39 +81,6 @@ def test_module_level_function_clean(make_module, make_ctx):
 
         def run(pool, items):
             return pool.map(_work, items, chunksize=1)
-        """,
-    )
-    assert check(make_ctx, good) == []
-
-
-def test_shared_memory_without_finalize_flagged(make_module, make_ctx):
-    bad = make_module(
-        REL,
-        """
-        from multiprocessing import shared_memory
-
-        class Holder:
-            def __init__(self, name):
-                self.shm = shared_memory.SharedMemory(name=name)
-        """,
-    )
-    assert [f.rule for f in check(make_ctx, bad)] == ["shm-finalize"]
-
-
-def test_shared_memory_with_finalize_clean(make_module, make_ctx):
-    good = make_module(
-        REL,
-        """
-        import weakref
-        from multiprocessing import shared_memory
-
-        def _close(shm):
-            shm.close()
-
-        class Holder:
-            def __init__(self, name):
-                self.shm = shared_memory.SharedMemory(name=name)
-                weakref.finalize(self, _close, self.shm)
         """,
     )
     assert check(make_ctx, good) == []

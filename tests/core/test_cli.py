@@ -43,25 +43,13 @@ class TestCli:
         assert code == 0
         assert read_csv(output).value(0, "Zip") == "60608"
 
-    @pytest.mark.parametrize("engine", ["numpy", "sqlite"])
-    def test_engine_choices_agree(self, workspace, engine):
-        tmp_path, input_csv, dcs = workspace
-        output = tmp_path / f"repaired-{engine}.csv"
-        code = main(["--input", str(input_csv), "--output", str(output),
-                     "--constraints", str(dcs), "--tau", "0.3",
-                     "--epochs", "30", "--seed", "1", "--engine", engine,
-                     "--report", str(tmp_path / f"r-{engine}.txt")])
-        assert code == 0
-        # Every backend repairs the Figure 1 zip.
-        assert read_csv(output).value(0, "Zip") == "60608"
-
-    def test_engine_off_is_not_a_choice(self, workspace, capsys):
+    def test_engine_flag_is_gone(self, workspace, capsys):
         tmp_path, input_csv, dcs = workspace
         with pytest.raises(SystemExit) as exit_info:
             main(["--input", str(input_csv), "--constraints", str(dcs),
-                  "--output", str(tmp_path / "out.csv"), "--engine", "off"])
+                  "--output", str(tmp_path / "out.csv"), "--engine", "numpy"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'off'" in capsys.readouterr().err
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
 
     def test_no_constraints_is_an_error(self, workspace, capsys):
         tmp_path, input_csv, _ = workspace

@@ -60,6 +60,13 @@ class TestValidation:
         with pytest.raises(TypeError, match=field):
             HoloCleanConfig(**{field: False})
 
+    @pytest.mark.parametrize(
+        "field, value", [("engine_backend", "numpy"), ("parallel_workers", 2)])
+    def test_removed_backend_knobs_are_not_fields(self, field, value):
+        # One executor, one process: nothing to select.
+        with pytest.raises(TypeError, match=field):
+            HoloCleanConfig(**{field: value})
+
 
 class TestVariants:
     def test_all_variants_construct(self):

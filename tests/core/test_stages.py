@@ -11,6 +11,9 @@ detection or a reused compiled model yields the same output as a cold
 run.
 """
 
+import functools
+import logging
+
 import numpy as np
 import pytest
 
@@ -38,7 +41,7 @@ from repro.inference.softmax import SoftmaxTrainer
 def legacy_repair(dataset, constraints, config, detection=None):
     """The pre-refactor ``HoloClean.repair()``, inlined as the oracle."""
     timings = {}
-    engine = Engine(dataset, backend=config.engine_backend)
+    engine = Engine(dataset)
 
     if detection is None:
         detection = ViolationDetector(constraints, engine=engine).detect(dataset)
@@ -336,6 +339,41 @@ class TestTelemetry:
         assert ctx.stage_status["compile"] == "skipped"
         later = [ctx.stage_status[n] for n in ("learn", "infer", "apply")]
         assert later == ["ran", "ran", "ran"]
+
+    def test_truncated_constraints_counted_and_logged(self, hospital,
+                                                      monkeypatch):
+        def detect():
+            ctx = RepairContext(dataset=hospital.dirty,
+                                constraints=hospital.constraints,
+                                config=config_for(hospital))
+            return DetectStage().run(ctx)
+
+        full = detect()
+        assert full.metrics.gauges["detect.truncated_constraints"] == 0
+        over = [block.constraint_name
+                for block in full.detection.hypergraph.blocks
+                if len(block.tids) > 3]
+        assert over  # Hospital has constraints with more than 3 violations
+
+        monkeypatch.setattr(
+            "repro.core.stages.ViolationDetector",
+            functools.partial(ViolationDetector, max_pairs_per_constraint=3))
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("repro.detect")
+        logger.addHandler(handler)
+        try:
+            capped = detect()
+        finally:
+            logger.removeHandler(handler)
+        assert capped.metrics.gauges["detect.truncated_constraints"] == len(over)
+        assert all(len(block.tids) <= 3
+                   for block in capped.detection.hypergraph.blocks)
+        warned = [record.getMessage() for record in records]
+        assert len(warned) == len(over)
+        for name, message in zip(over, warned):
+            assert name in message and "max_pairs_per_constraint=3" in message
 
     def test_skipped_stage_fabricates_no_timing(self, figure1_dataset,
                                                 figure1_constraints):

@@ -5,8 +5,8 @@ negative-merge helpers in ``core/vector_domain.py``) must reproduce the
 naive per-cell implementations *exactly* — same candidate sets, same
 ordering, same tie-breaks — on NULL-heavy data, score ties, ``max_domain``
 truncation displacing the observed value, the ``active`` strategy, and
-the empty-domain most-common fallback.  A full-pipeline test pins the
-prune counters across worker counts.
+the empty-domain most-common fallback — and on the inputs that stress
+where τ is tested (on the count table, not per cell).
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import HoloCleanConfig, RepairContext, RepairPlan
+from repro import HoloCleanConfig
 from repro.core.featurize import FeaturizationContext
 from repro.core.vector_domain import (
     EntityVoteModes,
@@ -67,8 +67,49 @@ class TestByteEquality:
             strategy=strategy,
         )
         cells = all_cells(dataset)
-        assert vector.prune(cells) == [naive.candidates(c) for c in cells]
         assert vector.domains(cells) == naive.domains(cells)
+
+    # τ is tested once per count-table row and the survivors cached on
+    # the pruner; the oracle tests it per cell, after expanding.
+    POOL = [["pool", f"v{i}"] for i in range(10)] + [["pool", "big"]] * 6
+    TABLE_CASES = {
+        # one context value, 11 distinct co-occurring values, 1/tau = 4:
+        # every table row but ("pool", "big") fails.
+        "fixed-pool": (POOL, 0.25),
+        # Pr[x|k] = Pr[y|k] = 1/2 == tau: kept, on both sides.
+        "tie-at-half": ([["k", "x"], ["k", "y"], ["j", "x"]], 0.5),
+        # Pr[v|k] = 1/4 == tau for four values.
+        "tie-at-quarter": ([["k", v] for v in "wxyz"] + [["j", "w"]], 0.25),
+        # tau = 0: nothing is filtered.
+        "tau-zero": (POOL, 0.0),
+        # NULL contexts contribute nothing; NULL cells get candidates.
+        "null-context": (
+            [["k", "x"], ["k", "x"], [None, "x"], ["k", None], [None, None]],
+            0.5,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_tau_tested_on_the_count_table(self, case):
+        rows, tau = self.TABLE_CASES[case]
+        dataset = Dataset(Schema(["K", "V"]), [list(r) for r in rows])
+        naive = naive_for(dataset, tau=tau, max_domain=50)
+        vector = VectorDomainPruner(Engine(dataset), tau=tau, max_domain=50)
+        cells = all_cells(dataset)
+        expected = naive.domains(cells)
+        assert vector.domains(cells) == expected
+        # Second call on the same pruner: served from the cached survivors.
+        assert vector.domains(cells) == expected
+        assert vector.domains(cells[::-1]) == naive.domains(cells[::-1])
+
+    def test_conditional_equal_to_tau_is_kept(self):
+        rows, tau = self.TABLE_CASES["tie-at-quarter"]
+        dataset = Dataset(Schema(["K", "V"]), [list(r) for r in rows])
+        vector = VectorDomainPruner(Engine(dataset), tau=tau)
+        assert vector.candidates(Cell(0, "V")) == ["w", "x", "y", "z"]
+        assert vector.candidates(Cell(0, "V")) == naive_for(
+            dataset, tau=tau
+        ).candidates(Cell(0, "V"))
 
     def test_score_ties_break_lexicographically(self):
         # Pr[x|k] = Pr[y|k] = 1/3: the tie must break on the value string.
@@ -110,7 +151,7 @@ class TestByteEquality:
         naive = naive_for(dataset, tau=0.5)
         vector = VectorDomainPruner(Engine(dataset), tau=0.5)
         cells = [Cell(0, "B"), Cell(1, "B")]
-        assert vector.prune(cells) == [naive.candidates(c) for c in cells]
+        assert [vector.candidates(c) for c in cells] == [[], []]
         assert vector.domains(cells) == {} == naive.domains(cells)
 
     def test_active_strategy_generators(self):
@@ -126,7 +167,7 @@ class TestByteEquality:
                 max_domain=6,
             )
             cells = all_cells(dataset)
-            assert vector.prune(cells) == [naive.candidates(c) for c in cells]
+            assert vector.domains(cells) == naive.domains(cells)
 
     def test_unknown_strategy_rejected(self):
         dataset = Dataset(Schema(["A"]), [["x"]])
@@ -137,10 +178,10 @@ class TestByteEquality:
         generated = generate_hospital(num_rows=60)
         vector = VectorDomainPruner(Engine(generated.dirty))
         cells = all_cells(generated.dirty)[:40]
-        pruned = vector.prune(cells)
+        pruned = vector.domains(cells)
         assert vector.stats["prune_path"] == "vector"
         assert vector.stats["prune_cells"] == 40
-        assert vector.stats["prune_candidates"] == sum(len(d) for d in pruned)
+        assert vector.stats["prune_candidates"] == sum(map(len, pruned.values()))
 
 
 class TestWeakLabelVotes:
@@ -195,7 +236,7 @@ class TestNegativeMerge:
         )
         pruner = VectorDomainPruner(engine, tau=0.3, max_domain=max_domain)
         cells = all_cells(dataset)
-        domains = pruner.prune(cells)
+        domains = [pruner.candidates(cell) for cell in cells]
         expected = [
             compiler._with_negatives(cell, list(domain))
             for cell, domain in zip(cells, domains)
@@ -209,40 +250,3 @@ class TestNegativeMerge:
             max_domain,
         )
         assert merged == expected
-
-
-class TestPipelineParity:
-    @pytest.fixture(scope="class")
-    def hospital(self):
-        return generate_hospital(num_rows=120)
-
-    def _run(self, generated, **knobs):
-        context = RepairContext(
-            generated.dirty.copy(name="hospital"),
-            list(generated.constraints),
-            HoloCleanConfig(tau=generated.recommended_tau, **knobs),
-        )
-        context = RepairPlan.default().run(context)
-        try:
-            snapshot = (
-                [
-                    (cell, inf.chosen_value, tuple(inf.domain), inf.marginal.tobytes())
-                    for cell, inf in context.result.inferences.items()
-                ],
-                context.result.repaired._rows,
-            )
-            return snapshot, context.model.size_report()
-        finally:
-            if context.engine is not None:
-                context.engine.close()
-
-    def test_parallel_workers_share_prune_counters(self, hospital):
-        serial, serial_report = self._run(hospital)
-        parallel, parallel_report = self._run(hospital, parallel_workers=2)
-        assert parallel == serial
-        for key in (
-            "grounding_prune_path",
-            "grounding_prune_cells",
-            "grounding_prune_candidates",
-        ):
-            assert parallel_report[key] == serial_report[key]

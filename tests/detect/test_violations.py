@@ -121,6 +121,11 @@ class TestCaps:
                                      max_pairs_per_constraint=5)
         result = detector.detect(ds)
         assert len(result.hypergraph) == 5
+        assert detector.truncated == [zip_city_dc.name]
+        # Exactly at the cap nothing was dropped.
+        detector.max_pairs_per_constraint = 45
+        assert len(detector.detect(ds).hypergraph) == 45
+        assert detector.truncated == []
 
 
 class TestEngineArgument:

@@ -1,40 +1,44 @@
-"""Backend interchangeability: NumPy and SQLite must agree byte-for-byte."""
+"""The NumPy executor and its SQL rendering must agree byte-for-byte."""
 
 import numpy as np
 import pytest
 
 from repro.dataset.dataset import Dataset
 from repro.dataset.schema import Schema
-from repro.engine import Engine, make_backend
-from repro.engine.backend import Backend, NumpyBackend, SQLiteBackend
+from repro.engine import Backend, Engine
 from repro.engine.store import ColumnStore
+from tests.engine.sqlite_backend import SQLiteBackend
 
 
 @pytest.fixture
 def dataset() -> Dataset:
-    return Dataset(Schema(["Zip", "City", "State"]), [
-        ["60608", "Chicago", "IL"],
-        ["60608", "Chicago", "IL"],
-        ["60608", "Cicago", "IL"],
-        ["02134", "Boston", "MA"],
-        [None, "Boston", "MA"],
-        ["02134", None, "MA"],
-        ["60601", "Chicago", "IL"],
-    ])
+    return Dataset(
+        Schema(["Zip", "City", "State"]),
+        [
+            ["60608", "Chicago", "IL"],
+            ["60608", "Chicago", "IL"],
+            ["60608", "Cicago", "IL"],
+            ["02134", "Boston", "MA"],
+            [None, "Boston", "MA"],
+            ["02134", None, "MA"],
+            ["60601", "Chicago", "IL"],
+        ],
+    )
 
 
 @pytest.fixture
 def backends(dataset):
     store = ColumnStore(dataset)
-    return NumpyBackend(store), SQLiteBackend(store)
+    return Backend(store), SQLiteBackend(store)
 
 
 class TestAgreement:
     def test_value_counts_agree(self, dataset, backends):
         np_be, sql_be = backends
         for attr in dataset.schema.names:
-            assert np.array_equal(np_be.value_counts(attr),
-                                  sql_be.value_counts(attr)), attr
+            assert np.array_equal(
+                np_be.value_counts(attr), sql_be.value_counts(attr)
+            ), attr
 
     def test_pair_value_counts_agree(self, dataset, backends):
         np_be, sql_be = backends
@@ -43,13 +47,17 @@ class TestAgreement:
             for b in names:
                 if a == b:
                     continue
-                assert np.array_equal(np_be.pair_value_counts(a, b),
-                                      sql_be.pair_value_counts(a, b)), (a, b)
+                assert np.array_equal(
+                    np_be.pair_value_counts(a, b), sql_be.pair_value_counts(a, b)
+                ), (a, b)
 
     def test_symmetric_join_pairs_agree(self, backends):
         np_be, sql_be = backends
-        for attrs in ([("Zip", "Zip")], [("City", "City")],
-                      [("Zip", "Zip"), ("City", "City")]):
+        for attrs in (
+            [("Zip", "Zip")],
+            [("City", "City")],
+            [("Zip", "Zip"), ("City", "City")],
+        ):
             np_pairs = np_be.join_pairs(attrs)
             sql_pairs = sql_be.join_pairs(attrs)
             assert np.array_equal(np_pairs[0], sql_pairs[0]), attrs
@@ -57,8 +65,11 @@ class TestAgreement:
 
     def test_asymmetric_join_pairs_agree(self, backends):
         np_be, sql_be = backends
-        for attrs in ([("Zip", "City")], [("City", "State")],
-                      [("Zip", "City"), ("City", "Zip")]):
+        for attrs in (
+            [("Zip", "City")],
+            [("City", "State")],
+            [("Zip", "City"), ("City", "Zip")],
+        ):
             np_pairs = np_be.join_pairs(attrs)
             sql_pairs = sql_be.join_pairs(attrs)
             assert np.array_equal(np_pairs[0], sql_pairs[0]), attrs
@@ -80,26 +91,6 @@ class TestSemantics:
             assert int(counts.sum()) == 6  # 7 rows, one NULL
 
 
-class TestFactory:
-    def test_make_backend_names(self, dataset):
-        store = ColumnStore(dataset)
-        assert isinstance(make_backend(store, "numpy"), NumpyBackend)
-        assert isinstance(make_backend(store, "sqlite"), SQLiteBackend)
-
-    def test_unknown_backend_raises(self, dataset):
-        store = ColumnStore(dataset)
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            make_backend(store, "postgres")
-
-    def test_backends_satisfy_protocol(self, backends):
-        for backend in backends:
-            assert isinstance(backend, Backend)
-
-    def test_engine_validates_backend_name(self, dataset):
-        with pytest.raises(ValueError, match="unknown engine backend"):
-            Engine(dataset, backend="duckdb")
-
-
 class TestEngineFacade:
     def test_lazy_build_and_refresh(self, dataset):
         engine = Engine(dataset)
@@ -112,11 +103,7 @@ class TestEngineFacade:
         engine = Engine(dataset)
         assert engine.statistics() is engine.statistics()
 
-    @pytest.mark.parametrize("options", [
-        {"backend": "numpy"},
-        {"backend": "sqlite"},
-        {"backend": "sqlite", "parallel_workers": 2},
-    ])
+    @pytest.mark.parametrize("options", [{}, {"backend": SQLiteBackend}])
     def test_close_then_reuse_rebuilds_backend(self, dataset, options):
         # close() used to leave the dead backend cached: the next kernel
         # call died with "Cannot operate on a closed database".

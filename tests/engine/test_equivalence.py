@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Operator, Predicate, TupleRef
 from repro.core.config import HoloCleanConfig
-from repro.core.pipeline import HoloClean
 from repro.core.stages import RepairContext, RepairPlan
 from repro.data.generators.flights import generate_flights
 from repro.data.generators.hospital import generate_hospital
@@ -26,11 +25,12 @@ from repro.dataset.schema import Schema
 from repro.dataset.stats import Statistics
 from repro.detect.hypergraph import Violation
 from repro.detect.violations import ViolationDetector
-from repro.engine import Engine
+from repro.engine import Backend, Engine
 from repro.oracle import (DomainPruner, NaiveModelCompiler,
                           NaiveViolationDetector)
+from tests.engine.sqlite_backend import SQLiteBackend
 
-BACKENDS = ("numpy", "sqlite")
+BACKENDS = {"numpy": Backend, "sqlite": SQLiteBackend}
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +65,7 @@ def detect_columnar(detector, dataset):
 def test_violations_identical_on_generators(name, backend, request):
     generated = request.getfixturevalue(name)
     naive = naive_detection(generated)
-    engine = Engine(generated.dirty, backend=backend)
+    engine = Engine(generated.dirty, backend=BACKENDS[backend])
     fast = detect_columnar(
         ViolationDetector(generated.constraints, engine=engine), generated.dirty)
     assert fast.noisy_cells == naive.noisy_cells
@@ -84,7 +84,7 @@ def test_statistics_identical_on_generators(name, backend, request):
     generated = request.getfixturevalue(name)
     dataset = generated.dirty
     naive = Statistics(dataset)
-    fast = Engine(dataset, backend=backend).statistics()
+    fast = Engine(dataset, backend=BACKENDS[backend]).statistics()
     attrs = dataset.schema.names
     for attr in attrs:
         assert fast.counts(attr) == naive.counts(attr), attr
@@ -107,7 +107,7 @@ def test_domains_identical_on_generators(name, backend, request):
     noisy = sorted(naive_detection(generated).noisy_cells)
     naive_pruner = DomainPruner(dataset, tau=generated.recommended_tau)
     fast_pruner = DomainPruner(
-        dataset, stats=Engine(dataset, backend=backend).statistics(),
+        dataset, stats=Engine(dataset, backend=BACKENDS[backend]).statistics(),
         tau=generated.recommended_tau)
     naive_domains = naive_pruner.domains(noisy)
     fast_domains = fast_pruner.domains(noisy)
@@ -124,7 +124,8 @@ def test_init_value_relation_identical(backend, flights):
     dataset = flights.dirty
     naive = {Cell(tid, a): dataset.value(tid, a)
              for tid in dataset.tuple_ids for a in dataset.schema.names}
-    fast = init_value_relation(dataset, engine=Engine(dataset, backend=backend))
+    fast = init_value_relation(
+        dataset, engine=Engine(dataset, backend=BACKENDS[backend]))
     assert fast == naive
     assert list(fast) == list(naive)  # row-major key order preserved
 
@@ -174,12 +175,14 @@ def naive_repair(dataset, constraints, config):
 def test_pipeline_repairs_identical_across_engines(hospital):
     results = {"naive": naive_repair(hospital.dirty, hospital.constraints,
                                      HoloCleanConfig())}
-    for label in ("numpy", "sqlite"):
-        config = HoloCleanConfig(engine_backend=label)
-        result = HoloClean(config).repair(hospital.dirty, hospital.constraints)
-        results[label] = result
+    for label, backend in BACKENDS.items():
+        ctx = RepairContext(
+            dataset=hospital.dirty, constraints=list(hospital.constraints),
+            config=HoloCleanConfig(),
+            engine=Engine(hospital.dirty, backend=backend))
+        results[label] = RepairPlan.default().run(ctx).result
     baseline = results["naive"]
-    for label in ("numpy", "sqlite"):
+    for label in BACKENDS:
         result = results[label]
         assert result.repaired == baseline.repaired, label
         assert set(result.inferences) == set(baseline.inferences), label
@@ -216,7 +219,7 @@ def test_random_datasets_identical(rows):
     dataset = Dataset(Schema(["A", "B", "C"]), [list(r) for r in rows])
     naive = NaiveViolationDetector(RANDOM_DCS).detect(dataset)
     for backend in BACKENDS:
-        engine = Engine(dataset, backend=backend)
+        engine = Engine(dataset, backend=BACKENDS[backend])
         fast = detect_columnar(ViolationDetector(RANDOM_DCS, engine=engine),
                                dataset)
         assert fast.noisy_cells == naive.noisy_cells, backend

@@ -32,9 +32,10 @@ from repro.data.generators.hospital import generate_hospital
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 from repro.detect.violations import ViolationDetector
-from repro.engine import Engine
+from repro.engine import Backend, Engine
 from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
 from repro.oracle import NaiveModelCompiler
+from tests.engine.sqlite_backend import SQLiteBackend
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def flights():
     return generate_flights(num_flights=12)
 
 
-def compile_pair(dataset, constraints, config, backend="numpy", **external):
+def compile_pair(dataset, constraints, config, backend=Backend, **external):
     """Compile once naive, once engine-backed, off one shared detection."""
     engine = Engine(dataset, backend=backend)
     detection = ViolationDetector(constraints, engine=engine).detect(dataset)
@@ -127,7 +128,7 @@ def test_hospital_identical_sqlite(hospital):
         hospital.dirty,
         hospital.constraints,
         config,
-        backend="sqlite",
+        backend=SQLiteBackend,
     )
     assert_identical(naive, fast)
 

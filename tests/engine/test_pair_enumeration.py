@@ -27,10 +27,11 @@ from repro.data.generators.hospital import generate_hospital
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 from repro.detect.violations import ViolationDetector
-from repro.engine import Engine
+from repro.engine import Backend, Engine
 from repro.oracle import DomainPruner, NaiveModelCompiler
+from tests.engine.sqlite_backend import SQLiteBackend
 
-BACKENDS = ("numpy", "sqlite")
+BACKENDS = {"numpy": Backend, "sqlite": SQLiteBackend}
 
 
 @pytest.fixture(scope="module")
@@ -61,7 +62,7 @@ def prepared(generated):
 def test_streams_identical_on_generators(name, backend, request):
     dataset, detection, domains, dcs = prepared(request.getfixturevalue(name))
     naive = PairEnumerator(dataset, domains)
-    vector = VectorPairEnumerator(Engine(dataset, backend=backend),
+    vector = VectorPairEnumerator(Engine(dataset, backend=BACKENDS[backend]),
                                   dataset, domains)
     assert dcs, "generators must exercise two-tuple constraints"
     for dc in dcs:
@@ -79,7 +80,7 @@ def test_chunked_path_identical(backend, hospital):
     """A tiny chunk size forces the streaming path on every group."""
     dataset, detection, domains, dcs = prepared(hospital)
     naive = PairEnumerator(dataset, domains)
-    chunked = VectorPairEnumerator(Engine(dataset, backend=backend),
+    chunked = VectorPairEnumerator(Engine(dataset, backend=BACKENDS[backend]),
                                    dataset, domains,
                                    chunk_pairs=7, stream_budget=1)
     for dc in dcs:
@@ -97,9 +98,9 @@ def test_chunked_path_identical(backend, hospital):
 def test_max_pairs_truncation_identical(backend, hospital):
     dataset, detection, domains, dcs = prepared(hospital)
     naive = PairEnumerator(dataset, domains, max_pairs=97)
-    vector = VectorPairEnumerator(Engine(dataset, backend=backend),
+    vector = VectorPairEnumerator(Engine(dataset, backend=BACKENDS[backend]),
                                   dataset, domains, max_pairs=97)
-    streamed = VectorPairEnumerator(Engine(dataset, backend=backend),
+    streamed = VectorPairEnumerator(Engine(dataset, backend=BACKENDS[backend]),
                                     dataset, domains, max_pairs=97,
                                     chunk_pairs=11, stream_budget=1)
     for dc in dcs:
@@ -201,9 +202,8 @@ def test_factor_graphs_identical(backend, use_partitioning, hospital):
                              tau=hospital.recommended_tau)
     naive_model = NaiveModelCompiler(dataset, hospital.constraints, config,
                                      detection).compile()
-    engine = Engine(dataset, backend=backend)
-    engine_model = ModelCompiler(dataset, hospital.constraints,
-                                 config.with_(engine_backend=backend),
+    engine = Engine(dataset, backend=BACKENDS[backend])
+    engine_model = ModelCompiler(dataset, hospital.constraints, config,
                                  detection, engine=engine).compile()
     naive_factors = factor_signature(naive_model.graph)
     engine_factors = factor_signature(engine_model.graph)
@@ -275,9 +275,8 @@ def test_vectorized_tables_match_naive(rows, max_table, use_partitioning):
                                      detection).compile()
     expected = factor_signature(naive_model.graph)
     for backend in BACKENDS:
-        engine = Engine(dataset, backend=backend)
-        engine_model = ModelCompiler(dataset, TABLE_DCS,
-                                     config.with_(engine_backend=backend),
+        engine = Engine(dataset, backend=BACKENDS[backend])
+        engine_model = ModelCompiler(dataset, TABLE_DCS, config,
                                      detection, engine=engine).compile()
         assert factor_signature(engine_model.graph) == expected, \
             (backend, max_table, use_partitioning)
@@ -348,7 +347,7 @@ def test_random_datasets_identical(rows, raw_domains):
     detection = ViolationDetector(RANDOM_DCS).detect(dataset)
     naive = PairEnumerator(dataset, domains)
     for backend in BACKENDS:
-        engine = Engine(dataset, backend=backend)
+        engine = Engine(dataset, backend=BACKENDS[backend])
         vector = VectorPairEnumerator(engine, dataset, domains)
         chunked = VectorPairEnumerator(engine, dataset, domains,
                                        chunk_pairs=3, stream_budget=1)

@@ -150,6 +150,27 @@ class TestMidPipelineCheckpoint:
         _assert_same_outcome(warm, rehydrated)
 
 
+class TestOlderCheckpoints:
+    def test_config_pickled_with_removed_fields_still_loads(self, hospital, tmp_path):
+        """A format-2 checkpoint written while ``HoloCleanConfig`` still had
+        ``engine_backend`` / ``parallel_workers`` carries them as instance
+        attributes; it loads, ignores them, and repairs identically."""
+        warm = RepairPlan.default().run(_fresh_ctx(hospital))
+        warm.config.engine_backend = "numpy"
+        warm.config.parallel_workers = 2
+        store = CheckpointStore(tmp_path)
+        store.save("sid", warm)
+        assert FORMAT_VERSION == 2
+
+        rehydrated = store.load("sid")
+        assert vars(rehydrated.config)["parallel_workers"] == 2
+        assert vars(rehydrated.config)["engine_backend"] == "numpy"
+        plan = RepairPlan.default().starting_at("learn")
+        _assert_same_outcome(plan.run(warm), plan.run(rehydrated))
+        # The stale attributes do not survive the next config edit.
+        assert "parallel_workers" not in vars(rehydrated.config.with_(tau=0.4))
+
+
 class TestStoreMechanics:
     def test_load_missing_returns_none(self, tmp_path):
         assert CheckpointStore(tmp_path).load("nope") is None

@@ -189,13 +189,22 @@ class TestErrorMapping:
         serve(body)
 
     def test_removed_config_field_400(self, hospital):
+        removed = {
+            "vector_domains": False,
+            "parallel_workers": 2,
+            "engine_backend": "sqlite",
+        }
+
         async def body(server):
-            request = payload_for(hospital)
-            request["config"]["vector_domains"] = False
-            status, _, payload = await _request(
-                server.port, "POST", "/repair", request
-            )
-            assert status == 400 and "unknown config field" in payload["error"]
+            for name, value in removed.items():
+                request = payload_for(hospital)
+                request["config"][name] = value
+                status, _, payload = await _request(
+                    server.port, "POST", "/repair", request
+                )
+                assert status == 400, name
+                assert "unknown config field" in payload["error"], name
+                assert name in payload["error"]
 
         serve(body)
 
