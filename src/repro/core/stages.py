@@ -263,6 +263,17 @@ def resolve_feedback(
     return resolved
 
 
+def attribute_groups(model: CompiledModel, var_ids) -> list[int]:
+    """For each variable a small integer naming its cell's attribute.
+
+    The ``groups`` hint of :meth:`SoftmaxTrainer.train`: the cells of one
+    attribute share their feature columns, so their rows pack densely.
+    """
+    variables = model.graph.variables
+    codes: dict[str, int] = {}
+    return [codes.setdefault(variables[v].cell.attribute, len(codes)) for v in var_ids]
+
+
 class Stage:
     """One pipeline stage: a callable ``run(ctx) -> ctx`` with timing.
 
@@ -403,6 +414,10 @@ class LearnStage(Stage):
         ctx.losses = outcome.losses
         ctx.metrics.extend("learn.epoch_loss", outcome.losses)
         ctx.metrics.gauge("learn.epochs", len(outcome.losses))
+        ctx.metrics.gauge("learn.blocks", outcome.blocks)
+        ctx.metrics.gauge("learn.dense_entries", outcome.dense_entries)
+        ctx.metrics.gauge("learn.sparse_entries", outcome.sparse_entries)
+        ctx.metrics.gauge("learn.dense_slots", outcome.dense_slots)
         if outcome.losses:
             ctx.metrics.gauge("learn.final_loss", outcome.losses[-1])
         return ctx
@@ -445,7 +460,9 @@ class LearnStage(Stage):
         )
         labels = dict(zip(model.evidence_ids, model.evidence_labels))
         labels.update(zip(extra_ids, extra_labels))
-        outcome = trainer.train(list(labels), list(labels.values()))
+        outcome = trainer.train(
+            list(labels), list(labels.values()), groups=attribute_groups(model, labels)
+        )
         if minimality_idx is not None:
             outcome.weights[minimality_idx] = config.minimality_weight
         return outcome

@@ -139,9 +139,9 @@ class TestFeedbackOnTrainingVariables:
         calls = []
         real = SoftmaxTrainer.train
 
-        def spy(trainer, ids, labels):
+        def spy(trainer, ids, labels, **layout):
             calls.append((list(ids), list(labels)))
-            return real(trainer, ids, labels)
+            return real(trainer, ids, labels, **layout)
 
         monkeypatch.setattr(SoftmaxTrainer, "train", spy)
         return calls

@@ -30,6 +30,7 @@ from repro.core.stages import (
     LearnStage,
     RepairContext,
     RepairPlan,
+    attribute_groups,
 )
 from repro.data import generate_flights, generate_hospital
 from repro.detect.violations import ViolationDetector
@@ -62,7 +63,10 @@ def legacy_repair(dataset, constraints, config, detection=None):
         learning_rate=config.learning_rate, l2=config.l2,
         max_training_vars=config.max_training_cells, seed=config.seed,
         fixed_weights=fixed)
-    outcome = trainer.train(model.evidence_ids, model.evidence_labels)
+    # The layout hint LearnStage.train hands the trainer: this file pins
+    # stage plumbing, tests/inference/test_softmax_pack.py pins the kernel.
+    outcome = trainer.train(model.evidence_ids, model.evidence_labels,
+                            groups=attribute_groups(model, model.evidence_ids))
     weights = outcome.weights
     if minimality_idx is not None:
         weights[minimality_idx] = config.minimality_weight
@@ -476,6 +480,30 @@ class TestTelemetry:
         matrix = ctx.model.graph.matrix
         assert build.attributes == {"entries": matrix.num_entries,
                                     "features": matrix.num_features}
+
+    def test_learn_deep_spans_account_for_the_stage(self):
+        generated = generate_hospital(num_rows=300)
+        ctx = self.run_plan(generated, epochs=60, trace_level="deep")
+        # Timing noise only ever lowers the share: best of three stage runs.
+        for _ in range(2):
+            ctx = LearnStage().run(ctx)
+        *_, learn = runs = [s for s in ctx.tracer.roots if s.name == "learn"]
+        names = [c.name for c in learn.children]
+        epochs = ctx.metrics.gauges["learn.epochs"]
+        assert names == ["learn.pack"] + ["learn.epoch"] * epochs
+        assert max(
+            sum(c.duration for c in run.children) / run.duration for run in runs
+        ) >= 0.9
+        # The pack span, the training result's counts and the gauges agree.
+        gauges = ctx.metrics.gauges
+        assert learn.children[0].attributes == {
+            "blocks": gauges["learn.blocks"],
+            "dense_entries": gauges["learn.dense_entries"],
+            "sparse_entries": gauges["learn.sparse_entries"],
+            "slots": gauges["learn.dense_slots"],
+        }
+        assert gauges["learn.blocks"] > 0
+        assert gauges["learn.dense_slots"] <= 4 * gauges["learn.dense_entries"]
 
     def test_deep_tracing_gibbs_variant_identical(self, figure1_dataset,
                                                   figure1_constraints):

@@ -73,6 +73,62 @@ class TestTraining:
         with pytest.raises(ValueError, match="more than once"):
             SoftmaxTrainer(matrix).train([0, 1, 0], [0, 1, 1])
 
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            [0, 1],  # one short
+            [[0, 1, 0]],  # not one per variable
+            [0, -1, 0],
+            [0.0, 1.0, 0.0],
+            ["a", "b", "a"],
+        ],
+    )
+    def test_malformed_groups_rejected(self, groups):
+        matrix, _, _ = build_separable()
+        with pytest.raises(ValueError, match="one non-negative integer per"):
+            SoftmaxTrainer(matrix).train([0, 1, 2], [0, 1, 0], groups=groups)
+
+    def test_subsample_keeps_each_variable_its_group(self):
+        # Variables 0-19 in group 0, 20-39 in group 1: a pick that left
+        # ``groups`` in input order would pack the wrong rows together.
+        matrix, _, labels = build_separable(num_vars=40)
+        ids, labels = np.arange(40), np.asarray(labels)
+        groups = np.repeat([0, 1], 20)
+        capped = SoftmaxTrainer(matrix, epochs=8, max_training_vars=10, seed=5)
+        pick = np.random.default_rng(5).choice(40, size=10, replace=False)
+        assert len(set(groups[pick])) == 2
+        got = capped.train(ids, labels, groups=groups)
+        want = SoftmaxTrainer(matrix, epochs=8).train(
+            ids[pick], labels[pick], groups=groups[pick]
+        )
+        assert np.array_equal(got.weights, want.weights)
+        assert got.losses == want.losses
+        assert (got.blocks, got.dense_slots) == (want.blocks, want.dense_slots)
+
+    def test_stop_rule_never_fires_before_the_tail(self):
+        """Documents a defect; it does not endorse it.
+
+        ``best_loss`` starts at ``inf``, so ``best_loss - loss >
+        tolerance * max(1, best_loss)`` reads ``inf > inf``: False on
+        every epoch.  ``best_loss`` is never assigned, ``stall`` counts
+        every epoch, and every run breaks at ``int(0.75 * epochs)`` — on
+        a loss that is still falling — with a "tail average" over exactly
+        one iterate.  The fix (seed ``best_loss`` from the first epoch)
+        moves every learned weight, so it waits for a quality re-baseline;
+        see ROADMAP "Carried over".
+        """
+        matrix, _, labels = build_separable()
+        ids = list(range(matrix.num_vars))
+        result = SoftmaxTrainer(matrix, epochs=60).train(ids, labels)
+        assert result.epochs_run == int(0.75 * 60)
+        falling = -np.diff(result.losses)
+        assert np.all(falling[-5:] > 1e-6 * max(1.0, result.losses[-1]))
+        # 45 epochs with the tail average switched off end on the same
+        # weights: the average above covered the last iterate alone.
+        last = SoftmaxTrainer(matrix, epochs=45, average_tail=0.0).train(ids, labels)
+        assert last.epochs_run == 45
+        assert np.array_equal(result.weights, last.weights)
+
     def test_subsampling_cap(self):
         matrix, _, labels = build_separable(num_vars=40)
         trainer = SoftmaxTrainer(matrix, epochs=5, max_training_vars=10)
