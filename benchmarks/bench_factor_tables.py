@@ -70,11 +70,12 @@ class _BenchGraph:
 def _variable_block(dataset, query_domains) -> VariableBlock:
     """The query variables exactly as ``ModelCompiler.compile`` adds them."""
     variables = VariableBlock()
-    for cell in sorted(query_domains):
-        domain = query_domains[cell]
-        init = dataset.cell_value(cell)
-        init_index = domain.index(init) if init in domain else -1
-        variables.add(cell, domain, init_index, is_evidence=False)
+    cells = sorted(query_domains)
+    domains = [query_domains[cell] for cell in cells]
+    inits = [dataset.cell_value(cell) for cell in cells]
+    init_indices = [domain.index(init) if init in domain else -1
+                    for domain, init in zip(domains, inits)]
+    variables.add_block(cells, domains, init_indices, is_evidence=False)
     return variables
 
 

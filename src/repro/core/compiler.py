@@ -35,7 +35,7 @@ from repro.external.dictionary import ExternalDictionary
 from repro.external.matcher import match_dictionary
 from repro.inference.factor_graph import ConstraintFactor, FactorGraph
 from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
-from repro.inference.variables import VariableBlock
+from repro.inference.variables import DomainRelation, VariableBlock
 from repro.obs.trace import deep_span
 
 
@@ -132,10 +132,10 @@ class ModelCompiler:
         # The slice of the InitValue relation this model grounds against,
         # materialised once (column-decoded by the engine) and consulted
         # for every variable's initial value instead of per-cell dataset
-        # probes.
+        # probes.  A lookup table of this method only: its order is free.
         init_values = init_value_relation(
             self.dataset, engine=self.engine,
-            cells=[*sorted(query_domains), *sorted(evidence_domains)])
+            cells=[*query_domains, *evidence_domains])
 
         matched = self._ground_matched()
         context = FeaturizationContext(self.dataset, self.stats, config,
@@ -143,7 +143,11 @@ class ModelCompiler:
 
         space = FeatureSpace()
         builder = FeatureMatrixBuilder(space)
-        variables = VariableBlock()
+        # Seeded with the store's dictionaries: a candidate present in the
+        # data carries the ColumnStore's code in the catalog too.
+        store = self.engine.store
+        value_tables = {a: store.values(a) for a in store.attributes}
+        variables = VariableBlock(value_tables)
 
         # Query variables, registered block-at-a-time: the per-cell
         # add / start_variable / weak-label walk becomes array-shaped spec
@@ -154,20 +158,18 @@ class ModelCompiler:
             domain.index(init_values[cell])
             if init_values[cell] in domain else -1
             for cell, domain in query_specs]
-        query_infos = variables.add_block(
+        query_ids = list(variables.add_block(
             [cell for cell, _ in query_specs],
             [domain for _, domain in query_specs],
-            query_inits, is_evidence=False)
+            query_inits, is_evidence=False))
         first_vid = builder.start_variables(
             [len(domain) for _, domain in query_specs])
-        assert not query_infos or first_vid == query_infos[0].vid
+        assert not query_ids or first_vid == query_ids[0]
         specs: list[tuple[Cell, list[str]]] = list(query_specs)
-        query_ids: list[int] = [info.vid for info in query_infos]
         labels = self._weak_labels(context, query_specs, query_inits)
         weak_candidates: list[tuple[int, int]] = [
-            (info.vid, label)
-            for info, label, (_, domain) in zip(query_infos, labels,
-                                                query_specs)
+            (vid, label)
+            for vid, label, (_, domain) in zip(query_ids, labels, query_specs)
             if label >= 0 and len(domain) >= 2]
 
         sorted_evidence = sorted(evidence_domains)
@@ -175,23 +177,21 @@ class ModelCompiler:
             sorted_evidence, [evidence_domains[cell]
                               for cell in sorted_evidence])
         evidence_specs: list[tuple[Cell, list[str]]] = []
-        evidence_inits: list[int] = []
+        evidence_labels: list[int] = []  # the observed value: init index = label
         for cell, domain in zip(sorted_evidence, extended):
             init = init_values[cell]
             if init is None or init not in domain or len(domain) < 2:
                 continue  # no training signal in a singleton/unlabelled cell
             evidence_specs.append((cell, domain))
-            evidence_inits.append(domain.index(init))
-        evidence_infos = variables.add_block(
+            evidence_labels.append(domain.index(init))
+        evidence_ids = list(variables.add_block(
             [cell for cell, _ in evidence_specs],
             [domain for _, domain in evidence_specs],
-            evidence_inits, is_evidence=True)
+            evidence_labels, is_evidence=True))
         first_vid = builder.start_variables(
             [len(domain) for _, domain in evidence_specs])
-        assert not evidence_infos or first_vid == evidence_infos[0].vid
+        assert not evidence_ids or first_vid == evidence_ids[0]
         specs.extend(evidence_specs)
-        evidence_ids = [info.vid for info in evidence_infos]
-        evidence_labels = [info.observed_index for info in evidence_infos]
 
         with deep_span("compile.featurize", variables=len(specs)):
             feature_stats = self._featurize_all(context, specs, builder)
@@ -214,10 +214,10 @@ class ModelCompiler:
                 graph, query_domains)
             grounding.update(factor_grounding)
 
-        relations = CompiledRelations(self.dataset,
-                                      {**query_domains, **evidence_domains},
-                                      matched=matched,
-                                      init_values=init_values)
+        relations = CompiledRelations(
+            self.dataset,
+            DomainRelation(value_tables, {**query_domains, **evidence_domains}),
+            matched=matched)
         program = ddlog.compile_program(
             self.constraints,
             use_dc_feats=config.use_dc_feats,
@@ -414,11 +414,10 @@ class ModelCompiler:
                                      dc: DenialConstraint) -> int:
         skipped = 0
         attrs = sorted(dc.attributes_of(1))
-        touched_tids = {
-            v.cell.tid for v in graph.variables
-            if not v.is_evidence and v.cell.attribute in attrs
-        }
-        for tid in touched_tids:
+        variables = graph.variables
+        codes = [variables.attribute_code(name) for name in attrs]
+        touched = ~variables.is_evidence & np.isin(variables.attribute_codes, codes)
+        for tid in set(variables.tids[touched].tolist()):
             if not self._ground_factor_for_cells(
                     graph, dc, [(1, tid)], attrs_by_position={1: attrs}):
                 skipped += 1

@@ -177,11 +177,11 @@ class VectorFactorTableBuilder:
             n = self.dataset.num_tuples
             vids = np.full(n, -1, dtype=np.int64)
             sizes = np.full(n, -1, dtype=np.int64)
-            for cell, domain in self._domains_by_attr.get(attr, {}).items():
-                info = self.variables.by_cell(cell)
-                if info is not None and not info.is_evidence:
-                    vids[cell.tid] = info.vid
-                    sizes[cell.tid] = len(domain)
+            block = self.variables
+            of_attr = block.attribute_codes == block.attribute_code(attr)
+            ids = np.flatnonzero(~block.is_evidence & of_attr)
+            vids[block.tids[ids]] = ids
+            sizes[block.tids[ids]] = np.diff(block.domain_indptr)[ids]
             cached = (vids, sizes)
             self._axes[attr] = cached
         return cached

@@ -9,6 +9,7 @@ relation bundle are exposed below for inspection and testing.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.dataset.dataset import Cell, Dataset
@@ -16,8 +17,9 @@ from repro.engine import Engine, engine_for
 from repro.external.matcher import MatchedRelation
 
 
-def init_value_relation(dataset: Dataset, engine: Engine | None = None,
-                        cells=None) -> dict[Cell, str | None]:
+def init_value_relation(
+    dataset: Dataset, engine: Engine | None = None, cells=None
+) -> dict[Cell, str | None]:
     """``InitValue(t, a, v)``: every cell's initial observed value.
 
     Values are decoded column-at-a-time from the columnar store of
@@ -29,8 +31,9 @@ def init_value_relation(dataset: Dataset, engine: Engine | None = None,
     """
     store = engine_for(dataset, engine).store
     if cells is None:
-        cells = (Cell(tid, a) for tid in dataset.tuple_ids
-                 for a in dataset.schema.names)
+        cells = (
+            Cell(tid, a) for tid in dataset.tuple_ids for a in dataset.schema.names
+        )
     columns: dict[str, list[str | None]] = {}
     out: dict[Cell, str | None] = {}
     for cell in cells:
@@ -46,22 +49,20 @@ def init_value_relation(dataset: Dataset, engine: Engine | None = None,
 class CompiledRelations:
     """The materialised relations behind one compiled model.
 
-    ``init_values`` is the materialised ``InitValue`` relation the
-    compiler grounded against (column-decoded by the engine); cells
-    outside it — attributes the model never touched —
-    fall back to a live dataset probe.
+    ``domain`` is columnar (:class:`~repro.inference.variables.DomainRelation`
+    in a compiled model) and ``InitValue`` is not stored at all: the dataset
+    the model was compiled against answers it.
     """
 
     dataset: Dataset
-    domain: dict[Cell, list[str]]
+    domain: Mapping[Cell, list[str]]
     matched: list[MatchedRelation] = field(default_factory=list)
-    init_values: dict[Cell, str | None] = field(default_factory=dict)
 
     @property
     def num_random_variables(self) -> int:
         return len(self.domain)
 
-    def init_value(self, cell: Cell) -> str | None:
-        if cell in self.init_values:
-            return self.init_values[cell]
-        return self.dataset.cell_value(cell)
+    @property
+    def init_values(self) -> dict[Cell, str | None]:
+        """``InitValue`` over the cells of ``domain``, in its key order."""
+        return {cell: self.dataset.cell_value(cell) for cell in self.domain}

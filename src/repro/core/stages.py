@@ -70,6 +70,7 @@ from repro.engine import Engine
 from repro.external.dictionary import ExternalDictionary
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.softmax import SoftmaxTrainer, TrainingResult
+from repro.inference.variables import Marginals
 from repro.obs import MetricsRegistry, Tracer, build_run_report
 from repro.obs.fingerprint import (
     combine_fingerprints,
@@ -129,7 +130,7 @@ class RepairContext:
     model: CompiledModel | None = None
     weights: np.ndarray | None = None
     losses: list[float] = field(default_factory=list)
-    marginals: dict[int, np.ndarray] | None = None
+    marginals: Marginals | None = None
     result: RepairResult | None = None
     #: Per-stage wall-clock, keyed by stage name; a stage overwrites its
     #: entry every time it runs.  Skipped stages leave no entry (their
@@ -263,15 +264,18 @@ def resolve_feedback(
     return resolved
 
 
-def attribute_groups(model: CompiledModel, var_ids) -> list[int]:
+def attribute_groups(model: CompiledModel, var_ids) -> np.ndarray:
     """For each variable a small integer naming its cell's attribute.
 
     The ``groups`` hint of :meth:`SoftmaxTrainer.train`: the cells of one
     attribute share their feature columns, so their rows pack densely.
+    Attributes are numbered in order of first appearance in ``var_ids``.
     """
-    variables = model.graph.variables
-    codes: dict[str, int] = {}
-    return [codes.setdefault(variables[v].cell.attribute, len(codes)) for v in var_ids]
+    codes = model.graph.variables.attribute_codes[np.fromiter(var_ids, np.int64)]
+    order = list(dict.fromkeys(codes.tolist()))  # codes, by first appearance
+    rank = np.zeros(max(order, default=-1) + 1, dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return rank[codes]
 
 
 class Stage:
@@ -535,25 +539,26 @@ class ApplyStage(Stage):
         row_ref = dataset.row_ref
         column_of = {a: dataset.schema.index_of(a) for a in dataset.schema.names}
         variables, marginals = model.graph.variables, ctx.marginals
-        for vid in model.query_ids:
-            info = variables[vid]
+        # Each attribute's candidate codes decoded once; one slice per cell.
+        cells = variables.cells_of(model.query_ids)
+        domains = variables.domains_of(model.query_ids)
+        for vid, cell, domain in zip(model.query_ids, cells, domains):
             if vid in resolved.clamps:
                 index = resolved.clamps[vid]
-                marginal = np.zeros(info.domain_size)
+                marginal = np.zeros(len(domain))
                 marginal[index] = 1.0
             else:
                 marginal = marginals[vid]
                 if marginal.dtype != np.float64:
                     marginal = marginal.astype(np.float64)
                 index = int(marginal.argmax())
-            cell = info.cell
-            chosen = info.domain[index]
+            chosen = domain[index]
             inference = CellInference(
                 cell=cell,
                 init_value=row_ref(cell.tid)[column_of[cell.attribute]],
                 chosen_value=chosen,
                 confidence=float(marginal[index]),
-                domain=list(info.domain),
+                domain=domain,
                 marginal=marginal,
             )
             inferences[cell] = inference

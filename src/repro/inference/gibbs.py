@@ -23,6 +23,7 @@ import numpy as np
 from repro.engine.ops import expand_ranges, segment_positions
 from repro.inference.factor_graph import FactorGraph
 from repro.inference.numerics import segment_argmax, segment_softmax
+from repro.inference.variables import Marginals
 from repro.obs.trace import deep_span
 
 
@@ -38,7 +39,7 @@ class GibbsResult:
     run report publishes as ``infer.gibbs_move_rate``.
     """
 
-    marginals: dict[int, np.ndarray]
+    marginals: Marginals
     sweeps: int
     moves: int = 0
     samples: int = 0
@@ -87,9 +88,8 @@ class GibbsSampler:
         self._starts = starts = self.graph.matrix.var_row_start
         unary = self.graph.matrix.scores(unary_weights)
         sizes = np.diff(starts)
-        evidence = np.fromiter((v.is_evidence for v in variables), bool, n)
-        tuple_id = np.fromiter((v.cell.tid for v in variables), np.int64, n)
-        self._initial = np.fromiter((v.init_index for v in variables), np.int64, n)
+        evidence, tuple_id = variables.is_evidence, variables.tids
+        self._initial = variables.init_index.copy()
         missing = np.flatnonzero(self._initial < 0)  # initial value pruned away
         if evidence[missing].any():
             raise ValueError("an evidence variable lacks its observed value")
@@ -228,12 +228,14 @@ class GibbsSampler:
         flat = np.zeros(int(self._starts[-1]))
         flat[self._starts[:-1][self.colour < 0]] = 1.0  # fixed: certain
         flat[self._rows] = summed / max(sweeps, 1)
-        edges = self._starts.tolist()
-        marginals = {
-            v: flat[edges[v] : edges[v + 1]] for v in self.graph.variables.query_ids()
-        }
+        query = np.flatnonzero(~self.graph.variables.is_evidence)
+        sizes = np.diff(self._starts)[query]
         return GibbsResult(
-            marginals=marginals,
+            marginals=Marginals(
+                query,
+                np.concatenate(([0], np.cumsum(sizes))),
+                flat[expand_ranges(self._starts[query], sizes)],
+            ),
             sweeps=sweeps,
             moves=moves,
             samples=(burn_in + sweeps) * self.num_free,

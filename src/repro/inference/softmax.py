@@ -64,6 +64,7 @@ import numpy as np
 from repro.engine.ops import expand_ranges
 from repro.inference.features import FeatureMatrix
 from repro.inference.numerics import segment_softmax
+from repro.inference.variables import Marginals
 from repro.obs.trace import deep_span
 
 #: A feature column joins its group's dense block when it has entries on
@@ -444,9 +445,7 @@ class SoftmaxTrainer:
         return m.indices[source], m.values[source], by_row[position]
 
     # ------------------------------------------------------------------
-    def marginals(
-        self, weights: np.ndarray, var_ids: list[int]
-    ) -> dict[int, np.ndarray]:
+    def marginals(self, weights: np.ndarray, var_ids: list[int]) -> Marginals:
         """Exact per-variable softmax marginals for the given variables.
 
         Only the requested variables' candidate rows are scored — asking
@@ -461,12 +460,6 @@ class SoftmaxTrainer:
         np.cumsum(sizes, out=comp_starts[1:])
         rows = expand_ranges(starts[var_arr], sizes)
         scores = m.scores_for_rows(rows, weights)
-        # One segmented pass shared with the training loop — the slices
-        # below are disjoint views of the normalised score buffer.
-        probs = segment_softmax(scores, comp_starts)
-        bounds = comp_starts.tolist()
-        out: dict[int, np.ndarray] = {}
-        # repro: allow-loop one dict slot (a view) per requested variable, no arithmetic
-        for k, v in enumerate(var_arr.tolist()):
-            out[v] = probs[bounds[k] : bounds[k + 1]]
-        return out
+        # One segmented pass shared with the training loop; the mapping
+        # hands out disjoint views of the normalised score buffer.
+        return Marginals(var_arr, comp_starts, segment_softmax(scores, comp_starts))

@@ -1,26 +1,37 @@
-"""Random variables of the grounded model.
+"""Random variables of the grounded model, held as columns.
 
 Each cell ``t[a]`` becomes one categorical variable ``T_c`` over a pruned
 candidate domain (Section 2.2).  Evidence variables (clean cells) are fixed
 to their observed value and drive weight learning; query variables (noisy
 cells) are inferred.
+
+The paper's compiler materialises ``Domain(t, a, d)`` as a relation
+(Section 4.1); here that is :class:`CellColumns` — tuple ids, attribute codes
+and a CSR of candidate codes over per-attribute value tables — so a compiled
+model and its marginals pickle as a handful of arrays.  :class:`VariableInfo`
+objects are views, built when a caller asks for one.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import chain, islice
+
+import numpy as np
 
 from repro.dataset.dataset import Cell
+from repro.engine.ops import expand_ranges
 
 
 @dataclass
 class VariableInfo:
-    """Metadata for one grounded random variable."""
+    """One grounded random variable, materialised from its block's columns."""
 
     vid: int
     cell: Cell
     domain: list[str]
-    init_index: int       # position of the observed initial value, -1 if absent
+    init_index: int  # position of the observed initial value, -1 if absent
     is_evidence: bool
 
     @property
@@ -30,8 +41,8 @@ class VariableInfo:
             raise ValueError(f"variable {self.vid} is not evidence")
         if self.init_index < 0:
             raise ValueError(
-                f"evidence variable {self.vid} lacks its observed value "
-                f"in its domain")
+                f"evidence variable {self.vid} lacks its observed value in its domain"
+            )
         return self.init_index
 
     @property
@@ -45,61 +56,210 @@ class VariableInfo:
             return None
 
 
-class VariableBlock:
-    """An ordered collection of variables with cell-based lookup."""
+class CellColumns:
+    """Cells in insertion order with their candidate domains, as columns.
 
-    def __init__(self):
-        self._vars: list[VariableInfo] = []
-        self._by_cell: dict[Cell, int] = {}
+    Row ``i`` is the cell ``(tids[i], attributes[attribute_codes[i]])``; its
+    candidates are ``domain_codes[domain_indptr[i] : domain_indptr[i + 1]]``,
+    codes into ``tables[attribute_codes[i]]``.  ``value_tables`` seeds
+    ``attributes`` and ``tables`` — given a ``ColumnStore``'s dictionaries, a
+    value present in the data keeps the store's code — and any other value
+    or attribute extends them, so decoding needs no engine.  A pickle holds
+    the arrays and the tables; the cell lookup is rebuilt on demand.
+    Appending copies the columns: register rows a block at a time.
+    """
 
-    def add(self, cell: Cell, domain: list[str], init_index: int,
-            is_evidence: bool) -> VariableInfo:
-        if cell in self._by_cell:
-            raise ValueError(f"duplicate variable for cell {cell}")
-        info = VariableInfo(len(self._vars), cell, domain, init_index, is_evidence)
-        self._vars.append(info)
-        self._by_cell[cell] = info.vid
-        return info
+    def __init__(self, value_tables: Mapping[str, list[str]] | None = None):
+        self.attributes: list[str] = list(value_tables or ())
+        self.tables = [list(value_tables[a]) for a in self.attributes]  # code → value
+        self.tids = np.empty(0, dtype=np.int64)
+        self.attribute_codes = np.empty(0, dtype=np.int32)
+        self.domain_indptr = np.zeros(1, dtype=np.int64)
+        self.domain_codes = np.empty(0, dtype=np.int32)
+        self._index: dict[Cell, int] | None = None
 
-    def add_block(self, cells: list[Cell], domains: list[list[str]],
-                  init_indices: list[int],
-                  is_evidence: bool) -> list[VariableInfo]:
-        """Register a whole block of variables; ids are assigned in order.
+    def __getstate__(self) -> dict:
+        return {**vars(self), "_index": None}
 
-        Equivalent to repeated :meth:`add` calls (same ids, same
-        duplicate check) without the per-cell call overhead — the
-        compiler registers each query / evidence block in one shot.
-        """
-        if not (len(cells) == len(domains) == len(init_indices)):
-            raise ValueError("add_block arguments must align")
-        base = len(self._vars)
-        infos: list[VariableInfo] = []
-        for offset, (cell, domain, init_index) in enumerate(
-                zip(cells, domains, init_indices)):
-            if cell in self._by_cell:
-                raise ValueError(f"duplicate variable for cell {cell}")
-            info = VariableInfo(base + offset, cell, domain, init_index,
-                                is_evidence)
-            infos.append(info)
-            self._by_cell[cell] = info.vid
-        self._vars.extend(infos)
-        return infos
+    def _append(self, cells, domains, **columns: np.ndarray) -> range:
+        """Append a block of rows (``columns``: a subclass's per-row arrays)
+        and return their ids.  A caller that built the cell lookup keeps it
+        in step; left unbuilt, it is derived from the columns when asked for."""
+        rows = range(len(self), len(self) + len(cells))
+        names = [cell.attribute for cell in cells]
+        for name in dict.fromkeys(names):
+            if name not in self.attributes:
+                self.attributes.append(name)
+                self.tables.append([])
+        code_of = {name: code for code, name in enumerate(self.attributes)}
+        attrs = np.fromiter(map(code_of.get, names), np.int32, len(names))
+        sizes = np.fromiter(map(len, domains), np.int64, len(domains))
+        flat = np.array(list(chain.from_iterable(domains)), dtype=object)
+        owner = np.repeat(attrs, sizes)
+        codes = np.empty(len(flat), dtype=np.int32)
+        for attr in np.flatnonzero(np.bincount(attrs)).tolist():
+            table = self.tables[attr]
+            book = {value: code for code, value in enumerate(table)}
+            where = np.flatnonzero(owner == attr)
+            codes[where] = [book.setdefault(v, len(book)) for v in flat[where].tolist()]
+            table.extend(islice(book, len(table), None))  # values first seen here
+        columns.update(
+            tids=np.fromiter((cell.tid for cell in cells), np.int64, len(cells)),
+            attribute_codes=attrs,
+            domain_indptr=self.domain_indptr[-1] + np.cumsum(sizes),
+            domain_codes=codes,
+        )
+        for name, block in columns.items():
+            setattr(self, name, np.concatenate((getattr(self, name), block)))
+        return rows
+
+    def _cell_index(self) -> dict[Cell, int]:
+        """Cell → row, its keys in row order: the one pool of ``Cell`` objects."""
+        if self._index is None:
+            names = map(self.attributes.__getitem__, self.attribute_codes.tolist())
+            cells = map(Cell._make, zip(self.tids.tolist(), names))
+            self._index = dict(zip(cells, range(len(self))))
+        return self._index
 
     def __len__(self) -> int:
-        return len(self._vars)
+        return len(self.tids)
+
+    def attribute_code(self, attribute: str) -> int:
+        """The code ``attribute_codes`` holds for ``attribute`` (``-1``: unknown)."""
+        return self.attributes.index(attribute) if attribute in self.attributes else -1
+
+    def cells_of(self, rows=None) -> list[Cell]:
+        """The cells of ``rows`` (default: all), in that order."""
+        cells = list(self._cell_index())
+        return cells if rows is None else [cells[row] for row in rows]
+
+    def domain_of(self, row: int) -> list[str]:
+        """The decoded candidate list of one row."""
+        table = self.tables[self.attribute_codes[row]]
+        lo, hi = self.domain_indptr[row : row + 2]
+        return [table[code] for code in self.domain_codes[lo:hi].tolist()]
+
+    def domains_of(self, rows=None) -> list[list[str]]:
+        """Decoded candidate lists of ``rows`` (default: all).
+
+        One gather through the concatenated value tables, then one slice
+        per row — every list is fresh, so callers may keep it.
+        """
+        rows = np.arange(len(self)) if rows is None else np.asarray(rows, np.int64)
+        sizes = self.domain_indptr[rows + 1] - self.domain_indptr[rows]
+        first = np.cumsum([0, *map(len, self.tables)])[self.attribute_codes[rows]]
+        table = np.array(list(chain.from_iterable(self.tables)), dtype=object)
+        entries = expand_ranges(self.domain_indptr[rows], sizes)
+        flat = table[np.repeat(first, sizes) + self.domain_codes[entries]].tolist()
+        cuts = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        return [flat[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+
+
+class DomainRelation(CellColumns, Mapping):
+    """``Domain(t, a, d)`` as a read-only ``Mapping[Cell, list[str]]``.
+
+    Keys iterate in the order of the mapping it was built from; a lookup
+    decodes that cell's candidates.
+    """
+
+    def __init__(self, value_tables, domains: Mapping[Cell, list[str]]):
+        super().__init__(value_tables)
+        self._append(list(domains), list(domains.values()))
+
+    def __getitem__(self, cell: Cell) -> list[str]:
+        return self.domain_of(self._cell_index()[cell])
+
+    def __iter__(self) -> Iterator[Cell]:
+        return iter(self.cells_of())
+
+
+class VariableBlock(CellColumns):
+    """The variables of a grounded model: variable ``vid`` is row ``vid``.
+
+    Adds ``init_index`` and ``is_evidence`` per variable.  ``block[vid]``,
+    iteration and :meth:`by_cell` build :class:`VariableInfo` views;
+    set-at-a-time readers take the arrays.
+    """
+
+    def __init__(self, value_tables: Mapping[str, list[str]] | None = None):
+        super().__init__(value_tables)
+        self.init_index = np.empty(0, dtype=np.int64)
+        self.is_evidence = np.empty(0, dtype=bool)
+
+    def add(
+        self, cell: Cell, domain: list[str], init_index: int, is_evidence: bool
+    ) -> VariableInfo:
+        (vid,) = self.add_block([cell], [domain], [init_index], is_evidence)
+        return VariableInfo(vid, cell, domain, init_index, is_evidence)
+
+    def add_block(
+        self,
+        cells: list[Cell],
+        domains: list[list[str]],
+        init_indices: list[int],
+        is_evidence: bool,
+    ) -> range:
+        """Register a block of variables; returns their ids, assigned in order."""
+        if not len(cells) == len(domains) == len(init_indices):
+            raise ValueError("add_block arguments must align")
+        index = self._cell_index()
+        for vid, cell in enumerate(cells, len(self)):
+            if index.setdefault(cell, vid) != vid:
+                self._index = None  # rebuilt from the columns, which are untouched
+                raise ValueError(f"duplicate variable for cell {cell}")
+        return self._append(
+            cells,
+            domains,
+            init_index=np.asarray(init_indices, dtype=np.int64),
+            is_evidence=np.full(len(cells), is_evidence, dtype=bool),
+        )
 
     def __getitem__(self, vid: int) -> VariableInfo:
-        return self._vars[vid]
+        vid = range(len(self))[vid]
+        cell = Cell(int(self.tids[vid]), self.attributes[self.attribute_codes[vid]])
+        init, evidence = int(self.init_index[vid]), bool(self.is_evidence[vid])
+        return VariableInfo(vid, cell, self.domain_of(vid), init, evidence)
 
-    def __iter__(self):
-        return iter(self._vars)
+    def __iter__(self) -> Iterator[VariableInfo]:
+        columns = (self.init_index.tolist(), self.is_evidence.tolist())
+        rows = zip(range(len(self)), self.cells_of(), self.domains_of(), *columns)
+        return (VariableInfo(*row) for row in rows)
 
     def by_cell(self, cell: Cell) -> VariableInfo | None:
-        vid = self._by_cell.get(cell)
-        return self._vars[vid] if vid is not None else None
+        vid = self._cell_index().get(cell)
+        return None if vid is None else self[vid]
 
     def evidence_ids(self) -> list[int]:
-        return [v.vid for v in self._vars if v.is_evidence]
+        return np.flatnonzero(self.is_evidence).tolist()
 
     def query_ids(self) -> list[int]:
-        return [v.vid for v in self._vars if not v.is_evidence]
+        return np.flatnonzero(~self.is_evidence).tolist()
+
+
+class Marginals(Mapping):
+    """Per-variable marginals over one buffer, as a ``Mapping[int, ndarray]``.
+
+    ``probs[offsets[k] : offsets[k + 1]]`` is the distribution of variable
+    ``var_ids[k]``; lookups hand out views of ``probs``, keys iterate in
+    ``var_ids`` order, and a pickle holds the three arrays.
+    """
+
+    def __init__(self, var_ids: np.ndarray, offsets: np.ndarray, probs: np.ndarray):
+        self.var_ids, self.offsets, self.probs = var_ids, offsets, probs
+        self._position: dict[int, int] | None = None  # variable → k, on first read
+
+    def __reduce__(self):
+        return Marginals, (self.var_ids, self.offsets, self.probs)
+
+    def __len__(self) -> int:
+        return len(self.var_ids)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.var_ids.tolist())
+
+    def __getitem__(self, vid: int) -> np.ndarray:
+        if self._position is None:
+            self._position = dict(zip(self.var_ids.tolist(), range(len(self))))
+            self._cuts = self.offsets.tolist()
+        k = self._position[vid]
+        return self.probs[self._cuts[k] : self._cuts[k + 1]]

@@ -21,11 +21,15 @@ On-disk layout, one directory per session id::
         learn.pkl     learned weights + training losses
         infer.pkl     marginals
 
-Stage files are written only for artifacts present on the context, so
-a session checkpointed mid-pipeline rehydrates mid-pipeline and the
-staged plan resumes from exactly where it stopped.  Writes go to a
-temporary sibling directory first and are swapped in with a rename,
-so a crash mid-save leaves the previous checkpoint intact.
+Since format 3 ``compile.pkl`` and ``infer.pkl`` hold no object per
+variable: the catalog and the marginals are columnar in memory
+(:mod:`repro.inference.variables`).  Stage files are written only for
+artifacts present on the context, so a session checkpointed mid-pipeline
+rehydrates mid-pipeline and the staged plan resumes from exactly where it
+stopped.  Writes go to a temporary sibling directory; the previous
+checkpoint is renamed aside, the new one renamed in, and only then is the
+old one deleted, so a crash at any point leaves a complete checkpoint —
+between the two renames under its aside name, where :meth:`load` finds it.
 
 Rehydration is verified: the loaded context's content fingerprints
 must match the ones stamped at save time, and a loaded
@@ -49,7 +53,7 @@ log = get_logger("serve.checkpoint")
 
 #: Bump when the on-disk layout changes; mismatched checkpoints are
 #: rejected (the session simply pays a cold run).
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Stage name → the context artifacts serialized in that stage's file.
 STAGE_ARTIFACTS = (
@@ -96,7 +100,7 @@ class CheckpointStore:
         return sorted(
             entry.name
             for entry in self.root.iterdir()
-            if (entry / "meta.json").is_file()
+            if not entry.name.startswith(".") and (entry / "meta.json").is_file()
         )
 
     # ------------------------------------------------------------------
@@ -107,9 +111,9 @@ class CheckpointStore:
         checkpoint or the complete new one, never a half-written mix.
         """
         final = self.path(sid)
+        for stale in self.root.glob(f".{sid}.tmp-*"):  # of interrupted saves
+            shutil.rmtree(stale, ignore_errors=True)
         tmp = self.root / f".{sid}.tmp-{os.getpid()}"
-        if tmp.exists():
-            shutil.rmtree(tmp)
         tmp.mkdir(parents=True)
         try:
             stages: list[str] = []
@@ -132,11 +136,13 @@ class CheckpointStore:
             }
             (tmp / "meta.json").write_text(json.dumps(meta, indent=2) + "\n")
             if final.exists():
-                shutil.rmtree(final)
+                final.rename(self.root / f".{sid}.old-{os.getpid()}")
             tmp.rename(final)
         except Exception:
             shutil.rmtree(tmp, ignore_errors=True)
             raise
+        for aside in self.root.glob(f".{sid}.old-*"):
+            shutil.rmtree(aside, ignore_errors=True)
         return final
 
     def load(self, sid: str) -> RepairContext | None:
@@ -147,6 +153,12 @@ class CheckpointStore:
         is restored exactly as saved.
         """
         directory = self.path(sid)
+        if not directory.exists():
+            # A save killed between its two renames left the previous
+            # checkpoint, complete, under its aside name.
+            for aside in self.root.glob(f".{sid}.old-*"):
+                aside.rename(directory)
+                break
         meta_path = directory / "meta.json"
         if not meta_path.is_file():
             return None

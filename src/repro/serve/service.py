@@ -42,6 +42,8 @@ import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
 from repro.constraints.fd import parse_fd
 from repro.constraints.parser import DCParseError, parse_dc
 from repro.core.config import HoloCleanConfig
@@ -178,22 +180,25 @@ class RepairService:
                 raise BadRequest(
                     f"session {sid} has no marginals yet; POST /repair first"
                 )
+            # Filter on the catalog's columns; decode the matching cells only.
+            block = ctx.model.graph.variables
+            ids = np.asarray(ctx.model.query_ids, dtype=np.int64)
+            if tid is not None:
+                ids = ids[block.tids[ids] == tid]
+            if attribute is not None:
+                ids = ids[block.attribute_codes[ids] == block.attribute_code(attribute)]
             cells = []
-            for vid in ctx.model.query_ids:
-                info = ctx.model.graph.variables[vid]
-                if tid is not None and info.cell.tid != tid:
-                    continue
-                if attribute is not None and info.cell.attribute != attribute:
-                    continue
+            found = zip(ids.tolist(), block.cells_of(ids), block.domains_of(ids))
+            for vid, cell, domain in found:
                 marginal = ctx.marginals[vid]
                 best = int(marginal.argmax())
                 cells.append(
                     {
-                        "tid": info.cell.tid,
-                        "attribute": info.cell.attribute,
-                        "domain": list(info.domain),
+                        "tid": cell.tid,
+                        "attribute": cell.attribute,
+                        "domain": domain,
                         "marginal": [float(p) for p in marginal],
-                        "chosen": info.domain[best],
+                        "chosen": domain[best],
                         "confidence": float(marginal[best]),
                     }
                 )
@@ -368,20 +373,31 @@ class RepairService:
     def _rehydrate(self, sid: str) -> RepairContext | None:
         if self.checkpoints is None:
             return None
+        started = time.perf_counter()
         try:
-            return self.checkpoints.load(sid)
+            ctx = self.checkpoints.load(sid)
         except CheckpointError as exc:
             log.warning("discarding bad checkpoint %s: %s", sid, exc)
             self.checkpoints.delete(sid)
             return None
+        if ctx is not None:
+            elapsed = time.perf_counter() - started
+            self.metrics.extend("serve.checkpoint_load_seconds", [elapsed])
+        return ctx
 
     def _checkpoint(self, session: Session) -> None:
         if self.checkpoints is None:
             return
+        started = time.perf_counter()
         try:
-            self.checkpoints.save(session.sid, session.ctx)
+            saved = self.checkpoints.save(session.sid, session.ctx)
         except CheckpointError as exc:
             log.warning("checkpoint of session %s failed: %s", session.sid, exc)
+            return
+        elapsed = time.perf_counter() - started
+        self.metrics.extend("serve.checkpoint_save_seconds", [elapsed])
+        size = sum(f.stat().st_size for f in saved.iterdir())
+        self.metrics.gauge("serve.checkpoint_bytes", size)
 
     def _on_evict(self, session: Session) -> None:
         self._checkpoint(session)

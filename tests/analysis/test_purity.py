@@ -169,9 +169,10 @@ def test_learner_epoch_and_pinned_weight_loops_clean(make_module, make_ctx):
     assert check(make_ctx, good) == []
 
 
-def test_real_learner_modules_have_one_audited_loop(repo_ctx):
-    # Before pragma suppression: the dict of per-variable views that
-    # marginals() returns (pragma-audited), nothing in the matrix.
+def test_real_learner_modules_have_no_per_row_loop(repo_ctx):
+    # Before pragma suppression: nothing in the learner (marginals() hands
+    # back one buffer behind a Mapping, not a dict built per variable) and
+    # nothing in the matrix.
     assert {SOFTMAX, FEATURES} <= PurityChecker.modules
     raw = [f.path for f in PurityChecker().check(repo_ctx)]
-    assert raw.count(SOFTMAX) == 1 and raw.count(FEATURES) == 0
+    assert raw.count(SOFTMAX) == 0 and raw.count(FEATURES) == 0

@@ -163,15 +163,58 @@ class TestEvidenceSampling:
             assert compiler._sample_evidence(query_cells) == reference, cap
 
 
+class TestColumnarCatalog:
+    """The variable catalog and the ``Domain`` relation a compile emits."""
+
+    @pytest.fixture
+    def pruned(self, figure1_dataset, figure1_constraints):
+        config = HoloCleanConfig(tau=0.3, seed=1)
+        detection = ViolationDetector(figure1_constraints).detect(
+            figure1_dataset)
+        compiler = ModelCompiler(figure1_dataset, figure1_constraints, config,
+                                 detection)
+        query = compiler._prune_domains(sorted(detection.noisy_cells))
+        evidence = compiler._prune_domains(
+            compiler._sample_evidence(set(query)))
+        return compiler, compiler.compile(), {**query, **evidence}
+
+    def test_domain_relation_has_the_dicts_keys_order_and_lists(self, pruned):
+        _, model, domains = pruned
+        relation = model.relations.domain
+        assert list(relation) == list(domains)
+        assert dict(relation.items()) == domains
+        assert model.relations.num_random_variables == len(domains)
+
+    def test_candidate_codes_are_the_column_stores(self, pruned):
+        compiler, model, _ = pruned
+        store = compiler.engine.store
+        for columns in (model.graph.variables, model.relations.domain):
+            assert len(columns)
+            # Every candidate came from the data: no table grew.
+            assert columns.attributes == store.attributes
+            assert columns.tables == [store.values(a) for a in store.attributes]
+            rows = range(len(columns))
+            for row, cell, domain in zip(rows, columns.cells_of(),
+                                         columns.domains_of()):
+                lo, hi = columns.domain_indptr[row:row + 2]
+                assert columns.domain_codes[lo:hi].tolist() == [
+                    store.code_of(cell.attribute, value) for value in domain]
+
+    def test_store_dictionaries_are_not_shared(self, pruned):
+        compiler, model, _ = pruned
+        variables = model.graph.variables
+        store_table = compiler.engine.store.values(variables.attributes[0])
+        assert variables.tables[0] is not store_table
+        assert variables.tables[0] is not model.relations.domain.tables[0]
+
+
 class TestInitValueRelation:
-    def test_relations_materialise_init_values(self, compiled,
-                                               figure1_dataset):
+    def test_relations_derive_init_values(self, compiled, figure1_dataset):
         model, _ = compiled
         relations = model.relations
-        assert relations.init_values, "InitValue relation not materialised"
+        assert list(relations.init_values) == list(relations.domain)
         for cell, value in relations.init_values.items():
             assert value == figure1_dataset.cell_value(cell)
-            assert relations.init_value(cell) == value
 
     def test_engine_and_naive_relations_identical(self, figure1_dataset,
                                                   figure1_constraints):

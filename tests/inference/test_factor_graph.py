@@ -73,7 +73,7 @@ class TestVariableBlock:
     def test_by_cell(self):
         block = VariableBlock()
         info = block.add(Cell(0, "A"), ["x"], 0, is_evidence=False)
-        assert block.by_cell(Cell(0, "A")) is info
+        assert block.by_cell(Cell(0, "A")) == info  # a view, equal by value
         assert block.by_cell(Cell(9, "Z")) is None
 
     def test_evidence_and_query_ids(self):

@@ -65,7 +65,7 @@ class TestGibbsSampler:
 
     def test_evidence_without_observed_value_rejected(self):
         graph, weights = coupled_graph()
-        graph.variables[0].init_index = -1
+        graph.variables.init_index[0] = -1  # the column is the storage
         with pytest.raises(ValueError, match="observed value"):
             GibbsSampler(graph, weights)
 

@@ -9,7 +9,9 @@ and through the feedback path too.
 
 from __future__ import annotations
 
+import pickletools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from repro.core.stages import (
     RepairContext,
     RepairPlan,
 )
+from repro.data import generate_hospital
 from repro.serve.checkpoint import (
     FORMAT_VERSION,
     STAGE_ARTIFACTS,
@@ -152,7 +155,7 @@ class TestMidPipelineCheckpoint:
 
 class TestOlderCheckpoints:
     def test_config_pickled_with_removed_fields_still_loads(self, hospital, tmp_path):
-        """A format-2 checkpoint written while ``HoloCleanConfig`` still had
+        """A config pickled while ``HoloCleanConfig`` still had
         ``engine_backend`` / ``parallel_workers`` carries them as instance
         attributes; it loads, ignores them, and repairs identically."""
         warm = RepairPlan.default().run(_fresh_ctx(hospital))
@@ -160,7 +163,6 @@ class TestOlderCheckpoints:
         warm.config.parallel_workers = 2
         store = CheckpointStore(tmp_path)
         store.save("sid", warm)
-        assert FORMAT_VERSION == 2
 
         rehydrated = store.load("sid")
         assert vars(rehydrated.config)["parallel_workers"] == 2
@@ -193,9 +195,11 @@ class TestStoreMechanics:
         meta = store.path("sid") / "meta.json"
         current = f'"version": {FORMAT_VERSION}'
         assert current in meta.read_text()
-        # Format 1 pickled the hypergraph as Violation objects; it must
-        # stop at the version gate, not inside the unpickler.
-        for other in (1, 99):
+        # Format 1 pickled the hypergraph as Violation objects and format
+        # 2 one VariableInfo per variable; both must stop at the version
+        # gate, not inside the unpickler.
+        assert FORMAT_VERSION == 3
+        for other in (1, 2, 99):
             meta.write_text(meta.read_text().replace(current, f'"version": {other}'))
             with pytest.raises(CheckpointError, match="format version"):
                 store.load("sid")
@@ -211,6 +215,62 @@ class TestStoreMechanics:
         with pytest.raises(CheckpointError, match="fingerprint"):
             store.load("sid")
 
+    @pytest.mark.parametrize("death", [KeyboardInterrupt, OSError])
+    def test_kill_between_the_renames_keeps_the_previous_checkpoint(
+        self, hospital, tmp_path, monkeypatch, death
+    ):
+        """Old aside, new in, old deleted: dying after the first rename
+        (a kill: no handler of ``save`` runs; or a rename that fails: its
+        handler does) loses nothing — the previous checkpoint is complete
+        under its aside name and the next load puts it back."""
+        ctx = RepairPlan.default().run(_fresh_ctx(hospital))
+        store = CheckpointStore(tmp_path)
+        store.save("sid", ctx)
+        before = (store.path("sid") / "meta.json").read_text()
+
+        rename, calls = Path.rename, []
+
+        def dies_on_the_second(self, target):
+            calls.append(Path(target).name)
+            if len(calls) == 2:
+                raise death
+            return rename(self, target)
+
+        ctx.feedback[next(iter(ctx.result.inferences))] = "verified"
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "rename", dies_on_the_second)
+            with pytest.raises(death):
+                store.save("sid", ctx)
+        assert calls[1] == "sid" and not store.path("sid").exists()
+        assert store.session_ids() == []  # dot names are never sessions
+
+        survivor = store.load("sid")
+        assert survivor is not None and survivor.feedback == {}
+        assert (store.path("sid") / "meta.json").read_text() == before
+        assert store.session_ids() == ["sid"]
+        store.save("sid", ctx)  # and the next save sweeps the debris
+        assert [p.name for p in tmp_path.iterdir()] == ["sid"]
+        assert store.load("sid").feedback == ctx.feedback
+
+    def test_leftover_tmp_directory_is_not_a_session(self, hospital, tmp_path):
+        """A save that died after writing ``meta.json`` leaves
+        ``.<sid>.tmp-<pid>``: never listed, swept by the next save of
+        that session, left alone by a save of another."""
+        ctx = RepairPlan.default().run(_fresh_ctx(hospital))
+        store = CheckpointStore(tmp_path)
+        store.save("aaa", ctx)
+        planted = tmp_path / ".aaa.tmp-4242"
+        planted.mkdir()
+        (planted / "meta.json").write_text(
+            (store.path("aaa") / "meta.json").read_text()
+        )
+        assert store.session_ids() == ["aaa"]
+        store.save("bbb", ctx)
+        assert planted.is_dir()
+        store.save("aaa", ctx)
+        assert not planted.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["aaa", "bbb"]
+
     def test_save_overwrites_atomically(self, hospital, tmp_path):
         ctx = RepairPlan.default().run(_fresh_ctx(hospital))
         store = CheckpointStore(tmp_path)
@@ -220,6 +280,26 @@ class TestStoreMechanics:
         assert (store.path("sid") / "meta.json").read_text() == first
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".")]
         assert leftovers == []
+
+
+class TestColumnarPayload:
+    """No object per variable in what a compiled model and its marginals
+    pickle to: the catalog, the ``Domain`` relation and the marginals are
+    arrays, so the opcode stream stays a few entries per variable (value
+    tables, feature keys, the id lists) where format 2 spent ~48."""
+
+    @pytest.mark.parametrize("rows", [100, 400])
+    def test_opcodes_per_variable(self, rows, tmp_path):
+        generated = generate_hospital(num_rows=rows)
+        ctx = RepairPlan.default().run(_fresh_ctx(generated))
+        saved = CheckpointStore(tmp_path).save("sid", ctx)
+        opcodes = sum(
+            sum(1 for _ in pickletools.genops((saved / name).read_bytes()))
+            for name in ("compile.pkl", "infer.pkl")
+        )
+        variables = len(ctx.model.graph.variables)
+        assert variables == 19 * rows
+        assert opcodes <= 10 * variables, opcodes / variables
 
 
 class TestDamagedFiles:

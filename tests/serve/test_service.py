@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import logging
+
+import numpy as np
 import pytest
 
 from repro.core.config import HoloCleanConfig
+from repro.serve.checkpoint import FORMAT_VERSION
 from repro.serve.service import (
     BadRequest,
     NotFound,
@@ -153,6 +158,37 @@ class TestMarginals:
         for cell in subset:
             assert cell["confidence"] == max(cell["marginal"])
 
+    def test_filtered_response_is_the_filter_of_the_full_one(self, service, hospital):
+        """The filter runs on the catalog's columns before any cell is
+        decoded; what comes back is byte-for-byte the matching slice of
+        the unfiltered response."""
+        sid = service.repair(payload_for(hospital))["session"]
+        everything = service.marginals(sid)["cells"]
+        assert everything == sorted(
+            everything, key=lambda c: (c["tid"], c["attribute"])
+        )
+        target = everything[len(everything) // 2]
+        tid, attribute = target["tid"], target["attribute"]
+        for asked in (
+            {"tid": tid},
+            {"attribute": attribute},
+            {"tid": tid, "attribute": attribute},
+            {"tid": 10**6},
+            {"attribute": "NoSuchColumn"},
+            {"tid": tid, "attribute": "NoSuchColumn"},
+        ):
+            want = [
+                cell
+                for cell in everything
+                if all(cell[field] == value for field, value in asked.items())
+            ]
+            got = service.marginals(sid, **asked)
+            assert json.dumps(got) == json.dumps({"session": sid, "cells": want})
+        assert service.marginals(sid, tid=tid, attribute=attribute)["cells"] == [target]
+        for cell in everything:
+            assert cell["chosen"] == cell["domain"][np.argmax(cell["marginal"])]
+            assert all(isinstance(value, str) for value in cell["domain"])
+
     def test_unknown_session(self, service):
         with pytest.raises(NotFound):
             service.marginals("feedbeefcafe")
@@ -164,8 +200,12 @@ class TestMarginals:
         after = service.marginals(sid)["cells"]
         assert after == before
 
-    @pytest.mark.parametrize("damage", ["truncated", "renamed", "version-1"])
+    @pytest.mark.parametrize(
+        "damage", ["truncated", "renamed", "version-1", "version-2"]
+    )
     def test_bad_checkpoint_means_cold_run(self, service, hospital, damage):
+        """Format 2 pickled one object per variable; like any other mismatch
+        it is refused with a warning, discarded, and the request runs cold."""
         first = service.repair(payload_for(hospital))
         sid = first["session"]
         service.delete_session(sid)  # evict but keep the checkpoint
@@ -179,10 +219,25 @@ class TestMarginals:
             detect.write_bytes(renamed)
         else:
             meta = directory / "meta.json"
-            meta.write_text(meta.read_text().replace('"version": 2', '"version": 1'))
-        again = service.repair(payload_for(hospital))
+            current = f'"version": {FORMAT_VERSION}'
+            assert current in meta.read_text()
+            other = f'"version": {damage.removeprefix("version-")}'
+            meta.write_text(meta.read_text().replace(current, other))
+        records: list[logging.LogRecord] = []
+        handler = logging.Handler(logging.WARNING)
+        handler.emit = records.append
+        logger = logging.getLogger("repro.serve")
+        logger.addHandler(handler)
+        try:
+            again = service.repair(payload_for(hospital))
+        finally:
+            logger.removeHandler(handler)
         assert again["path"] == "cold"
         assert again["repairs"] == first["repairs"]
+        assert [r.getMessage().split(":")[0] for r in records] == [
+            f"discarding bad checkpoint {sid}"
+        ]
+        assert service.checkpoints.load(sid) is not None  # rewritten by the cold run
 
 
 class TestValidation:
@@ -285,6 +340,26 @@ class TestLifecycle:
         assert gauges["serve.sessions"] == 1
         assert snapshot["labels"]["serve.last_path"] == "warm"
         assert len(snapshot["series"]["serve.job_seconds"]) == 2
+
+    def test_checkpoint_cost_is_recorded(self, service, hospital):
+        """Save and load seconds and the bytes written are read off the
+        registry (and so off ``/metricsz``), not inferred from overhead."""
+        sid = service.repair(payload_for(hospital))["session"]  # cold: one save
+        service.repair(payload_for(hospital))  # warm: none
+        snapshot = service.metrics_snapshot()
+        assert len(snapshot["series"]["serve.checkpoint_save_seconds"]) == 1
+        assert "serve.checkpoint_load_seconds" not in snapshot["series"]
+        directory = service.checkpoints.path(sid)
+        on_disk = sum(f.stat().st_size for f in directory.iterdir())
+        assert snapshot["gauges"]["serve.checkpoint_bytes"] == on_disk > 0
+
+        service.delete_session(sid)  # evict: a second save
+        assert service.repair(payload_for(hospital))["path"] == "rehydrated"
+        series = service.metrics_snapshot()["series"]
+        assert len(series["serve.checkpoint_save_seconds"]) == 3
+        assert len(series["serve.checkpoint_load_seconds"]) == 1
+        spent = [s for name in series if "checkpoint" in name for s in series[name]]
+        assert len(spent) == 4 and min(spent) > 0
 
     def test_health(self, service):
         health = service.health()
