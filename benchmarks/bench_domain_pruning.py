@@ -26,6 +26,7 @@ try:
 except ModuleNotFoundError:  # plain `python benchmarks/...` from a checkout
     sys.path.insert(0, str(Path(__file__).parent.parent / "src"))
 
+import numpy as np
 from _common import fmt, publish, publish_json
 
 from repro.core.compiler import ModelCompiler
@@ -33,6 +34,7 @@ from repro.core.config import HoloCleanConfig
 from repro.oracle import DomainPruner
 from repro.core.vector_domain import VectorDomainPruner
 from repro.data.generators.hospital import generate_hospital
+from repro.dataset.dataset import Cell
 from repro.dataset.stats import Statistics
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
@@ -53,7 +55,14 @@ def collect_cells(compiler):
     repairable = set(compiler.dataset.schema.data_attributes)
     noisy = compiler.detection.noisy_cells
     query_cells = sorted(c for c in noisy if c.attribute in repairable)
-    evidence_cells = compiler._sample_evidence(set(query_cells))
+    names = compiler.engine.store.attributes
+    tids = np.array([cell.tid for cell in query_cells], dtype=np.int64)
+    codes = np.array([names.index(c.attribute) for c in query_cells], dtype=np.int64)
+    sampled = compiler._sample_evidence(tids, codes)
+    evidence_cells = [
+        Cell(tid, names[code])
+        for tid, code in zip(*(column.tolist() for column in sampled))
+    ]
     return query_cells + evidence_cells
 
 

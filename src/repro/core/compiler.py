@@ -11,6 +11,7 @@ the evidence labels for weight learning.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -23,14 +24,14 @@ from repro.core.config import HoloCleanConfig
 from repro.core.factor_tables import VectorFactorTableBuilder
 from repro.core.featurize import FeaturizationContext
 from repro.core.partition import make_pair_enumerator
-from repro.core.relations import CompiledRelations, init_value_relation
+from repro.core.relations import CompiledRelations
 from repro.core.vector_domain import (EntityVoteModes, VectorDomainPruner,
                                       merged_negative_domains)
 from repro.core.vector_featurize import VectorFeaturizer
 from repro.core import rules as ddlog
 from repro.dataset.dataset import Cell, Dataset
 from repro.detect.base import DetectionResult
-from repro.engine import Engine, engine_for
+from repro.engine import Engine, engine_for, ops
 from repro.external.dictionary import ExternalDictionary
 from repro.external.matcher import match_dictionary
 from repro.inference.factor_graph import ConstraintFactor, FactorGraph
@@ -84,6 +85,16 @@ class CompiledModel:
         )
 
 
+def _relation(tables, tids, attribute_codes, indptr, codes) -> DomainRelation:
+    """The cells with at least one candidate, as a ``Domain`` relation: a
+    cell that prunes to nothing gets no row, and so no variable."""
+    rows = np.flatnonzero(np.diff(indptr))
+    relation = DomainRelation(tables)
+    relation.append(tids[rows], attribute_codes[rows],
+                    *ops.take_csr(indptr, codes, rows))
+    return relation
+
+
 class ModelCompiler:
     """Compiles one dataset + detection result into a :class:`CompiledModel`.
 
@@ -93,7 +104,10 @@ class ModelCompiler:
     :meth:`_weak_labels`, :meth:`_evidence_negatives`,
     :meth:`_featurize_all`, :meth:`_ground_factors` — are the seams
     :class:`repro.oracle.NaiveModelCompiler` overrides with the
-    tuple-at-a-time reference the equivalence tests compare against.
+    tuple-at-a-time reference the equivalence tests compare against.  They
+    take and return cells and candidate domains as columns — tuple ids,
+    attribute codes and a CSR of store codes, or the catalogs built from
+    them — from Algorithm 2 to the featurizer, with no string in between.
     """
 
     def __init__(self, dataset: Dataset, constraints: list[DenialConstraint],
@@ -118,83 +132,67 @@ class ModelCompiler:
     # ------------------------------------------------------------------
     def compile(self) -> CompiledModel:
         config = self.config
+        store = self.engine.store
+        # Query cells: the noisy cells of repairable attributes, as
+        # (tid, store attribute code) in (tid, attribute name) order.
         repairable = set(self.dataset.schema.data_attributes)
-        query_cells = sorted(
-            c for c in self.detection.noisy_cells if c.attribute in repairable)
+        code_of = {name: code for code, name in enumerate(store.attributes)}
+        noisy = np.array([(cell.tid, code_of[cell.attribute])
+                          for cell in self.detection.noisy_cells
+                          if cell.attribute in repairable],
+                         dtype=np.int64).reshape(-1, 2)
+        noisy = noisy[self._cell_order(noisy[:, 0], noisy[:, 1])]
 
-        with deep_span("compile.prune_domains", cells=len(query_cells)):
-            query_domains = self._prune_domains(query_cells)
-
-        evidence_cells = self._sample_evidence(set(query_domains))
-        with deep_span("compile.prune_evidence", cells=len(evidence_cells)):
-            evidence_domains = self._prune_domains(evidence_cells)
-
-        # The slice of the InitValue relation this model grounds against,
-        # materialised once (column-decoded by the engine) and consulted
-        # for every variable's initial value instead of per-cell dataset
-        # probes.  A lookup table of this method only: its order is free.
-        init_values = init_value_relation(
-            self.dataset, engine=self.engine,
-            cells=[*query_domains, *evidence_domains])
+        with deep_span("compile.prune_domains", cells=len(noisy)):
+            query_domains = self._prune_domains(noisy[:, 0], noisy[:, 1])
+        with deep_span("compile.sample_evidence"):
+            sampled = self._sample_evidence(noisy[:, 0], noisy[:, 1])
+        with deep_span("compile.prune_evidence", cells=len(sampled[0])):
+            evidence_domains = self._prune_domains(*sampled)
 
         matched = self._ground_matched()
         context = FeaturizationContext(self.dataset, self.stats, config,
                                        matched=matched)
-
         space = FeatureSpace()
         builder = FeatureMatrixBuilder(space)
-        # Seeded with the store's dictionaries: a candidate present in the
-        # data carries the ColumnStore's code in the catalog too.
-        store = self.engine.store
-        value_tables = {a: store.values(a) for a in store.attributes}
-        variables = VariableBlock(value_tables)
+        # Seeded with the store's dictionaries: every candidate the pruner
+        # hands over is a store code, and stays one in the catalog.
+        tables = {a: store.values(a) for a in store.attributes}
+        with deep_span("compile.register"):
+            query = _relation(tables, noisy[:, 0], noisy[:, 1], *query_domains)
+            evidence = _relation(tables, *sampled, *evidence_domains)
+            # The query cells, then the evidence: appending rebinds the
+            # columns, so ``query`` keeps its own; the tables are shared.
+            relation = copy.copy(query)
+            relation.append(*evidence.take())
 
-        # Query variables, registered block-at-a-time: the per-cell
-        # add / start_variable / weak-label walk becomes array-shaped spec
-        # construction plus one batched registration per block.
-        query_specs = [(cell, query_domains[cell])
-                       for cell in sorted(query_domains)]
-        query_inits = [
-            domain.index(init_values[cell])
-            if init_values[cell] in domain else -1
-            for cell, domain in query_specs]
-        query_ids = list(variables.add_block(
-            [cell for cell, _ in query_specs],
-            [domain for _, domain in query_specs],
-            query_inits, is_evidence=False))
-        first_vid = builder.start_variables(
-            [len(domain) for _, domain in query_specs])
-        assert not query_ids or first_vid == query_ids[0]
-        specs: list[tuple[Cell, list[str]]] = list(query_specs)
-        labels = self._weak_labels(context, query_specs, query_inits)
-        weak_candidates: list[tuple[int, int]] = [
-            (vid, label)
-            for vid, label, (_, domain) in zip(query_ids, labels, query_specs)
-            if label >= 0 and len(domain) >= 2]
+            variables = VariableBlock(tables)
+            # Observed values as store codes (-1: NULL), by (tid, attribute).
+            stored = np.stack([store.codes(a) for a in store.attributes], axis=1)
+            inits = ops.csr_positions(query.domain_indptr, query.domain_codes,
+                                      stored[query.tids, query.attribute_codes])
+            query_ids = list(variables.append(*query.take(), inits,
+                                              is_evidence=False))
+            labels = self._weak_labels(context, query, inits)
+            weak = np.flatnonzero(
+                (labels >= 0) & (np.diff(query.domain_indptr) >= 2))
 
-        sorted_evidence = sorted(evidence_domains)
-        extended = self._evidence_negatives(
-            sorted_evidence, [evidence_domains[cell]
-                              for cell in sorted_evidence])
-        evidence_specs: list[tuple[Cell, list[str]]] = []
-        evidence_labels: list[int] = []  # the observed value: init index = label
-        for cell, domain in zip(sorted_evidence, extended):
-            init = init_values[cell]
-            if init is None or init not in domain or len(domain) < 2:
-                continue  # no training signal in a singleton/unlabelled cell
-            evidence_specs.append((cell, domain))
-            evidence_labels.append(domain.index(init))
-        evidence_ids = list(variables.add_block(
-            [cell for cell, _ in evidence_specs],
-            [domain for _, domain in evidence_specs],
-            evidence_labels, is_evidence=True))
-        first_vid = builder.start_variables(
-            [len(domain) for _, domain in evidence_specs])
-        assert not evidence_ids or first_vid == evidence_ids[0]
-        specs.extend(evidence_specs)
+            extended = self._evidence_negatives(evidence)
+            observed = ops.csr_positions(
+                *extended, stored[evidence.tids, evidence.attribute_codes])
+            # No training signal in a singleton or unlabelled cell; the
+            # evidence variables follow the query ones in cell order.
+            trains = (observed >= 0) & (np.diff(extended[0]) >= 2)
+            order = self._cell_order(evidence.tids, evidence.attribute_codes)
+            rows = order[trains[order]]
+            evidence_ids = list(variables.append(
+                evidence.tids[rows], evidence.attribute_codes[rows],
+                *ops.take_csr(*extended, rows), observed[rows], is_evidence=True))
+            evidence_labels = observed[rows].tolist()
+            builder.start_variables(np.diff(variables.domain_indptr).tolist())
 
-        with deep_span("compile.featurize", variables=len(specs)):
-            feature_stats = self._featurize_all(context, specs, builder)
+        with deep_span("compile.featurize", variables=len(variables)):
+            feature_stats = self._featurize_all(context, variables, builder)
 
         if config.use_minimality and ("minimality",) in space:
             space.set_fixed(("minimality",), config.minimality_weight)
@@ -210,14 +208,10 @@ class ModelCompiler:
         grounding: dict[str, int | str] = {**feature_stats,
                                            **self._pruner.stats}
         if config.use_dc_factors:
-            skipped, factor_grounding = self._ground_factors(
-                graph, query_domains)
+            skipped, factor_grounding = self._ground_factors(graph, query)
             grounding.update(factor_grounding)
 
-        relations = CompiledRelations(
-            self.dataset,
-            DomainRelation(value_tables, {**query_domains, **evidence_domains}),
-            matched=matched)
+        relations = CompiledRelations(self.dataset, relation, matched=matched)
         program = ddlog.compile_program(
             self.constraints,
             use_dc_feats=config.use_dc_feats,
@@ -233,9 +227,8 @@ class ModelCompiler:
         if use_weak is None:
             use_weak = len(evidence_ids) < max(50, len(query_ids) // 20)
         if use_weak:
-            evidence_ids = evidence_ids + [vid for vid, _ in weak_candidates]
-            evidence_labels = (evidence_labels
-                               + [label for _, label in weak_candidates])
+            evidence_ids = evidence_ids + [query_ids[k] for k in weak.tolist()]
+            evidence_labels = evidence_labels + labels[weak].tolist()
 
         return CompiledModel(graph=graph, relations=relations,
                              evidence_ids=evidence_ids,
@@ -244,25 +237,35 @@ class ModelCompiler:
                              skipped_factors=skipped, grounding=grounding)
 
     # ------------------------------------------------------------------
-    def _prune_domains(self, cells: list[Cell]) -> dict[Cell, list[str]]:
-        """Algorithm 2 candidate domains for ``cells``, set-at-a-time."""
-        return self._pruner.domains(cells)
+    def _cell_order(self, tids: np.ndarray,
+                    attribute_codes: np.ndarray) -> np.ndarray:
+        """The permutation sorting cells by ``(tid, attribute name)``."""
+        names = self.engine.store.attributes
+        rank = np.argsort(sorted(range(len(names)), key=names.__getitem__))
+        return np.lexsort((rank[attribute_codes], tids))
+
+    def _prune_domains(self, tids: np.ndarray, attribute_codes: np.ndarray,
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """Algorithm 2 candidate domains of the cells ``(tids[i],
+        store.attributes[attribute_codes[i]])``: a CSR of store codes, row
+        ``i`` for cell ``i`` (empty when it prunes to nothing)."""
+        return self._pruner.prune(tids, attribute_codes)
 
     # ------------------------------------------------------------------
     def _featurize_all(self, context: FeaturizationContext,
-                       specs: list[tuple[Cell, list[str]]],
+                       variables: VariableBlock,
                        builder: FeatureMatrixBuilder) -> dict[str, int | str]:
-        """Ground the unary features of every variable in ``specs``.
+        """Ground the unary features of every variable in ``variables``.
 
         The whole stack grounds set-at-a-time over the column store
         (:class:`VectorFeaturizer`); returns its ``feature_*`` counters.
         """
         featurizer = VectorFeaturizer(self.engine, context, self.constraints)
-        return featurizer.featurize(specs, builder)
+        return featurizer.featurize(variables, builder)
 
     def _weak_labels(self, context: FeaturizationContext,
-                     specs: list[tuple[Cell, list[str]]],
-                     init_indices: list[int]) -> list[int]:
+                     query: DomainRelation,
+                     init_indices: np.ndarray) -> np.ndarray:
         """Weak training label per query cell (candidate index, or -1).
 
         Default: the observed value (assumption (i) of Section 5.2 —
@@ -272,79 +275,66 @@ class ModelCompiler:
         more tuples) instead — the EM seed of truth-finding systems like
         SLiMFast [35]; training against per-tuple observations would only
         teach the model to echo each source's own report.  One entity-key
-        group-by over the column store, then one vote per (attribute,
-        cell set) via :class:`EntityVoteModes`.
+        group-by over the column store, then one vote per attribute via
+        :class:`EntityVoteModes`, looked up in the candidate codes.
         """
         entity_attrs = list(self.config.source_entity_attributes)
         if (context.source_attribute is None or not entity_attrs
-                or not specs):
-            return list(init_indices)
+                or not len(query)):
+            return init_indices
         voter = EntityVoteModes(self.engine, entity_attrs)
-        labels = list(init_indices)
-        groups: dict[str, list[int]] = {}
-        for position, (cell, _) in enumerate(specs):
-            groups.setdefault(cell.attribute, []).append(position)
-        store = self.engine.store
-        for attribute, positions in groups.items():
-            tids = np.asarray([specs[p][0].tid for p in positions],
-                              dtype=np.int64)
-            modes = voter.modes(
-                attribute, tids, self._pruner._lex_rank(attribute))
-            values = store.values(attribute)
-            for position, code in zip(positions, modes.tolist()):
-                if code < 0:
-                    continue
-                mode = values[code]
-                domain = specs[position][1]
-                if mode in domain:
-                    labels[position] = domain.index(mode)
-        return labels
+        modes = np.full(len(query), -1, dtype=np.int64)
+        for code in np.flatnonzero(np.bincount(query.attribute_codes)):
+            rows = np.flatnonzero(query.attribute_codes == code)
+            attribute = query.attributes[code]
+            modes[rows] = voter.modes(attribute, query.tids[rows],
+                                      self._pruner._lex_rank(attribute))
+        voted = ops.csr_positions(query.domain_indptr, query.domain_codes, modes)
+        return np.where(voted >= 0, voted, init_indices)
 
-    def _evidence_negatives(self, cells: list[Cell],
-                            domains: list[list[str]]) -> list[list[str]]:
-        """Extend every evidence domain with frequent negative candidates.
+    def _evidence_negatives(self, evidence: DomainRelation,
+                            ) -> tuple[np.ndarray, np.ndarray]:
+        """Every evidence domain extended with frequent negative candidates.
 
         Evidence cells in homogeneous attributes often prune down to a
         singleton domain and then carry no learning signal; the most
         frequent attribute values act as contrastive negatives.  Each
         attribute's values are ranked once and merged into per-cell
-        prefixes (:func:`merged_negative_domains`).
+        prefixes (:func:`merged_negative_domains`); returns the extended
+        domains as a CSR in ``evidence``'s row order.
         """
-        wanted = self.config.evidence_negatives
-        if wanted <= 0 or not cells:
-            return domains
         return merged_negative_domains(
-            self.engine, self.stats, cells, domains, wanted,
-            self.config.max_domain)
+            self.engine, self.stats, evidence.attribute_codes,
+            evidence.domain_indptr, evidence.domain_codes,
+            self.config.evidence_negatives, self.config.max_domain)
 
-    def _sample_evidence(self, query_cells: set[Cell]) -> list[Cell]:
+    def _sample_evidence(self, tids: np.ndarray, attribute_codes: np.ndarray,
+                         ) -> tuple[np.ndarray, np.ndarray]:
         """Clean cells used as ERM evidence, subsampled for scale.
 
-        The clean mask is built as one boolean grid (tuples × repairable
-        attributes, row-major — the order the old per-cell list
-        comprehension produced) and only the subsampled cells are
-        materialised as :class:`Cell` objects; same cells, same RNG
-        stream, without constructing one Python object per clean cell
-        first.
+        Every cell of a repairable attribute but the query cells ``(tids,
+        attribute_codes)`` is clean.  The clean mask is one boolean grid
+        (tuples × repairable attributes, row-major — the order the old
+        per-cell list comprehension produced) and the sample is returned
+        as ``(tids, attribute codes)``: same cells, same RNG stream,
+        without one Python object per clean cell.
         """
-        repairable = self.dataset.schema.data_attributes
-        num_tuples = self.dataset.num_tuples
-        column_of = {attr: i for i, attr in enumerate(repairable)}
-        clean = np.ones((num_tuples, len(repairable)), dtype=bool)
-        for cells in (self.detection.noisy_cells, query_cells):
-            for cell in cells:
-                column = column_of.get(cell.attribute)
-                if column is not None:
-                    clean[cell.tid, column] = False
-        flat = np.nonzero(clean.ravel())[0]
+        store = self.engine.store
+        repairable = np.array(
+            [store.attributes.index(a) for a in self.dataset.schema.data_attributes],
+            dtype=np.int64)
+        column = np.full(len(store.attributes), -1, dtype=np.int64)
+        column[repairable] = np.arange(len(repairable))
+        clean = np.ones((self.dataset.num_tuples, len(repairable)), dtype=bool)
+        clean[tids, column[attribute_codes]] = False
+        flat = np.flatnonzero(clean)
         cap = self.config.max_training_cells
         if cap is not None and len(flat) > cap:
             rng = np.random.default_rng(self.config.seed)
             picked = rng.choice(len(flat), size=cap, replace=False)
             flat = flat[np.sort(picked)]
-        width = len(repairable)
-        return [Cell(int(i // width), repairable[i % width])
-                for i in flat.tolist()]
+        width = max(len(repairable), 1)
+        return flat // width, repairable[flat % width]
 
     def _ground_matched(self):
         if not (self.config.use_external and self.dictionaries
@@ -358,8 +348,7 @@ class ModelCompiler:
     # ------------------------------------------------------------------
     # Algorithm 1 grounding: denial constraints as factors
     # ------------------------------------------------------------------
-    def _ground_factors(self, graph: FactorGraph,
-                        query_domains: dict[Cell, list[str]],
+    def _ground_factors(self, graph: FactorGraph, query_domains: DomainRelation,
                         ) -> tuple[int, dict[str, int | str]]:
         config = self.config
         enumerator = make_pair_enumerator(

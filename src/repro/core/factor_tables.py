@@ -23,6 +23,7 @@ same variable-id order, same emission order, same skip accounting
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,9 @@ from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Const, Operator, OrderKeys, Predicate
 from repro.dataset.dataset import Cell, Dataset
 from repro.engine import ops
+from repro.engine.store import DomainCodeIndex
 from repro.inference.factor_graph import ConstraintFactor
-from repro.inference.variables import VariableBlock
+from repro.inference.variables import CellColumns, VariableBlock, as_columns
 from repro.obs.trace import deep_span
 
 #: Upper bound on the cells of one broadcast evaluation block; groups
@@ -46,38 +48,48 @@ class CodeSpace:
     """One codebook plus every per-attribute artifact coded in it.
 
     A space covers the attributes one predicate compares (one attribute,
-    or a sorted cross-attribute pair sharing a union codebook).  It holds
-    the candidate-domain CSR index of each attribute (query cells list
-    their pruned domains, evidence cells their initial value), the whole
-    column re-coded for fixed context, the finalised code → value list,
-    and — lazily — the :class:`OrderKeys` inequality predicates compare
-    with.  CSR builds run first: they extend the codebook with candidate
-    values absent from the data, so the value list is complete by the
-    time lookup tables are derived from it.
+    or a cross-attribute pair sharing a union codebook) over a catalog of
+    candidate domains seeded with the store's dictionaries.  Per attribute
+    it holds ``luts`` (catalog code → space code), the whole column
+    re-coded for fixed context and — lazily — the candidate-domain CSR index
+    (catalog cells list their candidates, every other cell its initial
+    value: :meth:`ColumnStore.candidate_index`); plus the code → value list
+    and, lazily, the :class:`OrderKeys` inequality predicates compare with.
+    The lookup tables extend the codebook with candidate values absent from
+    the data first, so the value list is complete when it is derived.
 
     Shared infrastructure: the vectorized featurizer
     (:mod:`repro.core.vector_featurize`) compiles denial-constraint
     *feature* evaluation through the same spaces.
     """
 
-    def __init__(self, store, attrs: tuple[str, ...],
-                 domains_by_attr: dict[str, dict[Cell, list[str]]]):
+    def __init__(self, store, attrs: tuple[str, ...], catalog: CellColumns):
         self.codebook = store.union_codebook(*attrs)
-        self._csr = {
-            attr: store.domain_code_index(
-                attr, domains_by_attr.get(attr, {}), self.codebook)
-            for attr in attrs
-        }
-        self._fixed = {attr: store.recoded_column(attr, self.codebook)
-                       for attr in attrs}
-        values: list[str] = [""] * len(self.codebook)
-        for value, code in self.codebook.items():
-            values[code] = value
-        self.values = values
+        self._store, self._catalog = store, catalog
+        self.luts: dict[str, np.ndarray] = {}
+        self._fixed: dict[str, np.ndarray] = {}
+        for attr in attrs:
+            table = catalog.tables[catalog.attribute_code(attr)]
+            lut = np.array([self.codebook.setdefault(v, len(self.codebook))
+                            for v in table], dtype=np.int64)
+            column = store.codes(attr)
+            fixed = np.full(len(column), -1, dtype=np.int64)
+            fixed[column >= 0] = lut[column[column >= 0]]
+            self.luts[attr], self._fixed[attr] = lut, fixed
+        self._csr: dict[str, DomainCodeIndex] = {}
+        self.values = list(self.codebook)
         self._order_keys: OrderKeys | None = None
 
-    def csr(self, attr: str):
-        return self._csr[attr]
+    def csr(self, attr: str) -> DomainCodeIndex:
+        index = self._csr.get(attr)
+        if index is None:
+            catalog = self._catalog
+            tids, _, indptr, codes = catalog.take(np.flatnonzero(
+                catalog.attribute_codes == catalog.attribute_code(attr)))
+            index = self._store.candidate_index(attr, tids, indptr, codes,
+                                                self.luts[attr])
+            self._csr[attr] = index
+        return index
 
     def fixed(self, attr: str) -> np.ndarray:
         return self._fixed[attr]
@@ -123,22 +135,22 @@ class VectorFactorTableBuilder:
     Parameters mirror what the naive per-pair loop reads: the grounded
     ``variables`` block (axis variables and their ids), the *query*
     candidate domains (exactly the domains the variables were added
-    with), the ``max_factor_table`` cap and the constant factor weight.
-    One builder serves every constraint of a compile; code spaces, axis
-    lookups and compiled plans are cached across chunks and constraints.
+    with: a catalog, or a ``Mapping[Cell, list[str]]`` encoded once — see
+    :func:`~repro.inference.variables.as_columns`), the
+    ``max_factor_table`` cap and the constant factor weight.  One builder
+    serves every constraint of a compile; code spaces, axis lookups and
+    compiled plans are cached across chunks and constraints.
     """
 
     def __init__(self, engine, dataset: Dataset, variables: VariableBlock,
-                 domains: dict[Cell, list[str]], max_table_cells: int,
-                 weight: float):
+                 domains: CellColumns | Mapping[Cell, list[str]],
+                 max_table_cells: int, weight: float):
         self.engine = engine
         self.dataset = dataset
         self.variables = variables
         self.max_table_cells = max_table_cells
         self.weight = weight
-        self._domains_by_attr: dict[str, dict[Cell, list[str]]] = {}
-        for cell, domain in domains.items():
-            self._domains_by_attr.setdefault(cell.attribute, {})[cell] = domain
+        self._catalog = as_columns(domains, engine.store)
         self._spaces: dict[tuple[str, ...], CodeSpace] = {}
         self._plans: dict[DenialConstraint, _Plan] = {}
         self._axes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -190,7 +202,7 @@ class VectorFactorTableBuilder:
         key = tuple(sorted(set(attrs)))
         space = self._spaces.get(key)
         if space is None:
-            space = CodeSpace(self.engine.store, key, self._domains_by_attr)
+            space = CodeSpace(self.engine.store, key, self._catalog)
             self._spaces[key] = space
         return space
 

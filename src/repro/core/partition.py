@@ -22,15 +22,18 @@ enumerator reproduces byte for byte — set *and* order.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import TupleRef
+from repro.core.factor_tables import CodeSpace
 from repro.dataset.dataset import Cell, Dataset
 from repro.detect.hypergraph import ConflictHypergraph
 from repro.engine import Engine, engine_for, ops
+from repro.inference.variables import CellColumns, as_columns
 from repro.obs.trace import deep_enabled, deep_span
 
 
@@ -225,11 +228,11 @@ class VectorPairEnumerator(PairEnumerator):
     constraint's join-feasible pairs with the backend's hash-join
     primitives instead of Python dict/set loops:
 
-    * the candidate values every cell may take are materialised **once**
-      per join attribute as a cell→domain-codes index on the engine's
-      :class:`~repro.engine.store.ColumnStore` (and reused across
-      constraints sharing the attribute and across Algorithm 3 groups,
-      where the naive enumerator rebuilds its buckets per group);
+    * the candidate values every cell may take are gathered **once** per
+      join attribute from the query catalog into a cell→domain-codes index
+      (:meth:`~repro.engine.store.ColumnStore.candidate_index`, reused
+      across constraints sharing the attribute and across Algorithm 3
+      groups, where the naive enumerator rebuilds its buckets per group);
     * Algorithm 3 tuple components are intersected with the join via one
       vectorized component-id lookup over the tuple-id space, not a
       per-component Python set scan;
@@ -246,19 +249,17 @@ class VectorPairEnumerator(PairEnumerator):
     """
 
     def __init__(self, engine: Engine | None, dataset: Dataset,
-                 domains: dict[Cell, list[str]], max_pairs: int = 200_000,
-                 chunk_pairs: int = 65_536, stream_budget: int = 1_048_576):
+                 domains: CellColumns | Mapping[Cell, list[str]],
+                 max_pairs: int = 200_000, chunk_pairs: int = 65_536,
+                 stream_budget: int = 1_048_576):
         super().__init__(dataset, domains, max_pairs)
         self.engine = engine_for(dataset, engine)
         self.chunk_pairs = max(1, chunk_pairs)
         self.stream_budget = max(self.chunk_pairs, stream_budget)
         self._indexes: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-        # Split the domains once by attribute: the per-attribute index
-        # build walks only its own cells instead of re-filtering every
-        # query cell per constraint.
-        self._domains_by_attr: dict[str, dict[Cell, list[str]]] = {}
-        for cell, domain in domains.items():
-            self._domains_by_attr.setdefault(cell.attribute, {})[cell] = domain
+        # The query domains as a catalog (a mapping is encoded once): every
+        # join attribute's index is a gather of its codes.
+        self._catalog = as_columns(domains, self.engine.store)
         #: Counters for the size report: emitted pairs, enumerated groups,
         #: groups that took the chunked streaming path, and streaming
         #: chunk calls (materialised groups take one call, not counted).
@@ -397,18 +398,12 @@ class VectorPairEnumerator(PairEnumerator):
         key = (attr1, attr2)
         cached = self._indexes.get(key)
         if cached is None:
-            store = self.engine.store
-            if attr1 == attr2:
-                index = store.domain_code_index(
-                    attr1, self._domains_by_attr.get(attr1, {}))
-                cached = (index.indptr, index.codes)
-            else:
-                codebook = store.union_codebook(attr1, attr2)
-                cached = _merge_csr(
-                    store.domain_code_index(
-                        attr1, self._domains_by_attr.get(attr1, {}), codebook),
-                    store.domain_code_index(
-                        attr2, self._domains_by_attr.get(attr2, {}), codebook))
+            space = CodeSpace(self.engine.store, key, self._catalog)
+            first = space.csr(attr1)
+            cached = (first.indptr, first.codes)
+            if attr2 != attr1:
+                second = space.csr(attr2)
+                cached = ops.merge_csr(*cached, second.indptr, second.codes)
             self._indexes[key] = cached
         return cached
 
@@ -541,7 +536,8 @@ class VectorPairEnumerator(PairEnumerator):
         return (left[:take], right[:take]), seen
 
 
-def make_pair_enumerator(dataset: Dataset, domains: dict[Cell, list[str]],
+def make_pair_enumerator(dataset: Dataset,
+                         domains: CellColumns | Mapping[Cell, list[str]],
                          engine: Engine | None = None,
                          max_pairs: int = 200_000,
                          chunk_pairs: int = 65_536,
@@ -560,22 +556,6 @@ def make_pair_enumerator(dataset: Dataset, domains: dict[Cell, list[str]],
 # ---------------------------------------------------------------------------
 # CSR helpers for the candidate-domain indexes
 # ---------------------------------------------------------------------------
-def _merge_csr(index1, index2) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise concatenation of two CSR candidate indexes.
-
-    Row ``t`` of the result lists ``index1``'s candidates then
-    ``index2``'s — the order the naive enumerator scans a tuple's two
-    join-attribute cells.  Both indexes must share one codebook.
-    """
-    counts1 = np.diff(index1.indptr)
-    counts2 = np.diff(index2.indptr)
-    indptr = np.concatenate(([0], np.cumsum(counts1 + counts2)))
-    codes = np.empty(int(indptr[-1]), dtype=np.int64)
-    codes[ops.expand_ranges(indptr[:-1], counts1)] = index1.codes
-    codes[ops.expand_ranges(indptr[:-1] + counts1, counts2)] = index2.codes
-    return indptr, codes
-
-
 def _take_rows(indptr: np.ndarray, codes: np.ndarray, tids: np.ndarray,
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Concatenate the CSR rows of ``tids``, tagging each code with its tid.

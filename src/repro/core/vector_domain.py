@@ -21,10 +21,13 @@ values: quadratic in the rows, for byte-identical domains.  The filter
 lives here, not in :meth:`EngineStatistics.conditional_table`, which other
 readers consume unfiltered.
 
+Domains leave the pruner as they are computed: a CSR of store codes per
+cell (:meth:`VectorDomainPruner.prune`), which the compiler registers as
+is; :meth:`VectorDomainPruner.domains` decodes it for string-keyed callers.
 The module also hosts the compiler's other per-cell Algorithm 2
-scaffolding, vectorized over the same store: entity-group plurality votes
-(:class:`EntityVoteModes`, the weak-supervision seed) and the evidence
-negative-candidate merge (:func:`merged_negative_domains`).  The naive
+scaffolding, vectorized over the same store and the same CSR: entity-group
+plurality votes (:class:`EntityVoteModes`, the weak-supervision seed) and
+the evidence negative-candidate merge (:func:`merged_negative_domains`).  The naive
 implementations live in :mod:`repro.oracle` as the correctness oracles; the
 hypothesis suite in ``tests/core/test_vector_domain.py`` pins byte-equality.
 """
@@ -35,6 +38,7 @@ import numpy as np
 
 from repro.dataset.dataset import Cell
 from repro.engine import ops
+from repro.inference.variables import CellColumns
 
 _STRATEGIES = ("cooccurrence", "active")
 
@@ -81,8 +85,7 @@ class VectorDomainPruner:
         self.strategy = strategy
         self._stats = engine.statistics()
         self._lex_ranks: dict[str, np.ndarray] = {}
-        self._fallbacks: dict[str, list[str]] = {}
-        self._active: dict[str, tuple[list[str], np.ndarray]] = {}
+        self._active: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         #: (attr, other) → CSR of the count-table rows passing τ.
         self._passing: dict[tuple[str, str], tuple[np.ndarray, ...]] = {}
         #: Pruning counters, surfaced as ``grounding_prune_*`` in the
@@ -99,22 +102,37 @@ class VectorDomainPruner:
         return self.domains([cell]).get(cell, [])
 
     def domains(self, cells: list[Cell]) -> dict[Cell, list[str]]:
-        """Candidate domains per cell, skipping cells that prune to nothing."""
-        pruned: list[list[str]] = [[]] * len(cells)
-        groups: dict[str, list[int]] = {}
-        for position, cell in enumerate(cells):
-            groups.setdefault(cell.attribute, []).append(position)
-        for attr, positions in groups.items():
-            tids = np.asarray([cells[p].tid for p in positions], dtype=np.int64)
-            if self.strategy == "active":
-                group = self._active_group(attr, tids)
-            else:
-                group = self._cooccurrence_group(attr, tids)
-            for position, domain in zip(positions, group):
-                pruned[position] = domain
-        self.stats["prune_cells"] += len(cells)
-        self.stats["prune_candidates"] += sum(len(domain) for domain in pruned)
-        return {cell: domain for cell, domain in zip(cells, pruned) if domain}
+        """Candidate domains per cell, skipping cells that prune to nothing:
+        :meth:`prune`, decoded."""
+        store = self.engine.store
+        code_of = {name: code for code, name in enumerate(store.attributes)}
+        tids = np.fromiter((cell.tid for cell in cells), np.int64, len(cells))
+        attributes = np.fromiter(
+            (code_of[cell.attribute] for cell in cells), np.int64, len(cells)
+        )
+        pruned = CellColumns({a: store.values(a) for a in store.attributes})
+        pruned.append(tids, attributes, *self.prune(tids, attributes))
+        return {cell: d for cell, d in zip(cells, pruned.domains_of()) if d}
+
+    def prune(
+        self, tids: np.ndarray, attribute_codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Algorithm 2 for the cells ``(tids[i], attributes[attribute_codes[i]])``.
+
+        Returns their candidate domains as a CSR ``(indptr, codes)`` of store
+        codes, row ``i`` for cell ``i`` — empty for a cell that prunes to
+        nothing.
+        """
+        tids = np.asarray(tids, dtype=np.int64)
+        names = self.engine.store.attributes
+        active = self.strategy == "active"
+        kernel = self._active_group if active else self._cooccurrence_group
+        indptr, codes = _per_attribute(
+            attribute_codes, lambda code, rows: kernel(names[code], tids[rows])
+        )
+        self.stats["prune_cells"] += len(tids)
+        self.stats["prune_candidates"] += len(codes)
+        return indptr, codes
 
     # ------------------------------------------------------------------
     # Per-attribute lookup tables (cached across prune calls)
@@ -126,34 +144,16 @@ class VectorDomainPruner:
             self._lex_ranks[attribute] = ranks
         return ranks
 
-    def _fallback_domain(self, attribute: str) -> list[str]:
-        """The ``most_common(attr, 1)`` singleton for empty prunes."""
-        fallback = self._fallbacks.get(attribute)
-        if fallback is None:
-            counts = self._stats.code_counts(attribute)
-            if len(counts):
-                # First max = first-seen code, the Counter tie-break.
-                value = self.engine.store.values(attribute)[int(np.argmax(counts))]
-                fallback = [value]
-            else:
-                fallback = []
-            self._fallbacks[attribute] = fallback
-        return fallback
-
-    def _active_base(self, attribute: str) -> tuple[list[str], np.ndarray]:
-        """The attribute's most-common prefix and a code-membership mask."""
+    def _active_base(self, attribute: str) -> tuple[np.ndarray, np.ndarray]:
+        """The attribute's most-common prefix (codes) and a membership mask."""
         cached = self._active.get(attribute)
         if cached is None:
             counts = self._stats.code_counts(attribute)
-            cap = self.max_domain
             # Stable sort on -counts = Counter.most_common: ties keep
             # first-seen (insertion) order.
-            ranked = np.argsort(-counts, kind="stable")[:cap]
-            values = self.engine.store.values(attribute)
-            ranked_codes = ranked.tolist()
-            base = [values[code] for code in ranked_codes]
+            base = np.argsort(-counts, kind="stable")[: self.max_domain]
             member = np.zeros(len(counts), dtype=bool)
-            member[ranked] = True
+            member[base] = True
             cached = (base, member)
             self._active[attribute] = cached
         return cached
@@ -186,21 +186,22 @@ class VectorDomainPruner:
     # ------------------------------------------------------------------
     # Strategy kernels
     # ------------------------------------------------------------------
-    def _active_group(self, attribute: str, tids: np.ndarray) -> list[list[str]]:
+    # Each kernel returns one attribute's cells as ``(counts, codes)``: the
+    # candidate count per cell and the candidates, cell after cell.
+    def _active_group(self, attribute: str, tids: np.ndarray):
+        """The most-common prefix per cell; an observed value outside it is
+        appended, or replaces the last slot of a full prefix."""
         base, member = self._active_base(attribute)
-        values = self.engine.store.values(attribute)
-        init_codes = self.engine.store.codes(attribute)[tids].tolist()
-        domains = []
-        for code in init_codes:
-            if code < 0 or member[code]:
-                domains.append(list(base))
-            elif len(base) >= self.max_domain:
-                domains.append(base[:-1] + [values[code]])
-            else:
-                domains.append(base + [values[code]])
-        return domains
+        init = self.engine.store.codes(attribute)[tids].astype(np.int64)
+        outside = init >= 0
+        outside[outside] = ~member[init[outside]]
+        counts = np.full(len(tids), len(base), dtype=np.int64)
+        counts[outside] = min(len(base) + 1, self.max_domain)
+        codes = np.append(base, -1)[ops.segment_positions(counts)]
+        codes[np.cumsum(counts)[outside] - 1] = init[outside]
+        return counts, codes
 
-    def _cooccurrence_group(self, attribute: str, tids: np.ndarray) -> list[list[str]]:
+    def _cooccurrence_group(self, attribute: str, tids: np.ndarray):
         """Algorithm 2 for every cell of one attribute at once."""
         store = self.engine.store
         n = len(tids)
@@ -210,14 +211,10 @@ class VectorDomainPruner:
         # Candidate stream: (cell, code, score) triples.  The observed
         # value enters with score 1.0 — no conditional can exceed it
         # (joint <= denominator), matching the naive dict's fixed entry.
-        cell_parts: list[np.ndarray] = []
-        code_parts: list[np.ndarray] = []
-        score_parts: list[np.ndarray] = []
         observed = np.nonzero(init_codes >= 0)[0]
-        if len(observed):
-            cell_parts.append(observed)
-            code_parts.append(init_codes[observed])
-            score_parts.append(np.ones(len(observed), dtype=np.float64))
+        cell_parts = [observed]
+        code_parts = [init_codes[observed]]
+        score_parts = [np.ones(len(observed), dtype=np.float64)]
 
         for other in self.attributes:
             if other == attribute:
@@ -235,10 +232,6 @@ class VectorDomainPruner:
             cell_parts.append(np.repeat(with_context, counts))
             code_parts.append(cand_codes[rows])
             score_parts.append(cand_scores[rows])
-
-        if not cell_parts:
-            fallback = self._fallback_domain(attribute)
-            return [list(fallback) for _ in range(n)]
 
         cell_of = np.concatenate(cell_parts)
         codes = np.concatenate(code_parts)
@@ -273,21 +266,18 @@ class VectorDomainPruner:
         displaced = np.nonzero(init_position >= self.max_domain)[0]
         kept_codes[ends[displaced] - 1] = init_codes[displaced]
 
-        values = store.values(attribute)
-        flat_codes = kept_codes.tolist()
-        decoded = [values[code] for code in flat_codes]
-        domains = []
-        fallback = self._fallback_domain(attribute)
-        start = 0
-        # repro: allow-loop per-cell output lists, one slice per cell
-        for count in kept_counts.tolist():
-            if count:
-                stop = start + count
-                domains.append(decoded[start:stop])
-                start = stop
-            else:
-                domains.append(list(fallback))
-        return domains
+        # A cell nothing survived for (no observed value, no context) takes
+        # the most frequent value — first max = first-seen code, the Counter
+        # tie-break — or nothing when the attribute holds no value at all.
+        frequencies = self._stats.code_counts(attribute)
+        empty = (kept_counts == 0) & (len(frequencies) > 0)
+        counts = kept_counts + empty
+        starts = np.cumsum(counts) - counts
+        codes = np.empty(int(counts.sum()), dtype=np.int64)
+        codes[ops.expand_ranges(starts, kept_counts)] = kept_codes
+        if empty.any():
+            codes[starts[empty]] = np.argmax(frequencies)
+        return counts, codes
 
 
 class EntityVoteModes:
@@ -362,72 +352,66 @@ class EntityVoteModes:
 def merged_negative_domains(
     engine,
     stats,
-    cells: list[Cell],
-    domains: list[list[str]],
+    attribute_codes: np.ndarray,
+    indptr: np.ndarray,
+    codes: np.ndarray,
     wanted: int,
     max_domain: int,
-) -> list[list[str]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evidence domains extended with frequent negatives, set-at-a-time.
 
     Replays ``NaiveModelCompiler._with_negatives`` for every evidence cell at
-    once: instead of a per-cell ``most_common(attr, wanted + len(domain))``
-    heap walk, each attribute is ranked once and every cell probes only
-    its own ``wanted + len(domain)`` ranked prefix, appending the first
-    ``wanted`` non-members in rank order and truncating to ``max_domain``.
+    once, on the CSR of store codes :meth:`VectorDomainPruner.prune` returns:
+    instead of a per-cell ``most_common(attr, wanted + len(domain))`` heap
+    walk, each attribute is ranked once and every cell probes only its own
+    ``wanted + len(domain)`` ranked prefix, appending the first ``wanted``
+    non-members in rank order and truncating to ``max_domain``.
     """
     if wanted <= 0:
-        return domains
-    out: list[list[str] | None] = [None] * len(cells)
-    groups: dict[str, list[int]] = {}
-    for position, cell in enumerate(cells):
-        groups.setdefault(cell.attribute, []).append(position)
+        return indptr, codes
     store = engine.store
-    for attribute, positions in groups.items():
-        counts = stats.code_counts(attribute)
-        ranked = np.argsort(-counts, kind="stable")
-        values = store.values(attribute)
-        codebook = {value: code for code, value in enumerate(values)}
-        cardinality = max(len(values), 1)
-        sizes = np.asarray([len(domains[p]) for p in positions], dtype=np.int64)
+
+    def extend(code: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ranked = np.argsort(-stats.code_counts(store.attributes[code]), kind="stable")
+        cardinality = max(len(ranked), 1)
+        own_indptr, members = ops.take_csr(indptr, codes, rows)
+        sizes = np.diff(own_indptr)
+        cells = np.arange(len(rows), dtype=np.int64)
+        member_keys = np.repeat(cells, sizes) * cardinality + members
         widths = np.minimum(sizes + wanted, len(ranked))
-        if not int(widths.sum()):
-            # Nothing observed to rank: the naive walk appends nothing
-            # but still truncates to the domain cap.
-            for position in positions:
-                out[position] = domains[position][:max_domain]
-            continue
-
-        # Membership probe in code space: a domain value absent from the
-        # data can never match a ranked (observed) value, so it is
-        # dropped from the key set rather than encoded.
-        member_cells = np.repeat(np.arange(len(positions), dtype=np.int64), sizes)
-        member_codes = np.asarray(
-            [codebook.get(value, -1) for p in positions for value in domains[p]],
-            dtype=np.int64,
-        )
-        present = member_codes >= 0
-        member_keys = member_cells[present] * cardinality + member_codes[present]
-
-        probe_cells = np.repeat(np.arange(len(positions), dtype=np.int64), widths)
+        probe_cells = np.repeat(cells, widths)
         probe_codes = ranked[ops.segment_positions(widths)]
-        probe_keys = probe_cells * cardinality + probe_codes
-        fresh = ~np.isin(probe_keys, member_keys)
+        fresh = ~np.isin(probe_cells * cardinality + probe_codes, member_keys)
+        # The first `wanted` fresh candidates of each cell, in rank order.
+        per_cell = np.bincount(probe_cells[fresh], minlength=len(rows))
+        taken = ops.segment_positions(per_cell) < wanted
+        appended = np.concatenate(([0], np.cumsum(np.minimum(per_cell, wanted))))
+        merged_indptr, merged = ops.merge_csr(
+            own_indptr, members, appended, probe_codes[fresh][taken]
+        )
+        merged_sizes = np.diff(merged_indptr)
+        kept = ops.segment_positions(merged_sizes) < max_domain
+        return np.minimum(merged_sizes, max_domain), merged[kept]
 
-        # Running count of fresh candidates within each cell's prefix:
-        # keep the first `wanted` of them, in rank order.
-        running = np.cumsum(fresh)
-        prefix_starts = np.concatenate(([0], np.cumsum(widths)[:-1])).astype(np.int64)
-        segment_base = np.repeat((running - fresh)[prefix_starts], widths)
-        take = fresh & ((running - segment_base) <= wanted)
-        appended_counts = np.bincount(probe_cells[take], minlength=len(positions))
-        appended_codes = probe_codes[take].tolist()
-        appended = [values[code] for code in appended_codes]
+    return _per_attribute(attribute_codes, extend)
 
-        start = 0
-        # repro: allow-loop per-cell output-domain merge, one slice per cell
-        for position, count in zip(positions, appended_counts.tolist()):
-            stop = start + count
-            extended = domains[position] + appended[start:stop]
-            start = stop
-            out[position] = extended[:max_domain]
-    return out
+
+def _per_attribute(attribute_codes: np.ndarray, kernel) -> tuple[np.ndarray, ...]:
+    """Candidate lists computed one attribute at a time, as one CSR.
+
+    ``kernel(code, rows)`` returns the rows of one attribute code as
+    ``(counts, codes)`` — the candidate count per row and the candidates,
+    row after row; the result ``(indptr, codes)`` has them in row order.
+    """
+    attribute_codes = np.asarray(attribute_codes)
+    order = np.argsort(attribute_codes, kind="stable")
+    groups, starts = np.unique(attribute_codes[order], return_index=True)
+    counts, candidates = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for code, lo, hi in zip(groups, starts, [*starts[1:], len(order)]):
+        group_counts, group_codes = kernel(int(code), order[lo:hi])
+        counts.append(group_counts)
+        candidates.append(group_codes)
+    by_attribute = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return ops.take_csr(by_attribute, np.concatenate(candidates), rank)

@@ -8,8 +8,10 @@ loops dominate ``ModelCompiler.compile``; :class:`VectorFeaturizer` is the
 equivalent set-at-a-time stage over the engine's
 :class:`~repro.engine.store.ColumnStore`:
 
-* candidate grids are gathered per attribute from the ``domain_code_index``
-  CSR (one gather per attribute instead of one Python walk per cell);
+* candidate grids are gathered per attribute from the variable catalog's
+  CSR of candidate codes (one gather per attribute instead of one Python
+  walk per cell), and re-coded into a constraint's code space through a
+  lookup table;
 * minimality and frequency (leave-one-out included) become array
   comparisons against the engine's per-code value counts;
 * pair-tied co-occurrence is answered by binary-searching the engine's
@@ -65,6 +67,7 @@ from repro.core.featurize import (
 from repro.dataset.dataset import Cell
 from repro.engine import ops
 from repro.inference.features import FeatureMatrixBuilder
+from repro.inference.variables import CellColumns, as_columns
 from repro.obs.trace import deep_span
 
 _ORDER_OPS = (Operator.LT, Operator.GT, Operator.LTE, Operator.GTE)
@@ -126,12 +129,6 @@ class VectorFeaturizer:
         self.context = context
         self.constraints = list(constraints)
         self._stats = engine.statistics()
-        self._blocks: dict[str, _AttrBlock] = {}
-        self._domains_by_attr: dict[str, dict[Cell, list[str]]] = {}
-        self._specs: list[tuple[Cell, list[str]]] = []
-        self._live: list[tuple[int, Cell, list[str]]] = []
-        self._spaces: dict[tuple[str, ...], CodeSpace] = {}
-        self._space_cands: dict[tuple[int, str], np.ndarray] = {}
         self._joint_cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         #: Featurization counters surfaced as ``grounding_feature_*``.
         self.stats: dict[str, int | str] = {}
@@ -139,16 +136,19 @@ class VectorFeaturizer:
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def featurize(self, specs: list[tuple[Cell, list[str]]],
+    def featurize(self, variables: CellColumns | list[tuple[Cell, list[str]]],
                   builder: FeatureMatrixBuilder) -> dict[str, int | str]:
         """Ground features for all variables and land them in ``builder``.
 
-        ``specs`` lists ``(cell, domain)`` per variable in variable-id
-        order (the order the compiler registered them); entries arrive
+        ``variables`` is the catalog — row ``i`` is variable ``i`` — or
+        the ``(cell, domain)`` specs in variable-id order, encoded once
+        (:func:`~repro.inference.variables.as_columns`); entries arrive
         through one batched :meth:`FeatureMatrixBuilder.add_entries`
-        call.
+        call.  Everything but the engine's joint-count lookups is built
+        for this call alone.
         """
-        self._build_blocks(specs)
+        self.stats = {}
+        self._build_blocks(variables)
         stack = default_featurizers(self.context, self.constraints)
         batches: list[_Entries] = []
         vectorized = naive = 0
@@ -167,9 +167,10 @@ class VectorFeaturizer:
                         sum(len(b.var) for b in family))
         with deep_span("featurize.emit", batches=len(batches)):
             emitted = self._emit(batches, builder)
+        sizes = np.diff(self._catalog.domain_indptr)
         self.stats.update({
             "feature_path": "vector",
-            "feature_rows": int(sum(len(d) for _, _, d in self._live)),
+            "feature_rows": int(sizes[self._live].sum()),
             "feature_entries": emitted,
             "feature_vector_families": vectorized,
             "feature_naive_families": naive,
@@ -194,59 +195,55 @@ class VectorFeaturizer:
     # ------------------------------------------------------------------
     # Shared per-attribute artifacts
     # ------------------------------------------------------------------
-    def _build_blocks(self, specs: list[tuple[Cell, list[str]]]) -> None:
-        """Columnarise ``specs``; the one place the featurized set is cut:
-        every cell keeps its domain (the code spaces read it), blocks and
-        naive adapters see only the variables with two or more candidates."""
+    def _build_blocks(self, variables) -> None:
+        """Cut the catalog into per-attribute blocks; the one place the
+        featurized set is cut: every cell keeps its domain (the code spaces
+        read it), blocks and naive adapters see only the variables with two
+        or more candidates.  Blocks follow each attribute's first such
+        variable, the order the feature keys are allocated in."""
         store = self.engine.store
-        self._specs = list(specs)
-        domains_by_attr: dict[str, dict[Cell, list[str]]] = {}
-        vars_by_attr: dict[str, list[int]] = {}
-        for vid, (cell, domain) in enumerate(self._specs):
-            domains_by_attr.setdefault(cell.attribute, {})[cell] = domain
-            if len(domain) >= 2:
-                self._live.append((vid, cell, domain))
-                vars_by_attr.setdefault(cell.attribute, []).append(vid)
-        self._domains_by_attr = domains_by_attr
-        for attr, vids in vars_by_attr.items():
-            codebook = {v: i for i, v in enumerate(store.values(attr))}
-            csr = store.domain_code_index(attr, domains_by_attr[attr], codebook)
-            var_idx = np.asarray(vids, dtype=np.int64)
-            tids = np.asarray([self._specs[v][0].tid for v in vids],
-                              dtype=np.int64)
-            sizes = np.asarray([len(self._specs[v][1]) for v in vids],
-                               dtype=np.int64)
-            positions = ops.expand_ranges(csr.indptr[tids], sizes)
-            values: list[str] = [""] * len(codebook)
-            for value, code in codebook.items():
-                values[code] = value
+        catalog = as_columns(variables, store)
+        indptr = catalog.domain_indptr
+        live = np.flatnonzero(np.diff(indptr) >= 2)
+        attrs = catalog.attribute_codes[live]
+        _, first = np.unique(attrs, return_index=True)
+        self._catalog, self._live = catalog, live
+        self._blocks: dict[str, _AttrBlock] = {}
+        self._spaces: dict[tuple[str, ...], CodeSpace] = {}
+        for code in attrs[np.sort(first)]:
+            attr = catalog.attributes[code]
+            var_idx = live[attrs == code]
+            tids = catalog.tids[var_idx]
+            sizes = indptr[var_idx + 1] - indptr[var_idx]
+            positions = ops.expand_ranges(indptr[var_idx], sizes)
             self._blocks[attr] = _AttrBlock(
                 attribute=attr, var_idx=var_idx, tids=tids, sizes=sizes,
                 flat_var=np.repeat(var_idx, sizes),
                 flat_cand=ops.segment_positions(sizes),
-                flat_code=csr.codes[positions],
+                flat_code=catalog.domain_codes[positions].astype(np.int64),
                 flat_init=np.repeat(
                     store.codes(attr)[tids].astype(np.int64), sizes),
-                values=values)
+                values=catalog.tables[code])
+
+    def _live_specs(self):
+        """``(vid, cell, domain)`` per featurized variable, for the naive
+        adapters (decoded only when one runs)."""
+        rows = self._live
+        return zip(rows.tolist(), self._catalog.cells_of(rows),
+                   self._catalog.domains_of(rows))
 
     def _space(self, *attrs: str) -> CodeSpace:
         key = tuple(sorted(set(attrs)))
         space = self._spaces.get(key)
         if space is None:
-            space = CodeSpace(self.engine.store, key, self._domains_by_attr)
+            space = CodeSpace(self.engine.store, key, self._catalog)
             self._spaces[key] = space
         return space
 
-    def _cand_codes_in(self, space: CodeSpace, block: _AttrBlock) -> np.ndarray:
+    @staticmethod
+    def _cand_codes_in(space: CodeSpace, block: _AttrBlock) -> np.ndarray:
         """The block's flat candidate codes re-coded into ``space``."""
-        key = (id(space), block.attribute)
-        cached = self._space_cands.get(key)
-        if cached is None:
-            csr = space.csr(block.attribute)
-            positions = ops.expand_ranges(csr.indptr[block.tids], block.sizes)
-            cached = csr.codes[positions]
-            self._space_cands[key] = cached
-        return cached
+        return space.luts[block.attribute][block.flat_code]
 
     # ------------------------------------------------------------------
     # Families
@@ -607,7 +604,7 @@ class VectorFeaturizer:
         var_l: list[int] = []
         cand_l: list[int] = []
         value_l: list[float] = []
-        for vid, cell, domain in self._live:
+        for vid, cell, domain in self._live_specs():
             if cell.attribute not in dc.attributes:
                 continue
             if dc.is_single_tuple:
@@ -643,7 +640,7 @@ class VectorFeaturizer:
         value_l: list[float] = []
         tokens: dict[Hashable, int] = {}
         keys: list[Hashable] = []
-        for vid, cell, domain in self._live:
+        for vid, cell, domain in self._live_specs():
             per_candidate = featurizer.features(cell, domain)
             for ci, entries in enumerate(per_candidate):
                 merged: dict[Hashable, float] = {}  # repeats land as their sum

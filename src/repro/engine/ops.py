@@ -52,6 +52,37 @@ def expand_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts, counts) + within
 
 
+def take_csr(indptr: np.ndarray, codes: np.ndarray,
+             rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``rows`` of the CSR ``(indptr, codes)``, as a CSR of their own."""
+    rows = np.asarray(rows, dtype=np.int64)
+    sizes = indptr[rows + 1] - indptr[rows]
+    return (np.concatenate(([0], np.cumsum(sizes))),
+            codes[expand_ranges(indptr[rows], sizes)])
+
+
+def merge_csr(indptr1: np.ndarray, codes1: np.ndarray, indptr2: np.ndarray,
+              codes2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise concatenation of two CSRs: row ``i`` lists the first's
+    codes of row ``i``, then the second's."""
+    counts1, counts2 = np.diff(indptr1), np.diff(indptr2)
+    indptr = np.concatenate(([0], np.cumsum(counts1 + counts2)))
+    codes = np.empty(int(indptr[-1]), dtype=np.int64)
+    codes[expand_ranges(indptr[:-1], counts1)] = codes1
+    codes[expand_ranges(indptr[:-1] + counts1, counts2)] = codes2
+    return indptr, codes
+
+
+def csr_positions(indptr: np.ndarray, codes: np.ndarray,
+                  targets: np.ndarray) -> np.ndarray:
+    """Position of ``targets[i]`` in row ``i`` of the CSR (``-1``: absent)."""
+    sizes = np.diff(indptr)
+    hit = np.flatnonzero(codes == np.repeat(targets, sizes))
+    out = np.full(len(sizes), -1, dtype=np.int64)
+    out[np.repeat(np.arange(len(sizes)), sizes)[hit]] = segment_positions(sizes)[hit]
+    return out
+
+
 def combine_codes(columns: list[np.ndarray]) -> np.ndarray:
     """Collapse several coded columns into one composite key column.
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dataset.dataset import Cell, Dataset
+from repro.engine.ops import expand_ranges
 
 #: Code reserved for NULL in every encoded column.
 NULL_CODE: int = -1
@@ -32,7 +33,9 @@ class DomainCodeIndex:
     ``codes[indptr[t]:indptr[t + 1]]`` are the codes of the values cell
     ``(t, attribute)`` may take under a set of pruned candidate domains —
     the join-feasibility side of Algorithm 1's grounding query.  Built by
-    :meth:`ColumnStore.domain_code_index`.
+    :meth:`ColumnStore.candidate_index` from a catalog's CSR of candidate
+    codes (:class:`~repro.core.factor_tables.CodeSpace`), or from
+    string-keyed domains by :meth:`ColumnStore.domain_code_index`.
     """
 
     indptr: np.ndarray
@@ -174,23 +177,36 @@ class ColumnStore:
                 book.setdefault(value, len(book))
         return book
 
-    def recoded_column(self, attribute: str, codebook: dict[str, int]) -> np.ndarray:
-        """The whole column re-coded into ``codebook`` (NULL stays ``-1``).
+    def candidate_index(
+        self,
+        attribute: str,
+        tids: np.ndarray,
+        indptr: np.ndarray,
+        codes: np.ndarray,
+        lut: np.ndarray,
+    ) -> DomainCodeIndex:
+        """The cell→domain-codes index for one attribute, from a CSR of cells.
 
-        Values absent from ``codebook`` extend it in place, the same
-        convention as :meth:`domain_code_index` — so fixed-context codes
-        and candidate-domain codes drawn from one codebook stay
-        comparable.  Used by the vectorized factor-table builder for the
-        cells a denial constraint reads at their observed values.
+        Row ``t`` lists the candidates of cell ``(t, attribute)``:
+        ``codes[indptr[k] : indptr[k + 1]]`` for the ``k`` with ``tids[k] ==
+        t`` (the pruned domain of a query cell, in domain order), else the
+        stored value (an evidence cell's initial value; nothing when NULL) —
+        the naive enumerator's per-cell candidate scan.  ``codes`` index this
+        attribute's dictionary, extended past it for candidates outside the
+        data, and ``lut`` maps that extended dictionary into the code space
+        of the index: one gather per side, no per-cell step.
         """
-        lut = np.empty(max(len(self._values[attribute]), 1), dtype=np.int64)
-        for code, value in enumerate(self._values[attribute]):
-            lut[code] = codebook.setdefault(value, len(codebook))
         column = self._codes[attribute]
-        out = np.full(len(column), NULL_CODE, dtype=np.int64)
-        valid = column >= 0
-        out[valid] = lut[column[valid]]
-        return out
+        sizes = np.diff(indptr)
+        stored = column >= 0
+        counts = stored.astype(np.int64)
+        counts[tids] = sizes
+        stored[tids] = False
+        out_indptr = np.concatenate(([0], np.cumsum(counts)))
+        out = np.empty(int(out_indptr[-1]), dtype=np.int64)
+        out[out_indptr[:-1][stored]] = lut[column[stored]]
+        out[expand_ranges(out_indptr[tids], sizes)] = lut[codes]
+        return DomainCodeIndex(indptr=out_indptr, codes=out)
 
     def domain_code_index(
         self,
@@ -198,48 +214,32 @@ class ColumnStore:
         domains: dict[Cell, list[str]],
         codebook: dict[str, int] | None = None,
     ) -> DomainCodeIndex:
-        """The cell→domain-codes index for one attribute.
+        """:meth:`candidate_index` over the cells of ``attribute`` in ``domains``.
 
-        Row ``t`` lists the codes of the candidate values of cell
-        ``(t, attribute)``: the pruned candidate domain for query cells in
-        ``domains`` (in domain order), the initial value for evidence
-        cells, and nothing for NULL evidence cells — mirroring the naive
-        enumerator's per-cell candidate scan exactly.
-
-        Codes are drawn from ``codebook`` (default: this attribute's own
-        dictionary); candidate values absent from it extend it *in place*,
-        so two indexes built over one shared codebook — e.g. via
-        :meth:`union_codebook` for a cross-attribute join — stay in one
-        code space.
+        The string-keyed entry point: each candidate list is encoded once
+        into the attribute's dictionary.  Codes are drawn from ``codebook``
+        (default: this attribute's own dictionary); candidate values absent
+        from it extend it *in place*, so two indexes built over one shared
+        codebook — e.g. via :meth:`union_codebook` for a cross-attribute join
+        — stay in one code space.
         """
         if codebook is None:
             codebook = dict(self._code_of[attribute])
-        lut = np.empty(max(len(self._values[attribute]), 1), dtype=np.int64)
-        for code, value in enumerate(self._values[attribute]):
-            lut[code] = codebook.setdefault(value, len(codebook))
-
-        overrides: dict[int, list[int]] = {}
-        for cell, domain in domains.items():
-            if cell.attribute == attribute:
-                overrides[cell.tid] = [
-                    codebook.setdefault(v, len(codebook)) for v in domain
-                ]
-
-        column = self._codes[attribute]
-        counts = (column >= 0).astype(np.int64)
-        for tid, domain_codes in overrides.items():
-            counts[tid] = len(domain_codes)
-        indptr = np.concatenate(([0], np.cumsum(counts)))
-        codes = np.empty(int(indptr[-1]), dtype=np.int64)
-
-        evidence = column >= 0
-        if overrides:
-            tids = np.fromiter(overrides, dtype=np.int64, count=len(overrides))
-            evidence[tids] = False
-        codes[indptr[:-1][evidence]] = lut[column[evidence]]
-        for tid, domain_codes in overrides.items():
-            codes[indptr[tid] : indptr[tid + 1]] = domain_codes
-        return DomainCodeIndex(indptr=indptr, codes=codes)
+        extended = dict(self._code_of[attribute])
+        mine = [
+            (cell.tid, domain)
+            for cell, domain in domains.items()
+            if cell.attribute == attribute
+        ]
+        flat = [extended.setdefault(v, len(extended)) for _, d in mine for v in d]
+        lut = [codebook.setdefault(value, len(codebook)) for value in extended]
+        return self.candidate_index(
+            attribute,
+            np.array([tid for tid, _ in mine], dtype=np.int64),
+            np.cumsum([0, *(len(d) for _, d in mine)], dtype=np.int64),
+            np.array(flat, dtype=np.int64),
+            np.array(lut, dtype=np.int64),
+        )
 
     def __repr__(self) -> str:
         return f"ColumnStore(rows={self.num_rows}, attributes={len(self.attributes)})"

@@ -21,7 +21,7 @@ from itertools import chain, islice
 import numpy as np
 
 from repro.dataset.dataset import Cell
-from repro.engine.ops import expand_ranges
+from repro.engine.ops import expand_ranges, take_csr
 
 
 @dataclass
@@ -81,11 +81,35 @@ class CellColumns:
     def __getstate__(self) -> dict:
         return {**vars(self), "_index": None}
 
-    def _append(self, cells, domains, **columns: np.ndarray) -> range:
-        """Append a block of rows (``columns``: a subclass's per-row arrays)
-        and return their ids.  A caller that built the cell lookup keeps it
-        in step; left unbuilt, it is derived from the columns when asked for."""
-        rows = range(len(self), len(self) + len(cells))
+    def append(self, tids, attribute_codes, indptr, codes, **columns) -> range:
+        """Append cells ``(tids[k], attributes[attribute_codes[k]])`` with
+        candidates ``codes[indptr[k] : indptr[k + 1]]`` (``columns``: a
+        subclass's per-row arrays) and return their ids."""
+        rows = range(len(self), len(self) + len(tids))
+        columns.update(
+            tids=np.asarray(tids, dtype=np.int64),
+            attribute_codes=np.asarray(attribute_codes, dtype=np.int32),
+            domain_indptr=self.domain_indptr[-1] + np.asarray(indptr[1:], np.int64),
+            domain_codes=np.asarray(codes, dtype=np.int32),
+        )
+        for name, block in columns.items():
+            setattr(self, name, np.concatenate((getattr(self, name), block)))
+        self._index = None
+        return rows
+
+    def take(self, rows=None) -> tuple[np.ndarray, ...]:
+        """``rows`` (default: all, the columns themselves) as :meth:`append`
+        takes them."""
+        csr = self.domain_indptr, self.domain_codes
+        if rows is None:
+            return self.tids, self.attribute_codes, *csr
+        return self.tids[rows], self.attribute_codes[rows], *take_csr(*csr, rows)
+
+    def encode(self, cells, domains) -> tuple[np.ndarray, ...]:
+        """``cells`` and their candidate lists as :meth:`append` takes them.
+
+        An attribute or a value the tables lack extends them.
+        """
         names = [cell.attribute for cell in cells]
         for name in dict.fromkeys(names):
             if name not in self.attributes:
@@ -103,15 +127,8 @@ class CellColumns:
             where = np.flatnonzero(owner == attr)
             codes[where] = [book.setdefault(v, len(book)) for v in flat[where].tolist()]
             table.extend(islice(book, len(table), None))  # values first seen here
-        columns.update(
-            tids=np.fromiter((cell.tid for cell in cells), np.int64, len(cells)),
-            attribute_codes=attrs,
-            domain_indptr=self.domain_indptr[-1] + np.cumsum(sizes),
-            domain_codes=codes,
-        )
-        for name, block in columns.items():
-            setattr(self, name, np.concatenate((getattr(self, name), block)))
-        return rows
+        tids = np.fromiter((cell.tid for cell in cells), np.int64, len(cells))
+        return tids, attrs, np.concatenate(([0], np.cumsum(sizes))), codes
 
     def _cell_index(self) -> dict[Cell, int]:
         """Cell → row, its keys in row order: the one pool of ``Cell`` objects."""
@@ -158,19 +175,38 @@ class CellColumns:
 class DomainRelation(CellColumns, Mapping):
     """``Domain(t, a, d)`` as a read-only ``Mapping[Cell, list[str]]``.
 
-    Keys iterate in the order of the mapping it was built from; a lookup
-    decodes that cell's candidates.
+    Keys iterate in row order — the order of the mapping it was built from,
+    then of the rows appended; a lookup decodes that cell's candidates.
     """
 
-    def __init__(self, value_tables, domains: Mapping[Cell, list[str]]):
+    def __init__(self, value_tables, domains: Mapping[Cell, list[str]] | None = None):
         super().__init__(value_tables)
-        self._append(list(domains), list(domains.values()))
+        if domains:
+            self.append(*self.encode(list(domains), list(domains.values())))
 
     def __getitem__(self, cell: Cell) -> list[str]:
         return self.domain_of(self._cell_index()[cell])
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells_of())
+
+
+def as_columns(domains, store) -> CellColumns:
+    """Candidate domains as a catalog over ``store``'s dictionaries: its
+    attributes and value tables start with the store's, so a value in the
+    data keeps its store code.  A :class:`CellColumns` seeded that way is
+    returned as it is; any other, a ``Mapping[Cell, list[str]]`` or
+    ``(cell, domain)`` pairs are encoded once."""
+    tables = {attribute: store.values(attribute) for attribute in store.attributes}
+    if isinstance(domains, CellColumns):
+        seeded = domains.attributes[: len(tables)] == list(tables) and all(
+            table[: len(values)] == values
+            for table, values in zip(domains.tables, tables.values())
+        )
+        if seeded:
+            return domains
+        domains = zip(domains.cells_of(), domains.domains_of())
+    return DomainRelation(tables, dict(domains))
 
 
 class VariableBlock(CellColumns):
@@ -199,20 +235,34 @@ class VariableBlock(CellColumns):
         init_indices: list[int],
         is_evidence: bool,
     ) -> range:
-        """Register a block of variables; returns their ids, assigned in order."""
+        """Register a block of variables; returns their ids, assigned in
+        order.  The cell lookup keeps the caller's ``Cell`` objects."""
         if not len(cells) == len(domains) == len(init_indices):
             raise ValueError("add_block arguments must align")
         index = self._cell_index()
-        for vid, cell in enumerate(cells, len(self)):
-            if index.setdefault(cell, vid) != vid:
-                self._index = None  # rebuilt from the columns, which are untouched
-                raise ValueError(f"duplicate variable for cell {cell}")
-        return self._append(
-            cells,
-            domains,
-            init_index=np.asarray(init_indices, dtype=np.int64),
-            is_evidence=np.full(len(cells), is_evidence, dtype=bool),
+        vids = self.append(*self.encode(cells, domains), init_indices, is_evidence)
+        index.update(zip(cells, vids))
+        self._index = index
+        return vids
+
+    def append(
+        self, tids, attribute_codes, indptr, codes, init_index, is_evidence: bool
+    ) -> range:
+        """Register a block of variables given in codes (see
+        :meth:`CellColumns.append`); a cell that already has one is refused."""
+        width = max(len(self.attributes), 1)
+        attrs = np.concatenate((self.attribute_codes, attribute_codes))
+        keys, counts = np.unique(
+            np.concatenate((self.tids, tids)) * width + attrs, return_counts=True
         )
+        if (counts > 1).any():
+            tid, code = divmod(int(keys[counts > 1][0]), width)
+            cell = Cell(tid, self.attributes[code])
+            raise ValueError(f"duplicate variable for cell {cell}")
+        flags = np.full(len(tids), is_evidence, dtype=bool)
+        init_index = np.asarray(init_index, dtype=np.int64)
+        columns = dict(init_index=init_index, is_evidence=flags)
+        return super().append(tids, attribute_codes, indptr, codes, **columns)
 
     def __getitem__(self, vid: int) -> VariableInfo:
         vid = range(len(self))[vid]

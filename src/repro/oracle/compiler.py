@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.core.compiler import ModelCompiler
 from repro.core.featurize import default_featurizers
 from repro.core.partition import PairEnumerator
+from repro.dataset.dataset import Cell
 from repro.dataset.stats import Statistics
+from repro.inference.variables import CellColumns
 from repro.oracle.domain import DomainPruner
 
 
@@ -17,6 +21,8 @@ class NaiveModelCompiler(ModelCompiler):
     stack cell by cell, the per-cell weak-label vote and negative-candidate
     walk, and the per-pair factor loop over a :class:`PairEnumerator` —
     all against row-scan :class:`Statistics`, none against the engine.
+    The seams hand over columns; each step decodes them into cells and
+    candidate lists and encodes its answer back, here at the edge.
     """
 
     def __init__(self, *args, **kwargs):
@@ -33,30 +39,41 @@ class NaiveModelCompiler(ModelCompiler):
         # size report.
         self._pruner.stats.clear()
 
-    def _prune_domains(self, cells):
-        return self._naive_pruner.domains(cells)
+    def _encoded(self, cells, domains):
+        """``domains`` of ``cells`` as a CSR of store codes."""
+        store = self.engine.store
+        codec = CellColumns({a: store.values(a) for a in store.attributes})
+        return codec.encode(cells, domains)[2:]
 
-    def _featurize_all(self, context, specs, builder):
+    def _prune_domains(self, tids, attribute_codes):
+        names = self.engine.store.attributes
+        cells = [
+            Cell(tid, names[code])
+            for tid, code in zip(tids.tolist(), attribute_codes.tolist())
+        ]
+        domains = self._naive_pruner.domains(cells)
+        return self._encoded(cells, [domains.get(cell, []) for cell in cells])
+
+    def _featurize_all(self, context, variables, builder):
         featurizers = default_featurizers(context, self.constraints)
-        for vid, (cell, domain) in enumerate(specs):
-            if len(domain) < 2:
+        for info in variables:
+            if info.domain_size < 2:
                 continue  # a one-candidate variable carries no entries
             for featurizer in featurizers:
-                per_candidate = featurizer.features(cell, domain)
+                per_candidate = featurizer.features(info.cell, info.domain)
                 for cand_idx, entries in enumerate(per_candidate):
                     for key, value in entries:
                         if value != 0.0:
-                            builder.add(vid, cand_idx, key, value)
+                            builder.add(info.vid, cand_idx, key, value)
         return {"feature_path": "naive"}
 
-    def _weak_labels(self, context, specs, init_indices):
+    def _weak_labels(self, context, query, init_indices):
         entity_attrs = self.config.source_entity_attributes
         if context.source_attribute is None or not entity_attrs:
-            return list(init_indices)
-        return [
-            self._weak_label(context, cell, domain, init_index)
-            for (cell, domain), init_index in zip(specs, init_indices)
-        ]
+            return init_indices
+        rows = zip(query.cells_of(), query.domains_of(), init_indices.tolist())
+        labels = [self._weak_label(context, *row) for row in rows]
+        return np.array(labels, dtype=np.int64)
 
     def _weak_label(self, context, cell, domain, init_index):
         """Plurality value of the cell's entity group, else the observed one."""
@@ -74,10 +91,10 @@ class NaiveModelCompiler(ModelCompiler):
                     return domain.index(mode)
         return init_index
 
-    def _evidence_negatives(self, cells, domains):
-        return [
-            self._with_negatives(cell, domain) for cell, domain in zip(cells, domains)
-        ]
+    def _evidence_negatives(self, evidence):
+        cells = evidence.cells_of()
+        domains = list(map(self._with_negatives, cells, evidence.domains_of()))
+        return self._encoded(cells, domains)
 
     def _with_negatives(self, cell, domain):
         """One evidence domain extended with frequent negative candidates."""

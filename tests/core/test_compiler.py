@@ -1,9 +1,11 @@
 """Tests for the compilation module (variables, evidence, factors)."""
 
+import numpy as np
 import pytest
 
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
+from repro.dataset.dataset import Cell
 from repro.detect.violations import ViolationDetector
 
 
@@ -130,16 +132,23 @@ class TestProgramAndReport:
         assert space.index(("minimality",)) == space.get(("minimality",))
 
 
-class TestEvidenceSampling:
+def sampled_cells(compiler, query_cells):
+    """``_sample_evidence`` over ``query_cells``, decoded into cells."""
+    names = compiler.engine.store.attributes
+    tids = [cell.tid for cell in query_cells]
+    codes = [names.index(cell.attribute) for cell in query_cells]
+    sampled = compiler._sample_evidence(np.array(tids, dtype=np.int64),
+                                        np.array(codes, dtype=np.int64))
+    return [Cell(tid, names[code])
+            for tid, code in zip(*(column.tolist() for column in sampled))]
+
+
+class TestEvidenceMask:
     def test_mask_sampler_matches_reference(self, figure1_dataset,
                                             figure1_constraints):
         """The vectorized clean-cell sampler selects exactly the cells the
         old per-cell list comprehension selected — same order, same RNG
         stream — with and without the training cap."""
-        import numpy as np
-
-        from repro.dataset.dataset import Cell
-
         detection = ViolationDetector(figure1_constraints).detect(
             figure1_dataset)
         repairable = figure1_dataset.schema.data_attributes
@@ -160,7 +169,7 @@ class TestEvidenceSampling:
                 rng = np.random.default_rng(config.seed)
                 picked = rng.choice(len(reference), size=cap, replace=False)
                 reference = [reference[i] for i in sorted(picked)]
-            assert compiler._sample_evidence(query_cells) == reference, cap
+            assert sampled_cells(compiler, sorted(query_cells)) == reference, cap
 
 
 class TestColumnarCatalog:
@@ -173,9 +182,9 @@ class TestColumnarCatalog:
             figure1_dataset)
         compiler = ModelCompiler(figure1_dataset, figure1_constraints, config,
                                  detection)
-        query = compiler._prune_domains(sorted(detection.noisy_cells))
-        evidence = compiler._prune_domains(
-            compiler._sample_evidence(set(query)))
+        noisy = sorted(detection.noisy_cells)
+        query = compiler._pruner.domains(noisy)
+        evidence = compiler._pruner.domains(sampled_cells(compiler, noisy))
         return compiler, compiler.compile(), {**query, **evidence}
 
     def test_domain_relation_has_the_dicts_keys_order_and_lists(self, pruned):
@@ -259,3 +268,40 @@ class TestEngineArgument:
             ModelCompiler(figure1_dataset, figure1_constraints,
                           HoloCleanConfig(), detection,
                           engine=Engine(figure1_dataset.copy()))
+
+
+class TestCodesFromPrunerToFeaturizer:
+    @pytest.mark.parametrize("name", ["hospital", "flights"])
+    def test_compile_never_decodes_candidates(self, name, monkeypatch):
+        """Production compile hands Algorithm 2's codes on as codes: no
+        string-keyed prune, no string encode, no per-attribute re-encode.
+        Hospital grounds DC factors too (pair enumeration and factor tables
+        read the same catalog); Flights takes the weak-label path."""
+        from repro.core.vector_domain import VectorDomainPruner
+        from repro.data import generate_flights, generate_hospital
+        from repro.engine.store import ColumnStore
+        from repro.eval.harness import holoclean_config_for
+        from repro.inference.variables import CellColumns
+
+        if name == "hospital":
+            generated = generate_hospital(num_rows=120)
+            overrides = {"use_dc_factors": True, "use_partitioning": True}
+        else:
+            generated = generate_flights(num_flights=6)
+            overrides = {}
+        config = holoclean_config_for(generated).with_(**overrides)
+        detection = ViolationDetector(generated.constraints).detect(generated.dirty)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compile decoded or re-encoded candidates")
+
+        for owner, method in ((ColumnStore, "domain_code_index"),
+                              (VectorDomainPruner, "domains"),
+                              (CellColumns, "encode")):
+            monkeypatch.setattr(owner, method, refuse)
+        model = ModelCompiler(generated.dirty, generated.constraints, config,
+                              detection).compile()
+        assert len(model.query_ids) and len(model.evidence_ids)
+        assert model.graph.matrix.num_entries
+        if name == "hospital":
+            assert model.grounding["pairs"] and model.graph.factors

@@ -505,6 +505,25 @@ class TestTelemetry:
         assert gauges["learn.blocks"] > 0
         assert gauges["learn.dense_slots"] <= 4 * gauges["learn.dense_entries"]
 
+    def test_compile_deep_spans_account_for_the_stage(self):
+        generated = generate_hospital(num_rows=300)
+        config = config_for(generated, trace_level="deep")
+        runs = []
+        # Timing noise only ever lowers the share: best of three stage runs.
+        for _ in range(3):
+            ctx = RepairContext(dataset=generated.dirty,
+                                constraints=generated.constraints,
+                                config=config)
+            ctx = RepairPlan([DetectStage(), CompileStage()]).run(ctx)
+            runs.append(ctx.tracer.roots[-1])
+        names = [c.name for c in runs[-1].children]
+        assert names == ["compile.prune_domains", "compile.sample_evidence",
+                         "compile.prune_evidence", "compile.register",
+                         "compile.featurize", "compile.build_matrix"]
+        assert max(
+            sum(c.duration for c in run.children) / run.duration for run in runs
+        ) >= 0.9
+
     def test_deep_tracing_gibbs_variant_identical(self, figure1_dataset,
                                                   figure1_constraints):
         def run(level):

@@ -29,6 +29,7 @@ from repro.dataset.schema import Schema
 from repro.dataset.stats import Statistics
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
+from repro.inference.variables import CellColumns
 from repro.oracle import DomainPruner, NaiveModelCompiler
 
 # Few distinct values over few attributes: ties, NULL-heavy tuples, and
@@ -47,6 +48,13 @@ def all_cells(dataset):
 
 def naive_for(dataset, **knobs):
     return DomainPruner(dataset, Statistics(dataset), **knobs)
+
+
+def catalog(engine):
+    """An empty catalog over the engine's dictionaries: candidate codes are
+    the store's."""
+    store = engine.store
+    return CellColumns({a: store.values(a) for a in store.attributes})
 
 
 class TestByteEquality:
@@ -68,6 +76,36 @@ class TestByteEquality:
         )
         cells = all_cells(dataset)
         assert vector.domains(cells) == naive.domains(cells)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=ROWS,
+        tau=st.sampled_from([0.0, 0.5, 1.0]),
+        max_domain=st.integers(min_value=1, max_value=5),
+        strategy=st.sampled_from(["cooccurrence", "active"]),
+        data=st.data(),
+    )
+    def test_csr_decodes_to_the_domains(self, rows, tau, max_domain, strategy, data):
+        # What the compiler registers: one row of store codes per cell, in
+        # the cells' order (a random one here), empty when a cell prunes to
+        # nothing — NULL contexts, fallbacks and the active strategy included.
+        dataset = Dataset(Schema(["A", "B", "C"]), [list(r) for r in rows])
+        knobs = dict(tau=tau, max_domain=max_domain, strategy=strategy)
+        vector = VectorDomainPruner(Engine(dataset), **knobs)
+        store = vector.engine.store
+        cells = data.draw(st.permutations(all_cells(dataset)))
+        tids = np.array([cell.tid for cell in cells], dtype=np.int64)
+        codes = [store.attributes.index(cell.attribute) for cell in cells]
+        indptr, pruned = vector.prune(tids, np.array(codes, dtype=np.int64))
+        assert len(indptr) == len(cells) + 1 and (pruned >= 0).all()
+        bounds = zip(cells, indptr.tolist(), indptr[1:].tolist())
+        decoded = [
+            [store.values(cell.attribute)[code] for code in pruned[lo:hi].tolist()]
+            for cell, lo, hi in bounds
+        ]
+        expected = naive_for(dataset, **knobs).domains(cells)
+        assert decoded == [expected.get(cell, []) for cell in cells]
+        assert vector.domains(cells) == expected
 
     # τ is tested once per count-table row and the survivors cached on
     # the pruner; the oracle tests it per cell, after expanding.
@@ -241,12 +279,16 @@ class TestNegativeMerge:
             compiler._with_negatives(cell, list(domain))
             for cell, domain in zip(cells, domains)
         ]
+        columns = catalog(engine)
+        tids, attributes, indptr, codes = columns.encode(cells, domains)
         merged = merged_negative_domains(
             engine,
             stats,
-            cells,
-            [list(d) for d in domains],
+            attributes,
+            indptr,
+            codes,
             wanted,
             max_domain,
         )
-        assert merged == expected
+        columns.append(tids, attributes, *merged)
+        assert columns.domains_of() == expected

@@ -116,20 +116,6 @@ def test_domains_identical_on_generators(name, backend, request):
     assert any(len(d) > 1 for d in naive_domains.values())
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_init_value_relation_identical(backend, flights):
-    from repro.core.relations import init_value_relation
-    from repro.dataset.dataset import Cell
-
-    dataset = flights.dirty
-    naive = {Cell(tid, a): dataset.value(tid, a)
-             for tid in dataset.tuple_ids for a in dataset.schema.names}
-    fast = init_value_relation(
-        dataset, engine=Engine(dataset, backend=BACKENDS[backend]))
-    assert fast == naive
-    assert list(fast) == list(naive)  # row-major key order preserved
-
-
 def test_engine_refresh_invalidates_statistics(flights):
     dataset = flights.dirty.copy()
     engine = Engine(dataset)

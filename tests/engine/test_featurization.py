@@ -25,7 +25,11 @@ from repro.constraints.matching import MatchingDependency, MatchPredicate
 from repro.constraints.predicates import Const, Operator, Predicate, TupleRef
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
-from repro.core.featurize import FeaturizationContext, Featurizer
+from repro.core.featurize import (
+    FeaturizationContext,
+    Featurizer,
+    default_featurizers,
+)
 from repro.core.vector_featurize import VectorFeaturizer
 from repro.data.generators.flights import generate_flights
 from repro.data.generators.hospital import generate_hospital
@@ -34,6 +38,7 @@ from repro.dataset.schema import Schema
 from repro.detect.violations import ViolationDetector
 from repro.engine import Backend, Engine
 from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
+from repro.inference.variables import VariableBlock
 from repro.oracle import NaiveModelCompiler
 from tests.engine.sqlite_backend import SQLiteBackend
 
@@ -317,6 +322,40 @@ def test_one_candidate_spec_allocates_no_key_and_emits_no_entry():
     assert np.diff(matrix.row_ptr).tolist() == [0, 3, 2]
 
 
+def featurize_with(featurizer, specs):
+    builder = FeatureMatrixBuilder(FeatureSpace())
+    builder.start_variables([len(domain) for _, domain in specs])
+    stats = featurizer.featurize(specs, builder)
+    return stats, builder.space._keys, builder.build()
+
+
+def test_a_second_call_equals_a_fresh_instance():
+    # Blocks, code spaces, the featurized rows and the counters belong to one
+    # call: a reused featurizer once kept the first call's code spaces and
+    # crashed inside _count_dc_violations on the second.
+    generated = generate_hospital(num_rows=150, seed=3)
+    config = HoloCleanConfig(tau=generated.recommended_tau)
+    dataset, constraints = generated.dirty, generated.constraints
+    engine = Engine(dataset)
+    detection = ViolationDetector(constraints, engine=engine).detect(dataset)
+    model = ModelCompiler(
+        dataset, constraints, config, detection, engine=engine
+    ).compile()
+    specs = [(info.cell, info.domain) for info in model.graph.variables]
+    context = FeaturizationContext(dataset, engine.statistics(), config)
+    reused = VectorFeaturizer(engine, context, constraints)
+    featurize_with(reused, specs)
+    half = specs[len(specs) // 2 :]
+    stats, keys, matrix = featurize_with(reused, half)
+    fresh = featurize_with(VectorFeaturizer(engine, context, constraints), half)
+    assert keys == fresh[1] and stats == fresh[0]
+    assert stats["feature_rows"] == matrix.num_rows - sum(
+        len(domain) for _, domain in half if len(domain) < 2
+    )
+    for name in ("var_row_start", "row_ptr", "indices", "values"):
+        assert np.array_equal(getattr(matrix, name), getattr(fresh[2], name)), name
+
+
 class Twice(Featurizer):
     """A featurizer the vector path does not know, repeating a key."""
 
@@ -385,3 +424,64 @@ def test_random_datasets_identical(rows, tau):
     config = HoloCleanConfig(tau=tau, max_dc_feature_partners=2)
     naive, fast = compile_pair(dataset, RANDOM_DCS, config)
     assert_identical(naive, fast)
+
+
+# Candidate lists with values the data never holds ("ghost", "0.5").
+DOMAIN = st.lists(
+    st.sampled_from(["a", "b", "1", "2", "ghost", "0.5"]),
+    unique=True,
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=ROWS, data=st.data())
+def test_specs_outside_the_data_match_the_naive_stack(rows, data):
+    # The (cell, domain) adapter encodes candidates the data never holds
+    # into extended codes; the code spaces of the cross-attribute and order
+    # DCs extend their codebooks with them.  Reference: the naive stack.
+    dataset = Dataset(Schema(["A", "B", "C"]), [list(r) for r in rows])
+    cells = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(rows) - 1), st.sampled_from("ABC")),
+            unique=True,
+            min_size=1,
+            max_size=10,
+        )
+    )
+    specs = [(Cell(tid, attr), data.draw(DOMAIN)) for tid, attr in cells]
+    config = HoloCleanConfig(max_dc_feature_partners=2)
+    engine = Engine(dataset)
+    context = FeaturizationContext(dataset, engine.statistics(), config)
+    _, fast_keys, fast = featurize_with(
+        VectorFeaturizer(engine, context, RANDOM_DCS), specs
+    )
+    # A catalog whose tables do not start with the store's dictionaries is
+    # re-encoded first, not read with the wrong codes.
+    unseeded = VariableBlock()
+    unseeded.add_block(*zip(*specs), [-1] * len(specs), is_evidence=False)
+    builder = FeatureMatrixBuilder(FeatureSpace())
+    builder.start_variables([len(domain) for _, domain in specs])
+    VectorFeaturizer(engine, context, RANDOM_DCS).featurize(unseeded, builder)
+    assert builder.space._keys == fast_keys
+    recoded = builder.build()
+    for name in ("var_row_start", "row_ptr", "indices", "values"):
+        assert np.array_equal(getattr(recoded, name), getattr(fast, name)), name
+    naive = FeatureMatrixBuilder(FeatureSpace())
+    naive.start_variables([len(domain) for _, domain in specs])
+    featurizers = default_featurizers(context, RANDOM_DCS)
+    for vid, (cell, domain) in enumerate(specs):
+        if len(domain) < 2:
+            continue
+        for featurizer in featurizers:
+            for candidate, entries in enumerate(featurizer.features(cell, domain)):
+                for key, value in entries:
+                    if value != 0.0:
+                        naive.add(vid, candidate, key, value)
+    keys, matrix = naive.space._keys, naive.build()
+    assert set(fast_keys) == set(keys)
+    for name in ("var_row_start", "row_ptr", "values"):
+        assert np.array_equal(getattr(fast, name), getattr(matrix, name)), name
+    relabel = np.array([fast_keys.index(key) for key in keys], dtype=np.int64)
+    assert np.array_equal(relabel[matrix.indices], fast.indices)
