@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: test lint lint-deep bench bench-ci bench-e2e-smoke clean
+.PHONY: test lint lint-deep bench bench-e2e-smoke clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -17,20 +17,11 @@ lint:
 lint-deep:
 	PYTHONPATH=src $(PYTHON) -m repro lint
 
-# Run every benchmarks/bench_*.py and collect BENCH_*.json results.
+# The paper suite: every benchmarks/bench_*.py reproduces one Section 6
+# table or figure and asserts the paper's numbers; results land in
+# benchmarks/results/*.txt.  Performance is gated by bench_e2e, below.
 bench:
-	PYTHONPATH=src $(PYTHON) -m repro bench
-
-# The CI bench job: the regression-gated performance benchmarks plus
-# the baseline comparison.
-bench-ci:
-	$(PYTHON) benchmarks/bench_engine_grounding.py
-	$(PYTHON) benchmarks/bench_factor_grounding.py
-	$(PYTHON) benchmarks/bench_factor_tables.py
-	$(PYTHON) benchmarks/bench_domain_pruning.py
-	$(PYTHON) benchmarks/bench_pipeline.py
-	$(PYTHON) benchmarks/bench_serving.py
-	$(PYTHON) benchmarks/check_regression.py
+	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/bench_*.py -q
 
 # The repository benchmark (BENCHMARK.json) at toy sizes: every workload,
 # both passes, one repetition (~25 s), then its own smoke tests.

@@ -6,17 +6,13 @@ row counts (Table 2's Hospital and Flights are reproduced at paper size,
 Food and Physicians are scaled down) and honour ``REPRO_SCALE``.
 
 Results are printed and also written to ``benchmarks/results/*.txt`` so
-they survive pytest's output capture.  Performance benchmarks additionally
-publish machine-readable ``benchmarks/results/BENCH_<name>.json`` files
-(:func:`publish_json`) — the format consumed by
-``benchmarks/check_regression.py``, the CI ``bench`` job, and
-``python -m repro bench``.
+they survive pytest's output capture.  Performance is measured by the
+repository benchmark (``bench_e2e/``), not here.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 from pathlib import Path
 
 from repro.data import (
@@ -100,21 +96,6 @@ def publish(name: str, text: str) -> None:
     print(banner)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
-
-
-def publish_json(name: str, metrics: dict, meta: dict | None = None) -> Path:
-    """Persist one benchmark's machine-readable result.
-
-    ``metrics`` holds the numbers the regression gate may pin (e.g.
-    speedup ratios — prefer ratios over wall times so results compare
-    across machines); ``meta`` holds workload descriptors (row counts,
-    pair counts) that are informational only.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    path = RESULTS_DIR / f"BENCH_{name}.json"
-    payload = {"name": name, "metrics": metrics, "meta": meta or {}}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def fmt(value, width: int = 6) -> str:

@@ -14,7 +14,9 @@ Paper values (P / R / F1):
 The reproduction must preserve the *shape*: HoloClean best on every
 dataset; Holistic's zero correct repairs on Flights; KATARA high-precision
 / low-recall with the Physicians format-mismatch zero; SCARE moderate on
-the small datasets and DNF-prone on the large ones.
+the small datasets and DNF-prone on the large ones.  HoloClean's own F1
+on each generator is pinned (``HC_F1``), and its average F1 must be more
+than twice each baseline family's, the abstract's claim.
 """
 
 import pytest
@@ -22,6 +24,12 @@ import pytest
 from _common import BENCH_SIZES, baseline_run, dataset, holoclean_run, fmt, publish
 
 BASELINES = ("Holistic", "KATARA", "SCARE")
+
+#: HoloClean's F1 on each generator at the ``BENCH_SIZES`` sizes.  The
+#: tolerance is ``BENCHMARK.json``'s f1 bound: a change that moves F1 by
+#: more has changed the answers, whatever its reason.
+HC_F1 = {"hospital": 0.913, "flights": 0.898, "food": 0.809, "physicians": 0.981}
+F1_TOLERANCE = 0.07
 
 
 @pytest.mark.parametrize("name", ["hospital", "flights", "food", "physicians"])
@@ -46,8 +54,8 @@ def test_table3_repair_quality(name, benchmark):
                          f"{fmt(q.recall, 7)} {fmt(q.f1, 7)}")
     publish(f"table3_{name}", "\n".join(lines))
 
+    assert hc_run.quality.f1 == pytest.approx(HC_F1[name], abs=F1_TOLERANCE)
     # Shape assertions from the paper.
-    assert hc_run.quality.f1 > 0.5
     for method, run in rows[1:]:
         if run.quality is not None and not run.timed_out:
             assert hc_run.quality.f1 >= run.quality.f1, (
@@ -55,7 +63,7 @@ def test_table3_repair_quality(name, benchmark):
 
 
 def test_table3_average_improvement():
-    """The headline claim: >2× average F1 over each baseline family."""
+    """The headline claim: > 2× average F1 over each baseline family."""
     hc_scores, baseline_scores = [], {m: [] for m in BASELINES}
     for name in BENCH_SIZES:
         hc_run, _ = holoclean_run(name)
@@ -73,8 +81,7 @@ def test_table3_average_improvement():
         ratio = hc_avg / avg if avg > 0 else float("inf")
         lines.append(f"{method:<10} average F1: {avg:.3f}  "
                      f"(HoloClean is {ratio:.2f}x)")
-        # The paper reports 2.29x-2.81x per family; assert a safety margin
-        # below that so benign generator drift doesn't fail the bench —
-        # EXPERIMENTS.md records the measured ratios.
-        assert hc_avg > 1.5 * avg, f"expected a large F1 margin vs {method}"
+        # The paper reports 2.29x-2.81x per family; the abstract's claim
+        # is "more than 2x".
+        assert hc_avg > 2 * avg, f"expected a 2x F1 margin vs {method}"
     publish("table3_average_improvement", "\n".join(lines))

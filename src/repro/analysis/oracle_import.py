@@ -1,8 +1,8 @@
 """Oracle-import checker: the reference implementations stay out of production.
 
 :mod:`repro.oracle` holds the tuple-at-a-time reference compiler, detector
-and domain pruner that the equivalence tests and parity benchmarks compare
-the engine against.  Production has exactly one grounding path; a module
+and domain pruner that the equivalence tests (and nothing else) compare the
+engine against.  Production has exactly one grounding path; a module
 outside ``src/repro/oracle/`` that imports the package would quietly
 reintroduce a second one, so every such import — absolute or relative — is
 an ``outside-oracle`` finding.
@@ -57,8 +57,7 @@ class OracleImportChecker(Checker):
                             module,
                             node.lineno,
                             f"production module imports {ORACLE_PACKAGE}; the "
-                            "reference implementations are for tests and "
-                            "parity benchmarks only",
+                            "reference implementations are for tests only",
                         )
                     )
         return findings

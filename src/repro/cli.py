@@ -15,12 +15,16 @@ metrics, config fingerprint) or any other path for the human-readable
 repair table (cell, old value, new value, confidence; stdout when the
 flag is omitted).
 
-``python -m repro bench [...]`` runs the repository's benchmark suite
-(see :mod:`repro.bench`); ``python -m repro trace report.json`` renders
-a saved run report as a text flamegraph; ``python -m repro lint``
-runs the repo-specific invariant linter (see :mod:`repro.analysis` and
+``python -m repro trace report.json`` renders a saved run report as a
+text flamegraph; ``python -m repro lint`` runs the repo-specific
+invariant linter (see :mod:`repro.analysis` and
 ``docs/static_analysis.md``); ``python -m repro serve`` runs the HTTP
 repair service (see :mod:`repro.serve` and ``docs/serving.md``).
+
+Performance is measured by the repository benchmark (``bench_e2e/``,
+declared in ``BENCHMARK.json``); the paper's Section 6 tables and
+figures are reproduced by ``benchmarks/bench_*.py`` under pytest
+(``make bench``).
 
 Repairs execute through the staged plan of :mod:`repro.core.stages`
 (Detect → Compile → Learn → Infer → Apply), the same path as the
@@ -127,10 +131,6 @@ def trace_main(argv: list[str] | None = None) -> int:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "bench":
-        from repro.bench import main as bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "trace":
         return trace_main(argv[1:])
     if argv and argv[0] == "lint":

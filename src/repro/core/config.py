@@ -21,6 +21,9 @@ VARIANTS = (
     "dc-feats+dc-factors+partitioning",
 )
 
+#: Candidate-domain strategies of the Algorithm 2 pruner.
+DOMAIN_STRATEGIES = ("cooccurrence", "active")
+
 
 @dataclass
 class HoloCleanConfig:
@@ -120,9 +123,10 @@ class HoloCleanConfig:
     trace_level: str = "stage"
 
     #: Start :mod:`tracemalloc` for the repair so trace spans carry
-    #: Python-heap peak-memory numbers.  Off by default (tracemalloc
-    #: slows allocation-heavy code measurably); the end-to-end benchmark
-    #: turns it on to publish per-stage memory.
+    #: Python-heap peak-memory numbers.  Off by default: tracemalloc
+    #: slows allocation-heavy code measurably, so a run traced with it
+    #: is a memory diagnostic, never a timing (the benchmark leaves it
+    #: off).  Repairs are identical either way.
     trace_memory: bool = False
 
     # --- serving (repro serve) ----------------------------------------------
@@ -171,6 +175,10 @@ class HoloCleanConfig:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
         if self.max_domain < 1:
             raise ValueError("max_domain must be at least 1")
+        if self.domain_strategy not in DOMAIN_STRATEGIES:
+            raise ValueError(
+                f"domain_strategy must be one of {DOMAIN_STRATEGIES}, got "
+                f"{self.domain_strategy!r}")
         if self.cooccur_tying not in ("pair", "value"):
             raise ValueError(
                 f"cooccur_tying must be 'pair' or 'value', got "
@@ -196,6 +204,24 @@ class HoloCleanConfig:
             raise ValueError(
                 f"cooccur_smoothing must be a finite number >= 0, got "
                 f"{self.cooccur_smoothing!r}")
+        # json.loads accepts NaN and Infinity, so these reach the plan
+        # from POST /repair; NaN or a negative step trains garbage weights
+        # and repairs nothing, or everything, without an error.
+        if not (isinstance(self.learning_rate, Real)
+                and math.isfinite(self.learning_rate)
+                and self.learning_rate > 0):
+            raise ValueError(
+                f"learning_rate must be a finite number > 0, got "
+                f"{self.learning_rate!r}")
+        if not (isinstance(self.l2, Real) and math.isfinite(self.l2)
+                and self.l2 >= 0):
+            raise ValueError(
+                f"l2 must be a finite number >= 0, got {self.l2!r}")
+        for name in ("minimality_weight", "dc_factor_weight"):
+            weight = getattr(self, name)
+            if not (isinstance(weight, Real) and math.isfinite(weight)):
+                raise ValueError(
+                    f"{name} must be a finite number, got {weight!r}")
         for name in ("epochs", "gibbs_burn_in", "gibbs_sweeps"):
             count = getattr(self, name)
             if (not isinstance(count, Integral) or isinstance(count, bool)

@@ -36,11 +36,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.config import DOMAIN_STRATEGIES
 from repro.dataset.dataset import Cell
 from repro.engine import ops
 from repro.inference.variables import CellColumns
-
-_STRATEGIES = ("cooccurrence", "active")
 
 
 def _lex_rank_table(values: list[str]) -> np.ndarray:
@@ -73,9 +72,10 @@ class VectorDomainPruner:
         max_domain: int = 24,
         strategy: str = "cooccurrence",
     ):
-        if strategy not in _STRATEGIES:
+        if strategy not in DOMAIN_STRATEGIES:
             raise ValueError(
-                f"unknown domain strategy {strategy!r}; pick one of {_STRATEGIES}"
+                f"unknown domain strategy {strategy!r}; pick one of "
+                f"{DOMAIN_STRATEGIES}"
             )
         self.engine = engine
         self.dataset = engine.dataset

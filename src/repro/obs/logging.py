@@ -1,12 +1,13 @@
 """Structured logging for the ``repro.*`` namespaces.
 
 Library modules obtain loggers via :func:`get_logger` (all children of
-the ``repro`` root logger); entry points (``repro`` CLI, ``repro
-bench``) call :func:`configure` once, mapping ``--verbose``/``--quiet``
-flags to levels.  The handler resolves ``sys.stderr`` at emit time (not
-at creation), so output lands wherever stderr currently points — the
-behaviour test harnesses that swap ``sys.stderr`` (pytest's capsys)
-expect from plain ``print(..., file=sys.stderr)`` calls.
+the ``repro`` root logger); entry points (``repro``, ``repro trace``,
+``repro serve``) call :func:`configure` once, mapping
+``--verbose``/``--quiet`` flags to levels.  The handler resolves
+``sys.stderr`` at emit time (not at creation), so output lands wherever
+stderr currently points — the behaviour test harnesses that swap
+``sys.stderr`` (pytest's capsys) expect from plain
+``print(..., file=sys.stderr)`` calls.
 
 Until :func:`configure` runs, the ``repro`` root logger stays
 handler-less and silent apart from Python's last-resort WARNING

@@ -53,6 +53,27 @@ class TestValidation:
         assert HoloCleanConfig(cooccur_smoothing=0).cooccur_smoothing == 0
         assert HoloCleanConfig(dc_feature_cap=np.float64(3)).dc_feature_cap == 3
 
+    @pytest.mark.parametrize("field,bad", [
+        ("learning_rate", float("nan")), ("learning_rate", -0.1),
+        ("learning_rate", 0.0), ("learning_rate", float("inf")),
+        ("l2", float("inf")), ("l2", float("nan")), ("l2", -1e-4),
+        ("minimality_weight", float("nan")), ("minimality_weight", float("inf")),
+        ("dc_factor_weight", float("nan")), ("dc_factor_weight", float("-inf")),
+        ("domain_strategy", "bogus")])
+    def test_values_that_silently_break_a_repair(self, field, bad):
+        # Each one used to construct, then repair nothing (NaN rate, inf
+        # l2, NaN minimality weight), everything at precision 0 (negative
+        # rate), or fail only inside the compile stage (the strategy).
+        with pytest.raises(ValueError, match=field):
+            HoloCleanConfig(**{field: bad})
+
+    def test_learning_and_weight_edges_accepted(self):
+        config = HoloCleanConfig(learning_rate=np.float64(0.3), l2=0,
+                                 minimality_weight=-1.0, dc_factor_weight=0.0,
+                                 domain_strategy="active")
+        assert (config.learning_rate, config.l2) == (0.3, 0)
+        assert (config.minimality_weight, config.dc_factor_weight) == (-1.0, 0.0)
+
     @pytest.mark.parametrize("field", ["use_engine", "vector_domains"])
     def test_removed_engine_switches_are_not_fields(self, field):
         # The engine is mandatory: the flags that once routed around it

@@ -13,6 +13,7 @@ run.
 
 import functools
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,6 +443,23 @@ class TestTelemetry:
         assert all(not s.children for s in stage_spans)
         deep_spans = deep.result.report.trace_spans()
         assert any(s.children for s in deep_spans)
+
+    def test_trace_memory_plan(self):
+        # trace_memory=True: every stage span carries a heap peak, the
+        # tracer stops the tracemalloc it started, and the repairs are
+        # the untraced run's.
+        generated = generate_hospital(num_rows=120)
+        untraced = self.run_plan(generated, trace_level="off")
+        assert not tracemalloc.is_tracing()
+        traced = self.run_plan(generated, trace_memory=True)
+        assert tracemalloc.is_tracing()
+        traced.tracer.shutdown()
+        assert not tracemalloc.is_tracing()
+        spans = traced.result.report.trace_spans()
+        assert [span.name for span in spans] == list(STAGE_ORDER)
+        assert all(span.py_mem_peak > 0 for span in spans)
+        assert_results_equal(traced.result, untraced.result)
+        assert untraced.result.num_repairs > 0
 
     def test_detect_deep_spans_account_for_the_stage(self, hospital):
         ctx = RepairContext(dataset=hospital.dirty,

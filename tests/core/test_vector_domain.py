@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import HoloCleanConfig
+from repro.core.compiler import ModelCompiler
 from repro.core.featurize import FeaturizationContext
 from repro.core.vector_domain import (
     EntityVoteModes,
@@ -31,6 +32,7 @@ from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
 from repro.inference.variables import CellColumns
 from repro.oracle import DomainPruner, NaiveModelCompiler
+from tests.core.test_compiler import sampled_cells
 
 # Few distinct values over few attributes: ties, NULL-heavy tuples, and
 # shared co-occurrence structure are all likely under sampling.
@@ -206,6 +208,27 @@ class TestByteEquality:
             )
             cells = all_cells(dataset)
             assert vector.domains(cells) == naive.domains(cells)
+
+    @pytest.mark.parametrize("name", ["hospital", "flights"])
+    def test_generators_on_the_compilers_cells(self, name):
+        # The cell set production prunes: the compiler's query cells plus
+        # its sampled evidence cells, at the generator's tau.
+        if name == "hospital":
+            generated = generate_hospital(num_rows=300)
+        else:
+            generated = generate_flights(num_flights=10)
+        dataset = generated.dirty
+        config = HoloCleanConfig(tau=generated.recommended_tau)
+        detection = ViolationDetector(generated.constraints).detect(dataset)
+        compiler = ModelCompiler(dataset, generated.constraints, config, detection)
+        query = sorted(detection.noisy_cells)
+        cells = query + sampled_cells(compiler, query)
+        knobs = dict(tau=config.tau, max_domain=config.max_domain)
+        expected = naive_for(dataset, **knobs).domains(cells)
+        assert VectorDomainPruner(compiler.engine, **knobs).domains(cells) == expected
+        assert any(len(d) > 1 for d in expected.values())
+        # Every Flights cell is noisy, so only Hospital has evidence cells.
+        assert (len(cells) > len(query)) == (name == "hospital")
 
     def test_unknown_strategy_rejected(self):
         dataset = Dataset(Schema(["A"]), [["x"]])

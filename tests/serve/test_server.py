@@ -230,6 +230,21 @@ class TestErrorMapping:
 
         serve(body)
 
+    def test_nan_config_value_400(self, hospital):
+        # json.loads accepts a bare NaN literal; the config must refuse it
+        # instead of training NaN weights into a zero-repair "success".
+        async def body(server):
+            request = payload_for(hospital)
+            request["config"]["learning_rate"] = float("nan")
+            raw_body = json.dumps(request).encode()
+            assert b"NaN" in raw_body
+            status, _, payload = await _request(
+                server.port, "POST", "/repair", request
+            )
+            assert status == 400 and "learning_rate" in payload["error"]
+
+        serve(body)
+
     def test_invalid_json_400(self):
         async def body(server):
             raw = (
@@ -302,6 +317,32 @@ class TestRehydration:
         assert after["path"] == "rehydrated"
         assert after["session"] == before["session"]
         assert after["repairs"] == before["repairs"]
+
+    def test_evicted_session_rehydrates_with_identical_marginals(
+        self, tmp_path, hospital
+    ):
+        """DELETE keeps the checkpoint; the next POST rebuilds the session
+        from it, and every cell's marginal comes back unchanged."""
+        config = HoloCleanConfig(serve_workers=0, serve_checkpoint_dir=str(tmp_path))
+
+        async def body(server):
+            _, _, first = await _request(
+                server.port, "POST", "/repair", payload_for(hospital)
+            )
+            sid = first["session"]
+            marginals = f"/sessions/{sid}/marginals"
+            _, _, before = await _request(server.port, "GET", marginals)
+            status, _, gone = await _request(server.port, "DELETE", f"/sessions/{sid}")
+            assert status == 200 and gone["evicted"]
+            _, _, again = await _request(
+                server.port, "POST", "/repair", payload_for(hospital)
+            )
+            assert again["path"] == "rehydrated"
+            assert again["repairs"] == first["repairs"]
+            _, _, after = await _request(server.port, "GET", marginals)
+            assert before["cells"] and after["cells"] == before["cells"]
+
+        serve(body, config)
 
 
 def test_cli_parser_defaults():
