@@ -12,7 +12,7 @@ lint:
 	xargs -a .ruff-format-paths ruff format --check
 
 # The repo-specific invariant linter (determinism, hot-path purity,
-# parallel safety, telemetry/config drift) gated by the committed
+# telemetry/config drift, oracle imports) gated by the committed
 # zero-findings baseline.  See docs/static_analysis.md.
 lint-deep:
 	PYTHONPATH=src $(PYTHON) -m repro lint

@@ -152,13 +152,6 @@ class SourceModule:
             self._parents = parents
         return self._parents.get(id(node))
 
-    def enclosing(self, node: ast.AST, kinds: tuple) -> ast.AST | None:
-        """The nearest ancestor of ``node`` of one of ``kinds``."""
-        current = self.parent(node)
-        while current is not None and not isinstance(current, kinds):
-            current = self.parent(current)
-        return current
-
     # ------------------------------------------------------------------
     def pragma_for(self, rule: str, line: int) -> Pragma | None:
         """The pragma suppressing ``rule`` at ``line``, if any.

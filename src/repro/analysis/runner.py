@@ -25,7 +25,6 @@ from repro.analysis.base import AnalysisContext, Checker, Finding, SourceModule
 from repro.analysis.config_drift import ConfigDriftChecker
 from repro.analysis.determinism import DeterminismChecker
 from repro.analysis.oracle_import import OracleImportChecker
-from repro.analysis.parallel_safety import ParallelSafetyChecker
 from repro.analysis.purity import PurityChecker
 from repro.analysis.telemetry import TelemetryChecker
 
@@ -40,7 +39,6 @@ def default_checkers() -> list[Checker]:
     return [
         DeterminismChecker(),
         PurityChecker(),
-        ParallelSafetyChecker(),
         TelemetryChecker(),
         ConfigDriftChecker(),
         OracleImportChecker(),

@@ -34,7 +34,7 @@ from repro.detect.base import DetectionResult
 from repro.engine import Engine, engine_for, ops
 from repro.external.dictionary import ExternalDictionary
 from repro.external.matcher import match_dictionary
-from repro.inference.factor_graph import ConstraintFactor, FactorGraph
+from repro.inference.factor_graph import FactorGraph
 from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
 from repro.inference.variables import DomainRelation, VariableBlock
 from repro.obs.trace import deep_span
@@ -465,7 +465,6 @@ class ModelCompiler:
 
         if np.all(table == 1) or np.all(table == -1):
             return False  # constant factor: no effect on the distribution
-        graph.add_factor(ConstraintFactor(
-            var_ids=tuple(v.vid for v in axis_vars), table=table,
-            weight=self.config.dc_factor_weight, constraint_name=dc.name))
+        graph.add_factor([v.vid for v in axis_vars], table,
+                         self.config.dc_factor_weight, dc.name)
         return True

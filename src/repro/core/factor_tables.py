@@ -33,7 +33,7 @@ from repro.constraints.predicates import Const, Operator, OrderKeys, Predicate
 from repro.dataset.dataset import Cell, Dataset
 from repro.engine import ops
 from repro.engine.store import DomainCodeIndex
-from repro.inference.factor_graph import ConstraintFactor
+from repro.inference.factor_graph import FactorColumns
 from repro.inference.variables import CellColumns, VariableBlock, as_columns
 from repro.obs.trace import deep_span
 
@@ -248,14 +248,14 @@ class VectorFactorTableBuilder:
     # Chunk grounding
     # ------------------------------------------------------------------
     def ground_chunk(self, dc: DenialConstraint, left: np.ndarray,
-                     right: np.ndarray) -> tuple[list[ConstraintFactor], int]:
+                     right: np.ndarray) -> tuple[FactorColumns, int]:
         """All factors of one ``(left, right)`` pair chunk, in pair order.
 
-        Returns ``(factors, skipped)`` where ``factors`` preserves the
-        chunk's pair order (what the naive loop's sequential
-        ``add_factor`` calls produce) and ``skipped`` counts the pairs
-        that ground no factor — no query variables, table over the cap,
-        or a constant table.
+        Returns ``(factors, skipped)`` where ``factors`` holds the
+        chunk's factors as columns in pair order (what the naive loop's
+        sequential ``add_factor`` calls produce) and ``skipped`` counts
+        the pairs that ground no factor — no query variables, table over
+        the cap, or a constant table.
         """
         with deep_span("ground.factor_chunk", constraint=dc.name,
                        pairs=len(left)) as sp:
@@ -272,7 +272,7 @@ class VectorFactorTableBuilder:
                 key_cols.append(sizes[tids])
                 slot_vids.append(vids[tids])
 
-            out: list[ConstraintFactor | None] = [None] * num_pairs
+            blocks = []
             for rep, members in self._shape_groups(key_cols):
                 sizes_rep = [int(col[rep]) for col in key_cols]
                 axis_ids = [s for s, d in enumerate(sizes_rep) if d >= 0]
@@ -293,11 +293,17 @@ class VectorFactorTableBuilder:
                 self.stats["groups"] += 1
                 block = max(1, _BLOCK_CELLS // cells)
                 for lo in range(0, group_pairs, block):
-                    self._ground_block(dc, plan, tids_of,
-                                       members[lo:lo + block], axis_ids, shape,
-                                       slot_vids, out)
+                    blocks += self._ground_block(dc, plan, tids_of,
+                                                 members[lo:lo + block],
+                                                 axis_ids, shape, slot_vids)
 
-            factors = [factor for factor in out if factor is not None]
+            # Each block's pairs ascend; one permutation interleaves them.
+            factors = FactorColumns.concat([
+                FactorColumns.rows(vids, tables, self.weight, dc.name)
+                for _, vids, tables in blocks])
+            positions = np.concatenate([np.empty(0, np.int64)]
+                                       + [rows for rows, _, _ in blocks])
+            factors = factors.take(np.argsort(positions))
             self.stats["tables"] += len(factors)
             if sp is not None:
                 sp.attributes["factors"] = len(factors)
@@ -335,9 +341,9 @@ class VectorFactorTableBuilder:
     def _ground_block(self, dc: DenialConstraint, plan: _Plan,
                       tids_of: dict[int, np.ndarray], idx: np.ndarray,
                       axis_ids: list[int], shape: tuple[int, ...],
-                      slot_vids: list[np.ndarray],
-                      out: list[ConstraintFactor | None]) -> None:
-        """Evaluate one same-shape block of pairs and emit its factors."""
+                      slot_vids: list[np.ndarray]) -> list[tuple]:
+        """Evaluate one same-shape block of pairs: ``[(pair positions, vid
+        rows, flat tables)]`` of the factors it emits, or ``[]``."""
         block_pairs = len(idx)
         ndim = len(shape)
         axis_rank = {plan.axis_slots[s]: k for k, s in enumerate(axis_ids)}
@@ -383,7 +389,7 @@ class VectorFactorTableBuilder:
         backward = eval_direction(plan.backward)
         if forward is None and backward is None:
             self.stats["skipped_constant"] += block_pairs
-            return
+            return []
         if forward is None:
             violated = backward
         elif backward is None:
@@ -397,14 +403,7 @@ class VectorFactorTableBuilder:
         violation_counts = flat.sum(axis=1)
         constant = (violation_counts == 0) | (violation_counts == cells)
         self.stats["skipped_constant"] += int(constant.sum())
-        emit = np.nonzero(~constant)[0]
-        if not len(emit):
-            return
-        tables = np.where(violated[emit], np.int8(-1), np.int8(1))
-        vid_cols = [slot_vids[s][idx] for s in axis_ids]
-        # repro: allow-loop emitted factors are Python objects; construction is per-factor
-        for j, i in enumerate(emit.tolist()):
-            out[int(idx[i])] = ConstraintFactor(
-                var_ids=tuple(int(col[i]) for col in vid_cols),
-                table=tables[j].copy(), weight=self.weight,
-                constraint_name=dc.name)
+        rows = idx[~constant]
+        vids = np.stack([slot_vids[s][rows] for s in axis_ids], axis=1)
+        tables = np.where(flat[~constant], np.int8(-1), np.int8(1))
+        return [(rows, vids, tables)]

@@ -19,7 +19,7 @@ package reimplements the parts HoloClean needs:
 
 from repro.inference.features import FeatureSpace, FeatureMatrix, FeatureMatrixBuilder
 from repro.inference.variables import VariableInfo, VariableBlock
-from repro.inference.factor_graph import ConstraintFactor, FactorGraph
+from repro.inference.factor_graph import FactorGraph
 from repro.inference.softmax import SoftmaxTrainer, TrainingResult
 from repro.inference.gibbs import GibbsSampler, GibbsResult
 from repro.inference.numerics import segment_softmax, segment_logsumexp
@@ -30,7 +30,6 @@ __all__ = [
     "FeatureMatrixBuilder",
     "VariableInfo",
     "VariableBlock",
-    "ConstraintFactor",
     "FactorGraph",
     "SoftmaxTrainer",
     "TrainingResult",

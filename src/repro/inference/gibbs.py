@@ -16,7 +16,6 @@ averaging starts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -98,26 +97,18 @@ class GibbsSampler:
         self._initial[missing] = segment_argmax(unary[rows], cuts)
         free = ~evidence & (sizes > 1)
 
-        # Factor members, table extents and strides, padded to max arity.
-        arity = np.fromiter((len(f.var_ids) for f in factors), np.int64, len(factors))
+        # Factor members, table extents (their domain sizes) and strides,
+        # padded to max arity.
+        arity = np.diff(factors.var_indptr)
         present = np.arange(arity.max(initial=0)) < arity[:, None]
         members = np.zeros(present.shape, dtype=np.int64)
-        members[present] = np.fromiter(
-            chain.from_iterable(f.var_ids for f in factors), np.int64, arity.sum()
-        )
+        members[present] = factors.var_ids
         extents = np.ones(present.shape, dtype=np.int64)
-        extents[present] = np.fromiter(
-            chain.from_iterable(f.table.shape for f in factors), np.int64, arity.sum()
-        )
-        if np.any(extents[present] != sizes[members[present]]):
-            raise ValueError("a factor table's shape disagrees with its variables")
+        extents[present] = sizes[factors.var_ids]
         spans = np.cumprod(extents[:, ::-1], axis=1)[:, ::-1]  # prod(extents[p:])
-        table_sizes = extents.prod(axis=1)
         strides = np.where(present, spans // extents, 0)  # C order; pads 0
-        weight = np.fromiter((f.weight for f in factors), np.float64, len(factors))
-        self._table = np.repeat(weight, table_sizes) * np.concatenate(
-            [np.empty(0)] + [f.table.ravel() for f in factors]
-        )
+        offsets, table_sizes = factors.cell_indptr[:-1], np.diff(factors.cell_indptr)
+        self._table = np.repeat(factors.weights, table_sizes) * factors.cells
 
         is_free = present & free[members]
         self.colour = colour = _greedy_colouring(members, is_free, free, tuple_id)
@@ -146,7 +137,7 @@ class GibbsSampler:
         self._members = members[inc_factor]  # variables of the incident factor
         self._strides = strides[inc_factor]  # 0 at the own position and at pads
         self._strides[np.arange(len(owner)), inc_position] = 0
-        self._offsets = (np.cumsum(table_sizes) - table_sizes)[inc_factor]
+        self._offsets = offsets[inc_factor]
         # Entries name their incidence and score row by position in the class.
         first_row = np.empty(n, dtype=np.int64)
         first_row[ids] = bounds[:-1] - row_cut[colour[ids]]

@@ -23,7 +23,9 @@ On-disk layout, one directory per session id::
 
 Since format 3 ``compile.pkl`` and ``infer.pkl`` hold no object per
 variable: the catalog and the marginals are columnar in memory
-(:mod:`repro.inference.variables`).  Stage files are written only for
+(:mod:`repro.inference.variables`); since format 4 the DC factors are
+columns too (:class:`~repro.inference.factor_graph.FactorColumns`), not
+one object per factor.  Stage files are written only for
 artifacts present on the context, so a session checkpointed mid-pipeline
 rehydrates mid-pipeline and the staged plan resumes from exactly where it
 stopped.  Writes go to a temporary sibling directory; the previous
@@ -53,7 +55,7 @@ log = get_logger("serve.checkpoint")
 
 #: Bump when the on-disk layout changes; mismatched checkpoints are
 #: rejected (the session simply pays a cold run).
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Stage name → the context artifacts serialized in that stage's file.
 STAGE_ARTIFACTS = (

@@ -176,3 +176,16 @@ def test_real_learner_modules_have_no_per_row_loop(repo_ctx):
     assert {SOFTMAX, FEATURES} <= PurityChecker.modules
     raw = [f.path for f in PurityChecker().check(repo_ctx)]
     assert raw.count(SOFTMAX) == 0 and raw.count(FEATURES) == 0
+
+
+FACTOR_GRAPH = "src/repro/inference/factor_graph.py"
+FACTOR_TABLES = "src/repro/core/factor_tables.py"
+
+
+def test_real_factor_modules_have_no_per_factor_loop(repo_ctx):
+    # Before pragma suppression: nothing in the columnar factor store, and
+    # in the table builder only the per-shape-group walk; the per-factor
+    # object construction loop it used to carry is gone.
+    assert {FACTOR_GRAPH, FACTOR_TABLES} <= PurityChecker.modules
+    raw = [f.path for f in PurityChecker().check(repo_ctx)]
+    assert raw.count(FACTOR_GRAPH) == 0 and raw.count(FACTOR_TABLES) == 1

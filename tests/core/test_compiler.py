@@ -13,8 +13,7 @@ from repro.detect.violations import ViolationDetector
 def compiled(figure1_dataset, figure1_constraints):
     config = HoloCleanConfig(tau=0.3, seed=1)
     detection = ViolationDetector(figure1_constraints).detect(figure1_dataset)
-    compiler = ModelCompiler(figure1_dataset, figure1_constraints, config,
-                             detection)
+    compiler = ModelCompiler(figure1_dataset, figure1_constraints, config, detection)
     return compiler.compile(), detection
 
 
@@ -53,52 +52,63 @@ class TestEvidenceSampling:
     def test_max_training_cells_cap(self, figure1_dataset, figure1_constraints):
         config = HoloCleanConfig(tau=0.3, max_training_cells=10, seed=1)
         detection = ViolationDetector(figure1_constraints).detect(figure1_dataset)
-        model = ModelCompiler(figure1_dataset, figure1_constraints, config,
-                              detection).compile()
-        true_evidence = [v for v in model.evidence_ids
-                         if model.graph.variables[v].is_evidence]
+        model = ModelCompiler(
+            figure1_dataset, figure1_constraints, config, detection
+        ).compile()
+        true_evidence = [
+            v for v in model.evidence_ids if model.graph.variables[v].is_evidence
+        ]
         assert len(true_evidence) <= 10
 
-    def test_evidence_negatives_extend_domains(self, figure1_dataset,
-                                               figure1_constraints):
+    def test_evidence_negatives_extend_domains(
+        self, figure1_dataset, figure1_constraints
+    ):
         config = HoloCleanConfig(tau=0.3, evidence_negatives=2, seed=1)
         detection = ViolationDetector(figure1_constraints).detect(figure1_dataset)
-        model = ModelCompiler(figure1_dataset, figure1_constraints, config,
-                              detection).compile()
-        sizes = [model.graph.variables[v].domain_size
-                 for v in model.evidence_ids
-                 if model.graph.variables[v].is_evidence]
+        model = ModelCompiler(
+            figure1_dataset, figure1_constraints, config, detection
+        ).compile()
+        sizes = [
+            model.graph.variables[v].domain_size
+            for v in model.evidence_ids
+            if model.graph.variables[v].is_evidence
+        ]
         assert sizes and all(s >= 2 for s in sizes)
 
 
 class TestFactors:
     def test_no_factors_for_dc_feats(self, compiled):
         model, _ = compiled
-        assert model.graph.factors == []
+        assert len(model.graph.factors) == 0 and not model.graph.factors
 
-    def test_factors_grounded_for_dc_factors(self, figure1_dataset,
-                                             figure1_constraints):
+    def test_factors_grounded_for_dc_factors(
+        self, figure1_dataset, figure1_constraints
+    ):
         config = HoloCleanConfig.variant("dc-factors", tau=0.3, seed=1)
         detection = ViolationDetector(figure1_constraints).detect(figure1_dataset)
-        model = ModelCompiler(figure1_dataset, figure1_constraints, config,
-                              detection).compile()
+        model = ModelCompiler(
+            figure1_dataset, figure1_constraints, config, detection
+        ).compile()
         assert len(model.graph.factors) > 0
-        for factor in model.graph.factors:
+        for i in range(len(model.graph.factors)):
+            var_ids, table, _, _ = model.graph.factor(i)
             # Factors span only query variables.
-            for vid in factor.var_ids:
+            for vid in var_ids:
                 assert not model.graph.variables[vid].is_evidence
             # Tables are non-constant (constant factors are dropped).
-            assert (factor.table == -1).any()
-            assert (factor.table == 1).any()
+            assert (table == -1).any()
+            assert (table == 1).any()
 
     def test_partitioning_grounds_fewer_or_equal_factors(
-            self, figure1_dataset, figure1_constraints):
+        self, figure1_dataset, figure1_constraints
+    ):
         detection = ViolationDetector(figure1_constraints).detect(figure1_dataset)
         counts = {}
         for name in ("dc-factors", "dc-factors+partitioning"):
             config = HoloCleanConfig.variant(name, tau=0.3, seed=1)
-            model = ModelCompiler(figure1_dataset, figure1_constraints,
-                                  config, detection).compile()
+            model = ModelCompiler(
+                figure1_dataset, figure1_constraints, config, detection
+            ).compile()
             counts[name] = len(model.graph.factors)
         assert counts["dc-factors+partitioning"] <= counts["dc-factors"]
 
@@ -113,8 +123,14 @@ class TestProgramAndReport:
     def test_size_report_keys(self, compiled):
         model, _ = compiled
         report = model.size_report()
-        for key in ("variables", "query_variables", "feature_entries",
-                    "weights", "constraint_factors", "skipped_factors"):
+        for key in (
+            "variables",
+            "query_variables",
+            "feature_entries",
+            "weights",
+            "constraint_factors",
+            "skipped_factors",
+        ):
             assert key in report
 
     def test_minimality_weight_pinned(self, compiled):
@@ -137,27 +153,30 @@ def sampled_cells(compiler, query_cells):
     names = compiler.engine.store.attributes
     tids = [cell.tid for cell in query_cells]
     codes = [names.index(cell.attribute) for cell in query_cells]
-    sampled = compiler._sample_evidence(np.array(tids, dtype=np.int64),
-                                        np.array(codes, dtype=np.int64))
-    return [Cell(tid, names[code])
-            for tid, code in zip(*(column.tolist() for column in sampled))]
+    sampled = compiler._sample_evidence(
+        np.array(tids, dtype=np.int64), np.array(codes, dtype=np.int64)
+    )
+    return [
+        Cell(tid, names[code])
+        for tid, code in zip(*(column.tolist() for column in sampled))
+    ]
 
 
 class TestEvidenceMask:
-    def test_mask_sampler_matches_reference(self, figure1_dataset,
-                                            figure1_constraints):
+    def test_mask_sampler_matches_reference(self, figure1_dataset, figure1_constraints):
         """The vectorized clean-cell sampler selects exactly the cells the
         old per-cell list comprehension selected — same order, same RNG
         stream — with and without the training cap."""
-        detection = ViolationDetector(figure1_constraints).detect(
-            figure1_dataset)
+        detection = ViolationDetector(figure1_constraints).detect(figure1_dataset)
         repairable = figure1_dataset.schema.data_attributes
-        query_cells = {c for c in detection.noisy_cells
-                       if c.attribute in set(repairable)}
+        query_cells = {
+            c for c in detection.noisy_cells if c.attribute in set(repairable)
+        }
         for cap in (None, 5, 2):
             config = HoloCleanConfig(tau=0.3, seed=1, max_training_cells=cap)
-            compiler = ModelCompiler(figure1_dataset, figure1_constraints,
-                                     config, detection)
+            compiler = ModelCompiler(
+                figure1_dataset, figure1_constraints, config, detection
+            )
             reference = [
                 Cell(tid, a)
                 for tid in figure1_dataset.tuple_ids
@@ -178,10 +197,10 @@ class TestColumnarCatalog:
     @pytest.fixture
     def pruned(self, figure1_dataset, figure1_constraints):
         config = HoloCleanConfig(tau=0.3, seed=1)
-        detection = ViolationDetector(figure1_constraints).detect(
-            figure1_dataset)
-        compiler = ModelCompiler(figure1_dataset, figure1_constraints, config,
-                                 detection)
+        detection = ViolationDetector(figure1_constraints).detect(figure1_dataset)
+        compiler = ModelCompiler(
+            figure1_dataset, figure1_constraints, config, detection
+        )
         noisy = sorted(detection.noisy_cells)
         query = compiler._pruner.domains(noisy)
         evidence = compiler._pruner.domains(sampled_cells(compiler, noisy))
@@ -203,11 +222,13 @@ class TestColumnarCatalog:
             assert columns.attributes == store.attributes
             assert columns.tables == [store.values(a) for a in store.attributes]
             rows = range(len(columns))
-            for row, cell, domain in zip(rows, columns.cells_of(),
-                                         columns.domains_of()):
-                lo, hi = columns.domain_indptr[row:row + 2]
+            for row, cell, domain in zip(
+                rows, columns.cells_of(), columns.domains_of()
+            ):
+                lo, hi = columns.domain_indptr[row : row + 2]
                 assert columns.domain_codes[lo:hi].tolist() == [
-                    store.code_of(cell.attribute, value) for value in domain]
+                    store.code_of(cell.attribute, value) for value in domain
+                ]
 
     def test_store_dictionaries_are_not_shared(self, pruned):
         compiler, model, _ = pruned
@@ -225,8 +246,9 @@ class TestInitValueRelation:
         for cell, value in relations.init_values.items():
             assert value == figure1_dataset.cell_value(cell)
 
-    def test_engine_and_naive_relations_identical(self, figure1_dataset,
-                                                  figure1_constraints):
+    def test_engine_and_naive_relations_identical(
+        self, figure1_dataset, figure1_constraints
+    ):
         """The compiler grounds against the engine-decoded InitValue
         relation in production; it must equal the naive probe map, key
         order included."""
@@ -234,16 +256,19 @@ class TestInitValueRelation:
         from repro.oracle import NaiveModelCompiler
 
         config = HoloCleanConfig(tau=0.3, seed=1)
-        detection = ViolationDetector(figure1_constraints).detect(
-            figure1_dataset)
-        naive = NaiveModelCompiler(figure1_dataset, figure1_constraints,
-                                   config, detection).compile()
-        fast = ModelCompiler(figure1_dataset, figure1_constraints, config,
-                             detection,
-                             engine=Engine(figure1_dataset)).compile()
+        detection = ViolationDetector(figure1_constraints).detect(figure1_dataset)
+        naive = NaiveModelCompiler(
+            figure1_dataset, figure1_constraints, config, detection
+        ).compile()
+        fast = ModelCompiler(
+            figure1_dataset,
+            figure1_constraints,
+            config,
+            detection,
+            engine=Engine(figure1_dataset),
+        ).compile()
         assert fast.relations.init_values == naive.relations.init_values
-        assert (list(fast.relations.init_values)
-                == list(naive.relations.init_values))
+        assert list(fast.relations.init_values) == list(naive.relations.init_values)
 
 
 class TestEngineArgument:
@@ -258,16 +283,22 @@ class TestEngineArgument:
         assert report["grounding_feature_path"] == "vector"
         assert report["grounding_prune_cells"] > 0
 
-    def test_foreign_engine_is_rejected(self, figure1_dataset,
-                                        figure1_constraints, compiled):
+    def test_foreign_engine_is_rejected(
+        self, figure1_dataset, figure1_constraints, compiled
+    ):
         from repro.engine import Engine
 
         _, detection = compiled
-        with pytest.raises(ValueError,
-                           match="engine was built over a different dataset"):
-            ModelCompiler(figure1_dataset, figure1_constraints,
-                          HoloCleanConfig(), detection,
-                          engine=Engine(figure1_dataset.copy()))
+        with pytest.raises(
+            ValueError, match="engine was built over a different dataset"
+        ):
+            ModelCompiler(
+                figure1_dataset,
+                figure1_constraints,
+                HoloCleanConfig(),
+                detection,
+                engine=Engine(figure1_dataset.copy()),
+            )
 
 
 class TestCodesFromPrunerToFeaturizer:
@@ -295,12 +326,15 @@ class TestCodesFromPrunerToFeaturizer:
         def refuse(*args, **kwargs):
             raise AssertionError("compile decoded or re-encoded candidates")
 
-        for owner, method in ((ColumnStore, "domain_code_index"),
-                              (VectorDomainPruner, "domains"),
-                              (CellColumns, "encode")):
+        for owner, method in (
+            (ColumnStore, "domain_code_index"),
+            (VectorDomainPruner, "domains"),
+            (CellColumns, "encode"),
+        ):
             monkeypatch.setattr(owner, method, refuse)
-        model = ModelCompiler(generated.dirty, generated.constraints, config,
-                              detection).compile()
+        model = ModelCompiler(
+            generated.dirty, generated.constraints, config, detection
+        ).compile()
         assert len(model.query_ids) and len(model.evidence_ids)
         assert model.graph.matrix.num_entries
         if name == "hospital":

@@ -49,7 +49,8 @@ def prepared(generated):
     dataset = generated.dirty
     detection = ViolationDetector(generated.constraints).detect(dataset)
     domains = DomainPruner(dataset, tau=generated.recommended_tau).domains(
-        sorted(detection.noisy_cells))
+        sorted(detection.noisy_cells)
+    )
     dcs = [dc for dc in generated.constraints if not dc.is_single_tuple]
     return dataset, detection, domains, dcs
 
@@ -62,8 +63,9 @@ def prepared(generated):
 def test_streams_identical_on_generators(name, backend, request):
     dataset, detection, domains, dcs = prepared(request.getfixturevalue(name))
     naive = PairEnumerator(dataset, domains)
-    vector = VectorPairEnumerator(Engine(dataset, backend=BACKENDS[backend]),
-                                  dataset, domains)
+    vector = VectorPairEnumerator(
+        Engine(dataset, backend=BACKENDS[backend]), dataset, domains
+    )
     assert dcs, "generators must exercise two-tuple constraints"
     for dc in dcs:
         for use_partitioning in (False, True):
@@ -80,16 +82,18 @@ def test_chunked_path_identical(backend, hospital):
     """A tiny chunk size forces the streaming path on every group."""
     dataset, detection, domains, dcs = prepared(hospital)
     naive = PairEnumerator(dataset, domains)
-    chunked = VectorPairEnumerator(Engine(dataset, backend=BACKENDS[backend]),
-                                   dataset, domains,
-                                   chunk_pairs=7, stream_budget=1)
+    chunked = VectorPairEnumerator(
+        Engine(dataset, backend=BACKENDS[backend]),
+        dataset,
+        domains,
+        chunk_pairs=7,
+        stream_budget=1,
+    )
     for dc in dcs:
         for use_partitioning in (False, True):
-            expected = list(naive.pairs_for(dc, use_partitioning,
-                                            detection.hypergraph))
-            actual = list(chunked.pairs_for(dc, use_partitioning,
-                                            detection.hypergraph))
-            assert actual == expected, (dc.name, use_partitioning)
+            args = (dc, use_partitioning, detection.hypergraph)
+            expected = list(naive.pairs_for(*args))
+            assert list(chunked.pairs_for(*args)) == expected, args[:2]
     assert chunked.stats["streamed_groups"] > 0
     assert chunked.stats["chunks"] > chunked.stats["streamed_groups"]
 
@@ -98,20 +102,24 @@ def test_chunked_path_identical(backend, hospital):
 def test_max_pairs_truncation_identical(backend, hospital):
     dataset, detection, domains, dcs = prepared(hospital)
     naive = PairEnumerator(dataset, domains, max_pairs=97)
-    vector = VectorPairEnumerator(Engine(dataset, backend=BACKENDS[backend]),
-                                  dataset, domains, max_pairs=97)
-    streamed = VectorPairEnumerator(Engine(dataset, backend=BACKENDS[backend]),
-                                    dataset, domains, max_pairs=97,
-                                    chunk_pairs=11, stream_budget=1)
+    vector = VectorPairEnumerator(
+        Engine(dataset, backend=BACKENDS[backend]), dataset, domains, max_pairs=97
+    )
+    streamed = VectorPairEnumerator(
+        Engine(dataset, backend=BACKENDS[backend]),
+        dataset,
+        domains,
+        max_pairs=97,
+        chunk_pairs=11,
+        stream_budget=1,
+    )
     for dc in dcs:
         for use_partitioning in (False, True):
-            expected = list(naive.pairs_for(dc, use_partitioning,
-                                            detection.hypergraph))
+            args = (dc, use_partitioning, detection.hypergraph)
+            expected = list(naive.pairs_for(*args))
             assert len(expected) <= 97
-            assert expected == list(vector.pairs_for(
-                dc, use_partitioning, detection.hypergraph))
-            assert expected == list(streamed.pairs_for(
-                dc, use_partitioning, detection.hypergraph))
+            assert expected == list(vector.pairs_for(*args))
+            assert expected == list(streamed.pairs_for(*args))
 
 
 def test_pair_chunks_concatenation_matches_stream(hospital):
@@ -119,10 +127,14 @@ def test_pair_chunks_concatenation_matches_stream(hospital):
     vector = VectorPairEnumerator(Engine(dataset), dataset, domains)
     for dc in dcs[:3]:
         expected = list(vector.pairs_for(dc, True, detection.hypergraph))
-        chunks = list(vector.pair_chunks(
-            dc, use_partitioning=True, hypergraph=detection.hypergraph))
-        flattened = [(int(a), int(b)) for left, right in chunks
-                     for a, b in zip(left.tolist(), right.tolist())]
+        chunks = vector.pair_chunks(
+            dc, use_partitioning=True, hypergraph=detection.hypergraph
+        )
+        flattened = [
+            (int(a), int(b))
+            for left, right in chunks
+            for a, b in zip(left.tolist(), right.tolist())
+        ]
         assert flattened == expected
 
 
@@ -131,33 +143,33 @@ def test_join_pairs_restricted_matches_naive(hospital):
     naive = PairEnumerator(dataset, domains)
     vector = VectorPairEnumerator(Engine(dataset), dataset, domains)
     dc = dcs[0]
-    component = next(iter(
-        detection.hypergraph.tuple_components(dc.name)))
+    component = next(iter(detection.hypergraph.tuple_components(dc.name)))
     restricted = frozenset(component)
-    assert (list(vector.join_pairs(dc, restrict_to=restricted))
-            == list(naive.join_pairs(dc, restrict_to=restricted)))
+    expected = list(naive.join_pairs(dc, restrict_to=restricted))
+    assert list(vector.join_pairs(dc, restrict_to=restricted)) == expected
 
 
 def test_non_equijoin_fallback_matches_naive_and_counts_pairs():
     rows = [[str(i % 4), str(i % 3)] for i in range(9)]
     dataset = Dataset(Schema(["A", "B"]), rows)
-    dc = DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.LT, TupleRef(2, "A")),
-        Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
-    ], name="no_equijoin")
+    dc = DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.LT, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
+        ],
+        name="no_equijoin",
+    )
     detection = ViolationDetector([dc]).detect(dataset)
     naive = PairEnumerator(dataset, {})
-    vector = VectorPairEnumerator(Engine(dataset), dataset, {},
-                                  chunk_pairs=5)
+    vector = VectorPairEnumerator(Engine(dataset), dataset, {}, chunk_pairs=5)
     for use_partitioning in (False, True):
-        expected = list(naive.pairs_for(dc, use_partitioning,
-                                        detection.hypergraph))
-        assert expected == list(vector.pairs_for(dc, use_partitioning,
-                                                 detection.hypergraph))
+        args = (dc, use_partitioning, detection.hypergraph)
+        assert list(vector.pairs_for(*args)) == list(naive.pairs_for(*args))
     # The all-pairs fallback participates in the stats bookkeeping too
     # (size_report's grounding_pairs relies on it).
-    total = sum(len(list(naive.pairs_for(dc, p, detection.hypergraph)))
-                for p in (False, True))
+    total = sum(
+        len(list(naive.pairs_for(dc, p, detection.hypergraph))) for p in (False, True)
+    )
     assert vector.stats["pairs"] == total > 0
 
 
@@ -185,11 +197,11 @@ def test_enumerator_rejects_foreign_engine(hospital):
 # Factor graphs: engine grounding must equal naive grounding byte for byte
 # ---------------------------------------------------------------------------
 def factor_signature(graph):
-    return [
-        (factor.constraint_name, factor.var_ids, factor.weight,
-         factor.table.shape, factor.table.tobytes())
-        for factor in graph.factors
-    ]
+    signature = []
+    for i in range(len(graph.factors)):
+        var_ids, table, weight, name = graph.factor(i)
+        signature.append((name, var_ids, weight, table.shape, table.tobytes()))
+    return signature
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -197,14 +209,18 @@ def factor_signature(graph):
 def test_factor_graphs_identical(backend, use_partitioning, hospital):
     dataset = hospital.dirty
     detection = ViolationDetector(hospital.constraints).detect(dataset)
-    config = HoloCleanConfig(use_dc_factors=True,
-                             use_partitioning=use_partitioning,
-                             tau=hospital.recommended_tau)
-    naive_model = NaiveModelCompiler(dataset, hospital.constraints, config,
-                                     detection).compile()
+    config = HoloCleanConfig(
+        use_dc_factors=True,
+        use_partitioning=use_partitioning,
+        tau=hospital.recommended_tau,
+    )
+    naive_model = NaiveModelCompiler(
+        dataset, hospital.constraints, config, detection
+    ).compile()
     engine = Engine(dataset, backend=BACKENDS[backend])
-    engine_model = ModelCompiler(dataset, hospital.constraints, config,
-                                 detection, engine=engine).compile()
+    engine_model = ModelCompiler(
+        dataset, hospital.constraints, config, detection, engine=engine
+    ).compile()
     naive_factors = factor_signature(naive_model.graph)
     engine_factors = factor_signature(engine_model.graph)
     assert len(naive_factors) > 0
@@ -216,8 +232,7 @@ def test_factor_graphs_identical(backend, use_partitioning, hospital):
     assert naive_model.grounding["enumerator"] == "PairEnumerator"
     # Every enumerated pair went through the batched table builder (no
     # silent fallback to the per-pair loop).
-    assert (engine_model.grounding["table_pairs"]
-            == engine_model.grounding["pairs"] > 0)
+    assert engine_model.grounding["table_pairs"] == engine_model.grounding["pairs"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -227,40 +242,59 @@ def test_factor_graphs_identical(backend, use_partitioning, hospital):
 # and lexicographic orders disagree ("10" < "9" as strings) — the
 # adversarial cases for code-space inequality evaluation — plus NULLs.
 TABLE_VALUE = st.sampled_from(["1", "2", "10", "9", "5a", None])
-TABLE_ROWS = st.lists(st.tuples(TABLE_VALUE, TABLE_VALUE, TABLE_VALUE),
-                      min_size=2, max_size=14)
+TABLE_ROWS = st.lists(
+    st.tuples(TABLE_VALUE, TABLE_VALUE, TABLE_VALUE), min_size=2, max_size=14
+)
 
 TABLE_DCS = [
     # FD-style symmetric join with inequality residual.
-    DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
-        Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
-    ], name="fd_a_b"),
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
+        ],
+        name="fd_a_b",
+    ),
     # Ordering predicate across tuples (OrderKeys, mixed coercion).
-    DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
-        Predicate(TupleRef(1, "C"), Operator.LT, TupleRef(2, "C")),
-    ], name="ord_c"),
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "C"), Operator.LT, TupleRef(2, "C")),
+        ],
+        name="ord_c",
+    ),
     # Cross-attribute join plus a constant ordering predicate.
-    DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "B")),
-        Predicate(TupleRef(1, "C"), Operator.GTE, Const("2")),
-    ], name="cross_const"),
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "B")),
+            Predicate(TupleRef(1, "C"), Operator.GTE, Const("2")),
+        ],
+        name="cross_const",
+    ),
     # Same-tuple ordering inside a two-tuple constraint.
-    DenialConstraint([
-        Predicate(TupleRef(1, "B"), Operator.EQ, TupleRef(2, "B")),
-        Predicate(TupleRef(1, "A"), Operator.GT, TupleRef(1, "C")),
-    ], name="same_tuple_ord"),
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "B"), Operator.EQ, TupleRef(2, "B")),
+            Predicate(TupleRef(1, "A"), Operator.GT, TupleRef(1, "C")),
+        ],
+        name="same_tuple_ord",
+    ),
     # Single-tuple constraint (grounded per tuple, not per pair).
-    DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(1, "B")),
-    ], name="single_ab"),
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(1, "B")),
+        ],
+        name="single_ab",
+    ),
 ]
 
 
 @settings(max_examples=30, deadline=None)
-@given(rows=TABLE_ROWS, max_table=st.sampled_from([1, 6, 4096]),
-       use_partitioning=st.booleans())
+@given(
+    rows=TABLE_ROWS,
+    max_table=st.sampled_from([1, 6, 4096]),
+    use_partitioning=st.booleans(),
+)
 def test_vectorized_tables_match_naive(rows, max_table, use_partitioning):
     """Engine-grounded factor graphs equal the per-pair oracle byte for
     byte — table contents, var-id order, and skip counts — across NULLs,
@@ -268,42 +302,52 @@ def test_vectorized_tables_match_naive(rows, max_table, use_partitioning):
     caps."""
     dataset = Dataset(Schema(["A", "B", "C"]), [list(r) for r in rows])
     detection = ViolationDetector(TABLE_DCS).detect(dataset)
-    config = HoloCleanConfig(use_dc_factors=True,
-                             use_partitioning=use_partitioning,
-                             tau=0.1, max_factor_table=max_table)
-    naive_model = NaiveModelCompiler(dataset, TABLE_DCS, config,
-                                     detection).compile()
+    config = HoloCleanConfig(
+        use_dc_factors=True,
+        use_partitioning=use_partitioning,
+        tau=0.1,
+        max_factor_table=max_table,
+    )
+    naive_model = NaiveModelCompiler(dataset, TABLE_DCS, config, detection).compile()
     expected = factor_signature(naive_model.graph)
     for backend in BACKENDS:
         engine = Engine(dataset, backend=BACKENDS[backend])
-        engine_model = ModelCompiler(dataset, TABLE_DCS, config,
-                                     detection, engine=engine).compile()
-        assert factor_signature(engine_model.graph) == expected, \
-            (backend, max_table, use_partitioning)
+        engine_model = ModelCompiler(
+            dataset, TABLE_DCS, config, detection, engine=engine
+        ).compile()
+        where = (backend, max_table, use_partitioning)
+        assert factor_signature(engine_model.graph) == expected, where
         assert engine_model.skipped_factors == naive_model.skipped_factors
-        assert (engine_model.grounding["pairs"]
-                == naive_model.grounding["pairs"])
+        assert engine_model.grounding["pairs"] == naive_model.grounding["pairs"]
 
 
 def test_binary_similarity_falls_back_to_oracle():
     """Constraints the builder cannot vectorize (binary similarity) still
     ground identically through the per-pair fallback."""
-    rows = [["x", "Chicago"], ["x", "Chicagoo"], ["x", "Boston"],
-            ["y", "Chicago"], ["y", "Chicagoo"], ["x", None]]
+    rows = [
+        ["x", "Chicago"],
+        ["x", "Chicagoo"],
+        ["x", "Boston"],
+        ["y", "Chicago"],
+        ["y", "Chicagoo"],
+        ["x", None],
+    ]
     dataset = Dataset(Schema(["A", "B"]), rows)
-    dc = DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
-        Predicate(TupleRef(1, "B"), Operator.SIM, TupleRef(2, "B")),
-        Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
-    ], name="sim_dc")
+    dc = DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "B"), Operator.SIM, TupleRef(2, "B")),
+            Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
+        ],
+        name="sim_dc",
+    )
     detection = ViolationDetector([dc]).detect(dataset)
     config = HoloCleanConfig(use_dc_factors=True, tau=0.1)
-    naive_model = NaiveModelCompiler(dataset, [dc], config,
-                                     detection).compile()
-    engine_model = ModelCompiler(dataset, [dc], config, detection,
-                                 engine=Engine(dataset)).compile()
-    assert factor_signature(engine_model.graph) \
-        == factor_signature(naive_model.graph)
+    naive_model = NaiveModelCompiler(dataset, [dc], config, detection).compile()
+    engine_model = ModelCompiler(
+        dataset, [dc], config, detection, engine=Engine(dataset)
+    ).compile()
+    assert factor_signature(engine_model.graph) == factor_signature(naive_model.graph)
     assert len(engine_model.graph.factors) > 0
     # The vectorized builder never saw these pairs.
     assert engine_model.grounding["table_pairs"] == 0
@@ -318,22 +362,28 @@ ROWS = st.lists(st.tuples(VALUE, VALUE, VALUE), min_size=0, max_size=12)
 # Random candidate domains, including values absent from the dataset.
 DOMAIN_VALUE = st.sampled_from(["a", "b", "c", "d", "zz-unseen"])
 DOMAINS = st.dictionaries(
-    st.tuples(st.integers(min_value=0, max_value=11),
-              st.sampled_from(["A", "B", "C"])),
+    st.tuples(st.integers(min_value=0, max_value=11), st.sampled_from(["A", "B", "C"])),
     st.lists(DOMAIN_VALUE, min_size=0, max_size=3, unique=True),
-    max_size=8)
+    max_size=8,
+)
 
 RANDOM_DCS = [
     # FD-style symmetric join with inequality residual.
-    DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
-        Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
-    ], name="fd_a_b"),
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
+        ],
+        name="fd_a_b",
+    ),
     # Asymmetric join across attributes (exercises shared codebooks).
-    DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "B")),
-        Predicate(TupleRef(1, "C"), Operator.NEQ, TupleRef(2, "C")),
-    ], name="asym_ab"),
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "B")),
+            Predicate(TupleRef(1, "C"), Operator.NEQ, TupleRef(2, "C")),
+        ],
+        name="asym_ab",
+    ),
 ]
 
 
@@ -341,26 +391,26 @@ RANDOM_DCS = [
 @given(rows=ROWS, raw_domains=DOMAINS)
 def test_random_datasets_identical(rows, raw_domains):
     dataset = Dataset(Schema(["A", "B", "C"]), [list(r) for r in rows])
-    domains = {Cell(tid, attr): list(dom)
-               for (tid, attr), dom in raw_domains.items()
-               if tid < dataset.num_tuples}
+    domains = {
+        Cell(tid, attr): list(dom)
+        for (tid, attr), dom in raw_domains.items()
+        if tid < dataset.num_tuples
+    }
     detection = ViolationDetector(RANDOM_DCS).detect(dataset)
     naive = PairEnumerator(dataset, domains)
     for backend in BACKENDS:
         engine = Engine(dataset, backend=BACKENDS[backend])
         vector = VectorPairEnumerator(engine, dataset, domains)
-        chunked = VectorPairEnumerator(engine, dataset, domains,
-                                       chunk_pairs=3, stream_budget=1)
+        chunked = VectorPairEnumerator(
+            engine, dataset, domains, chunk_pairs=3, stream_budget=1
+        )
         for dc in RANDOM_DCS:
             for use_partitioning in (False, True):
-                expected = list(naive.pairs_for(dc, use_partitioning,
-                                                detection.hypergraph))
-                assert expected == list(vector.pairs_for(
-                    dc, use_partitioning, detection.hypergraph)), \
-                    (backend, dc.name, use_partitioning)
-                assert expected == list(chunked.pairs_for(
-                    dc, use_partitioning, detection.hypergraph)), \
-                    (backend, dc.name, use_partitioning, "chunked")
+                where = (backend, dc.name, use_partitioning)
+                args = (dc, use_partitioning, detection.hypergraph)
+                expected = list(naive.pairs_for(*args))
+                assert expected == list(vector.pairs_for(*args)), where
+                assert expected == list(chunked.pairs_for(*args)), (*where, "chunked")
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +419,14 @@ def test_random_datasets_identical(rows, raw_domains):
 def test_grounding_report_in_size_report(hospital):
     from repro.core.pipeline import HoloClean
 
-    config = HoloCleanConfig(use_dc_factors=True, use_partitioning=True,
-                             tau=hospital.recommended_tau, epochs=5,
-                             gibbs_burn_in=2, gibbs_sweeps=4)
+    config = HoloCleanConfig(
+        use_dc_factors=True,
+        use_partitioning=True,
+        tau=hospital.recommended_tau,
+        epochs=5,
+        gibbs_burn_in=2,
+        gibbs_sweeps=4,
+    )
     result = HoloClean(config).repair(hospital.dirty, hospital.constraints)
     assert result.size_report["grounding_enumerator"] == "VectorPairEnumerator"
     assert result.size_report["grounding_pairs"] > 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.dataset.dataset import Cell
-from repro.inference.factor_graph import ConstraintFactor, FactorGraph
+from repro.inference.factor_graph import FactorGraph
 from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.variables import VariableBlock
@@ -37,7 +37,7 @@ def coupled_graph():
     builder.start_variable(2)
     graph = FactorGraph(block, builder.build(), space)
     agree = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-    graph.add_factor(ConstraintFactor((0, 1), agree, weight=4.0))
+    graph.add_factor((0, 1), agree, weight=4.0)
     return graph, np.zeros(len(space))
 
 
@@ -105,16 +105,15 @@ class TestGibbsSampler:
         with pytest.raises(ValueError, match=">= 0"):
             GibbsSampler(graph, weights).run(burn_in=burn_in, sweeps=sweeps)
 
-    def test_mismatched_table_shape_rejected(self):
-        graph, weights = coupled_graph()
-        graph.add_factor(ConstraintFactor((0, 1), np.ones((2, 3), dtype=np.int8), 1.0))
-        with pytest.raises(ValueError, match="shape"):
-            GibbsSampler(graph, weights)
-
 
 # ---------------------------------------------------------------------------
 # Exactness: sampled marginals vs brute-force joint enumeration
 # ---------------------------------------------------------------------------
+def factor_list(graph):
+    """Every factor as ``(var_ids, table, weight, name)``."""
+    return [graph.factor(i) for i in range(len(graph.factors))]
+
+
 def unary_scores(graph, weights):
     """Per-variable views of the graph's flat unary score vector."""
     return np.split(graph.matrix.scores(weights), graph.matrix.var_row_start[1:-1])
@@ -133,14 +132,15 @@ def exact_marginals(graph, weights):
     for var in graph.variables:
         if var.is_evidence:
             state[var.vid] = var.observed_index
+    factors = factor_list(graph)
     marginals = {v: np.zeros(graph.variables[v].domain_size) for v in query}
     domains = [range(graph.variables[v].domain_size) for v in query]
     for assignment in itertools.product(*domains):
         for v, value in zip(query, assignment):
             state[v] = value
         log_p = sum(float(unary[v][state[v]]) for v in query)
-        for f in graph.factors:
-            log_p += f.weight * float(f.table[tuple(state[u] for u in f.var_ids)])
+        for var_ids, table, weight, _ in factors:
+            log_p += weight * float(table[tuple(state[u] for u in var_ids)])
         weight = np.exp(log_p)
         for v, value in zip(query, assignment):
             marginals[v][value] += weight
@@ -169,9 +169,9 @@ def three_variable_graph():
     builder.add(v2, 1, ("bias",), 0.5)
     graph = FactorGraph(block, builder.build(), space)
     table01 = np.array([[1, -1, 1], [-1, 1, -1]], dtype=np.int8)
-    graph.add_factor(ConstraintFactor((0, 1), table01, 1.2, "tie01"))
+    graph.add_factor((0, 1), table01, 1.2, "tie01")
     table12 = np.array([[1, -1], [-1, 1], [1, 1]], dtype=np.int8)
-    graph.add_factor(ConstraintFactor((1, 2), table12, 0.8, "tie12"))
+    graph.add_factor((1, 2), table12, 0.8, "tie12")
     return graph, np.ones(len(space))
 
 
@@ -202,7 +202,7 @@ def random_graph(seed, free=5, extra_factors=4):
     ]
     for scope in scopes:
         table = rng.choice([-1, 1], size=[sizes[v] for v in scope]).astype(np.int8)
-        graph.add_factor(ConstraintFactor(scope, table, float(rng.uniform(0.1, 0.5))))
+        graph.add_factor(scope, table, float(rng.uniform(0.1, 0.5)))
     return graph, np.ones(len(space))
 
 
@@ -216,10 +216,9 @@ def exact_conditional(graph, weights, vid, state):
     trial = state.copy()
     for candidate in range(len(scores)):
         trial[vid] = candidate
-        for f in graph.factors:
-            if vid in f.var_ids:
-                cell = tuple(trial[u] for u in f.var_ids)
-                scores[candidate] += f.weight * f.table[cell]
+        for var_ids, table, weight, _ in factor_list(graph):
+            if vid in var_ids:
+                scores[candidate] += weight * table[tuple(trial[u] for u in var_ids)]
     scores = np.exp(scores - scores.max())
     return scores / scores.sum()
 
@@ -250,7 +249,7 @@ class TestGibbsExactness:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_mixed_arity_graphs_match_joint_enumeration(self, seed):
         graph, weights = random_graph(seed)
-        assert {f.arity for f in graph.factors} >= {3, 4}
+        assert set(np.diff(graph.factors.var_indptr).tolist()) >= {3, 4}
         expected = exact_marginals(graph, weights)
         sampler = GibbsSampler(graph, weights, seed=seed)
         assert sampler.num_colours >= 3
@@ -278,8 +277,8 @@ class TestGibbsStructure:
         assert np.array_equal(sampler.colour >= 0, free)
         assert sampler.num_free == free.sum()
         assert sampler.num_colours == sampler.colour.max() + 1
-        for factor in graph.factors:
-            colours = [sampler.colour[v] for v in factor.var_ids if free[v]]
+        for var_ids, _, _, _ in factor_list(graph):
+            colours = [sampler.colour[v] for v in var_ids if free[v]]
             assert len(set(colours)) == len(colours)
 
     def test_cells_of_one_tuple_never_share_a_colour(self):
@@ -294,8 +293,8 @@ class TestGibbsStructure:
             builder.start_variable(2)
         graph = FactorGraph(block, builder.build(), space)
         agree = np.array([[1, -1], [-1, 1]], dtype=np.int8)
-        graph.add_factor(ConstraintFactor((0, 2), agree, 1.0))
-        graph.add_factor(ConstraintFactor((1, 2), agree, 1.0))
+        graph.add_factor((0, 2), agree, 1.0)
+        graph.add_factor((1, 2), agree, 1.0)
         sampler = GibbsSampler(graph, np.zeros(len(space)))
         assert len(set(sampler.colour[:3].tolist())) == 3
         assert sampler.colour[3] == 0

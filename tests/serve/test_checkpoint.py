@@ -33,11 +33,17 @@ from repro.serve.checkpoint import (
 from tests.serve.conftest import config_for
 
 
-def _fresh_ctx(generated) -> RepairContext:
+#: Grounds DC factors, so inference runs Gibbs over the factor graph.
+FACTORS = dict(
+    use_dc_factors=True, use_partitioning=True, gibbs_burn_in=2, gibbs_sweeps=8
+)
+
+
+def _fresh_ctx(generated, **overrides) -> RepairContext:
     return RepairContext(
         dataset=generated.dirty,
         constraints=list(generated.constraints),
-        config=config_for(generated),
+        config=config_for(generated, **overrides),
     )
 
 
@@ -134,6 +140,30 @@ class TestRoundTrip:
         _assert_same_outcome(warm, rehydrated)
 
 
+class TestFactorRoundTrip:
+    COLUMNS = ("var_indptr", "var_ids", "cell_indptr", "cells", "weights", "codes")
+
+    def test_reenter_at_learn_matches_warm(self, hospital, tmp_path):
+        """The DC factors survive the checkpoint as columns: the rehydrated
+        session samples the same Gibbs marginals and repairs."""
+        warm = RepairPlan.default().run(_fresh_ctx(hospital, **FACTORS))
+        store = CheckpointStore(tmp_path)
+        store.save("sid", warm)
+        rehydrated = store.load("sid")
+
+        before, after = warm.model.graph.factors, rehydrated.model.graph.factors
+        assert len(before) > 0 and before.names == after.names
+        for column in self.COLUMNS:
+            want, got = getattr(before, column), getattr(after, column)
+            np.testing.assert_array_equal(want, got)
+            assert want.dtype == got.dtype
+        fingerprint = warm.model.content_fingerprint()
+        assert rehydrated.model.content_fingerprint() == fingerprint
+
+        plan = RepairPlan.default().starting_at("learn")
+        _assert_same_outcome(plan.run(warm), plan.run(rehydrated))
+
+
 class TestMidPipelineCheckpoint:
     def test_compile_only_checkpoint_resumes(self, hospital, tmp_path):
         """A session checkpointed before learn resumes mid-pipeline."""
@@ -195,11 +225,12 @@ class TestStoreMechanics:
         meta = store.path("sid") / "meta.json"
         current = f'"version": {FORMAT_VERSION}'
         assert current in meta.read_text()
-        # Format 1 pickled the hypergraph as Violation objects and format
-        # 2 one VariableInfo per variable; both must stop at the version
-        # gate, not inside the unpickler.
-        assert FORMAT_VERSION == 3
-        for other in (1, 2, 99):
+        # Format 1 pickled the hypergraph as Violation objects, format 2
+        # one VariableInfo per variable and format 3 one object per DC
+        # factor; all must stop at the version gate, not inside the
+        # unpickler.
+        assert FORMAT_VERSION == 4
+        for other in (1, 2, 3, 99):
             meta.write_text(meta.read_text().replace(current, f'"version": {other}'))
             with pytest.raises(CheckpointError, match="format version"):
                 store.load("sid")
@@ -283,15 +314,24 @@ class TestStoreMechanics:
 
 
 class TestColumnarPayload:
-    """No object per variable in what a compiled model and its marginals
-    pickle to: the catalog, the ``Domain`` relation and the marginals are
-    arrays, so the opcode stream stays a few entries per variable (value
-    tables, feature keys, the id lists) where format 2 spent ~48."""
+    """No object per variable or per factor in what a compiled model and
+    its marginals pickle to: the catalog, the ``Domain`` relation, the DC
+    factors and the marginals are arrays, so the opcode stream stays a few
+    entries per variable (value tables, feature keys, the id lists) where
+    format 2 spent ~48 and format 3's factors alone ~57."""
 
-    @pytest.mark.parametrize("rows", [100, 400])
-    def test_opcodes_per_variable(self, rows, tmp_path):
+    @pytest.mark.parametrize(
+        "rows, overrides",
+        [
+            pytest.param(100, {}, id="100"),
+            pytest.param(400, {}, id="400"),
+            pytest.param(200, FACTORS, id="200-factors"),
+        ],
+    )
+    def test_opcodes_per_variable(self, rows, overrides, tmp_path):
         generated = generate_hospital(num_rows=rows)
-        ctx = RepairPlan.default().run(_fresh_ctx(generated))
+        ctx = RepairPlan.default().run(_fresh_ctx(generated, **overrides))
+        assert bool(ctx.model.graph.factors) == bool(overrides)
         saved = CheckpointStore(tmp_path).save("sid", ctx)
         opcodes = sum(
             sum(1 for _ in pickletools.genops((saved / name).read_bytes()))

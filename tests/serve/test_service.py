@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import logging
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -367,14 +368,27 @@ class TestLifecycle:
         assert health["checkpointing"] is True
 
 
+def pooled_service() -> RepairService:
+    """A one-worker service whose pool really started.
+
+    Both ``pool.submit`` sites pickle their callable under every start
+    method; a lambda or a bound method in either makes the service fall
+    back to inline, which these assertions catch.
+    """
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("fork-based pool unavailable on this platform")
+    svc = RepairService(HoloCleanConfig(serve_workers=1))
+    assert svc._process_pool() is not None, "the pool warmup did not run"
+    return svc
+
+
 class TestProcessPool:
     def test_cold_runs_through_pool(self, hospital):
-        svc = RepairService(HoloCleanConfig(serve_workers=1))
+        svc = pooled_service()
         try:
-            if svc._process_pool() is None:
-                pytest.skip("fork-based pool unavailable on this platform")
             cold = svc.repair(payload_for(hospital))
             assert cold["path"] == "cold"
+            assert svc._process_pool() is not None, "the cold job ran inline"
             warm = svc.repair(payload_for(hospital))
             assert warm["path"] == "warm"
             assert warm["repairs"] == cold["repairs"]
@@ -382,13 +396,12 @@ class TestProcessPool:
             svc.close()
 
     def test_pool_output_matches_inline(self, hospital):
-        pooled = RepairService(HoloCleanConfig(serve_workers=1))
+        pooled = pooled_service()
         inline = RepairService(HoloCleanConfig(serve_workers=0))
         try:
-            if pooled._process_pool() is None:
-                pytest.skip("fork-based pool unavailable on this platform")
             a = pooled.repair(payload_for(hospital))
             b = inline.repair(payload_for(hospital))
+            assert pooled._process_pool() is not None, "the cold job ran inline"
             assert a["repairs"] == b["repairs"]
             assert a["session"] == b["session"]
         finally:
