@@ -5,17 +5,24 @@ marginal probability that carries rigorous semantics … if the proposed
 repair has a probability of 0.6 it means that HoloClean is 60% confident
 about this repair."  :class:`RepairResult` keeps the full marginal of
 every inferred cell so the calibration analysis of Figure 6 (error rate
-per probability bucket) can be reproduced.
+per probability bucket) can be reproduced.  It keeps them as columns —
+:class:`CellInferences`, over the compiled model's variable catalog and
+the one marginals buffer — and a :class:`CellInference` is built only
+when a reader asks for a cell.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 
 import numpy as np
 
 from repro.core.config import HoloCleanConfig
 from repro.dataset.dataset import Cell, Dataset
+from repro.inference.variables import Marginals, VariableBlock
 from repro.obs.report import RunReport
 
 
@@ -42,6 +49,187 @@ class CellInference:
             return 0.0
 
 
+class CellInferences(Mapping):
+    """The inferences of a repair as a read-only ``Mapping[Cell, CellInference]``.
+
+    Position ``k`` is query variable ``query_ids[k]`` of ``variables``:
+    ``choice[k]`` indexes its candidate domain, ``confidence[k]`` is that
+    candidate's probability and ``is_repair[k]`` says it differs from the
+    observed value.  A ``clamped`` position (in-domain feedback) has a
+    one-hot marginal; any other reads its marginal off ``marginals``.
+    Out-of-domain feedback is an overlay with confidence 1.0: ``replaced``
+    maps a query position to its value, which keeps the cell's place, and
+    ``appended`` maps any other cell to its value, after the query cells
+    in feedback order.  A lookup builds a :class:`CellInference` view whose
+    observed value is read off ``dataset``; keys iterate in query-id order
+    and are the catalog's pooled ``Cell`` objects.  ``member`` (default:
+    every position) restricts the mapping — :attr:`repairs` shares the
+    columns that way.  A pickle holds the arrays, never a view or a lookup.
+    """
+
+    def __init__(
+        self,
+        variables: VariableBlock,
+        query_ids: np.ndarray,
+        choice: np.ndarray,
+        confidence: np.ndarray,
+        is_repair: np.ndarray,
+        clamped: np.ndarray,
+        marginals: Marginals,
+        dataset: Dataset,
+        replaced: dict[int, str | None] | None = None,
+        appended: dict[Cell, str | None] | None = None,
+        member: np.ndarray | None = None,
+    ):
+        self.variables, self.query_ids, self.marginals = variables, query_ids, marginals
+        self.choice, self.confidence, self.is_repair = choice, confidence, is_repair
+        self.clamped, self.dataset, self.member = clamped, dataset, member
+        self.replaced = replaced or {}
+        self.appended = appended or {}
+        self._cells: list[Cell] | None = None  # keys, on first iteration
+        self._position: np.ndarray | None = None  # variable → k, on first lookup
+
+    def __reduce__(self):
+        return CellInferences, self._columns()
+
+    def _columns(self) -> tuple:
+        """The constructor's arguments: all that a pickle holds."""
+        return (
+            self.variables,
+            self.query_ids,
+            self.choice,
+            self.confidence,
+            self.is_repair,
+            self.clamped,
+            self.marginals,
+            self.dataset,
+            self.replaced,
+            self.appended,
+            self.member,
+        )
+
+    # -- the mapping ---------------------------------------------------------
+    def __len__(self) -> int:
+        held = len(self.query_ids) if self.member is None else self.member.sum()
+        return int(held) + len(self.appended)
+
+    def __iter__(self) -> Iterator[Cell]:
+        return iter(self._keys())
+
+    def __getitem__(self, cell: Cell) -> CellInference:
+        if cell in self.appended:
+            return self._fixed(cell, self.appended[cell])
+        try:
+            cell = Cell(*cell)
+            (vid,) = self.variables.rows_of([cell])
+        except (TypeError, ValueError):
+            raise KeyError(cell) from None
+        if self._position is None:
+            self._position = np.full(len(self.variables), -1, dtype=np.int64)
+            self._position[self.query_ids] = np.arange(len(self.query_ids))
+        k = int(self._position[vid]) if vid >= 0 else -1
+        if k < 0 or (self.member is not None and not self.member[k]):
+            raise KeyError(cell)
+        return self._view(k, cell)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    # -- set-at-a-time readers ----------------------------------------------
+    @property
+    def repairs(self) -> "CellInferences":
+        """The same mapping restricted to the cells whose value changes."""
+        *columns, _, _ = self._columns()
+        return CellInferences(*columns, self._changed(), self.is_repair)
+
+    @property
+    def num_repairs(self) -> int:
+        return int(np.count_nonzero(self.is_repair)) + len(self._changed())
+
+    def least_confident(self, below: float) -> list[CellInference]:
+        """The repairs whose confidence is under ``below``, least confident
+        first and ties in key order; only those cells get a view."""
+        hits = np.flatnonzero(self.is_repair & (self.confidence < below))
+        hits = hits[np.argsort(self.confidence[hits], kind="stable")]
+        cells = self.variables.cells_of(self.query_ids[hits])
+        queue = list(map(self._view, hits.tolist(), cells))
+        if below > 1.0:  # an appended cell is certain
+            changed = self._changed()
+            queue += map(self._fixed, changed, changed.values())
+        return sorted(queue, key=attrgetter("confidence"))
+
+    def _changed(self) -> dict[Cell, str | None]:
+        """The appended cells whose value differs from the observed one."""
+        return {
+            cell: value
+            for cell, value in self.appended.items()
+            if value != self.dataset.cell_value(cell)
+        }
+
+    # -- views -------------------------------------------------------------
+    def _rows(self) -> np.ndarray:
+        if self.member is None:
+            return np.arange(len(self.query_ids))
+        return np.flatnonzero(self.member)
+
+    def _keys(self) -> list[Cell]:
+        if self._cells is None:
+            pooled = self.variables.cells_of(self.query_ids[self._rows()])
+            self._cells = pooled + list(self.appended)
+        return self._cells
+
+    def _pairs(self) -> Iterator[tuple[Cell, CellInference]]:
+        cells = self._keys()
+        views = map(self._view, self._rows().tolist(), cells)
+        return zip(cells, chain(views, self._appended()))
+
+    def _appended(self) -> Iterator[CellInference]:
+        return map(self._fixed, self.appended, self.appended.values())
+
+    def _view(self, k: int, cell: Cell) -> CellInference:
+        if k in self.replaced:
+            return self._fixed(cell, self.replaced[k])
+        vid, index = int(self.query_ids[k]), int(self.choice[k])
+        domain = self.variables.domain_of(vid)
+        if self.clamped[k]:
+            marginal = np.zeros(len(domain))
+            marginal[index] = 1.0
+        else:
+            marginal = np.asarray(self.marginals[vid], dtype=np.float64)
+        return CellInference(
+            cell=cell,
+            init_value=self.dataset.cell_value(cell),
+            chosen_value=domain[index],
+            confidence=float(self.confidence[k]),
+            domain=domain,
+            marginal=marginal,
+        )
+
+    def _fixed(self, cell: Cell, value: str | None) -> CellInference:
+        """A cell set by out-of-domain feedback: certain, a domain of one."""
+        return CellInference(
+            cell=cell,
+            init_value=self.dataset.cell_value(cell),
+            chosen_value=value,
+            confidence=1.0,
+            domain=[value],
+            marginal=np.array([1.0]),
+        )
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return self._mapping._pairs()
+
+
+class _Values(ValuesView):
+    def __iter__(self):
+        return (inference for _, inference in self._mapping._pairs())
+
+
 @dataclass
 class RepairResult:
     """Everything produced by one HoloClean run.
@@ -53,7 +241,9 @@ class RepairResult:
     """
 
     repaired: Dataset
-    inferences: dict[Cell, CellInference]
+    #: A :class:`CellInferences` from the apply stage; any other mapping
+    #: (a baseline's or a test's ``dict``) works too.
+    inferences: Mapping[Cell, CellInference]
     timings: dict[str, float] = field(default_factory=dict)
     size_report: dict[str, int | str] = field(default_factory=dict)
     training_losses: list[float] = field(default_factory=list)
@@ -64,13 +254,25 @@ class RepairResult:
     report: RunReport | None = None
 
     @property
-    def repairs(self) -> dict[Cell, CellInference]:
+    def repairs(self) -> Mapping[Cell, CellInference]:
         """Cells whose proposed value differs from the observed value."""
+        if isinstance(self.inferences, CellInferences):
+            return self.inferences.repairs
         return {c: inf for c, inf in self.inferences.items() if inf.is_repair}
 
     @property
     def num_repairs(self) -> int:
+        if isinstance(self.inferences, CellInferences):
+            return self.inferences.num_repairs
         return sum(1 for inf in self.inferences.values() if inf.is_repair)
+
+    def least_confident(self, below: float) -> list[CellInference]:
+        """Repairs whose confidence is under ``below``, least confident
+        first (ties in key order)."""
+        if isinstance(self.inferences, CellInferences):
+            return self.inferences.least_confident(below)
+        queue = [inf for inf in self.repairs.values() if inf.confidence < below]
+        return sorted(queue, key=attrgetter("confidence"))
 
     @property
     def total_runtime(self) -> float:

@@ -143,17 +143,18 @@ class RepairSession:
         sorted least-confident first — the review queue of Section 2.2."""
         if self._last_result is None:
             raise RuntimeError("run() the session before reviewing")
-        queue = [
-            inf for inf in self._last_result.repairs.values() if inf.confidence < below
-        ]
-        return sorted(queue, key=lambda inf: inf.confidence)
+        return self._last_result.least_confident(below)
 
     def feedback(self, cell: Cell, correct_value: str) -> None:
-        """Record a user-verified value for one cell."""
+        """Record a user-verified value for one cell.
+
+        The value is normalised the way :class:`Dataset` normalises a loaded
+        one, so ``"  Chicago "`` confirms the candidate ``"Chicago"``.
+        """
         model = self.model
-        if model is not None and model.graph.variables.by_cell(cell) is None:
+        if model is not None and model.graph.variables.rows_of([cell])[0] < 0:
             raise KeyError(f"{cell} is not a noisy cell of this session")
-        self._feedback[cell] = correct_value
+        self._feedback[cell] = Dataset.normalise(correct_value)
 
     @property
     def feedback_count(self) -> int:

@@ -62,7 +62,7 @@ from repro.constraints.denial import DenialConstraint
 from repro.constraints.matching import MatchingDependency
 from repro.core.compiler import CompiledModel, ModelCompiler
 from repro.core.config import HoloCleanConfig
-from repro.core.repair import CellInference, RepairResult
+from repro.core.repair import CellInferences, RepairResult
 from repro.dataset.dataset import Cell, Dataset
 from repro.detect.base import DetectionResult, ErrorDetector
 from repro.detect.violations import ViolationDetector
@@ -78,6 +78,7 @@ from repro.obs.fingerprint import (
     constraints_fingerprint,
     dataset_fingerprint,
 )
+from repro.obs.trace import deep_span
 
 #: Stage names of the default plan, in pipeline order.
 STAGE_ORDER = ("detect", "compile", "learn", "infer", "apply")
@@ -250,17 +251,19 @@ def resolve_feedback(
     repaired dataset as-is.  Cells with no variable are ignored.
     """
     resolved = FeedbackEvidence()
-    for cell, value in feedback.items():
-        info = model.graph.variables.by_cell(cell)
-        if info is None:
+    variables = model.graph.variables
+    vids = variables.rows_of(feedback).tolist()
+    for (cell, value), vid in zip(feedback.items(), vids):
+        if vid < 0:
             continue
-        index = info.candidate_index(value)
-        if index is None:
+        domain = variables.domain_of(vid)
+        if value not in domain:
             resolved.out_of_domain[cell] = value
             continue
-        resolved.extra_ids.append(info.vid)
+        index = domain.index(value)
+        resolved.extra_ids.append(vid)
         resolved.extra_labels.append(index)
-        resolved.clamps[info.vid] = index
+        resolved.clamps[vid] = index
     return resolved
 
 
@@ -508,6 +511,9 @@ class InferStage(Stage):
 class ApplyStage(Stage):
     """MAP assignment and packaging into a :class:`RepairResult`.
 
+    Set-at-a-time: one segment argmax over the marginals buffer for every
+    query variable, then one write per repaired cell; the result is a
+    :class:`~repro.core.repair.CellInferences` over those columns.
     Feedback clamps force verified cells to their one-hot marginal;
     out-of-domain feedback values are written to the repaired dataset
     directly.  The result's ``timings`` report the three paper phases
@@ -531,63 +537,76 @@ class ApplyStage(Stage):
         if ctx.model is None or ctx.marginals is None:
             raise RuntimeError("run InferStage first: context has no marginals")
         model, dataset = ctx.model, ctx.dataset
-        resolved = resolve_feedback(model, ctx.feedback)
-        repaired = dataset.copy(name=f"{dataset.name}-repaired")
-        inferences: dict[Cell, CellInference] = {}
-        # Init values are read straight off the rows: one schema lookup
-        # per attribute instead of one per query variable.
-        row_ref = dataset.row_ref
-        column_of = {a: dataset.schema.index_of(a) for a in dataset.schema.names}
-        variables, marginals = model.graph.variables, ctx.marginals
-        # Each attribute's candidate codes decoded once; one slice per cell.
-        cells = variables.cells_of(model.query_ids)
-        domains = variables.domains_of(model.query_ids)
-        for vid, cell, domain in zip(model.query_ids, cells, domains):
-            if vid in resolved.clamps:
-                index = resolved.clamps[vid]
-                marginal = np.zeros(len(domain))
-                marginal[index] = 1.0
-            else:
-                marginal = marginals[vid]
-                if marginal.dtype != np.float64:
-                    marginal = marginal.astype(np.float64)
-                index = int(marginal.argmax())
-            chosen = domain[index]
-            inference = CellInference(
-                cell=cell,
-                init_value=row_ref(cell.tid)[column_of[cell.attribute]],
-                chosen_value=chosen,
-                confidence=float(marginal[index]),
-                domain=domain,
-                marginal=marginal,
-            )
-            inferences[cell] = inference
-            if inference.is_repair:
-                repaired.set_value(cell.tid, cell.attribute, chosen)
+        variables = model.graph.variables
+        with deep_span("apply.map", cells=len(model.query_ids)):
+            query = np.asarray(model.query_ids, dtype=np.int64)
+            resolved = resolve_feedback(model, ctx.feedback)
+            position = np.full(len(variables), -1, dtype=np.int64)
+            position[query] = np.arange(len(query))
+            # A clamp on an evidence variable has no query position.
+            at = position[np.fromiter(resolved.clamps, np.int64)]
+            to = np.fromiter(resolved.clamps.values(), np.int64)
+            at, to = at[at >= 0], to[at >= 0]
+            clamped = np.zeros(len(query), dtype=bool)
+            clamped[at] = True
+            choice = np.empty(len(query), dtype=np.int64)
+            confidence = np.ones(len(query))
+            free = ~clamped
+            choice[free], confidence[free] = ctx.marginals.argmax(query[free])
+            choice[at] = to
+            is_repair = choice != variables.init_index[query]
+            # Out-of-domain feedback: a query cell keeps its place in the
+            # result, any other cell follows the query cells.
+            outside = resolved.out_of_domain
+            replaced, appended = {}, {}
+            spots = position[variables.rows_of(outside)].tolist()
+            for (cell, value), k in zip(outside.items(), spots):
+                if k < 0:
+                    appended[cell] = value
+                    continue
+                replaced[k] = value
+                confidence[k] = 1.0
+                is_repair[k] = value != dataset.cell_value(cell)
 
-        # Feedback values outside the candidate domain are applied as-is.
-        for cell, value in resolved.out_of_domain.items():
-            repaired.set_value(cell.tid, cell.attribute, value)
-            inferences[cell] = CellInference(
-                cell=cell,
-                init_value=dataset.cell_value(cell),
-                chosen_value=value,
-                confidence=1.0,
-                domain=[value],
-                marginal=np.array([1.0]),
+        with deep_span("apply.write") as span:
+            repaired = dataset.copy(name=f"{dataset.name}-repaired")
+            rows = np.flatnonzero(is_repair)
+            vids = query[rows]
+            names, tables = variables.attributes, variables.tables
+            attributes = variables.attribute_codes[vids].tolist()
+            codes = variables.domain_codes[variables.domain_indptr[vids] + choice[rows]]
+            for tid, attribute, code in zip(
+                variables.tids[vids].tolist(), attributes, codes.tolist()
+            ):
+                repaired.set_value(tid, names[attribute], tables[attribute][code])
+            # Feedback values outside the candidate domain are applied as-is.
+            for cell, value in outside.items():
+                repaired.set_value(cell.tid, cell.attribute, value)
+            if span is not None:
+                span.attributes["cells"] = len(rows) + len(outside)
+            inferences = CellInferences(
+                variables,
+                query,
+                choice,
+                confidence,
+                is_repair,
+                clamped,
+                ctx.marginals,
+                dataset,
+                replaced,
+                appended,
             )
-
-        # ``timings`` is folded in by run() once this stage's own
-        # wall-clock is recorded.
-        ctx.result = RepairResult(
-            repaired=repaired,
-            inferences=inferences,
-            size_report=model.size_report(),
-            training_losses=list(ctx.losses),
-            config=ctx.config,
-        )
+            # ``timings`` is folded in by run() once this stage's own
+            # wall-clock is recorded.
+            ctx.result = RepairResult(
+                repaired=repaired,
+                inferences=inferences,
+                size_report=model.size_report(),
+                training_losses=list(ctx.losses),
+                config=ctx.config,
+            )
         ctx.metrics.gauge("apply.noisy_cells", len(inferences))
-        ctx.metrics.gauge("apply.repairs", ctx.result.num_repairs)
+        ctx.metrics.gauge("apply.repairs", inferences.num_repairs)
         return ctx
 
 

@@ -381,7 +381,7 @@ def merged_negative_domains(
         widths = np.minimum(sizes + wanted, len(ranked))
         probe_cells = np.repeat(cells, widths)
         probe_codes = ranked[ops.segment_positions(widths)]
-        fresh = ~np.isin(probe_cells * cardinality + probe_codes, member_keys)
+        fresh = ~ops.member_mask(probe_cells * cardinality + probe_codes, member_keys)
         # The first `wanted` fresh candidates of each cell, in rank order.
         per_cell = np.bincount(probe_cells[fresh], minlength=len(rows))
         taken = ops.segment_positions(per_cell) < wanted

@@ -65,12 +65,13 @@ class Dataset:
         if len(row) != len(self.schema):
             raise ValueError(
                 f"row has {len(row)} values, schema has {len(self.schema)}")
-        normalised = [self._normalise(v) for v in row]
+        normalised = [self.normalise(v) for v in row]
         self._rows.append(normalised)
         return len(self._rows) - 1
 
     @staticmethod
-    def _normalise(value: str | None) -> str | None:
+    def normalise(value: str | None) -> str | None:
+        """The load rule: stringify, strip, and read an empty string as NULL."""
         if value is None:
             return NULL
         if not isinstance(value, str):
@@ -101,7 +102,7 @@ class Dataset:
         return self.value(cell.tid, cell.attribute)
 
     def set_value(self, tid: int, attribute: str, value: str | None) -> None:
-        self._rows[tid][self.schema.index_of(attribute)] = self._normalise(value)
+        self._rows[tid][self.schema.index_of(attribute)] = self.normalise(value)
 
     def row(self, tid: int) -> list[str | None]:
         """The raw value list of tuple ``tid`` (a copy)."""

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.constraints.denial import DenialConstraint
 from repro.dataset.dataset import Cell
+from repro.engine.ops import sorted_unique
 from repro.obs.trace import deep_span
 
 
@@ -153,7 +154,7 @@ class ConflictHypergraph:
     def tuples(self) -> set[int]:
         out: set[int] = set()
         for block in self.blocks:
-            out.update(np.unique(block.tids).tolist())
+            out.update(sorted_unique(block.tids.ravel()).tolist())
         return out
 
     def violation_count(self, constraint_name: str | None = None) -> int:
@@ -178,10 +179,13 @@ class ConflictHypergraph:
         first_seen = np.sort(np.unique(flat, return_index=True)[1])
         for tid in flat[first_seen].tolist():
             uf.find(tid)  # registers singletons too, in appearance order
+        stride = int(flat.max(initial=-1)) + 1
         for tids in rows:
             for position in range(1, tids.shape[1]):
-                edges = np.unique(tids[:, [0, position]], axis=0)
-                for first, other in edges.tolist():
+                # The distinct (first, other) edges in lexicographic order.
+                edges = sorted_unique(tids[:, 0] * stride + tids[:, position])
+                firsts, others = divmod(edges, stride)
+                for first, other in zip(firsts.tolist(), others.tolist()):
                     uf.union(first, other)
         return uf.components()
 

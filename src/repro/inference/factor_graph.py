@@ -173,7 +173,7 @@ class FactorGraph:
         """Counts the paper quotes when discussing grounding blow-up."""
         return {
             "variables": len(self.variables),
-            "query_variables": len(self.variables.query_ids()),
+            "query_variables": int(np.count_nonzero(~self.variables.is_evidence)),
             "feature_entries": self.matrix.num_entries,
             "weights": len(self.space),
             "constraint_factors": len(self.factors),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.engine.ops import expand_ranges, segment_positions
+from repro.engine.ops import expand_ranges, segment_positions, sorted_unique
 from repro.inference.factor_graph import FactorGraph
 from repro.inference.numerics import segment_argmax, segment_softmax
 from repro.inference.variables import Marginals
@@ -257,7 +257,7 @@ def _greedy_colouring(
         pairs.append(mates[shift:][same] * n + mates[:-shift][same])
         shift += 1
     pairs = np.concatenate(pairs)
-    edges = np.unique(np.concatenate((pairs, pairs % n * n + pairs // n)))
+    edges = sorted_unique(np.concatenate((pairs, pairs % n * n + pairs // n)))
     neighbour = edges % n
     bounds = np.concatenate(([0], np.cumsum(np.bincount(edges // n, minlength=n))))
     order = ids[np.argsort(-np.diff(bounds)[ids], kind="stable")]

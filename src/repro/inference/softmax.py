@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.engine.ops import expand_ranges
+from repro.engine.ops import expand_ranges, sorted_unique
 from repro.inference.features import FeatureMatrix
 from repro.inference.numerics import segment_softmax
 from repro.inference.variables import Marginals
@@ -273,7 +273,7 @@ class SoftmaxTrainer:
 
         train_vars = np.asarray(train_vars, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
-        if len(np.unique(train_vars)) != len(train_vars):
+        if len(sorted_unique(train_vars)) != len(train_vars):
             raise ValueError("a training variable is listed more than once")
         cap = self.max_training_vars
         if cap is not None and len(train_vars) > cap:

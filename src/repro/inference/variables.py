@@ -21,7 +21,7 @@ from itertools import chain, islice
 import numpy as np
 
 from repro.dataset.dataset import Cell
-from repro.engine.ops import expand_ranges, take_csr
+from repro.engine.ops import expand_ranges, segment_positions, take_csr
 
 
 @dataclass
@@ -79,7 +79,7 @@ class CellColumns:
         self._index: dict[Cell, int] | None = None
 
     def __getstate__(self) -> dict:
-        return {**vars(self), "_index": None}
+        return {**vars(self), "_index": None, "_search": None}
 
     def append(self, tids, attribute_codes, indptr, codes, **columns) -> range:
         """Append cells ``(tids[k], attributes[attribute_codes[k]])`` with
@@ -94,7 +94,7 @@ class CellColumns:
         )
         for name, block in columns.items():
             setattr(self, name, np.concatenate((getattr(self, name), block)))
-        self._index = None
+        self._index = self._search = None
         return rows
 
     def take(self, rows=None) -> tuple[np.ndarray, ...]:
@@ -137,6 +137,23 @@ class CellColumns:
             cells = map(Cell._make, zip(self.tids.tolist(), names))
             self._index = dict(zip(cells, range(len(self))))
         return self._index
+
+    def rows_of(self, cells) -> np.ndarray:
+        """The row of each of ``cells`` (``-1``: none), by binary search over
+        the sorted ``(tid, attribute)`` keys — the cell lookup is not built."""
+        width = max(len(self.attributes), 1)
+        if self._search is None or self._search[0] != width:
+            keys = self.tids * width + self.attribute_codes
+            order = np.argsort(keys, kind="stable")
+            self._search = width, order, keys[order]
+        _, order, keys = self._search
+        code_of = {name: code for code, name in enumerate(self.attributes)}
+        codes = np.array([code_of.get(c.attribute, -1) for c in cells], np.int64)
+        wanted = np.array([c.tid for c in cells], np.int64) * width + codes
+        if not len(keys):
+            return np.full(len(wanted), -1, dtype=np.int64)
+        at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where((codes >= 0) & (keys[at] == wanted), order[at], -1)
 
     def __len__(self) -> int:
         return len(self.tids)
@@ -313,3 +330,31 @@ class Marginals(Mapping):
             self._cuts = self.offsets.tolist()
         k = self._position[vid]
         return self.probs[self._cuts[k] : self._cuts[k + 1]]
+
+    def argmax(self, vids) -> tuple[np.ndarray, np.ndarray]:
+        """Per variable of ``vids``, the index of its most probable value and
+        that probability as ``float64``, in one pass over the buffer.
+
+        A tie goes to the first maximum and a NaN counts as the maximum,
+        which is ``np.argmax``'s rule; a variable without a marginal raises
+        ``KeyError``.
+        """
+        vids = np.asarray(vids, dtype=np.int64)
+        if not len(vids):
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+        slot = np.full(max(self.var_ids.max(initial=-1), vids.max()) + 1, -1)
+        slot[self.var_ids] = np.arange(len(self.var_ids))
+        k = slot[vids]
+        if (k < 0).any():
+            raise KeyError(int(vids[k < 0][0]))
+        starts = self.offsets[k]
+        sizes = self.offsets[k + 1] - starts
+        if not sizes.all():
+            raise ValueError("a variable has an empty marginal")
+        values = self.probs[expand_ranges(starts, sizes)]
+        cuts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+        peak = np.repeat(np.maximum.reduceat(values, cuts), sizes)
+        hit = (values == peak) | np.isnan(values)
+        within = np.where(hit, segment_positions(sizes), sizes.max())
+        index = np.minimum.reduceat(within, cuts)
+        return index, values[cuts + index].astype(np.float64)

@@ -189,3 +189,14 @@ def test_real_factor_modules_have_no_per_factor_loop(repo_ctx):
     assert {FACTOR_GRAPH, FACTOR_TABLES} <= PurityChecker.modules
     raw = [f.path for f in PurityChecker().check(repo_ctx)]
     assert raw.count(FACTOR_GRAPH) == 0 and raw.count(FACTOR_TABLES) == 1
+
+
+RESULT = "src/repro/core/repair.py"
+
+
+def test_real_result_module_has_no_per_cell_loop(repo_ctx):
+    # Before pragma suppression: the repair result holds columns and builds
+    # a ``CellInference`` only when a reader asks for one.
+    assert RESULT in PurityChecker.modules
+    raw = [f.path for f in PurityChecker().check(repo_ctx)]
+    assert raw.count(RESULT) == 0

@@ -6,7 +6,10 @@ import pytest
 from repro.core.config import HoloCleanConfig
 from repro.core.pipeline import HoloClean
 from repro.core.session import RepairSession
+from repro.core.stages import resolve_feedback
 from repro.data.generators.flights import generate_flights
+from repro.data.generators.hospital import generate_hospital
+from repro.eval.harness import holoclean_config_for
 from repro.dataset.dataset import Cell
 from repro.inference.softmax import SoftmaxTrainer
 
@@ -106,6 +109,26 @@ class TestFeedback:
         result = session.rerun()
         assert result.repaired.value(3, "City") == "Evanston"
         assert result.inferences[cell].confidence == 1.0
+
+    def test_feedback_value_is_normalised_like_a_loaded_one(self):
+        """A padded confirmation of the observed value is that value: a
+        clamp and a training label, not an out-of-domain repair that the
+        dataset (which strips it) never shows."""
+        hospital = generate_hospital(num_rows=120)
+        session = RepairSession(hospital.dirty, hospital.constraints,
+                                config=holoclean_config_for(hospital))
+        first = session.run()
+        cell = Cell(0, "City")
+        observed = hospital.dirty.cell_value(cell)
+        session.feedback(cell, f"  {observed} ")
+        result = session.rerun()
+        assert session.context.feedback == {cell: observed}
+        resolved = resolve_feedback(session.model, session.context.feedback)
+        assert resolved.out_of_domain == {}
+        assert resolved.extra_ids == [session.model.graph.variables.by_cell(cell).vid]
+        assert result.repaired.cell_value(cell) == observed
+        assert result.num_repairs == len(hospital.dirty.diff(result.repaired))
+        assert first.num_repairs == len(hospital.dirty.diff(first.repaired))
 
     def test_feedback_on_unknown_cell_rejected(self, session):
         session.run()

@@ -11,8 +11,10 @@ detection or a reused compiled model yields the same output as a cold
 run.
 """
 
+import dataclasses
 import functools
 import logging
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -22,6 +24,7 @@ from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
 from repro.core.pipeline import HoloClean
 from repro.core.repair import CellInference, RepairResult
+from repro.core.session import RepairSession
 from repro.core.stages import (
     STAGE_ORDER,
     ApplyStage,
@@ -34,10 +37,12 @@ from repro.core.stages import (
     attribute_groups,
 )
 from repro.data import generate_flights, generate_hospital
+from repro.dataset.dataset import Cell
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
 from repro.inference.gibbs import GibbsSampler
 from repro.inference.softmax import SoftmaxTrainer
+from repro.inference.variables import Marginals
 
 
 def legacy_repair(dataset, constraints, config, detection=None):
@@ -106,17 +111,79 @@ def legacy_repair(dataset, constraints, config, detection=None):
     return result
 
 
+def legacy_apply(ctx: RepairContext) -> RepairResult:
+    """The per-cell apply loop the columnar ``ApplyStage`` replaced, kept
+    as the dict oracle: one ``CellInference`` per query cell, then the
+    out-of-domain feedback replacing or appending entries."""
+    model, dataset = ctx.model, ctx.dataset
+    clamps, out_of_domain = {}, {}
+    for cell, value in ctx.feedback.items():
+        info = model.graph.variables.by_cell(cell)
+        if info is None:
+            continue
+        index = info.candidate_index(value)
+        if index is None:
+            out_of_domain[cell] = value
+        else:
+            clamps[info.vid] = index
+    repaired = dataset.copy(name=f"{dataset.name}-repaired")
+    inferences = {}
+    for vid in model.query_ids:
+        info = model.graph.variables[vid]
+        if vid in clamps:
+            index = clamps[vid]
+            marginal = np.zeros(len(info.domain))
+            marginal[index] = 1.0
+        else:
+            marginal = np.asarray(ctx.marginals[vid], dtype=np.float64)
+            index = int(marginal.argmax())
+        inference = CellInference(
+            cell=info.cell, init_value=dataset.cell_value(info.cell),
+            chosen_value=info.domain[index], confidence=float(marginal[index]),
+            domain=info.domain, marginal=marginal)
+        inferences[info.cell] = inference
+        if inference.is_repair:
+            repaired.set_value(info.cell.tid, info.cell.attribute,
+                               inference.chosen_value)
+    for cell, value in out_of_domain.items():
+        repaired.set_value(cell.tid, cell.attribute, value)
+        inferences[cell] = CellInference(
+            cell=cell, init_value=dataset.cell_value(cell), chosen_value=value,
+            confidence=1.0, domain=[value], marginal=np.array([1.0]))
+    return RepairResult(repaired=repaired, inferences=inferences,
+                        timings=ctx.phase_timings(),
+                        size_report=model.size_report(),
+                        training_losses=list(ctx.losses), config=ctx.config)
+
+
+def assert_inferences_equal(got: CellInference, want: CellInference):
+    assert got.cell == want.cell
+    assert got.init_value == want.init_value
+    assert got.chosen_value == want.chosen_value
+    assert got.confidence == want.confidence
+    assert got.domain == want.domain
+    assert got.marginal.dtype == want.marginal.dtype
+    np.testing.assert_array_equal(got.marginal, want.marginal)
+
+
 def assert_results_equal(actual: RepairResult, oracle: RepairResult):
-    """Byte-identity of everything except wall-clock values."""
-    assert set(actual.inferences) == set(oracle.inferences)
+    """Byte-identity of everything except wall-clock values.
+
+    ``oracle`` holds plain dicts; ``actual`` is pinned to their key order,
+    their ``repairs`` order and counts, by lookup and by iteration.
+    """
+    assert list(actual.inferences) == list(oracle.inferences)
+    assert len(actual.inferences) == len(oracle.inferences)
     for cell in oracle.inferences:
-        got, want = actual.inferences[cell], oracle.inferences[cell]
-        assert got.cell == want.cell
-        assert got.init_value == want.init_value
-        assert got.chosen_value == want.chosen_value
-        assert got.confidence == want.confidence
-        assert got.domain == want.domain
-        np.testing.assert_array_equal(got.marginal, want.marginal)
+        assert_inferences_equal(actual.inferences[cell], oracle.inferences[cell])
+    for (cell, got), want in zip(actual.inferences.items(), oracle.inferences.values()):
+        assert cell == got.cell
+        assert_inferences_equal(got, want)
+    assert list(actual.repairs) == list(oracle.repairs)
+    assert len(actual.repairs) == len(oracle.repairs) == oracle.num_repairs
+    assert actual.num_repairs == oracle.num_repairs
+    for got, want in zip(actual.repairs.values(), oracle.repairs.values()):
+        assert_inferences_equal(got, want)
     assert actual.repaired == oracle.repaired
     assert actual.size_report == oracle.size_report
     assert actual.training_losses == oracle.training_losses
@@ -542,6 +609,21 @@ class TestTelemetry:
             sum(c.duration for c in run.children) / run.duration for run in runs
         ) >= 0.9
 
+    def test_apply_deep_spans_account_for_the_stage(self):
+        generated = generate_hospital(num_rows=1000)
+        ctx = self.run_plan(generated, trace_level="deep")
+        # Timing noise only ever lowers the share: best of three stage runs.
+        for _ in range(2):
+            ctx = ApplyStage().run(ctx)
+        runs = [s for s in ctx.tracer.roots if s.name == "apply"]
+        mapped, written = runs[-1].children
+        assert (mapped.name, written.name) == ("apply.map", "apply.write")
+        assert mapped.attributes == {"cells": len(ctx.model.query_ids)}
+        assert written.attributes == {"cells": ctx.result.num_repairs}
+        assert max(
+            sum(c.duration for c in run.children) / run.duration for run in runs
+        ) >= 0.9
+
     def test_deep_tracing_gibbs_variant_identical(self, figure1_dataset,
                                                   figure1_constraints):
         def run(level):
@@ -654,3 +736,127 @@ class TestPlanValidation:
                               constraints=figure1_constraints[:1])
         assert fewer.fingerprints()["constraints"] != a.fingerprints()["constraints"]
         assert fewer.fingerprints()["dataset"] == a.fingerprints()["dataset"]
+
+
+class TestColumnarResult:
+    """``ApplyStage``'s columnar result against the dict oracle."""
+
+    @pytest.fixture(scope="class")
+    def applied(self, hospital):
+        """A repaired Hospital context, learn → infer done once."""
+        return RepairPlan.default().run(RepairContext(
+            dataset=hospital.dirty, constraints=hospital.constraints,
+            config=config_for(hospital)))
+
+    @staticmethod
+    def reapply(ctx, feedback=(), **fields):
+        """Apply once more on a copy with ``feedback`` (and other fields
+        replaced); the columnar result and the oracle's."""
+        ctx = dataclasses.replace(ctx, feedback=dict(feedback), result=None,
+                                  **fields)
+        return ApplyStage().run(ctx).result, legacy_apply(ctx)
+
+    @staticmethod
+    def cells(ctx, evidence: bool):
+        variables = ctx.model.graph.variables
+        rows = np.flatnonzero(variables.is_evidence == evidence)
+        return list(zip(variables.cells_of(rows), variables.domains_of(rows)))
+
+    def test_gibbs_on_hospital_dc_factors(self, hospital):
+        config = HoloCleanConfig.variant(
+            "dc-factors", tau=hospital.recommended_tau, epochs=12, seed=3,
+            gibbs_burn_in=2, gibbs_sweeps=5)
+        ctx = RepairPlan.default().run(RepairContext(
+            dataset=hospital.dirty, constraints=hospital.constraints,
+            config=config))
+        assert ctx.metrics.labels["infer.method"] == "gibbs"
+        assert_results_equal(ctx.result, legacy_apply(ctx))
+
+    def test_in_domain_clamps(self, applied):
+        repairs = list(applied.result.repairs.values())
+        kept = [inf for inf in applied.result.inferences.values()
+                if not inf.is_repair and len(inf.domain) > 1]
+        (evidence, domain), *_ = self.cells(applied, evidence=True)
+        feedback = {
+            repairs[0].cell: repairs[0].init_value,  # a repair undone
+            kept[0].cell: next(v for v in kept[0].domain
+                               if v != kept[0].chosen_value),  # a new repair
+            evidence: domain[-1],  # evidence: a label, no query position
+        }
+        result, oracle = self.reapply(applied, feedback)
+        assert_results_equal(result, oracle)
+        assert result.inferences[kept[0].cell].is_repair
+        assert repairs[0].cell not in result.repairs
+        assert result.inferences[repairs[0].cell].confidence == 1.0
+
+    def test_out_of_domain_feedback(self, applied):
+        query = [cell for cell, _ in self.cells(applied, evidence=False)]
+        (evidence, _), *_ = self.cells(applied, evidence=True)
+        feedback = {query[3]: "Nowhere", evidence: "Elsewhere",
+                    query[1]: applied.dataset.cell_value(query[1])}
+        result, oracle = self.reapply(applied, feedback)
+        assert_results_equal(result, oracle)
+        # Query cells keep their place; the evidence cell is appended.
+        assert list(result.inferences)[3] == query[3]
+        assert list(result.inferences)[-1] == evidence
+        assert list(result.repairs)[-1] == evidence
+        assert result.repaired.cell_value(evidence) == "Elsewhere"
+
+    def test_all_tied_marginals_take_the_first_candidate(self, applied):
+        marginals = applied.marginals
+        sizes = np.diff(marginals.offsets)
+        tied = Marginals(marginals.var_ids, marginals.offsets,
+                         np.repeat(1.0 / sizes, sizes))
+        result, oracle = self.reapply(applied, marginals=tied)
+        assert_results_equal(result, oracle)
+        assert all(inf.chosen_value == inf.domain[0]
+                   for inf in result.inferences.values())
+
+    def test_lookups(self, applied):
+        inferences = applied.result.inferences
+        (evidence, _), *_ = self.cells(applied, evidence=True)
+        cell, *_ = inferences
+        assert_inferences_equal(inferences[tuple(cell)], inferences[cell])
+        assert evidence not in inferences
+        assert Cell(10**6, "City") not in inferences
+        assert "t0.City" not in inferences
+        assert inferences.get(Cell(0, "NoSuchAttribute")) is None
+        repaired_cell = next(iter(applied.result.repairs))
+        unchanged = next(c for c, inf in inferences.items() if not inf.is_repair)
+        assert repaired_cell in applied.result.repairs
+        assert unchanged not in applied.result.repairs
+
+    def test_pickles_as_arrays(self, applied):
+        result = applied.result
+        before = pickle.dumps(result)
+        cell, *_ = result.inferences.items()  # builds the keys and a view
+        result.inferences[cell[0]]  # and the position lookup
+        assert pickle.dumps(result) == before
+        assert_results_equal(pickle.loads(before), legacy_apply(applied))
+
+    def test_plan_and_rerun_build_no_views_and_no_lookup(self, hospital, monkeypatch):
+        built = []
+        real = CellInference.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(CellInference, "__init__", spy)
+        session = RepairSession(hospital.dirty, hospital.constraints,
+                                config=config_for(hospital))
+        session.run()
+        variables = session.model.graph.variables
+        assert variables._index is None
+        first, second = (
+            Cell(int(variables.tids[vid]), variables.attributes[code])
+            for vid, code in zip([0, 1], variables.attribute_codes[:2].tolist())
+        )
+        assert not variables.is_evidence[:2].any()
+        session.feedback(first, variables.domain_of(0)[-1])  # a clamp
+        session.feedback(second, "Nowhere")  # out of the domain
+        result = session.rerun()
+        assert built == []
+        assert variables._index is None
+        assert result.num_repairs == len(hospital.dirty.diff(result.repaired))
+

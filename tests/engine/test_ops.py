@@ -126,3 +126,17 @@ class TestMatchingPairs:
         key = np.array([0, 0, 0])
         left, right = ops.matching_pairs(key, key)
         assert not np.any(left == right)
+
+
+class TestSortSearchSetOps:
+    """``np.unique`` / ``np.isin`` answers without importing ``numpy.ma``."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_against_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        values = rng.integers(-5, 40, size=rng.integers(0, 60))
+        keys = rng.integers(-5, 40, size=rng.integers(0, 30))
+        np.testing.assert_array_equal(ops.sorted_unique(values), np.unique(values))
+        np.testing.assert_array_equal(ops.member_mask(values, keys),
+                                      np.isin(values, keys))
+        assert ops.sorted_unique(values).dtype == values.dtype

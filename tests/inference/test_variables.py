@@ -28,6 +28,8 @@ from repro.inference.variables import (
 #: outside the data, and attribute "C" has no table at all.
 TABLES = {"A": ["x", "y", "z"], "B": ["y", "x"]}
 VALUES = st.sampled_from(["x", "y", "z", "ghost", ""])
+#: One variable's marginal, ties and NaNs included.
+MARGINAL = st.lists(st.sampled_from([0.0, 0.25, 0.5, np.nan]), min_size=1, max_size=5)
 
 
 class ReferenceBlock:
@@ -98,6 +100,8 @@ def assert_equivalent(block: VariableBlock, reference: ReferenceBlock):
     assert [block[vid] for vid in range(len(infos))] == infos
     assert [block.by_cell(info.cell) for info in infos] == infos
     assert block.by_cell(Cell(99, "A")) is None
+    probes = [v.cell for v in infos][::-1] + [Cell(99, "A"), Cell(0, "Q")]
+    assert block.rows_of(probes).tolist() == [v.vid for v in infos][::-1] + [-1, -1]
     assert block.evidence_ids() == [v.vid for v in infos if v.is_evidence]
     assert block.query_ids() == [v.vid for v in infos if not v.is_evidence]
     assert block.tids.tolist() == [v.cell.tid for v in infos]
@@ -250,6 +254,29 @@ class TestMarginals:
         for vid in marginals:
             np.testing.assert_array_equal(restored[vid], marginals[vid])
         assert len(pickle.dumps(marginals)) < 600
+
+    def test_argmax_is_np_argmax_per_variable(self, marginals):
+        index, confidence = marginals.argmax([5, 7, 2, 5])
+        assert index.tolist() == [0, 1, 0, 0]
+        assert confidence.tolist() == [0.5, 0.75, 1.0, 0.5]
+        with pytest.raises(KeyError):
+            marginals.argmax([3])
+
+    @given(st.lists(MARGINAL, max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_argmax_ties_and_nans_follow_np_argmax(self, rows):
+        sizes = [len(row) for row in rows]
+        marginals = Marginals(
+            np.arange(len(rows)),
+            np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            np.array([p for row in rows for p in row], dtype=np.float32),
+        )
+        index, confidence = marginals.argmax(np.arange(len(rows))[::-1])
+        want = [int(np.argmax(row)) for row in rows][::-1]
+        assert index.tolist() == want
+        assert confidence.dtype == np.float64
+        expected = [np.float32(row[k]) for row, k in zip(rows[::-1], want)]
+        np.testing.assert_array_equal(confidence, np.array(expected, dtype=np.float64))
 
     def test_empty(self):
         empty = Marginals(np.empty(0, np.int64), np.zeros(1, np.int64), np.empty(0))

@@ -134,6 +134,32 @@ class TestRoutes:
 
         serve(body)
 
+    def test_feedback_value_is_normalised(self, hospital):
+        """``"  Chicago "`` confirms the candidate ``"Chicago"``: a clamp, so
+        no repair is reported for a cell the dataset leaves unchanged."""
+        observed = hospital.dirty.value(0, "City")
+
+        async def body(server):
+            _, _, first = await _request(
+                server.port, "POST", "/repair", payload_for(hospital)
+            )
+            sid = first["session"]
+            url = f"/sessions/{sid}/marginals?tid=0&attribute=City"
+            _, _, marginals = await _request(server.port, "GET", url)
+            (cell,) = marginals["cells"]
+            assert observed in cell["domain"]
+            padded = {"tid": 0, "attribute": "City", "value": f"  {observed} "}
+            status, _, response = await _request(
+                server.port, "POST", f"/sessions/{sid}/feedback", {"cells": [padded]}
+            )
+            assert status == 200
+            repaired = {(r["tid"], r["attribute"]) for r in response["repairs"]}
+            assert (0, "City") not in repaired
+            assert response["num_repairs"] == len(response["repairs"])
+            assert response["noisy_cells"] == first["noisy_cells"]
+
+        serve(body)
+
     def test_delete_then_404(self, hospital):
         async def body(server):
             _, _, first = await _request(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import multiprocessing
@@ -147,6 +148,33 @@ class TestFeedback:
     def test_feedback_unknown_session(self, service):
         with pytest.raises(NotFound):
             service.feedback("feedbeefcafe", {"cells": [{}]})
+
+
+class TestResponseBytes:
+    """The columnar result renders the bytes the dict-backed one did: the
+    digests were measured on the commit before ``RepairResult`` went
+    columnar, over the repairs list and the two counts (the rest of a
+    response is wall-clock)."""
+
+    @staticmethod
+    def digest(response):
+        kept = {k: response[k] for k in ("noisy_cells", "num_repairs", "repairs")}
+        text = json.dumps(kept, sort_keys=True).encode()
+        return hashlib.sha256(text).hexdigest()[:16]
+
+    def test_repair_then_feedback(self, ephemeral_service, hospital):
+        cold = ephemeral_service.repair(payload_for(hospital))
+        assert (self.digest(cold), cold["num_repairs"]) == ("a314b06d142cbe9b", 13)
+        first = {key: cold["repairs"][0][key] for key in ("tid", "attribute")}
+        cells = [
+            # Out of the domain: a repaired query cell, another query
+            # cell, and an evidence cell (appended after the query cells).
+            {**first, "value": "Elsewhere"},
+            {"tid": 0, "attribute": "City", "value": "Nowhere"},
+            {"tid": 0, "attribute": "Address1", "value": "1 Nowhere Rd"},
+        ]
+        fed = ephemeral_service.feedback(cold["session"], {"cells": cells})
+        assert (self.digest(fed), fed["noisy_cells"]) == ("32db060031e5828e", 325)
 
 
 class TestMarginals:
