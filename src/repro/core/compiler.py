@@ -29,7 +29,7 @@ from repro.core.vector_domain import (EntityVoteModes, VectorDomainPruner,
                                       merged_negative_domains)
 from repro.core.vector_featurize import VectorFeaturizer
 from repro.core import rules as ddlog
-from repro.dataset.dataset import Cell, Dataset
+from repro.dataset.dataset import Dataset
 from repro.detect.base import DetectionResult
 from repro.engine import Engine, engine_for, ops
 from repro.external.dictionary import ExternalDictionary
@@ -431,15 +431,15 @@ class ModelCompiler:
         """
         variables = graph.variables
         axis_vars: list = []
-        base_values: dict[int, dict[str, str | None]] = {}
+        base_values = {p: self.dataset.tuple_dict(tid) for p, tid in positions}
         cell_axes: list[tuple[int, str, int]] = []  # (position, attr, axis)
-        for position, tid in positions:
-            base_values[position] = self.dataset.tuple_dict(tid)
-            for attr in attrs_by_position.get(position, ()):
-                info = variables.by_cell(Cell(tid, attr))
-                if info is not None and not info.is_evidence:
-                    cell_axes.append((position, attr, len(axis_vars)))
-                    axis_vars.append(info)
+        wanted = [(position, tid, attr) for position, tid in positions
+                  for attr in attrs_by_position.get(position, ())]
+        vids = variables.rows_of([(tid, attr) for _, tid, attr in wanted])
+        for (position, _, attr), vid in zip(wanted, vids.tolist()):
+            if vid >= 0 and not variables.is_evidence[vid]:
+                cell_axes.append((position, attr, len(axis_vars)))
+                axis_vars.append(variables[vid])
 
         if not axis_vars:
             return False

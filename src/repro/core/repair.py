@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.core.config import HoloCleanConfig
 from repro.dataset.dataset import Cell, Dataset
+from repro.engine.ops import expand_ranges
 from repro.inference.variables import Marginals, VariableBlock
 from repro.obs.report import RunReport
 
@@ -61,10 +62,12 @@ class CellInferences(Mapping):
     maps a query position to its value, which keeps the cell's place, and
     ``appended`` maps any other cell to its value, after the query cells
     in feedback order.  A lookup builds a :class:`CellInference` view whose
-    observed value is read off ``dataset``; keys iterate in query-id order
-    and are the catalog's pooled ``Cell`` objects.  ``member`` (default:
-    every position) restricts the mapping — :attr:`repairs` shares the
-    columns that way.  A pickle holds the arrays, never a view or a lookup.
+    observed value is read off ``dataset``, and iteration builds the views
+    a batch at a time; keys iterate in query-id order and are the catalog's
+    pooled ``Cell`` objects.  ``member`` (default: every position) restricts
+    the mapping — :attr:`repairs` shares the columns that way.  ``position``
+    (variable → ``k``, ``-1`` for none) is derived, so a pickle holds the
+    arrays, never a view or a lookup.
     """
 
     def __init__(
@@ -80,6 +83,8 @@ class CellInferences(Mapping):
         replaced: dict[int, str | None] | None = None,
         appended: dict[Cell, str | None] | None = None,
         member: np.ndarray | None = None,
+        *,
+        position: np.ndarray | None = None,
     ):
         self.variables, self.query_ids, self.marginals = variables, query_ids, marginals
         self.choice, self.confidence, self.is_repair = choice, confidence, is_repair
@@ -87,7 +92,7 @@ class CellInferences(Mapping):
         self.replaced = replaced or {}
         self.appended = appended or {}
         self._cells: list[Cell] | None = None  # keys, on first iteration
-        self._position: np.ndarray | None = None  # variable → k, on first lookup
+        self._position = position  # variable → k, on first lookup if not given
 
     def __reduce__(self):
         return CellInferences, self._columns()
@@ -119,18 +124,15 @@ class CellInferences(Mapping):
     def __getitem__(self, cell: Cell) -> CellInference:
         if cell in self.appended:
             return self._fixed(cell, self.appended[cell])
-        try:
-            cell = Cell(*cell)
-            (vid,) = self.variables.rows_of([cell])
-        except (TypeError, ValueError):
-            raise KeyError(cell) from None
+        vid = self.variables.row_of(cell)
         if self._position is None:
             self._position = np.full(len(self.variables), -1, dtype=np.int64)
             self._position[self.query_ids] = np.arange(len(self.query_ids))
-        k = int(self._position[vid]) if vid >= 0 else -1
+        k = int(self._position[vid])
         if k < 0 or (self.member is not None and not self.member[k]):
             raise KeyError(cell)
-        return self._view(k, cell)
+        (view,) = self._views(np.array([k]), [Cell(*cell)])
+        return view
 
     def items(self) -> ItemsView:
         return _Items(self)
@@ -143,7 +145,8 @@ class CellInferences(Mapping):
     def repairs(self) -> "CellInferences":
         """The same mapping restricted to the cells whose value changes."""
         *columns, _, _ = self._columns()
-        return CellInferences(*columns, self._changed(), self.is_repair)
+        member, position = self.is_repair, self._position
+        return CellInferences(*columns, self._changed(), member, position=position)
 
     @property
     def num_repairs(self) -> int:
@@ -154,8 +157,7 @@ class CellInferences(Mapping):
         first and ties in key order; only those cells get a view."""
         hits = np.flatnonzero(self.is_repair & (self.confidence < below))
         hits = hits[np.argsort(self.confidence[hits], kind="stable")]
-        cells = self.variables.cells_of(self.query_ids[hits])
-        queue = list(map(self._view, hits.tolist(), cells))
+        queue = self._views(hits, self.variables.cells_of(self.query_ids[hits]))
         if below > 1.0:  # an appended cell is certain
             changed = self._changed()
             queue += map(self._fixed, changed, changed.values())
@@ -182,31 +184,53 @@ class CellInferences(Mapping):
         return self._cells
 
     def _pairs(self) -> Iterator[tuple[Cell, CellInference]]:
-        cells = self._keys()
-        views = map(self._view, self._rows().tolist(), cells)
+        cells, rows = self._keys(), self._rows()
+        views = self._views(rows, cells[: len(rows)])
         return zip(cells, chain(views, self._appended()))
 
     def _appended(self) -> Iterator[CellInference]:
         return map(self._fixed, self.appended, self.appended.values())
 
-    def _view(self, k: int, cell: Cell) -> CellInference:
-        if k in self.replaced:
-            return self._fixed(cell, self.replaced[k])
-        vid, index = int(self.query_ids[k]), int(self.choice[k])
-        domain = self.variables.domain_of(vid)
-        if self.clamped[k]:
-            marginal = np.zeros(len(domain))
-            marginal[index] = 1.0
-        else:
-            marginal = np.asarray(self.marginals[vid], dtype=np.float64)
-        return CellInference(
-            cell=cell,
-            init_value=self.dataset.cell_value(cell),
-            chosen_value=domain[index],
-            confidence=float(self.confidence[k]),
-            domain=domain,
-            marginal=marginal,
+    def _views(self, rows: np.ndarray, cells: list[Cell]) -> list[CellInference]:
+        """The views of positions ``rows``, keyed ``cells``, built a batch at
+        a time: one domain decode and one marginal gather for all of them."""
+        variables = self.variables
+        vids, choice = self.query_ids[rows], self.choice[rows]
+        domains = variables.domains_of(vids)
+        # Observed values straight off the rows: one schema lookup per attribute.
+        column = np.array(list(map(self.dataset.schema.index_of, variables.attributes)))
+        tuples = map(self.dataset.row_ref, variables.tids[vids].tolist())
+        columns = column[variables.attribute_codes[vids]].tolist()
+        views = list(
+            map(
+                CellInference,
+                cells,
+                map(list.__getitem__, tuples, columns),
+                map(list.__getitem__, domains, choice.tolist()),
+                self.confidence[rows].tolist(),
+                domains,
+                self._marginals(vids, choice, self.clamped[rows]),
+            )
         )
+        for k, value in self.replaced.items():  # out-of-domain feedback
+            for at in np.flatnonzero(rows == k):
+                views[at] = self._fixed(cells[at], value)
+        return views
+
+    def _marginals(self, vids, choice, clamped) -> list[np.ndarray]:
+        """The ``float64`` marginals of ``vids``, gathered into one buffer and
+        cut into per-variable views; a clamped variable's is one-hot."""
+        indptr = self.variables.domain_indptr
+        sizes = indptr[vids + 1] - indptr[vids]
+        cuts = np.concatenate(([0], np.cumsum(sizes)))
+        flat = np.zeros(cuts[-1])
+        free = ~clamped
+        starts = self.marginals.offsets[self.marginals.slots(vids[free])]
+        gathered = self.marginals.probs[expand_ranges(starts, sizes[free])]
+        flat[expand_ranges(cuts[:-1][free], sizes[free])] = gathered
+        flat[cuts[:-1][clamped] + choice[clamped]] = 1.0
+        bounds = cuts.tolist()
+        return list(map(flat.__getitem__, map(slice, bounds, bounds[1:])))
 
     def _fixed(self, cell: Cell, value: str | None) -> CellInference:
         """A cell set by out-of-domain feedback: certain, a domain of one."""

@@ -151,6 +151,7 @@ class RepairSession:
         The value is normalised the way :class:`Dataset` normalises a loaded
         one, so ``"  Chicago "`` confirms the candidate ``"Chicago"``.
         """
+        cell = Cell(*cell)
         model = self.model
         if model is not None and model.graph.variables.rows_of([cell])[0] < 0:
             raise KeyError(f"{cell} is not a noisy cell of this session")

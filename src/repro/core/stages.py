@@ -258,7 +258,7 @@ def resolve_feedback(
             continue
         domain = variables.domain_of(vid)
         if value not in domain:
-            resolved.out_of_domain[cell] = value
+            resolved.out_of_domain[Cell(*cell)] = value
             continue
         index = domain.index(value)
         resolved.extra_ids.append(vid)
@@ -595,6 +595,7 @@ class ApplyStage(Stage):
                 dataset,
                 replaced,
                 appended,
+                position=position,
             )
             # ``timings`` is folded in by run() once this stage's own
             # wall-clock is recorded.

@@ -35,14 +35,19 @@ def segment_softmax(scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 def segment_argmax(scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Position within its segment of each segment's first maximum."""
+    """Position within its segment of each segment's first maximum.
+
+    A NaN counts as the maximum, so the first NaN of a segment wins:
+    ``np.argmax``'s rule.
+    """
     if len(starts) < 2:
         return np.empty(0, dtype=np.int64)
     sizes = np.diff(starts)
     if np.any(sizes <= 0):
         raise ValueError("segments must be non-empty")
     maxima = np.maximum.reduceat(scores, starts[:-1])
-    hits = np.flatnonzero(scores == np.repeat(maxima, sizes))
+    hit = (scores == np.repeat(maxima, sizes)) | np.isnan(scores)
+    hits = np.flatnonzero(hit)
     return hits[np.searchsorted(hits, starts[:-1])] - starts[:-1]
 
 

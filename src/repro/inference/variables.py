@@ -21,7 +21,8 @@ from itertools import chain, islice
 import numpy as np
 
 from repro.dataset.dataset import Cell
-from repro.engine.ops import expand_ranges, segment_positions, take_csr
+from repro.engine.ops import expand_ranges, take_csr
+from repro.inference.numerics import segment_argmax
 
 
 @dataclass
@@ -76,10 +77,14 @@ class CellColumns:
         self.attribute_codes = np.empty(0, dtype=np.int32)
         self.domain_indptr = np.zeros(1, dtype=np.int64)
         self.domain_codes = np.empty(0, dtype=np.int32)
-        self._index: dict[Cell, int] | None = None
+
+    #: Caches, built on first use and never pickled.  Class attributes, so
+    #: an instance unpickled from a state without them starts them empty.
+    _cells: list[Cell] | None = None  # row → Cell: the one pool of Cells
+    _search: tuple | None = None  # the sorted keys :meth:`rows_of` searches
 
     def __getstate__(self) -> dict:
-        return {**vars(self), "_index": None, "_search": None}
+        return {**vars(self), "_cells": None, "_search": None}
 
     def append(self, tids, attribute_codes, indptr, codes, **columns) -> range:
         """Append cells ``(tids[k], attributes[attribute_codes[k]])`` with
@@ -94,7 +99,7 @@ class CellColumns:
         )
         for name, block in columns.items():
             setattr(self, name, np.concatenate((getattr(self, name), block)))
-        self._index = self._search = None
+        self._cells = self._search = None
         return rows
 
     def take(self, rows=None) -> tuple[np.ndarray, ...]:
@@ -130,30 +135,41 @@ class CellColumns:
         tids = np.fromiter((cell.tid for cell in cells), np.int64, len(cells))
         return tids, attrs, np.concatenate(([0], np.cumsum(sizes))), codes
 
-    def _cell_index(self) -> dict[Cell, int]:
-        """Cell → row, its keys in row order: the one pool of ``Cell`` objects."""
-        if self._index is None:
+    def _pool(self) -> list[Cell]:
+        """Row → ``Cell``, built once: every reader shares these objects."""
+        if self._cells is None:
             names = map(self.attributes.__getitem__, self.attribute_codes.tolist())
-            cells = map(Cell._make, zip(self.tids.tolist(), names))
-            self._index = dict(zip(cells, range(len(self))))
-        return self._index
+            self._cells = list(map(Cell._make, zip(self.tids.tolist(), names)))
+        return self._cells
 
     def rows_of(self, cells) -> np.ndarray:
-        """The row of each of ``cells`` (``-1``: none), by binary search over
-        the sorted ``(tid, attribute)`` keys — the cell lookup is not built."""
+        """The row of each of ``cells`` — ``(tid, attribute)`` pairs — or
+        ``-1`` for a cell without one, by binary search over the sorted
+        ``(tid, attribute code)`` keys: the cell lookup of every reader."""
         width = max(len(self.attributes), 1)
         if self._search is None or self._search[0] != width:
             keys = self.tids * width + self.attribute_codes
             order = np.argsort(keys, kind="stable")
-            self._search = width, order, keys[order]
-        _, order, keys = self._search
-        code_of = {name: code for code, name in enumerate(self.attributes)}
-        codes = np.array([code_of.get(c.attribute, -1) for c in cells], np.int64)
-        wanted = np.array([c.tid for c in cells], np.int64) * width + codes
+            code_of = {name: code for code, name in enumerate(self.attributes)}
+            self._search = width, order, keys[order], code_of
+        _, order, keys, code_of = self._search
+        pairs = [(tid, code_of.get(attribute, -1)) for tid, attribute in cells]
+        tids, codes = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
         if not len(keys):
-            return np.full(len(wanted), -1, dtype=np.int64)
+            return np.full(len(codes), -1, dtype=np.int64)
+        wanted = tids * width + codes
         at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
         return np.where((codes >= 0) & (keys[at] == wanted), order[at], -1)
+
+    def row_of(self, cell) -> int:
+        """The row of one cell; ``KeyError`` if it has none or is no cell."""
+        try:
+            (row,) = self.rows_of([cell]).tolist()
+        except (TypeError, ValueError):
+            row = -1
+        if row < 0:
+            raise KeyError(cell)
+        return row
 
     def __len__(self) -> int:
         return len(self.tids)
@@ -164,8 +180,10 @@ class CellColumns:
 
     def cells_of(self, rows=None) -> list[Cell]:
         """The cells of ``rows`` (default: all), in that order."""
-        cells = list(self._cell_index())
-        return cells if rows is None else [cells[row] for row in rows]
+        cells = self._pool()
+        if rows is None:
+            return list(cells)
+        return list(map(cells.__getitem__, np.asarray(rows, dtype=np.int64).tolist()))
 
     def domain_of(self, row: int) -> list[str]:
         """The decoded candidate list of one row."""
@@ -202,7 +220,7 @@ class DomainRelation(CellColumns, Mapping):
             self.append(*self.encode(list(domains), list(domains.values())))
 
     def __getitem__(self, cell: Cell) -> list[str]:
-        return self.domain_of(self._cell_index()[cell])
+        return self.domain_of(self.row_of(cell))
 
     def __iter__(self) -> Iterator[Cell]:
         return iter(self.cells_of())
@@ -253,13 +271,12 @@ class VariableBlock(CellColumns):
         is_evidence: bool,
     ) -> range:
         """Register a block of variables; returns their ids, assigned in
-        order.  The cell lookup keeps the caller's ``Cell`` objects."""
+        order.  The cell pool keeps the caller's ``Cell`` objects."""
         if not len(cells) == len(domains) == len(init_indices):
             raise ValueError("add_block arguments must align")
-        index = self._cell_index()
+        pool = self._pool()
         vids = self.append(*self.encode(cells, domains), init_indices, is_evidence)
-        index.update(zip(cells, vids))
-        self._index = index
+        self._cells = pool + list(cells)
         return vids
 
     def append(
@@ -293,8 +310,10 @@ class VariableBlock(CellColumns):
         return (VariableInfo(*row) for row in rows)
 
     def by_cell(self, cell: Cell) -> VariableInfo | None:
-        vid = self._cell_index().get(cell)
-        return None if vid is None else self[vid]
+        try:
+            return self[self.row_of(cell)]
+        except KeyError:
+            return None
 
     def evidence_ids(self) -> list[int]:
         return np.flatnonzero(self.is_evidence).tolist()
@@ -331,30 +350,31 @@ class Marginals(Mapping):
         k = self._position[vid]
         return self.probs[self._cuts[k] : self._cuts[k + 1]]
 
-    def argmax(self, vids) -> tuple[np.ndarray, np.ndarray]:
-        """Per variable of ``vids``, the index of its most probable value and
-        that probability as ``float64``, in one pass over the buffer.
-
-        A tie goes to the first maximum and a NaN counts as the maximum,
-        which is ``np.argmax``'s rule; a variable without a marginal raises
-        ``KeyError``.
-        """
+    def slots(self, vids) -> np.ndarray:
+        """The position ``k`` of each of ``vids``; ``KeyError`` for a
+        variable without a marginal."""
         vids = np.asarray(vids, dtype=np.int64)
         if not len(vids):
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64)
+            return np.empty(0, dtype=np.int64)
         slot = np.full(max(self.var_ids.max(initial=-1), vids.max()) + 1, -1)
         slot[self.var_ids] = np.arange(len(self.var_ids))
         k = slot[vids]
         if (k < 0).any():
             raise KeyError(int(vids[k < 0][0]))
+        return k
+
+    def argmax(self, vids) -> tuple[np.ndarray, np.ndarray]:
+        """Per variable of ``vids``, the index of its most probable value and
+        that probability as ``float64``, in one pass over the buffer.
+
+        Ties and NaNs follow :func:`~repro.inference.numerics.segment_argmax`
+        (``np.argmax``'s rule); a variable without a marginal raises
+        ``KeyError``, an empty marginal ``ValueError``.
+        """
+        k = self.slots(vids)
         starts = self.offsets[k]
         sizes = self.offsets[k + 1] - starts
-        if not sizes.all():
-            raise ValueError("a variable has an empty marginal")
         values = self.probs[expand_ranges(starts, sizes)]
-        cuts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-        peak = np.repeat(np.maximum.reduceat(values, cuts), sizes)
-        hit = (values == peak) | np.isnan(values)
-        within = np.where(hit, segment_positions(sizes), sizes.max())
-        index = np.minimum.reduceat(within, cuts)
-        return index, values[cuts + index].astype(np.float64)
+        cuts = np.concatenate(([0], np.cumsum(sizes)))
+        index = segment_argmax(values, cuts)
+        return index, values[cuts[:-1] + index].astype(np.float64)

@@ -110,6 +110,20 @@ class TestFeedback:
         assert result.repaired.value(3, "City") == "Evanston"
         assert result.inferences[cell].confidence == 1.0
 
+    def test_feedback_keyed_by_a_plain_tuple(self, session):
+        """``(tid, attribute)`` names the same cell as its ``Cell``, for a
+        clamp and for an out-of-domain value alike."""
+        session.run()
+        session.feedback((0, "Zip"), "60609")
+        session.feedback((3, "City"), "Evanston")
+        result = session.rerun()
+        assert all(type(cell) is Cell for cell in session.context.feedback)
+        assert result.inferences[(0, "Zip")].chosen_value == "60609"
+        assert result.inferences[Cell(3, "City")].chosen_value == "Evanston"
+        assert result.repaired.value(3, "City") == "Evanston"
+        with pytest.raises(KeyError, match="not a noisy cell"):
+            session.feedback((999, "Zip"), "x")
+
     def test_feedback_value_is_normalised_like_a_loaded_one(self):
         """A padded confirmation of the observed value is that value: a
         clamp and a training label, not an out-of-domain repair that the

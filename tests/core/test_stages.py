@@ -847,7 +847,7 @@ class TestColumnarResult:
                                 config=config_for(hospital))
         session.run()
         variables = session.model.graph.variables
-        assert variables._index is None
+        assert variables._cells is None
         first, second = (
             Cell(int(variables.tids[vid]), variables.attributes[code])
             for vid, code in zip([0, 1], variables.attribute_codes[:2].tolist())
@@ -857,6 +857,6 @@ class TestColumnarResult:
         session.feedback(second, "Nowhere")  # out of the domain
         result = session.rerun()
         assert built == []
-        assert variables._index is None
+        assert variables._cells is None
         assert result.num_repairs == len(hospital.dirty.diff(result.repaired))
 

@@ -53,6 +53,12 @@ class TestSegmentArgmax:
         expected = [int(np.argmax(scores[a:b])) for a, b in zip(starts, starts[1:])]
         assert segment_argmax(scores, starts).tolist() == expected
 
+    def test_first_nan_counts_as_the_maximum(self):
+        scores = np.array([1.0, np.nan, 3.0, np.nan, 2.0, np.nan, np.nan, 0.5])
+        starts = np.array([0, 3, 5, 8])
+        expected = [int(np.argmax(scores[a:b])) for a, b in zip(starts, starts[1:])]
+        assert segment_argmax(scores, starts).tolist() == expected == [1, 0, 0]
+
     def test_no_segments_and_empty_segment(self):
         assert len(segment_argmax(np.array([]), np.array([0]))) == 0
         with pytest.raises(ValueError, match="non-empty"):

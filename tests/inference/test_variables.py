@@ -102,6 +102,10 @@ def assert_equivalent(block: VariableBlock, reference: ReferenceBlock):
     assert block.by_cell(Cell(99, "A")) is None
     probes = [v.cell for v in infos][::-1] + [Cell(99, "A"), Cell(0, "Q")]
     assert block.rows_of(probes).tolist() == [v.vid for v in infos][::-1] + [-1, -1]
+    # A plain (tid, attribute) tuple finds the same row as its Cell.
+    tuples = list(map(tuple, probes))
+    assert block.rows_of(tuples).tolist() == block.rows_of(probes).tolist()
+    assert [block.by_cell(tuple(info.cell)) for info in infos] == infos
     assert block.evidence_ids() == [v.vid for v in infos if v.is_evidence]
     assert block.query_ids() == [v.vid for v in infos if not v.is_evidence]
     assert block.tids.tolist() == [v.cell.tid for v in infos]
@@ -213,6 +217,8 @@ class TestDomainRelation:
             relation[Cell(9, "A")]
         assert relation == self.DOMAINS
         assert all(isinstance(cell, Cell) for cell in relation)
+        assert relation[(3, "B")] == ["y", "ghost"]
+        assert "t3.B" not in relation and (3, "B", "x") not in relation
 
     def test_pickle_round_trip(self):
         restored = pickle.loads(pickle.dumps(DomainRelation(TABLES, self.DOMAINS)))

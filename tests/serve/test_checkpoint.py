@@ -9,6 +9,8 @@ and through the feedback path too.
 
 from __future__ import annotations
 
+import copyreg
+import pickle
 import pickletools
 import random
 from pathlib import Path
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.session import RepairSession
 from repro.core.stages import (
     CompileStage,
     DetectStage,
@@ -23,6 +26,7 @@ from repro.core.stages import (
     RepairPlan,
 )
 from repro.data import generate_hospital
+from repro.inference.variables import VariableBlock
 from repro.serve.checkpoint import (
     FORMAT_VERSION,
     STAGE_ARTIFACTS,
@@ -183,6 +187,18 @@ class TestMidPipelineCheckpoint:
         _assert_same_outcome(warm, rehydrated)
 
 
+class _CachelessPickler(pickle.Pickler):
+    """Pickles a variable catalog the way format 4 did before the catalog
+    had lookup caches: its state holds ``_index: None`` and neither
+    ``_cells`` nor ``_search``."""
+
+    def reducer_override(self, obj):
+        if not isinstance(obj, VariableBlock):
+            return NotImplemented
+        state = {k: v for k, v in vars(obj).items() if k not in ("_cells", "_search")}
+        return copyreg.__newobj__, (type(obj),), {**state, "_index": None}
+
+
 class TestOlderCheckpoints:
     def test_config_pickled_with_removed_fields_still_loads(self, hospital, tmp_path):
         """A config pickled while ``HoloCleanConfig`` still had
@@ -201,6 +217,40 @@ class TestOlderCheckpoints:
         _assert_same_outcome(plan.run(warm), plan.run(rehydrated))
         # The stale attributes do not survive the next config edit.
         assert "parallel_workers" not in vars(rehydrated.config.with_(tau=0.4))
+
+    def test_catalog_pickled_without_lookup_caches_serves_feedback(
+        self, hospital, tmp_path
+    ):
+        """A format-4 checkpoint pickled before the lookup caches existed
+        passes the version gate, so it must rehydrate into a session that
+        takes feedback and re-repairs exactly like the warm one."""
+        warm = RepairPlan.default().run(_fresh_ctx(hospital))
+        store = CheckpointStore(tmp_path)
+        store.save("sid", warm)
+        compiled = store.path("sid") / "compile.pkl"
+        with compiled.open("rb") as handle:
+            payload = pickle.load(handle)
+        with compiled.open("wb") as handle:
+            _CachelessPickler(handle, pickle.HIGHEST_PROTOCOL).dump(payload)
+
+        rehydrated = store.load("sid")
+        state = vars(rehydrated.model.graph.variables)
+        assert "_index" in state and "_search" not in state and "_cells" not in state
+        session = RepairSession.from_context(rehydrated)
+        variables = warm.model.graph.variables
+        query = variables.cells_of(np.flatnonzero(~variables.is_evidence)[:1])[0]
+        evidence = variables.cells_of(np.flatnonzero(variables.is_evidence)[:1])[0]
+        verified = {query: "Nowhere", evidence: "Elsewhere"}
+        for cell, value in verified.items():
+            session.feedback(cell, value)
+            warm.feedback[cell] = value
+        plan = RepairPlan.default().starting_at("learn")
+        result = session.rerun()
+        warm = plan.run(warm)
+        assert list(result.inferences) == list(warm.result.inferences)
+        assert result.num_repairs == warm.result.num_repairs
+        assert result.inferences[query].chosen_value == "Nowhere"
+        _assert_same_outcome(warm, session.context)
 
 
 class TestStoreMechanics:
