@@ -30,6 +30,7 @@ VECTORIZED_MODULES = frozenset(
         "src/repro/core/vector_featurize.py",
         "src/repro/core/vector_domain.py",
         "src/repro/core/repair.py",
+        "src/repro/detect/violations.py",
         "src/repro/inference/factor_graph.py",
         "src/repro/inference/gibbs.py",
         "src/repro/inference/softmax.py",

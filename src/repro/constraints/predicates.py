@@ -11,6 +11,7 @@ a NULL evaluates to False (it cannot contribute to a violation).
 from __future__ import annotations
 
 import enum
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -172,21 +173,6 @@ class Predicate:
         """True for ``t1.A = t2.B`` — usable as a hash-join key."""
         return self.op is Operator.EQ and self.is_binary
 
-    @property
-    def is_code_comparable(self) -> bool:
-        """Whether :meth:`compare_coded` / :meth:`constant_mask` apply.
-
-        Everything except similarity between two tuple references is
-        evaluable in code space: equality compares shared codes, ordering
-        compares :class:`OrderKeys`, and constants (similarity included)
-        reduce to a per-code lookup table.  Binary similarity would need a
-        quadratic pairwise table, so those constraints stay on the naive
-        per-pair path.
-        """
-        if self.op not in (Operator.SIM, Operator.NSIM):
-            return True
-        return isinstance(self.right, Const)
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
@@ -227,43 +213,57 @@ class Predicate:
     # ------------------------------------------------------------------
     # Code-space evaluation (vectorized grounding)
     # ------------------------------------------------------------------
-    def constant_mask(self, values: list[str]) -> np.ndarray:
-        """Truth of ``value o α`` per code of a codebook (Const operand).
+    def evaluate_coded(self, left_codes: np.ndarray,
+                       right_codes: np.ndarray | None,
+                       book: "CodedValues") -> np.ndarray:
+        """Vectorized :meth:`evaluate` over dictionary codes.
 
-        The returned boolean LUT is indexed by dictionary code; NULL
-        (code ``-1``) must be masked by the caller.  Each entry is
-        computed with :meth:`compare`, so the LUT is exact for every
-        operator — similarity included.
+        The one code-space evaluator every grounding layer calls.
+        ``left_codes`` / ``right_codes`` code the two references' values
+        in ``book``'s codebook (``right_codes`` is ``None`` against a
+        constant); operands broadcast like any NumPy arrays.  A constant
+        is compared once per distinct code among the elements; every other
+        predicate goes through :meth:`compare_coded` with the order keys or
+        values its operator reads.
         """
-        if not isinstance(self.right, Const):
-            raise ValueError(f"predicate has no constant operand: {self}")
-        alpha = self.right.value
-        mask = np.zeros(max(len(values), 1), dtype=bool)
-        for code, value in enumerate(values):
-            mask[code] = self.compare(value, alpha)
-        return mask
+        if isinstance(self.right, Const):
+            alpha, values = self.right.value, book.values
+            return _per_distinct_pair(
+                left_codes, np.int64(0),
+                lambda code, _: self.compare(values[code], alpha))
+        if self.op in _ORDER_UFUNCS:
+            return self.compare_coded(left_codes, right_codes,
+                                      keys=book.order_keys)
+        return self.compare_coded(left_codes, right_codes, values=book.values)
 
     def compare_coded(self, left_codes: np.ndarray, right_codes: np.ndarray,
-                      keys: OrderKeys | None = None) -> np.ndarray:
+                      keys: OrderKeys | None = None,
+                      values: list[str] | None = None) -> np.ndarray:
         """Vectorized :meth:`compare` over dictionary codes.
 
         Both code arrays must be drawn from one shared codebook (equal
         strings ⇒ equal codes; see :meth:`ColumnStore.union_codebook
         <repro.engine.store.ColumnStore.union_codebook>`); ordering
-        operators additionally need that codebook's :class:`OrderKeys`.
-        NULL codes (``< 0``) never satisfy the predicate, mirroring
+        operators additionally need that codebook's :class:`OrderKeys`,
+        similarity its ``values`` (code ``i`` ↦ ``values[i]``), compared
+        with :func:`similar` once per distinct non-NULL code pair.  NULL
+        codes (``< 0``) never satisfy the predicate, mirroring
         :meth:`evaluate`.  Operands broadcast like any NumPy arrays.
         """
-        valid = (left_codes >= 0) & (right_codes >= 0)
         op = self.op
+        if op in (Operator.SIM, Operator.NSIM):
+            if values is None:
+                raise ValueError(f"similarity needs the codebook's values: {self}")
+            return _per_distinct_pair(
+                left_codes, right_codes,
+                lambda a, b: self.compare(values[a], values[b]))
+        valid = (left_codes >= 0) & (right_codes >= 0)
         if op is Operator.EQ:
             return (left_codes == right_codes) & valid
         if op is Operator.NEQ:
             return (left_codes != right_codes) & valid
-        if op in (Operator.SIM, Operator.NSIM) or keys is None:
-            raise ValueError(
-                f"predicate is not code-comparable without a pairwise "
-                f"table: {self}")
+        if keys is None:
+            raise ValueError(f"ordering needs the codebook's OrderKeys: {self}")
         compare = _ORDER_UFUNCS[op]
         lhs = np.maximum(left_codes, 0)
         rhs = np.maximum(right_codes, 0)
@@ -292,3 +292,38 @@ class Predicate:
 
     def __str__(self) -> str:
         return f"{self.left} {self.op.value} {self.right}"
+
+
+class CodedValues:
+    """One codebook as :meth:`Predicate.evaluate_coded` reads it: the
+    decoded ``values`` (code ``i`` ↦ ``values[i]``) and, built on first
+    use, their :class:`OrderKeys`."""
+
+    def __init__(self, values: list[str]):
+        self.values = values
+
+    @functools.cached_property
+    def order_keys(self) -> OrderKeys:
+        return OrderKeys.from_values(self.values)
+
+
+def _per_distinct_pair(left: np.ndarray, right: np.ndarray,
+                       truth) -> np.ndarray:
+    """``truth(left code, right code)`` once per distinct pair among the
+    non-NULL elements of the broadcast operands, scattered back; elements
+    with a NULL (negative) code are False.  The memo lives for one call
+    and holds at most one entry per element."""
+    left, right = np.broadcast_arrays(left, right)
+    valid = (left >= 0) & (right >= 0)
+    out = np.zeros(left.shape, dtype=bool)
+    lhs = left[valid].astype(np.int64)
+    rhs = right[valid].astype(np.int64)
+    if not len(lhs):
+        return out
+    width = int(rhs.max()) + 1
+    distinct, inverse = np.unique(lhs * width + rhs, return_inverse=True)
+    truths = np.fromiter(
+        (truth(key // width, key % width) for key in distinct.tolist()),
+        dtype=bool, count=len(distinct))
+    out[valid] = truths[inverse.reshape(-1)]
+    return out

@@ -357,9 +357,8 @@ class ModelCompiler:
             chunk_pairs=config.factor_chunk_pairs,
             stream_budget=config.factor_stream_budget)
         hypergraph = self.detection.hypergraph
-        # Factor tables are built set-at-a-time over the column store;
-        # constraints the builder cannot vectorize (binary similarity)
-        # ground pair by pair below.
+        # Factor tables of two-tuple constraints are built set-at-a-time
+        # over the column store.
         builder = VectorFactorTableBuilder(
             self.engine, self.dataset, graph.variables, query_domains,
             max_table_cells=config.max_factor_table,
@@ -371,7 +370,7 @@ class ModelCompiler:
                 dc_pairs = 0
                 if dc.is_single_tuple:
                     skipped += self._ground_single_tuple_factors(graph, dc)
-                elif builder.supports(dc):
+                else:
                     for left, right in enumerator.pair_chunks(
                             dc, use_partitioning=config.use_partitioning,
                             hypergraph=hypergraph):
@@ -380,12 +379,6 @@ class ModelCompiler:
                             dc, left, right)
                         graph.add_factors(factors)
                         skipped += chunk_skipped
-                else:
-                    for t1, t2 in enumerator.pairs_for(
-                            dc, config.use_partitioning, hypergraph):
-                        dc_pairs += 1
-                        if not self._ground_pair_factor(graph, dc, t1, t2):
-                            skipped += 1
                 pairs += dc_pairs
                 if sp is not None:
                     sp.attributes["pairs"] = dc_pairs
@@ -411,13 +404,6 @@ class ModelCompiler:
                     graph, dc, [(1, tid)], attrs_by_position={1: attrs}):
                 skipped += 1
         return skipped
-
-    def _ground_pair_factor(self, graph: FactorGraph, dc: DenialConstraint,
-                            t1: int, t2: int) -> bool:
-        attrs_by_position = {1: sorted(dc.attributes_of(1)),
-                             2: sorted(dc.attributes_of(2))}
-        return self._ground_factor_for_cells(
-            graph, dc, [(1, t1), (2, t2)], attrs_by_position)
 
     def _ground_factor_for_cells(self, graph: FactorGraph,
                                  dc: DenialConstraint,

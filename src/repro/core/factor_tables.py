@@ -6,15 +6,14 @@ grounding cost: for every tuple pair it copies two tuple dicts and calls
 :meth:`DenialConstraint.violates` once per factor-table cell.  The
 original system grounds factor tables *inside the DBMS* (DeepDive-style,
 Section 5 of the paper); :class:`VectorFactorTableBuilder` is the
-equivalent stage here.  Each constraint's predicates are compiled once
-into code-space evaluators over the engine's
-:class:`~repro.engine.store.ColumnStore` (shared codebooks for
-cross-attribute equalities, :class:`~repro.constraints.predicates.OrderKeys`
-for inequality predicates, per-code lookup tables for constants); each
-``(left, right)`` chunk from the enumerator is then grouped by
-(variable-pattern, domain-shape), candidate-code grids are broadcast per
-group, and every pair's ``±1`` table falls out of a handful of array
-comparisons.
+equivalent stage here.  Each constraint's predicates are bound once to
+code spaces over the engine's :class:`~repro.engine.store.ColumnStore`
+(shared codebooks for cross-attribute predicates); each ``(left, right)``
+chunk from the enumerator is then grouped by (variable-pattern,
+domain-shape), candidate-code grids are broadcast per group, and every
+pair's ``±1`` table falls out of
+:meth:`~repro.constraints.predicates.Predicate.evaluate_coded` over those
+grids — similarity included, once per distinct value pair.
 
 The output is byte-identical to the naive oracle: same factor tables,
 same variable-id order, same emission order, same skip accounting
@@ -29,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.constraints.denial import DenialConstraint
-from repro.constraints.predicates import Const, Operator, OrderKeys, Predicate
+from repro.constraints.predicates import CodedValues, Const, Predicate
 from repro.dataset.dataset import Cell, Dataset
 from repro.engine import ops
 from repro.engine.store import DomainCodeIndex
@@ -41,10 +40,8 @@ from repro.obs.trace import deep_span
 #: with more pairs than fit are evaluated in consecutive sub-blocks.
 _BLOCK_CELLS = 1 << 22
 
-_ORDER_OPS = (Operator.LT, Operator.GT, Operator.LTE, Operator.GTE)
 
-
-class CodeSpace:
+class CodeSpace(CodedValues):
     """One codebook plus every per-attribute artifact coded in it.
 
     A space covers the attributes one predicate compares (one attribute,
@@ -53,9 +50,12 @@ class CodeSpace:
     it holds ``luts`` (catalog code → space code), the whole column
     re-coded for fixed context and — lazily — the candidate-domain CSR index
     (catalog cells list their candidates, every other cell its initial
-    value: :meth:`ColumnStore.candidate_index`); plus the code → value list
-    and, lazily, the :class:`OrderKeys` inequality predicates compare with.
-    The lookup tables extend the codebook with candidate values absent from
+    value: :meth:`ColumnStore.candidate_index`); plus, as a
+    :class:`~repro.constraints.predicates.CodedValues`, the code → value
+    list and its lazy order keys that
+    :meth:`Predicate.evaluate_coded
+    <repro.constraints.predicates.Predicate.evaluate_coded>` reads.  The
+    lookup tables extend the codebook with candidate values absent from
     the data first, so the value list is complete when it is derived.
 
     Shared infrastructure: the vectorized featurizer
@@ -77,8 +77,7 @@ class CodeSpace:
             fixed[column >= 0] = lut[column[column >= 0]]
             self.luts[attr], self._fixed[attr] = lut, fixed
         self._csr: dict[str, DomainCodeIndex] = {}
-        self.values = list(self.codebook)
-        self._order_keys: OrderKeys | None = None
+        super().__init__(list(self.codebook))
 
     def csr(self, attr: str) -> DomainCodeIndex:
         index = self._csr.get(attr)
@@ -94,12 +93,6 @@ class CodeSpace:
     def fixed(self, attr: str) -> np.ndarray:
         return self._fixed[attr]
 
-    @property
-    def order_keys(self) -> OrderKeys:
-        if self._order_keys is None:
-            self._order_keys = OrderKeys.from_values(self.values)
-        return self._order_keys
-
 
 @dataclass
 class _Step:
@@ -108,16 +101,13 @@ class _Step:
     A slot is a ``(position, attribute)`` value source of the pair's
     candidate grid; the backward direction (the naive walk's
     ``violates(values2, values1)``) swaps every reference's position.
-    ``lut`` is the constant-operand truth table; ``needs_keys`` marks
-    inequality predicates that compare through the space's ordering keys.
+    ``right_slot`` is ``None`` against a constant.
     """
 
     predicate: Predicate
     left_slot: tuple[int, str]
     right_slot: tuple[int, str] | None
     space: CodeSpace
-    lut: np.ndarray | None
-    needs_keys: bool
 
 
 @dataclass
@@ -164,14 +154,9 @@ class VectorFactorTableBuilder:
     # ------------------------------------------------------------------
     @staticmethod
     def supports(dc: DenialConstraint) -> bool:
-        """Whether the constraint grounds on the vectorized path.
-
-        Binary similarity predicates would need a quadratic pairwise
-        table; such constraints (and single-tuple ones, which are not
-        pair-enumerated) stay on the naive per-pair oracle.
-        """
-        return (not dc.is_single_tuple
-                and all(p.is_code_comparable for p in dc.predicates))
+        """Whether the constraint grounds here: every two-tuple one does
+        (single-tuple constraints are not pair-enumerated)."""
+        return not dc.is_single_tuple
 
     # ------------------------------------------------------------------
     # Cached artifacts
@@ -226,21 +211,13 @@ class VectorFactorTableBuilder:
         backward: list[_Step] = []
         for predicate in dc.predicates:
             left = (predicate.left.tuple_index, predicate.left.attribute)
-            if isinstance(predicate.right, Const):
-                space = self._space(left[1])
-                lut = predicate.constant_mask(space.values)
-                forward.append(_Step(predicate, left, None, space, lut, False))
-                backward.append(_Step(predicate, (3 - left[0], left[1]), None,
-                                      space, lut, False))
-                continue
-            right = (predicate.right.tuple_index, predicate.right.attribute)
-            space = self._space(left[1], right[1])
-            needs_keys = predicate.op in _ORDER_OPS
-            forward.append(_Step(predicate, left, right, space, None,
-                                 needs_keys))
-            backward.append(_Step(predicate, (3 - left[0], left[1]),
-                                  (3 - right[0], right[1]), space, None,
-                                  needs_keys))
+            right = (None if isinstance(predicate.right, Const) else
+                     (predicate.right.tuple_index, predicate.right.attribute))
+            space = self._space(*predicate.attributes)
+            forward.append(_Step(predicate, left, right, space))
+            backward.append(_Step(
+                predicate, (3 - left[0], left[1]),
+                None if right is None else (3 - right[0], right[1]), space))
         return _Plan(axis_slots=axis_slots, forward=forward,
                      backward=backward)
 
@@ -374,12 +351,9 @@ class VectorFactorTableBuilder:
             result: np.ndarray | None = None
             for step in steps:
                 lhs = grid_for(step.left_slot, step.space)
-                if step.lut is not None:
-                    term = step.lut[np.maximum(lhs, 0)] & (lhs >= 0)
-                else:
-                    rhs = grid_for(step.right_slot, step.space)
-                    keys = step.space.order_keys if step.needs_keys else None
-                    term = step.predicate.compare_coded(lhs, rhs, keys)
+                rhs = (None if step.right_slot is None
+                       else grid_for(step.right_slot, step.space))
+                term = step.predicate.evaluate_coded(lhs, rhs, step.space)
                 result = term if result is None else result & term
                 if not result.any():
                     return None  # conjunction can never fire in this block

@@ -18,10 +18,9 @@ equivalent set-at-a-time stage over the engine's
   bincount joint tables (:meth:`EngineStatistics.joint_code_counts`);
 * source-reliability votes reduce to one group-by over the entity key;
 * denial-constraint features run the engine's partner joins and the
-  code-space predicate evaluators shared with
+  code-space predicate evaluator shared with
   :class:`~repro.core.factor_tables.VectorFactorTableBuilder`
-  (constraints with binary similarity predicates fall back to the naive
-  featurizer, as do external-dictionary matches).
+  (external-dictionary matches run through the naive adapter).
 
 Each family emits batches of ``(var, candidate, key token, value)`` entry
 arrays plus the batch's weight keys.  The order contract is local: batches
@@ -52,7 +51,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.constraints.denial import DenialConstraint
-from repro.constraints.predicates import Const, Operator, TupleRef
+from repro.constraints.predicates import TupleRef
 from repro.core.factor_tables import CodeSpace
 from repro.core.featurize import (
     ConstraintFeaturizer,
@@ -69,8 +68,6 @@ from repro.engine import ops
 from repro.inference.features import FeatureMatrixBuilder
 from repro.inference.variables import CellColumns, as_columns
 from repro.obs.trace import deep_span
-
-_ORDER_OPS = (Operator.LT, Operator.GT, Operator.LTE, Operator.GTE)
 
 
 @dataclass
@@ -175,7 +172,6 @@ class VectorFeaturizer:
             "feature_vector_families": vectorized,
             "feature_naive_families": naive,
         })
-        self.stats.setdefault("feature_dc_fallbacks", 0)
         return dict(self.stats)
 
     def _family(self, featurizer: Featurizer) -> list[_Entries] | None:
@@ -439,27 +435,12 @@ class VectorFeaturizer:
     # ------------------------------------------------------------------
     def _constraint(self, featurizer: ConstraintFeaturizer) -> list[_Entries]:
         out: list[_Entries] = []
-        fallbacks = 0
         for dc in [*featurizer.constraints, *featurizer.single_constraints]:
-            if not all(p.is_code_comparable for p in dc.predicates):
-                out.append(self._naive_dc(dc, featurizer))
-                fallbacks += 1
-            elif dc.is_single_tuple:
+            if dc.is_single_tuple:
                 out.extend(self._single_dc(dc))
             else:
                 out.extend(self._pair_dc(dc))
-        self.stats["feature_dc_fallbacks"] = (
-            int(self.stats.get("feature_dc_fallbacks", 0)) + fallbacks)
         return out
-
-    def _predicate_term(self, pred, lhs_codes: np.ndarray,
-                        rhs_codes: np.ndarray | None,
-                        space: CodeSpace) -> np.ndarray:
-        if isinstance(pred.right, Const):
-            lut = pred.constant_mask(space.values)
-            return lut[np.maximum(lhs_codes, 0)] & (lhs_codes >= 0)
-        keys = space.order_keys if pred.op in _ORDER_OPS else None
-        return pred.compare_coded(lhs_codes, rhs_codes, keys)
 
     def _single_dc(self, dc: DenialConstraint) -> list[_Entries]:
         out = []
@@ -468,10 +449,7 @@ class VectorFeaturizer:
                 continue
             violated: np.ndarray | None = None
             for pred in dc.predicates:
-                attrs = [pred.left.attribute]
-                if isinstance(pred.right, TupleRef):
-                    attrs.append(pred.right.attribute)
-                space = self._space(*attrs)
+                space = self._space(*pred.attributes)
 
                 def operand(ref_attr: str) -> np.ndarray:
                     if ref_attr == attr:
@@ -482,7 +460,7 @@ class VectorFeaturizer:
                 lhs = operand(pred.left.attribute)
                 rhs = (operand(pred.right.attribute)
                        if isinstance(pred.right, TupleRef) else None)
-                term = self._predicate_term(pred, lhs, rhs, space)
+                term = pred.evaluate_coded(lhs, rhs, space)
                 violated = term if violated is None else violated & term
                 if not violated.any():
                     break
@@ -576,10 +554,7 @@ class VectorFeaturizer:
 
         violated = np.ones(len(kflat), dtype=bool)
         for pred in dc.predicates:
-            attrs = [pred.left.attribute]
-            if isinstance(pred.right, TupleRef):
-                attrs.append(pred.right.attribute)
-            space = self._space(*attrs)
+            space = self._space(*pred.attributes)
 
             def operand(ref) -> np.ndarray:
                 if ref.tuple_index == own_pos:
@@ -591,44 +566,10 @@ class VectorFeaturizer:
             lhs = operand(pred.left)
             rhs = (operand(pred.right)
                    if isinstance(pred.right, TupleRef) else None)
-            violated &= self._predicate_term(pred, lhs, rhs, space)
+            violated &= pred.evaluate_coded(lhs, rhs, space)
             if not violated.any():
                 return np.zeros(n_flat, dtype=np.int64)
         return np.bincount(kflat[violated], minlength=n_flat)
-
-    def _naive_dc(self, dc: DenialConstraint,
-                  featurizer: ConstraintFeaturizer) -> _Entries:
-        """One constraint evaluated by the naive oracle (similarity DCs)."""
-        config = self.context.config
-        dataset = self.context.dataset
-        var_l: list[int] = []
-        cand_l: list[int] = []
-        value_l: list[float] = []
-        for vid, cell, domain in self._live_specs():
-            if cell.attribute not in dc.attributes:
-                continue
-            if dc.is_single_tuple:
-                simulated = dataset.tuple_dict(cell.tid)
-                for i, d in enumerate(domain):
-                    simulated[cell.attribute] = d
-                    if dc.violates(simulated):
-                        var_l.append(vid)
-                        cand_l.append(i)
-                        value_l.append(1.0)
-            else:
-                for i, d in enumerate(domain):
-                    total = (featurizer._count_violations(dc, cell, d, 1)
-                             + featurizer._count_violations(dc, cell, d, 2))
-                    if total:
-                        var_l.append(vid)
-                        cand_l.append(i)
-                        value_l.append(min(float(total), config.dc_feature_cap)
-                                       / config.dc_feature_cap)
-        return _Entries(
-            np.asarray(var_l, dtype=np.int64),
-            np.asarray(cand_l, dtype=np.int64),
-            np.zeros(len(var_l), dtype=np.int64),
-            np.asarray(value_l, dtype=np.float64), keys=[("dc", dc.name)])
 
     # ------------------------------------------------------------------
     # Naive adapter (external matches, unknown featurizer subclasses)

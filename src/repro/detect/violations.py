@@ -13,14 +13,14 @@ constraint like ``¬(t1.Zip = t2.Zip ∧ t1.City ≠ t2.City)`` costs
 O(|D| + Σ_group |group|²) instead of O(|D|²).  Constraints with no
 equality predicate fall back to a guarded all-pairs scan.
 
-The join and the equality/inequality residual predicates run vectorized
-over the coded columns of a grounding :class:`~repro.engine.Engine`; only
-residuals the engine cannot express (constants, order comparisons,
-similarity) are evaluated per pair in Python, and only on pairs the
-vectorized mask lets through.  The tuple-at-a-time hash join below serves
-the joins the engine does not take — join-free constraints and joins over
-the ``max_engine_pairs`` memory guard — and emits the same pair stream in
-the same order (pinned against :class:`repro.oracle.NaiveViolationDetector`).
+The join runs vectorized over the coded columns of a grounding
+:class:`~repro.engine.Engine`, and every residual predicate — and every
+predicate of a single-tuple constraint — is one
+:meth:`~repro.constraints.predicates.Predicate.evaluate_coded` mask over
+those codes.  The tuple-at-a-time hash join below serves the joins the
+engine does not take — join-free constraints and joins over the
+``max_engine_pairs`` memory guard — and emits the same pair stream in the
+same order (pinned against :class:`repro.oracle.NaiveViolationDetector`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.constraints.denial import DenialConstraint
-from repro.constraints.predicates import Operator, Predicate, TupleRef
+from repro.constraints.predicates import CodedValues, Predicate, TupleRef
 from repro.dataset.dataset import Dataset
 from repro.detect.base import DetectionResult, ErrorDetector
 from repro.detect.hypergraph import ConflictHypergraph
@@ -41,8 +41,11 @@ from repro.obs.trace import deep_span
 log = get_logger("detect")
 
 
-class QuadraticScanError(RuntimeError):
-    """Raised when a join-free constraint would force a too-large O(n²) scan."""
+class QuadraticScanError(ValueError):
+    """Raised when a join-free constraint would force a too-large O(n²) scan.
+
+    A ``ValueError``: the constraint set is what the caller can change
+    (the server answers it with a 400)."""
 
 
 def _pair_attributes(dc: DenialConstraint) -> tuple[list[str], list[str]]:
@@ -109,7 +112,7 @@ class ViolationDetector(ErrorDetector):
         self.truncated = []
         for dc in self.constraints:
             if dc.is_single_tuple:
-                self._detect_single(dataset, dc, hypergraph)
+                self._detect_single(engine, dataset, dc, hypergraph)
             elif dc.equijoin_predicates:
                 self._detect_pairs_engine(engine, dataset, dc, hypergraph)
             else:
@@ -121,11 +124,15 @@ class ViolationDetector(ErrorDetector):
     # ------------------------------------------------------------------
     # Single-tuple constraints
     # ------------------------------------------------------------------
-    def _detect_single(self, dataset: Dataset, dc: DenialConstraint,
+    def _detect_single(self, engine: Engine, dataset: Dataset,
+                       dc: DenialConstraint,
                        hypergraph: ConflictHypergraph) -> None:
-        tids = [tid for tid in dataset.tuple_ids
-                if dc.violates(dataset.tuple_dict(tid))]
-        hypergraph.add_block(dc.name, tids, [sorted(dc.attributes_of(1))])
+        """Every tuple against every predicate, as one mask: each tuple
+        plays both positions of the pair mask."""
+        tids = np.arange(engine.store.num_rows)
+        violates = _residual_mask(engine.store, dc.predicates, tids, tids)
+        hypergraph.add_block(dc.name, tids[violates],
+                             [sorted(dc.attributes_of(1))])
 
     # ------------------------------------------------------------------
     # Two-tuple constraints via hash join
@@ -136,7 +143,7 @@ class ViolationDetector(ErrorDetector):
         if joins:
             pair_iter = self._hash_join_pairs(dataset, joins)
         else:
-            pair_iter = self._all_pairs(dataset)
+            pair_iter = self._all_pairs(dataset, dc)
 
         rows = self._violating_rows(
             dataset, dc, dc.residual_predicates,
@@ -194,7 +201,9 @@ class ViolationDetector(ErrorDetector):
 
         if symmetric:
             for tids in buckets.values():
+                # repro: allow-loop streaming join: O(1) pair memory over the engine guard
                 for i in range(len(tids)):
+                    # repro: allow-loop streaming join: O(1) pair memory over the engine guard
                     for j in range(i + 1, len(tids)):
                         yield tids[i], tids[j]
         else:
@@ -234,27 +243,26 @@ class ViolationDetector(ErrorDetector):
             return
         with deep_span("detect.residual_mask", constraint=dc.name,
                        pairs=len(t1s)) as sp:
-            rows = self._residual_rows(engine, dataset, dc, t1s, t2s)
+            rows = self._residual_rows(engine, dc, t1s, t2s)
             if sp is not None:
                 sp.attributes["violations"] = len(rows)
         hypergraph.add_block(dc.name, rows, _pair_attributes(dc))
 
-    def _residual_rows(self, engine: Engine, dataset: Dataset,
-                       dc: DenialConstraint, t1s: np.ndarray, t2s: np.ndarray):
+    def _residual_rows(self, engine: Engine, dc: DenialConstraint,
+                       t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
         """The joined pairs that violate ``dc``'s residual predicates, as
-        ``(n, 2)`` rows oriented the way they violate."""
-        residuals = dc.residual_predicates
-        vectorized = [p for p in residuals if _is_vectorizable(p)]
-        python = [p for p in residuals if not _is_vectorizable(p)]
-        forward = _residual_mask(engine, vectorized, t1s, t2s)
-        backward = _residual_mask(engine, vectorized, t2s, t1s)
-        candidates = np.nonzero(forward | backward)[0]
-        if python:
-            return self._violating_rows(dataset, dc, python, zip(
-                t1s[candidates].tolist(), t2s[candidates].tolist(),
-                forward[candidates].tolist(), backward[candidates].tolist()))
-        # Every candidate is a violation; orient each pair the way the
-        # naive forward/backward checks would, as whole columns.
+        ``(n, 2)`` rows oriented the way they violate: forward when
+        ``(t1, t2)`` does, else backward — the naive walk's order of
+        checks, as whole columns."""
+        residuals, books = dc.residual_predicates, {}
+        forward = _residual_mask(engine.store, residuals, t1s, t2s, books)
+        # Order-sensitive predicates (<, >) may fire only with the pair
+        # flipped; only pairs the forward check rejects are re-checked.
+        reverse = np.flatnonzero(~forward)
+        backward = np.zeros(len(t1s), dtype=bool)
+        backward[reverse] = _residual_mask(
+            engine.store, residuals, t2s[reverse], t1s[reverse], books)
+        candidates = np.flatnonzero(forward | backward)
         if len(candidates) > self.max_pairs_per_constraint:
             self._note_truncated(dc)
             candidates = candidates[: self.max_pairs_per_constraint]
@@ -263,44 +271,58 @@ class ViolationDetector(ErrorDetector):
         return np.column_stack((np.where(fwd, left, right),
                                 np.where(fwd, right, left)))
 
-    def _all_pairs(self, dataset: Dataset):
+    def _all_pairs(self, dataset: Dataset, dc: DenialConstraint):
         n = dataset.num_tuples
         if n > self.max_quadratic_tuples:
             raise QuadraticScanError(
-                f"constraint without equality predicate needs an O(n²) scan "
-                f"over {n} tuples (> {self.max_quadratic_tuples}); add a join "
-                f"predicate or raise max_quadratic_tuples")
+                f"constraint {dc.name} has no equality predicate between t1 "
+                f"and t2, so detecting its violations would compare every "
+                f"pair of the {n} tuples (the limit is "
+                f"{self.max_quadratic_tuples}); add an equality predicate "
+                f"such as EQ(t1.A,t2.A) to the constraint")
         for t1 in range(n):
             for t2 in range(t1 + 1, n):
                 yield t1, t2
 
 
-def _is_vectorizable(pred: Predicate) -> bool:
-    """Binary ≠ predicates compare dictionary codes directly; everything
-    else (constants, order comparisons, similarity, same-tuple predicates)
-    needs concrete values and stays in Python.  Binary = predicates never
-    appear here — they are equijoins, consumed by the join itself."""
-    return pred.is_binary and pred.op is Operator.NEQ
-
-
-def _residual_mask(engine: Engine, predicates: list[Predicate],
-                   rows1: np.ndarray, rows2: np.ndarray) -> np.ndarray:
-    """Conjunction of vectorizable residuals over candidate pairs.
+def _residual_mask(store, predicates: list[Predicate], rows1: np.ndarray,
+                   rows2: np.ndarray,
+                   books: dict[tuple[str, ...], CodedValues] | None = None,
+                   ) -> np.ndarray:
+    """Conjunction of ``predicates`` over candidate pairs, on codes.
 
     ``rows1``/``rows2`` are the tuple ids playing positions t1/t2 in this
     evaluation direction (swap them to test the reverse orientation, as
-    the naive detector does).  NULL on either side makes a predicate
-    False, matching :meth:`Predicate.evaluate`.
+    the naive detector does).  Each predicate is evaluated only on the
+    pairs every earlier one let through; NULL on either side makes a
+    predicate False, matching :meth:`Predicate.evaluate`.  ``books``
+    memoises each codebook's decoded values across calls.
     """
-    store = engine.store
-    mask = np.ones(len(rows1), dtype=bool)
+    books = {} if books is None else books
+    rows = {1: rows1, 2: rows2}  # the pairs still alive, per position
+    alive = np.arange(len(rows1))
     for pred in predicates:
-        assert isinstance(pred.right, TupleRef)
-        codes_left, codes_right = store.shared_codes(pred.left.attribute,
-                                                     pred.right.attribute)
-        lhs = codes_left[rows1 if pred.left.tuple_index == 1 else rows2]
-        rhs = codes_right[rows1 if pred.right.tuple_index == 1 else rows2]
-        mask &= (lhs >= 0) & (rhs >= 0) & (lhs != rhs)
+        if not len(alive):
+            break
+        key = tuple(sorted(pred.attributes))
+        book = books.get(key)
+        if book is None:
+            book = books[key] = CodedValues(
+                store.values(key[0]) if len(key) == 1
+                else list(store.union_codebook(*key)))
+        left = pred.left
+        if isinstance(pred.right, TupleRef):
+            codes_left, codes_right = store.shared_codes(left.attribute,
+                                                         pred.right.attribute)
+            rhs = codes_right[rows[pred.right.tuple_index]]
+        else:
+            codes_left, rhs = store.codes(left.attribute), None
+        hit = pred.evaluate_coded(codes_left[rows[left.tuple_index]], rhs,
+                                  book)
+        alive = alive[hit]
+        rows = {1: rows[1][hit], 2: rows[2][hit]}
+    mask = np.zeros(len(rows1), dtype=bool)
+    mask[alive] = True
     return mask
 
 

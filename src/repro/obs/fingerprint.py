@@ -65,13 +65,19 @@ def constraints_fingerprint(constraints) -> str:
     """A content hash of an ordered constraint set.
 
     Each constraint contributes its textual form (``str(dc)``), one per
-    line, so the hash is independent of object identity and survives a
-    parse → format → parse round-trip.  Order matters: constraint order
-    is part of the grounding order and therefore of the problem.
+    line, plus the threshold of each similarity predicate, so the hash is
+    independent of object identity and survives a parse → format → parse
+    round-trip.  Order matters: constraint order is part of the grounding
+    order and therefore of the problem.
     """
     digest = hashlib.sha256()
     for dc in constraints:
         digest.update(str(dc).encode("utf-8"))
+        # The ≈ threshold is not in the text but changes what a
+        # similarity predicate flags.
+        for predicate in dc.predicates:
+            if predicate.op.name in ("SIM", "NSIM"):
+                digest.update(f" ~{predicate.sim_threshold!r}".encode("utf-8"))
         digest.update(b"\n")
     return digest.hexdigest()[:FINGERPRINT_HEX]
 

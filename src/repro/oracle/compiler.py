@@ -127,3 +127,12 @@ class NaiveModelCompiler(ModelCompiler):
                 if not self._ground_pair_factor(graph, dc, t1, t2):
                     skipped += 1
         return skipped, {"enumerator": "PairEnumerator", "pairs": pairs}
+
+    def _ground_pair_factor(self, graph, dc, t1, t2):
+        attrs_by_position = {
+            1: sorted(dc.attributes_of(1)),
+            2: sorted(dc.attributes_of(2)),
+        }
+        return self._ground_factor_for_cells(
+            graph, dc, [(1, t1), (2, t2)], attrs_by_position
+        )

@@ -262,8 +262,8 @@ class RepairService:
         if not isinstance(payload, dict):
             raise BadRequest("request body must be a JSON object")
         dataset = self._parse_dataset(payload)
-        constraints = self._parse_constraints(payload)
         config = self._parse_config(payload)
+        constraints = self._parse_constraints(payload, config)
         probe = RepairContext(dataset=dataset, constraints=constraints, config=config)
         key = SessionKey.for_context(probe)
         sid = key.session_id
@@ -471,7 +471,7 @@ class RepairService:
         except (TypeError, ValueError) as exc:
             raise BadRequest(f"bad dataset: {exc}")
 
-    def _parse_constraints(self, payload: dict) -> list:
+    def _parse_constraints(self, payload: dict, config: HoloCleanConfig) -> list:
         texts = payload.get("constraints", [])
         fds = payload.get("fds", [])
         if not isinstance(texts, list) or not isinstance(fds, list):
@@ -480,7 +480,7 @@ class RepairService:
         try:
             for text in texts:
                 constraints.append(
-                    parse_dc(str(text), sim_threshold=self.config.sim_threshold)
+                    parse_dc(str(text), sim_threshold=config.sim_threshold)
                 )
             for text in fds:
                 constraints.extend(parse_fd(str(text)).to_denial_constraints())
@@ -562,8 +562,8 @@ class RepairService:
     def _guarded(self, job, *args):
         try:
             return job(*args)
-        except ServiceError:
-            raise
+        except (ServiceError, ValueError):
+            raise  # the client's error (a 4xx), not the server's
         except Exception:
             with self._gate:
                 self._counts["errors"] += 1

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.analysis.purity import PurityChecker
+from repro.analysis.runner import run_checkers
 
 VECTORIZED = "src/repro/core/partition.py"
 
@@ -200,3 +201,17 @@ def test_real_result_module_has_no_per_cell_loop(repo_ctx):
     assert RESULT in PurityChecker.modules
     raw = [f.path for f in PurityChecker().check(repo_ctx)]
     assert raw.count(RESULT) == 0
+
+
+VIOLATIONS = "src/repro/detect/violations.py"
+
+
+def test_real_detection_module_has_no_unsuppressed_loop(repo_ctx):
+    # Residual and single-tuple predicates are masks over codes; only the
+    # streaming hash join (join-free constraints, joins over the
+    # max_engine_pairs guard) walks pairs, under allow-loop pragmas.
+    assert VIOLATIONS in PurityChecker.modules
+    raw = [f for f in PurityChecker().check(repo_ctx) if f.path == VIOLATIONS]
+    findings, _ = run_checkers(repo_ctx, [PurityChecker()])
+    assert len(raw) == 2
+    assert [f for f in findings if f.path == VIOLATIONS] == []

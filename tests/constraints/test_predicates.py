@@ -4,6 +4,9 @@ import pytest
 
 from repro.constraints.predicates import Const, Operator, Predicate, TupleRef
 
+#: Every operator but similarity, in declaration order.
+CODED_OPS = [op for op in Operator if op not in (Operator.SIM, Operator.NSIM)]
+
 
 def pred(op, right=None):
     return Predicate(TupleRef(1, "A"), op, right or TupleRef(2, "A"))
@@ -44,8 +47,9 @@ class TestEvaluation:
         assert pred(Operator.GTE).evaluate({"A": "5"}, {"A": "5"})
 
     def test_similarity_operator(self):
-        p = Predicate(TupleRef(1, "A"), Operator.SIM, TupleRef(2, "A"),
-                      sim_threshold=0.8)
+        p = Predicate(
+            TupleRef(1, "A"), Operator.SIM, TupleRef(2, "A"), sim_threshold=0.8
+        )
         assert p.evaluate({"A": "Chicago"}, {"A": "Cicago"})
         assert not p.evaluate({"A": "Chicago"}, {"A": "Boston"})
 
@@ -109,8 +113,7 @@ class TestCodeSpaceEvaluation:
 
     VALUES = ["10", "9", "5a", "", "nan", "inf", "2.50", "2.5", "b", "-3"]
 
-    @pytest.mark.parametrize("op", [Operator.EQ, Operator.NEQ, Operator.LT,
-                                    Operator.GT, Operator.LTE, Operator.GTE])
+    @pytest.mark.parametrize("op", CODED_OPS)
     def test_compare_coded_matches_compare(self, op):
         import itertools
 
@@ -139,24 +142,69 @@ class TestCodeSpaceEvaluation:
         for op in (Operator.EQ, Operator.NEQ, Operator.LT, Operator.GTE):
             assert not pred(op).compare_coded(left, right, keys).any()
 
-    @pytest.mark.parametrize("op", [Operator.EQ, Operator.NEQ, Operator.LT,
-                                    Operator.GTE, Operator.SIM,
-                                    Operator.NSIM])
-    def test_constant_mask_matches_compare(self, op):
-        predicate = Predicate(TupleRef(1, "A"), op, Const("2.5"))
-        mask = predicate.constant_mask(self.VALUES)
-        for code, value in enumerate(self.VALUES):
-            assert mask[code] == predicate.compare(value, "2.5"), (value, op)
-
-    def test_binary_similarity_is_not_code_comparable(self):
-        assert not pred(Operator.SIM).is_code_comparable
-        assert not pred(Operator.NSIM).is_code_comparable
-        assert pred(Operator.LT).is_code_comparable
-        const_sim = Predicate(TupleRef(1, "A"), Operator.SIM, Const("x"))
-        assert const_sim.is_code_comparable
-
-    def test_order_without_keys_rejected(self):
+    @pytest.mark.parametrize("op", list(Operator))
+    def test_constant_evaluate_coded_matches_compare(self, op):
         import numpy as np
 
-        with pytest.raises(ValueError, match="code-comparable"):
+        from repro.constraints.predicates import CodedValues
+
+        predicate = Predicate(TupleRef(1, "A"), op, Const("2.5"), sim_threshold=0.5)
+        codes = np.array([-1, *range(len(self.VALUES)), 3, -1])
+        got = predicate.evaluate_coded(codes, None, CodedValues(self.VALUES))
+        expected = [
+            code >= 0 and predicate.compare(self.VALUES[code], "2.5")
+            for code in codes.tolist()
+        ]
+        assert got.tolist() == expected, op
+
+    @pytest.mark.parametrize("op", [Operator.SIM, Operator.NSIM])
+    def test_similarity_evaluate_coded_matches_evaluate(self, op):
+        import itertools
+
+        import numpy as np
+
+        from repro.constraints.predicates import CodedValues
+
+        predicate = Predicate(
+            TupleRef(1, "A"), op, TupleRef(2, "A"), sim_threshold=0.5
+        )
+        values = [*self.VALUES, "2.55", "Chicago", "Chicagoo"]
+        codes = range(-1, len(values))
+        decoded = {code: values[code] if code >= 0 else None for code in codes}
+        pairs = list(itertools.product(codes, repeat=2))
+        left = np.array([a for a, _ in pairs])
+        right = np.array([b for _, b in pairs])
+        got = predicate.evaluate_coded(left, right, CodedValues(values))
+        for (a, b), hit in zip(pairs, got.tolist()):
+            expected = predicate.evaluate({"A": decoded[a]}, {"A": decoded[b]})
+            assert hit == expected, (a, op, b)
+        assert 0 < got.sum() < len(pairs)
+
+    def test_similarity_runs_once_per_distinct_value_pair(self):
+        from unittest import mock
+
+        import numpy as np
+
+        from repro.constraints import predicates
+
+        values = ["Chicago", "Chicagoo", "Boston"]
+        left = np.array([[0, 0, 1, -1], [2, 0, 1, 1]])
+        right = np.array([1, 1, 0, 2])  # broadcast against both rows
+        with mock.patch.object(predicates, "similar", wraps=predicates.similar) as spy:
+            got = pred(Operator.NSIM).compare_coded(left, right, values=values)
+        seen = [call.args[:2] for call in spy.call_args_list]
+        distinct = [(0, 1), (1, 0), (2, 1), (1, 2)]
+        assert len(seen) == len(set(seen)) == len(distinct)
+        assert set(seen) == {(values[a], values[b]) for a, b in distinct}
+        assert got.tolist() == [
+            [False, False, False, False],
+            [True, False, False, True],
+        ]
+
+    def test_order_and_similarity_need_their_codebook(self):
+        import numpy as np
+
+        with pytest.raises(ValueError, match="OrderKeys"):
             pred(Operator.LT).compare_coded(np.array([0]), np.array([1]))
+        with pytest.raises(ValueError, match="values"):
+            pred(Operator.SIM).compare_coded(np.array([0]), np.array([1]))

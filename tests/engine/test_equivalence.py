@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.denial import DenialConstraint
-from repro.constraints.predicates import Operator, Predicate, TupleRef
+from repro.constraints.predicates import Const, Operator, Predicate, TupleRef
 from repro.core.config import HoloCleanConfig
 from repro.core.stages import RepairContext, RepairPlan
 from repro.data.generators.flights import generate_flights
@@ -26,8 +26,7 @@ from repro.dataset.stats import Statistics
 from repro.detect.hypergraph import Violation
 from repro.detect.violations import ViolationDetector
 from repro.engine import Backend, Engine
-from repro.oracle import (DomainPruner, NaiveModelCompiler,
-                          NaiveViolationDetector)
+from repro.oracle import DomainPruner, NaiveModelCompiler, NaiveViolationDetector
 from tests.engine.sqlite_backend import SQLiteBackend
 
 BACKENDS = {"numpy": Backend, "sqlite": SQLiteBackend}
@@ -67,7 +66,8 @@ def test_violations_identical_on_generators(name, backend, request):
     naive = naive_detection(generated)
     engine = Engine(generated.dirty, backend=BACKENDS[backend])
     fast = detect_columnar(
-        ViolationDetector(generated.constraints, engine=engine), generated.dirty)
+        ViolationDetector(generated.constraints, engine=engine), generated.dirty
+    )
     assert fast.noisy_cells == naive.noisy_cells
     # Byte-identical including order: the factor-grounding stages walk the
     # violation list, so ordering is part of the contract.
@@ -95,8 +95,8 @@ def test_statistics_identical_on_generators(name, backend, request):
             assert fast.pair_counts(a, b) == naive.pair_counts(a, b), (a, b)
             sample = list(naive.counts(b))[:5]
             for given in sample:
-                assert (fast.cooccurring_values(a, b, given)
-                        == naive.cooccurring_values(a, b, given)), (a, b, given)
+                expected = naive.cooccurring_values(a, b, given)
+                assert fast.cooccurring_values(a, b, given) == expected, (a, b, given)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -106,9 +106,8 @@ def test_domains_identical_on_generators(name, backend, request):
     dataset = generated.dirty
     noisy = sorted(naive_detection(generated).noisy_cells)
     naive_pruner = DomainPruner(dataset, tau=generated.recommended_tau)
-    fast_pruner = DomainPruner(
-        dataset, stats=Engine(dataset, backend=BACKENDS[backend]).statistics(),
-        tau=generated.recommended_tau)
+    stats = Engine(dataset, backend=BACKENDS[backend]).statistics()
+    fast_pruner = DomainPruner(dataset, stats=stats, tau=generated.recommended_tau)
     naive_domains = naive_pruner.domains(noisy)
     fast_domains = fast_pruner.domains(noisy)
     # Exact equality: same cells, same candidate lists, same ranking order.
@@ -136,13 +135,16 @@ def test_pathological_join_falls_back_to_naive(monkeypatch):
     # to the streaming path and still produce identical violations.
     rows = [["k", str(i % 7)] for i in range(60)]
     dataset = Dataset(Schema(["K", "V"]), rows)
-    dc = DenialConstraint([
-        Predicate(TupleRef(1, "K"), Operator.EQ, TupleRef(2, "K")),
-        Predicate(TupleRef(1, "V"), Operator.NEQ, TupleRef(2, "V")),
-    ], name="const_key")
+    dc = DenialConstraint(
+        [
+            Predicate(TupleRef(1, "K"), Operator.EQ, TupleRef(2, "K")),
+            Predicate(TupleRef(1, "V"), Operator.NEQ, TupleRef(2, "V")),
+        ],
+        name="const_key",
+    )
     naive = NaiveViolationDetector([dc]).detect(dataset)
-    guarded = ViolationDetector([dc], engine=Engine(dataset),
-                                max_engine_pairs=10).detect(dataset)
+    detector = ViolationDetector([dc], engine=Engine(dataset), max_engine_pairs=10)
+    guarded = detector.detect(dataset)
     assert guarded.hypergraph.violations == naive.hypergraph.violations
 
 
@@ -153,19 +155,21 @@ def naive_repair(dataset, constraints, config):
     """The default plan with detection and compilation done by the oracle."""
     ctx = RepairContext(dataset=dataset, constraints=constraints, config=config)
     ctx.detection = NaiveViolationDetector(constraints).detect(dataset)
-    ctx.model = NaiveModelCompiler(dataset, constraints, config,
-                                   ctx.detection).compile()
+    compiler = NaiveModelCompiler(dataset, constraints, config, ctx.detection)
+    ctx.model = compiler.compile()
     return RepairPlan.default().starting_at("learn").run(ctx).result
 
 
 def test_pipeline_repairs_identical_across_engines(hospital):
-    results = {"naive": naive_repair(hospital.dirty, hospital.constraints,
-                                     HoloCleanConfig())}
+    naive = naive_repair(hospital.dirty, hospital.constraints, HoloCleanConfig())
+    results = {"naive": naive}
     for label, backend in BACKENDS.items():
         ctx = RepairContext(
-            dataset=hospital.dirty, constraints=list(hospital.constraints),
+            dataset=hospital.dirty,
+            constraints=list(hospital.constraints),
             config=HoloCleanConfig(),
-            engine=Engine(hospital.dirty, backend=backend))
+            engine=Engine(hospital.dirty, backend=backend),
+        )
         results[label] = RepairPlan.default().run(ctx).result
     baseline = results["naive"]
     for label in BACKENDS:
@@ -177,25 +181,70 @@ def test_pipeline_repairs_identical_across_engines(hospital):
 # ---------------------------------------------------------------------------
 # Adversarial random datasets (property test)
 # ---------------------------------------------------------------------------
-VALUE = st.sampled_from(["a", "b", "c", "d", None])
+# At threshold 0.5, "ab" ≈ "a" and "ab" ≈ "abd"; "10" and "9" order differently
+# as numbers and as strings.
+VALUE = st.sampled_from(["a", "b", "ab", "abd", "10", "9", None])
 ROWS = st.lists(st.tuples(VALUE, VALUE, VALUE), min_size=0, max_size=14)
 
 RANDOM_DCS = [
     # FD-style symmetric join with inequality residual.
-    DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
-        Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
-    ], name="fd_a_b"),
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
+        ],
+        name="fd_a_b",
+    ),
     # Asymmetric join across attributes (exercises shared code spaces).
-    DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "B")),
-        Predicate(TupleRef(1, "C"), Operator.NEQ, TupleRef(2, "C")),
-    ], name="asym_ab"),
-    # Order residual: not vectorizable, exercises the Python fallback.
-    DenialConstraint([
-        Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
-        Predicate(TupleRef(1, "C"), Operator.GT, TupleRef(2, "C")),
-    ], name="order_c"),
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "B")),
+            Predicate(TupleRef(1, "C"), Operator.NEQ, TupleRef(2, "C")),
+        ],
+        name="asym_ab",
+    ),
+    # Order residual: fires in one orientation only.
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "C"), Operator.GT, TupleRef(2, "C")),
+        ],
+        name="order_c",
+    ),
+    # Binary similarity next to an inequality.
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "B"), Operator.SIM, TupleRef(2, "B"), 0.5),
+            Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
+        ],
+        name="sim_b",
+    ),
+    # Negated similarity across attributes (shared codebook).
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "B"), Operator.NSIM, TupleRef(2, "C"), 0.5),
+        ],
+        name="nsim_bc",
+    ),
+    # Constant and same-tuple residuals.
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "C"), Operator.EQ, TupleRef(2, "C")),
+            Predicate(TupleRef(1, "A"), Operator.GT, TupleRef(1, "B")),
+            Predicate(TupleRef(2, "A"), Operator.NEQ, Const("a")),
+        ],
+        name="const_same_tuple",
+    ),
+    # Single-tuple: same-tuple similarity and a constant order.
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.SIM, TupleRef(1, "B"), 0.5),
+            Predicate(TupleRef(1, "C"), Operator.LT, Const("10")),
+        ],
+        name="single_sim_const",
+    ),
 ]
 
 
@@ -206,8 +255,7 @@ def test_random_datasets_identical(rows):
     naive = NaiveViolationDetector(RANDOM_DCS).detect(dataset)
     for backend in BACKENDS:
         engine = Engine(dataset, backend=BACKENDS[backend])
-        fast = detect_columnar(ViolationDetector(RANDOM_DCS, engine=engine),
-                               dataset)
+        fast = detect_columnar(ViolationDetector(RANDOM_DCS, engine=engine), dataset)
         assert fast.noisy_cells == naive.noisy_cells, backend
         assert fast.hypergraph.violations == naive.hypergraph.violations, backend
         if dataset.num_tuples:
@@ -215,5 +263,5 @@ def test_random_datasets_identical(rows):
             fast_stats = engine.statistics()
             for attr in ("A", "B", "C"):
                 assert fast_stats.counts(attr) == naive_stats.counts(attr)
-            assert (fast_stats.pair_counts("A", "C")
-                    == naive_stats.pair_counts("A", "C"))
+            pair = ("A", "C")
+            assert fast_stats.pair_counts(*pair) == naive_stats.pair_counts(*pair)

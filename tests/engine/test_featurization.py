@@ -15,6 +15,8 @@ a one-candidate variable.  Checked on the paper's generators
 adversarial random datasets.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from repro.constraints.predicates import Const, Operator, Predicate, TupleRef
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
 from repro.core.featurize import (
+    ConstraintFeaturizer,
     FeaturizationContext,
     Featurizer,
     default_featurizers,
@@ -218,17 +221,25 @@ def test_backoff_is_the_sum_of_the_pair_values(name, request):
     assert 0 < once == (backoff > 0).sum() < pair_tied[matrix.indices].sum()
 
 
-def test_similarity_and_single_tuple_dcs_fall_back(hospital):
-    # A binary-similarity DC cannot evaluate in code space (naive
-    # fallback), a constant single-tuple DC can; both must keep the
-    # featurizer's per-row entry order.
+def test_similarity_and_single_tuple_dcs_run_on_codes(hospital):
+    # Binary similarity (≈ and its negation) and a constant single-tuple
+    # DC evaluate in code space like every other predicate: the naive
+    # ConstraintFeaturizer never runs on the production path, and the
+    # matrix keeps the oracle's per-row entry order.
     constraints = hospital.constraints + [
         DenialConstraint(
             [
                 Predicate(TupleRef(1, "City"), Operator.EQ, TupleRef(2, "City")),
                 Predicate(TupleRef(1, "State"), Operator.SIM, TupleRef(2, "State")),
             ],
-            name="sim_fallback",
+            name="sim_state",
+        ),
+        DenialConstraint(
+            [
+                Predicate(TupleRef(1, "ZipCode"), Operator.EQ, TupleRef(2, "ZipCode")),
+                Predicate(TupleRef(1, "City"), Operator.NSIM, TupleRef(2, "City")),
+            ],
+            name="nsim_city",
         ),
         DenialConstraint(
             [
@@ -238,9 +249,25 @@ def test_similarity_and_single_tuple_dcs_fall_back(hospital):
         ),
     ]
     config = HoloCleanConfig(tau=hospital.recommended_tau)
-    naive, fast = compile_pair(hospital.dirty, constraints, config)
-    assert fast.grounding["feature_dc_fallbacks"] == 1
+    dataset = hospital.dirty
+    engine = Engine(dataset)
+    detection = ViolationDetector(constraints, engine=engine).detect(dataset)
+    naive = NaiveModelCompiler(dataset, constraints, config, detection).compile()
+    naive_dc = AssertionError("naive DC batch")
+    with (
+        mock.patch.object(ConstraintFeaturizer, "features", side_effect=naive_dc),
+        mock.patch.object(
+            ConstraintFeaturizer, "_count_violations", side_effect=naive_dc
+        ),
+        mock.patch.object(DenialConstraint, "violates", side_effect=naive_dc),
+    ):
+        fast = ModelCompiler(
+            dataset, constraints, config, detection, engine=engine
+        ).compile()
+    assert fast.grounding["feature_naive_families"] == 0
     assert_identical(naive, fast)
+    dc_keys = {key[1] for key in fast.graph.space._keys if key[0] == "dc"}
+    assert {"sim_state", "nsim_city", "single_const"} <= dc_keys
 
 
 def test_partner_cap_identical(hospital):
@@ -379,7 +406,7 @@ def test_naive_adapter_sums_a_repeated_key():
 # ---------------------------------------------------------------------------
 # Adversarial random datasets (property test)
 # ---------------------------------------------------------------------------
-VALUE = st.sampled_from(["a", "b", "c", "1", "2", None])
+VALUE = st.sampled_from(["a", "b", "c", "ab", "1", "2", None])
 ROWS = st.lists(st.tuples(VALUE, VALUE, VALUE), min_size=1, max_size=14)
 
 RANDOM_DCS = [
@@ -413,6 +440,32 @@ RANDOM_DCS = [
             Predicate(TupleRef(1, "B"), Operator.EQ, Const("a")),
         ],
         name="no_equijoin",
+    ),
+    # Binary similarity ("ab" ≈ "a" and "ab" ≈ "b" at 0.5) next to an inequality.
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "B"), Operator.SIM, TupleRef(2, "B"), 0.5),
+            Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
+        ],
+        name="sim_b",
+    ),
+    # Cross-attribute negated similarity plus a same-tuple residual.
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "C"), Operator.EQ, TupleRef(2, "C")),
+            Predicate(TupleRef(1, "A"), Operator.NSIM, TupleRef(2, "B"), 0.5),
+            Predicate(TupleRef(1, "B"), Operator.LT, TupleRef(1, "C")),
+        ],
+        name="nsim_ab",
+    ),
+    # Single-tuple: same-tuple similarity and a constant.
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.SIM, TupleRef(1, "C"), 0.5),
+            Predicate(TupleRef(1, "B"), Operator.NEQ, Const("a")),
+        ],
+        name="single_sim",
     ),
 ]
 

@@ -279,6 +279,23 @@ TABLE_DCS = [
         ],
         name="same_tuple_ord",
     ),
+    # Binary similarity across attributes (at 0.5, "1" ≈ "10").
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(2, "A")),
+            Predicate(TupleRef(1, "B"), Operator.SIM, TupleRef(2, "C"), 0.5),
+            Predicate(TupleRef(1, "C"), Operator.NEQ, TupleRef(2, "C")),
+        ],
+        name="sim_bc",
+    ),
+    # Negated similarity, no equijoin (grounded over the cross join).
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "B"), Operator.NSIM, TupleRef(2, "B"), 0.5),
+            Predicate(TupleRef(1, "A"), Operator.LTE, Const("2")),
+        ],
+        name="nsim_b",
+    ),
     # Single-tuple constraint (grounded per tuple, not per pair).
     DenialConstraint(
         [
@@ -319,11 +336,14 @@ def test_vectorized_tables_match_naive(rows, max_table, use_partitioning):
         assert factor_signature(engine_model.graph) == expected, where
         assert engine_model.skipped_factors == naive_model.skipped_factors
         assert engine_model.grounding["pairs"] == naive_model.grounding["pairs"]
+        # Every pair, similarity DCs included, went through the builder.
+        grounding = engine_model.grounding
+        assert grounding["table_pairs"] == grounding["pairs"], where
 
 
-def test_binary_similarity_falls_back_to_oracle():
-    """Constraints the builder cannot vectorize (binary similarity) still
-    ground identically through the per-pair fallback."""
+def test_binary_similarity_grounds_on_the_array_path():
+    """Binary similarity grounds through the batched table builder like
+    every other predicate, identically to the per-pair oracle."""
     rows = [
         ["x", "Chicago"],
         ["x", "Chicagoo"],
@@ -349,9 +369,8 @@ def test_binary_similarity_falls_back_to_oracle():
     ).compile()
     assert factor_signature(engine_model.graph) == factor_signature(naive_model.graph)
     assert len(engine_model.graph.factors) > 0
-    # The vectorized builder never saw these pairs.
-    assert engine_model.grounding["table_pairs"] == 0
-    assert engine_model.grounding["pairs"] > 0
+    # Every enumerated pair went through the vectorized builder.
+    assert engine_model.grounding["table_pairs"] == engine_model.grounding["pairs"] > 0
 
 
 # ---------------------------------------------------------------------------

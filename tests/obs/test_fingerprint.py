@@ -65,6 +65,15 @@ class TestConstraintsFingerprint:
         a, b = parse_dc(_DC), parse_dc(_DC2)
         assert constraints_fingerprint([a]) != constraints_fingerprint([a, b])
 
+    def test_similarity_threshold_is_content(self):
+        # The ≈ threshold is not in the text; a DC without ≈ ignores it.
+        sim = "t1&t2&EQ(t1.Zip,t2.Zip)&SIM(t1.City,t2.City)"
+        loose, strict = parse_dc(sim, sim_threshold=0.3), parse_dc(sim)
+        assert str(loose) == str(strict)
+        assert constraints_fingerprint([loose]) != constraints_fingerprint([strict])
+        plain, default = parse_dc(_DC, sim_threshold=0.3), parse_dc(_DC)
+        assert constraints_fingerprint([plain]) == constraints_fingerprint([default])
+
 
 class TestConfigFingerprint:
     def test_default_config_is_stable(self):

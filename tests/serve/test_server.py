@@ -214,6 +214,20 @@ class TestErrorMapping:
 
         serve(body)
 
+    def test_join_free_constraint_over_the_scan_limit_400(self):
+        request = {
+            "dataset": {"columns": ["A"], "rows": [[str(i)] for i in range(20_001)]},
+            "constraints": ["t1&t2&LT(t1.A,t2.A)"],
+        }
+
+        async def body(server):
+            status, _, payload = await _request(server.port, "POST", "/repair", request)
+            assert status == 400 and "equality predicate" in payload["error"]
+            _, _, snapshot = await _request(server.port, "GET", "/metricsz")
+            assert snapshot["gauges"]["serve.errors_total"] == 0
+
+        serve(body)
+
     def test_removed_config_field_400(self, hospital):
         removed = {
             "vector_domains": False,

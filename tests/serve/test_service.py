@@ -292,6 +292,50 @@ class TestValidation:
                 }
             )
 
+    def test_sim_threshold_override_parses_the_constraints(self, ephemeral_service):
+        # The request's sim_threshold, not the server's, decides what a
+        # similarity DC flags — and makes it a different session.
+        rows = [
+            ["60601", "Chicago"],
+            ["60601", "Chicagoo"],
+            ["60601", "Chicago"],
+            ["60602", "Boston"],
+            ["60602", "Bostn"],
+            ["60602", "Boston"],
+            ["60603", "Evanston"],
+            ["60603", "Evansten"],
+            ["60604", "Skokie"],
+            ["60604", "Skokey"],
+        ]
+        dc = "t1&t2&EQ(t1.Zip,t2.Zip)&SIM(t1.City,t2.City)&IQ(t1.City,t2.City)"
+        noisy, sessions = [], set()
+        for threshold in (0.95, 0.8, 0.3):
+            response = ephemeral_service.repair(
+                {
+                    "dataset": {"columns": ["Zip", "City"], "rows": rows},
+                    "constraints": [dc],
+                    "config": {"sim_threshold": threshold, "epochs": 5},
+                }
+            )
+            noisy.append(response["noisy_cells"])
+            sessions.add(response["session"])
+        assert noisy == [0, 16, 20]
+        assert len(sessions) == 3
+
+    def test_join_free_constraint_over_the_scan_limit(self, ephemeral_service):
+        # No equality predicate over more than 20k rows: the client's
+        # constraint is at fault (ValueError, a 400), not the server.
+        rows = [[str(i)] for i in range(20_001)]
+        with pytest.raises(ValueError, match="add an equality predicate"):
+            ephemeral_service.repair(
+                {
+                    "dataset": {"columns": ["A"], "rows": rows},
+                    "constraints": ["t1&t2&LT(t1.A,t2.A)"],
+                }
+            )
+        gauges = ephemeral_service.metrics_snapshot()["gauges"]
+        assert gauges["serve.errors_total"] == 0
+
     def test_no_constraints(self, ephemeral_service):
         with pytest.raises(BadRequest, match="constraints"):
             ephemeral_service.repair({"dataset": {"columns": ["A"], "rows": [["x"]]}})
