@@ -178,56 +178,78 @@ class HoloCleanConfig:
         if self.domain_strategy not in DOMAIN_STRATEGIES:
             raise ValueError(
                 f"domain_strategy must be one of {DOMAIN_STRATEGIES}, got "
-                f"{self.domain_strategy!r}")
+                f"{self.domain_strategy!r}"
+            )
         if self.cooccur_tying not in ("pair", "value"):
             raise ValueError(
-                f"cooccur_tying must be 'pair' or 'value', got "
-                f"{self.cooccur_tying!r}")
-        if not (self.use_dc_feats or self.use_dc_factors or self.use_cooccur
-                or self.use_minimality or self.use_frequency):
+                f"cooccur_tying must be 'pair' or 'value', got {self.cooccur_tying!r}"
+            )
+        if not (
+            self.use_dc_feats
+            or self.use_dc_factors
+            or self.use_cooccur
+            or self.use_minimality
+            or self.use_frequency
+        ):
             raise ValueError("at least one repair signal must be enabled")
         if self.trace_level not in ("off", "stage", "deep"):
             raise ValueError(
                 f"trace_level must be 'off', 'stage', or 'deep', got "
-                f"{self.trace_level!r}")
+                f"{self.trace_level!r}"
+            )
         # Values that would poison the feature matrix (0/0, x/0) or train
         # nothing must not "succeed" with zero repairs.
-        if not (isinstance(self.dc_feature_cap, Real)
-                and math.isfinite(self.dc_feature_cap)
-                and self.dc_feature_cap > 0):
+        if not (
+            isinstance(self.dc_feature_cap, Real)
+            and math.isfinite(self.dc_feature_cap)
+            and self.dc_feature_cap > 0
+        ):
             raise ValueError(
                 f"dc_feature_cap must be a finite number > 0, got "
-                f"{self.dc_feature_cap!r}")
-        if not (isinstance(self.cooccur_smoothing, Real)
-                and math.isfinite(self.cooccur_smoothing)
-                and self.cooccur_smoothing >= 0):
+                f"{self.dc_feature_cap!r}"
+            )
+        if not (
+            isinstance(self.cooccur_smoothing, Real)
+            and math.isfinite(self.cooccur_smoothing)
+            and self.cooccur_smoothing >= 0
+        ):
             raise ValueError(
                 f"cooccur_smoothing must be a finite number >= 0, got "
-                f"{self.cooccur_smoothing!r}")
+                f"{self.cooccur_smoothing!r}"
+            )
         # json.loads accepts NaN and Infinity, so these reach the plan
         # from POST /repair; NaN or a negative step trains garbage weights
         # and repairs nothing, or everything, without an error.
-        if not (isinstance(self.learning_rate, Real)
-                and math.isfinite(self.learning_rate)
-                and self.learning_rate > 0):
+        if not (
+            isinstance(self.learning_rate, Real)
+            and math.isfinite(self.learning_rate)
+            and self.learning_rate > 0
+        ):
             raise ValueError(
                 f"learning_rate must be a finite number > 0, got "
-                f"{self.learning_rate!r}")
-        if not (isinstance(self.l2, Real) and math.isfinite(self.l2)
-                and self.l2 >= 0):
-            raise ValueError(
-                f"l2 must be a finite number >= 0, got {self.l2!r}")
+                f"{self.learning_rate!r}"
+            )
+        if not (isinstance(self.l2, Real) and math.isfinite(self.l2) and self.l2 >= 0):
+            raise ValueError(f"l2 must be a finite number >= 0, got {self.l2!r}")
         for name in ("minimality_weight", "dc_factor_weight"):
             weight = getattr(self, name)
             if not (isinstance(weight, Real) and math.isfinite(weight)):
-                raise ValueError(
-                    f"{name} must be a finite number, got {weight!r}")
-        for name in ("epochs", "gibbs_burn_in", "gibbs_sweeps"):
+                raise ValueError(f"{name} must be a finite number, got {weight!r}")
+        # Counts that size an array or a repeat inside a kernel: a float,
+        # a bool or a negative value would crash there instead of here.
+        counts = [
+            "epochs",
+            "gibbs_burn_in",
+            "gibbs_sweeps",
+            "max_dc_feature_partners",
+            "evidence_negatives",
+        ]
+        if self.max_training_cells is not None:
+            counts.append("max_training_cells")
+        for name in counts:
             count = getattr(self, name)
-            if (not isinstance(count, Integral) or isinstance(count, bool)
-                    or count < 0):
-                raise ValueError(
-                    f"{name} must be an integer >= 0, got {count!r}")
+            if not isinstance(count, Integral) or isinstance(count, bool) or count < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
         if self.factor_chunk_pairs < 1:
             raise ValueError("factor_chunk_pairs must be at least 1")
         if self.factor_stream_budget < 1:
@@ -235,16 +257,18 @@ class HoloCleanConfig:
         if self.serve_max_sessions < 1:
             raise ValueError(
                 f"serve_max_sessions must be at least 1, got "
-                f"{self.serve_max_sessions}")
+                f"{self.serve_max_sessions}"
+            )
         if self.serve_workers < 0:
-            raise ValueError(
-                f"serve_workers must be >= 0, got {self.serve_workers}")
+            raise ValueError(f"serve_workers must be >= 0, got {self.serve_workers}")
         if self.serve_queue_depth < 0:
             raise ValueError(
-                f"serve_queue_depth must be >= 0, got {self.serve_queue_depth}")
+                f"serve_queue_depth must be >= 0, got {self.serve_queue_depth}"
+            )
         if self.serve_job_timeout < 0:
             raise ValueError(
-                f"serve_job_timeout must be >= 0, got {self.serve_job_timeout}")
+                f"serve_job_timeout must be >= 0, got {self.serve_job_timeout}"
+            )
 
     # ------------------------------------------------------------------
     @classmethod
@@ -256,17 +280,21 @@ class HoloCleanConfig:
         partitioning is used").
         """
         flags = {
-            "dc-factors": dict(use_dc_feats=False, use_dc_factors=True,
-                               use_partitioning=False),
-            "dc-factors+partitioning": dict(use_dc_feats=False,
-                                            use_dc_factors=True,
-                                            use_partitioning=True),
-            "dc-feats": dict(use_dc_feats=True, use_dc_factors=False,
-                             use_partitioning=False),
-            "dc-feats+dc-factors": dict(use_dc_feats=True, use_dc_factors=True,
-                                        use_partitioning=False),
+            "dc-factors": dict(
+                use_dc_feats=False, use_dc_factors=True, use_partitioning=False
+            ),
+            "dc-factors+partitioning": dict(
+                use_dc_feats=False, use_dc_factors=True, use_partitioning=True
+            ),
+            "dc-feats": dict(
+                use_dc_feats=True, use_dc_factors=False, use_partitioning=False
+            ),
+            "dc-feats+dc-factors": dict(
+                use_dc_feats=True, use_dc_factors=True, use_partitioning=False
+            ),
             "dc-feats+dc-factors+partitioning": dict(
-                use_dc_feats=True, use_dc_factors=True, use_partitioning=True),
+                use_dc_feats=True, use_dc_factors=True, use_partitioning=True
+            ),
         }
         if name not in flags:
             raise ValueError(f"unknown variant {name!r}; pick one of {VARIANTS}")

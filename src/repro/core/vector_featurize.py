@@ -17,10 +17,16 @@ equivalent set-at-a-time stage over the engine's
 * pair-tied co-occurrence is answered by binary-searching the engine's
   bincount joint tables (:meth:`EngineStatistics.joint_code_counts`);
 * source-reliability votes reduce to one group-by over the entity key;
-* denial-constraint features run the engine's partner joins and the
-  code-space predicate evaluator shared with
-  :class:`~repro.core.factor_tables.VectorFactorTableBuilder`
-  (external-dictionary matches run through the naive adapter).
+* a two-tuple denial constraint's feature counts, per candidate, the
+  violations it completes with the first ``max_dc_feature_partners``
+  non-self partners of its join bucket.  The partners are grouped by
+  every code the predicates read from them, so the code-space predicate
+  evaluator shared with
+  :class:`~repro.core.factor_tables.VectorFactorTableBuilder` runs once
+  per (candidate, distinct partner group), not once per partner tuple
+  (:meth:`VectorFeaturizer._count_dc_violations`); single-tuple
+  constraints are one mask per attribute (external-dictionary matches
+  run through the naive adapter).
 
 Each family emits batches of ``(var, candidate, key token, value)`` entry
 arrays plus the batch's weight keys.  The order contract is local: batches
@@ -108,6 +114,18 @@ class _AttrBlock:
     values: list[str]  # extended code → value
 
 
+def _unit_entries(block: _AttrBlock, hit: np.ndarray, key: Hashable) -> _Entries:
+    """One entry of value 1.0 under ``key`` on each of the block's ``hit`` rows."""
+    n = int(hit.sum())
+    return _Entries(
+        block.flat_var[hit],
+        block.flat_cand[hit],
+        np.zeros(n, dtype=np.int64),
+        np.ones(n, dtype=np.float64),
+        keys=[key],
+    )
+
+
 class VectorFeaturizer:
     """Grounds the whole featurizer stack set-at-a-time over the engine.
 
@@ -120,8 +138,9 @@ class VectorFeaturizer:
     emits the same kind of batch.
     """
 
-    def __init__(self, engine, context: FeaturizationContext,
-                 constraints: list[DenialConstraint]):
+    def __init__(
+        self, engine, context: FeaturizationContext, constraints: list[DenialConstraint]
+    ):
         self.engine = engine
         self.context = context
         self.constraints = list(constraints)
@@ -133,8 +152,11 @@ class VectorFeaturizer:
     # ------------------------------------------------------------------
     # Driver
     # ------------------------------------------------------------------
-    def featurize(self, variables: CellColumns | list[tuple[Cell, list[str]]],
-                  builder: FeatureMatrixBuilder) -> dict[str, int | str]:
+    def featurize(
+        self,
+        variables: CellColumns | list[tuple[Cell, list[str]]],
+        builder: FeatureMatrixBuilder,
+    ) -> dict[str, int | str]:
         """Ground features for all variables and land them in ``builder``.
 
         ``variables`` is the catalog — row ``i`` is variable ``i`` — or
@@ -150,8 +172,7 @@ class VectorFeaturizer:
         batches: list[_Entries] = []
         vectorized = naive = 0
         for featurizer in stack:
-            with deep_span("featurize.family",
-                           family=type(featurizer).__name__) as sp:
+            with deep_span("featurize.family", family=type(featurizer).__name__) as sp:
                 family = self._family(featurizer)
                 if family is None:
                     family = [self._naive_entries(featurizer)]
@@ -160,18 +181,19 @@ class VectorFeaturizer:
                     vectorized += 1
                 batches.extend(family)
                 if sp is not None:
-                    sp.attributes["entries"] = int(
-                        sum(len(b.var) for b in family))
+                    sp.attributes["entries"] = int(sum(len(b.var) for b in family))
         with deep_span("featurize.emit", batches=len(batches)):
             emitted = self._emit(batches, builder)
         sizes = np.diff(self._catalog.domain_indptr)
-        self.stats.update({
-            "feature_path": "vector",
-            "feature_rows": int(sizes[self._live].sum()),
-            "feature_entries": emitted,
-            "feature_vector_families": vectorized,
-            "feature_naive_families": naive,
-        })
+        self.stats.update(
+            {
+                "feature_path": "vector",
+                "feature_rows": int(sizes[self._live].sum()),
+                "feature_entries": emitted,
+                "feature_vector_families": vectorized,
+                "feature_naive_families": naive,
+            }
+        )
         return dict(self.stats)
 
     def _family(self, featurizer: Featurizer) -> list[_Entries] | None:
@@ -213,20 +235,24 @@ class VectorFeaturizer:
             sizes = indptr[var_idx + 1] - indptr[var_idx]
             positions = ops.expand_ranges(indptr[var_idx], sizes)
             self._blocks[attr] = _AttrBlock(
-                attribute=attr, var_idx=var_idx, tids=tids, sizes=sizes,
+                attribute=attr,
+                var_idx=var_idx,
+                tids=tids,
+                sizes=sizes,
                 flat_var=np.repeat(var_idx, sizes),
                 flat_cand=ops.segment_positions(sizes),
                 flat_code=catalog.domain_codes[positions].astype(np.int64),
-                flat_init=np.repeat(
-                    store.codes(attr)[tids].astype(np.int64), sizes),
-                values=catalog.tables[code])
+                flat_init=np.repeat(store.codes(attr)[tids].astype(np.int64), sizes),
+                values=catalog.tables[code],
+            )
 
     def _live_specs(self):
         """``(vid, cell, domain)`` per featurized variable, for the naive
         adapters (decoded only when one runs)."""
         rows = self._live
-        return zip(rows.tolist(), self._catalog.cells_of(rows),
-                   self._catalog.domains_of(rows))
+        return zip(
+            rows.tolist(), self._catalog.cells_of(rows), self._catalog.domains_of(rows)
+        )
 
     def _space(self, *attrs: str) -> CodeSpace:
         key = tuple(sorted(set(attrs)))
@@ -248,13 +274,8 @@ class VectorFeaturizer:
         out = []
         for block in self._blocks.values():
             hit = block.flat_code == block.flat_init
-            n = int(hit.sum())
-            if not n:
-                continue
-            out.append(_Entries(
-                block.flat_var[hit], block.flat_cand[hit],
-                np.zeros(n, dtype=np.int64),
-                np.ones(n, dtype=np.float64), keys=[("minimality",)]))
+            if hit.any():
+                out.append(_unit_entries(block, hit, ("minimality",)))
         return out
 
     def _frequency(self) -> list[_Entries]:
@@ -263,21 +284,26 @@ class VectorFeaturizer:
             counts = self._stats.code_counts(attr)
             total = int(counts.sum())
             padded = np.zeros(max(len(block.values), 1), dtype=np.int64)
-            padded[:len(counts)] = counts
-            count = (padded[block.flat_code]
-                     - (block.flat_code == block.flat_init))
+            padded[: len(counts)] = counts
+            count = padded[block.flat_code] - (block.flat_code == block.flat_init)
             denom = total - (block.flat_init >= 0).astype(np.int64)
             rf = np.zeros(len(count), dtype=np.float64)
             live = denom > 0
             rf[live] = count[live] / denom[live]
-            out.append(_Entries(
-                np.repeat(block.flat_var, 2), np.repeat(block.flat_cand, 2),
-                np.tile(np.arange(2, dtype=np.int64), len(rf)),
-                np.repeat(rf, 2), keys=[("freq", attr), ("freq*",)]))
+            out.append(
+                _Entries(
+                    np.repeat(block.flat_var, 2),
+                    np.repeat(block.flat_cand, 2),
+                    np.tile(np.arange(2, dtype=np.int64), len(rf)),
+                    np.repeat(rf, 2),
+                    keys=[("freq", attr), ("freq*",)],
+                )
+            )
         return out
 
-    def _joint_lookup(self, attr: str, other: str, a_codes: np.ndarray,
-                      o_codes: np.ndarray) -> np.ndarray:
+    def _joint_lookup(
+        self, attr: str, other: str, a_codes: np.ndarray, o_codes: np.ndarray
+    ) -> np.ndarray:
         """Joint counts of ``(attr=a, other=b)`` code pairs (0 if absent)."""
         cached = self._joint_cache.get((attr, other))
         if cached is None:
@@ -310,8 +336,7 @@ class VectorFeaturizer:
                     continue  # all-NULL context column: nothing conditions
                 if tying == "pair":
                     ocounts = self._stats.code_counts(other)
-                    denom = np.where(oc >= 0,
-                                     ocounts[np.maximum(oc, 0)] - 1, 0)
+                    denom = np.where(oc >= 0, ocounts[np.maximum(oc, 0)] - 1, 0)
                     keep = denom > 0
                 else:
                     keep = oc >= 0
@@ -323,35 +348,53 @@ class VectorFeaturizer:
                 fcode = block.flat_code[keep_flat]
                 focode = np.repeat(oc, block.sizes)[keep_flat]
                 if tying == "pair":
-                    joint = (self._joint_lookup(attr, other, fcode, focode)
-                             - (fcode == block.flat_init[keep_flat]))
+                    joint = self._joint_lookup(attr, other, fcode, focode) - (
+                        fcode == block.flat_init[keep_flat]
+                    )
                     hit = joint > 0
                     if not hit.any():
                         continue
                     fdenom = np.repeat(denom, block.sizes)[keep_flat]
                     p = joint[hit] / (fdenom[hit] + smoothing)
                     backoff[np.flatnonzero(keep_flat)[hit]] += p
-                    out.append(_Entries(
-                        fvar[hit], fcand[hit],
-                        np.zeros(len(p), dtype=np.int64), p,
-                        keys=[("cooc", attr, other)]))
+                    out.append(
+                        _Entries(
+                            fvar[hit],
+                            fcand[hit],
+                            np.zeros(len(p), dtype=np.int64),
+                            p,
+                            keys=[("cooc", attr, other)],
+                        )
+                    )
                 else:  # "value": the paper-literal w(d, f) tying
                     card_o = max(store.cardinality(other), 1)
                     enc = fcode * card_o + focode
                     uniq, token = np.unique(enc, return_inverse=True)
-                    o_values = store.values(other)
-                    keys = [("cooc", attr, block.values[e // card_o],
-                             other, o_values[e % card_o])
-                            # repro: allow-loop per-unique-code key labels, not per-row
-                            for e in uniq.tolist()]
-                    out.append(_Entries(
-                        fvar, fcand, token.astype(np.int64),
-                        np.ones(len(fvar), dtype=np.float64), keys=keys))
+                    av, ov = block.values, store.values(other)
+                    keys = [
+                        ("cooc", attr, av[e // card_o], other, ov[e % card_o])
+                        # repro: allow-loop per-unique-code key labels, not per-row
+                        for e in uniq.tolist()
+                    ]
+                    out.append(
+                        _Entries(
+                            fvar,
+                            fcand,
+                            token.astype(np.int64),
+                            np.ones(len(fvar), dtype=np.float64),
+                            keys=keys,
+                        )
+                    )
             if backoff.any():  # rows with a zero sum are dropped on emission
-                out.append(_Entries(
-                    block.flat_var, block.flat_cand,
-                    np.zeros(len(backoff), dtype=np.int64), backoff,
-                    keys=[("cooc*",)]))
+                out.append(
+                    _Entries(
+                        block.flat_var,
+                        block.flat_cand,
+                        np.zeros(len(backoff), dtype=np.int64),
+                        backoff,
+                        keys=[("cooc*",)],
+                    )
+                )
         return out
 
     def _source(self) -> list[_Entries]:
@@ -389,11 +432,9 @@ class VectorFeaturizer:
             own_tids = block.tids[keep]
             sizes_kept = vsize[keep]
             # Expand (variable, group member) pairs in ascending-tid order.
-            pk = np.repeat(np.arange(len(own_tids), dtype=np.int64),
-                           sizes_kept)
+            pk = np.repeat(np.arange(len(own_tids), dtype=np.int64), sizes_kept)
             ptid = members[ops.expand_ranges(vstart[keep], sizes_kept)]
-            ok = ((ptid != own_tids[pk]) & (a_codes[ptid] >= 0)
-                  & (s_codes[ptid] >= 0))
+            ok = (ptid != own_tids[pk]) & (a_codes[ptid] >= 0) & (s_codes[ptid] >= 0)
             pk, ptid = pk[ok], ptid[ok]
             if not len(pk):
                 continue
@@ -403,8 +444,7 @@ class VectorFeaturizer:
             # (= first-partner) order — the order a row's entries take.
             uvs, vs_id = np.unique(pv * card_s + ps, return_inverse=True)
             ukey = pk * len(uvs) + vs_id
-            uniq, first, counts = np.unique(
-                ukey, return_index=True, return_counts=True)
+            uniq, first, counts = np.unique(ukey, return_index=True, return_counts=True)
             uk, uvs_idx = uniq // len(uvs), uniq % len(uvs)
             uv, us = uvs[uvs_idx] // card_s, uvs[uvs_idx] % card_s
             order = np.lexsort((first, uv, uk))
@@ -415,8 +455,7 @@ class VectorFeaturizer:
             fvar = block.flat_var[keep_flat]
             fcand = block.flat_cand[keep_flat]
             fcode = block.flat_code[keep_flat]
-            fk = np.repeat(np.arange(len(own_tids), dtype=np.int64),
-                           block.sizes[keep])
+            fk = np.repeat(np.arange(len(own_tids), dtype=np.int64), block.sizes[keep])
             in_data = fcode < card_a  # extended codes never gather votes
             query = fk * card_a + np.minimum(fcode, card_a - 1)
             lo = np.searchsorted(gkey, query)
@@ -425,9 +464,15 @@ class VectorFeaturizer:
             if not hits.sum():
                 continue
             src_pos = ops.expand_ranges(lo, hits)
-            out.append(_Entries(
-                np.repeat(fvar, hits), np.repeat(fcand, hits), us[src_pos],
-                counts[src_pos].astype(np.float64), keys=src_keys))
+            out.append(
+                _Entries(
+                    np.repeat(fvar, hits),
+                    np.repeat(fcand, hits),
+                    us[src_pos],
+                    counts[src_pos].astype(np.float64),
+                    keys=src_keys,
+                )
+            )
         return out
 
     # ------------------------------------------------------------------
@@ -451,26 +496,20 @@ class VectorFeaturizer:
             for pred in dc.predicates:
                 space = self._space(*pred.attributes)
 
-                def operand(ref_attr: str) -> np.ndarray:
-                    if ref_attr == attr:
+                def operand(ref) -> np.ndarray:
+                    if ref.attribute == attr:
                         return self._cand_codes_in(space, block)
-                    return np.repeat(space.fixed(ref_attr)[block.tids],
-                                     block.sizes)
+                    fixed = space.fixed(ref.attribute)[block.tids]
+                    return np.repeat(fixed, block.sizes)
 
-                lhs = operand(pred.left.attribute)
-                rhs = (operand(pred.right.attribute)
-                       if isinstance(pred.right, TupleRef) else None)
+                lhs = operand(pred.left)
+                rhs = operand(pred.right) if isinstance(pred.right, TupleRef) else None
                 term = pred.evaluate_coded(lhs, rhs, space)
                 violated = term if violated is None else violated & term
                 if not violated.any():
                     break
-            if violated is None or not violated.any():
-                continue
-            n = int(violated.sum())
-            out.append(_Entries(
-                block.flat_var[violated], block.flat_cand[violated],
-                np.zeros(n, dtype=np.int64),
-                np.ones(n, dtype=np.float64), keys=[("dc", dc.name)]))
+            if violated is not None and violated.any():
+                out.append(_unit_entries(block, violated, ("dc", dc.name)))
         return out
 
     def _pair_dc(self, dc: DenialConstraint) -> list[_Entries]:
@@ -487,89 +526,140 @@ class VectorFeaturizer:
             hit = totals > 0
             if not hit.any():
                 continue
-            value = (np.minimum(totals[hit].astype(np.float64), cap_value)
-                     / cap_value)
-            out.append(_Entries(
-                block.flat_var[hit], block.flat_cand[hit],
-                np.zeros(len(value), dtype=np.int64),
-                value, keys=[("dc", dc.name)]))
+            value = np.minimum(totals[hit].astype(np.float64), cap_value) / cap_value
+            out.append(
+                _Entries(
+                    block.flat_var[hit],
+                    block.flat_cand[hit],
+                    np.zeros(len(value), dtype=np.int64),
+                    value,
+                    keys=[("dc", dc.name)],
+                )
+            )
         return out
 
-    def _count_dc_violations(self, dc: DenialConstraint, own_pos: int,
-                             block: _AttrBlock) -> np.ndarray:
-        """Violations each candidate completes playing ``own_pos``.
-
-        Mirrors :meth:`ConstraintFeaturizer._count_violations`: partners
-        joined on the constraint's equality predicates over *initial*
-        values, the variable's own key carrying the candidate value, the
-        first ``max_dc_feature_partners`` non-self partners (ascending
-        tuple id) checked against the remaining predicates.
-        """
-        cap = self.context.config.max_dc_feature_partners
-        flat_tids = np.repeat(block.tids, block.sizes)
-        n_flat = len(flat_tids)
+    def _join_keys(
+        self,
+        dc: DenialConstraint,
+        own_pos: int,
+        block: _AttrBlock,
+        flat_tids: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Join keys of the block's rows playing ``own_pos`` (the candidate
+        standing in for its cell) and of every tuple as the partner, equal
+        iff every equality predicate holds; ``-1`` where one is NULL."""
         own_cols: list[np.ndarray] = []
         partner_cols: list[np.ndarray] = []
         for pred in dc.equijoin_predicates:
-            own_ref = (pred.left if pred.left.tuple_index == own_pos
-                       else pred.right)
-            partner_ref = (pred.right if own_ref is pred.left else pred.left)
+            own_ref = pred.left if pred.left.tuple_index == own_pos else pred.right
+            partner_ref = pred.right if own_ref is pred.left else pred.left
             space = self._space(own_ref.attribute, partner_ref.attribute)
             partner_cols.append(space.fixed(partner_ref.attribute))
             if own_ref.attribute == block.attribute:
                 own_cols.append(self._cand_codes_in(space, block))
             else:
                 own_cols.append(space.fixed(own_ref.attribute)[flat_tids])
-        if own_cols:
-            keys_own, keys_partner = ops.combine_codes_pairwise(
-                own_cols, partner_cols)
-        else:  # no equality predicate: every tuple is a join partner
-            keys_own = np.zeros(n_flat, dtype=np.int64)
-            keys_partner = np.zeros(self.engine.store.num_rows,
-                                    dtype=np.int64)
-        psort = np.argsort(keys_partner, kind="stable")
-        sorted_keys = keys_partner[psort]
-        lo = np.searchsorted(sorted_keys, keys_own)
-        hi = np.searchsorted(sorted_keys, keys_own, side="right")
-        bucket = np.where(keys_own >= 0, hi - lo, 0)
-        # The naive loop examines at most `cap` non-self partners, so a
-        # (cap + 1)-wide window always covers them even with self inside.
-        window = np.minimum(bucket, cap + 1)
-        total = int(window.sum())
-        if total == 0:
-            return np.zeros(n_flat, dtype=np.int64)
-        eflat = np.repeat(np.arange(n_flat, dtype=np.int64), window)
-        ptid = psort[ops.expand_ranges(lo, window)]
-        pos = ops.segment_positions(window)
-        self_flag = ptid == flat_tids[eflat]
-        cum = np.cumsum(self_flag)
-        seg_starts = np.concatenate(([0], np.cumsum(window)[:-1]))
-        seg_starts = np.minimum(seg_starts, total - 1)
-        base = cum - self_flag  # exclusive prefix at each position
-        seg_cum = cum - np.repeat(base[seg_starts], window)
-        keep = ~self_flag & ((pos - seg_cum) < cap)
-        kflat, kptid = eflat[keep], ptid[keep]
-        if not len(kflat):
+        if not own_cols:  # no equality predicate: every tuple is a join partner
+            return (
+                np.zeros(len(flat_tids), dtype=np.int64),
+                np.zeros(self.engine.store.num_rows, dtype=np.int64),
+            )
+        return ops.combine_codes_pairwise(own_cols, partner_cols)
+
+    def _count_dc_violations(
+        self, dc: DenialConstraint, own_pos: int, block: _AttrBlock
+    ) -> np.ndarray:
+        """Violations each candidate completes playing ``own_pos``.
+
+        Mirrors :meth:`ConstraintFeaturizer._count_violations`: partners
+        joined on the constraint's equality predicates over *initial*
+        values, the variable's own key carrying the candidate value, and
+        the first K = ``max_dc_feature_partners`` non-self partners
+        (ascending tuple id) checked against the remaining predicates.
+
+        A bucket's first K + 1 tuples — its window — hold those K partners
+        whether or not the row's own tuple is among them.  The window's
+        tuples are grouped by every code the residual predicates read from
+        the partner, so each row evaluates them once per distinct group of
+        its bucket, weighted by the group's size, and once more,
+        subtracted, for the window tuple the naive walk skips: its own
+        tuple when that is in the window, else the window's last tuple
+        when the bucket holds more than K.
+        """
+        store = self.engine.store
+        cap = min(self.context.config.max_dc_feature_partners, store.num_rows)
+        flat_tids = np.repeat(block.tids, block.sizes)
+        n_flat = len(flat_tids)
+        keys_own, keys_partner = self._join_keys(dc, own_pos, block, flat_tids)
+        valid = np.flatnonzero(keys_partner >= 0)
+        members = valid[np.argsort(keys_partner[valid], kind="stable")]
+        starts, sizes = ops.bucket_extents(keys_partner[members])
+        window = members[ops.expand_ranges(starts, np.minimum(sizes, cap + 1))]
+        if not len(window):
             return np.zeros(n_flat, dtype=np.int64)
 
-        violated = np.ones(len(kflat), dtype=bool)
-        for pred in dc.predicates:
+        # Distinct groups of each window: one representative tid and a size.
+        # A bucket's pairs satisfy every equality predicate by construction,
+        # so only the residual predicates are read and evaluated.
+        residuals = dc.residual_predicates
+        partner_attrs = sorted(
+            {attr for p in residuals for attr in p.attributes_of(3 - own_pos)}
+        )
+        columns = [keys_partner, *(store.codes(a) for a in partner_attrs)]
+        order = np.lexsort([col[window] for col in reversed(columns)])
+        ordered = window[order]
+        head = np.zeros(len(ordered), dtype=bool)
+        head[0] = True
+        for col in columns:
+            sorted_col = col[ordered]
+            head[1:] |= sorted_col[1:] != sorted_col[:-1]
+        heads = np.flatnonzero(head)
+        group_tid = ordered[heads]
+        group_size = np.diff(np.append(heads, len(ordered)))
+        group_key = keys_partner[group_tid]  # ascending: the key sorts first
+        lo = np.searchsorted(group_key, keys_own)
+        hi = np.searchsorted(group_key, keys_own, side="right")
+        n_groups = np.where(keys_own >= 0, hi - lo, 0)
+        group = ops.expand_ranges(lo, n_groups)
+
+        # The one window tuple each row's naive walk does not examine.
+        in_window = np.zeros(store.num_rows, dtype=bool)
+        in_window[window] = True
+        own_in = (
+            (keys_own >= 0)
+            & (keys_partner[flat_tids] == keys_own)
+            & in_window[flat_tids]
+        )
+        bucket_key = keys_partner[members[starts]]
+        bucket = np.minimum(np.searchsorted(bucket_key, keys_own), len(starts) - 1)
+        over_cap = (
+            (keys_own >= 0) & (bucket_key[bucket] == keys_own) & (sizes[bucket] > cap)
+        )
+        last_tid = members[starts[bucket] + np.minimum(sizes[bucket] - 1, cap)]
+        skipped = np.where(own_in, flat_tids, np.where(over_cap, last_tid, -1))
+        fix_rows = np.flatnonzero(skipped >= 0)
+
+        rows = np.concatenate((np.repeat(np.arange(n_flat), n_groups), fix_rows))
+        ptid = np.concatenate((group_tid[group], skipped[fix_rows]))
+        weight = np.concatenate((group_size[group], np.full(len(fix_rows), -1)))
+        violated = np.ones(len(rows), dtype=bool)
+        for pred in residuals:
             space = self._space(*pred.attributes)
 
             def operand(ref) -> np.ndarray:
-                if ref.tuple_index == own_pos:
-                    if ref.attribute == block.attribute:
-                        return self._cand_codes_in(space, block)[kflat]
-                    return space.fixed(ref.attribute)[flat_tids[kflat]]
-                return space.fixed(ref.attribute)[kptid]
+                if ref.tuple_index != own_pos:
+                    return space.fixed(ref.attribute)[ptid]
+                if ref.attribute == block.attribute:
+                    return self._cand_codes_in(space, block)[rows]
+                return space.fixed(ref.attribute)[flat_tids[rows]]
 
             lhs = operand(pred.left)
-            rhs = (operand(pred.right)
-                   if isinstance(pred.right, TupleRef) else None)
+            rhs = operand(pred.right) if isinstance(pred.right, TupleRef) else None
             violated &= pred.evaluate_coded(lhs, rhs, space)
             if not violated.any():
                 return np.zeros(n_flat, dtype=np.int64)
-        return np.bincount(kflat[violated], minlength=n_flat)
+        counts = np.bincount(rows[violated], weight[violated], minlength=n_flat)
+        return counts.astype(np.int64)
 
     # ------------------------------------------------------------------
     # Naive adapter (external matches, unknown featurizer subclasses)
@@ -601,13 +691,14 @@ class VectorFeaturizer:
             np.asarray(var_l, dtype=np.int64),
             np.asarray(cand_l, dtype=np.int64),
             np.asarray(token_l, dtype=np.int64),
-            np.asarray(value_l, dtype=np.float64), keys=keys)
+            np.asarray(value_l, dtype=np.float64),
+            keys=keys,
+        )
 
     # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
-    def _emit(self, batches: list[_Entries],
-              builder: FeatureMatrixBuilder) -> int:
+    def _emit(self, batches: list[_Entries], builder: FeatureMatrixBuilder) -> int:
         """Allocate feature keys in emission order and land every entry.
 
         The batches are concatenated as they stand; every key that still
@@ -619,8 +710,9 @@ class VectorFeaturizer:
         if not batches:
             return 0
         offsets = np.cumsum([0] + [len(b.keys) for b in batches])
-        token = np.concatenate([
-            b.token + offset for b, offset in zip(batches, offsets)])
+        token = np.concatenate(
+            [b.token + offset for b, offset in zip(batches, offsets)]
+        )
         value = np.concatenate([b.value for b in batches])
         live = value != 0.0  # the naive loop drops zero-valued entries
         token, value = token[live], value[live]

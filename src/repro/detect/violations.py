@@ -30,7 +30,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.constraints.denial import DenialConstraint
-from repro.constraints.predicates import CodedValues, Predicate, TupleRef
+from repro.constraints.predicates import CodedValues, Operator, Predicate, TupleRef
 from repro.dataset.dataset import Dataset
 from repro.detect.base import DetectionResult, ErrorDetector
 from repro.detect.hypergraph import ConflictHypergraph
@@ -39,6 +39,14 @@ from repro.obs.logging import get_logger
 from repro.obs.trace import deep_span
 
 log = get_logger("detect")
+
+#: Operators whose truth does not change when their operands swap sides.
+_SYMMETRIC_OPS = frozenset({Operator.EQ, Operator.NEQ, Operator.SIM, Operator.NSIM})
+
+#: The residual mask compacts the surviving pairs once a predicate lets
+#: fewer than this share of them through; above it, a boolean ``&`` over
+#: every pair is cheaper than gathering an index of the survivors.
+_COMPACT_BELOW = 0.25
 
 
 class QuadraticScanError(ValueError):
@@ -59,6 +67,15 @@ def _join_sides(pred: Predicate) -> tuple[str, str]:
     if pred.left.tuple_index == 1:
         return pred.left.attribute, pred.right.attribute
     return pred.right.attribute, pred.left.attribute
+
+
+def _swap_symmetric(predicates: list[Predicate]) -> bool:
+    """Whether swapping t1 and t2 leaves every predicate's truth unchanged:
+    each compares ``t1.A`` with ``t2.A`` through a symmetric operator."""
+    return all(
+        p.is_binary and p.op in _SYMMETRIC_OPS and p.left.attribute == p.right.attribute
+        for p in predicates
+    )
 
 
 class ViolationDetector(ErrorDetector):
@@ -90,11 +107,14 @@ class ViolationDetector(ErrorDetector):
         results, O(1) pair memory).
     """
 
-    def __init__(self, constraints: list[DenialConstraint],
-                 max_quadratic_tuples: int = 20_000,
-                 max_pairs_per_constraint: int = 10_000_000,
-                 engine: Engine | None = None,
-                 max_engine_pairs: int = 20_000_000):
+    def __init__(
+        self,
+        constraints: list[DenialConstraint],
+        max_quadratic_tuples: int = 20_000,
+        max_pairs_per_constraint: int = 10_000_000,
+        engine: Engine | None = None,
+        max_engine_pairs: int = 20_000_000,
+    ):
         self.constraints = list(constraints)
         self.max_quadratic_tuples = max_quadratic_tuples
         self.max_pairs_per_constraint = max_pairs_per_constraint
@@ -124,30 +144,31 @@ class ViolationDetector(ErrorDetector):
     # ------------------------------------------------------------------
     # Single-tuple constraints
     # ------------------------------------------------------------------
-    def _detect_single(self, engine: Engine, dataset: Dataset,
-                       dc: DenialConstraint,
-                       hypergraph: ConflictHypergraph) -> None:
+    def _detect_single(
+        self,
+        engine: Engine,
+        dataset: Dataset,
+        dc: DenialConstraint,
+        hypergraph: ConflictHypergraph,
+    ) -> None:
         """Every tuple against every predicate, as one mask: each tuple
         plays both positions of the pair mask."""
         tids = np.arange(engine.store.num_rows)
         violates = _residual_mask(engine.store, dc.predicates, tids, tids)
-        hypergraph.add_block(dc.name, tids[violates],
-                             [sorted(dc.attributes_of(1))])
+        hypergraph.add_block(dc.name, tids[violates], [sorted(dc.attributes_of(1))])
 
     # ------------------------------------------------------------------
     # Two-tuple constraints via hash join
     # ------------------------------------------------------------------
-    def _detect_pairs(self, dataset: Dataset, dc: DenialConstraint,
-                      hypergraph: ConflictHypergraph) -> None:
+    def _detect_pairs(
+        self, dataset: Dataset, dc: DenialConstraint, hypergraph: ConflictHypergraph
+    ) -> None:
         joins = dc.equijoin_predicates
         if joins:
             pair_iter = self._hash_join_pairs(dataset, joins)
         else:
             pair_iter = self._all_pairs(dataset, dc)
-
-        rows = self._violating_rows(
-            dataset, dc, dc.residual_predicates,
-            ((t1, t2, True, True) for t1, t2 in pair_iter))
+        rows = self._violating_rows(dataset, dc, pair_iter)
         hypergraph.add_block(dc.name, rows, _pair_attributes(dc))
 
     def _note_truncated(self, dc: DenialConstraint) -> None:
@@ -155,25 +176,29 @@ class ViolationDetector(ErrorDetector):
         log.warning(
             "constraint %s has more than max_pairs_per_constraint=%d "
             "violations; the rest are dropped and their cells may not be "
-            "flagged noisy", dc.name, self.max_pairs_per_constraint)
+            "flagged noisy",
+            dc.name,
+            self.max_pairs_per_constraint,
+        )
 
-    def _violating_rows(self, dataset: Dataset, dc: DenialConstraint,
-                        predicates: list[Predicate],
-                        candidates) -> list[tuple[int, int]]:
-        """Per-pair predicate evaluation over ``(t1, t2, forward_ok,
-        backward_ok)`` candidates; returns the violating pairs oriented
-        the way they violate, up to ``max_pairs_per_constraint``."""
+    def _violating_rows(
+        self, dataset: Dataset, dc: DenialConstraint, pairs
+    ) -> list[tuple[int, int]]:
+        """Per-pair evaluation of ``dc``'s residual predicates over ``(t1,
+        t2)`` candidate pairs; returns the violating pairs oriented the way
+        they violate, up to ``max_pairs_per_constraint``."""
+        predicates = dc.residual_predicates
         rows: list[tuple[int, int]] = []
         row_cache = _RowDictCache(dataset)
-        for t1, t2, forward_ok, backward_ok in candidates:
+        for t1, t2 in pairs:
             v1 = row_cache.get(t1)
             v2 = row_cache.get(t2)
             # Order-sensitive predicates (<, >) may only fire with the pair
             # flipped; the join yields each unordered pair once, so check
             # the reverse direction explicitly.
-            if forward_ok and all(p.evaluate(v1, v2) for p in predicates):
+            if all(p.evaluate(v1, v2) for p in predicates):
                 row = (t1, t2)
-            elif backward_ok and all(p.evaluate(v2, v1) for p in predicates):
+            elif all(p.evaluate(v2, v1) for p in predicates):
                 row = (t2, t1)
             else:
                 continue
@@ -225,9 +250,13 @@ class ViolationDetector(ErrorDetector):
     # ------------------------------------------------------------------
     # Two-tuple constraints via the vectorized engine
     # ------------------------------------------------------------------
-    def _detect_pairs_engine(self, engine: Engine, dataset: Dataset,
-                             dc: DenialConstraint,
-                             hypergraph: ConflictHypergraph) -> None:
+    def _detect_pairs_engine(
+        self,
+        engine: Engine,
+        dataset: Dataset,
+        dc: DenialConstraint,
+        hypergraph: ConflictHypergraph,
+    ) -> None:
         """Vectorized join + vectorized residual mask.
 
         Emits exactly the violations (and order) of :meth:`_detect_pairs`.
@@ -241,35 +270,42 @@ class ViolationDetector(ErrorDetector):
         t1s, t2s = engine.backend.join_pairs(join_attrs)
         if not len(t1s):
             return
-        with deep_span("detect.residual_mask", constraint=dc.name,
-                       pairs=len(t1s)) as sp:
+        with deep_span(
+            "detect.residual_mask", constraint=dc.name, pairs=len(t1s)
+        ) as sp:
             rows = self._residual_rows(engine, dc, t1s, t2s)
             if sp is not None:
                 sp.attributes["violations"] = len(rows)
         hypergraph.add_block(dc.name, rows, _pair_attributes(dc))
 
-    def _residual_rows(self, engine: Engine, dc: DenialConstraint,
-                       t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
+    def _residual_rows(
+        self, engine: Engine, dc: DenialConstraint, t1s: np.ndarray, t2s: np.ndarray
+    ) -> np.ndarray:
         """The joined pairs that violate ``dc``'s residual predicates, as
         ``(n, 2)`` rows oriented the way they violate: forward when
         ``(t1, t2)`` does, else backward — the naive walk's order of
         checks, as whole columns."""
         residuals, books = dc.residual_predicates, {}
         forward = _residual_mask(engine.store, residuals, t1s, t2s, books)
+        violating = forward
         # Order-sensitive predicates (<, >) may fire only with the pair
-        # flipped; only pairs the forward check rejects are re-checked.
-        reverse = np.flatnonzero(~forward)
-        backward = np.zeros(len(t1s), dtype=bool)
-        backward[reverse] = _residual_mask(
-            engine.store, residuals, t2s[reverse], t1s[reverse], books)
-        candidates = np.flatnonzero(forward | backward)
+        # flipped; only pairs the forward check rejects are re-checked, and
+        # none when swapping the pair cannot change a residual's truth.
+        if not _swap_symmetric(residuals):
+            reverse = np.flatnonzero(~forward)
+            violating = forward.copy()
+            violating[reverse] = _residual_mask(
+                engine.store, residuals, t2s[reverse], t1s[reverse], books
+            )
+        candidates = np.flatnonzero(violating)
         if len(candidates) > self.max_pairs_per_constraint:
             self._note_truncated(dc)
             candidates = candidates[: self.max_pairs_per_constraint]
         fwd = forward[candidates]
         left, right = t1s[candidates], t2s[candidates]
-        return np.column_stack((np.where(fwd, left, right),
-                                np.where(fwd, right, left)))
+        return np.column_stack(
+            (np.where(fwd, left, right), np.where(fwd, right, left))
+        )
 
     def _all_pairs(self, dataset: Dataset, dc: DenialConstraint):
         n = dataset.num_tuples
@@ -279,50 +315,60 @@ class ViolationDetector(ErrorDetector):
                 f"and t2, so detecting its violations would compare every "
                 f"pair of the {n} tuples (the limit is "
                 f"{self.max_quadratic_tuples}); add an equality predicate "
-                f"such as EQ(t1.A,t2.A) to the constraint")
+                f"such as EQ(t1.A,t2.A) to the constraint"
+            )
         for t1 in range(n):
             for t2 in range(t1 + 1, n):
                 yield t1, t2
 
 
-def _residual_mask(store, predicates: list[Predicate], rows1: np.ndarray,
-                   rows2: np.ndarray,
-                   books: dict[tuple[str, ...], CodedValues] | None = None,
-                   ) -> np.ndarray:
+def _residual_mask(
+    store,
+    predicates: list[Predicate],
+    rows1: np.ndarray,
+    rows2: np.ndarray,
+    books: dict[tuple[str, ...], CodedValues] | None = None,
+) -> np.ndarray:
     """Conjunction of ``predicates`` over candidate pairs, on codes.
 
     ``rows1``/``rows2`` are the tuple ids playing positions t1/t2 in this
     evaluation direction (swap them to test the reverse orientation, as
-    the naive detector does).  Each predicate is evaluated only on the
-    pairs every earlier one let through; NULL on either side makes a
-    predicate False, matching :meth:`Predicate.evaluate`.  ``books``
-    memoises each codebook's decoded values across calls.
+    the naive detector does).  The predicates' masks are conjoined over
+    every pair until one lets fewer than ``_COMPACT_BELOW`` of them
+    through; the rest run on those survivors alone.  NULL on either side
+    makes a predicate False, matching :meth:`Predicate.evaluate`.
+    ``books`` memoises each codebook's decoded values across calls.
     """
     books = {} if books is None else books
-    rows = {1: rows1, 2: rows2}  # the pairs still alive, per position
-    alive = np.arange(len(rows1))
-    for pred in predicates:
-        if not len(alive):
-            break
+    rows = {1: rows1, 2: rows2}
+    mask = np.ones(len(rows1), dtype=bool)
+    for i, pred in enumerate(predicates):
         key = tuple(sorted(pred.attributes))
         book = books.get(key)
         if book is None:
             book = books[key] = CodedValues(
-                store.values(key[0]) if len(key) == 1
-                else list(store.union_codebook(*key)))
+                store.values(key[0])
+                if len(key) == 1
+                else list(store.union_codebook(*key))
+            )
         left = pred.left
         if isinstance(pred.right, TupleRef):
-            codes_left, codes_right = store.shared_codes(left.attribute,
-                                                         pred.right.attribute)
+            codes_left, codes_right = store.shared_codes(
+                left.attribute, pred.right.attribute
+            )
             rhs = codes_right[rows[pred.right.tuple_index]]
         else:
             codes_left, rhs = store.codes(left.attribute), None
-        hit = pred.evaluate_coded(codes_left[rows[left.tuple_index]], rhs,
-                                  book)
-        alive = alive[hit]
-        rows = {1: rows[1][hit], 2: rows[2][hit]}
-    mask = np.zeros(len(rows1), dtype=bool)
-    mask[alive] = True
+        mask &= pred.evaluate_coded(codes_left[rows[left.tuple_index]], rhs, book)
+        survivors = np.count_nonzero(mask)
+        if survivors >= _COMPACT_BELOW * len(mask) or i + 1 == len(predicates):
+            continue
+        if survivors:
+            alive = np.flatnonzero(mask)
+            mask[alive] = _residual_mask(
+                store, predicates[i + 1 :], rows1[alive], rows2[alive], books
+            )
+        break
     return mask
 
 

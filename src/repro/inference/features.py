@@ -273,7 +273,8 @@ class FeatureMatrixBuilder:
         num_rows = int(var_row_start[-1])
         if self._chunks:
             var, cand, keys, vals = (
-                np.concatenate(column) for column in zip(*self._chunks))
+                column[0] if len(column) == 1 else np.concatenate(column)
+                for column in zip(*self._chunks))
         else:
             var = cand = keys = np.empty(0, dtype=np.int64)
             vals = np.empty(0, dtype=np.float64)

@@ -40,6 +40,26 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             HoloCleanConfig(**{field: count})
 
+    @pytest.mark.parametrize("field", ["max_dc_feature_partners",
+                                       "evidence_negatives",
+                                       "max_training_cells"])
+    @pytest.mark.parametrize("count", [-5, -1, 2.5, 1.5, 2.0, "4", True])
+    def test_kernel_counts_are_non_negative_integers(self, field, count):
+        # Each used to construct and then crash inside a kernel: a negative
+        # partner cap in np.repeat, a fractional one or a fractional
+        # negative count in a numpy cast (a 500 over HTTP), a negative
+        # training-cell cap in an array allocation.
+        assert getattr(HoloCleanConfig(**{field: 0}), field) == 0
+        assert getattr(HoloCleanConfig(**{field: np.int64(3)}), field) == 3
+        with pytest.raises(ValueError, match=field):
+            HoloCleanConfig(**{field: count})
+
+    def test_only_the_training_cell_cap_may_be_none(self):
+        assert HoloCleanConfig(max_training_cells=None).max_training_cells is None
+        for field in ("max_dc_feature_partners", "evidence_negatives"):
+            with pytest.raises(ValueError, match=field):
+                HoloCleanConfig(**{field: None})
+
     @pytest.mark.parametrize("field,bad", [
         ("dc_feature_cap", 0.0), ("dc_feature_cap", -1.0),
         ("dc_feature_cap", float("inf")), ("dc_feature_cap", "10"),

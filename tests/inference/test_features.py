@@ -97,6 +97,24 @@ class TestFeatureMatrixBuilder:
         assert matrix.indices.tolist() == [kb, ka]
         assert matrix.values.tolist() == [1.0, 2.0]
 
+    def test_one_chunk_builds_without_concatenating(self, monkeypatch):
+        # The vectorized featurizer hands in one batch: copying it before
+        # the sort added four entry-sized arrays to the compile stage's
+        # memory peak.  The caller's arrays are read, never reordered.
+        builder = FeatureMatrixBuilder(FeatureSpace())
+        builder.start_variable(2)
+        values = np.array([1.0, 2.0])
+        builder.add_entries(np.array([0, 0]), np.array([1, 0]), ["a", "b"], values)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("one chunk was concatenated")
+
+        monkeypatch.setattr(np, "concatenate", refuse)
+        matrix = builder.build()
+        assert matrix.indices.tolist() == [1, 0]
+        assert matrix.values.tolist() == [2.0, 1.0]
+        assert values.tolist() == [1.0, 2.0]
+
     def test_add_entries_interleaves_with_add_chronologically(self):
         space = FeatureSpace()
         builder = FeatureMatrixBuilder(space)

@@ -270,6 +270,17 @@ class TestErrorMapping:
 
         serve(body)
 
+    def test_fractional_partner_cap_400(self, hospital):
+        # A float count used to reach a numpy cast inside the DC feature
+        # kernel and come back as a 500.
+        async def body(server):
+            request = payload_for(hospital)
+            request["config"]["max_dc_feature_partners"] = 2.5
+            status, _, payload = await _request(server.port, "POST", "/repair", request)
+            assert status == 400 and "max_dc_feature_partners" in payload["error"]
+
+        serve(body)
+
     def test_nan_config_value_400(self, hospital):
         # json.loads accepts a bare NaN literal; the config must refuse it
         # instead of training NaN weights into a zero-repair "success".
