@@ -173,8 +173,6 @@ class HoloCleanConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-        if self.max_domain < 1:
-            raise ValueError("max_domain must be at least 1")
         if self.domain_strategy not in DOMAIN_STRATEGIES:
             raise ValueError(
                 f"domain_strategy must be one of {DOMAIN_STRATEGIES}, got "
@@ -236,20 +234,27 @@ class HoloCleanConfig:
             if not (isinstance(weight, Real) and math.isfinite(weight)):
                 raise ValueError(f"{name} must be a finite number, got {weight!r}")
         # Counts that size an array or a repeat inside a kernel: a float,
-        # a bool or a negative value would crash there instead of here.
-        counts = [
-            "epochs",
-            "gibbs_burn_in",
-            "gibbs_sweeps",
-            "max_dc_feature_partners",
-            "evidence_negatives",
-        ]
+        # a bool or a value under the least would crash there instead of
+        # here (``max_domain=True`` would prune every domain to one
+        # candidate and repair nothing).
+        counts = {
+            "max_domain": 1,
+            "epochs": 0,
+            "gibbs_burn_in": 0,
+            "gibbs_sweeps": 0,
+            "max_dc_feature_partners": 0,
+            "evidence_negatives": 0,
+        }
         if self.max_training_cells is not None:
-            counts.append("max_training_cells")
-        for name in counts:
+            counts["max_training_cells"] = 0
+        for name, least in counts.items():
             count = getattr(self, name)
-            if not isinstance(count, Integral) or isinstance(count, bool) or count < 0:
-                raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
+            if (
+                not isinstance(count, Integral)
+                or isinstance(count, bool)
+                or count < least
+            ):
+                raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
         if self.factor_chunk_pairs < 1:
             raise ValueError("factor_chunk_pairs must be at least 1")
         if self.factor_stream_budget < 1:

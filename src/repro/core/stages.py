@@ -502,7 +502,8 @@ class InferStage(Stage):
             ctx.metrics.gauge("infer.gibbs_colours", sampler.num_colours)
         else:
             trainer = SoftmaxTrainer(model.graph.matrix)
-            ctx.marginals = trainer.marginals(ctx.weights, model.query_ids)
+            with deep_span("infer.marginals", variables=len(model.query_ids)):
+                ctx.marginals = trainer.marginals(ctx.weights, model.query_ids)
             ctx.metrics.label("infer.method", "softmax")
         ctx.metrics.gauge("infer.query_variables", len(model.query_ids))
         return ctx

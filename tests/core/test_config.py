@@ -17,9 +17,15 @@ class TestValidation:
         with pytest.raises(ValueError, match="tau"):
             HoloCleanConfig(tau=tau)
 
-    def test_max_domain_positive(self):
-        with pytest.raises(ValueError, match="max_domain"):
-            HoloCleanConfig(max_domain=0)
+    @pytest.mark.parametrize("count", [0, -1, 2.5, 3.0, "4", True, False, None])
+    def test_max_domain_positive(self, count):
+        # 2.5 or 3.0 used to construct and then raise IndexError inside the
+        # domain pruner (a 500 over HTTP); True pruned every domain to one
+        # candidate, so the run repaired nothing.
+        assert HoloCleanConfig(max_domain=1).max_domain == 1
+        assert HoloCleanConfig(max_domain=np.int64(6)).max_domain == 6
+        with pytest.raises(ValueError, match="max_domain must be an integer >= 1"):
+            HoloCleanConfig(max_domain=count)
 
     def test_cooccur_tying_values(self):
         assert HoloCleanConfig(cooccur_tying="value").cooccur_tying == "value"

@@ -624,6 +624,32 @@ class TestTelemetry:
             sum(c.duration for c in run.children) / run.duration for run in runs
         ) >= 0.9
 
+    @pytest.mark.parametrize("variant", ["dc-feats", "dc-factors"])
+    def test_infer_deep_spans_account_for_the_stage(self, variant):
+        generated = generate_hospital(num_rows=300)
+        config = HoloCleanConfig.variant(
+            variant, tau=generated.recommended_tau, epochs=12, seed=3,
+            gibbs_burn_in=2, gibbs_sweeps=5, trace_level="deep")
+        ctx = RepairPlan.default().run(RepairContext(
+            dataset=generated.dirty, constraints=generated.constraints,
+            config=config))
+        # Timing noise only ever lowers the share: best of three stage runs.
+        for _ in range(2):
+            ctx = InferStage().run(ctx)
+        runs = [s for s in ctx.tracer.roots if s.name == "infer"]
+        names = [c.name for c in runs[-1].children]
+        if variant == "dc-feats":
+            assert ctx.metrics.labels["infer.method"] == "softmax"
+            assert names == ["infer.marginals"]
+            assert runs[-1].children[0].attributes == {
+                "variables": len(ctx.model.query_ids)}
+        else:
+            assert ctx.metrics.labels["infer.method"] == "gibbs"
+            assert names == ["infer.gibbs_setup"] + ["infer.gibbs_sweep"] * 7
+        assert max(
+            sum(c.duration for c in run.children) / run.duration for run in runs
+        ) >= 0.9
+
     def test_deep_tracing_gibbs_variant_identical(self, figure1_dataset,
                                                   figure1_constraints):
         def run(level):

@@ -281,6 +281,17 @@ class TestErrorMapping:
 
         serve(body)
 
+    def test_fractional_max_domain_400(self, hospital):
+        # A fractional candidate cap used to raise IndexError inside the
+        # domain pruner and come back as a 500.
+        async def body(server):
+            request = payload_for(hospital)
+            request["config"]["max_domain"] = 2.5
+            status, _, payload = await _request(server.port, "POST", "/repair", request)
+            assert status == 400 and "max_domain" in payload["error"]
+
+        serve(body)
+
     def test_nan_config_value_400(self, hospital):
         # json.loads accepts a bare NaN literal; the config must refuse it
         # instead of training NaN weights into a zero-repair "success".
