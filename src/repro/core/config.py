@@ -233,10 +233,22 @@ class HoloCleanConfig:
             weight = getattr(self, name)
             if not (isinstance(weight, Real) and math.isfinite(weight)):
                 raise ValueError(f"{name} must be a finite number, got {weight!r}")
-        # Counts that size an array or a repeat inside a kernel: a float,
-        # a bool or a value under the least would crash there instead of
-        # here (``max_domain=True`` would prune every domain to one
-        # candidate and repair nothing).
+        # A similarity threshold outside [0, 1] silently stops every SIM
+        # match (7.0), or raises inside similar() (NaN).
+        if not (
+            isinstance(self.sim_threshold, Real)
+            and math.isfinite(self.sim_threshold)
+            and 0 <= self.sim_threshold <= 1
+        ):
+            raise ValueError(
+                f"sim_threshold must be a finite number in [0, 1], got "
+                f"{self.sim_threshold!r}"
+            )
+        # Counts that size an array, a slice or a repeat inside a kernel,
+        # and the seed of every RNG: a float, a bool or a value under the
+        # least would crash there instead of here (``max_domain=True``
+        # would prune every domain to one candidate and repair nothing,
+        # ``max_factor_pairs=-5`` would ground no DC factor).
         counts = {
             "max_domain": 1,
             "epochs": 0,
@@ -244,6 +256,11 @@ class HoloCleanConfig:
             "gibbs_sweeps": 0,
             "max_dc_feature_partners": 0,
             "evidence_negatives": 0,
+            "max_factor_pairs": 1,
+            "max_factor_table": 1,
+            "factor_chunk_pairs": 1,
+            "factor_stream_budget": 1,
+            "seed": 0,
         }
         if self.max_training_cells is not None:
             counts["max_training_cells"] = 0
@@ -255,10 +272,6 @@ class HoloCleanConfig:
                 or count < least
             ):
                 raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
-        if self.factor_chunk_pairs < 1:
-            raise ValueError("factor_chunk_pairs must be at least 1")
-        if self.factor_stream_budget < 1:
-            raise ValueError("factor_stream_budget must be at least 1")
         if self.serve_max_sessions < 1:
             raise ValueError(
                 f"serve_max_sessions must be at least 1, got "

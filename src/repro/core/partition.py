@@ -439,9 +439,8 @@ class VectorPairEnumerator(PairEnumerator):
         if not len(bucket_ids) or remaining[0] <= 0:
             return
         self.stats["groups"] += 1
-        starts, sizes = ops.bucket_extents(bucket_ids)
-        per_bucket = sizes * (sizes - 1) // 2
-        estimated = int(per_bucket.sum())
+        _, sizes = ops.bucket_extents(bucket_ids)
+        estimated = int((sizes * (sizes - 1) // 2).sum())
 
         # Materialise small groups in one backend call; stream anything
         # whose raw pair estimate dwarfs the budget or the memory bound.
@@ -453,57 +452,17 @@ class VectorPairEnumerator(PairEnumerator):
         self.stats["streamed_groups"] += 1
         stride = int(member_tids.max()) + 1
         seen = np.empty(0, dtype=np.int64)
-        for left, right in self._stream_chunks(bucket_ids, member_tids, starts,
-                                               sizes, per_bucket):
+        # Runs of whole buckets go through one backend join each; a
+        # bucket larger than a chunk streams its nested pair walk in
+        # bounded blocks instead of materialising O(|bucket|²) pairs.
+        for unit in ops.bucket_chunks(bucket_ids, member_tids, self.chunk_pairs,
+                                      self.engine.backend.domain_join_pairs):
             self.stats["chunks"] += 1
-            chunk, seen = self._fresh_clip(left, right, stride, seen,
-                                           remaining)
+            chunk, seen = self._fresh_clip(*unit(), stride, seen, remaining)
             if chunk is not None:
                 yield chunk
             if remaining[0] <= 0:
                 return
-
-    def _stream_chunks(self, bucket_ids: np.ndarray, member_tids: np.ndarray,
-                       starts: np.ndarray, sizes: np.ndarray,
-                       per_bucket: np.ndarray):
-        """One streamed group's raw ``(left, right)`` chunks, in order.
-
-        Lazily, one unit at a time: a bounded block of an oversized
-        bucket's nested pair walk, or one backend join over a run of
-        consecutive buckets totalling at most ``chunk_pairs`` estimated
-        pairs.  Cross-chunk dedup and the budget clip are the caller's.
-        """
-        backend = self.engine.backend
-        bucket = 0
-        num_buckets = len(starts)
-        while bucket < num_buckets:
-            if per_bucket[bucket] > self.chunk_pairs:
-                # A single bucket larger than a chunk: stream its nested
-                # pair walk in bounded blocks instead of materialising
-                # O(|bucket|²) pairs at once.
-                lo = int(starts[bucket])
-                members = member_tids[lo:lo + int(sizes[bucket])]
-                size = len(members)
-                position = 0
-                while position < size - 1:
-                    left, right, position = ops.bucket_pair_block(
-                        members, position, self.chunk_pairs)
-                    yield left, right
-                bucket += 1
-                continue
-            # Fixed-size chunk: consecutive buckets totalling at most
-            # ``chunk_pairs`` estimated pairs (always at least one bucket).
-            end = bucket + 1
-            chunk_estimate = int(per_bucket[bucket])
-            while (end < num_buckets
-                   and chunk_estimate + per_bucket[end] <= self.chunk_pairs):
-                chunk_estimate += int(per_bucket[end])
-                end += 1
-            lo = int(starts[bucket])
-            hi = int(starts[end - 1] + sizes[end - 1])
-            yield backend.domain_join_pairs(bucket_ids[lo:hi],
-                                            member_tids[lo:hi])
-            bucket = end
 
     def _fresh_clip(self, left: np.ndarray, right: np.ndarray, stride: int,
                     seen: np.ndarray, remaining: list[int],

@@ -7,25 +7,21 @@ columnar block of tuple-id rows to the
 row.  Cells named by the constraint's predicates on the violating tuples
 become noisy.
 
-Two-tuple constraints are evaluated with a hash join on their equality
-predicates — the same strategy DeepDive's grounding queries use — so a
-constraint like ``¬(t1.Zip = t2.Zip ∧ t1.City ≠ t2.City)`` costs
-O(|D| + Σ_group |group|²) instead of O(|D|²).  Constraints with no
-equality predicate fall back to a guarded all-pairs scan.
-
-The join runs vectorized over the coded columns of a grounding
-:class:`~repro.engine.Engine`, and every residual predicate — and every
+Every two-tuple constraint runs one join in the grounding
+:class:`~repro.engine.Engine`: a hash join on its equality predicates —
+the same strategy DeepDive's grounding queries use — so a constraint like
+``¬(t1.Zip = t2.Zip ∧ t1.City ≠ t2.City)`` costs O(|D| + Σ_group
+|group|²) instead of O(|D|²).  A constraint with no equality predicate is
+one bucket of every tuple, behind the ``max_quadratic_tuples`` guard.
+:meth:`~repro.engine.backend.Backend.join_chunks` hands the candidate
+pairs over in bounded chunks, and every residual predicate — and every
 predicate of a single-tuple constraint — is one
 :meth:`~repro.constraints.predicates.Predicate.evaluate_coded` mask over
-those codes.  The tuple-at-a-time hash join below serves the joins the
-engine does not take — join-free constraints and joins over the
-``max_engine_pairs`` memory guard — and emits the same pair stream in the
-same order (pinned against :class:`repro.oracle.NaiveViolationDetector`).
+a chunk's codes.  The concatenated output is the tuple-at-a-time
+:class:`repro.oracle.NaiveViolationDetector`'s, order included.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
 
 import numpy as np
 
@@ -104,10 +100,6 @@ class ViolationDetector(ErrorDetector):
         joins; ``None`` builds one over the dataset passed to
         :meth:`detect`.  An engine built over a different dataset raises
         ``ValueError`` there.
-    max_engine_pairs:
-        Memory guard: joins estimated to materialise more candidate pairs
-        than this stream through the tuple-at-a-time join instead (same
-        results, O(1) pair memory).
     """
 
     def __init__(
@@ -116,13 +108,11 @@ class ViolationDetector(ErrorDetector):
         max_quadratic_tuples: int = 20_000,
         max_pairs_per_constraint: int = 10_000_000,
         engine: Engine | None = None,
-        max_engine_pairs: int = 20_000_000,
     ):
         self.constraints = list(constraints)
         self.max_quadratic_tuples = max_quadratic_tuples
         self.max_pairs_per_constraint = max_pairs_per_constraint
         self.engine = engine
-        self.max_engine_pairs = max_engine_pairs
         #: Constraints whose violations the last :meth:`detect` cut at
         #: ``max_pairs_per_constraint`` (metric
         #: ``detect.truncated_constraints``).
@@ -136,10 +126,8 @@ class ViolationDetector(ErrorDetector):
         for dc in self.constraints:
             if dc.is_single_tuple:
                 self._detect_single(engine, dataset, dc, hypergraph)
-            elif dc.equijoin_predicates:
-                self._detect_pairs_engine(engine, dataset, dc, hypergraph)
             else:
-                self._detect_pairs(dataset, dc, hypergraph)
+                self._detect_pairs(engine, dataset, dc, hypergraph)
         with deep_span("detect.noisy_cells", violations=len(hypergraph)):
             noisy = hypergraph.cells()
         return DetectionResult(noisy_cells=noisy, hypergraph=hypergraph)
@@ -161,18 +149,51 @@ class ViolationDetector(ErrorDetector):
         hypergraph.add_block(dc.name, tids[violates], [sorted(dc.attributes_of(1))])
 
     # ------------------------------------------------------------------
-    # Two-tuple constraints via hash join
+    # Two-tuple constraints
     # ------------------------------------------------------------------
     def _detect_pairs(
-        self, dataset: Dataset, dc: DenialConstraint, hypergraph: ConflictHypergraph
+        self,
+        engine: Engine,
+        dataset: Dataset,
+        dc: DenialConstraint,
+        hypergraph: ConflictHypergraph,
     ) -> None:
-        joins = dc.equijoin_predicates
-        if joins:
-            pair_iter = self._hash_join_pairs(dataset, joins)
-        else:
-            pair_iter = self._all_pairs(dataset, dc)
-        rows = self._violating_rows(dataset, dc, pair_iter)
-        hypergraph.add_block(dc.name, rows, _pair_attributes(dc))
+        """The engine's join, chunk by chunk, through the residual mask.
+
+        The first ``max_pairs_per_constraint`` violations in stream order
+        are kept, across chunk boundaries.
+        """
+        join_attrs = [_join_sides(p) for p in dc.equijoin_predicates]
+        if not join_attrs:
+            self._check_quadratic(dc, dataset.num_tuples)
+        books: dict[tuple[str, ...], CodedValues] = {}
+        kept, room = [], self.max_pairs_per_constraint
+        for t1s, t2s in engine.backend.join_chunks(join_attrs):
+            with deep_span(
+                "detect.residual_mask", constraint=dc.name, pairs=len(t1s)
+            ) as sp:
+                rows = self._residual_rows(engine, dc, t1s, t2s, books)
+                over = len(rows) > room
+                rows = rows[:room]
+                if sp is not None:
+                    sp.attributes["violations"] = len(rows)
+            kept.append(rows)
+            room -= len(rows)
+            if over:
+                self._note_truncated(dc)
+                break
+        if kept:
+            hypergraph.add_block(dc.name, np.concatenate(kept), _pair_attributes(dc))
+
+    def _check_quadratic(self, dc: DenialConstraint, n: int) -> None:
+        if n > self.max_quadratic_tuples:
+            raise QuadraticScanError(
+                f"constraint {dc.name} has no equality predicate between t1 "
+                f"and t2, so detecting its violations would compare every "
+                f"pair of the {n} tuples (the limit is "
+                f"{self.max_quadratic_tuples}); add an equality predicate "
+                f"such as EQ(t1.A,t2.A) to the constraint"
+            )
 
     def _note_truncated(self, dc: DenialConstraint) -> None:
         self.truncated.append(dc.name)
@@ -184,111 +205,20 @@ class ViolationDetector(ErrorDetector):
             self.max_pairs_per_constraint,
         )
 
-    def _violating_rows(
-        self, dataset: Dataset, dc: DenialConstraint, pairs
-    ) -> list[tuple[int, int]]:
-        """Per-pair evaluation of ``dc``'s residual predicates over ``(t1,
-        t2)`` candidate pairs; returns the violating pairs oriented the way
-        they violate, up to ``max_pairs_per_constraint``."""
-        predicates = dc.residual_predicates
-        rows: list[tuple[int, int]] = []
-        row_cache = _RowDictCache(dataset)
-        for t1, t2 in pairs:
-            v1 = row_cache.get(t1)
-            v2 = row_cache.get(t2)
-            # Order-sensitive predicates (<, >) may only fire with the pair
-            # flipped; the join yields each unordered pair once, so check
-            # the reverse direction explicitly.
-            if all(p.evaluate(v1, v2) for p in predicates):
-                row = (t1, t2)
-            elif all(p.evaluate(v2, v1) for p in predicates):
-                row = (t2, t1)
-            else:
-                continue
-            if len(rows) >= self.max_pairs_per_constraint:
-                self._note_truncated(dc)
-                break
-            rows.append(row)
-        return rows
-
-    def _hash_join_pairs(self, dataset: Dataset, joins: list[Predicate]):
-        """Yield unordered candidate pairs sharing all join keys."""
-        t1_attrs = [_join_sides(p)[0] for p in joins]
-        t2_attrs = [_join_sides(p)[1] for p in joins]
-        t1_idx = [dataset.schema.index_of(a) for a in t1_attrs]
-        t2_idx = [dataset.schema.index_of(a) for a in t2_attrs]
-        symmetric = t1_attrs == t2_attrs
-
-        buckets: dict[tuple, list[int]] = defaultdict(list)
-        for tid in dataset.tuple_ids:
-            row = dataset.row_ref(tid)
-            key = tuple(row[i] for i in t2_idx)
-            if any(v is None for v in key):
-                continue
-            buckets[key].append(tid)
-
-        if symmetric:
-            for tids in buckets.values():
-                # repro: allow-loop streaming join: O(1) pair memory over the engine guard
-                for i in range(len(tids)):
-                    # repro: allow-loop streaming join: O(1) pair memory over the engine guard
-                    for j in range(i + 1, len(tids)):
-                        yield tids[i], tids[j]
-        else:
-            for tid in dataset.tuple_ids:
-                row = dataset.row_ref(tid)
-                key = tuple(row[i] for i in t1_idx)
-                if any(v is None for v in key):
-                    continue
-                for other in buckets.get(key, ()):
-                    if other > tid:  # each unordered pair once
-                        yield tid, other
-                    elif other < tid:
-                        # pair handled when `other` played t1, unless keys
-                        # differ asymmetrically; re-check that case
-                        other_key = tuple(dataset.row_ref(other)[i] for i in t1_idx)
-                        if other_key != key:
-                            yield tid, other
-
-    # ------------------------------------------------------------------
-    # Two-tuple constraints via the vectorized engine
-    # ------------------------------------------------------------------
-    def _detect_pairs_engine(
+    def _residual_rows(
         self,
         engine: Engine,
-        dataset: Dataset,
         dc: DenialConstraint,
-        hypergraph: ConflictHypergraph,
-    ) -> None:
-        """Vectorized join + vectorized residual mask.
-
-        Emits exactly the violations (and order) of :meth:`_detect_pairs`.
-        """
-        join_attrs = [_join_sides(p) for p in dc.equijoin_predicates]
-        if engine.backend.estimated_join_pairs(join_attrs) > self.max_engine_pairs:
-            # Near-constant join key: materialising the pair arrays would
-            # dwarf the vectorization win — stream them instead.
-            self._detect_pairs(dataset, dc, hypergraph)
-            return
-        t1s, t2s = engine.backend.join_pairs(join_attrs)
-        if not len(t1s):
-            return
-        with deep_span(
-            "detect.residual_mask", constraint=dc.name, pairs=len(t1s)
-        ) as sp:
-            rows = self._residual_rows(engine, dc, t1s, t2s)
-            if sp is not None:
-                sp.attributes["violations"] = len(rows)
-        hypergraph.add_block(dc.name, rows, _pair_attributes(dc))
-
-    def _residual_rows(
-        self, engine: Engine, dc: DenialConstraint, t1s: np.ndarray, t2s: np.ndarray
+        t1s: np.ndarray,
+        t2s: np.ndarray,
+        books: dict[tuple[str, ...], CodedValues],
     ) -> np.ndarray:
         """The joined pairs that violate ``dc``'s residual predicates, as
         ``(n, 2)`` rows oriented the way they violate: forward when
         ``(t1, t2)`` does, else backward — the naive walk's order of
-        checks, as whole columns."""
-        residuals, books = dc.residual_predicates, {}
+        checks, as whole columns.  ``books`` is the constraint's codebook
+        memo, shared by its chunks."""
+        residuals = dc.residual_predicates
         forward = _residual_mask(engine.store, residuals, t1s, t2s, books)
         violating = forward
         # Order-sensitive predicates (<, >) may fire only with the pair
@@ -301,28 +231,11 @@ class ViolationDetector(ErrorDetector):
                 engine.store, residuals, t2s[reverse], t1s[reverse], books
             )
         candidates = np.flatnonzero(violating)
-        if len(candidates) > self.max_pairs_per_constraint:
-            self._note_truncated(dc)
-            candidates = candidates[: self.max_pairs_per_constraint]
         fwd = forward[candidates]
         left, right = t1s[candidates], t2s[candidates]
         return np.column_stack(
             (np.where(fwd, left, right), np.where(fwd, right, left))
         )
-
-    def _all_pairs(self, dataset: Dataset, dc: DenialConstraint):
-        n = dataset.num_tuples
-        if n > self.max_quadratic_tuples:
-            raise QuadraticScanError(
-                f"constraint {dc.name} has no equality predicate between t1 "
-                f"and t2, so detecting its violations would compare every "
-                f"pair of the {n} tuples (the limit is "
-                f"{self.max_quadratic_tuples}); add an equality predicate "
-                f"such as EQ(t1.A,t2.A) to the constraint"
-            )
-        for t1 in range(n):
-            for t2 in range(t1 + 1, n):
-                yield t1, t2
 
 
 def _residual_mask(
@@ -373,21 +286,3 @@ def _residual_mask(
             )
         break
     return mask
-
-
-class _RowDictCache:
-    """Small LRU-free memo of tuple_dict results for the join inner loop."""
-
-    def __init__(self, dataset: Dataset, capacity: int = 4096):
-        self._dataset = dataset
-        self._cache: dict[int, dict[str, str | None]] = {}
-        self._capacity = capacity
-
-    def get(self, tid: int) -> dict[str, str | None]:
-        hit = self._cache.get(tid)
-        if hit is None:
-            hit = self._dataset.tuple_dict(tid)
-            if len(self._cache) >= self._capacity:
-                self._cache.clear()
-            self._cache[tid] = hit
-        return hit

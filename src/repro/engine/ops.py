@@ -8,11 +8,15 @@ joins for asymmetric keys, and frequency / co-occurrence counting.
 All functions operate on integer code arrays where ``-1`` encodes NULL;
 rows whose key contains a NULL never join (a missing value cannot witness
 a violation).  Pair enumeration reproduces the *exact* pair order of the
-naive hash-join in :mod:`repro.detect.violations` so that engine-produced
-violation lists are byte-identical to the oracle's.
+naive hash join in :mod:`repro.oracle.violations` so that engine-produced
+violation lists are byte-identical to the oracle's, and the bounded
+walks (:func:`bucket_chunks`, :func:`bounded_runs`) cut that order into
+chunks without reordering it.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -184,16 +188,12 @@ def combine_codes_pairwise(columns1: list[np.ndarray],
 # Pair enumeration
 # ---------------------------------------------------------------------------
 def _expand_contiguous_pairs(values: np.ndarray, starts: np.ndarray,
-                             sizes: np.ndarray,
-                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                             sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nested-loop ``(i, j)`` pairs within each contiguous run of ``values``.
 
     The shared kernel of the symmetric joins: for every run
     ``values[starts[g]:starts[g] + sizes[g]]``, emits all ``i < j``
-    position pairs in nested-loop order.  Returns ``(left, right,
-    source)`` where ``source`` is the position each ``left`` came from
-    (free — it is an intermediate of the expansion), letting callers
-    attach further per-position labels to pairs.
+    position pairs in nested-loop order, runs in order.
     """
     n = len(values)
     boundary = np.zeros(n, dtype=bool)
@@ -202,49 +202,43 @@ def _expand_contiguous_pairs(values: np.ndarray, starts: np.ndarray,
     ends = (starts + sizes)[group_index]            # exclusive end per position
     partners = ends - np.arange(n) - 1              # pairs each position opens
     if not partners.sum():
-        return _EMPTY, _EMPTY, _EMPTY
-    source = np.repeat(np.arange(n), partners)
+        return _EMPTY, _EMPTY
     positions = expand_ranges(np.arange(1, n + 1), partners)
-    return np.repeat(values, partners), values[positions], source
+    return np.repeat(values, partners), values[positions]
 
 
-def intra_group_pairs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All unordered row pairs sharing a non-NULL key, ``left < right``.
+def probe_counts(key1: np.ndarray, key2: np.ndarray) -> np.ndarray:
+    """Per probe row ``a``, the pairs :func:`matching_pairs` gives it.
 
-    Emitted in the naive hash-join's bucket order: groups ordered by their
-    first (smallest) member row, pairs within a group in nested-loop
-    ``(i, j)`` order — i.e. lexicographic ``(left, right)``.
+    The number of rows ``b != a`` with ``key2[b] == key1[a]`` (NULL keys
+    pair with nothing), before :func:`dedup_ordered_pairs` drops any:
+    an upper bound on the row's share of the deduped join.
     """
-    keys = np.asarray(keys)
-    rows = np.nonzero(keys >= 0)[0]
-    if not len(rows):
-        return _EMPTY, _EMPTY
-    order = rows[np.argsort(keys[rows], kind="stable")]
-    starts, sizes = bucket_extents(keys[order])
-    left, right, source = _expand_contiguous_pairs(order, starts, sizes)
-    if not len(left):
-        return _EMPTY, _EMPTY
-    # Naive bucket order: buckets appear in first-member (= min row) order.
-    row_group_min = np.repeat(order[starts], sizes)  # min row per position
-    reorder = np.lexsort((right, left, row_group_min[source]))
-    return (left[reorder].astype(np.int64, copy=False),
-            right[reorder].astype(np.int64, copy=False))
+    key1 = np.asarray(key1, dtype=np.int64)
+    key2 = np.asarray(key2, dtype=np.int64)
+    build = np.sort(key2[key2 >= 0])
+    counts = (np.searchsorted(build, key1, side="right")
+              - np.searchsorted(build, key1, side="left"))
+    counts[key1 < 0] = 0
+    return counts - ((key1 == key2) & (key1 >= 0))
 
 
-def matching_pairs(key1: np.ndarray,
-                   key2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ordered pairs ``(a, b)`` with ``key1[a] == key2[b]`` and ``a != b``.
+def matching_pairs(key1: np.ndarray, key2: np.ndarray, start: int = 0,
+                   stop: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered pairs ``(a, b)`` with ``key1[a] == key2[b]`` and ``a != b``,
+    for the probe rows ``start <= a < stop`` (all rows by default).
 
     Both keys must be coded over the same dictionary; NULL (``-1``) never
     matches.  This is the probe side of an asymmetric hash join — the
     caller applies :func:`dedup_ordered_pairs` to reproduce the naive
     detector's unordered-pair semantics.  Pairs come out sorted by
-    ``(a, b)``, the naive probe order.
+    ``(a, b)``, the naive probe order, so consecutive probe-row ranges
+    concatenate to the whole join.
     """
     key1 = np.asarray(key1, dtype=np.int64)
     key2 = np.asarray(key2, dtype=np.int64)
     build_rows = np.nonzero(key2 >= 0)[0]
-    probe_rows = np.nonzero(key1 >= 0)[0]
+    probe_rows = start + np.nonzero(key1[start:stop] >= 0)[0]
     if not len(build_rows) or not len(probe_rows):
         return _EMPTY, _EMPTY
     build_order = build_rows[np.argsort(key2[build_rows], kind="stable")]
@@ -265,7 +259,7 @@ def matching_pairs(key1: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Candidate-domain bucket joins (DC-factor grounding)
+# Bucket joins (detection's symmetric joins, DC-factor grounding)
 # ---------------------------------------------------------------------------
 def bucket_memberships(codes: np.ndarray,
                        tids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -329,6 +323,19 @@ def bucket_extents(bucket_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts, sizes
 
 
+def bucket_pairs(bucket_ids: np.ndarray,
+                 member_tids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every unordered pair of tuples sharing a bucket, no dedup.
+
+    Input rows must be sorted by ``(bucket, tid)``.  Pairs come bucket by
+    bucket, in nested-loop ``(left, right)`` order within each — the
+    naive hash join's stream when every tuple sits in one bucket.
+    """
+    starts, sizes = bucket_extents(bucket_ids)
+    return _expand_contiguous_pairs(np.asarray(member_tids, dtype=np.int64),
+                                    starts, sizes)
+
+
 def bucket_join_pairs(bucket_ids: np.ndarray,
                       member_tids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Deduped unordered pairs of tuples sharing a candidate bucket.
@@ -339,79 +346,77 @@ def bucket_join_pairs(bucket_ids: np.ndarray,
     kept only in the *first* bucket containing both tuples — the exact
     stream (set and order) of the naive enumerator's bucket walk.
     """
-    bucket_ids = np.asarray(bucket_ids, dtype=np.int64)
-    member_tids = np.asarray(member_tids, dtype=np.int64)
-    if not len(bucket_ids):
-        return _EMPTY, _EMPTY
-    starts, sizes = bucket_extents(bucket_ids)
-    left, right, _ = _expand_contiguous_pairs(member_tids, starts, sizes)
+    left, right = bucket_pairs(bucket_ids, member_tids)
     if not len(left):
         return _EMPTY, _EMPTY
     # Cross-bucket dedup keeping the first occurrence: the stream is
     # already in emission order, so `np.unique(..., return_index=True)`
     # marks each pair's earliest position and sorting those positions
     # restores the order.
-    stride = int(member_tids.max()) + 1
+    stride = int(np.asarray(member_tids).max()) + 1
     _, first = np.unique(left * stride + right, return_index=True)
     keep = np.sort(first)
     return left[keep], right[keep]
 
 
-def bucket_block_end(size: int, start: int, budget: int) -> int:
-    """The ``end`` :func:`bucket_pair_block` picks for a bucket of ``size``.
-
-    Exposed separately so a scheduler can pre-compute block boundaries
-    (and fan the blocks out to workers) while remaining byte-identical to
-    the sequential walk.
-    """
-    opened = size - 1 - np.arange(start, size - 1)
-    cumulative = np.cumsum(opened)
-    end = start + int(np.searchsorted(cumulative, budget, side="left")) + 1
-    return min(end, size - 1)
-
-
 def bucket_pair_block(members: np.ndarray, start: int,
-                      budget: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """A bounded block of one bucket's nested-loop pairs.
+                      end: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nested-loop pairs one bucket's members ``[start, end)`` lead.
 
-    For a single (sorted) bucket too large to materialise at once, emits
-    the pairs opened by leading members ``members[start:end)`` — in the
-    exact nested ``(i, j)`` order — choosing ``end`` so the block holds
-    roughly ``budget`` pairs (always at least one leading member).
-    Returns ``(left, right, end)``; the bucket is exhausted when ``end``
-    reaches ``len(members) - 1``.
+    ``members`` is one sorted bucket; the block holds every ``(members[i],
+    members[j])`` with ``start <= i < end`` and ``j > i``, in the exact
+    nested ``(i, j)`` order, so consecutive blocks concatenate to the
+    bucket's whole walk.
     """
     members = np.asarray(members, dtype=np.int64)
-    size = len(members)
-    if start >= size - 1:
-        return _EMPTY, _EMPTY, max(start, size - 1)
-    end = bucket_block_end(size, start, budget)
-    counts = size - 1 - np.arange(start, end)
+    counts = len(members) - 1 - np.arange(start, end)
     left = np.repeat(members[start:end], counts)
     positions = expand_ranges(np.arange(start + 1, end + 1), counts)
-    return left, members[positions], end
+    return left, members[positions]
 
 
-def estimate_symmetric_pairs(keys: np.ndarray) -> int:
-    """Number of pairs :func:`intra_group_pairs` would materialise."""
-    valid = keys[keys >= 0]
-    if not len(valid):
-        return 0
-    _, sizes = np.unique(valid, return_counts=True)
-    return int((sizes * (sizes - 1) // 2).sum())
+def bounded_runs(weights: np.ndarray, budget: int):
+    """Consecutive index ranges ``(start, end)`` covering ``weights``.
+
+    Each range is as long as it can be with its weights summing to at
+    most ``budget``; an item whose weight alone exceeds the budget is a
+    range of its own.  One binary search per range.
+    """
+    cumulative = np.cumsum(weights)
+    start = 0
+    while start < len(cumulative):
+        base = int(cumulative[start - 1]) if start else 0
+        end = int(np.searchsorted(cumulative, base + budget, side="right"))
+        end = max(end, start + 1)
+        yield start, end
+        start = end
 
 
-def estimate_matching_pairs(key1: np.ndarray, key2: np.ndarray) -> int:
-    """Upper bound on pairs :func:`matching_pairs` would materialise."""
-    k1 = key1[key1 >= 0]
-    k2 = key2[key2 >= 0]
-    if not len(k1) or not len(k2):
-        return 0
-    values1, counts1 = np.unique(k1, return_counts=True)
-    values2, counts2 = np.unique(k2, return_counts=True)
-    positions = np.minimum(np.searchsorted(values2, values1), len(values2) - 1)
-    shared1 = values2[positions] == values1
-    return int((counts1[shared1] * counts2[positions[shared1]]).sum())
+def bucket_chunks(bucket_ids: np.ndarray, member_tids: np.ndarray,
+                  budget: int, join_run):
+    """A sorted bucket membership's pair walk, as bounded lazy chunks.
+
+    Yields zero-argument callables, each computing one chunk's ``(left,
+    right)`` arrays, in walk order: a run of whole consecutive buckets
+    whose nested-loop pairs total at most ``budget``, handed to
+    ``join_run(bucket_ids, member_tids)`` as one call; or, for a single
+    bucket of more pairs than that, a :func:`bucket_pair_block` of
+    consecutive leading members opening at most ``budget`` pairs (one
+    member, when it alone opens more).  Nothing is joined until a chunk
+    is called, so a caller holds one chunk's pairs at a time and can
+    time each chunk by itself.
+    """
+    starts, sizes = bucket_extents(bucket_ids)
+    per_bucket = sizes * (sizes - 1) // 2
+    for first, last in bounded_runs(per_bucket, budget):
+        lo, hi = int(starts[first]), int(starts[last - 1] + sizes[last - 1])
+        if per_bucket[first] <= budget:
+            yield partial(join_run, bucket_ids[lo:hi], member_tids[lo:hi])
+            continue
+        members = member_tids[lo:hi]
+        opened = np.arange(hi - lo - 1, 0, -1)
+        for start, end in bounded_runs(opened, budget):
+            yield partial(bucket_pair_block, members, start, end)
 
 
 def dedup_ordered_pairs(left: np.ndarray, right: np.ndarray,

@@ -207,11 +207,11 @@ VIOLATIONS = "src/repro/detect/violations.py"
 
 
 def test_real_detection_module_has_no_unsuppressed_loop(repo_ctx):
-    # Residual and single-tuple predicates are masks over codes; only the
-    # streaming hash join (join-free constraints, joins over the
-    # max_engine_pairs guard) walks pairs, under allow-loop pragmas.
+    # Residual and single-tuple predicates are masks over codes and every
+    # two-tuple join streams through the engine in chunks: no pair loop is
+    # left, and no pragma with it.
     assert VIOLATIONS in PurityChecker.modules
     raw = [f for f in PurityChecker().check(repo_ctx) if f.path == VIOLATIONS]
     findings, _ = run_checkers(repo_ctx, [PurityChecker()])
-    assert len(raw) == 2
+    assert len(raw) == 0
     assert [f for f in findings if f.path == VIOLATIONS] == []

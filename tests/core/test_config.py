@@ -100,6 +100,39 @@ class TestValidation:
         assert (config.learning_rate, config.l2) == (0.3, 0)
         assert (config.minimality_weight, config.dc_factor_weight) == (-1.0, 0.0)
 
+    @pytest.mark.parametrize("field,bad", [
+        ("seed", -1), ("seed", 2.5), ("seed", True), ("seed", "7"),
+        ("max_factor_pairs", 2.5), ("max_factor_pairs", -5),
+        ("max_factor_pairs", 0), ("max_factor_table", 0),
+        ("max_factor_table", 1.5), ("factor_chunk_pairs", float("nan")),
+        ("factor_chunk_pairs", 0), ("factor_stream_budget", float("nan")),
+        ("factor_stream_budget", 2.0)])
+    def test_seed_and_factor_budgets_are_integers(self, field, bad):
+        # Each used to construct and then raise inside the evidence
+        # sampler (a negative or fractional seed) or the pair enumerator
+        # (a fractional pair budget), or "succeed" with no DC factor (a
+        # budget under 1); NaN slipped past the old ``< 1`` checks.
+        with pytest.raises(ValueError, match=field):
+            HoloCleanConfig(**{field: bad})
+
+    def test_seed_and_factor_budget_edges_accepted(self):
+        config = HoloCleanConfig(seed=0, max_factor_pairs=1, max_factor_table=1,
+                                 factor_chunk_pairs=np.int64(1),
+                                 factor_stream_budget=1)
+        assert (config.seed, config.max_factor_pairs, config.max_factor_table,
+                config.factor_chunk_pairs, config.factor_stream_budget) == (
+                    0, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 7.0,
+                                     "0.8", None])
+    def test_sim_threshold_in_unit_interval(self, bad):
+        # NaN used to raise inside similar(); 7.0 silently stopped every
+        # SIM match.
+        with pytest.raises(ValueError, match="sim_threshold"):
+            HoloCleanConfig(sim_threshold=bad)
+        for edge in (0, 1.0, np.float64(0.5)):
+            assert HoloCleanConfig(sim_threshold=edge).sim_threshold == edge
+
     @pytest.mark.parametrize("field", ["use_engine", "vector_domains"])
     def test_removed_engine_switches_are_not_fields(self, field):
         # The engine is mandatory: the flags that once routed around it

@@ -107,24 +107,35 @@ class SQLiteBackend(Backend):
         self._db.execute(f"DROP TABLE IF EXISTS {table}")
         return np.ascontiguousarray(pairs[:, 0]), np.ascontiguousarray(pairs[:, 1])
 
-    def _symmetric_pairs(self, keys: np.ndarray):
-        (k,) = self._key_table(keys)
-        # Bucket order = order of each key's first tuple, as in the naive
-        # hash join (and the NumPy executor).
-        query = (
-            "SELECT a.tid, b.tid FROM jk a "
-            f"JOIN jk b ON b.{k} = a.{k} AND b.tid > a.tid "
-            f"JOIN (SELECT {k} AS key, MIN(tid) AS first FROM jk "
-            f"      WHERE {k} IS NOT NULL GROUP BY {k}) g ON g.key = a.{k} "
-            "ORDER BY g.first, a.tid, b.tid"
+    def _membership_table(self, bucket_ids: np.ndarray, member_tids: np.ndarray):
+        """(Re)create the temp bucket-membership table ``dm(b, tid)``."""
+        self._db.execute("DROP TABLE IF EXISTS dm")
+        self._db.execute("CREATE TEMP TABLE dm (b INTEGER, tid INTEGER)")
+        self._db.executemany(
+            "INSERT INTO dm VALUES (?, ?)",
+            zip((int(b) for b in bucket_ids), (int(t) for t in member_tids)),
         )
-        return self._pairs(query, "jk")
+        self._db.execute("CREATE INDEX dm_b ON dm (b)")
 
-    def _asymmetric_pairs(self, key1: np.ndarray, key2: np.ndarray):
+    def _symmetric_pairs(self, bucket_ids: np.ndarray, member_tids: np.ndarray):
+        # Buckets are numbered in the order of their first tuple, so
+        # ordering by (bucket, t1, t2) is the naive hash join's order.
+        self._membership_table(bucket_ids, member_tids)
+        query = (
+            "SELECT a.tid, b.tid FROM dm a "
+            "JOIN dm b ON b.b = a.b AND b.tid > a.tid "
+            "ORDER BY a.b, a.tid, b.tid"
+        )
+        return self._pairs(query, "dm")
+
+    def _asymmetric_pairs(
+        self, key1: np.ndarray, key2: np.ndarray, start: int, stop: int
+    ):
         k1, k2 = self._key_table(key1, key2)
         query = (
             "SELECT a.tid, b.tid FROM jk a "
             f"JOIN jk b ON b.{k2} = a.{k1} AND b.tid != a.tid "
+            f"WHERE a.tid >= {int(start)} AND a.tid < {int(stop)} "
             "ORDER BY a.tid, b.tid"
         )
         return self._pairs(query, "jk")
@@ -133,13 +144,7 @@ class SQLiteBackend(Backend):
         # A pair is grouped to its smallest (= first-seen) bucket; ordering
         # by (that bucket, t1, t2) reproduces the naive enumerator's
         # bucket-walk emission order.
-        self._db.execute("DROP TABLE IF EXISTS dm")
-        self._db.execute("CREATE TEMP TABLE dm (b INTEGER, tid INTEGER)")
-        self._db.executemany(
-            "INSERT INTO dm VALUES (?, ?)",
-            zip((int(b) for b in bucket_ids), (int(t) for t in member_tids)),
-        )
-        self._db.execute("CREATE INDEX dm_b ON dm (b)")
+        self._membership_table(bucket_ids, member_tids)
         query = (
             "SELECT t1, t2 FROM ("
             "  SELECT a.tid AS t1, b.tid AS t2, MIN(a.b) AS first "

@@ -26,6 +26,7 @@ from repro.dataset.stats import Statistics
 from repro.detect.hypergraph import Violation
 from repro.detect.violations import ViolationDetector
 from repro.engine import Backend, Engine
+from repro.engine import backend as backend_module
 from repro.oracle import DomainPruner, NaiveModelCompiler, NaiveViolationDetector
 from tests.engine.sqlite_backend import SQLiteBackend
 
@@ -131,8 +132,8 @@ def test_engine_refresh_invalidates_statistics(flights):
 
 
 def test_pathological_join_falls_back_to_naive(monkeypatch):
-    # A constant join key explodes quadratically; the guard must reroute
-    # to the streaming path and still produce identical violations.
+    # A constant join key explodes quadratically; the join must stream it
+    # in bounded chunks and still produce identical violations.
     rows = [["k", str(i % 7)] for i in range(60)]
     dataset = Dataset(Schema(["K", "V"]), rows)
     dc = DenialConstraint(
@@ -143,8 +144,8 @@ def test_pathological_join_falls_back_to_naive(monkeypatch):
         name="const_key",
     )
     naive = NaiveViolationDetector([dc]).detect(dataset)
-    detector = ViolationDetector([dc], engine=Engine(dataset), max_engine_pairs=10)
-    guarded = detector.detect(dataset)
+    monkeypatch.setattr(backend_module, "_JOIN_CHUNK_PAIRS", 10)
+    guarded = ViolationDetector([dc], engine=Engine(dataset)).detect(dataset)
     assert guarded.hypergraph.violations == naive.hypergraph.violations
 
 

@@ -77,19 +77,41 @@ class TestCounts:
         assert rows.shape == (0, 3)
 
 
-class TestIntraGroupPairs:
-    def test_matches_brute_force_order(self):
+def walk_pairs(keys, budget):
+    """A symmetric join of ``keys`` through the bounded bucket walk: its
+    pairs concatenated, and the size of each chunk."""
+    keys = np.asarray(keys, dtype=np.int64)
+    rows = np.flatnonzero(keys >= 0)
+    bucket_ids, member_tids = ops.bucket_memberships(keys[rows], rows)
+    pairs, sizes = [], []
+    for chunk in ops.bucket_chunks(bucket_ids, member_tids, budget,
+                                   ops.bucket_pairs):
+        left, right = chunk()
+        sizes.append(len(left))
+        pairs += zip(left.tolist(), right.tolist())
+    return pairs, sizes
+
+
+class TestBucketChunks:
+    @pytest.mark.parametrize("budget", [1, 2, 3, 7, 65_536])
+    def test_matches_brute_force_order(self, budget):
         rng = np.random.default_rng(3)
         for _ in range(50):
             n = int(rng.integers(0, 40))
             keys = rng.integers(-1, 5, size=n)
-            left, right = ops.intra_group_pairs(keys)
-            assert list(zip(left.tolist(), right.tolist())) == \
-                brute_force_intra_pairs(keys.tolist())
+            pairs, sizes = walk_pairs(keys, budget)
+            assert pairs == brute_force_intra_pairs(keys.tolist())
+            # Only a single leading member may open more than the budget.
+            assert all(size <= max(budget, n - 1) for size in sizes)
 
     def test_all_null_yields_nothing(self):
-        left, right = ops.intra_group_pairs(np.array([-1, -1, -1]))
-        assert len(left) == 0 and len(right) == 0
+        assert walk_pairs([-1, -1, -1], 4) == ([], [])
+
+    def test_runs_are_maximal_and_oversized_items_stand_alone(self):
+        weights = np.array([2, 0, 3, 9, 1, 1, 0, 5])
+        assert list(ops.bounded_runs(weights, 5)) == [
+            (0, 3), (3, 4), (4, 7), (7, 8)]
+        assert list(ops.bounded_runs(np.array([], dtype=np.int64), 5)) == []
 
 
 class TestMatchingPairs:

@@ -307,6 +307,29 @@ class TestErrorMapping:
 
         serve(body)
 
+    def test_kernel_crashing_config_values_400(self, hospital):
+        # Each reached a kernel and came back as a 500 (a negative seed in
+        # the evidence sampler, a fractional pair budget at a slice, a NaN
+        # threshold in similar()) or as a 200 that grounded no DC factor.
+        bad = {
+            "seed": -1,
+            "max_factor_pairs": 2.5,
+            "max_factor_table": 0,
+            "sim_threshold": float("nan"),
+        }
+
+        async def body(server):
+            for name, value in bad.items():
+                request = payload_for(hospital)
+                request["config"][name] = value
+                status, _, payload = await _request(
+                    server.port, "POST", "/repair", request
+                )
+                assert status == 400, name
+                assert name in payload["error"], name
+
+        serve(body)
+
     def test_invalid_json_400(self):
         async def body(server):
             raw = (
