@@ -66,7 +66,9 @@ print(f"Detection found {len(ctx.detection.noisy_cells)} noisy cells; "
       f"the compiled model has {len(ctx.model.query_ids)} query variables.")
 
 # The context is re-enterable: keep the detection and compiled model,
-# and re-run only learn → infer → apply (the Section 2.2 loop).
+# and re-run only learn → infer → apply (the Section 2.2 loop).  With no
+# new feedback and the same config the weights and marginals are current,
+# so learn and infer skip and only apply runs.
 rerun = RepairPlan.default().starting_at("learn").run(ctx).result
 assert rerun.repaired == result.repaired
 

@@ -17,7 +17,9 @@ learning and inference techniques [37]."
    context: verified cells become labeled evidence in
    :class:`~repro.core.stages.LearnStage` and clamps in
    :class:`~repro.core.stages.ApplyStage`, so feedback retrains the
-   weights without recompiling the model.
+   weights without recompiling the model.  A rerun without new feedback
+   (and with the same config) is apply-only: learn and infer find their
+   weights and marginals current and skip.
 """
 
 from __future__ import annotations
@@ -108,7 +110,9 @@ class RepairSession:
         """Re-learn and re-infer with the accumulated feedback.
 
         Detection and the compiled model are reused from the retained
-        context; only the learn → infer → apply suffix runs again.
+        context; only the learn → infer → apply suffix runs again, and
+        learn and infer skip when the feedback and config are the ones
+        their weights and marginals came from.
         """
         if self._ctx is None or self._ctx.model is None:
             return self.run()

@@ -30,8 +30,12 @@ compilation under a different configuration, or keep its compiled
 model and re-run only learn → infer → apply (the Section 2.2 feedback
 loop — :class:`~repro.core.session.RepairSession` is built exactly
 this way).  Stages that find their artifact already on the context
-skip themselves, so re-running a full plan on a warm context only
-repeats the learning half.
+skip themselves.  Learn and infer also check that their artifact was
+produced from the current inputs — the weights from the same
+configuration and feedback, the marginals from the same configuration
+and weights — so re-running a full plan on a warm context with
+unchanged inputs only repeats apply, and new feedback or a changed knob
+re-learns (Section 2.2 retrains when the evidence changes).
 
 Each stage records its wall-clock under its name in
 ``RepairContext.timings``; :meth:`RepairContext.phase_timings` folds
@@ -52,6 +56,8 @@ one.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -74,6 +80,7 @@ from repro.inference.variables import Marginals
 from repro.obs import MetricsRegistry, Tracer, build_run_report
 from repro.obs.fingerprint import (
     combine_fingerprints,
+    config_encoding,
     config_fingerprint,
     constraints_fingerprint,
     dataset_fingerprint,
@@ -113,8 +120,13 @@ class RepairContext:
     Section 2.2 user feedback for :class:`LearnStage` /
     :class:`ApplyStage` to fold in.  Artifacts persist across plan
     runs, which is what makes partial re-runs (reused detection,
-    reused model) possible — clear a field to force its stage to
-    recompute.
+    reused model, reused weights and marginals) possible — clear a
+    field (``detection``, ``model``, ``weights`` or ``marginals``) to
+    force its stage to recompute.  ``weights`` and ``marginals`` carry
+    the digest of the inputs they were computed from
+    (:attr:`weights_basis`, :attr:`marginals_basis`), so editing
+    ``config``, ``feedback`` or ``weights`` re-runs the stages that
+    depend on them without clearing anything.
     """
 
     # --- inputs -----------------------------------------------------------
@@ -132,6 +144,12 @@ class RepairContext:
     weights: np.ndarray | None = None
     losses: list[float] = field(default_factory=list)
     marginals: Marginals | None = None
+    #: SHA-256 of the inputs :attr:`weights` were learned from (see
+    #: :meth:`LearnStage.basis`); ``None`` when not known.
+    weights_basis: str | None = None
+    #: SHA-256 of the inputs :attr:`marginals` were inferred from (see
+    #: :meth:`InferStage.basis`); ``None`` when not known.
+    marginals_basis: str | None = None
     result: RepairResult | None = None
     #: Per-stage wall-clock, keyed by stage name; a stage overwrites its
     #: entry every time it runs.  Skipped stages leave no entry (their
@@ -303,6 +321,11 @@ class Stage:
     requires: tuple[str, ...] = ()
     #: Context artifacts this stage fills in.
     provides: tuple[str, ...] = ()
+    #: Context field that records the stage's ``basis(ctx)`` — the digest
+    #: of the inputs its artifact is computed from — each time it runs
+    #: (learn and infer); ``None`` for stages whose artifact's presence
+    #: alone decides whether they skip.
+    basis_field: str | None = None
 
     def run(self, ctx: RepairContext) -> RepairContext:
         if not self.should_run(ctx):
@@ -313,13 +336,24 @@ class Stage:
         with ctx.span(self.name):
             ctx = self.execute(ctx)
         ctx.timings[self.name] = time.perf_counter() - started
+        if self.basis_field is not None:
+            # Outside the span and the timing: the digest is the skip
+            # check's cost, not the stage's work.
+            setattr(ctx, self.basis_field, self.basis(ctx))
         return ctx
 
     def __call__(self, ctx: RepairContext) -> RepairContext:
         return self.run(ctx)
 
     def should_run(self, ctx: RepairContext) -> bool:
-        """False when the stage's artifact is already on the context."""
+        """False when the stage's artifact is on the context and current.
+
+        Detect and compile check that their artifact is present; learn
+        and infer also compare the digest stored under
+        :attr:`basis_field` with ``basis(ctx)`` of the current inputs, so
+        every writer of ``config``, ``feedback`` or ``weights`` is
+        covered.  Apply always runs.
+        """
         return True
 
     def execute(self, ctx: RepairContext) -> RepairContext:
@@ -363,7 +397,9 @@ class CompileStage(Stage):
 
     Skips itself when the context already carries a compiled model;
     clear ``ctx.model`` to force recompilation (e.g. after changing
-    the configuration).
+    the configuration).  A compile that runs drops ``ctx.weights`` and
+    ``ctx.marginals``: they belong to the old model, so learn and infer
+    run again.
     """
 
     name = "compile"
@@ -386,6 +422,7 @@ class CompileStage(Stage):
             engine=ctx.ensure_engine(),
         )
         ctx.model = compiler.compile()
+        ctx.weights = ctx.marginals = None
         report = ctx.model.size_report()
         ctx.metrics.ingest(report, prefix="compile.")
         ctx.metrics.gauge(
@@ -401,11 +438,33 @@ class CompileStage(Stage):
 
 
 class LearnStage(Stage):
-    """Weight learning: ERM over evidence cells plus feedback evidence."""
+    """Weight learning: ERM over evidence cells plus feedback evidence.
+
+    Learning is a function of the model, the configuration and the
+    feedback.  The stage skips itself when the context's weights were
+    learned from the current configuration and feedback
+    (:meth:`basis`); a compile that runs clears the weights.  New or
+    changed feedback, or any changed knob, re-learns.
+    """
 
     name = "learn"
     requires = ("model",)
     provides = ("weights",)
+    basis_field = "weights_basis"
+
+    @staticmethod
+    def basis(ctx: RepairContext) -> str:
+        """SHA-256 of the configuration and the feedback, in insertion
+        order (the order verified labels reach the trainer)."""
+        feedback = [
+            [int(tid), str(attribute), value]
+            for (tid, attribute), value in ctx.feedback.items()
+        ]
+        encoded = json.dumps([config_encoding(ctx.config), feedback])
+        return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
+
+    def should_run(self, ctx: RepairContext) -> bool:
+        return ctx.weights is None or ctx.weights_basis != self.basis(ctx)
 
     def execute(self, ctx: RepairContext) -> RepairContext:
         if ctx.model is None:
@@ -476,11 +535,37 @@ class LearnStage(Stage):
 
 
 class InferStage(Stage):
-    """Marginal inference: exact softmax, or Gibbs when factors exist."""
+    """Marginal inference: exact softmax, or Gibbs when factors exist.
+
+    Skips itself when the context's marginals were inferred from the
+    current configuration and weights (:meth:`basis`), so weights set
+    by hand re-run inference; a compile that runs clears the marginals.
+    """
 
     name = "infer"
     requires = ("model", "weights")
     provides = ("marginals",)
+    basis_field = "marginals_basis"
+
+    @staticmethod
+    def basis(ctx: RepairContext) -> str:
+        """SHA-256 of the configuration and the weights' dtype, shape
+        and bytes."""
+        weights = np.ascontiguousarray(ctx.weights)
+        header = json.dumps(
+            [config_encoding(ctx.config), weights.dtype.str, weights.shape]
+        )
+        digest = hashlib.sha256(header.encode("utf-8"))
+        digest.update(b"\0")
+        digest.update(weights.tobytes())
+        return digest.hexdigest()
+
+    def should_run(self, ctx: RepairContext) -> bool:
+        return (
+            ctx.marginals is None
+            or ctx.weights is None
+            or ctx.marginals_basis != self.basis(ctx)
+        )
 
     def execute(self, ctx: RepairContext) -> RepairContext:
         if ctx.model is None or ctx.weights is None:

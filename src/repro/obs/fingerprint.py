@@ -27,19 +27,29 @@ import json
 FINGERPRINT_HEX = 12
 
 
+def config_encoding(config) -> str:
+    """The canonical text of a configuration: its fields as sorted JSON.
+
+    Accepts a dataclass (e.g. ``HoloCleanConfig``) or a plain mapping.
+    Two configs encode identically exactly when their fields are equal.
+    Fields are read shallowly, without the deep copy of
+    ``dataclasses.asdict`` (learn and infer encode the config on every
+    plan run): a config's fields are plain values and tuples.
+    """
+    if dataclasses.is_dataclass(config) and not isinstance(config, type):
+        payload = {f.name: getattr(config, f.name) for f in dataclasses.fields(config)}
+    else:
+        payload = dict(config or {})
+    return json.dumps(payload, sort_keys=True, default=str)
+
+
 def config_fingerprint(config) -> str:
     """A stable short hash of a configuration.
 
-    Accepts a dataclass (e.g. ``HoloCleanConfig``) or a plain mapping;
-    the fingerprint is the first 12 hex digits of the SHA-256 of the
-    sorted JSON encoding, so two runs compare configs by equality of one
-    token.
+    The first 12 hex digits of the SHA-256 of :func:`config_encoding`,
+    so two runs compare configs by equality of one token.
     """
-    if dataclasses.is_dataclass(config) and not isinstance(config, type):
-        payload = dataclasses.asdict(config)
-    else:
-        payload = dict(config or {})
-    encoded = json.dumps(payload, sort_keys=True, default=str)
+    encoded = config_encoding(config)
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:FINGERPRINT_HEX]
 
 

@@ -18,8 +18,10 @@ On-disk layout, one directory per session id::
         detect.pkl    DetectionResult: noisy-cell set + the conflict
                       hypergraph's per-constraint tuple-id arrays
         compile.pkl   CompiledModel
-        learn.pkl     learned weights + training losses
-        infer.pkl     marginals
+        learn.pkl     learned weights + training losses + the digest
+                      of the config and feedback they were learned from
+        infer.pkl     marginals + the digest of the config and weights
+                      they were inferred from
 
 Since format 3 ``compile.pkl`` and ``infer.pkl`` hold no object per
 variable: the catalog and the marginals are columnar in memory
@@ -28,7 +30,13 @@ columns too (:class:`~repro.inference.factor_graph.FactorColumns`), not
 one object per factor.  Stage files are written only for
 artifacts present on the context, so a session checkpointed mid-pipeline
 rehydrates mid-pipeline and the staged plan resumes from exactly where it
-stopped.  Writes go to a temporary sibling directory; the previous
+stopped.  The digests (``weights_basis``, ``marginals_basis`` on the
+context) let a rehydrated session with unchanged config and feedback skip
+learn and infer and run apply alone.  A format-4 ``learn.pkl`` /
+``infer.pkl`` written without them loads with the digests unset, so the
+first plan run re-learns and re-infers (to the same weights) and the next
+save writes the digests.
+Writes go to a temporary sibling directory; the previous
 checkpoint is renamed aside, the new one renamed in, and only then is the
 old one deleted, so a crash at any point leaves a complete checkpoint —
 between the two renames under its aside name, where :meth:`load` finds it.
@@ -61,8 +69,8 @@ FORMAT_VERSION = 4
 STAGE_ARTIFACTS = (
     ("detect", ("detection",)),
     ("compile", ("model",)),
-    ("learn", ("weights", "losses")),
-    ("infer", ("marginals",)),
+    ("learn", ("weights", "losses", "weights_basis")),
+    ("infer", ("marginals", "marginals_basis")),
 )
 
 #: Context input fields serialized together in ``inputs.pkl``.

@@ -14,11 +14,12 @@ response and in the ``serve.*`` metrics:
   finished context is admitted to the LRU session store.
 * **rehydrated** — no warm session but a checkpoint exists: the
   context is rebuilt from disk (engine and tracer come back lazily)
-  and the plan re-enters wherever the checkpoint stopped; detect and
-  compile skip themselves because their artifacts survived the trip.
-* **warm** — the session store has the context: only the
-  learn→infer→apply suffix runs (detect/compile skip), which is the
-  millisecond path the store exists for.
+  and the plan re-enters wherever the checkpoint stopped; every stage
+  whose artifact survived the trip skips itself, so an unchanged
+  request runs apply alone and leaves the checkpoint as it was.
+* **warm** — the session store has the context: detect and compile
+  skip, learn and infer skip unless the request changed the config,
+  and apply runs — the millisecond path the store exists for.
 
 Feedback requests (Section 2.2 of the paper) go through
 :meth:`~repro.core.session.RepairSession.from_context`, so the serving
@@ -52,10 +53,14 @@ from repro.core.stages import RepairContext, RepairPlan
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Attribute, Schema
 from repro.obs import MetricsRegistry, get_logger
-from repro.serve.checkpoint import CheckpointError, CheckpointStore
+from repro.serve.checkpoint import STAGE_ARTIFACTS, CheckpointError, CheckpointStore
 from repro.serve.store import Session, SessionKey, SessionStore
 
 log = get_logger("serve")
+
+#: Stages whose artifacts a checkpoint stores: a rehydrated request in
+#: which none of them ran leaves its checkpoint unchanged.
+CHECKPOINTED = tuple(stage for stage, _ in STAGE_ARTIFACTS)
 
 #: Trace-root budget per warm session: reruns append spans to the same
 #: tracer, so long-lived sessions trim their oldest roots past this.
@@ -287,9 +292,6 @@ class RepairService:
                 # New grounding knobs: drop the model (detection stays)
                 # so the plan recompiles instead of warm-skipping.
                 ctx.model = None
-                ctx.weights = None
-                ctx.marginals = None
-                ctx.result = None
             started = time.perf_counter()
             if path == "cold":
                 ctx = self._run_cold(session)
@@ -298,7 +300,8 @@ class RepairService:
                 session.ctx = ctx
             elapsed = time.perf_counter() - started
         self._account(path, elapsed)
-        if path != "warm":
+        ran = {stage for stage, status in ctx.stage_status.items() if status == "ran"}
+        if path != "warm" and ran.intersection(CHECKPOINTED):  # cold always detects
             self._checkpoint(session)
         return self._response(sid, path, ctx, elapsed, payload)
 
@@ -362,9 +365,10 @@ class RepairService:
         plan.validate(ctx)
         with ctx.span("serve.request", route="repair", path=path):
             ctx = plan.run(ctx)
-        if ctx.engine is not None and path == "cold":
-            # The warm path never grounds, so the engine only costs
-            # memory between requests; drop it and rebuild on demand.
+        if ctx.engine is not None:
+            # Between requests the engine only costs memory (a warm
+            # re-run grounds nothing unless it recompiles); drop it and
+            # rebuild on demand.
             ctx.engine.close()
             ctx.engine = None
         self._trim_trace(ctx)

@@ -409,8 +409,10 @@ class TestTelemetry:
         ctx = RepairPlan.default().run(ctx)
         assert ctx.stage_status["detect"] == "skipped"
         assert ctx.stage_status["compile"] == "skipped"
+        # Unchanged config and feedback: the weights and marginals are
+        # current, so only apply runs again.
         later = [ctx.stage_status[n] for n in ("learn", "infer", "apply")]
-        assert later == ["ran", "ran", "ran"]
+        assert later == ["skipped", "skipped", "ran"]
 
     def test_truncated_constraints_counted_and_logged(self, hospital,
                                                       monkeypatch):
@@ -635,6 +637,7 @@ class TestTelemetry:
             config=config))
         # Timing noise only ever lowers the share: best of three stage runs.
         for _ in range(2):
+            ctx.marginals = None  # current marginals would skip the stage
             ctx = InferStage().run(ctx)
         runs = [s for s in ctx.tracer.roots if s.name == "infer"]
         names = [c.name for c in runs[-1].children]

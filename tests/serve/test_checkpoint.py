@@ -81,13 +81,23 @@ class TestRoundTrip:
         assert rehydrated.engine is None and rehydrated.tracer is None
         np.testing.assert_array_equal(rehydrated.weights, warm.weights)
 
-        # Re-enter at learn on both; detect/compile artifacts survived
-        # the trip, so only the learning half runs again.
+        # Unchanged inputs: the weights and marginals survived the trip
+        # with their digests, so learn and infer skip on both sides.
         plan = RepairPlan.default().starting_at("learn")
+        reused = plan.run(store.load("sid"))
+        assert reused.stage_status["learn"] == "skipped"
+        assert reused.stage_status["infer"] == "skipped"
+        _assert_same_outcome(plan.run(warm), reused)
+
+        # Re-enter at learn on both with the weights cleared; detect and
+        # compile artifacts survived the trip, so only the learning half
+        # runs again.
+        warm.weights = rehydrated.weights = None
         warm = plan.run(warm)
         rehydrated = plan.run(rehydrated)
         assert rehydrated.stage_status["learn"] == "ran"
         _assert_same_outcome(warm, rehydrated)
+        _assert_same_outcome(warm, reused)
 
     def test_reenter_at_infer_matches_warm(self, dataset_fixture, request, tmp_path):
         generated = request.getfixturevalue(dataset_fixture)
@@ -97,8 +107,10 @@ class TestRoundTrip:
         rehydrated = store.load("sid")
 
         plan = RepairPlan.default().starting_at("infer")
+        warm.marginals = rehydrated.marginals = None  # else infer skips
         warm = plan.run(warm)
         rehydrated = plan.run(rehydrated)
+        assert rehydrated.stage_status["infer"] == "ran"
         _assert_same_outcome(warm, rehydrated)
 
     def test_feedback_path_matches_warm(self, dataset_fixture, request, tmp_path):
@@ -165,7 +177,11 @@ class TestFactorRoundTrip:
         assert rehydrated.model.content_fingerprint() == fingerprint
 
         plan = RepairPlan.default().starting_at("learn")
-        _assert_same_outcome(plan.run(warm), plan.run(rehydrated))
+        for ctx in (warm, rehydrated):  # re-learn and re-sample
+            ctx.weights = ctx.marginals = None
+        warm, rehydrated = plan.run(warm), plan.run(rehydrated)
+        assert rehydrated.stage_status["infer"] == "ran"
+        _assert_same_outcome(warm, rehydrated)
 
 
 class TestMidPipelineCheckpoint:

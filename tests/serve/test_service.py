@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import HoloCleanConfig
+from repro.core.stages import STAGE_ORDER
 from repro.serve.checkpoint import FORMAT_VERSION
 from repro.serve.service import (
     BadRequest,
@@ -51,6 +52,8 @@ class TestRepairPaths:
         assert second["session"] == first["session"]
         assert second["stage_status"]["detect"] == "skipped"
         assert second["stage_status"]["compile"] == "skipped"
+        assert second["stage_status"]["learn"] == "skipped"
+        assert second["stage_status"]["infer"] == "skipped"
         assert second["repairs"] == first["repairs"]
 
     def test_session_id_is_content_keyed(self, service, hospital):
@@ -67,6 +70,7 @@ class TestRepairPaths:
         assert retuned["session"] == base["session"]
         assert retuned["path"] == "warm"
         assert retuned["stage_status"]["compile"] == "skipped"
+        assert retuned["stage_status"]["learn"] == "ran"
 
     def test_recompile_flag_forces_compile(self, service, hospital):
         service.repair(payload_for(hospital))
@@ -76,6 +80,18 @@ class TestRepairPaths:
         assert redone["path"] == "warm"
         assert redone["stage_status"]["compile"] == "ran"
         assert redone["stage_status"]["detect"] == "skipped"
+
+    @pytest.mark.parametrize("path", ["warm", "rehydrated"])
+    def test_recompile_leaves_no_engine_resident(self, service, hospital, path):
+        sid = service.repair(payload_for(hospital))["session"]
+        if path == "rehydrated":
+            service.delete_session(sid)
+        payload = payload_for(hospital, tau=0.9)
+        payload["recompile"] = True
+        redone = service.repair(payload)
+        assert redone["path"] == path
+        assert redone["stage_status"]["compile"] == "ran"
+        assert service.store.get(sid).ctx.engine is None
 
     def test_evict_then_rehydrate_identical(self, service, hospital):
         payload = payload_for(hospital)
@@ -88,6 +104,38 @@ class TestRepairPaths:
         assert back["path"] == "rehydrated"
         assert back["stage_status"]["compile"] == "skipped"
         assert back["repairs"] == warm["repairs"]
+
+    def test_unchanged_rehydrate_keeps_its_checkpoint(
+        self, service, hospital, monkeypatch
+    ):
+        sid = service.repair(payload_for(hospital))["session"]
+        service.delete_session(sid)
+        saves = []
+        save = service.checkpoints.save
+        monkeypatch.setattr(
+            service.checkpoints, "save", lambda *args: saves.append(args) or save(*args)
+        )
+        back = service.repair(payload_for(hospital))
+        assert back["path"] == "rehydrated"
+        assert {back["stage_status"][name] for name in STAGE_ORDER[:4]} == {"skipped"}
+        assert saves == []
+
+    def test_retuned_rehydrate_rewrites_its_checkpoint(self, service, hospital):
+        sid = service.repair(payload_for(hospital))["session"]
+        service.delete_session(sid)
+        retuned = service.repair(payload_for(hospital, epochs=14))
+        assert retuned["path"] == "rehydrated"
+        assert retuned["stage_status"]["learn"] == "ran"
+        weights = service.store.get(sid).ctx.weights
+
+        service.delete_session(sid)
+        loaded = service.checkpoints.load(sid)
+        assert loaded.config.epochs == 14
+        np.testing.assert_array_equal(loaded.weights, weights)
+        again = service.repair(payload_for(hospital, epochs=14))
+        assert again["path"] == "rehydrated"
+        assert again["stage_status"]["learn"] == "skipped"
+        assert again["repairs"] == retuned["repairs"]
 
     def test_purged_session_pays_cold(self, ephemeral_service, hospital):
         payload = payload_for(hospital)
@@ -427,12 +475,13 @@ class TestLifecycle:
         assert snapshot["gauges"]["serve.checkpoint_bytes"] == on_disk > 0
 
         service.delete_session(sid)  # evict: a second save
+        # An unchanged rehydrate loads and re-runs nothing it would save.
         assert service.repair(payload_for(hospital))["path"] == "rehydrated"
         series = service.metrics_snapshot()["series"]
-        assert len(series["serve.checkpoint_save_seconds"]) == 3
+        assert len(series["serve.checkpoint_save_seconds"]) == 2
         assert len(series["serve.checkpoint_load_seconds"]) == 1
         spent = [s for name in series if "checkpoint" in name for s in series[name]]
-        assert len(spent) == 4 and min(spent) > 0
+        assert len(spent) == 3 and min(spent) > 0
 
     def test_health(self, service):
         health = service.health()
