@@ -12,8 +12,9 @@ labels folded in.
 Sessions are built on the staged repair API: ``run()`` executes the
 default Detect → Compile → Learn → Infer → Apply plan and retains the
 :class:`repro.RepairContext` (grounding engine, detection, compiled
-model); ``rerun()`` re-enters the plan at the learn stage, folding the
-verified cells in as labeled evidence and clamps — no recompilation.
+model); ``rerun()`` runs the default plan on that retained context, where
+detect and compile skip and learn folds the verified cells in as labeled
+evidence and clamps — no recompilation.
 
 Run with::
 

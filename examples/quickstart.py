@@ -65,11 +65,12 @@ print("Per-stage wall-clock:",
 print(f"Detection found {len(ctx.detection.noisy_cells)} noisy cells; "
       f"the compiled model has {len(ctx.model.query_ids)} query variables.")
 
-# The context is re-enterable: keep the detection and compiled model,
-# and re-run only learn → infer → apply (the Section 2.2 loop).  With no
-# new feedback and the same config the weights and marginals are current,
-# so learn and infer skip and only apply runs.
-rerun = RepairPlan.default().starting_at("learn").run(ctx).result
+# The context is re-enterable: run the default plan on it again and every
+# stage whose artifact is present and current skips.  With no new
+# feedback and the same config, detect, compile, learn and infer all skip
+# and only apply runs (the Section 2.2 loop re-learns after feedback).
+rerun = RepairPlan.default().run(ctx).result
+assert ctx.stage_status["learn"] == "skipped"
 assert rerun.repaired == result.repaired
 
 # The one-shot facade produces the identical result.

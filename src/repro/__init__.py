@@ -15,16 +15,16 @@ Quickstart
 >>> dcs = [dc for fd in fds for dc in fd.to_denial_constraints()]
 >>> result = HoloClean(HoloCleanConfig(tau=0.5)).repair(dataset, dcs)  # doctest: +SKIP
 
-The staged API exposes the same pipeline as five re-runnable stages
-over a shared :class:`RepairContext` — run the default plan once, then
-re-enter from any stage with new knobs without repeating the ones
-before it:
+The staged API exposes the same pipeline as five self-skipping stages
+over a shared :class:`RepairContext`; to re-enter, run the default plan
+on the retained context (here clearing the model recompiles under a new
+knob over the kept detection):
 
 >>> from repro import RepairContext, RepairPlan
 >>> ctx = RepairContext(dataset, dcs, HoloCleanConfig(tau=0.5))  # doctest: +SKIP
 >>> ctx = RepairPlan.default().run(ctx)  # doctest: +SKIP
 >>> ctx.config, ctx.model = ctx.config.with_(tau=0.7), None  # doctest: +SKIP
->>> ctx = RepairPlan.default().starting_at("compile").run(ctx)  # detection reused  # doctest: +SKIP
+>>> ctx = RepairPlan.default().run(ctx)  # detection reused  # doctest: +SKIP
 >>> ctx.result.report  # RunReport: trace forest + metrics + fingerprint  # doctest: +SKIP
 """
 

@@ -223,9 +223,14 @@ class ModelCompiler:
         # Weak supervision (auto mode): when clean evidence is too scarce
         # to train on — Flights flags every cell noisy — fall back to
         # training on all cells with the observed value as a weak label.
+        # The evidence was sampled under ``max_training_cells``, so the
+        # query count it is set against is capped the same way.
         use_weak = config.weak_label_training
         if use_weak is None:
-            use_weak = len(evidence_ids) < max(50, len(query_ids) // 20)
+            queries = len(query_ids)
+            if config.max_training_cells is not None:
+                queries = min(queries, config.max_training_cells)
+            use_weak = len(evidence_ids) < max(50, queries // 20)
         if use_weak:
             evidence_ids = evidence_ids + [query_ids[k] for k in weak.tolist()]
             evidence_labels = evidence_labels + labels[weak].tolist()

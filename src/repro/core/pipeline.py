@@ -18,12 +18,12 @@ Reproduces the three-module workflow of Figure 2:
 
 :meth:`HoloClean.repair` is a thin veneer over
 :meth:`repro.core.stages.RepairPlan.default` run on a fresh
-:class:`~repro.core.stages.RepairContext`; callers that want partial
-re-runs (reuse a detection, reuse a compiled model, inject feedback)
-drive the stages directly — see :mod:`repro.core.stages` and
-:class:`~repro.core.session.RepairSession`.  Timings for the three
-phases are recorded exactly as the paper reports them (violation
-detection / compilation / learning+inference).
+:class:`~repro.core.stages.RepairContext`.  To re-enter (reuse a
+detection or a compiled model, fold in feedback), keep the context
+(:meth:`HoloClean.context`) and run the default plan on it again — see
+:mod:`repro.core.stages` and :class:`~repro.core.session.RepairSession`.
+Timings for the three phases are recorded exactly as the paper reports
+them (violation detection / compilation / learning+inference).
 """
 
 from __future__ import annotations
@@ -101,8 +101,8 @@ class HoloClean:
         """A fresh :class:`RepairContext` for staged execution.
 
         Use this instead of :meth:`repair` to keep the intermediate
-        artifacts (detection, compiled model, weights, marginals) for
-        partial re-runs.
+        artifacts (detection, compiled model, weights, marginals): the
+        default plan run on it again reuses every current one.
         """
         return RepairContext(
             dataset=dataset,

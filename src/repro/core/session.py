@@ -13,16 +13,17 @@ learning and inference techniques [37]."
    artifact (engine, detection, compiled model) around;
 2. :meth:`low_confidence` — the repair proposals a reviewer should check;
 3. :meth:`feedback` — record user-verified values for individual cells;
-4. :meth:`rerun` — re-run only learn → infer → apply on the retained
-   context: verified cells become labeled evidence in
-   :class:`~repro.core.stages.LearnStage` and clamps in
+4. :meth:`rerun` — the default plan again on the retained context:
+   detect and compile skip, and verified cells become labeled evidence
+   in :class:`~repro.core.stages.LearnStage` and clamps in
    :class:`~repro.core.stages.ApplyStage`, so feedback retrains the
-   weights without recompiling the model.  A rerun without new feedback
-   (and with the same config) is apply-only: learn and infer find their
-   weights and marginals current and skip.
+   weights without recompiling.  Without new feedback (and with the same
+   config) learn and infer skip too and only apply runs.
 """
 
 from __future__ import annotations
+
+from collections.abc import Mapping
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.matching import MatchingDependency
@@ -33,16 +34,14 @@ from repro.core.stages import RepairContext, RepairPlan
 from repro.dataset.dataset import Cell, Dataset
 from repro.detect.base import ErrorDetector
 from repro.external.dictionary import ExternalDictionary
-from repro.obs.report import RunReport
 
 
 class RepairSession:
     """A stateful repair workflow over one dataset.
 
-    Parameters mirror :meth:`repro.core.pipeline.HoloClean.repair`; the
-    session additionally retains the repair context (grounding engine,
-    detection result, compiled model) so user feedback can be folded in
-    without recompiling.
+    Parameters mirror :meth:`repro.core.pipeline.HoloClean.repair`.  The
+    session's whole state is one :class:`RepairContext`: the inputs, the
+    artifacts of the last run and the accumulated feedback.
     """
 
     def __init__(
@@ -54,90 +53,56 @@ class RepairSession:
         matching_dependencies: list[MatchingDependency] = (),
         extra_detectors: list[ErrorDetector] = (),
     ):
-        self.dataset = dataset
-        self.constraints = list(constraints)
-        self.config = config or HoloCleanConfig()
-        self.dictionaries = list(dictionaries)
-        self.matching_dependencies = list(matching_dependencies)
-        self.extra_detectors = list(extra_detectors)
-        self._ctx: RepairContext | None = None
-        self._feedback: dict[Cell, str] = {}
-        self._last_result: RepairResult | None = None
+        self._ctx = RepairContext(
+            dataset=dataset,
+            constraints=list(constraints),
+            config=config or HoloCleanConfig(),
+            dictionaries=list(dictionaries),
+            matching_dependencies=list(matching_dependencies),
+            extra_detectors=list(extra_detectors),
+        )
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
     @classmethod
     def from_context(cls, ctx: RepairContext) -> "RepairSession":
-        """Wrap an existing context — e.g. one rehydrated from a
-        serving checkpoint (:mod:`repro.serve.checkpoint`).
-
-        The session adopts the context's inputs, artifacts, and
-        accumulated feedback as-is, so :meth:`rerun` re-enters the
-        staged plan at ``learn`` without repeating detect/compile, and
-        :meth:`feedback` keeps validating cells against the retained
-        compiled model.
-        """
-        session = cls(
-            ctx.dataset,
-            ctx.constraints,
-            config=ctx.config,
-            dictionaries=ctx.dictionaries,
-            matching_dependencies=ctx.matching_dependencies,
-            extra_detectors=ctx.extra_detectors,
-        )
+        """Adopt an existing context as it is — e.g. one rehydrated from
+        a serving checkpoint (:mod:`repro.serve.checkpoint`)."""
+        session = cls.__new__(cls)
         session._ctx = ctx
-        session._feedback = dict(ctx.feedback)
-        session._last_result = ctx.result
         return session
 
     # ------------------------------------------------------------------
     # Pipeline
     # ------------------------------------------------------------------
     def run(self) -> RepairResult:
-        """Run the default plan on a fresh context and keep it around."""
+        """Run the default plan on a fresh context — the same inputs and
+        feedback, no artifacts — and keep it around."""
+        ctx = self._ctx
         self._ctx = RepairContext(
-            dataset=self.dataset,
-            constraints=self.constraints,
-            config=self.config,
-            dictionaries=self.dictionaries,
-            matching_dependencies=self.matching_dependencies,
-            extra_detectors=self.extra_detectors,
+            dataset=ctx.dataset,
+            constraints=ctx.constraints,
+            config=ctx.config,
+            dictionaries=ctx.dictionaries,
+            matching_dependencies=ctx.matching_dependencies,
+            extra_detectors=ctx.extra_detectors,
+            feedback=dict(ctx.feedback),
         )
-        return self._execute(RepairPlan.default())
+        return self.rerun()
 
     def rerun(self) -> RepairResult:
-        """Re-learn and re-infer with the accumulated feedback.
-
-        Detection and the compiled model are reused from the retained
-        context; only the learn → infer → apply suffix runs again, and
-        learn and infer skip when the feedback and config are the ones
-        their weights and marginals came from.
-        """
-        if self._ctx is None or self._ctx.model is None:
-            return self.run()
-        return self._execute(RepairPlan.default().starting_at("learn"))
+        """Run the default plan on the retained context: every stage whose
+        artifact is present and current skips (before any run, none is)."""
+        self._ctx = RepairPlan.default().run(self._ctx)
+        return self._ctx.result
 
     @property
-    def context(self) -> RepairContext | None:
-        """The retained repair context (``None`` before :meth:`run`)."""
+    def context(self) -> RepairContext:
+        """The retained repair context."""
         return self._ctx
 
     @property
     def model(self) -> CompiledModel | None:
         """The compiled model of the last run (``None`` before it)."""
-        return self._ctx.model if self._ctx is not None else None
-
-    @property
-    def last_report(self) -> RunReport | None:
-        """Telemetry of the most recent run/rerun (``None`` before one).
-
-        Reruns share the context's tracer, so the report's trace tree
-        accumulates spans across the feedback loop's iterations.
-        """
-        if self._last_result is None:
-            return None
-        return self._last_result.report
+        return self._ctx.model
 
     # ------------------------------------------------------------------
     # Review & feedback
@@ -145,9 +110,9 @@ class RepairSession:
     def low_confidence(self, below: float = 0.7) -> list[CellInference]:
         """Suggested repairs whose marginal falls below the threshold,
         sorted least-confident first — the review queue of Section 2.2."""
-        if self._last_result is None:
+        if self._ctx.result is None:
             raise RuntimeError("run() the session before reviewing")
-        return self._last_result.least_confident(below)
+        return self._ctx.result.least_confident(below)
 
     def feedback(self, cell: Cell, correct_value: str) -> None:
         """Record a user-verified value for one cell.
@@ -155,23 +120,22 @@ class RepairSession:
         The value is normalised the way :class:`Dataset` normalises a loaded
         one, so ``"  Chicago "`` confirms the candidate ``"Chicago"``.
         """
-        cell = Cell(*cell)
+        self.feedback_all({cell: correct_value})
+
+    def feedback_all(self, verified: Mapping[Cell, str]) -> None:
+        """Record user-verified values for many cells, all or none: a
+        ``KeyError`` for a cell the compiled model lacks records none."""
+        verified = {
+            Cell(*cell): Dataset.normalise(value) for cell, value in verified.items()
+        }
         model = self.model
-        if model is not None and model.graph.variables.rows_of([cell])[0] < 0:
-            raise KeyError(f"{cell} is not a noisy cell of this session")
-        self._feedback[cell] = Dataset.normalise(correct_value)
+        if model is not None:
+            rows = model.graph.variables.rows_of(verified).tolist()
+            for cell, vid in zip(verified, rows):
+                if vid < 0:
+                    raise KeyError(f"{cell} is not a noisy cell of this session")
+        self._ctx.feedback.update(verified)
 
     @property
     def feedback_count(self) -> int:
-        return len(self._feedback)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _execute(self, plan: RepairPlan) -> RepairResult:
-        ctx = self._ctx
-        assert ctx is not None
-        ctx.feedback = dict(self._feedback)
-        self._ctx = ctx = plan.run(ctx)
-        self._last_result = ctx.result
-        return ctx.result
+        return len(self._ctx.feedback)

@@ -24,24 +24,20 @@ transform that context:
   and packaging into a :class:`~repro.core.repair.RepairResult`.
 
 A :class:`RepairPlan` composes stages; :meth:`RepairPlan.default` is
-the paper's pipeline.  Because every artifact lives on the context,
-callers can re-enter anywhere: keep a context's detection and re-run
-compilation under a different configuration, or keep its compiled
-model and re-run only learn → infer → apply (the Section 2.2 feedback
-loop — :class:`~repro.core.session.RepairSession` is built exactly
-this way).  Stages that find their artifact already on the context
-skip themselves.  Learn and infer also check that their artifact was
-produced from the current inputs — the weights from the same
-configuration and feedback, the marginals from the same configuration
-and weights — so re-running a full plan on a warm context with
-unchanged inputs only repeats apply, and new feedback or a changed knob
-re-learns (Section 2.2 retrains when the evidence changes).
+the paper's pipeline and the one way to re-enter it: run it again on
+the retained context, where a stage that finds its artifact skips
+itself.  Learn and infer also check that their artifact was produced
+from the current inputs — the weights from the same configuration and
+feedback, the marginals from the same configuration and weights — so
+with unchanged inputs only apply repeats, and new feedback or a changed
+knob re-runs learn → infer → apply (the Section 2.2 feedback loop of
+:class:`~repro.core.session.RepairSession`).
 
-Each stage records its wall-clock under its name in
-``RepairContext.timings``; :meth:`RepairContext.phase_timings` folds
-those into the three phases the paper reports (detection /
-compilation / learning+inference), which is what lands in
-``RepairResult.timings``.
+Each stage that runs records its wall-clock under its name in
+``RepairContext.timings`` (one that skips drops its entry);
+:meth:`RepairContext.phase_timings` folds those into the three phases
+the paper reports (detection / compilation / learning+inference), which
+is what lands in ``RepairResult.timings``.
 
 Telemetry (:mod:`repro.obs`) is threaded through the same objects: the
 context carries a :class:`~repro.obs.trace.Tracer` (built lazily from
@@ -90,26 +86,6 @@ from repro.obs.trace import deep_span
 #: Stage names of the default plan, in pipeline order.
 STAGE_ORDER = ("detect", "compile", "learn", "infer", "apply")
 
-#: Context artifact → human-readable description, used by
-#: :meth:`RepairPlan.run` to name exactly what a partial re-entry is
-#: missing (e.g. ``starting_at("learn")`` with no compiled model).
-ARTIFACT_LABELS = {
-    "detection": "DetectionResult",
-    "model": "CompiledModel",
-    "weights": "learned weights",
-    "marginals": "inferred marginals",
-    "result": "RepairResult",
-}
-
-#: Context artifact → the stage of the default plan that produces it.
-ARTIFACT_PRODUCERS = {
-    "detection": "detect",
-    "model": "compile",
-    "weights": "learn",
-    "marginals": "infer",
-    "result": "apply",
-}
-
 
 @dataclass
 class RepairContext:
@@ -119,8 +95,8 @@ class RepairContext:
     second block is filled in by the stages; the third block carries
     Section 2.2 user feedback for :class:`LearnStage` /
     :class:`ApplyStage` to fold in.  Artifacts persist across plan
-    runs, which is what makes partial re-runs (reused detection,
-    reused model, reused weights and marginals) possible — clear a
+    runs, so the default plan on a retained context reuses every one
+    that is current (detection, model, weights, marginals) — clear a
     field (``detection``, ``model``, ``weights`` or ``marginals``) to
     force its stage to recompute.  ``weights`` and ``marginals`` carry
     the digest of the inputs they were computed from
@@ -151,9 +127,9 @@ class RepairContext:
     #: :meth:`InferStage.basis`); ``None`` when not known.
     marginals_basis: str | None = None
     result: RepairResult | None = None
-    #: Per-stage wall-clock, keyed by stage name; a stage overwrites its
-    #: entry every time it runs.  Skipped stages leave no entry (their
-    #: status lands in :attr:`stage_status` instead).
+    #: Per-stage wall-clock of the latest plan run, keyed by stage name;
+    #: a stage overwrites its entry every time it runs and drops it when
+    #: it skips (its status lands in :attr:`stage_status` instead).
     timings: dict[str, float] = field(default_factory=dict)
 
     # --- telemetry ---------------------------------------------------------
@@ -235,7 +211,7 @@ class RepairContext:
         )
 
     def phase_timings(self) -> dict[str, float]:
-        """Stage timings folded into the paper's three reported phases."""
+        """Timings of the stages that ran, folded into the paper's phases."""
         repair = sum(
             self.timings.get(name, 0.0) for name in ("learn", "infer", "apply")
         )
@@ -305,22 +281,13 @@ class Stage:
     Subclasses implement :meth:`execute`; :meth:`run` wraps it with a
     trace span and a wall-clock measurement recorded under :attr:`name`
     in ``ctx.timings``.  A stage whose :meth:`should_run` returns False
-    is skipped entirely: any previously recorded timing stays intact,
-    no timing is fabricated, and ``ctx.stage_status`` records
-    ``"skipped"`` so a skip is distinguishable from an instant run.
-
-    :attr:`requires` / :attr:`provides` declare the context artifacts a
-    stage consumes and produces (by ``RepairContext`` field name);
-    :meth:`RepairPlan.run` validates them up front so a partial
-    re-entry with a missing prerequisite fails with a ``ValueError``
-    naming the artifact instead of failing deep inside the stage.
+    is skipped: it drops its ``ctx.timings`` entry and
+    ``ctx.stage_status`` records ``"skipped"``.  A stage run without the
+    artifact it consumes raises ``RuntimeError`` naming the stage to
+    run first.
     """
 
     name: str = "stage"
-    #: Context artifacts that must be present before this stage runs.
-    requires: tuple[str, ...] = ()
-    #: Context artifacts this stage fills in.
-    provides: tuple[str, ...] = ()
     #: Context field that records the stage's ``basis(ctx)`` — the digest
     #: of the inputs its artifact is computed from — each time it runs
     #: (learn and infer); ``None`` for stages whose artifact's presence
@@ -330,6 +297,7 @@ class Stage:
     def run(self, ctx: RepairContext) -> RepairContext:
         if not self.should_run(ctx):
             ctx.stage_status[self.name] = "skipped"
+            ctx.timings.pop(self.name, None)
             return ctx
         ctx.stage_status[self.name] = "ran"
         started = time.perf_counter()
@@ -371,7 +339,6 @@ class DetectStage(Stage):
     """
 
     name = "detect"
-    provides = ("detection",)
 
     def should_run(self, ctx: RepairContext) -> bool:
         return ctx.detection is None
@@ -403,8 +370,6 @@ class CompileStage(Stage):
     """
 
     name = "compile"
-    requires = ("detection",)
-    provides = ("model",)
 
     def should_run(self, ctx: RepairContext) -> bool:
         return ctx.model is None
@@ -448,8 +413,6 @@ class LearnStage(Stage):
     """
 
     name = "learn"
-    requires = ("model",)
-    provides = ("weights",)
     basis_field = "weights_basis"
 
     @staticmethod
@@ -543,8 +506,6 @@ class InferStage(Stage):
     """
 
     name = "infer"
-    requires = ("model", "weights")
-    provides = ("marginals",)
     basis_field = "marginals_basis"
 
     @staticmethod
@@ -607,8 +568,6 @@ class ApplyStage(Stage):
     """
 
     name = "apply"
-    requires = ("model", "marginals")
-    provides = ("result",)
 
     def run(self, ctx: RepairContext) -> RepairContext:
         ctx = super().run(ctx)
@@ -700,10 +659,9 @@ class ApplyStage(Stage):
 class RepairPlan:
     """An ordered composition of stages applied to one context.
 
-    :meth:`default` is the paper's pipeline; :meth:`starting_at`
-    slices a suffix for partial re-runs (e.g. ``starting_at("learn")``
-    to reuse a context's detection and model and redo only
-    learn → infer → apply).
+    :meth:`default` is the paper's pipeline, and the one way to re-enter
+    it: run it on a retained context and every stage whose artifact is
+    present and current skips itself.
     """
 
     def __init__(self, stages: list[Stage]):
@@ -725,66 +683,7 @@ class RepairPlan:
     def stage_names(self) -> list[str]:
         return [stage.name for stage in self.stages]
 
-    def starting_at(self, name: str) -> "RepairPlan":
-        """The sub-plan from the named stage onward.
-
-        The slice itself cannot know whether the context it will later
-        receive carries the artifacts the skipped prefix would have
-        produced, so the prerequisite check happens in :meth:`run`:
-        running the sub-plan on a context that is missing one (e.g.
-        re-entering at ``learn`` with no compiled model) raises a
-        ``ValueError`` naming the missing artifact before any stage
-        executes.
-        """
-        names = self.stage_names
-        if name not in names:
-            raise ValueError(f"no stage named {name!r}; plan has {names}")
-        return RepairPlan(self.stages[names.index(name) :])
-
-    def missing_requirements(self, ctx: RepairContext) -> list[tuple[str, str]]:
-        """``(stage name, artifact)`` pairs this run would find absent.
-
-        Walks the plan in order, tracking which artifacts are already on
-        the context and which each non-skipping stage will produce, so a
-        requirement satisfied by an *earlier stage of this same plan*
-        does not count as missing.
-        """
-        available = {
-            artifact
-            for artifact in ARTIFACT_LABELS
-            if getattr(ctx, artifact, None) is not None
-        }
-        missing: list[tuple[str, str]] = []
-        for stage in self.stages:
-            if not stage.should_run(ctx):
-                continue
-            for artifact in stage.requires:
-                if artifact not in available:
-                    missing.append((stage.name, artifact))
-            available.update(stage.provides)
-        return missing
-
-    def validate(self, ctx: RepairContext) -> None:
-        """Raise ``ValueError`` if the context cannot support this plan.
-
-        This is the error surface partial re-entry rests on: the serving
-        layer maps it to a client error (HTTP 400), distinct from a
-        failure inside a stage (HTTP 500).
-        """
-        missing = self.missing_requirements(ctx)
-        if missing:
-            stage_name, artifact = missing[0]
-            producer = ARTIFACT_PRODUCERS[artifact]
-            raise ValueError(
-                f"cannot run stage {stage_name!r}: context has no "
-                f"{ARTIFACT_LABELS[artifact]} (ctx.{artifact} is None) — "
-                f"run the {producer!r} stage first, e.g. "
-                f"RepairPlan.default().starting_at({producer!r}), or "
-                f"rehydrate the context from a checkpoint"
-            )
-
     def run(self, ctx: RepairContext) -> RepairContext:
-        self.validate(ctx)
         for stage in self.stages:
             ctx = stage.run(ctx)
         return ctx

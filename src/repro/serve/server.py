@@ -22,7 +22,7 @@ the worker pool; ``serve_job_timeout`` bounds each job
 (``asyncio.wait_for`` → 504), and a saturated pool surfaces as
 429 with a ``Retry-After`` header.  Error mapping is uniform:
 :class:`~repro.serve.service.ServiceError` carries its own status,
-``ValueError`` (bad payloads, invalid plan re-entry) is a 400, and
+``ValueError`` (bad payloads) is a 400, and
 anything else is a 500.
 
 ``python -m repro serve`` (see :func:`main`) is the operator entry

@@ -14,9 +14,9 @@ response and in the ``serve.*`` metrics:
   finished context is admitted to the LRU session store.
 * **rehydrated** — no warm session but a checkpoint exists: the
   context is rebuilt from disk (engine and tracer come back lazily)
-  and the plan re-enters wherever the checkpoint stopped; every stage
-  whose artifact survived the trip skips itself, so an unchanged
-  request runs apply alone and leaves the checkpoint as it was.
+  and the default plan runs on it; every stage whose artifact survived
+  the trip skips itself, so an unchanged request runs apply alone and
+  leaves the checkpoint as it was.
 * **warm** — the session store has the context: detect and compile
   skip, learn and infer skip unless the request changed the config,
   and apply runs — the millisecond path the store exists for.
@@ -25,6 +25,9 @@ Feedback requests (Section 2.2 of the paper) go through
 :meth:`~repro.core.session.RepairSession.from_context`, so the serving
 layer shares the exact feedback semantics of the library session —
 verified values become labeled evidence and clamps on the next rerun.
+A session's checkpoint is written after a cold, rehydrated or feedback
+request and on eviction, but only if a checkpointed stage ran since its
+last successful save: evicting an unchanged session writes nothing.
 
 Admission control is a simple bounded counter: at most
 ``serve_workers`` jobs run while ``serve_queue_depth`` more may wait;
@@ -58,9 +61,14 @@ from repro.serve.store import Session, SessionKey, SessionStore
 
 log = get_logger("serve")
 
-#: Stages whose artifacts a checkpoint stores: a rehydrated request in
-#: which none of them ran leaves its checkpoint unchanged.
+#: Stages whose artifacts a checkpoint stores: a request in which none
+#: of them ran leaves the session's checkpoint as it was.
 CHECKPOINTED = tuple(stage for stage, _ in STAGE_ARTIFACTS)
+
+
+def _ran_checkpointed_stage(ctx: RepairContext) -> bool:
+    """Whether the last plan run on ``ctx`` ran a checkpointed stage."""
+    return any(ctx.stage_status.get(stage) == "ran" for stage in CHECKPOINTED)
 
 #: Trace-root budget per warm session: reruns append spans to the same
 #: tracer, so long-lived sessions trim their oldest roots past this.
@@ -74,7 +82,7 @@ class ServiceError(Exception):
 
 
 class BadRequest(ServiceError):
-    """Malformed payload or invalid re-entry (HTTP 400)."""
+    """Malformed payload or feedback on a cell the model lacks (HTTP 400)."""
 
     status = 400
 
@@ -299,9 +307,9 @@ class RepairService:
                 ctx = self._run_plan(ctx, path)
                 session.ctx = ctx
             elapsed = time.perf_counter() - started
+            session.unsaved |= _ran_checkpointed_stage(ctx)
         self._account(path, elapsed)
-        ran = {stage for stage, status in ctx.stage_status.items() if status == "ran"}
-        if path != "warm" and ran.intersection(CHECKPOINTED):  # cold always detects
+        if path != "warm":
             self._checkpoint(session)
         return self._response(sid, path, ctx, elapsed, payload)
 
@@ -320,17 +328,19 @@ class RepairService:
                     f"session {sid} has no compiled model yet; POST /repair first"
                 )
             wrapper = RepairSession.from_context(ctx)
-            for spec in cells:
-                cell, value = self._parse_feedback_cell(ctx, spec)
-                try:
-                    wrapper.feedback(cell, value)
-                except KeyError as exc:
-                    raise BadRequest(str(exc))
+            # Every cell is parsed and checked before any is recorded, so
+            # a rejected request leaves the session's feedback unchanged.
+            verified = dict(self._parse_feedback_cell(ctx, spec) for spec in cells)
+            try:
+                wrapper.feedback_all(verified)
+            except KeyError as exc:
+                raise BadRequest(str(exc))
             started = time.perf_counter()
             with ctx.span("serve.request", route="feedback", session=sid):
                 wrapper.rerun()
             self._trim_trace(ctx)
             elapsed = time.perf_counter() - started
+            session.unsaved |= _ran_checkpointed_stage(ctx)
         self._account("warm", elapsed)
         self._checkpoint(session)
         response = self._response(sid, "warm", ctx, elapsed, payload)
@@ -361,10 +371,8 @@ class RepairService:
 
     def _run_plan(self, ctx: RepairContext, path: str) -> RepairContext:
         """One plan run in-process, wrapped in a request span."""
-        plan = RepairPlan.default()
-        plan.validate(ctx)
         with ctx.span("serve.request", route="repair", path=path):
-            ctx = plan.run(ctx)
+            ctx = RepairPlan.default().run(ctx)
         if ctx.engine is not None:
             # Between requests the engine only costs memory (a warm
             # re-run grounds nothing unless it recompiles); drop it and
@@ -390,12 +398,17 @@ class RepairService:
         return ctx
 
     def _checkpoint(self, session: Session) -> None:
-        if self.checkpoints is None:
+        """Save the session if a checkpointed stage ran since its last save."""
+        if self.checkpoints is None or not session.unsaved:
             return
+        # Cleared first: a plan run that lands during the save marks it
+        # again, and a failed save is retried at the next chance.
+        session.unsaved = False
         started = time.perf_counter()
         try:
             saved = self.checkpoints.save(session.sid, session.ctx)
         except CheckpointError as exc:
+            session.unsaved = True
             log.warning("checkpoint of session %s failed: %s", session.sid, exc)
             return
         elapsed = time.perf_counter() - started

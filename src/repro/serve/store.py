@@ -65,6 +65,9 @@ class Session:
     created_at: float = field(default_factory=time.time)
     last_used: float = 0.0
     requests: int = 0
+    #: True once a checkpointed stage ran after the last successful save
+    #: of this session's checkpoint: eviction saves only then.
+    unsaved: bool = False
     #: Serializes jobs touching this context — stage plans mutate it,
     #: so two concurrent requests for the same session must queue.
     lock: threading.Lock = field(default_factory=threading.Lock, repr=False)

@@ -34,7 +34,7 @@ class TestRun:
                                      figure1_constraints):
         """A feedback-free session is byte-identical to HoloClean.repair()."""
         mine = session.run()
-        theirs = HoloClean(session.config).repair(figure1_dataset,
+        theirs = HoloClean(session.context.config).repair(figure1_dataset,
                                                   figure1_constraints)
         assert set(mine.inferences) == set(theirs.inferences)
         for cell, want in theirs.inferences.items():
@@ -61,10 +61,13 @@ class TestRun:
         assert all(t >= 0 for t in first.timings.values())
         session.feedback(Cell(0, "Zip"), "60608")
         second = session.rerun()
-        # Re-runs keep the detect/compile wall-clock of the original run
-        # and refresh the learning+inference phase.
+        # A rerun skips detect and compile, so their phases are 0; the
+        # learning+inference phase is this rerun's learn, infer, apply.
         assert set(second.timings) == {"detect", "compile", "repair"}
-        assert second.timings["detect"] == first.timings["detect"]
+        assert second.timings["detect"] == second.timings["compile"] == 0.0
+        timings = session.context.timings
+        assert list(timings) == ["learn", "infer", "apply"]
+        assert second.timings["repair"] == pytest.approx(sum(timings.values()))
 
     def test_rerun_reuses_detection_and_model(self, session):
         session.run()

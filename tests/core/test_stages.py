@@ -313,8 +313,9 @@ class TestReentry:
                           constraints=hospital.constraints, config=config))
         first = ctx.result
         model = ctx.model
-        ctx = RepairPlan.default().starting_at("learn").run(ctx)
+        ctx = RepairPlan.default().run(ctx)
         assert ctx.model is model  # compile not repeated
+        assert ctx.stage_status["compile"] == "skipped"
         assert_results_equal(ctx.result, first)
 
     def test_full_plan_on_warm_context_skips_producers(self, hospital):
@@ -324,14 +325,14 @@ class TestReentry:
                           constraints=hospital.constraints, config=config))
         first = ctx.result
         detection, model = ctx.detection, ctx.model
-        detect_time = ctx.timings["detect"]
-        compile_time = ctx.timings["compile"]
         ctx = RepairPlan.default().run(ctx)
         assert ctx.detection is detection
         assert ctx.model is model
-        # Skipped stages leave the originally recorded wall-clock intact.
-        assert ctx.timings["detect"] == detect_time
-        assert ctx.timings["compile"] == compile_time
+        # Skipped stages drop the wall-clock of the run that produced
+        # their artifact: the timings describe this run, apply alone.
+        assert list(ctx.timings) == ["apply"]
+        assert ctx.result.timings == {"detect": 0.0, "compile": 0.0,
+                                      "repair": ctx.timings["apply"]}
         assert_results_equal(ctx.result, first)
 
     def test_clearing_model_forces_recompile(self, figure1_dataset,
@@ -365,19 +366,18 @@ class TestPhaseTimings:
         assert phases["compile"] == 0.0
         assert phases["repair"] == 0.0
 
-    def test_starting_at_reentry_keeps_producer_timings(self, hospital):
+    def test_reentry_counts_only_stages_that_ran(self, hospital):
         config = config_for(hospital)
         ctx = RepairPlan.default().run(
             RepairContext(dataset=hospital.dirty,
                           constraints=hospital.constraints, config=config))
-        detect_time = ctx.timings["detect"]
-        compile_time = ctx.timings["compile"]
-        ctx = RepairPlan.default().starting_at("learn").run(ctx)
+        ctx.config = config.with_(epochs=config.epochs + 1)
+        ctx = RepairPlan.default().run(ctx)
         phases = ctx.phase_timings()
-        # The re-entry reruns only the repair phase; the producers'
-        # timings survive and keep folding into their phases.
-        assert phases["detect"] == detect_time
-        assert phases["compile"] == compile_time
+        # The re-entry reruns only the repair phase; detect and compile
+        # skipped, so their phases are 0 rather than the first run's.
+        assert list(ctx.timings) == ["learn", "infer", "apply"]
+        assert phases["detect"] == phases["compile"] == 0.0
         repair = sum(ctx.timings[n] for n in ("learn", "infer", "apply"))
         assert phases["repair"] == pytest.approx(repair)
         assert ctx.result.timings == phases
@@ -706,54 +706,11 @@ class TestStagePreconditions:
         with pytest.raises(RuntimeError, match="InferStage"):
             ApplyStage()(ctx)
 
-    def test_starting_at_unknown_stage(self):
-        with pytest.raises(ValueError, match="no stage named"):
-            RepairPlan.default().starting_at("ground")
 
-
-class TestPlanValidation:
-    """Re-entry on a context missing its artifacts fails fast (400-able)."""
-
+class TestFingerprints:
     def _ctx(self, figure1_dataset, figure1_constraints):
         return RepairContext(dataset=figure1_dataset,
                              constraints=figure1_constraints)
-
-    def test_starting_at_learn_names_missing_model(self, figure1_dataset,
-                                                   figure1_constraints):
-        plan = RepairPlan.default().starting_at("learn")
-        ctx = self._ctx(figure1_dataset, figure1_constraints)
-        with pytest.raises(ValueError, match="CompiledModel"):
-            plan.run(ctx)
-        # The message points at the producing stage and a remedy.
-        with pytest.raises(ValueError, match="'compile'"):
-            plan.run(ctx)
-
-    def test_starting_at_infer_names_missing_weights(self, figure1_dataset,
-                                                     figure1_constraints):
-        # With a compiled model present the earliest gap is the weights.
-        ctx = RepairPlan([DetectStage(), CompileStage()]).run(
-            self._ctx(figure1_dataset, figure1_constraints))
-        with pytest.raises(ValueError, match="learned weights"):
-            RepairPlan.default().starting_at("infer").run(ctx)
-
-    def test_validate_checks_earliest_gap_first(self, figure1_dataset,
-                                                figure1_constraints):
-        ctx = self._ctx(figure1_dataset, figure1_constraints)
-        missing = RepairPlan.default().starting_at("apply").missing_requirements(ctx)
-        assert missing[0][1] == "model"
-
-    def test_full_plan_on_empty_context_is_valid(self, figure1_dataset,
-                                                 figure1_constraints):
-        ctx = self._ctx(figure1_dataset, figure1_constraints)
-        assert RepairPlan.default().missing_requirements(ctx) == []
-        RepairPlan.default().validate(ctx)  # must not raise
-
-    def test_warm_context_revalidates(self, figure1_dataset,
-                                      figure1_constraints):
-        ctx = RepairPlan.default().run(
-            self._ctx(figure1_dataset, figure1_constraints))
-        for stage in ("learn", "infer", "apply"):
-            RepairPlan.default().starting_at(stage).validate(ctx)
 
     def test_fingerprints_are_stable_and_content_keyed(self, figure1_dataset,
                                                        figure1_constraints):

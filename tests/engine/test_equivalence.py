@@ -158,7 +158,7 @@ def naive_repair(dataset, constraints, config):
     ctx.detection = NaiveViolationDetector(constraints).detect(dataset)
     compiler = NaiveModelCompiler(dataset, constraints, config, ctx.detection)
     ctx.model = compiler.compile()
-    return RepairPlan.default().starting_at("learn").run(ctx).result
+    return RepairPlan.default().run(ctx).result
 
 
 def test_pipeline_repairs_identical_across_engines(hospital):

@@ -10,6 +10,10 @@ here first.
   120-row Hospital: the pinned F1 is the measured value at the commit
   that introduced chromatic Gibbs (41 correct of 42 repairs, 48 errors),
   which is also what the single-site sampler before it scored.
+* Weak-label rule, a 1,000-row Hospital trained on 200 sampled cells:
+  the auto rule must leave weak labels off, as it does uncapped (it
+  once set the capped evidence against the uncapped query count and
+  switched them on: F1 0.255).
 * Softmax path, ``run_holoclean`` defaults on a 300-row Hospital and a
   20-flight Flights: the pinned values were measured at the parent of the
   commit that moved feature-key allocation to emission order, and that
@@ -73,3 +77,13 @@ def test_softmax_path_quality(
     assert run.quality.f1 == pytest.approx(f1, abs=0.03)
     assert run.quality.precision == pytest.approx(precision, abs=0.03)
     assert run.quality.recall == pytest.approx(recall, abs=0.03)
+
+
+def test_capped_training_sample_leaves_weak_labels_off():
+    generated = generate_hospital(num_rows=1000, seed=7)
+    run, result = run_holoclean(generated, max_training_cells=200)
+    _, forced = run_holoclean(
+        generated, max_training_cells=200, weak_label_training=False
+    )
+    assert run.quality.f1 >= 0.9
+    assert result.repaired == forced.repaired

@@ -1,10 +1,11 @@
 """Checkpoint round-trips: rehydrated sessions must be indistinguishable.
 
 The serving pledge (ROADMAP item 3): a session serialized to disk,
-evicted, and rehydrated must re-enter the staged plan at ``learn`` or
-``infer`` and produce *marginal-identical* results versus the session
-that stayed warm in memory the whole time — on Hospital and Flights,
-and through the feedback path too.
+evicted, and rehydrated runs the default plan with detect and compile
+skipped, and must produce *marginal-identical* results versus the
+session that stayed warm in memory the whole time — whether learn or
+only infer re-runs, on Hospital and Flights, and through the feedback
+path too.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class TestRoundTrip:
 
         # Unchanged inputs: the weights and marginals survived the trip
         # with their digests, so learn and infer skip on both sides.
-        plan = RepairPlan.default().starting_at("learn")
+        plan = RepairPlan.default()
         reused = plan.run(store.load("sid"))
         assert reused.stage_status["learn"] == "skipped"
         assert reused.stage_status["infer"] == "skipped"
@@ -95,6 +96,7 @@ class TestRoundTrip:
         warm.weights = rehydrated.weights = None
         warm = plan.run(warm)
         rehydrated = plan.run(rehydrated)
+        assert rehydrated.stage_status["compile"] == "skipped"
         assert rehydrated.stage_status["learn"] == "ran"
         _assert_same_outcome(warm, rehydrated)
         _assert_same_outcome(warm, reused)
@@ -106,10 +108,11 @@ class TestRoundTrip:
         store.save("sid", warm)
         rehydrated = store.load("sid")
 
-        plan = RepairPlan.default().starting_at("infer")
+        plan = RepairPlan.default()
         warm.marginals = rehydrated.marginals = None  # else infer skips
         warm = plan.run(warm)
         rehydrated = plan.run(rehydrated)
+        assert rehydrated.stage_status["learn"] == "skipped"
         assert rehydrated.stage_status["infer"] == "ran"
         _assert_same_outcome(warm, rehydrated)
 
@@ -123,7 +126,7 @@ class TestRoundTrip:
         # The same user verification lands on both contexts.
         info = warm.model.graph.variables[warm.model.query_ids[0]]
         verified = info.domain[-1]
-        plan = RepairPlan.default().starting_at("learn")
+        plan = RepairPlan.default()
         warm.feedback[info.cell] = verified
         rehydrated.feedback[info.cell] = verified
         warm = plan.run(warm)
@@ -144,7 +147,7 @@ class TestRoundTrip:
         info = warm.model.graph.variables[warm.model.query_ids[0]]
         verified = info.domain[-1]
         warm.feedback[info.cell] = verified
-        plan = RepairPlan.default().starting_at("learn")
+        plan = RepairPlan.default()
         warm = plan.run(warm)
 
         store = CheckpointStore(tmp_path)
@@ -176,7 +179,7 @@ class TestFactorRoundTrip:
         fingerprint = warm.model.content_fingerprint()
         assert rehydrated.model.content_fingerprint() == fingerprint
 
-        plan = RepairPlan.default().starting_at("learn")
+        plan = RepairPlan.default()
         for ctx in (warm, rehydrated):  # re-learn and re-sample
             ctx.weights = ctx.marginals = None
         warm, rehydrated = plan.run(warm), plan.run(rehydrated)
@@ -229,7 +232,7 @@ class TestOlderCheckpoints:
         rehydrated = store.load("sid")
         assert vars(rehydrated.config)["parallel_workers"] == 2
         assert vars(rehydrated.config)["engine_backend"] == "numpy"
-        plan = RepairPlan.default().starting_at("learn")
+        plan = RepairPlan.default()
         _assert_same_outcome(plan.run(warm), plan.run(rehydrated))
         # The stale attributes do not survive the next config edit.
         assert "parallel_workers" not in vars(rehydrated.config.with_(tau=0.4))
@@ -260,7 +263,7 @@ class TestOlderCheckpoints:
         for cell, value in verified.items():
             session.feedback(cell, value)
             warm.feedback[cell] = value
-        plan = RepairPlan.default().starting_at("learn")
+        plan = RepairPlan.default()
         result = session.rerun()
         warm = plan.run(warm)
         assert list(result.inferences) == list(warm.result.inferences)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import HoloCleanConfig
 from repro.core.stages import STAGE_ORDER
-from repro.serve.checkpoint import FORMAT_VERSION
+from repro.serve.checkpoint import FORMAT_VERSION, CheckpointError
 from repro.serve.service import (
     BadRequest,
     NotFound,
@@ -55,6 +55,18 @@ class TestRepairPaths:
         assert second["stage_status"]["learn"] == "skipped"
         assert second["stage_status"]["infer"] == "skipped"
         assert second["repairs"] == first["repairs"]
+
+    def test_warm_timings_count_only_what_ran(self, ephemeral_service, hospital):
+        """An unchanged warm request runs apply alone, and its timings say
+        so instead of repeating the cold request's detect and compile."""
+        cold = ephemeral_service.repair(payload_for(hospital))
+        assert cold["timings"]["detect"] > 0 and cold["timings"]["compile"] > 0
+        warm = ephemeral_service.repair(payload_for(hospital))
+        assert warm["path"] == "warm"
+        assert warm["timings"]["detect"] == warm["timings"]["compile"] == 0.0
+        timings = ephemeral_service.store.peek(warm["session"]).ctx.timings
+        assert list(timings) == ["apply"]
+        assert warm["timings"]["repair"] == timings["apply"] > 0
 
     def test_session_id_is_content_keyed(self, service, hospital):
         renamed = payload_for(hospital)
@@ -176,6 +188,31 @@ class TestFeedback:
         assert response["feedback_count"] == 1
         after = service.marginals(sid, tid=target["tid"], attribute=target["attribute"])
         assert after["cells"]
+
+    def test_rejected_feedback_changes_nothing(self, service, flights):
+        """A request whose last cell is rejected records none of its
+        cells: the session's feedback and repairs stay as they were."""
+        first = service.repair(payload_for(flights))
+        sid = first["session"]
+        target = service.marginals(sid)["cells"][0]
+        source = flights.dirty.schema.with_role("source")[0]
+        cells = [
+            {
+                "tid": target["tid"],
+                "attribute": target["attribute"],
+                "value": target["domain"][-1],
+            },
+            {"tid": 0, "attribute": source, "value": "x"},
+        ]
+        ctx = service.store.peek(sid).ctx
+        result = ctx.result
+        with pytest.raises(BadRequest, match="not a noisy cell"):
+            service.feedback(sid, {"cells": cells})
+        assert ctx.feedback == {}
+        assert ctx.result is result
+        again = service.repair(payload_for(flights))
+        assert again["stage_status"]["learn"] == "skipped"
+        assert again["repairs"] == first["repairs"]
 
     def test_feedback_on_unmodeled_cell_rejected(self, service, flights):
         sid = service.repair(payload_for(flights))["session"]
@@ -474,14 +511,42 @@ class TestLifecycle:
         on_disk = sum(f.stat().st_size for f in directory.iterdir())
         assert snapshot["gauges"]["serve.checkpoint_bytes"] == on_disk > 0
 
-        service.delete_session(sid)  # evict: a second save
+        service.delete_session(sid)  # evict: nothing ran since the save
         # An unchanged rehydrate loads and re-runs nothing it would save.
         assert service.repair(payload_for(hospital))["path"] == "rehydrated"
         series = service.metrics_snapshot()["series"]
-        assert len(series["serve.checkpoint_save_seconds"]) == 2
+        assert len(series["serve.checkpoint_save_seconds"]) == 1
         assert len(series["serve.checkpoint_load_seconds"]) == 1
         spent = [s for name in series if "checkpoint" in name for s in series[name]]
-        assert len(spent) == 3 and min(spent) > 0
+        assert len(spent) == 2 and min(spent) > 0
+
+    def test_eviction_saves_a_changed_warm_session(self, service, hospital):
+        """A warm request that re-learned is saved when it is evicted, and
+        the rehydrate repairs exactly as the warm session did."""
+        sid = service.repair(payload_for(hospital))["session"]  # cold: one save
+        retuned = service.repair(payload_for(hospital, epochs=14))
+        assert retuned["path"] == "warm"
+        assert retuned["stage_status"]["learn"] == "ran"
+        service.delete_session(sid)
+        series = service.metrics_snapshot()["series"]
+        assert len(series["serve.checkpoint_save_seconds"]) == 2
+        back = service.repair(payload_for(hospital, epochs=14))
+        assert back["path"] == "rehydrated"
+        assert back["stage_status"]["learn"] == "skipped"
+        assert back["repairs"] == retuned["repairs"]
+
+    def test_failed_save_is_retried_on_eviction(self, service, hospital, monkeypatch):
+        save = service.checkpoints.save
+
+        def fail_once(*args):
+            monkeypatch.setattr(service.checkpoints, "save", save)
+            raise CheckpointError("disk full")
+
+        monkeypatch.setattr(service.checkpoints, "save", fail_once)
+        sid = service.repair(payload_for(hospital))["session"]
+        assert not service.checkpoints.has(sid)
+        service.delete_session(sid)
+        assert service.checkpoints.has(sid)
 
     def test_health(self, service):
         health = service.health()
