@@ -31,6 +31,10 @@ VECTORIZED_MODULES = frozenset(
         "src/repro/core/vector_domain.py",
         "src/repro/core/repair.py",
         "src/repro/detect/violations.py",
+        "src/repro/detect/hypergraph.py",
+        "src/repro/detect/nulls.py",
+        "src/repro/engine/store.py",
+        "src/repro/obs/fingerprint.py",
         "src/repro/inference/factor_graph.py",
         "src/repro/inference/gibbs.py",
         "src/repro/inference/softmax.py",

@@ -112,10 +112,8 @@ class ScareRepair(RepairMethod):
         size = max(2, int(dataset.num_tuples * self.sample_fraction))
         picked = sorted(rng.choice(dataset.num_tuples, size=size,
                                    replace=False))
-        block = Dataset(dataset.schema, name=f"{dataset.name}-block")
-        for tid in picked:
-            block.append(dataset.row(tid))
-        return block
+        rows = [dataset.row(tid) for tid in picked]
+        return Dataset(dataset.schema, rows, name=f"{dataset.name}-block")
 
     # ------------------------------------------------------------------
     # Dependency structure: Theil's uncertainty coefficient U(A | B)

@@ -137,11 +137,13 @@ class ModelCompiler:
         # (tid, store attribute code) in (tid, attribute name) order.
         repairable = set(self.dataset.schema.data_attributes)
         code_of = {name: code for code, name in enumerate(store.attributes)}
-        noisy = np.array([(cell.tid, code_of[cell.attribute])
-                          for cell in self.detection.noisy_cells
-                          if cell.attribute in repairable],
-                         dtype=np.int64).reshape(-1, 2)
-        noisy = noisy[self._cell_order(noisy[:, 0], noisy[:, 1])]
+        flagged = [(np.flatnonzero(mask), code_of[attribute])
+                   for attribute, mask in self.detection.masks.items()
+                   if attribute in repairable]
+        empty = np.empty(0, dtype=np.int64)
+        tids = np.concatenate([empty, *(t for t, _ in flagged)])
+        codes = np.concatenate([empty, *(np.full(len(t), c) for t, c in flagged)])
+        noisy = np.stack((tids, codes), axis=1)[self._cell_order(tids, codes)]
 
         with deep_span("compile.prune_domains", cells=len(noisy)):
             query_domains = self._prune_domains(noisy[:, 0], noisy[:, 1])

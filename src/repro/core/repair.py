@@ -197,15 +197,16 @@ class CellInferences(Mapping):
         variables = self.variables
         vids, choice = self.query_ids[rows], self.choice[rows]
         domains = variables.domains_of(vids)
-        # Observed values straight off the rows: one schema lookup per attribute.
+        # Observed values straight off the columns, one decode per attribute.
         column = np.array(list(map(self.dataset.schema.index_of, variables.attributes)))
-        tuples = map(self.dataset.row_ref, variables.tids[vids].tolist())
-        columns = column[variables.attribute_codes[vids]].tolist()
+        observed = self.dataset.cell_values(
+            variables.tids[vids], column[variables.attribute_codes[vids]]
+        )
         views = list(
             map(
                 CellInference,
                 cells,
-                map(list.__getitem__, tuples, columns),
+                observed,
                 map(list.__getitem__, domains, choice.tolist()),
                 self.confidence[rows].tolist(),
                 domains,

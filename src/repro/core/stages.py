@@ -351,7 +351,7 @@ class DetectStage(Stage):
         for detector in ctx.extra_detectors:
             detection.merge(detector.detect(ctx.dataset))
         ctx.detection = detection
-        ctx.metrics.gauge("detect.noisy_cells", len(detection.noisy_cells))
+        ctx.metrics.gauge("detect.noisy_cells", detection.num_noisy)
         ctx.metrics.gauge("detect.violations", len(detection.hypergraph))
         ctx.metrics.gauge(
             "detect.truncated_constraints", len(violation_detector.truncated)
@@ -617,13 +617,17 @@ class ApplyStage(Stage):
             repaired = dataset.copy(name=f"{dataset.name}-repaired")
             rows = np.flatnonzero(is_repair)
             vids = query[rows]
-            names, tables = variables.attributes, variables.tables
-            attributes = variables.attribute_codes[vids].tolist()
+            tids, attributes = variables.tids[vids], variables.attribute_codes[vids]
             codes = variables.domain_codes[variables.domain_indptr[vids] + choice[rows]]
-            for tid, attribute, code in zip(
-                variables.tids[vids].tolist(), attributes, codes.tolist()
-            ):
-                repaired.set_value(tid, names[attribute], tables[attribute][code])
+            # One indexed write per attribute, decoded through the catalog.
+            for attribute in np.flatnonzero(np.bincount(attributes)).tolist():
+                at = attributes == attribute
+                repaired.write(
+                    variables.attributes[attribute],
+                    tids[at],
+                    codes[at],
+                    variables.tables[attribute],
+                )
             # Feedback values outside the candidate domain are applied as-is.
             for cell, value in outside.items():
                 repaired.set_value(cell.tid, cell.attribute, value)

@@ -66,7 +66,7 @@ class GeneratedDataset:
             "tuples": self.dirty.num_tuples,
             "attributes": len(self.dirty.schema),
             "violations": len(detection.hypergraph),
-            "noisy_cells": len(detection.noisy_cells),
+            "noisy_cells": detection.num_noisy,
             "ics": len(self.constraints),
         }
 

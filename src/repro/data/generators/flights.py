@@ -83,8 +83,7 @@ def generate_flights(num_flights: int | None = None, num_sources: int = 34,
         }
         flights.append((f"FL-{f:04d}", truth, alternatives))
 
-    clean = Dataset(_SCHEMA, name="flights-clean")
-    dirty = Dataset(_SCHEMA, name="flights")
+    clean_rows, dirty_rows = [], []
     error_cells: set[Cell] = set()
     for flight_id, truth, alternatives in flights:
         for source in sources:
@@ -95,12 +94,15 @@ def generate_flights(num_flights: int | None = None, num_sources: int = 34,
                     options = alternatives[attr]
                     pick = 0 if rng.random() < alternative_concentration else 1
                     dirty_row[attr] = options[pick]
-            tid = clean.append([clean_row[a] for a in _SCHEMA.names])
-            dirty.append([dirty_row[a] for a in _SCHEMA.names])
+            tid = len(clean_rows)
+            clean_rows.append([clean_row[a] for a in _SCHEMA.names])
+            dirty_rows.append([dirty_row[a] for a in _SCHEMA.names])
             for attr in _TIME_ATTRS:
                 if dirty_row[attr] != clean_row[attr]:
                     error_cells.add(Cell(tid, attr))
 
+    clean = Dataset(_SCHEMA, clean_rows, name="flights-clean")
+    dirty = Dataset(_SCHEMA, dirty_rows, name="flights")
     constraints = [dc for fd in _FDS for dc in fd.to_denial_constraints()]
     return GeneratedDataset(
         name="flights", dirty=dirty, clean=clean, constraints=constraints,

@@ -108,7 +108,7 @@ def generate_food(num_rows: int | None = None, typo_rate: float = 0.02,
             f"({establishments[-1]['Latitude']}, "
             f"{establishments[-1]['Longitude']})")
 
-    clean = Dataset(_SCHEMA, name="food-clean")
+    rows = []
     inspection_id = 1_000_000
     row_count = 0
     seen_visits: set[tuple[str, str]] = set()
@@ -138,10 +138,11 @@ def generate_food(num_rows: int | None = None, typo_rate: float = 0.02,
             record["Results"] = _RESULTS[int(rng.integers(0, len(_RESULTS)))]
             record["Violations"] = f"{int(rng.integers(0, 60))} observed"
             previous_record = record
-        clean.append([record[a] for a in _SCHEMA.names])
+        rows.append([record[a] for a in _SCHEMA.names])
         inspection_id += 1
         row_count += 1
 
+    clean = Dataset(_SCHEMA, rows, name="food-clean")
     dirty = clean.copy(name="food")
     injector = ErrorInjector(np.random.default_rng(seed + 1))
     error_cells = injector.inject_typos(dirty, _TYPO_ATTRIBUTES,

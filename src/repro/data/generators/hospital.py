@@ -127,7 +127,7 @@ def generate_hospital(num_rows: int | None = None,
             "Region": f"Region-{h % 8}",
         })
 
-    clean = Dataset(_SCHEMA, name="hospital-clean")
+    rows = []
     row_count = 0
     for h, hospital in enumerate(hospitals):
         for m, measure in enumerate(measures):
@@ -140,9 +140,10 @@ def generate_hospital(num_rows: int | None = None,
             record["Score"] = f"{int(rng.integers(8, 20)) * 5}%"
             record["Sample"] = f"{int(rng.integers(1, 9)) * 50} patients"
             record["StateAvg"] = f"{record['State']}_{measure['MeasureCode']}"
-            clean.append([record[a] for a in _SCHEMA.names])
+            rows.append([record[a] for a in _SCHEMA.names])
             row_count += 1
 
+    clean = Dataset(_SCHEMA, rows, name="hospital-clean")
     dirty = clean.copy(name="hospital")
     injector = ErrorInjector(np.random.default_rng(seed + 1))
     error_cells = injector.inject_typos(dirty, _ERROR_ATTRIBUTES,

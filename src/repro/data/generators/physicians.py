@@ -101,7 +101,7 @@ def generate_physicians(num_rows: int | None = None,
             "Zip": f"{zipcode}-{int(rng.integers(1000, 9999))}",  # ZIP+4
         })
 
-    clean = Dataset(_SCHEMA, name="physicians-clean")
+    rows = []
     for i in range(rows_wanted):
         org = organizations[i % num_orgs]
         record = dict(org)
@@ -120,8 +120,9 @@ def generate_physicians(num_rows: int | None = None,
             "SecondarySpecialty": _SPECIALTIES[
                 int(rng.integers(0, len(_SPECIALTIES)))],
         })
-        clean.append([record[a] for a in _SCHEMA.names])
+        rows.append([record[a] for a in _SCHEMA.names])
 
+    clean = Dataset(_SCHEMA, rows, name="physicians-clean")
     dirty = clean.copy(name="physicians")
     injector = ErrorInjector(np.random.default_rng(seed + 1))
 

@@ -42,21 +42,23 @@ def read_csv(path: str | Path, name: str | None = None,
             for col in header
         ]
         schema = Schema(attrs)
-        ds = Dataset(schema, name=name or path.stem)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}:{lineno}: row has {len(row)} fields, "
-                    f"header has {len(header)}")
-            ds.append([v if v != "" else None for v in row])
-    return ds
+        rows = list(reader)
+    if set(map(len, rows)) - {len(header)}:
+        lineno, row = next(
+            (k, row) for k, row in enumerate(rows, start=2) if len(row) != len(header)
+        )
+        raise ValueError(
+            f"{path}:{lineno}: row has {len(row)} fields, header has {len(header)}"
+        )
+    # One bulk encode; the load rule reads an empty field as NULL.
+    return Dataset(schema, rows, name=name or path.stem)
 
 
 def write_csv(dataset: Dataset, path: str | Path) -> None:
     """Write a dataset to CSV; NULL values become empty fields."""
     path = Path(path)
+    columns = [dataset.decoded(attribute) for attribute in dataset.schema.names]
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(dataset.schema.names)
-        for tid in dataset.tuple_ids:
-            writer.writerow(["" if v is None else v for v in dataset.row_ref(tid)])
+        writer.writerows(zip(*columns))  # the csv module writes None as ""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -51,11 +52,24 @@ class ViolationBlock(NamedTuple):
     attributes: tuple[tuple[str, ...], ...]
 
 
+def cells_of_masks(masks: dict[str, np.ndarray]) -> set[Cell]:
+    """The cells ``(tid, attribute)`` flagged in per-attribute tid masks."""
+    cells: set[Cell] = set()
+    for attribute, mask in masks.items():
+        tids = np.flatnonzero(mask).tolist()
+        cells.update(map(Cell._make, zip(tids, repeat(attribute))))
+    return cells
+
+
 class _UnionFind:
     """Path-compressed union-find over arbitrary hashable items."""
 
     def __init__(self):
         self._parent: dict = {}
+
+    def add(self, items: list) -> None:
+        """Register distinct new ``items`` as singletons, in order."""
+        self._parent.update(zip(items, items))
 
     def find(self, x):
         parent = self._parent.setdefault(x, x)
@@ -108,6 +122,7 @@ class ConflictHypergraph:
             violations=sum(len(b.tids) for b in blocks),
         ):
             for name, tids, attributes in blocks:
+                # repro: allow-loop Violation objects, only for callers that ask
                 for row in tids.tolist():
                     cells = [
                         make_cell((tid, a))
@@ -134,22 +149,19 @@ class ConflictHypergraph:
     def constraint(self, name: str) -> DenialConstraint | None:
         return self._constraints.get(name)
 
-    def cells(self) -> set[Cell]:
-        """All cells appearing in any violation (the noisy-cell candidates)."""
+    def masks(self) -> dict[str, np.ndarray]:
+        """The cells appearing in any violation (the noisy-cell
+        candidates), as one boolean mask over tuple ids per attribute,
+        sized to the largest tid seen."""
         if not self.blocks:
-            return set()
+            return {}
         size = max(int(block.tids.max()) for block in self.blocks) + 1
         flagged: dict[str, np.ndarray] = defaultdict(lambda: np.zeros(size, bool))
         for _, tids, attributes in self.blocks:
             for position, attrs in enumerate(attributes):
                 for attribute in attrs:
                     flagged[attribute][tids[:, position]] = True
-        make_cell = Cell._make  # skips the per-field constructor frame
-        return {
-            make_cell((tid, attribute))
-            for attribute, mask in flagged.items()
-            for tid in np.flatnonzero(mask).tolist()
-        }
+        return dict(flagged)
 
     def tuples(self) -> set[int]:
         out: set[int] = set()
@@ -177,14 +189,15 @@ class ConflictHypergraph:
         uf = _UnionFind()
         flat = np.concatenate([tids.ravel() for tids in rows])
         first_seen = np.sort(np.unique(flat, return_index=True)[1])
-        for tid in flat[first_seen].tolist():
-            uf.find(tid)  # registers singletons too, in appearance order
+        uf.add(flat[first_seen].tolist())  # singletons too, in appearance order
         stride = int(flat.max(initial=-1)) + 1
         for tids in rows:
+            # repro: allow-loop one pass per tuple position (the DC's arity)
             for position in range(1, tids.shape[1]):
                 # The distinct (first, other) edges in lexicographic order.
                 edges = sorted_unique(tids[:, 0] * stride + tids[:, position])
                 firsts, others = divmod(edges, stride)
+                # repro: allow-loop union-find over one constraint's distinct edges
                 for first, other in zip(firsts.tolist(), others.tolist()):
                     uf.union(first, other)
         return uf.components()

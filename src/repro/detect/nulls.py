@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.dataset.dataset import Cell, Dataset
+from repro.dataset.dataset import NULL_CODE, Dataset
 from repro.detect.base import DetectionResult, ErrorDetector
 
 
@@ -14,11 +14,5 @@ class NullDetector(ErrorDetector):
 
     def detect(self, dataset: Dataset) -> DetectionResult:
         attrs = self.attributes or dataset.schema.data_attributes
-        indexes = [(a, dataset.schema.index_of(a)) for a in attrs]
-        noisy = {
-            Cell(tid, a)
-            for tid in dataset.tuple_ids
-            for a, i in indexes
-            if dataset.row_ref(tid)[i] is None
-        }
-        return DetectionResult(noisy_cells=noisy)
+        masks = {a: dataset.encoded(a)[0] == NULL_CODE for a in attrs}
+        return DetectionResult(masks=masks)

@@ -14,43 +14,41 @@ flagging genuinely high-cardinality attributes (names, addresses):
 
 from __future__ import annotations
 
-from repro.dataset.dataset import Cell, Dataset
-from repro.dataset.stats import Statistics
+import numpy as np
+
+from repro.dataset.dataset import Dataset
 from repro.detect.base import DetectionResult, ErrorDetector
 
 
 class OutlierDetector(ErrorDetector):
     """Flags rare values in concentrated categorical attributes."""
 
-    def __init__(self, attributes: list[str] | None = None,
-                 max_relative_frequency: float = 0.01,
-                 max_count: int = 3,
-                 dominance: float = 0.2):
+    def __init__(
+        self,
+        attributes: list[str] | None = None,
+        max_relative_frequency: float = 0.01,
+        max_count: int = 3,
+        dominance: float = 0.2,
+    ):
         self.attributes = attributes
         self.max_relative_frequency = max_relative_frequency
         self.max_count = max_count
         self.dominance = dominance
 
     def detect(self, dataset: Dataset) -> DetectionResult:
-        stats = Statistics(dataset)
         attrs = self.attributes or dataset.schema.data_attributes
-        noisy: set[Cell] = set()
+        masks = {}
         for attr in attrs:
-            counts = stats.counts(attr)
-            total = sum(counts.values())
+            codes, values = dataset.encoded(attr)
+            counts = np.bincount(codes[codes >= 0], minlength=len(values))
+            total = int(counts.sum())
             if total == 0:
                 continue
-            top = counts.most_common(1)[0][1]
-            if top / total < self.dominance:
+            if counts.max() / total < self.dominance:
                 continue  # attribute too diverse to call anything an outlier
-            rare = {
-                v for v, n in counts.items()
-                if n <= self.max_count and n / total <= self.max_relative_frequency
-            }
-            if not rare:
-                continue
-            idx = dataset.schema.index_of(attr)
-            for tid in dataset.tuple_ids:
-                if dataset.row_ref(tid)[idx] in rare:
-                    noisy.add(Cell(tid, attr))
-        return DetectionResult(noisy_cells=noisy)
+            rare = (counts <= self.max_count) & (
+                counts / total <= self.max_relative_frequency
+            )
+            if rare.any():
+                masks[attr] = np.append(rare, False)[codes]  # NULL: never rare
+        return DetectionResult(masks=masks)

@@ -129,8 +129,8 @@ class ViolationDetector(ErrorDetector):
             else:
                 self._detect_pairs(engine, dataset, dc, hypergraph)
         with deep_span("detect.noisy_cells", violations=len(hypergraph)):
-            noisy = hypergraph.cells()
-        return DetectionResult(noisy_cells=noisy, hypergraph=hypergraph)
+            masks = hypergraph.masks()
+        return DetectionResult(hypergraph=hypergraph, masks=masks)
 
     # ------------------------------------------------------------------
     # Single-tuple constraints

@@ -4,8 +4,8 @@ HoloClean grounds its probabilistic model with relational queries inside
 a DBMS (Postgres + DeepDive, §4–5 of the paper); this package is the
 reproduction's equivalent subsystem:
 
-* :mod:`~repro.engine.store` — :class:`ColumnStore`, a dictionary-encoded
-  columnar snapshot of a dataset;
+* :mod:`~repro.engine.store` — :class:`ColumnStore`, a snapshot view of
+  a dataset's dictionary-encoded columns;
 * :mod:`~repro.engine.ops` — vectorized join / group-by / counting
   primitives over coded columns;
 * :mod:`~repro.engine.stats` — :class:`EngineStatistics`, engine-computed
@@ -37,7 +37,7 @@ class Engine:
 
     Construction is cheap; the store and backend are built lazily on
     first use and cached.  ``refresh()`` drops them so the next access
-    re-encodes the (mutated) dataset.  ``backend`` is a class
+    views the (mutated) dataset's columns again.  ``backend`` is a class
     ``(store) -> backend`` — the seam the equivalence tests inject their
     SQL rendering of the plan through; production never passes it.
     """

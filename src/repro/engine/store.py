@@ -2,15 +2,17 @@
 
 HoloClean's original system grounds its model inside a DBMS, where every
 relational operator works over columns, not Python objects.  The
-:class:`ColumnStore` is the equivalent substrate here: each attribute of a
-:class:`~repro.dataset.dataset.Dataset` is dictionary-encoded once into an
-``int32`` NumPy column (``-1`` encodes NULL) so that joins, group-bys and
-frequency counts become array operations on small integers.
+:class:`ColumnStore` is the equivalent substrate here: a view of a
+:class:`~repro.dataset.dataset.Dataset`'s own storage, one ``int32``
+NumPy column per attribute (``-1`` encodes NULL) plus its value table, so
+that joins, group-bys and frequency counts are array operations on small
+integers and building a store encodes nothing.
 
-Codes are assigned in first-seen row order, matching the order in which
-the naive code paths (``Dataset.active_domain``, ``Statistics.counts``)
-encounter values — this keeps engine-produced artifacts byte-compatible
-with the naive oracle.
+Codes are in first-seen row order (the dataset's canonical form),
+matching the order in which the naive code paths
+(``Dataset.active_domain``, ``Statistics.counts``) encounter values —
+this keeps engine-produced artifacts byte-compatible with the naive
+oracle.
 """
 
 from __future__ import annotations
@@ -19,11 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dataset.dataset import Cell, Dataset
+from repro.dataset.dataset import NULL_CODE, Cell, Dataset
 from repro.engine.ops import expand_ranges
-
-#: Code reserved for NULL in every encoded column.
-NULL_CODE: int = -1
 
 
 @dataclass(frozen=True)
@@ -52,51 +51,33 @@ class DomainCodeIndex:
 class ColumnStore:
     """Dictionary-encoded columnar view of one :class:`Dataset`.
 
-    The store is a snapshot: it is built once from the dataset's current
-    values and does not observe later mutations.  Callers that mutate the
-    dataset must build a fresh store (see :meth:`Engine.refresh
-    <repro.engine.Engine.refresh>`).
+    The dataset stores its attributes as code columns and value tables
+    already; the store holds those arrays, in their canonical form
+    (:meth:`Dataset.encoded`), so building one encodes nothing.  It is a
+    snapshot: a later write to the dataset copies the column it changes
+    first, so the store keeps the values it was built over.  Callers that
+    mutate the dataset must build a fresh store (see
+    :meth:`Engine.refresh <repro.engine.Engine.refresh>`).
     """
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
         self.attributes: list[str] = list(dataset.schema.names)
+        self._num_rows = dataset.num_tuples
         self._codes: dict[str, np.ndarray] = {}
         self._values: dict[str, list[str]] = {}
+        for attribute in self.attributes:
+            codes, values = dataset.encoded(attribute)
+            self._codes[attribute], self._values[attribute] = codes, values
         self._code_of: dict[str, dict[str, int]] = {}
         self._shared: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-        self._encode(dataset)
-
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def _encode(self, dataset: Dataset) -> None:
-        n = dataset.num_tuples
-        columns = {a: np.full(n, NULL_CODE, dtype=np.int32) for a in self.attributes}
-        dictionaries: dict[str, dict[str, int]] = {a: {} for a in self.attributes}
-        names = self.attributes
-        for tid in range(n):
-            row = dataset.row_ref(tid)
-            for i, attr in enumerate(names):
-                value = row[i]
-                if value is None:
-                    continue
-                mapping = dictionaries[attr]
-                code = mapping.get(value)
-                if code is None:
-                    code = len(mapping)
-                    mapping[value] = code
-                columns[attr][tid] = code
-        self._codes = columns
-        self._code_of = dictionaries
-        self._values = {a: list(d) for a, d in dictionaries.items()}
 
     # ------------------------------------------------------------------
     # Access
     # ------------------------------------------------------------------
     @property
     def num_rows(self) -> int:
-        return self.dataset.num_tuples
+        return self._num_rows
 
     def codes(self, attribute: str) -> np.ndarray:
         """The encoded column of ``attribute`` (``-1`` = NULL)."""
@@ -110,17 +91,25 @@ class ColumnStore:
         """Number of distinct non-NULL values of ``attribute``."""
         return len(self._values[attribute])
 
+    def _codebook(self, attribute: str) -> dict[str, int]:
+        """Value → code of ``attribute``, built on first use."""
+        book = self._code_of.get(attribute)
+        if book is None:
+            values = self._values[attribute]
+            book = self._code_of[attribute] = dict(zip(values, range(len(values))))
+        return book
+
     def code_of(self, attribute: str, value: str) -> int:
         """The code of ``value`` in ``attribute`` (``-1`` if absent)."""
-        return self._code_of[attribute].get(value, NULL_CODE)
+        return self._codebook(attribute).get(value, NULL_CODE)
 
     def decode(self, attribute: str, code: int) -> str | None:
         return None if code < 0 else self._values[attribute][code]
 
     def decoded_column(self, attribute: str) -> list[str | None]:
         """The whole column decoded back to Python values."""
-        values = self._values[attribute]
-        return [None if c < 0 else values[c] for c in self._codes[attribute].tolist()]
+        decoder = np.array([*self._values[attribute], None], dtype=object)
+        return decoder[self._codes[attribute]].tolist()
 
     # ------------------------------------------------------------------
     # Cross-attribute comparison
@@ -224,8 +213,8 @@ class ColumnStore:
         — stay in one code space.
         """
         if codebook is None:
-            codebook = dict(self._code_of[attribute])
-        extended = dict(self._code_of[attribute])
+            codebook = dict(self._codebook(attribute))
+        extended = dict(self._codebook(attribute))
         mine = [
             (cell.tid, domain)
             for cell, domain in domains.items()

@@ -23,6 +23,8 @@ import dataclasses
 import hashlib
 import json
 
+import numpy as np
+
 #: Hex digits kept from each SHA-256 digest.
 FINGERPRINT_HEX = 12
 
@@ -57,17 +59,23 @@ def dataset_fingerprint(dataset) -> str:
     """A content hash of a dataset: schema plus every cell value.
 
     Duck-typed over :class:`~repro.dataset.dataset.Dataset` (needs
-    ``schema.names``, ``num_tuples``, and ``row_ref``).  The dataset's
+    ``schema`` — attributes with ``name`` and ``role`` — ``num_tuples`` and
+    ``encoded(attribute)``).  The schema counts with its roles: the same
+    rows with another source column are another repair problem.  Each
+    attribute contributes its canonical code column (little-endian
+    ``int32`` bytes) and value table, so equal content fingerprints equally
+    whatever edits led to it, with no per-row Python.  The dataset's
     *name* is deliberately excluded — two uploads of the same rows under
     different names are the same repair problem and should share a warm
     session.  ``None`` cells hash distinctly from the string ``"None"``.
     """
     digest = hashlib.sha256()
-    names = tuple(getattr(dataset.schema, "names", ()))
-    digest.update(json.dumps(names).encode("utf-8"))
-    for tid in range(dataset.num_tuples):
-        row = dataset.row_ref(tid)
-        digest.update(json.dumps(row).encode("utf-8"))
+    schema = [(attribute.name, attribute.role) for attribute in dataset.schema]
+    digest.update(json.dumps([schema, dataset.num_tuples]).encode("utf-8"))
+    for name, _ in schema:
+        codes, values = dataset.encoded(name)
+        digest.update(np.asarray(codes, dtype="<i4").tobytes())
+        digest.update(json.dumps(values).encode("utf-8"))
     return digest.hexdigest()[:FINGERPRINT_HEX]
 
 

@@ -14,9 +14,11 @@ On-disk layout, one directory per session id::
 
     <root>/<sid>/
         meta.json     format version, content fingerprints, stage list
-        inputs.pkl    dataset, constraints, config, feedback, dictionaries
-        detect.pkl    DetectionResult: noisy-cell set + the conflict
-                      hypergraph's per-constraint tuple-id arrays
+        inputs.pkl    dataset (per-attribute int32 code columns + value
+                      tables), constraints, config, feedback, dictionaries
+        detect.pkl    DetectionResult: per-attribute boolean noisy masks
+                      over tuple ids + the conflict hypergraph's
+                      per-constraint tuple-id arrays
         compile.pkl   CompiledModel
         learn.pkl     learned weights + training losses + the digest
                       of the config and feedback they were learned from
@@ -27,16 +29,15 @@ Since format 3 ``compile.pkl`` and ``infer.pkl`` hold no object per
 variable: the catalog and the marginals are columnar in memory
 (:mod:`repro.inference.variables`); since format 4 the DC factors are
 columns too (:class:`~repro.inference.factor_graph.FactorColumns`), not
-one object per factor.  Stage files are written only for
-artifacts present on the context, so a session checkpointed mid-pipeline
-rehydrates mid-pipeline and the staged plan resumes from exactly where it
-stopped.  The digests (``weights_basis``, ``marginals_basis`` on the
-context) let a rehydrated session with unchanged config and feedback skip
-learn and infer and run apply alone.  A format-4 ``learn.pkl`` /
-``infer.pkl`` written without them loads with the digests unset, so the
-first plan run re-learns and re-infers (to the same weights) and the next
-save writes the digests.
-Writes go to a temporary sibling directory; the previous
+one object per factor; since format 5 the dataset is its code columns
+and value tables, not one list per row, and the noisy cells are masks,
+not one ``Cell`` per cell, so verification re-hashes columns.  Stage
+files are written only for artifacts present on the context, so a
+session checkpointed mid-pipeline rehydrates mid-pipeline and the staged
+plan resumes from exactly where it stopped.  The digests
+(``weights_basis``, ``marginals_basis`` on the context) let a rehydrated
+session with unchanged config and feedback skip learn and infer and run
+apply alone.  Writes go to a temporary sibling directory; the previous
 checkpoint is renamed aside, the new one renamed in, and only then is the
 old one deleted, so a crash at any point leaves a complete checkpoint —
 between the two renames under its aside name, where :meth:`load` finds it.
@@ -63,7 +64,7 @@ log = get_logger("serve.checkpoint")
 
 #: Bump when the on-disk layout changes; mismatched checkpoints are
 #: rejected (the session simply pays a cold run).
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 #: Stage name → the context artifacts serialized in that stage's file.
 STAGE_ARTIFACTS = (

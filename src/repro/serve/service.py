@@ -477,14 +477,15 @@ class RepairService:
                     for col in columns
                 ]
             )
-            cleaned = []
-            for row in rows:
-                if not isinstance(row, list) or len(row) != len(columns):
-                    raise ValueError(
-                        f"each row needs {len(columns)} values, got {row!r}"
-                    )
-                cleaned.append([None if value is None else str(value) for value in row])
-            return Dataset(schema, cleaned, name=str(spec.get("name", "request")))
+            if set(map(type, rows)) - {list} or set(map(len, rows)) - {len(columns)}:
+                bad = next(
+                    row
+                    for row in rows
+                    if not isinstance(row, list) or len(row) != len(columns)
+                )
+                raise ValueError(f"each row needs {len(columns)} values, got {bad!r}")
+            # One bulk encode; the load rule stringifies every non-NULL value.
+            return Dataset(schema, rows, name=str(spec.get("name", "request")))
         except (TypeError, ValueError) as exc:
             raise BadRequest(f"bad dataset: {exc}")
 

@@ -10,7 +10,7 @@ from repro.constraints.parser import parse_dc
 from repro.data import generate_flights, generate_hospital
 from repro.dataset.dataset import Cell
 from repro.detect import EnsembleDetector, ViolationDetector
-from repro.detect.hypergraph import ConflictHypergraph, Violation
+from repro.detect.hypergraph import ConflictHypergraph, Violation, cells_of_masks
 
 
 def graph(*violations):
@@ -90,12 +90,17 @@ class TestConflictHypergraph:
 
     def test_cells_union(self):
         h = graph(("dc1", 1, 2), ("dc1", 2, 3))
-        assert h.cells() == {Cell(1, "A"), Cell(2, "A"), Cell(3, "A")}
+        assert cells_of_masks(h.masks()) == {Cell(1, "A"), Cell(2, "A"), Cell(3, "A")}
 
     def test_cells_take_each_positions_attributes(self):
         h = ConflictHypergraph()
         h.add_block("dc", [(1, 2), (1, 3)], [("A", "B"), ("C",)])
-        assert h.cells() == {Cell(1, "A"), Cell(1, "B"), Cell(2, "C"), Cell(3, "C")}
+        assert cells_of_masks(h.masks()) == {
+            Cell(1, "A"),
+            Cell(1, "B"),
+            Cell(2, "C"),
+            Cell(3, "C"),
+        }
 
     def test_tuples(self):
         h = graph(("dc1", 1, 2), ("dc2", 7))

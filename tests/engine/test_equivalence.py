@@ -10,6 +10,7 @@ on the paper's generators and on adversarial random datasets.
 
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,31 @@ def test_violations_identical_on_generators(name, backend, request):
     # violation list, so ordering is part of the contract.
     assert fast.hypergraph.violations == naive.hypergraph.violations
     assert len(naive.hypergraph) > 0  # the comparison is not vacuous
+
+
+# ---------------------------------------------------------------------------
+# Noisy cells: per-attribute masks over tuple ids
+# ---------------------------------------------------------------------------
+def assert_masks_are_naive_noisy_set(fast, naive):
+    """``fast``'s masks flag exactly the cells of ``naive``'s violations,
+    read off its ``Violation`` objects (not off any mask)."""
+    expected = {cell for v in naive.hypergraph.violations for cell in v.cells}
+    assert fast.noisy_cells == naive.noisy_cells == expected
+    assert fast.num_noisy == len(expected)
+    assert set(fast.masks) == {cell.attribute for cell in expected}
+    for attribute, mask in fast.masks.items():
+        assert mask.dtype == np.bool_
+        flagged = np.flatnonzero(mask).tolist()
+        assert flagged == sorted(c.tid for c in expected if c.attribute == attribute)
+
+
+@pytest.mark.parametrize("name", ["hospital", "flights"])
+def test_noisy_masks_identical_on_generators(name, request):
+    generated = request.getfixturevalue(name)
+    naive = naive_detection(generated)
+    fast = ViolationDetector(generated.constraints).detect(generated.dirty)
+    assert_masks_are_naive_noisy_set(fast, naive)
+    assert naive.num_noisy > 0  # the comparison is not vacuous
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +283,7 @@ def test_random_datasets_identical(rows):
     for backend in BACKENDS:
         engine = Engine(dataset, backend=BACKENDS[backend])
         fast = detect_columnar(ViolationDetector(RANDOM_DCS, engine=engine), dataset)
-        assert fast.noisy_cells == naive.noisy_cells, backend
+        assert_masks_are_naive_noisy_set(fast, naive)
         assert fast.hypergraph.violations == naive.hypergraph.violations, backend
         if dataset.num_tuples:
             naive_stats = Statistics(dataset)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from repro.constraints.parser import format_dc, parse_dc
 from repro.core.config import HoloCleanConfig
 from repro.dataset.dataset import Dataset
-from repro.dataset.schema import Schema
+from repro.dataset.schema import Attribute, Schema
 from repro.obs.fingerprint import (
     FINGERPRINT_HEX,
     combine_fingerprints,
@@ -43,6 +43,37 @@ class TestDatasetFingerprint:
         rows = [["a", "b"]]
         other = Dataset(Schema(["City", "Zip"]), rows, name="d")
         assert dataset_fingerprint(_dataset(rows)) != dataset_fingerprint(other)
+
+    def test_attribute_roles_are_content(self):
+        rows = [["a", "b"]]
+        sourced = Dataset(
+            Schema([Attribute("City", role="source"), Attribute("State")]), rows
+        )
+        assert sourced.schema != _dataset(rows).schema
+        assert dataset_fingerprint(sourced) != dataset_fingerprint(_dataset(rows))
+
+    def test_edit_history_is_not_content(self):
+        """An edit and its undo, or edits that reach another dataset's
+        values, fingerprint like a dataset built from the final rows."""
+        edited = _dataset([["a", "b"], ["c", "d"]])
+        dataset_fingerprint(edited)  # hands the columns out before the edits
+        edited.set_value(0, "City", "new")
+        edited.set_value(1, "State", None)
+        edited.set_value(0, "City", "a")
+        assert dataset_fingerprint(edited) == dataset_fingerprint(
+            _dataset([["a", "b"], ["c", None]])
+        )
+        swapped = _dataset([["a", "b"], ["c", "d"]])
+        swapped.set_value(0, "City", "c")
+        swapped.set_value(1, "City", "a")
+        assert dataset_fingerprint(swapped) == dataset_fingerprint(
+            _dataset([["c", "b"], ["a", "d"]])
+        )
+
+    def test_null_is_not_the_string_none(self):
+        assert dataset_fingerprint(_dataset([[None, "b"]])) != dataset_fingerprint(
+            _dataset([["None", "b"]])
+        )
 
     def test_stable_across_copies(self):
         rows = [["a", "b"], [None, "d"]]

@@ -207,9 +207,9 @@ class TestMidPipelineCheckpoint:
 
 
 class _CachelessPickler(pickle.Pickler):
-    """Pickles a variable catalog the way format 4 did before the catalog
-    had lookup caches: its state holds ``_index: None`` and neither
-    ``_cells`` nor ``_search``."""
+    """Pickles a variable catalog the way it was pickled before the
+    catalog had lookup caches: its state holds ``_index: None`` and
+    neither ``_cells`` nor ``_search``."""
 
     def reducer_override(self, obj):
         if not isinstance(obj, VariableBlock):
@@ -240,9 +240,9 @@ class TestOlderCheckpoints:
     def test_catalog_pickled_without_lookup_caches_serves_feedback(
         self, hospital, tmp_path
     ):
-        """A format-4 checkpoint pickled before the lookup caches existed
-        passes the version gate, so it must rehydrate into a session that
-        takes feedback and re-repairs exactly like the warm one."""
+        """A catalog pickled before the lookup caches existed must
+        rehydrate into a session that takes feedback and re-repairs
+        exactly like the warm one."""
         warm = RepairPlan.default().run(_fresh_ctx(hospital))
         store = CheckpointStore(tmp_path)
         store.save("sid", warm)
@@ -295,11 +295,11 @@ class TestStoreMechanics:
         current = f'"version": {FORMAT_VERSION}'
         assert current in meta.read_text()
         # Format 1 pickled the hypergraph as Violation objects, format 2
-        # one VariableInfo per variable and format 3 one object per DC
-        # factor; all must stop at the version gate, not inside the
-        # unpickler.
-        assert FORMAT_VERSION == 4
-        for other in (1, 2, 3, 99):
+        # one VariableInfo per variable, format 3 one object per DC factor
+        # and format 4 the dataset as rows and the noisy cells as Cells;
+        # all must stop at the version gate, not inside the unpickler.
+        assert FORMAT_VERSION == 5
+        for other in (1, 2, 3, 4, 99):
             meta.write_text(meta.read_text().replace(current, f'"version": {other}'))
             with pytest.raises(CheckpointError, match="format version"):
                 store.load("sid")
@@ -409,6 +409,38 @@ class TestColumnarPayload:
         variables = len(ctx.model.graph.variables)
         assert variables == 19 * rows
         assert opcodes <= 10 * variables, opcodes / variables
+
+
+class _ClassRecorder(pickle.Unpickler):
+    """Unpickles while recording every class the stream names."""
+
+    def __init__(self, handle):
+        super().__init__(handle)
+        self.classes: set[tuple[str, str]] = set()
+
+    def find_class(self, module, name):
+        self.classes.add((module, name))
+        return super().find_class(module, name)
+
+
+class TestColumnarDetection:
+    def test_masks_round_trip_and_no_cell_is_pickled(self, hospital, tmp_path):
+        ctx = RepairPlan.default().run(_fresh_ctx(hospital))
+        noisy = ctx.detection.noisy_cells  # the Cell view: built, not state
+        assert noisy
+        saved = CheckpointStore(tmp_path).save("sid", ctx)
+        for name in ("inputs.pkl", "detect.pkl"):
+            with (saved / name).open("rb") as handle:
+                recorder = _ClassRecorder(handle)
+                recorder.load()
+            assert ("repro.dataset.dataset", "Cell") not in recorder.classes, name
+
+        loaded = CheckpointStore(tmp_path).load("sid")
+        assert "_cells" not in vars(loaded.detection)
+        assert loaded.detection.masks.keys() == ctx.detection.masks.keys()
+        for attribute, mask in ctx.detection.masks.items():
+            np.testing.assert_array_equal(loaded.detection.masks[attribute], mask)
+        assert loaded.detection.noisy_cells == noisy
 
 
 class TestDamagedFiles:

@@ -76,6 +76,19 @@ class TestRepairPaths:
         assert again["session"] == base["session"]
         assert again["path"] == "warm"
 
+    def test_session_key_includes_attribute_roles(self, service, hospital):
+        """The same rows with a source column are another repair problem:
+        the model compiled without the role must not serve them warm."""
+        plain = payload_for(hospital)
+        assert plain["dataset"]["source_column"] is None
+        sourced = payload_for(hospital)
+        sourced["dataset"]["source_column"] = "HospitalName"
+        base = service.repair(plain)
+        other = service.repair(sourced)
+        assert other["session"] != base["session"]
+        assert other["path"] == "cold"
+        assert other["stage_status"]["compile"] == "ran"
+
     def test_config_change_stays_warm(self, service, hospital):
         base = service.repair(payload_for(hospital))
         retuned = service.repair(payload_for(hospital, epochs=14))
