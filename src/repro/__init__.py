@@ -8,6 +8,13 @@ DeepDive-style inference engine, external-data matching), the three
 competing baselines of the evaluation (Holistic, KATARA, SCARE), and
 generators for the four evaluation datasets.
 
+Names resolve on first access: ``import repro`` runs this file alone,
+and the first lookup of an export (``repro.HoloClean``, ``from repro
+import RepairPlan``) imports the module that defines it (PEP 562, see
+:mod:`repro._lazy`).  So do the subpackages that only re-export (all but
+``engine``, ``data`` and ``oracle``), so a process pays only for the
+modules its run executes.
+
 Quickstart
 ----------
 >>> from repro import HoloClean, HoloCleanConfig, parse_fd
@@ -28,48 +35,61 @@ knob over the kept detection):
 >>> ctx.result.report  # RunReport: trace forest + metrics + fingerprint  # doctest: +SKIP
 """
 
-from repro.dataset import Attribute, Cell, Dataset, NULL, Schema, Statistics
-from repro.dataset import read_csv, write_csv
-from repro.constraints import (
-    DenialConstraint,
-    FunctionalDependency,
-    MatchingDependency,
-    MatchPredicate,
-    Operator,
-    Predicate,
-    TupleRef,
-    Const,
-    parse_dc,
-    parse_dcs,
-    parse_fd,
-    format_dc,
-)
-from repro.detect import (
-    DetectionResult,
-    EnsembleDetector,
-    ExternalDetector,
-    NullDetector,
-    OutlierDetector,
-    ViolationDetector,
-)
-from repro.engine import ColumnStore, Engine
-from repro.external import ExternalDictionary
-from repro.obs import RunReport
-from repro.core import (
-    ApplyStage,
-    CompileStage,
-    DetectStage,
-    HoloClean,
-    HoloCleanConfig,
-    InferStage,
-    LearnStage,
-    RepairContext,
-    RepairPlan,
-    RepairResult,
-    RepairSession,
-    CellInference,
-    VARIANTS,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.dataset import (
+        Attribute,
+        Cell,
+        Dataset,
+        NULL,
+        Schema,
+        Statistics,
+        read_csv,
+        write_csv,
+    )
+    from repro.constraints import (
+        DenialConstraint,
+        FunctionalDependency,
+        MatchingDependency,
+        MatchPredicate,
+        Operator,
+        Predicate,
+        TupleRef,
+        Const,
+        parse_dc,
+        parse_dcs,
+        parse_fd,
+        format_dc,
+    )
+    from repro.detect import (
+        DetectionResult,
+        EnsembleDetector,
+        ExternalDetector,
+        NullDetector,
+        OutlierDetector,
+        ViolationDetector,
+    )
+    from repro.engine import ColumnStore, Engine
+    from repro.external import ExternalDictionary
+    from repro.obs import RunReport
+    from repro.core import (
+        ApplyStage,
+        CompileStage,
+        DetectStage,
+        HoloClean,
+        HoloCleanConfig,
+        InferStage,
+        LearnStage,
+        RepairContext,
+        RepairPlan,
+        RepairResult,
+        RepairSession,
+        CellInference,
+        VARIANTS,
+    )
 
 __version__ = "1.0.0"
 
@@ -119,3 +139,59 @@ __all__ = [
     "VARIANTS",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.dataset": (
+            "Attribute",
+            "Cell",
+            "Dataset",
+            "NULL",
+            "Schema",
+            "Statistics",
+            "read_csv",
+            "write_csv",
+        ),
+        "repro.constraints": (
+            "DenialConstraint",
+            "FunctionalDependency",
+            "MatchingDependency",
+            "MatchPredicate",
+            "Operator",
+            "Predicate",
+            "TupleRef",
+            "Const",
+            "parse_dc",
+            "parse_dcs",
+            "parse_fd",
+            "format_dc",
+        ),
+        "repro.detect": (
+            "DetectionResult",
+            "EnsembleDetector",
+            "ExternalDetector",
+            "NullDetector",
+            "OutlierDetector",
+            "ViolationDetector",
+        ),
+        "repro.engine": ("ColumnStore", "Engine"),
+        "repro.external": ("ExternalDictionary",),
+        "repro.obs": ("RunReport",),
+        "repro.core": (
+            "ApplyStage",
+            "CompileStage",
+            "DetectStage",
+            "HoloClean",
+            "HoloCleanConfig",
+            "InferStage",
+            "LearnStage",
+            "RepairContext",
+            "RepairPlan",
+            "RepairResult",
+            "RepairSession",
+            "CellInference",
+            "VARIANTS",
+        ),
+    },
+)

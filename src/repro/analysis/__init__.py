@@ -7,20 +7,25 @@ sync.  See ``docs/static_analysis.md`` for the checker catalogue and
 the ``# repro: allow-<rule> <reason>`` pragma syntax.
 """
 
-from repro.analysis.base import (
-    AnalysisContext,
-    Checker,
-    Finding,
-    Pragma,
-    SourceModule,
-    parse_pragmas,
-)
-from repro.analysis.runner import (
-    LintResult,
-    default_checkers,
-    run_checkers,
-    run_lint,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.base import (
+        AnalysisContext,
+        Checker,
+        Finding,
+        Pragma,
+        SourceModule,
+        parse_pragmas,
+    )
+    from repro.analysis.runner import (
+        LintResult,
+        default_checkers,
+        run_checkers,
+        run_lint,
+    )
 
 __all__ = [
     "AnalysisContext",
@@ -34,3 +39,23 @@ __all__ = [
     "run_checkers",
     "run_lint",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.base": (
+            "AnalysisContext",
+            "Checker",
+            "Finding",
+            "Pragma",
+            "SourceModule",
+            "parse_pragmas",
+        ),
+        "repro.analysis.runner": (
+            "LintResult",
+            "default_checkers",
+            "run_checkers",
+            "run_lint",
+        ),
+    },
+)

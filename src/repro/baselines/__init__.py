@@ -10,10 +10,15 @@
   modification with bounded changes; no integrity constraints.
 """
 
-from repro.baselines.base import MethodResult, MethodTimeout, RepairMethod
-from repro.baselines.holistic import HolisticRepair
-from repro.baselines.katara import KataraRepair
-from repro.baselines.scare import ScareRepair
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.baselines.base import MethodResult, MethodTimeout, RepairMethod
+    from repro.baselines.holistic import HolisticRepair
+    from repro.baselines.katara import KataraRepair
+    from repro.baselines.scare import ScareRepair
 
 __all__ = [
     "MethodResult",
@@ -23,3 +28,13 @@ __all__ = [
     "KataraRepair",
     "ScareRepair",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.base": ("MethodResult", "MethodTimeout", "RepairMethod"),
+        "repro.baselines.holistic": ("HolisticRepair",),
+        "repro.baselines.katara": ("KataraRepair",),
+        "repro.baselines.scare": ("ScareRepair",),
+    },
+)

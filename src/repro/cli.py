@@ -37,14 +37,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.constraints.fd import parse_fd
-from repro.constraints.parser import parse_dcs
-from repro.core.config import VARIANTS, HoloCleanConfig
-from repro.core.pipeline import HoloClean
-from repro.core.stages import RepairPlan
-from repro.dataset.csv_io import read_csv, write_csv
 from repro.obs import (
-    RunReport,
     add_verbosity_flags,
     configure,
     get_logger,
@@ -55,6 +48,8 @@ log = get_logger("cli")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.config import VARIANTS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="HoloClean: holistic data repairs with probabilistic "
@@ -116,6 +111,8 @@ def trace_main(argv: list[str] | None = None) -> int:
     add_verbosity_flags(parser)
     args = parser.parse_args(argv)
     configure(verbosity_from(args))
+    from repro.obs.report import RunReport
+
     try:
         report = RunReport.load(args.report)
     except (OSError, ValueError) as exc:
@@ -141,6 +138,15 @@ def main(argv: list[str] | None = None) -> int:
         from repro.serve.server import main as serve_main
 
         return serve_main(argv[1:])
+    # The repair stack (and NumPy) loads only here: the subcommands above
+    # import what they run and nothing more.
+    from repro.constraints.fd import parse_fd
+    from repro.constraints.parser import parse_dcs
+    from repro.core.config import HoloCleanConfig
+    from repro.core.pipeline import HoloClean
+    from repro.core.stages import RepairPlan
+    from repro.dataset.csv_io import read_csv, write_csv
+
     args = build_parser().parse_args(argv)
     configure(verbosity_from(args))
 

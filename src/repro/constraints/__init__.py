@@ -8,26 +8,37 @@ conditional functional dependencies.  Matching dependencies (Section 4.2)
 specify lookups against external dictionaries.
 """
 
-from repro.constraints.predicates import Operator, Operand, TupleRef, Const, Predicate
-from repro.constraints.denial import DenialConstraint
-from repro.constraints.parser import parse_dc, parse_dcs, format_dc, DCParseError
-from repro.constraints.fd import FunctionalDependency, parse_fd
-from repro.constraints.discovery import (
-    DiscoveredFD,
-    discover_fds,
-    discovered_to_constraints,
-)
-from repro.constraints.extended import (
-    ConditionalFunctionalDependency,
-    MetricFunctionalDependency,
-)
-from repro.constraints.matching import MatchPredicate, MatchingDependency
-from repro.constraints.similarity import (
-    levenshtein,
-    normalized_similarity,
-    jaccard,
-    similar,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.constraints.predicates import (
+        Operator,
+        Operand,
+        TupleRef,
+        Const,
+        Predicate,
+    )
+    from repro.constraints.denial import DenialConstraint
+    from repro.constraints.parser import parse_dc, parse_dcs, format_dc, DCParseError
+    from repro.constraints.fd import FunctionalDependency, parse_fd
+    from repro.constraints.discovery import (
+        DiscoveredFD,
+        discover_fds,
+        discovered_to_constraints,
+    )
+    from repro.constraints.extended import (
+        ConditionalFunctionalDependency,
+        MetricFunctionalDependency,
+    )
+    from repro.constraints.matching import MatchPredicate, MatchingDependency
+    from repro.constraints.similarity import (
+        levenshtein,
+        normalized_similarity,
+        jaccard,
+        similar,
+    )
 
 __all__ = [
     "Operator",
@@ -54,3 +65,40 @@ __all__ = [
     "jaccard",
     "similar",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.constraints.predicates": (
+            "Operator",
+            "Operand",
+            "TupleRef",
+            "Const",
+            "Predicate",
+        ),
+        "repro.constraints.denial": ("DenialConstraint",),
+        "repro.constraints.parser": (
+            "parse_dc",
+            "parse_dcs",
+            "format_dc",
+            "DCParseError",
+        ),
+        "repro.constraints.fd": ("FunctionalDependency", "parse_fd"),
+        "repro.constraints.discovery": (
+            "DiscoveredFD",
+            "discover_fds",
+            "discovered_to_constraints",
+        ),
+        "repro.constraints.extended": (
+            "ConditionalFunctionalDependency",
+            "MetricFunctionalDependency",
+        ),
+        "repro.constraints.matching": ("MatchPredicate", "MatchingDependency"),
+        "repro.constraints.similarity": (
+            "levenshtein",
+            "normalized_similarity",
+            "jaccard",
+            "similar",
+        ),
+    },
+)

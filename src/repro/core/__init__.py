@@ -9,43 +9,48 @@ the staged Detect → Compile → Learn → Infer → Apply API of
 :class:`~repro.core.session.RepairSession` as the feedback loop.
 """
 
-from repro.core.config import HoloCleanConfig, VARIANTS
-from repro.core.partition import (
-    PairEnumerator,
-    TupleGroup,
-    VectorPairEnumerator,
-    make_pair_enumerator,
-    tuple_groups,
-)
-from repro.core.featurize import (
-    FeaturizationContext,
-    Featurizer,
-    MinimalityFeaturizer,
-    FrequencyFeaturizer,
-    CooccurFeaturizer,
-    SourceFeaturizer,
-    ExternalMatchFeaturizer,
-    ConstraintFeaturizer,
-    default_featurizers,
-)
-from repro.core.compiler import CompiledModel, ModelCompiler
-from repro.core.stages import (
-    STAGE_ORDER,
-    ApplyStage,
-    CompileStage,
-    DetectStage,
-    FeedbackEvidence,
-    InferStage,
-    LearnStage,
-    RepairContext,
-    RepairPlan,
-    Stage,
-    resolve_feedback,
-)
-from repro.core.pipeline import HoloClean
-from repro.core.repair import CellInference, RepairResult
-from repro.core.session import RepairSession
-from repro.core import rules
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.config import HoloCleanConfig, VARIANTS
+    from repro.core.partition import (
+        PairEnumerator,
+        TupleGroup,
+        VectorPairEnumerator,
+        make_pair_enumerator,
+        tuple_groups,
+    )
+    from repro.core.featurize import (
+        FeaturizationContext,
+        Featurizer,
+        MinimalityFeaturizer,
+        FrequencyFeaturizer,
+        CooccurFeaturizer,
+        SourceFeaturizer,
+        ExternalMatchFeaturizer,
+        ConstraintFeaturizer,
+        default_featurizers,
+    )
+    from repro.core.compiler import CompiledModel, ModelCompiler
+    from repro.core.stages import (
+        STAGE_ORDER,
+        ApplyStage,
+        CompileStage,
+        DetectStage,
+        FeedbackEvidence,
+        InferStage,
+        LearnStage,
+        RepairContext,
+        RepairPlan,
+        Stage,
+        resolve_feedback,
+    )
+    from repro.core.pipeline import HoloClean
+    from repro.core.repair import CellInference, RepairResult
+    from repro.core.session import RepairSession
+    from repro.core import rules
 
 __all__ = [
     "HoloCleanConfig",
@@ -83,3 +88,46 @@ __all__ = [
     "RepairSession",
     "rules",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("HoloCleanConfig", "VARIANTS"),
+        "repro.core.partition": (
+            "PairEnumerator",
+            "TupleGroup",
+            "VectorPairEnumerator",
+            "make_pair_enumerator",
+            "tuple_groups",
+        ),
+        "repro.core.featurize": (
+            "FeaturizationContext",
+            "Featurizer",
+            "MinimalityFeaturizer",
+            "FrequencyFeaturizer",
+            "CooccurFeaturizer",
+            "SourceFeaturizer",
+            "ExternalMatchFeaturizer",
+            "ConstraintFeaturizer",
+            "default_featurizers",
+        ),
+        "repro.core.compiler": ("CompiledModel", "ModelCompiler"),
+        "repro.core.stages": (
+            "STAGE_ORDER",
+            "ApplyStage",
+            "CompileStage",
+            "DetectStage",
+            "FeedbackEvidence",
+            "InferStage",
+            "LearnStage",
+            "RepairContext",
+            "RepairPlan",
+            "Stage",
+            "resolve_feedback",
+        ),
+        "repro.core.pipeline": ("HoloClean",),
+        "repro.core.repair": ("CellInference", "RepairResult"),
+        "repro.core.session": ("RepairSession",),
+        "repro.core.rules": ("rules",),
+    },
+)

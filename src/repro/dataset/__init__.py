@@ -7,10 +7,15 @@ HoloClean's domain pruning (Algorithm 2) and its quantitative-statistics
 features (Section 4.2).
 """
 
-from repro.dataset.schema import Attribute, Schema
-from repro.dataset.dataset import Cell, Dataset, NULL
-from repro.dataset.stats import Statistics
-from repro.dataset.csv_io import read_csv, write_csv
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.dataset.schema import Attribute, Schema
+    from repro.dataset.dataset import Cell, Dataset, NULL
+    from repro.dataset.stats import Statistics
+    from repro.dataset.csv_io import read_csv, write_csv
 
 __all__ = [
     "Attribute",
@@ -22,3 +27,13 @@ __all__ = [
     "read_csv",
     "write_csv",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.dataset.schema": ("Attribute", "Schema"),
+        "repro.dataset.dataset": ("Cell", "Dataset", "NULL"),
+        "repro.dataset.stats": ("Statistics",),
+        "repro.dataset.csv_io": ("read_csv", "write_csv"),
+    },
+)

@@ -9,24 +9,29 @@ combinator.  The violation detector also produces the conflict hypergraph
 [26] consumed by the tuple-partitioning optimization (Algorithm 3).
 """
 
-from repro.detect.base import DetectionResult, ErrorDetector
-from repro.detect.hypergraph import ConflictHypergraph, Violation
-from repro.detect.violations import ViolationDetector
-from repro.detect.outliers import OutlierDetector
-from repro.detect.nulls import NullDetector
-from repro.detect.external import ExternalDetector
-from repro.detect.ensemble import EnsembleDetector
-from repro.detect.labeler import (
-    ABSTAIN,
-    CLEAN,
-    ERROR,
-    LabelingFunction,
-    ProgrammaticDetector,
-    lf_allowed_values,
-    lf_null,
-    lf_pattern,
-    lf_rare_value,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.detect.base import DetectionResult, ErrorDetector
+    from repro.detect.hypergraph import ConflictHypergraph, Violation
+    from repro.detect.violations import ViolationDetector
+    from repro.detect.outliers import OutlierDetector
+    from repro.detect.nulls import NullDetector
+    from repro.detect.external import ExternalDetector
+    from repro.detect.ensemble import EnsembleDetector
+    from repro.detect.labeler import (
+        ABSTAIN,
+        CLEAN,
+        ERROR,
+        LabelingFunction,
+        ProgrammaticDetector,
+        lf_allowed_values,
+        lf_null,
+        lf_pattern,
+        lf_rare_value,
+    )
 
 __all__ = [
     "ABSTAIN",
@@ -48,3 +53,27 @@ __all__ = [
     "ExternalDetector",
     "EnsembleDetector",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.detect.base": ("DetectionResult", "ErrorDetector"),
+        "repro.detect.hypergraph": ("ConflictHypergraph", "Violation"),
+        "repro.detect.violations": ("ViolationDetector",),
+        "repro.detect.outliers": ("OutlierDetector",),
+        "repro.detect.nulls": ("NullDetector",),
+        "repro.detect.external": ("ExternalDetector",),
+        "repro.detect.ensemble": ("EnsembleDetector",),
+        "repro.detect.labeler": (
+            "ABSTAIN",
+            "CLEAN",
+            "ERROR",
+            "LabelingFunction",
+            "ProgrammaticDetector",
+            "lf_allowed_values",
+            "lf_null",
+            "lf_pattern",
+            "lf_rare_value",
+        ),
+    },
+)

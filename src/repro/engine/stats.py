@@ -49,14 +49,22 @@ class EngineStatistics(Statistics):
     def joint_code_counts(self, attr_a: str, attr_b: str) -> np.ndarray:
         """``(k, 3)`` co-occurrence rows sorted by ``(code_a, code_b)``.
 
-        Cached per *ordered* pair: both orientations are one backend
-        group-by and the featurizer's joint lookups binary-search the
-        rows, so each orientation needs its own sort order.
+        Cached per *ordered* pair, because the featurizer's joint lookups
+        binary-search the rows and each orientation needs its own sort
+        order; both orientations come from one backend group-by.  The
+        second is the first's rows with the code columns swapped, re-sorted
+        by one ``lexsort`` over its ``k`` rows instead of a group-by over
+        every tuple.
         """
         key = (attr_a, attr_b)
         cached = self._joint_codes.get(key)
         if cached is None:
-            cached = self._engine.backend.pair_value_counts(attr_a, attr_b)
+            swapped = self._joint_codes.get((attr_b, attr_a))
+            if swapped is None:
+                cached = self._engine.backend.pair_value_counts(attr_a, attr_b)
+            else:
+                order = np.lexsort((swapped[:, 0], swapped[:, 1]))
+                cached = swapped[order][:, [1, 0, 2]]
             self._joint_codes[key] = cached
         return cached
 

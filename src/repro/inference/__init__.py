@@ -17,12 +17,21 @@ package reimplements the parts HoloClean needs:
   marginals when denial constraints are kept as correlations.
 """
 
-from repro.inference.features import FeatureSpace, FeatureMatrix, FeatureMatrixBuilder
-from repro.inference.variables import VariableInfo, VariableBlock
-from repro.inference.factor_graph import FactorGraph
-from repro.inference.softmax import SoftmaxTrainer, TrainingResult
-from repro.inference.gibbs import GibbsSampler, GibbsResult
-from repro.inference.numerics import segment_softmax, segment_logsumexp
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.inference.features import (
+        FeatureSpace,
+        FeatureMatrix,
+        FeatureMatrixBuilder,
+    )
+    from repro.inference.variables import VariableInfo, VariableBlock
+    from repro.inference.factor_graph import FactorGraph
+    from repro.inference.softmax import SoftmaxTrainer, TrainingResult
+    from repro.inference.gibbs import GibbsSampler, GibbsResult
+    from repro.inference.numerics import segment_softmax, segment_logsumexp
 
 __all__ = [
     "FeatureSpace",
@@ -38,3 +47,19 @@ __all__ = [
     "segment_softmax",
     "segment_logsumexp",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.inference.features": (
+            "FeatureSpace",
+            "FeatureMatrix",
+            "FeatureMatrixBuilder",
+        ),
+        "repro.inference.variables": ("VariableInfo", "VariableBlock"),
+        "repro.inference.factor_graph": ("FactorGraph",),
+        "repro.inference.softmax": ("SoftmaxTrainer", "TrainingResult"),
+        "repro.inference.gibbs": ("GibbsSampler", "GibbsResult"),
+        "repro.inference.numerics": ("segment_softmax", "segment_logsumexp"),
+    },
+)

@@ -24,30 +24,33 @@ The package imports nothing from :mod:`repro.core` or
 :mod:`repro.engine`, so every layer may depend on it freely.
 """
 
-from __future__ import annotations
+from typing import TYPE_CHECKING
 
-from repro.obs.fingerprint import (
-    combine_fingerprints,
-    config_fingerprint,
-    constraints_fingerprint,
-    dataset_fingerprint,
-)
-from repro.obs.logging import (
-    add_verbosity_flags,
-    configure,
-    get_logger,
-    verbosity_from,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.report import RunReport, build_run_report
-from repro.obs.trace import (
-    TRACE_LEVELS,
-    Span,
-    Tracer,
-    active_tracer,
-    deep_enabled,
-    deep_span,
-)
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.fingerprint import (
+        combine_fingerprints,
+        config_fingerprint,
+        constraints_fingerprint,
+        dataset_fingerprint,
+    )
+    from repro.obs.logging import (
+        add_verbosity_flags,
+        configure,
+        get_logger,
+        verbosity_from,
+    )
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.report import RunReport, build_run_report
+    from repro.obs.trace import (
+        TRACE_LEVELS,
+        Span,
+        Tracer,
+        active_tracer,
+        deep_enabled,
+        deep_span,
+    )
 
 __all__ = [
     "TRACE_LEVELS",
@@ -68,3 +71,31 @@ __all__ = [
     "get_logger",
     "verbosity_from",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.fingerprint": (
+            "combine_fingerprints",
+            "config_fingerprint",
+            "constraints_fingerprint",
+            "dataset_fingerprint",
+        ),
+        "repro.obs.logging": (
+            "add_verbosity_flags",
+            "configure",
+            "get_logger",
+            "verbosity_from",
+        ),
+        "repro.obs.metrics": ("MetricsRegistry",),
+        "repro.obs.report": ("RunReport", "build_run_report"),
+        "repro.obs.trace": (
+            "TRACE_LEVELS",
+            "Span",
+            "Tracer",
+            "active_tracer",
+            "deep_enabled",
+            "deep_span",
+        ),
+    },
+)

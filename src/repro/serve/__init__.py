@@ -21,18 +21,21 @@ service:
 See ``docs/serving.md`` for the API reference and capacity model.
 """
 
-from __future__ import annotations
+from typing import TYPE_CHECKING
 
-from repro.serve.checkpoint import CheckpointError, CheckpointStore
-from repro.serve.server import RepairServer
-from repro.serve.service import (
-    BadRequest,
-    NotFound,
-    RepairService,
-    Saturated,
-    ServiceError,
-)
-from repro.serve.store import Session, SessionKey, SessionStore
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.checkpoint import CheckpointError, CheckpointStore
+    from repro.serve.server import RepairServer
+    from repro.serve.service import (
+        BadRequest,
+        NotFound,
+        RepairService,
+        Saturated,
+        ServiceError,
+    )
+    from repro.serve.store import Session, SessionKey, SessionStore
 
 __all__ = [
     "BadRequest",
@@ -47,3 +50,19 @@ __all__ = [
     "SessionKey",
     "SessionStore",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serve.checkpoint": ("CheckpointError", "CheckpointStore"),
+        "repro.serve.server": ("RepairServer",),
+        "repro.serve.service": (
+            "BadRequest",
+            "NotFound",
+            "RepairService",
+            "Saturated",
+            "ServiceError",
+        ),
+        "repro.serve.store": ("Session", "SessionKey", "SessionStore"),
+    },
+)
