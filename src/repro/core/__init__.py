@@ -16,23 +16,12 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.core.config import HoloCleanConfig, VARIANTS
     from repro.core.partition import (
-        PairEnumerator,
         TupleGroup,
         VectorPairEnumerator,
         make_pair_enumerator,
         tuple_groups,
     )
-    from repro.core.featurize import (
-        FeaturizationContext,
-        Featurizer,
-        MinimalityFeaturizer,
-        FrequencyFeaturizer,
-        CooccurFeaturizer,
-        SourceFeaturizer,
-        ExternalMatchFeaturizer,
-        ConstraintFeaturizer,
-        default_featurizers,
-    )
+    from repro.core.featurize import FeaturizationContext
     from repro.core.compiler import CompiledModel, ModelCompiler
     from repro.core.stages import (
         STAGE_ORDER,
@@ -55,20 +44,11 @@ if TYPE_CHECKING:
 __all__ = [
     "HoloCleanConfig",
     "VARIANTS",
-    "PairEnumerator",
     "TupleGroup",
     "VectorPairEnumerator",
     "make_pair_enumerator",
     "tuple_groups",
     "FeaturizationContext",
-    "Featurizer",
-    "MinimalityFeaturizer",
-    "FrequencyFeaturizer",
-    "CooccurFeaturizer",
-    "SourceFeaturizer",
-    "ExternalMatchFeaturizer",
-    "ConstraintFeaturizer",
-    "default_featurizers",
     "CompiledModel",
     "ModelCompiler",
     "STAGE_ORDER",
@@ -94,23 +74,12 @@ __getattr__, __dir__ = lazy_exports(
     {
         "repro.core.config": ("HoloCleanConfig", "VARIANTS"),
         "repro.core.partition": (
-            "PairEnumerator",
             "TupleGroup",
             "VectorPairEnumerator",
             "make_pair_enumerator",
             "tuple_groups",
         ),
-        "repro.core.featurize": (
-            "FeaturizationContext",
-            "Featurizer",
-            "MinimalityFeaturizer",
-            "FrequencyFeaturizer",
-            "CooccurFeaturizer",
-            "SourceFeaturizer",
-            "ExternalMatchFeaturizer",
-            "ConstraintFeaturizer",
-            "default_featurizers",
-        ),
+        "repro.core.featurize": ("FeaturizationContext",),
         "repro.core.compiler": ("CompiledModel", "ModelCompiler"),
         "repro.core.stages": (
             "STAGE_ORDER",

@@ -424,7 +424,13 @@ class ModelCompiler:
         """
         variables = graph.variables
         axis_vars: list = []
-        base_values = {p: self.dataset.tuple_dict(tid) for p, tid in positions}
+        # Only the constraint's attributes, each cell decoded on its own:
+        # a whole-row read would decode (and cache) every row.  All of them
+        # in every position, as the two-tuple check tries both orientations.
+        base_values = {
+            p: {a: self.dataset.value(tid, a) for a in dc.attributes}
+            for p, tid in positions
+        }
         cell_axes: list[tuple[int, str, int]] = []  # (position, attr, axis)
         wanted = [(position, tid, attr) for position, tid in positions
                   for attr in attrs_by_position.get(position, ())]

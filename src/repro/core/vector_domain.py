@@ -285,7 +285,7 @@ class EntityVoteModes:
 
     Vectorizes ``NaiveModelCompiler._weak_label``: tuples are
     grouped once by their composite entity key (NULL components exclude a
-    tuple, exactly like ``FeaturizationContext.entity_group_of``), and
+    tuple, exactly like ``repro.oracle.EntityGroups``), and
     :meth:`modes` returns each queried tuple's group-plurality code for
     one attribute — ``-1`` when the group is smaller than the weak-label
     quorum (3) or casts no votes.  Ties break to the lexicographically

@@ -1,11 +1,8 @@
 """Vectorized featurization: set-at-a-time grounding of the unary rules.
 
 The original HoloClean grounds the inference rules of Section 4.2 as
-set-oriented queries inside DeepDive; the naive reproduction replays them
-as per-(cell, candidate) Python loops (:mod:`repro.core.featurize`).  With
-detection, pruning, pair enumeration and factor tables vectorized, those
-loops dominate ``ModelCompiler.compile``; :class:`VectorFeaturizer` is the
-equivalent set-at-a-time stage over the engine's
+set-oriented queries inside DeepDive; :class:`VectorFeaturizer` grounds
+them the same way over the engine's
 :class:`~repro.engine.store.ColumnStore`:
 
 * candidate grids are gathered per attribute from the variable catalog's
@@ -17,6 +14,8 @@ equivalent set-at-a-time stage over the engine's
 * pair-tied co-occurrence is answered by binary-searching the engine's
   bincount joint tables (:meth:`EngineStatistics.joint_code_counts`);
 * source-reliability votes reduce to one group-by over the entity key;
+* external-dictionary matches are one group-by of the ``Matched`` facts'
+  ``(tid, value code)`` joined against each attribute block's rows;
 * a two-tuple denial constraint's feature counts, per candidate, the
   violations it completes with the first ``max_dc_feature_partners``
   non-self partners of its join bucket.  The partners are grouped by
@@ -25,33 +24,36 @@ equivalent set-at-a-time stage over the engine's
   :class:`~repro.core.factor_tables.VectorFactorTableBuilder` runs once
   per (candidate, distinct partner group), not once per partner tuple
   (:meth:`VectorFeaturizer._count_dc_violations`); single-tuple
-  constraints are one mask per attribute (external-dictionary matches
-  run through the naive adapter).
+  constraints are one mask per attribute.
 
 Each family emits batches of ``(var, candidate, key token, value)`` entry
 arrays plus the batch's weight keys.  The order contract is local: batches
-are appended in :func:`default_featurizers` order, and inside a family a
-row's entries appear in the order the naive featurizer's per-candidate
-list carries them.  :meth:`VectorFeaturizer._emit` concatenates the
-batches as they stand, allocates a feature index for every key that still
-carries a non-zero entry — in (batch, token) order — and hands everything
-to one :meth:`FeatureMatrixBuilder.add_entries` call; the builder's stable
-sort by row is the only sort over the entry set.  Against the naive stack
-(the oracle) the matrix has the same rows, the same per-row entry order
-and values and the same key *set*; feature indices differ by a
-relabelling through the keys, which no consumer reads.
+are appended in family order (minimality, frequency, cooccur, source,
+external, dc), and inside a family a row's entries appear in the order
+the reference featurizer's per-candidate list carries them
+(:mod:`repro.oracle.featurize`).  :meth:`VectorFeaturizer._emit`
+concatenates the batches as they stand, allocates a feature index for
+every key that still carries a non-zero entry — in (batch, token) order —
+and hands everything to one :meth:`FeatureMatrixBuilder.add_entries`
+call; the builder's stable sort by row is the only sort over the entry
+set.  Against the reference stack the matrix has the same rows, the same
+per-row entry order and values and the same key *set*; feature indices
+differ by a relabelling through the keys, which no consumer reads.
 
 Only entries that can move an answer are emitted: one per (row, weight
 key) — a tied weight multiplies the *sum* of its values, so the pair-tied
 back-off ``("cooc*",)`` is one entry of the row's summed per-pair values
-and the naive adapter sums a repeated key — and none on a one-candidate
-variable, whose softmax is ``[1.0]`` whatever its score (``_build_blocks``
-cuts the featurized set once, for every family, adapter and worker).
+and two matching dependencies agreeing on a value are one ``("ext", k)``
+entry of their count — and none on a one-candidate variable, whose
+softmax is ``[1.0]`` whatever its score (``_build_blocks`` cuts the
+featurized set once, for every family).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Hashable
 
 import numpy as np
@@ -59,18 +61,10 @@ import numpy as np
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import TupleRef
 from repro.core.factor_tables import CodeSpace
-from repro.core.featurize import (
-    ConstraintFeaturizer,
-    CooccurFeaturizer,
-    FeaturizationContext,
-    Featurizer,
-    FrequencyFeaturizer,
-    MinimalityFeaturizer,
-    SourceFeaturizer,
-    default_featurizers,
-)
+from repro.core.featurize import FeaturizationContext
 from repro.dataset.dataset import Cell
 from repro.engine import ops
+from repro.external.matcher import MatchedRelation
 from repro.inference.features import FeatureMatrixBuilder
 from repro.inference.variables import CellColumns, as_columns
 from repro.obs.trace import deep_span
@@ -81,7 +75,7 @@ class _Entries:
     """One batch of sparse feature entries.
 
     Array order is the contract: the entries of one (variable,
-    candidate) row appear in the order the naive featurizer's
+    candidate) row appear in the order the reference featurizer's
     per-candidate list would carry them.  ``token`` indexes ``keys``
     (batch-local weight keys; equal keys of different batches meet in
     the feature space).
@@ -114,28 +108,27 @@ class _AttrBlock:
     values: list[str]  # extended code → value
 
 
-def _unit_entries(block: _AttrBlock, hit: np.ndarray, key: Hashable) -> _Entries:
-    """One entry of value 1.0 under ``key`` on each of the block's ``hit`` rows."""
+def _keyed_entries(
+    block: _AttrBlock, hit: np.ndarray, key: Hashable, value: np.ndarray | None = None
+) -> _Entries:
+    """One entry under ``key`` on each of the block's ``hit`` rows, of
+    ``value`` (one per hit row; 1.0 when omitted)."""
     n = int(hit.sum())
     return _Entries(
         block.flat_var[hit],
         block.flat_cand[hit],
         np.zeros(n, dtype=np.int64),
-        np.ones(n, dtype=np.float64),
+        np.ones(n, dtype=np.float64) if value is None else value,
         keys=[key],
     )
 
 
 class VectorFeaturizer:
-    """Grounds the whole featurizer stack set-at-a-time over the engine.
+    """Grounds every feature family set-at-a-time over the engine.
 
-    Parameters mirror what :meth:`ModelCompiler.compile` hands the naive
-    stack: the shared :class:`FeaturizationContext` (dataset, statistics,
-    config, matched relations) and the denial constraints.  The actual
-    featurizer composition is taken from :func:`default_featurizers`, so
-    toggled-off families behave exactly as in the naive path; families
-    without a vectorized implementation run through a naive adapter that
-    emits the same kind of batch.
+    Takes the shared :class:`FeaturizationContext` (dataset, statistics,
+    config, matched relations) and the denial constraints; the config
+    turns each family on or off (:meth:`_families`).
     """
 
     def __init__(
@@ -168,20 +161,14 @@ class VectorFeaturizer:
         """
         self.stats = {}
         self._build_blocks(variables)
-        stack = default_featurizers(self.context, self.constraints)
+        families = self._families()
         batches: list[_Entries] = []
-        vectorized = naive = 0
-        for featurizer in stack:
-            with deep_span("featurize.family", family=type(featurizer).__name__) as sp:
-                family = self._family(featurizer)
-                if family is None:
-                    family = [self._naive_entries(featurizer)]
-                    naive += 1
-                else:
-                    vectorized += 1
-                batches.extend(family)
+        for name, family in families:
+            with deep_span("featurize.family", family=name) as sp:
+                entries = family()
+                batches.extend(entries)
                 if sp is not None:
-                    sp.attributes["entries"] = int(sum(len(b.var) for b in family))
+                    sp.attributes["entries"] = int(sum(len(b.var) for b in entries))
         with deep_span("featurize.emit", batches=len(batches)):
             emitted = self._emit(batches, builder)
         sizes = np.diff(self._catalog.domain_indptr)
@@ -190,25 +177,28 @@ class VectorFeaturizer:
                 "feature_path": "vector",
                 "feature_rows": int(sizes[self._live].sum()),
                 "feature_entries": emitted,
-                "feature_vector_families": vectorized,
-                "feature_naive_families": naive,
+                "feature_vector_families": len(families),
             }
         )
         return dict(self.stats)
 
-    def _family(self, featurizer: Featurizer) -> list[_Entries] | None:
-        kind = type(featurizer)
-        if kind is MinimalityFeaturizer:
-            return self._minimality()
-        if kind is FrequencyFeaturizer:
-            return self._frequency()
-        if kind is CooccurFeaturizer:
-            return self._cooccur()
-        if kind is SourceFeaturizer:
-            return self._source()
-        if kind is ConstraintFeaturizer:
-            return self._constraint(featurizer)
-        return None  # external matches and unknown subclasses: naive adapter
+    def _families(self) -> list[tuple[str, Callable[[], list[_Entries]]]]:
+        """The families the config turns on, in emission order, each under
+        the name of its reference featurizer (the ``featurize.family``
+        span's ``family``)."""
+        ctx, config = self.context, self.context.config
+        source = config.use_source and ctx.source_attribute is not None
+        external = config.use_external and bool(ctx.matched)
+        dcs = config.use_dc_feats and bool(self.constraints)
+        wanted = [
+            ("MinimalityFeaturizer", config.use_minimality, self._minimality),
+            ("FrequencyFeaturizer", config.use_frequency, self._frequency),
+            ("CooccurFeaturizer", config.use_cooccur, self._cooccur),
+            ("SourceFeaturizer", source, self._source),
+            ("ExternalMatchFeaturizer", external, self._external),
+            ("ConstraintFeaturizer", dcs, self._constraint),
+        ]
+        return [(name, family) for name, on, family in wanted if on]
 
     # ------------------------------------------------------------------
     # Shared per-attribute artifacts
@@ -216,8 +206,8 @@ class VectorFeaturizer:
     def _build_blocks(self, variables) -> None:
         """Cut the catalog into per-attribute blocks; the one place the
         featurized set is cut: every cell keeps its domain (the code spaces
-        read it), blocks and naive adapters see only the variables with two
-        or more candidates.  Blocks follow each attribute's first such
+        read it), blocks see only the variables with two or more
+        candidates.  Blocks follow each attribute's first such
         variable, the order the feature keys are allocated in."""
         store = self.engine.store
         catalog = as_columns(variables, store)
@@ -246,14 +236,6 @@ class VectorFeaturizer:
                 values=catalog.tables[code],
             )
 
-    def _live_specs(self):
-        """``(vid, cell, domain)`` per featurized variable, for the naive
-        adapters (decoded only when one runs)."""
-        rows = self._live
-        return zip(
-            rows.tolist(), self._catalog.cells_of(rows), self._catalog.domains_of(rows)
-        )
-
     def _space(self, *attrs: str) -> CodeSpace:
         key = tuple(sorted(set(attrs)))
         space = self._spaces.get(key)
@@ -275,7 +257,7 @@ class VectorFeaturizer:
         for block in self._blocks.values():
             hit = block.flat_code == block.flat_init
             if hit.any():
-                out.append(_unit_entries(block, hit, ("minimality",)))
+                out.append(_keyed_entries(block, hit, ("minimality",)))
         return out
 
     def _frequency(self) -> list[_Entries]:
@@ -475,16 +457,44 @@ class VectorFeaturizer:
             )
         return out
 
+    def _external(self) -> list[_Entries]:
+        """``Value?(t,a,d) :- Matched(t,a,d,k)``: per attribute block and
+        dictionary name ``k`` (in relation order), the number of ``k``'s
+        facts naming each row's (tuple, candidate) — a group-by of the
+        facts' ``(tid, value code)`` probed with the block's rows."""
+        by_name: dict[str, list[MatchedRelation]] = {}
+        for matched in self.context.matched:
+            by_name.setdefault(matched.dictionary, []).append(matched)
+        out = []
+        for attr, block in self._blocks.items():
+            card = len(block.values)
+            code_of = dict(zip(block.values, range(card)))
+            row_key = np.repeat(block.tids, block.sizes) * card + block.flat_code
+            for name, relations in by_name.items():
+                mine = [r.attributes == attr for r in relations]
+                tids = np.concatenate([r.tids[m] for r, m in zip(relations, mine)])
+                values = np.concatenate([r.values[m] for r, m in zip(relations, mine)])
+                codes = np.fromiter(map(code_of.get, values, repeat(-1)), np.int64)
+                # A value no candidate takes names no row.
+                fact_key = (tids * card + codes)[codes >= 0]
+                keys, counts = np.unique(fact_key, return_counts=True)
+                if not len(keys):
+                    continue
+                at = np.minimum(np.searchsorted(keys, row_key), len(keys) - 1)
+                hit = keys[at] == row_key
+                if hit.any():
+                    value = counts[at[hit]].astype(np.float64)
+                    out.append(_keyed_entries(block, hit, ("ext", name), value))
+        return out
+
     # ------------------------------------------------------------------
     # Denial-constraint features (Section 5.2)
     # ------------------------------------------------------------------
-    def _constraint(self, featurizer: ConstraintFeaturizer) -> list[_Entries]:
+    def _constraint(self) -> list[_Entries]:
+        # Two-tuple constraints first, then single-tuple ones (a stable sort).
         out: list[_Entries] = []
-        for dc in [*featurizer.constraints, *featurizer.single_constraints]:
-            if dc.is_single_tuple:
-                out.extend(self._single_dc(dc))
-            else:
-                out.extend(self._pair_dc(dc))
+        for dc in sorted(self.constraints, key=lambda dc: dc.is_single_tuple):
+            out.extend(self._single_dc(dc) if dc.is_single_tuple else self._pair_dc(dc))
         return out
 
     def _single_dc(self, dc: DenialConstraint) -> list[_Entries]:
@@ -509,7 +519,7 @@ class VectorFeaturizer:
                 if not violated.any():
                     break
             if violated is not None and violated.any():
-                out.append(_unit_entries(block, violated, ("dc", dc.name)))
+                out.append(_keyed_entries(block, violated, ("dc", dc.name)))
         return out
 
     def _pair_dc(self, dc: DenialConstraint) -> list[_Entries]:
@@ -527,15 +537,7 @@ class VectorFeaturizer:
             if not hit.any():
                 continue
             value = np.minimum(totals[hit].astype(np.float64), cap_value) / cap_value
-            out.append(
-                _Entries(
-                    block.flat_var[hit],
-                    block.flat_cand[hit],
-                    np.zeros(len(value), dtype=np.int64),
-                    value,
-                    keys=[("dc", dc.name)],
-                )
-            )
+            out.append(_keyed_entries(block, hit, ("dc", dc.name), value))
         return out
 
     def _join_keys(
@@ -571,7 +573,8 @@ class VectorFeaturizer:
     ) -> np.ndarray:
         """Violations each candidate completes playing ``own_pos``.
 
-        Mirrors :meth:`ConstraintFeaturizer._count_violations`: partners
+        Mirrors the reference ``ConstraintFeaturizer._count_violations``
+        (:mod:`repro.oracle.featurize`): partners
         joined on the constraint's equality predicates over *initial*
         values, the variable's own key carrying the candidate value, and
         the first K = ``max_dc_feature_partners`` non-self partners
@@ -662,40 +665,6 @@ class VectorFeaturizer:
         return counts.astype(np.int64)
 
     # ------------------------------------------------------------------
-    # Naive adapter (external matches, unknown featurizer subclasses)
-    # ------------------------------------------------------------------
-    def _naive_entries(self, featurizer: Featurizer) -> _Entries:
-        var_l: list[int] = []
-        cand_l: list[int] = []
-        token_l: list[int] = []
-        value_l: list[float] = []
-        tokens: dict[Hashable, int] = {}
-        keys: list[Hashable] = []
-        for vid, cell, domain in self._live_specs():
-            per_candidate = featurizer.features(cell, domain)
-            for ci, entries in enumerate(per_candidate):
-                merged: dict[Hashable, float] = {}  # repeats land as their sum
-                for key, value in entries:
-                    merged[key] = merged.get(key, 0.0) + value
-                for key, value in merged.items():
-                    tok = tokens.get(key)
-                    if tok is None:
-                        tok = len(keys)
-                        tokens[key] = tok
-                        keys.append(key)
-                    var_l.append(vid)
-                    cand_l.append(ci)
-                    token_l.append(tok)
-                    value_l.append(value)
-        return _Entries(
-            np.asarray(var_l, dtype=np.int64),
-            np.asarray(cand_l, dtype=np.int64),
-            np.asarray(token_l, dtype=np.int64),
-            np.asarray(value_l, dtype=np.float64),
-            keys=keys,
-        )
-
-    # ------------------------------------------------------------------
     # Emission
     # ------------------------------------------------------------------
     def _emit(self, batches: list[_Entries], builder: FeatureMatrixBuilder) -> int:
@@ -714,7 +683,7 @@ class VectorFeaturizer:
             [b.token + offset for b, offset in zip(batches, offsets)]
         )
         value = np.concatenate([b.value for b in batches])
-        live = value != 0.0  # the naive loop drops zero-valued entries
+        live = value != 0.0  # the reference loop drops zero-valued entries
         token, value = token[live], value[live]
         if not len(token):
             return 0

@@ -51,21 +51,21 @@ class ErrorInjector:
             replacement = alphabet[int(self.rng.integers(0, len(alphabet)))]
             while replacement == value[pos].lower():
                 replacement = alphabet[int(self.rng.integers(0, len(alphabet)))]
-        return value[:pos] + replacement + value[pos + 1:]
+        return value[:pos] + replacement + value[pos + 1 :]
 
     # ------------------------------------------------------------------
     # Dataset-level injections
     # ------------------------------------------------------------------
-    def inject_typos(self, dataset: Dataset, attributes: list[str],
-                     rate: float, style: str = "x") -> set[Cell]:
+    def inject_typos(
+        self, dataset: Dataset, attributes: list[str], rate: float, style: str = "x"
+    ) -> set[Cell]:
         """Corrupt a ``rate`` fraction of the given attributes' cells."""
         changed: set[Cell] = set()
         for attr in attributes:
-            idx = dataset.schema.index_of(attr)
             for tid in dataset.tuple_ids:
                 if self.rng.random() >= rate:
                     continue
-                value = dataset.row_ref(tid)[idx]
+                value = dataset.value(tid, attr)
                 if value is None:
                     continue
                 corrupted = self.typo(value, style=style)
@@ -74,19 +74,19 @@ class ErrorInjector:
                     changed.add(Cell(tid, attr))
         return changed
 
-    def inject_domain_swaps(self, dataset: Dataset, attributes: list[str],
-                            rate: float) -> set[Cell]:
+    def inject_domain_swaps(
+        self, dataset: Dataset, attributes: list[str], rate: float
+    ) -> set[Cell]:
         """Replace cells with a different value from the active domain."""
         changed: set[Cell] = set()
         for attr in attributes:
             domain = dataset.active_domain(attr)
             if len(domain) < 2:
                 continue
-            idx = dataset.schema.index_of(attr)
             for tid in dataset.tuple_ids:
                 if self.rng.random() >= rate:
                     continue
-                value = dataset.row_ref(tid)[idx]
+                value = dataset.value(tid, attr)
                 if value is None:
                     continue
                 alternative = domain[int(self.rng.integers(0, len(domain)))]
@@ -96,18 +96,21 @@ class ErrorInjector:
                 changed.add(Cell(tid, attr))
         return changed
 
-    def inject_systematic(self, dataset: Dataset, attribute: str,
-                          mapping: dict[str, str],
-                          fraction: float = 1.0) -> set[Cell]:
+    def inject_systematic(
+        self,
+        dataset: Dataset,
+        attribute: str,
+        mapping: dict[str, str],
+        fraction: float = 1.0,
+    ) -> set[Cell]:
         """Apply a wrong-value ``mapping`` to a fraction of matching cells.
 
         All corrupted cells share the *same* wrong value — the systematic
         error pattern of Physicians.
         """
         changed: set[Cell] = set()
-        idx = dataset.schema.index_of(attribute)
         for tid in dataset.tuple_ids:
-            value = dataset.row_ref(tid)[idx]
+            value = dataset.value(tid, attribute)
             if value in mapping and self.rng.random() < fraction:
                 wrong = mapping[value]
                 if wrong != value:
@@ -115,25 +118,29 @@ class ErrorInjector:
                     changed.add(Cell(tid, attribute))
         return changed
 
-    def inject_nulls(self, dataset: Dataset, attributes: list[str],
-                     rate: float) -> set[Cell]:
+    def inject_nulls(
+        self, dataset: Dataset, attributes: list[str], rate: float
+    ) -> set[Cell]:
         """Drop a fraction of values to NULL."""
         changed: set[Cell] = set()
         for attr in attributes:
-            idx = dataset.schema.index_of(attr)
             for tid in dataset.tuple_ids:
                 if self.rng.random() >= rate:
                     continue
-                if dataset.row_ref(tid)[idx] is None:
+                if dataset.value(tid, attr) is None:
                     continue
                 dataset.set_value(tid, attr, None)
                 changed.add(Cell(tid, attr))
         return changed
 
-    def inject_group_conflicts(self, dataset: Dataset,
-                               groups: list[list[int]], attribute: str,
-                               group_rate: float,
-                               clean: Dataset | None = None) -> set[Cell]:
+    def inject_group_conflicts(
+        self,
+        dataset: Dataset,
+        groups: list[list[int]],
+        attribute: str,
+        group_rate: float,
+        clean: Dataset | None = None,
+    ) -> set[Cell]:
         """Corrupt two rows of a group with two *different* wrong values.
 
         Creates the conflicting-evidence pattern (two contradictory wrong
@@ -144,7 +151,6 @@ class ErrorInjector:
         domain = dataset.active_domain(attribute)
         if len(domain) < 3:
             return changed
-        idx = dataset.schema.index_of(attribute)
         for group in groups:
             if len(group) < 3 or self.rng.random() >= group_rate:
                 continue
@@ -153,7 +159,7 @@ class ErrorInjector:
             wrongs = []
             for k in picked:
                 tid = members[int(k)]
-                current = dataset.row_ref(tid)[idx]
+                current = dataset.value(tid, attribute)
                 if current is None:
                     continue
                 truth = clean.value(tid, attribute) if clean is not None else None
@@ -174,8 +180,7 @@ class ErrorInjector:
         if len(value) < 3:
             return self.typo(value, style="random")
         pos = int(self.rng.integers(1, len(value) - 1))
-        swapped = (value[:pos] + value[pos + 1] + value[pos]
-                   + value[pos + 2:])
+        swapped = value[:pos] + value[pos + 1] + value[pos] + value[pos + 2 :]
         if swapped == value:  # identical adjacent characters
             return self.typo(value, style="random")
         return swapped

@@ -267,7 +267,7 @@ def bucket_memberships(codes: np.ndarray,
 
     ``codes``/``tids`` are parallel arrays listing, in scan order, which
     candidate value (code) each tuple may take — the relation the naive
-    :class:`~repro.core.partition.PairEnumerator` builds its value→tuples
+    :class:`~repro.oracle.partition.PairEnumerator` builds its value→tuples
     buckets from.  Returns one row per distinct ``(value, tid)`` pair as
     ``(bucket_ids, member_tids)``, sorted by ``(bucket, tid)``, where
     buckets are numbered by the first appearance of their value in the

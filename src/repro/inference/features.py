@@ -33,8 +33,8 @@ class FeatureSpace:
 
     Indices are handed out in the order keys first reach :meth:`index`.
     The production featurizer allocates them in emission order: indices
-    follow :func:`~repro.core.featurize.default_featurizers` order, then
-    the family's emission order, then the batch's key list; a key with no
+    follow :class:`~repro.core.vector_featurize.VectorFeaturizer`'s family
+    order, then the family's emission order, then the batch's key list; a key with no
     non-zero entry gets no index.  The order is otherwise an internal
     detail — two models are equal when they agree after relabelling
     indices through their keys — and :meth:`freeze` fixes it once the

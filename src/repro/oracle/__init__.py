@@ -12,6 +12,32 @@ module outside this package may import it (``repro lint``'s
 
 from repro.oracle.compiler import NaiveModelCompiler
 from repro.oracle.domain import DomainPruner
+from repro.oracle.featurize import (
+    ConstraintFeaturizer,
+    CooccurFeaturizer,
+    EntityGroups,
+    ExternalMatchFeaturizer,
+    Featurizer,
+    FrequencyFeaturizer,
+    MinimalityFeaturizer,
+    SourceFeaturizer,
+    default_featurizers,
+)
+from repro.oracle.partition import PairEnumerator
 from repro.oracle.violations import NaiveViolationDetector
 
-__all__ = ["DomainPruner", "NaiveModelCompiler", "NaiveViolationDetector"]
+__all__ = [
+    "ConstraintFeaturizer",
+    "CooccurFeaturizer",
+    "DomainPruner",
+    "EntityGroups",
+    "ExternalMatchFeaturizer",
+    "Featurizer",
+    "FrequencyFeaturizer",
+    "MinimalityFeaturizer",
+    "NaiveModelCompiler",
+    "NaiveViolationDetector",
+    "PairEnumerator",
+    "SourceFeaturizer",
+    "default_featurizers",
+]

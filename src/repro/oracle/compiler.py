@@ -5,19 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.compiler import ModelCompiler
-from repro.core.featurize import default_featurizers
-from repro.core.partition import PairEnumerator
 from repro.dataset.dataset import Cell
 from repro.dataset.stats import Statistics
 from repro.inference.variables import CellColumns
 from repro.oracle.domain import DomainPruner
+from repro.oracle.featurize import EntityGroups, default_featurizers
+from repro.oracle.partition import PairEnumerator
 
 
 class NaiveModelCompiler(ModelCompiler):
     """:class:`ModelCompiler` with the per-cell / per-pair grounding steps.
 
     Same constructor, same :meth:`compile` skeleton; the step methods run
-    the naive :class:`DomainPruner`, the :mod:`repro.core.featurize`
+    the naive :class:`DomainPruner`, the :mod:`repro.oracle.featurize`
     stack cell by cell, the per-cell weak-label vote and negative-candidate
     walk, and the per-pair factor loop over a :class:`PairEnumerator` —
     all against row-scan :class:`Statistics`, none against the engine.
@@ -71,13 +71,14 @@ class NaiveModelCompiler(ModelCompiler):
         entity_attrs = self.config.source_entity_attributes
         if context.source_attribute is None or not entity_attrs:
             return init_indices
+        groups = EntityGroups(self.dataset, entity_attrs)
         rows = zip(query.cells_of(), query.domains_of(), init_indices.tolist())
-        labels = [self._weak_label(context, *row) for row in rows]
+        labels = [self._weak_label(groups, *row) for row in rows]
         return np.array(labels, dtype=np.int64)
 
-    def _weak_label(self, context, cell, domain, init_index):
+    def _weak_label(self, groups, cell, domain, init_index):
         """Plurality value of the cell's entity group, else the observed one."""
-        group = context.entity_group_of(cell.tid)
+        group = groups.of(cell.tid)
         if len(group) >= 3:
             idx = self.dataset.schema.index_of(cell.attribute)
             votes: dict[str, int] = {}

@@ -301,6 +301,26 @@ class TestEngineArgument:
             )
 
 
+class TestSingleTupleFactors:
+    def test_grounding_decodes_no_rows(self):
+        """A single-tuple DC factor reads the cells its constraint names,
+        not whole rows: the compile leaves the dataset's row cache empty."""
+        from repro.constraints.parser import parse_dc
+        from repro.data import generate_hospital
+        from repro.eval.harness import holoclean_config_for
+
+        generated = generate_hospital(num_rows=300, seed=7)
+        dataset = generated.dirty.copy()
+        single = parse_dc('t1&EQ(t1.State,"AL")', name="single_state")
+        constraints = generated.constraints + [single]
+        config = holoclean_config_for(generated).with_(use_dc_factors=True)
+        detection = ViolationDetector(constraints).detect(dataset)
+        model = ModelCompiler(dataset, constraints, config, detection).compile()
+        factors = model.graph.factors
+        assert single.name in [factors.names[c] for c in factors.codes.tolist()]
+        assert dataset._row_cache is None
+
+
 class TestCodesFromPrunerToFeaturizer:
     @pytest.mark.parametrize("name", ["hospital", "flights"])
     def test_compile_never_decodes_candidates(self, name, monkeypatch):

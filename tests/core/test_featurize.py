@@ -1,23 +1,23 @@
-"""Tests for the signal featurizers (Section 4.2 groundings)."""
+"""Tests for the reference signal featurizers (Section 4.2 groundings)."""
 
 import pytest
 
 from repro.constraints.fd import parse_fd
 from repro.core.config import HoloCleanConfig
-from repro.core.featurize import (
+from repro.core.featurize import FeaturizationContext
+from repro.dataset.dataset import Cell, Dataset
+from repro.dataset.schema import Attribute, Schema
+from repro.dataset.stats import Statistics
+from repro.external.matcher import MatchedRelation
+from repro.oracle import (
     ConstraintFeaturizer,
     CooccurFeaturizer,
     ExternalMatchFeaturizer,
-    FeaturizationContext,
     FrequencyFeaturizer,
     MinimalityFeaturizer,
     SourceFeaturizer,
     default_featurizers,
 )
-from repro.dataset.dataset import Cell, Dataset
-from repro.dataset.schema import Attribute, Schema
-from repro.dataset.stats import Statistics
-from repro.external.matcher import Match, MatchedRelation
 
 
 def make_context(dataset, config=None, matched=None):
@@ -133,8 +133,7 @@ class TestSourceFeaturizer:
 
 class TestExternalMatchFeaturizer:
     def test_fires_on_matched_value(self, city_data):
-        matched = MatchedRelation()
-        matched.add(Match(Cell(8, "City"), "Chicago", "dict-a"))
+        matched = MatchedRelation("dict-a", [8], ["City"], ["Chicago"], [1])
         ctx = make_context(city_data, matched=[matched])
         feats = ExternalMatchFeaturizer(ctx).features(
             Cell(8, "City"), ["Cicago", "Chicago"])

@@ -3,10 +3,11 @@
 import pytest
 
 from repro.constraints.fd import parse_fd
-from repro.core.partition import PairEnumerator, tuple_groups
+from repro.core.partition import tuple_groups
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 from repro.detect.violations import ViolationDetector
+from repro.oracle import PairEnumerator
 
 
 @pytest.fixture

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro import HoloCleanConfig
 from repro.core.compiler import ModelCompiler
-from repro.core.featurize import FeaturizationContext
 from repro.core.vector_domain import (
     EntityVoteModes,
     VectorDomainPruner,
@@ -31,7 +30,7 @@ from repro.dataset.stats import Statistics
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
 from repro.inference.variables import CellColumns
-from repro.oracle import DomainPruner, NaiveModelCompiler
+from repro.oracle import DomainPruner, EntityGroups, NaiveModelCompiler
 from tests.core.test_compiler import sampled_cells
 
 # Few distinct values over few attributes: ties, NULL-heavy tuples, and
@@ -254,7 +253,7 @@ class TestWeakLabelVotes:
             source_entity_attributes=generated.source_entity_attributes,
         )
         engine = Engine(dataset)
-        context = FeaturizationContext(dataset, engine.statistics(), config)
+        groups = EntityGroups(dataset, config.source_entity_attributes)
         voter = EntityVoteModes(engine, list(config.source_entity_attributes))
         store = engine.store
         for attr in dataset.schema.data_attributes:
@@ -263,7 +262,7 @@ class TestWeakLabelVotes:
             values = store.values(attr)
             index = dataset.schema.index_of(attr)
             for tid, code in zip(tids.tolist(), modes.tolist()):
-                group = context.entity_group_of(int(tid))
+                group = groups.of(int(tid))
                 expected = None
                 if len(group) >= 3:
                     votes: dict[str, int] = {}

@@ -10,6 +10,7 @@ from repro.data import (
     scaled,
 )
 from repro.detect.violations import ViolationDetector
+from repro.obs.fingerprint import dataset_fingerprint
 
 SMALL = {
     "hospital": lambda: generate_hospital(num_rows=120),
@@ -52,6 +53,22 @@ class TestCommonInvariants:
         again = SMALL[generated.name]()
         assert again.dirty == generated.dirty
         assert again.error_cells == generated.error_cells
+
+
+class TestColumnarInjection:
+    def test_dirty_carries_no_row_cache(self, generated):
+        # Error injection reads cells one at a time: no generator leaves
+        # every row decoded next to the columns.
+        assert generated.dirty._row_cache is None
+
+    def test_seeded_data_unchanged(self):
+        # Cell reads make the same RNG draws as the row reads they replaced.
+        hospital = generate_hospital(num_rows=300, seed=7)
+        flights = generate_flights(num_flights=10, seed=7)
+        assert dataset_fingerprint(hospital.dirty) == "a2a3934a2bee"
+        assert dataset_fingerprint(hospital.clean) == "f955181aa1bd"
+        assert dataset_fingerprint(flights.dirty) == "7e11be51500c"
+        assert dataset_fingerprint(flights.clean) == "33e79ceb21bd"
 
 
 class TestHospital:

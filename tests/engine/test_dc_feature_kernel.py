@@ -4,7 +4,7 @@
 constraint once per (candidate row, distinct partner group) of the row's
 join bucket and corrects for the one window tuple the naive walk skips.
 These tests pin its counts to
-:meth:`ConstraintFeaturizer._count_violations` exactly, one (cell,
+:meth:`repro.oracle.ConstraintFeaturizer._count_violations` exactly, one (cell,
 candidate, tuple position) at a time: at every edge of the partner
 window, under NULLs and candidates the data never holds, and for every
 shape of two-tuple constraint.  A spy test on Flights bounds the number
@@ -24,13 +24,14 @@ from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Operator, Predicate, TupleRef
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
-from repro.core.featurize import ConstraintFeaturizer, FeaturizationContext
+from repro.core.featurize import FeaturizationContext
 from repro.core.vector_featurize import VectorFeaturizer
 from repro.data.generators.flights import generate_flights
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
+from repro.oracle import ConstraintFeaturizer
 
 
 def pred(left, op, right):

@@ -1,18 +1,18 @@
-"""Vectorized featurization must equal the naive stack, key for key.
+"""Vectorized featurization must equal the reference stack, key for key.
 
 The contract of :class:`repro.core.vector_featurize.VectorFeaturizer`:
-the engine-grounded :class:`FeatureMatrix` has the naive per-(cell,
-candidate) featurizer loop's rows, per-row entry order and values
-*exactly*, and its :class:`FeatureSpace` holds the same key set with the
-same pinned weights.  A weight is named by its key, so feature indices
-are compared after relabelling the oracle's through the keys; the order
-the production path allocates them in is its own contract
-(:func:`test_allocation_contract`).  Both sides hold only entries that
-can move an answer: one per (row, weight key) — the pair-tied back-off
-``("cooc*",)`` carries the sum of the row's per-pair values — and none on
-a one-candidate variable.  Checked on the paper's generators
-(leave-one-out, weak-label and external-dictionary paths included) and on
-adversarial random datasets.
+the engine-grounded :class:`FeatureMatrix` has the rows, per-row entry
+order and values of the reference per-(cell, candidate) loop over
+:func:`repro.oracle.default_featurizers` *exactly*, and its
+:class:`FeatureSpace` holds the same key set with the same pinned weights.
+A weight is named by its key, so feature indices are compared after
+relabelling the oracle's through the keys; the order the production path
+allocates them in is its own contract (:func:`test_allocation_contract`).
+Both sides hold only entries that can move an answer: one per (row,
+weight key) — the pair-tied back-off ``("cooc*",)`` carries the sum of
+the row's per-pair values — and none on a one-candidate variable.
+Checked on the paper's generators (leave-one-out, weak-label and
+external-dictionary paths included) and on adversarial random datasets.
 """
 
 from unittest import mock
@@ -27,12 +27,7 @@ from repro.constraints.matching import MatchingDependency, MatchPredicate
 from repro.constraints.predicates import Const, Operator, Predicate, TupleRef
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
-from repro.core.featurize import (
-    ConstraintFeaturizer,
-    FeaturizationContext,
-    Featurizer,
-    default_featurizers,
-)
+from repro.core.featurize import FeaturizationContext
 from repro.core.vector_featurize import VectorFeaturizer
 from repro.data.generators.flights import generate_flights
 from repro.data.generators.hospital import generate_hospital
@@ -42,7 +37,12 @@ from repro.detect.violations import ViolationDetector
 from repro.engine import Backend, Engine
 from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
 from repro.inference.variables import VariableBlock
-from repro.oracle import NaiveModelCompiler
+from repro.oracle import (
+    ConstraintFeaturizer,
+    ExternalMatchFeaturizer,
+    NaiveModelCompiler,
+    default_featurizers,
+)
 from tests.engine.sqlite_backend import SQLiteBackend
 
 
@@ -164,18 +164,25 @@ def test_value_tying_identical(flights):
 
 
 def test_external_matches_identical(hospital):
-    # External-dictionary matches have no vectorized family: the naive
-    # adapter is the only batch whose entries arrive in arbitrary
-    # per-entry order, and it lands between the cooccur and DC families.
+    # External-dictionary matches ground as one group-by of the Matched
+    # facts per attribute block and dictionary, between the source and DC
+    # families: the reference featurizer never runs on the production path.
     config = HoloCleanConfig(tau=hospital.recommended_tau)
-    naive, fast = compile_pair(
-        hospital.dirty,
-        hospital.constraints,
-        config,
+    dataset = hospital.dirty
+    external = dict(
         dictionaries=hospital.dictionaries,
         matching_dependencies=hospital.matching_dependencies,
     )
-    assert fast.grounding["feature_naive_families"] == 1
+    engine = Engine(dataset)
+    detection = ViolationDetector(hospital.constraints, engine=engine).detect(dataset)
+    naive = NaiveModelCompiler(
+        dataset, hospital.constraints, config, detection, **external
+    ).compile()
+    reference = AssertionError("reference external featurizer")
+    with mock.patch.object(ExternalMatchFeaturizer, "features", side_effect=reference):
+        fast = ModelCompiler(
+            dataset, hospital.constraints, config, detection, engine=engine, **external
+        ).compile()
     assert sum(key[0] == "ext" for key in fast.graph.space._keys) == 1
     assert_identical(naive, fast)
 
@@ -264,7 +271,6 @@ def test_similarity_and_single_tuple_dcs_run_on_codes(hospital):
         fast = ModelCompiler(
             dataset, constraints, config, detection, engine=engine
         ).compile()
-    assert fast.grounding["feature_naive_families"] == 0
     assert_identical(naive, fast)
     dc_keys = {key[1] for key in fast.graph.space._keys if key[0] == "dc"}
     assert {"sim_state", "nsim_city", "single_const"} <= dc_keys
@@ -295,8 +301,8 @@ FAMILY_RANK = {"minimality": 0, "freq": 1, "cooc": 2, "src": 3, "ext": 4, "dc": 
 
 
 def test_allocation_contract(flights):
-    # Indices follow default_featurizers order: the minimality prior
-    # first, then one contiguous block of keys per family.
+    # Indices follow family order: the minimality prior first, then one
+    # contiguous block of keys per family.
     config = HoloCleanConfig(
         tau=flights.recommended_tau,
         source_entity_attributes=flights.source_entity_attributes,
@@ -381,26 +387,6 @@ def test_a_second_call_equals_a_fresh_instance():
     )
     for name in ("var_row_start", "row_ptr", "indices", "values"):
         assert np.array_equal(getattr(matrix, name), getattr(fresh[2], name)), name
-
-
-class Twice(Featurizer):
-    """A featurizer the vector path does not know, repeating a key."""
-
-    def features(self, cell, candidates):
-        return [[(("t",), 0.25), (("u",), 1.0), (("t",), 0.5)] for _ in candidates]
-
-
-def test_naive_adapter_sums_a_repeated_key():
-    # The adapter lands a repeated key's sum once, on live variables only.
-    dataset = Dataset(Schema(["A"]), [["x"], ["y"]])
-    engine = Engine(dataset)
-    context = FeaturizationContext(dataset, engine.statistics(), HoloCleanConfig())
-    featurizer = VectorFeaturizer(engine, context, [])
-    featurizer._build_blocks([(Cell(0, "A"), ["x"]), (Cell(1, "A"), ["y", "x"])])
-    batch = featurizer._naive_entries(Twice(context))
-    assert batch.keys == [("t",), ("u",)]
-    assert batch.var.tolist() == [1, 1, 1, 1] and batch.cand.tolist() == [0, 0, 1, 1]
-    assert batch.value.tolist() == [0.75, 1.0, 0.75, 1.0]
 
 
 # ---------------------------------------------------------------------------

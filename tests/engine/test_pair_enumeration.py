@@ -1,12 +1,13 @@
 """VectorPairEnumerator's contract: byte-identical to the naive oracle.
 
-The engine-backed enumerator must reproduce the naive ``PairEnumerator``'s
-DC-factor pair stream exactly — same pairs, same order — on the paper's
-generators and on adversarial random datasets, for every backend, in both
-grounding modes (join-only and Algorithm 3 partitioned), through the
-chunked streaming path, and under ``max_pairs`` truncation.  On top of
-the streams, engine-grounded factor graphs must equal naively grounded
-ones factor for factor.
+The engine-backed enumerator's concatenated ``pair_chunks`` must reproduce
+the naive ``PairEnumerator``'s DC-factor pair stream exactly — same pairs,
+same order — on the paper's generators and on adversarial random datasets,
+for every backend, in both grounding modes (join-only and Algorithm 3
+partitioned), through the chunked streaming path, and under ``max_pairs``
+truncation; constraints without an equality join included.  On top of the
+streams, engine-grounded factor graphs must equal naively grounded ones
+factor for factor.
 """
 
 import pytest
@@ -17,18 +18,14 @@ from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Const, Operator, Predicate, TupleRef
 from repro.core.compiler import ModelCompiler
 from repro.core.config import HoloCleanConfig
-from repro.core.partition import (
-    PairEnumerator,
-    VectorPairEnumerator,
-    make_pair_enumerator,
-)
+from repro.core.partition import VectorPairEnumerator, make_pair_enumerator
 from repro.data.generators.flights import generate_flights
 from repro.data.generators.hospital import generate_hospital
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 from repro.detect.violations import ViolationDetector
 from repro.engine import Backend, Engine
-from repro.oracle import DomainPruner, NaiveModelCompiler
+from repro.oracle import DomainPruner, NaiveModelCompiler, PairEnumerator
 from tests.engine.sqlite_backend import SQLiteBackend
 
 BACKENDS = {"numpy": Backend, "sqlite": SQLiteBackend}
@@ -42,6 +39,26 @@ def hospital():
 @pytest.fixture(scope="module")
 def flights():
     return generate_flights(num_flights=7)
+
+
+def stream(enumerator, dc, use_partitioning, hypergraph):
+    """The engine enumerator's chunks flattened into the oracle's tuples."""
+    chunks = enumerator.pair_chunks(
+        dc, use_partitioning=use_partitioning, hypergraph=hypergraph
+    )
+    return [
+        pair for left, right in chunks for pair in zip(left.tolist(), right.tolist())
+    ]
+
+
+class OneComponent:
+    """A hypergraph stand-in whose only component is ``tids``."""
+
+    def __init__(self, tids):
+        self.tids = set(tids)
+
+    def tuple_components(self, name):
+        return [self.tids]
 
 
 def prepared(generated):
@@ -71,7 +88,7 @@ def test_streams_identical_on_generators(name, backend, request):
         for use_partitioning in (False, True):
             hypergraph = detection.hypergraph
             expected = list(naive.pairs_for(dc, use_partitioning, hypergraph))
-            actual = list(vector.pairs_for(dc, use_partitioning, hypergraph))
+            actual = stream(vector, dc, use_partitioning, hypergraph)
             # Exact equality, order included: grounding walks this stream.
             assert actual == expected, (dc.name, use_partitioning)
             assert expected, dc.name  # the comparison is not vacuous
@@ -93,7 +110,7 @@ def test_chunked_path_identical(backend, hospital):
         for use_partitioning in (False, True):
             args = (dc, use_partitioning, detection.hypergraph)
             expected = list(naive.pairs_for(*args))
-            assert list(chunked.pairs_for(*args)) == expected, args[:2]
+            assert stream(chunked, *args) == expected, args[:2]
     assert chunked.stats["streamed_groups"] > 0
     assert chunked.stats["chunks"] > chunked.stats["streamed_groups"]
 
@@ -118,24 +135,8 @@ def test_max_pairs_truncation_identical(backend, hospital):
             args = (dc, use_partitioning, detection.hypergraph)
             expected = list(naive.pairs_for(*args))
             assert len(expected) <= 97
-            assert expected == list(vector.pairs_for(*args))
-            assert expected == list(streamed.pairs_for(*args))
-
-
-def test_pair_chunks_concatenation_matches_stream(hospital):
-    dataset, detection, domains, dcs = prepared(hospital)
-    vector = VectorPairEnumerator(Engine(dataset), dataset, domains)
-    for dc in dcs[:3]:
-        expected = list(vector.pairs_for(dc, True, detection.hypergraph))
-        chunks = vector.pair_chunks(
-            dc, use_partitioning=True, hypergraph=detection.hypergraph
-        )
-        flattened = [
-            (int(a), int(b))
-            for left, right in chunks
-            for a, b in zip(left.tolist(), right.tolist())
-        ]
-        assert flattened == expected
+            assert expected == stream(vector, *args)
+            assert expected == stream(streamed, *args)
 
 
 def test_join_pairs_restricted_matches_naive(hospital):
@@ -146,31 +147,45 @@ def test_join_pairs_restricted_matches_naive(hospital):
     component = next(iter(detection.hypergraph.tuple_components(dc.name)))
     restricted = frozenset(component)
     expected = list(naive.join_pairs(dc, restrict_to=restricted))
-    assert list(vector.join_pairs(dc, restrict_to=restricted)) == expected
+    assert stream(vector, dc, True, OneComponent(restricted)) == expected
 
 
-def test_non_equijoin_fallback_matches_naive_and_counts_pairs():
+NO_EQUIJOIN = DenialConstraint(
+    [
+        Predicate(TupleRef(1, "A"), Operator.LT, TupleRef(2, "A")),
+        Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
+    ],
+    name="no_equijoin",
+)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize(
+    "options",
+    [{}, {"max_pairs": 7}, {"stream_budget": 1}],
+    ids=["default", "max_pairs=7", "stream_budget=1"],
+)
+def test_non_equijoin_fallback_matches_naive_and_counts_pairs(backend, options):
+    # A join-free constraint is a join on a constant key: one bucket of
+    # every tuple (or of one component), capped and streamed like any other.
     rows = [[str(i % 4), str(i % 3)] for i in range(9)]
     dataset = Dataset(Schema(["A", "B"]), rows)
-    dc = DenialConstraint(
-        [
-            Predicate(TupleRef(1, "A"), Operator.LT, TupleRef(2, "A")),
-            Predicate(TupleRef(1, "B"), Operator.NEQ, TupleRef(2, "B")),
-        ],
-        name="no_equijoin",
-    )
+    dc = NO_EQUIJOIN
     detection = ViolationDetector([dc]).detect(dataset)
-    naive = PairEnumerator(dataset, {})
-    vector = VectorPairEnumerator(Engine(dataset), dataset, {}, chunk_pairs=5)
+    naive = PairEnumerator(dataset, {}, max_pairs=options.get("max_pairs", 200_000))
+    engine = Engine(dataset, backend=BACKENDS[backend])
+    vector = VectorPairEnumerator(engine, dataset, {}, chunk_pairs=5, **options)
     for use_partitioning in (False, True):
         args = (dc, use_partitioning, detection.hypergraph)
-        assert list(vector.pairs_for(*args)) == list(naive.pairs_for(*args))
-    # The all-pairs fallback participates in the stats bookkeeping too
+        assert stream(vector, *args) == list(naive.pairs_for(*args))
+    # The join-free path participates in the stats bookkeeping too
     # (size_report's grounding_pairs relies on it).
     total = sum(
         len(list(naive.pairs_for(dc, p, detection.hypergraph))) for p in (False, True)
     )
     assert vector.stats["pairs"] == total > 0
+    if "stream_budget" in options:
+        assert vector.stats["streamed_groups"] > 0
 
 
 def test_make_pair_enumerator_always_engine_backed(hospital):
@@ -204,22 +219,35 @@ def factor_signature(graph):
     return signature
 
 
+# No equality predicate: grounded over one constant-key bucket of every tuple.
+JOIN_FREE = DenialConstraint(
+    [
+        Predicate(TupleRef(1, "State"), Operator.EQ, Const("GA")),
+        Predicate(TupleRef(2, "State"), Operator.EQ, Const("PA")),
+    ],
+    name="no_ga_pa_pair",
+)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("use_partitioning", [False, True])
-def test_factor_graphs_identical(backend, use_partitioning, hospital):
+@pytest.mark.parametrize(
+    "use_partitioning, extra",
+    [(False, []), (True, []), (False, [JOIN_FREE]), (True, [JOIN_FREE])],
+    ids=["False", "True", "False-join-free", "True-join-free"],
+)
+def test_factor_graphs_identical(backend, use_partitioning, extra, hospital):
     dataset = hospital.dirty
-    detection = ViolationDetector(hospital.constraints).detect(dataset)
+    constraints = hospital.constraints + extra
+    detection = ViolationDetector(constraints).detect(dataset)
     config = HoloCleanConfig(
         use_dc_factors=True,
         use_partitioning=use_partitioning,
         tau=hospital.recommended_tau,
     )
-    naive_model = NaiveModelCompiler(
-        dataset, hospital.constraints, config, detection
-    ).compile()
+    naive_model = NaiveModelCompiler(dataset, constraints, config, detection).compile()
     engine = Engine(dataset, backend=BACKENDS[backend])
     engine_model = ModelCompiler(
-        dataset, hospital.constraints, config, detection, engine=engine
+        dataset, constraints, config, detection, engine=engine
     ).compile()
     naive_factors = factor_signature(naive_model.graph)
     engine_factors = factor_signature(engine_model.graph)
@@ -233,6 +261,8 @@ def test_factor_graphs_identical(backend, use_partitioning, hospital):
     # Every enumerated pair went through the batched table builder (no
     # silent fallback to the per-pair loop).
     assert engine_model.grounding["table_pairs"] == engine_model.grounding["pairs"] > 0
+    if extra:
+        assert any(name == JOIN_FREE.name for name, *_ in engine_factors)
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +458,8 @@ def test_random_datasets_identical(rows, raw_domains):
                 where = (backend, dc.name, use_partitioning)
                 args = (dc, use_partitioning, detection.hypergraph)
                 expected = list(naive.pairs_for(*args))
-                assert expected == list(vector.pairs_for(*args)), where
-                assert expected == list(chunked.pairs_for(*args)), (*where, "chunked")
+                assert expected == stream(vector, *args), where
+                assert expected == stream(chunked, *args), (*where, "chunked")
 
 
 # ---------------------------------------------------------------------------
