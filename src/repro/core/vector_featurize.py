@@ -11,8 +11,14 @@ them the same way over the engine's
   lookup table;
 * minimality and frequency (leave-one-out included) become array
   comparisons against the engine's per-code value counts;
-* pair-tied co-occurrence is answered by binary-searching the engine's
-  bincount joint tables (:meth:`EngineStatistics.joint_code_counts`);
+* pair-tied co-occurrence fills one ``others × rows`` array of joint
+  counts per attribute block, one other at a time, from the ``(other,
+  attribute)`` count table Algorithm 2 already built
+  (:meth:`EngineStatistics.joint_code_counts`): one gather from a
+  transient dense ``int32`` table when the pair's ``(card_other + 1) ×
+  (card_attribute + 1)`` key space fits ``_DENSE_JOINT_CELLS`` (2**20
+  cells, 4 MB), a binary search of the table's sorted keys only for a
+  larger pair;
 * source-reliability votes reduce to one group-by over the entity key;
 * external-dictionary matches are one group-by of the ``Matched`` facts'
   ``(tid, value code)`` joined against each attribute block's rows;
@@ -68,6 +74,11 @@ from repro.external.matcher import MatchedRelation
 from repro.inference.features import FeatureMatrixBuilder
 from repro.inference.variables import CellColumns, as_columns
 from repro.obs.trace import deep_span
+
+#: Largest ``(card_other + 1) × (card_attr + 1)`` key space the co-occurrence
+#: family scatters into a dense ``int32`` table (4 MB); a larger pair
+#: binary-searches.
+_DENSE_JOINT_CELLS = 1 << 20
 
 
 @dataclass
@@ -138,7 +149,6 @@ class VectorFeaturizer:
         self.context = context
         self.constraints = list(constraints)
         self._stats = engine.statistics()
-        self._joint_cache: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
         #: Featurization counters surfaced as ``grounding_feature_*``.
         self.stats: dict[str, int | str] = {}
 
@@ -283,100 +293,142 @@ class VectorFeaturizer:
             )
         return out
 
-    def _joint_lookup(
-        self, attr: str, other: str, a_codes: np.ndarray, o_codes: np.ndarray
+    def _joint_counts(
+        self,
+        attr: str,
+        other: str,
+        context: np.ndarray,
+        row_var: np.ndarray,
+        cand: np.ndarray,
     ) -> np.ndarray:
-        """Joint counts of ``(attr=a, other=b)`` code pairs (0 if absent)."""
-        cached = self._joint_cache.get((attr, other))
-        if cached is None:
-            table = self._stats.joint_code_counts(attr, other)
-            stride = max(self.engine.store.cardinality(other), 1)
-            cached = (table[:, 0] * stride + table[:, 1], table[:, 2])
-            self._joint_cache[(attr, other)] = cached
-        keys, counts = cached
-        if not len(keys):
-            return np.zeros(len(a_codes), dtype=np.int64)
-        stride = max(self.engine.store.cardinality(other), 1)
-        query = a_codes * stride + o_codes
-        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        return np.where(keys[pos] == query, counts[pos], 0)
+        """Per row, the joint count of ``(other = context[row_var], attr =
+        cand)``, 0 where the context code is ``-1``.
+
+        Read off the ``(other, attr)`` table, the orientation Algorithm 2's
+        :meth:`EngineStatistics.conditional_table` already built, so no
+        derived orientation is ever sorted for the featurizer.  Keys are
+        laid out ``(card_o + 1) × (card_a + 1)``: row ``card_o`` stands for
+        "no context" and column ``card_a`` for every candidate absent from
+        the data (``cand`` is clipped to it), and no table row lands in
+        either.  A pair whose key space fits ``_DENSE_JOINT_CELLS`` is one
+        gather from a transient dense ``int32`` table; a larger one
+        binary-searches the table's sorted keys.
+        """
+        store = self.engine.store
+        table = self._stats.joint_code_counts(other, attr)
+        card_o = store.cardinality(other)
+        width = store.cardinality(attr) + 1
+        table_key = table[:, 0] * width + table[:, 1]  # ascending
+        row_key = np.where(context >= 0, context, card_o) * width
+        query = row_key[row_var] + cand
+        cells = (card_o + 1) * width
+        if cells <= _DENSE_JOINT_CELLS:
+            dense = np.zeros(cells, dtype=np.int32)
+            dense[table_key] = table[:, 2]
+            return dense[query]
+        if not len(table_key):
+            return np.zeros(len(query), dtype=np.int64)
+        pos = np.minimum(np.searchsorted(table_key, query), len(table_key) - 1)
+        return np.where(table_key[pos] == query, table[pos, 2], 0)
 
     def _cooccur(self) -> list[_Entries]:
-        ctx = self.context
-        store = self.engine.store
-        schema = ctx.dataset.schema
-        tying = ctx.config.cooccur_tying
-        smoothing = ctx.config.cooccur_smoothing
+        schema = self.context.dataset.schema
+        pair_tied = self.context.config.cooccur_tying == "pair"
         out = []
         for attr, block in self._blocks.items():
             others = [o for o in schema.data_attributes if o != attr]
-            # Back-off per row: its per-pair values, summed in schema order.
-            backoff = np.zeros(len(block.flat_var), dtype=np.float64)
-            for other in others:
-                oc = store.codes(other)[block.tids].astype(np.int64)
-                if not (oc >= 0).any():
-                    continue  # all-NULL context column: nothing conditions
-                if tying == "pair":
-                    ocounts = self._stats.code_counts(other)
-                    denom = np.where(oc >= 0, ocounts[np.maximum(oc, 0)] - 1, 0)
-                    keep = denom > 0
-                else:
-                    keep = oc >= 0
-                if not keep.any():
-                    continue
-                keep_flat = np.repeat(keep, block.sizes)
-                fvar = block.flat_var[keep_flat]
-                fcand = block.flat_cand[keep_flat]
-                fcode = block.flat_code[keep_flat]
-                focode = np.repeat(oc, block.sizes)[keep_flat]
-                if tying == "pair":
-                    joint = self._joint_lookup(attr, other, fcode, focode) - (
-                        fcode == block.flat_init[keep_flat]
-                    )
-                    hit = joint > 0
-                    if not hit.any():
-                        continue
-                    fdenom = np.repeat(denom, block.sizes)[keep_flat]
-                    p = joint[hit] / (fdenom[hit] + smoothing)
-                    backoff[np.flatnonzero(keep_flat)[hit]] += p
-                    out.append(
-                        _Entries(
-                            fvar[hit],
-                            fcand[hit],
-                            np.zeros(len(p), dtype=np.int64),
-                            p,
-                            keys=[("cooc", attr, other)],
-                        )
-                    )
-                else:  # "value": the paper-literal w(d, f) tying
-                    card_o = max(store.cardinality(other), 1)
-                    enc = fcode * card_o + focode
-                    uniq, token = np.unique(enc, return_inverse=True)
-                    av, ov = block.values, store.values(other)
-                    keys = [
-                        ("cooc", attr, av[e // card_o], other, ov[e % card_o])
-                        # repro: allow-loop per-unique-code key labels, not per-row
-                        for e in uniq.tolist()
-                    ]
-                    out.append(
-                        _Entries(
-                            fvar,
-                            fcand,
-                            token.astype(np.int64),
-                            np.ones(len(fvar), dtype=np.float64),
-                            keys=keys,
-                        )
-                    )
-            if backoff.any():  # rows with a zero sum are dropped on emission
-                out.append(
-                    _Entries(
-                        block.flat_var,
-                        block.flat_cand,
-                        np.zeros(len(backoff), dtype=np.int64),
-                        backoff,
-                        keys=[("cooc*",)],
-                    )
+            if not others:
+                continue  # a one-attribute schema: nothing conditions
+            if pair_tied:
+                out.extend(self._pair_tied_cooccur(block, others))
+            else:
+                out.extend(self._value_tied_cooccur(block, others))
+        return out
+
+    def _pair_tied_cooccur(
+        self, block: _AttrBlock, others: list[str]
+    ) -> list[_Entries]:
+        """One block's ``("cooc", attr, other)`` entries, then its back-off.
+
+        Joint counts fill one ``others × rows`` array, one lookup per other
+        (:meth:`_joint_counts`), less one where the candidate is the cell's
+        own value (leave-one-out).  The positive counts are listed row by
+        row, so a row's per-pair entries come in schema order and the batch
+        is one run of the builder's stable sort by row.  The back-off
+        ``("cooc*",)`` batch follows: per row the sum of those entries,
+        added in that same order by one ``bincount``.
+        """
+        store = self.engine.store
+        attr = block.attribute
+        # Per (other, variable): the context code and its denominator.
+        codes = [store.codes(o)[block.tids] for o in others]
+        context = np.stack(codes).astype(np.int64)
+        counts = [self._stats.code_counts(o) for o in others]
+        count_base = np.cumsum([0] + [len(c) for c in counts])[:-1, None]
+        all_counts = np.concatenate([*counts, np.zeros(1, dtype=np.int64)])
+        denom = np.where(
+            context >= 0, all_counts[count_base + np.maximum(context, 0)] - 1, 0
+        )
+        # A context value only the row's own tuple holds (denominator 0)
+        # co-occurs with nothing but the tuple's own value, which the
+        # leave-one-out subtraction takes back: such pairs need no mask, and
+        # an other with no positive denominator needs no lookup.
+        looked_up = (denom > 0).any(axis=1)
+        row_var = np.repeat(np.arange(len(block.tids)), block.sizes)
+        cand = np.minimum(block.flat_code, store.cardinality(attr))
+        joint = np.zeros((len(others), len(cand)), dtype=np.int32)
+        for j, (other, lookup) in enumerate(zip(others, looked_up)):
+            if lookup:
+                joint[j] = self._joint_counts(attr, other, context[j], row_var, cand)
+        joint -= block.flat_code == block.flat_init
+        row, column = np.nonzero(joint.T > 0)  # row-major
+        smoothing = self.context.config.cooccur_smoothing
+        value = joint[column, row] / (denom[column, row_var[row]] + smoothing)
+        backoff = np.bincount(row, value, minlength=len(cand))
+        summed = backoff > 0
+        return [
+            _Entries(
+                block.flat_var[row],
+                block.flat_cand[row],
+                column,
+                value,
+                keys=[("cooc", attr, o) for o in others],
+            ),
+            _keyed_entries(block, summed, ("cooc*",), backoff[summed]),
+        ]
+
+    def _value_tied_cooccur(
+        self, block: _AttrBlock, others: list[str]
+    ) -> list[_Entries]:
+        """The paper-literal ``w(d, f)`` tying: one ``("cooc", attr, d,
+        other, f)`` indicator per row and non-NULL context, per other."""
+        store = self.engine.store
+        out = []
+        for other in others:
+            oc = store.codes(other)[block.tids].astype(np.int64)
+            keep_flat = np.repeat(oc >= 0, block.sizes)
+            if not keep_flat.any():
+                continue
+            fvar = block.flat_var[keep_flat]
+            card_o = max(store.cardinality(other), 1)
+            context = np.repeat(oc, block.sizes)[keep_flat]
+            enc = block.flat_code[keep_flat] * card_o + context
+            uniq, token = np.unique(enc, return_inverse=True)
+            av, ov = block.values, store.values(other)
+            keys = [
+                ("cooc", block.attribute, av[e // card_o], other, ov[e % card_o])
+                # repro: allow-loop per-unique-code key labels, not per-row
+                for e in uniq.tolist()
+            ]
+            out.append(
+                _Entries(
+                    fvar,
+                    block.flat_cand[keep_flat],
+                    token.astype(np.int64),
+                    np.ones(len(fvar), dtype=np.float64),
+                    keys=keys,
                 )
+            )
         return out
 
     def _source(self) -> list[_Entries]:

@@ -3,10 +3,12 @@
 Drop-in replacement for :class:`repro.dataset.stats.Statistics`: the same
 interface and byte-identical results, but single-column frequencies and
 pairwise co-occurrence counts come from the backend's vectorized
-group-bys instead of Python row scans, and the Algorithm 2 /
-co-occurrence-featurizer hot query :meth:`cooccurring_values` is served
-from a prebuilt index (one dict lookup per call) instead of a full scan
-of the pair counter per cell.
+group-bys instead of Python row scans, and the reference pruner's and
+featurizer's hot query :meth:`cooccurring_values` is served from a
+prebuilt index (one dict lookup per call) instead of a full scan of the
+pair counter per cell.  The production pruner and featurizer read the
+code-space tables (:meth:`joint_code_counts`, :meth:`conditional_table`)
+directly.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from collections import Counter
 import numpy as np
 
 from repro.dataset.stats import Statistics
+from repro.obs.trace import deep_span
 
 
 class EngineStatistics(Statistics):
@@ -31,8 +34,9 @@ class EngineStatistics(Statistics):
         #: (attr_a, attr_b) → (k, 3) [code_a, code_b, count] rows.
         self._joint_codes: dict[tuple[str, str], np.ndarray] = {}
         #: (attr, given_attr) → CSR conditional lookup (see below).
-        self._conditional: dict[tuple[str, str],
-                                tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._conditional: dict[
+            tuple[str, str], tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
 
     # ------------------------------------------------------------------
     # Code-space counts (shared by the Counter builders below and the
@@ -49,27 +53,37 @@ class EngineStatistics(Statistics):
     def joint_code_counts(self, attr_a: str, attr_b: str) -> np.ndarray:
         """``(k, 3)`` co-occurrence rows sorted by ``(code_a, code_b)``.
 
-        Cached per *ordered* pair, because the featurizer's joint lookups
-        binary-search the rows and each orientation needs its own sort
-        order; both orientations come from one backend group-by.  The
-        second is the first's rows with the code columns swapped, re-sorted
-        by one ``lexsort`` over its ``k`` rows instead of a group-by over
-        every tuple.
+        Cached per *ordered* pair, because each orientation has its own
+        sort order; both come from one backend group-by.  The second is the
+        first's rows with the code columns swapped, re-sorted by one
+        ``lexsort`` over its ``k`` rows instead of a group-by over every
+        tuple.  Algorithm 2 (:meth:`conditional_table`) and the vectorized
+        co-occurrence featurizer both read the ``(context, attribute)``
+        orientation, so the featurizer asks for no table the pruner did
+        not.  Either build is one ``stats.pair_counts`` deep span.
         """
         key = (attr_a, attr_b)
         cached = self._joint_codes.get(key)
         if cached is None:
             swapped = self._joint_codes.get((attr_b, attr_a))
-            if swapped is None:
-                cached = self._engine.backend.pair_value_counts(attr_a, attr_b)
-            else:
-                order = np.lexsort((swapped[:, 0], swapped[:, 1]))
-                cached = swapped[order][:, [1, 0, 2]]
+            with deep_span(
+                "stats.pair_counts",
+                pair=f"{attr_a},{attr_b}",
+                derived=swapped is not None,
+            ) as sp:
+                if swapped is None:
+                    cached = self._engine.backend.pair_value_counts(attr_a, attr_b)
+                else:
+                    order = np.lexsort((swapped[:, 0], swapped[:, 1]))
+                    cached = swapped[order][:, [1, 0, 2]]
+                if sp is not None:
+                    sp.attributes["rows"] = len(cached)
             self._joint_codes[key] = cached
         return cached
 
-    def conditional_table(self, attr: str, given_attr: str,
-                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def conditional_table(
+        self, attr: str, given_attr: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR view of ``joint_code_counts`` keyed by the *given* code.
 
         Returns ``(indptr, codes, counts)``: for a context code ``g`` of
@@ -98,22 +112,23 @@ class EngineStatistics(Statistics):
         store = self._engine.store
         counts = self.code_counts(attribute)
         values = store.values(attribute)
-        return Counter({values[code]: int(n)
-                        for code, n in enumerate(counts) if n})
+        return Counter({values[code]: int(n) for code, n in enumerate(counts) if n})
 
     def _build_pair_counts(self, key: tuple[str, str]) -> Counter:
         store = self._engine.store
         rows = self.joint_code_counts(key[0], key[1])
         values_a = store.values(key[0])
         values_b = store.values(key[1])
-        return Counter({(values_a[a], values_b[b]): int(n)
-                        for a, b, n in rows.tolist()})
+        return Counter(
+            {(values_a[a], values_b[b]): int(n) for a, b, n in rows.tolist()}
+        )
 
     # ------------------------------------------------------------------
     # Indexed conditional lookups
     # ------------------------------------------------------------------
-    def cooccurring_values(self, attr: str, given_attr: str,
-                           given_value: str) -> dict[str, int]:
+    def cooccurring_values(
+        self, attr: str, given_attr: str, given_value: str
+    ) -> dict[str, int]:
         index_key = (attr, given_attr)
         index = self._cooc_index.get(index_key)
         if index is None:

@@ -31,7 +31,10 @@ variable: the catalog and the marginals are columnar in memory
 columns too (:class:`~repro.inference.factor_graph.FactorColumns`), not
 one object per factor; since format 5 the dataset is its code columns
 and value tables, not one list per row, and the noisy cells are masks,
-not one ``Cell`` per cell, so verification re-hashes columns.  Stage
+not one ``Cell`` per cell, so verification re-hashes columns; since
+format 6 a compiled model's external-dictionary matches
+(:class:`~repro.external.matcher.MatchedRelation`) are fact columns, not
+a per-cell dict.  Stage
 files are written only for artifacts present on the context, so a
 session checkpointed mid-pipeline rehydrates mid-pipeline and the staged
 plan resumes from exactly where it stopped.  The digests
@@ -64,7 +67,7 @@ log = get_logger("serve.checkpoint")
 
 #: Bump when the on-disk layout changes; mismatched checkpoints are
 #: rejected (the session simply pays a cold run).
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 #: Stage name → the context artifacts serialized in that stage's file.
 STAGE_ARTIFACTS = (

@@ -187,6 +187,36 @@ class TestFactorRoundTrip:
         _assert_same_outcome(warm, rehydrated)
 
 
+class TestExternalMatchesRoundTrip:
+    def test_matched_relation_survives_and_the_plan_is_apply_only(
+        self, hospital, tmp_path
+    ):
+        """A compile with external dictionaries keeps its ``Matched`` facts
+        as columns through the checkpoint; the loaded context re-runs
+        apply alone, to the same repairs."""
+        ctx = _fresh_ctx(hospital)
+        ctx.dictionaries = list(hospital.dictionaries)
+        ctx.matching_dependencies = list(hospital.matching_dependencies)
+        warm = RepairPlan.default().run(ctx)
+        before = warm.model.relations.matched[0]
+        assert len(before) > 0
+        store = CheckpointStore(tmp_path)
+        store.save("sid", warm)
+
+        loaded = store.load("sid")
+        after = loaded.model.relations.matched[0]
+        assert len(after) == len(before)
+        assert after.cells() == before.cells()
+        for cell in before.cells():
+            assert after.for_cell(cell) == before.for_cell(cell)
+
+        plan = RepairPlan.default()
+        rerun = plan.run(loaded)
+        ran = [stage for stage, status in rerun.stage_status.items() if status == "ran"]
+        assert ran == ["apply"]
+        _assert_same_outcome(plan.run(warm), rerun)
+
+
 class TestMidPipelineCheckpoint:
     def test_compile_only_checkpoint_resumes(self, hospital, tmp_path):
         """A session checkpointed before learn resumes mid-pipeline."""
@@ -295,11 +325,12 @@ class TestStoreMechanics:
         current = f'"version": {FORMAT_VERSION}'
         assert current in meta.read_text()
         # Format 1 pickled the hypergraph as Violation objects, format 2
-        # one VariableInfo per variable, format 3 one object per DC factor
-        # and format 4 the dataset as rows and the noisy cells as Cells;
-        # all must stop at the version gate, not inside the unpickler.
-        assert FORMAT_VERSION == 5
-        for other in (1, 2, 3, 4, 99):
+        # one VariableInfo per variable, format 3 one object per DC factor,
+        # format 4 the dataset as rows and the noisy cells as Cells and
+        # format 5 the external matches as a per-cell dict; all must stop
+        # at the version gate, not inside the unpickler.
+        assert FORMAT_VERSION == 6
+        for other in (1, 2, 3, 4, 5, 99):
             meta.write_text(meta.read_text().replace(current, f'"version": {other}'))
             with pytest.raises(CheckpointError, match="format version"):
                 store.load("sid")
