@@ -46,7 +46,6 @@ if TYPE_CHECKING:
         Dataset,
         NULL,
         Schema,
-        Statistics,
         read_csv,
         write_csv,
     )
@@ -99,7 +98,6 @@ __all__ = [
     "Dataset",
     "NULL",
     "Schema",
-    "Statistics",
     "read_csv",
     "write_csv",
     "DenialConstraint",
@@ -149,7 +147,6 @@ __getattr__, __dir__ = lazy_exports(
             "Dataset",
             "NULL",
             "Schema",
-            "Statistics",
             "read_csv",
             "write_csv",
         ),

@@ -66,11 +66,6 @@ class HoloCleanConfig:
     use_dc_factors: bool = False
     use_partitioning: bool = False
 
-    #: ``"pair"`` ties one weight per attribute pair with the empirical
-    #: conditional as feature value; ``"value"`` is the paper-literal
-    #: ``w(d, f)`` tying (one weight per candidate/feature combination).
-    cooccur_tying: str = "pair"
-
     #: Additive smoothing for the co-occurrence conditionals used as
     #: feature values: ``Pr[d | v'] = #(d, v') / (#v' + smoothing)``.
     #: Without it a value that appears once makes its own (possibly
@@ -177,10 +172,6 @@ class HoloCleanConfig:
             raise ValueError(
                 f"domain_strategy must be one of {DOMAIN_STRATEGIES}, got "
                 f"{self.domain_strategy!r}"
-            )
-        if self.cooccur_tying not in ("pair", "value"):
-            raise ValueError(
-                f"cooccur_tying must be 'pair' or 'value', got {self.cooccur_tying!r}"
             )
         if not (
             self.use_dc_feats

@@ -11,9 +11,9 @@ them the same way over the engine's
   lookup table;
 * minimality and frequency (leave-one-out included) become array
   comparisons against the engine's per-code value counts;
-* pair-tied co-occurrence fills one ``others × rows`` array of joint
-  counts per attribute block, one other at a time, from the ``(other,
-  attribute)`` count table Algorithm 2 already built
+* co-occurrence, one weight per attribute pair, fills one ``others ×
+  rows`` array of joint counts per attribute block, one other at a time,
+  from the ``(other, attribute)`` count table Algorithm 2 already built
   (:meth:`EngineStatistics.joint_code_counts`): one gather from a
   transient dense ``int32`` table when the pair's ``(card_other + 1) ×
   (card_attribute + 1)`` key space fits ``_DENSE_JOINT_CELLS`` (2**20
@@ -333,21 +333,14 @@ class VectorFeaturizer:
 
     def _cooccur(self) -> list[_Entries]:
         schema = self.context.dataset.schema
-        pair_tied = self.context.config.cooccur_tying == "pair"
         out = []
         for attr, block in self._blocks.items():
             others = [o for o in schema.data_attributes if o != attr]
-            if not others:
-                continue  # a one-attribute schema: nothing conditions
-            if pair_tied:
-                out.extend(self._pair_tied_cooccur(block, others))
-            else:
-                out.extend(self._value_tied_cooccur(block, others))
+            if others:  # in a one-attribute schema nothing conditions
+                out.extend(self._cooccur_block(block, others))
         return out
 
-    def _pair_tied_cooccur(
-        self, block: _AttrBlock, others: list[str]
-    ) -> list[_Entries]:
+    def _cooccur_block(self, block: _AttrBlock, others: list[str]) -> list[_Entries]:
         """One block's ``("cooc", attr, other)`` entries, then its back-off.
 
         Joint counts fill one ``others × rows`` array, one lookup per other
@@ -396,40 +389,6 @@ class VectorFeaturizer:
             ),
             _keyed_entries(block, summed, ("cooc*",), backoff[summed]),
         ]
-
-    def _value_tied_cooccur(
-        self, block: _AttrBlock, others: list[str]
-    ) -> list[_Entries]:
-        """The paper-literal ``w(d, f)`` tying: one ``("cooc", attr, d,
-        other, f)`` indicator per row and non-NULL context, per other."""
-        store = self.engine.store
-        out = []
-        for other in others:
-            oc = store.codes(other)[block.tids].astype(np.int64)
-            keep_flat = np.repeat(oc >= 0, block.sizes)
-            if not keep_flat.any():
-                continue
-            fvar = block.flat_var[keep_flat]
-            card_o = max(store.cardinality(other), 1)
-            context = np.repeat(oc, block.sizes)[keep_flat]
-            enc = block.flat_code[keep_flat] * card_o + context
-            uniq, token = np.unique(enc, return_inverse=True)
-            av, ov = block.values, store.values(other)
-            keys = [
-                ("cooc", block.attribute, av[e // card_o], other, ov[e % card_o])
-                # repro: allow-loop per-unique-code key labels, not per-row
-                for e in uniq.tolist()
-            ]
-            out.append(
-                _Entries(
-                    fvar,
-                    block.flat_cand[keep_flat],
-                    token.astype(np.int64),
-                    np.ones(len(fvar), dtype=np.float64),
-                    keys=keys,
-                )
-            )
-        return out
 
     def _source(self) -> list[_Entries]:
         ctx = self.context

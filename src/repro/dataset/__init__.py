@@ -1,10 +1,10 @@
-"""Relational substrate: schemas, datasets, cells, and dataset statistics.
+"""Relational substrate: schemas, datasets, cells and CSV input/output.
 
 This package models the dirty relation ``D`` from the paper (Section 2.1):
-a set of tuples, each a set of cells ``t[a]``, together with the empirical
-statistics (value frequencies and pairwise co-occurrences) that drive both
-HoloClean's domain pruning (Algorithm 2) and its quantitative-statistics
-features (Section 4.2).
+a set of tuples, each a set of cells ``t[a]``, stored as code columns.
+The empirical statistics over it (value frequencies and pairwise
+co-occurrences, which drive Algorithm 2 and the Section 4.2 features) are
+the engine's code tables, :class:`repro.engine.stats.EngineStatistics`.
 """
 
 from typing import TYPE_CHECKING
@@ -14,7 +14,6 @@ from repro._lazy import lazy_exports
 if TYPE_CHECKING:
     from repro.dataset.schema import Attribute, Schema
     from repro.dataset.dataset import Cell, Dataset, NULL
-    from repro.dataset.stats import Statistics
     from repro.dataset.csv_io import read_csv, write_csv
 
 __all__ = [
@@ -23,7 +22,6 @@ __all__ = [
     "Cell",
     "Dataset",
     "NULL",
-    "Statistics",
     "read_csv",
     "write_csv",
 ]
@@ -33,7 +31,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         "repro.dataset.schema": ("Attribute", "Schema"),
         "repro.dataset.dataset": ("Cell", "Dataset", "NULL"),
-        "repro.dataset.stats": ("Statistics",),
         "repro.dataset.csv_io": ("read_csv", "write_csv"),
     },
 )

@@ -17,8 +17,9 @@ import re
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 from repro.dataset.dataset import Cell, Dataset
-from repro.dataset.stats import Statistics
 from repro.detect.base import DetectionResult, ErrorDetector
 
 #: Labeling-function verdicts.
@@ -40,7 +41,8 @@ class LabelingFunction:
         if verdict not in (ERROR, CLEAN, ABSTAIN):
             raise ValueError(
                 f"labeling function {self.name!r} returned {verdict!r}; "
-                f"expected ERROR, CLEAN, or ABSTAIN")
+                f"expected ERROR, CLEAN, or ABSTAIN"
+            )
         return verdict
 
 
@@ -52,8 +54,12 @@ class ProgrammaticDetector(ErrorDetector):
     single confident function can flag a cell nobody else covers.
     """
 
-    def __init__(self, functions: list[LabelingFunction],
-                 attributes: list[str] | None = None, margin: float = 0.5):
+    def __init__(
+        self,
+        functions: list[LabelingFunction],
+        attributes: list[str] | None = None,
+        margin: float = 0.5,
+    ):
         if not functions:
             raise ValueError("need at least one labeling function")
         self.functions = list(functions)
@@ -90,8 +96,13 @@ def lf_null(name: str = "lf_null") -> LabelingFunction:
     return LabelingFunction(name, fn)
 
 
-def lf_pattern(attribute: str, pattern: str, *, matches_are_clean: bool = True,
-               name: str | None = None) -> LabelingFunction:
+def lf_pattern(
+    attribute: str,
+    pattern: str,
+    *,
+    matches_are_clean: bool = True,
+    name: str | None = None,
+) -> LabelingFunction:
     """Votes by regular expression on one attribute.
 
     With ``matches_are_clean`` (default) values matching the pattern are
@@ -114,8 +125,9 @@ def lf_pattern(attribute: str, pattern: str, *, matches_are_clean: bool = True,
     return LabelingFunction(name or f"lf_pattern_{attribute}", fn)
 
 
-def lf_allowed_values(attribute: str, allowed, *,
-                      name: str | None = None) -> LabelingFunction:
+def lf_allowed_values(
+    attribute: str, allowed, *, name: str | None = None
+) -> LabelingFunction:
     """Votes ERROR when the value is outside a closed vocabulary."""
     allowed_set = frozenset(allowed)
 
@@ -130,26 +142,27 @@ def lf_allowed_values(attribute: str, allowed, *,
     return LabelingFunction(name or f"lf_allowed_{attribute}", fn)
 
 
-def lf_rare_value(attribute: str, max_count: int = 1, *,
-                  name: str | None = None) -> LabelingFunction:
+def lf_rare_value(
+    attribute: str, max_count: int = 1, *, name: str | None = None
+) -> LabelingFunction:
     """Votes ERROR on values occurring at most ``max_count`` times.
 
-    Statistics are computed per dataset on first use and memoised on the
-    function object (datasets are not mutated during detection).
+    Counts are per code of the attribute's column and memoised on the code
+    array ``dataset.encoded(attribute)`` returns.  A write to a column a
+    reader holds copies it first, so a new array means new counts, and the
+    memo holds one column, never a dataset.
     """
-    cache: dict[int, Statistics] = {}
+    memo: list = [None, None]  # [code column, its per-code counts]
 
     def fn(dataset: Dataset, cell: Cell) -> int:
         if cell.attribute != attribute:
             return ABSTAIN
-        value = dataset.cell_value(cell)
-        if value is None:
+        codes, table = dataset.encoded(attribute)
+        code = codes[cell.tid]
+        if code < 0:
             return ABSTAIN
-        stats = cache.get(id(dataset))
-        if stats is None:
-            stats = Statistics(dataset)
-            cache[id(dataset)] = stats
-        return ERROR if stats.frequency(attribute, value) <= max_count \
-            else ABSTAIN
+        if memo[0] is not codes:
+            memo[:] = [codes, np.bincount(codes[codes >= 0], minlength=len(table))]
+        return ERROR if memo[1][code] <= max_count else ABSTAIN
 
     return LabelingFunction(name or f"lf_rare_{attribute}", fn)

@@ -8,11 +8,12 @@ reproduction's equivalent subsystem:
   a dataset's dictionary-encoded columns;
 * :mod:`~repro.engine.ops` — vectorized join / group-by / counting
   primitives over coded columns;
-* :mod:`~repro.engine.stats` — :class:`EngineStatistics`, engine-computed
-  frequencies and co-occurrences behind the standard ``Statistics`` API
-  (its ``conditional_table`` is the full ``(attr, given)`` count table;
-  Algorithm 2's τ is tested on that table once, by the pruner in
-  :mod:`repro.core.vector_domain`, which caches the surviving rows);
+* :mod:`~repro.engine.stats` — :class:`EngineStatistics`, the
+  frequencies and co-occurrences as code tables (``code_counts``,
+  ``joint_code_counts`` and ``conditional_table``, the full ``(attr,
+  given)`` count table; Algorithm 2's τ is tested on that table once, by
+  the pruner in :mod:`repro.core.vector_domain`, which caches the
+  surviving rows);
 * :mod:`~repro.engine.backend` — :class:`Backend`, the one executor of
   the relational plan (vectorized NumPy joins and group-by counts).
 

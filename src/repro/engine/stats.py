@@ -1,34 +1,29 @@
-"""Engine-backed dataset statistics.
+"""The counts Algorithm 2 and the Section 4.2 features read, as code tables.
 
-Drop-in replacement for :class:`repro.dataset.stats.Statistics`: the same
-interface and byte-identical results, but single-column frequencies and
-pairwise co-occurrence counts come from the backend's vectorized
-group-bys instead of Python row scans, and the reference pruner's and
-featurizer's hot query :meth:`cooccurring_values` is served from a
-prebuilt index (one dict lookup per call) instead of a full scan of the
-pair counter per cell.  The production pruner and featurizer read the
-code-space tables (:meth:`joint_code_counts`, :meth:`conditional_table`)
-directly.
+Single-column frequencies and pairwise co-occurrence counts come from the
+backend's vectorized group-bys over the engine's
+:class:`~repro.engine.store.ColumnStore` and stay in code space: dense
+per-code counts (:meth:`EngineStatistics.code_counts`), sorted
+``(code_a, code_b, count)`` rows per ordered attribute pair
+(:meth:`EngineStatistics.joint_code_counts`) and their CSR view keyed by
+the conditioning code (:meth:`EngineStatistics.conditional_table`).  No
+value string is looked up; a caller decodes codes through
+``store.values`` when it needs one.  The equivalence tests compare these
+tables against the row-scan counters of :mod:`repro.oracle`.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
 import numpy as np
 
-from repro.dataset.stats import Statistics
 from repro.obs.trace import deep_span
 
 
-class EngineStatistics(Statistics):
-    """Statistics computed by a grounding :class:`~repro.engine.Engine`."""
+class EngineStatistics:
+    """Code-space counts computed by a grounding :class:`~repro.engine.Engine`."""
 
     def __init__(self, engine):
-        super().__init__(engine.dataset)
         self._engine = engine
-        #: (attr, given_attr) → {given_value: {value: joint count}}
-        self._cooc_index: dict[tuple[str, str], dict[str, dict[str, int]]] = {}
         #: attr → dense per-code counts (the backend group-by, cached).
         self._code_counts: dict[str, np.ndarray] = {}
         #: (attr_a, attr_b) → (k, 3) [code_a, code_b, count] rows.
@@ -38,10 +33,6 @@ class EngineStatistics(Statistics):
             tuple[str, str], tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
 
-    # ------------------------------------------------------------------
-    # Code-space counts (shared by the Counter builders below and the
-    # vectorized featurizer, which consumes codes directly)
-    # ------------------------------------------------------------------
     def code_counts(self, attribute: str) -> np.ndarray:
         """Occurrences per dictionary code of one attribute (cached)."""
         cached = self._code_counts.get(attribute)
@@ -89,9 +80,9 @@ class EngineStatistics(Statistics):
         Returns ``(indptr, codes, counts)``: for a context code ``g`` of
         ``given_attr``, the candidate codes of ``attr`` co-occurring with
         it are ``codes[indptr[g]:indptr[g + 1]]`` with joint frequencies
-        in the matching ``counts`` slice — the code-space form of the
-        ``cooccurring_values`` dict that Algorithm 2's vectorized pruner
-        expands without any per-cell dict materialisation.
+        in the matching ``counts`` slice: the values ``v`` that Algorithm
+        2's ``Pr[v | g]`` can select, which the pruner expands without any
+        per-cell dict.
         """
         key = (attr, given_attr)
         cached = self._conditional.get(key)
@@ -105,60 +96,8 @@ class EngineStatistics(Statistics):
             self._conditional[key] = cached
         return cached
 
-    # ------------------------------------------------------------------
-    # Vectorized count builders
-    # ------------------------------------------------------------------
-    def _build_counts(self, attribute: str) -> Counter:
-        store = self._engine.store
-        counts = self.code_counts(attribute)
-        values = store.values(attribute)
-        return Counter({values[code]: int(n) for code, n in enumerate(counts) if n})
-
-    def _build_pair_counts(self, key: tuple[str, str]) -> Counter:
-        store = self._engine.store
-        rows = self.joint_code_counts(key[0], key[1])
-        values_a = store.values(key[0])
-        values_b = store.values(key[1])
-        return Counter(
-            {(values_a[a], values_b[b]): int(n) for a, b, n in rows.tolist()}
-        )
-
-    # ------------------------------------------------------------------
-    # Indexed conditional lookups
-    # ------------------------------------------------------------------
-    def cooccurring_values(
-        self, attr: str, given_attr: str, given_value: str
-    ) -> dict[str, int]:
-        index_key = (attr, given_attr)
-        index = self._cooc_index.get(index_key)
-        if index is None:
-            index = {}
-            # Built from the same counters the naive path scans, so the
-            # per-given-value dicts match it entry for entry.
-            if attr <= given_attr:
-                for (va, vb), n in self.pair_counts(attr, given_attr).items():
-                    index.setdefault(vb, {})[va] = n
-            else:
-                for (vb, va), n in self.pair_counts(given_attr, attr).items():
-                    index.setdefault(vb, {})[va] = n
-            self._cooc_index[index_key] = index
-        hit = index.get(given_value)
-        # Shared cache — callers must not mutate.  Every caller (the
-        # naive pruner, the co-occurrence featurizer, SCARE's candidate
-        # scan) only reads, so the per-call defensive copy the naive
-        # implementation implies is skipped on this hot path.
-        return hit if hit is not None else {}
-
-    # ------------------------------------------------------------------
     def drop_caches(self) -> None:
-        """Forget every memoised count (also called by ``Engine.refresh``)."""
-        super().invalidate()
-        self._cooc_index.clear()
+        """Forget every memoised count (called by ``Engine.refresh``)."""
         self._code_counts.clear()
         self._joint_codes.clear()
         self._conditional.clear()
-
-    def invalidate(self) -> None:
-        """Drop caches and re-encode the store after dataset mutation."""
-        self.drop_caches()
-        self._engine.refresh()

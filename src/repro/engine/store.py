@@ -9,10 +9,9 @@ that joins, group-bys and frequency counts are array operations on small
 integers and building a store encodes nothing.
 
 Codes are in first-seen row order (the dataset's canonical form),
-matching the order in which the naive code paths
-(``Dataset.active_domain``, ``Statistics.counts``) encounter values —
-this keeps engine-produced artifacts byte-compatible with the naive
-oracle.
+matching the order in which ``Dataset.active_domain`` and the oracle's
+row-scan counters encounter values — this keeps engine-produced
+artifacts byte-compatible with the naive oracle.
 """
 
 from __future__ import annotations

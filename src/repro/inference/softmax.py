@@ -42,9 +42,9 @@ into it — 8-byte slots against the 24 bytes per entry of the gathered
 triple they replace — and the pack gathers, fills and releases one group
 at a time, so no training-set-sized temporary is ever alive.  Grouped by
 attribute, a Hospital block uses 21-23 of 373 columns at ~70 % fill and a
-Flights block 43-46 of 66 at ~45 %; ``("src", s)`` columns, value-tied
-co-occurrence keys or an unknown featurizer's per-value keys fall under
-the quarter and cost what they always did.
+Flights block 43-46 of 66 at ~45 %; ``("src", s)`` columns or an unknown
+featurizer's per-value keys fall under the quarter and cost what they
+always did.
 
 Numerical agreement.  The packed layout is not bit-identical to the sparse
 one and nothing may promise that: BLAS sums a row in another order than

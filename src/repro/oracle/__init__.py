@@ -2,9 +2,10 @@
 
 Production grounds every step set-at-a-time over the engine
 (:mod:`repro.engine`); the classes here replay the same steps as plain
-per-cell / per-pair Python over the row store, and exist for the tests
-only: the equivalence tests demand byte-identical violations, domains,
-feature matrices and factor graphs from the two.  They are selected by
+per-cell / per-pair Python over the row store, counting with the row-scan
+:class:`Statistics`, and exist for the tests only: the equivalence tests
+demand byte-identical violations, domains, feature matrices and factor
+graphs from the two.  They are selected by
 importing them by name — never by a flag or a missing argument — and no
 module outside this package may import it (``repro lint``'s
 ``oracle-import`` rule).
@@ -24,6 +25,7 @@ from repro.oracle.featurize import (
     default_featurizers,
 )
 from repro.oracle.partition import PairEnumerator
+from repro.oracle.stats import Statistics
 from repro.oracle.violations import NaiveViolationDetector
 
 __all__ = [
@@ -39,5 +41,6 @@ __all__ = [
     "NaiveViolationDetector",
     "PairEnumerator",
     "SourceFeaturizer",
+    "Statistics",
     "default_featurizers",
 ]

@@ -6,11 +6,11 @@ import numpy as np
 
 from repro.core.compiler import ModelCompiler
 from repro.dataset.dataset import Cell
-from repro.dataset.stats import Statistics
 from repro.inference.variables import CellColumns
 from repro.oracle.domain import DomainPruner
 from repro.oracle.featurize import EntityGroups, default_featurizers
 from repro.oracle.partition import PairEnumerator
+from repro.oracle.stats import Statistics
 
 
 class NaiveModelCompiler(ModelCompiler):

@@ -18,7 +18,7 @@ Two engineering details beyond the pseudocode:
 from __future__ import annotations
 
 from repro.dataset.dataset import Cell, Dataset
-from repro.dataset.stats import Statistics
+from repro.oracle.stats import Statistics
 
 
 class DomainPruner:
@@ -36,13 +36,19 @@ class DomainPruner:
       day" on even the smallest dataset.
     """
 
-    def __init__(self, dataset: Dataset, stats: Statistics | None = None,
-                 tau: float = 0.5, max_domain: int = 24,
-                 attributes: list[str] | None = None,
-                 strategy: str = "cooccurrence"):
+    def __init__(
+        self,
+        dataset: Dataset,
+        stats: Statistics | None = None,
+        tau: float = 0.5,
+        max_domain: int = 24,
+        attributes: list[str] | None = None,
+        strategy: str = "cooccurrence",
+    ):
         if strategy not in ("cooccurrence", "active"):
             raise ValueError(
-                f"strategy must be 'cooccurrence' or 'active', got {strategy!r}")
+                f"strategy must be 'cooccurrence' or 'active', got {strategy!r}"
+            )
         self.dataset = dataset
         self.stats = stats if stats is not None else Statistics(dataset)
         self.tau = tau
@@ -95,11 +101,9 @@ class DomainPruner:
             domain = [top[0][0]] if top else []
         return domain
 
-    def _active_domain_candidates(self, attr: str,
-                                  init: str | None) -> list[str]:
+    def _active_domain_candidates(self, attr: str, init: str | None) -> list[str]:
         """The unpruned candidate space, most frequent values first."""
-        ranked = [v for v, _ in self.stats.most_common(
-            attr, self.max_domain)]
+        ranked = [v for v, _ in self.stats.most_common(attr, self.max_domain)]
         if init is not None and init not in ranked:
             if len(ranked) >= self.max_domain:
                 ranked[-1] = init

@@ -105,18 +105,12 @@ class CooccurFeaturizer(Featurizer):
     """``Value?(t,a,d) :- HasFeature(t,a,f) weight = w(d,f)``: co-occurrence
     of the candidate with the tuple's other cell values.
 
-    Two weight-tying schemes (``config.cooccur_tying``):
-
-    * ``"pair"`` — one weight per attribute pair; the feature value is the
-      empirical conditional ``Pr[d | v']``.  Compact and generalising.
-    * ``"value"`` — the paper-literal ``w(d, f)``: one weight per
-      (candidate value, other-cell value) combination with indicator
-      value 1.0.
-
-    A tied weight multiplies the *sum* of its values on a candidate, so a
-    candidate carries one entry per weight key: under pair tying the
-    global back-off ``("cooc*",)`` is emitted once, last, with the sum of
-    the candidate's per-pair values (taken in schema order).
+    Weights are tied per attribute pair (Section 4.2): the feature value
+    is the empirical conditional ``Pr[d | v']``.  A tied weight multiplies
+    the *sum* of its values on a candidate, so a candidate carries one
+    entry per weight key: the global back-off ``("cooc*",)`` is emitted
+    once, last, with the sum of the candidate's per-pair values (taken in
+    schema order).
     """
 
     name = "cooccur"
@@ -126,7 +120,6 @@ class CooccurFeaturizer(Featurizer):
         attr = cell.attribute
         row = ctx.dataset.row_ref(cell.tid)
         schema = ctx.dataset.schema
-        tying = ctx.config.cooccur_tying
         init = ctx.dataset.cell_value(cell)
         per_candidate: list[list[FeatureEntry]] = [[] for _ in candidates]
         # Global back-off: lets sparsely-covered attribute pairs inherit
@@ -138,26 +131,20 @@ class CooccurFeaturizer(Featurizer):
             other_value = row[schema.index_of(other_attr)]
             if other_value is None:
                 continue
-            if tying == "pair":
-                # Leave-one-out: the tuple itself is excluded from both the
-                # conditioning count and (for its own value) the joint —
-                # otherwise every observed value becomes self-evidently
-                # "likely", a label leak that cripples weak-label training.
-                denom = ctx.stats.frequency(other_attr, other_value) - 1
-                if denom <= 0:
-                    continue
-                cooc = ctx.stats.cooccurring_values(attr, other_attr, other_value)
-                for i, d in enumerate(candidates):
-                    joint = cooc.get(d, 0) - (1 if d == init else 0)
-                    if joint > 0:
-                        p = joint / (denom + ctx.config.cooccur_smoothing)
-                        per_candidate[i].append((("cooc", attr, other_attr), p))
-                        backoff[i] += p
-            else:  # "value": literal w(d, f)
-                for i, d in enumerate(candidates):
-                    per_candidate[i].append(
-                        (("cooc", attr, d, other_attr, other_value), 1.0)
-                    )
+            # Leave-one-out: the tuple itself is excluded from both the
+            # conditioning count and (for its own value) the joint —
+            # otherwise every observed value becomes self-evidently
+            # "likely", a label leak that cripples weak-label training.
+            denom = ctx.stats.frequency(other_attr, other_value) - 1
+            if denom <= 0:
+                continue
+            cooc = ctx.stats.cooccurring_values(attr, other_attr, other_value)
+            for i, d in enumerate(candidates):
+                joint = cooc.get(d, 0) - (1 if d == init else 0)
+                if joint > 0:
+                    p = joint / (denom + ctx.config.cooccur_smoothing)
+                    per_candidate[i].append((("cooc", attr, other_attr), p))
+                    backoff[i] += p
         for entries, total in zip(per_candidate, backoff):
             if total > 0:
                 entries.append((("cooc*",), total))

@@ -34,7 +34,11 @@ and value tables, not one list per row, and the noisy cells are masks,
 not one ``Cell`` per cell, so verification re-hashes columns; since
 format 6 a compiled model's external-dictionary matches
 (:class:`~repro.external.matcher.MatchedRelation`) are fact columns, not
-a per-cell dict.  Stage
+a per-cell dict; since format 7 the pickled config has no
+``cooccur_tying`` field, so a format-6 session saved with value tying
+cannot load and silently repair with pair tying.  Format 8 is to change
+the container (``.npz`` arrays and a JSON manifest), not the content.
+Stage
 files are written only for artifacts present on the context, so a
 session checkpointed mid-pipeline rehydrates mid-pipeline and the staged
 plan resumes from exactly where it stopped.  The digests
@@ -67,7 +71,7 @@ log = get_logger("serve.checkpoint")
 
 #: Bump when the on-disk layout changes; mismatched checkpoints are
 #: rejected (the session simply pays a cold run).
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 #: Stage name → the context artifacts serialized in that stage's file.
 STAGE_ARTIFACTS = (

@@ -27,10 +27,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_domain must be an integer >= 1"):
             HoloCleanConfig(max_domain=count)
 
-    def test_cooccur_tying_values(self):
-        assert HoloCleanConfig(cooccur_tying="value").cooccur_tying == "value"
-        with pytest.raises(ValueError, match="cooccur_tying"):
-            HoloCleanConfig(cooccur_tying="bogus")
+    def test_cooccur_tying_removed(self):
+        # Co-occurrence weights are tied per attribute pair, with no option:
+        # an old config naming the field must fail, not run differently.
+        with pytest.raises(TypeError, match="cooccur_tying"):
+            HoloCleanConfig(cooccur_tying="pair")
 
     def test_some_signal_required(self):
         with pytest.raises(ValueError, match="at least one"):

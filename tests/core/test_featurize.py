@@ -7,7 +7,6 @@ from repro.core.config import HoloCleanConfig
 from repro.core.featurize import FeaturizationContext
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Attribute, Schema
-from repro.dataset.stats import Statistics
 from repro.external.matcher import MatchedRelation
 from repro.oracle import (
     ConstraintFeaturizer,
@@ -16,6 +15,7 @@ from repro.oracle import (
     FrequencyFeaturizer,
     MinimalityFeaturizer,
     SourceFeaturizer,
+    Statistics,
     default_featurizers,
 )
 
@@ -78,12 +78,6 @@ class TestCooccurFeaturizer:
         feats = CooccurFeaturizer(ctx).features(Cell(8, "City"), ["Chicago"])
         value = dict(feats[0])[("cooc", "City", "Zip")]
         assert value == pytest.approx(8 / (8 + 2))
-
-    def test_value_tying_paper_literal(self, city_data):
-        config = HoloCleanConfig(cooccur_tying="value")
-        ctx = make_context(city_data, config)
-        feats = CooccurFeaturizer(ctx).features(Cell(8, "City"), ["Chicago"])
-        assert (("cooc", "City", "Chicago", "Zip", "60608"), 1.0) in feats[0]
 
     def test_null_context_skipped(self):
         ds = Dataset(Schema(["A", "B"]), [[None, "x"], ["v", "x"]])

@@ -26,11 +26,10 @@ from repro.data.generators.flights import generate_flights
 from repro.data.generators.hospital import generate_hospital
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
-from repro.dataset.stats import Statistics
 from repro.detect.violations import ViolationDetector
 from repro.engine import Engine
 from repro.inference.variables import CellColumns
-from repro.oracle import DomainPruner, EntityGroups, NaiveModelCompiler
+from repro.oracle import DomainPruner, EntityGroups, NaiveModelCompiler, Statistics
 from tests.core.test_compiler import sampled_cells
 
 # Few distinct values over few attributes: ties, NULL-heavy tuples, and

@@ -1,7 +1,11 @@
 """Tests for data-programming style error detection (§7 direction)."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.data import generate_hospital
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 from repro.detect.labeler import (
@@ -15,6 +19,7 @@ from repro.detect.labeler import (
     lf_pattern,
     lf_rare_value,
 )
+from repro.oracle import Statistics
 
 
 @pytest.fixture
@@ -67,6 +72,33 @@ class TestBuilders:
         lf = lf_rare_value("A", max_count=1)
         assert lf(ds, Cell(9, "A")) == ERROR
         assert lf(ds, Cell(0, "A")) == ABSTAIN
+
+    def test_lf_rare_value_counts_after_a_write(self):
+        ds = Dataset(Schema(["A"]), [["x"], ["y"], ["y"]])
+        lf = lf_rare_value("A", max_count=1)
+        assert lf(ds, Cell(0, "A")) == ERROR
+        ds.set_value(1, "A", "x")  # x now occurs twice
+        assert lf(ds, Cell(0, "A")) == ABSTAIN
+        assert lf(ds, Cell(2, "A")) == ERROR
+
+    def test_lf_rare_value_keeps_no_dataset_alive(self):
+        lf = lf_rare_value("A", max_count=1)
+        ds = Dataset(Schema(["A"]), [["x"], ["y"], ["y"]])
+        assert lf(ds, Cell(0, "A")) == ERROR
+        ref = weakref.ref(ds)
+        del ds
+        gc.collect()
+        assert ref() is None
+
+    def test_lf_rare_value_matches_row_scan_counts(self):
+        ds = generate_hospital(num_rows=60).dirty
+        stats = Statistics(ds)
+        for attr in ds.schema.data_attributes:
+            lf = lf_rare_value(attr, max_count=2)
+            for tid in range(ds.num_tuples):
+                value = ds.value(tid, attr)
+                rare = value is not None and stats.frequency(attr, value) <= 2
+                assert lf(ds, Cell(tid, attr)) == (ERROR if rare else ABSTAIN)
 
 
 class TestProgrammaticDetector:

@@ -1,11 +1,11 @@
 """The engine's contract: byte-identical results to the naive oracle.
 
 The naive Python references (:mod:`repro.oracle`: tuple-at-a-time
-violation detection, row-scan statistics, Algorithm 2 over them) are the
-correctness oracle;
-every engine backend must reproduce their output *exactly* — same noisy
-cells, same violation list in the same order, same pruned domains —
-on the paper's generators and on adversarial random datasets.
+violation detection, row-scan statistics, the whole naive compiler) are
+the correctness oracle; every engine backend must reproduce their output
+*exactly* — same noisy cells, same violation list in the same order, the
+same counts once the code tables are decoded, the same pruned domains, the
+same repairs — on the paper's generators and on adversarial random datasets.
 """
 
 from unittest import mock
@@ -19,16 +19,22 @@ from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Const, Operator, Predicate, TupleRef
 from repro.core.config import HoloCleanConfig
 from repro.core.stages import RepairContext, RepairPlan
+from repro.core.vector_domain import VectorDomainPruner
 from repro.data.generators.flights import generate_flights
 from repro.data.generators.hospital import generate_hospital
 from repro.dataset.dataset import Dataset
 from repro.dataset.schema import Schema
-from repro.dataset.stats import Statistics
 from repro.detect.hypergraph import Violation
 from repro.detect.violations import ViolationDetector
 from repro.engine import Backend, Engine
 from repro.engine import backend as backend_module
-from repro.oracle import DomainPruner, NaiveModelCompiler, NaiveViolationDetector
+from repro.engine.stats import EngineStatistics
+from repro.oracle import (
+    DomainPruner,
+    NaiveModelCompiler,
+    NaiveViolationDetector,
+    Statistics,
+)
 from tests.engine.sqlite_backend import SQLiteBackend
 
 BACKENDS = {"numpy": Backend, "sqlite": SQLiteBackend}
@@ -103,27 +109,51 @@ def test_noisy_masks_identical_on_generators(name, request):
 
 
 # ---------------------------------------------------------------------------
-# Statistics and Algorithm 2 domains
+# Statistics: the engine's code tables decoded ≡ the row-scan counters
 # ---------------------------------------------------------------------------
+def decoded_counts(engine, attr):
+    """``code_counts(attr)`` as ``(value, count)`` pairs in code order."""
+    values = engine.store.values(attr)
+    counts = engine.statistics().code_counts(attr).tolist()
+    return [(values[code], n) for code, n in enumerate(counts) if n]
+
+
+def decoded_pairs(engine, attr_a, attr_b):
+    """``joint_code_counts(attr_a, attr_b)`` as ``(value_a, value_b) →
+    count``; the table's rows must be sorted by ``(code_a, code_b)``."""
+    rows = engine.statistics().joint_code_counts(attr_a, attr_b).tolist()
+    assert [row[:2] for row in rows] == sorted(row[:2] for row in rows)
+    va, vb = engine.store.values(attr_a), engine.store.values(attr_b)
+    return {(va[a], vb[b]): n for a, b, n in rows}
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("name", ["hospital", "flights"])
 def test_statistics_identical_on_generators(name, backend, request):
     generated = request.getfixturevalue(name)
     dataset = generated.dirty
     naive = Statistics(dataset)
-    fast = Engine(dataset, backend=BACKENDS[backend]).statistics()
+    engine = Engine(dataset, backend=BACKENDS[backend])
     attrs = dataset.schema.names
     for attr in attrs:
-        assert fast.counts(attr) == naive.counts(attr), attr
+        # Codes are first-seen, the order the row scan counts in.
+        assert decoded_counts(engine, attr) == list(naive.counts(attr).items()), attr
     for a in attrs[:4]:
         for b in attrs[:4]:
             if a == b:
                 continue
-            assert fast.pair_counts(a, b) == naive.pair_counts(a, b), (a, b)
-            sample = list(naive.counts(b))[:5]
-            for given in sample:
+            assert decoded_pairs(engine, a, b) == naive.pair_counts(a, b), (a, b)
+            indptr, codes, counts = engine.statistics().conditional_table(a, b)
+            values_a, values_b = engine.store.values(a), engine.store.values(b)
+            for given in list(naive.counts(b))[:5]:
+                g = values_b.index(given)
+                span = slice(indptr[g], indptr[g + 1])
+                decoded = {
+                    values_a[code]: n
+                    for code, n in zip(codes[span].tolist(), counts[span].tolist())
+                }
                 expected = naive.cooccurring_values(a, b, given)
-                assert fast.cooccurring_values(a, b, given) == expected, (a, b, given)
+                assert decoded == expected, (a, b, given)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -132,14 +162,26 @@ def test_domains_identical_on_generators(name, backend, request):
     generated = request.getfixturevalue(name)
     dataset = generated.dirty
     noisy = sorted(naive_detection(generated).noisy_cells)
-    naive_pruner = DomainPruner(dataset, tau=generated.recommended_tau)
-    stats = Engine(dataset, backend=BACKENDS[backend]).statistics()
-    fast_pruner = DomainPruner(dataset, stats=stats, tau=generated.recommended_tau)
-    naive_domains = naive_pruner.domains(noisy)
-    fast_domains = fast_pruner.domains(noisy)
+    tau = generated.recommended_tau
+    naive_domains = DomainPruner(dataset, Statistics(dataset), tau=tau).domains(noisy)
+    engine = Engine(dataset, backend=BACKENDS[backend])
+    fast_domains = VectorDomainPruner(engine, tau=tau).domains(noisy)
     # Exact equality: same cells, same candidate lists, same ranking order.
     assert fast_domains == naive_domains
     assert any(len(d) > 1 for d in naive_domains.values())
+
+
+def test_engine_statistics_are_code_tables_only():
+    # No base class and no row-scan Counter API: production reads counts
+    # only as code tables.
+    assert EngineStatistics.__bases__ == (object,)
+    public = {name for name in vars(EngineStatistics) if not name.startswith("_")}
+    assert public == {
+        "code_counts",
+        "joint_code_counts",
+        "conditional_table",
+        "drop_caches",
+    }
 
 
 def test_engine_refresh_invalidates_statistics(flights):
@@ -147,14 +189,17 @@ def test_engine_refresh_invalidates_statistics(flights):
     engine = Engine(dataset)
     stats = engine.statistics()
     attr = dataset.schema.names[1]
-    before = stats.counts(attr)
+    before = dict(decoded_counts(engine, attr))
     old_value = dataset.value(0, attr)
     dataset.set_value(0, attr, "synthetic-new-value")
     engine.refresh()
-    after = engine.statistics().counts(attr)
+    after = dict(decoded_counts(engine, attr))
     assert after != before
     assert after["synthetic-new-value"] == 1
-    assert after[old_value] == before[old_value] - 1
+    assert after.get(old_value, 0) == before[old_value] - 1
+    # An instance held across the refresh dropped its stale counts.
+    fresh = engine.statistics().code_counts(attr)
+    assert stats.code_counts(attr).tolist() == fresh.tolist()
 
 
 def test_pathological_join_falls_back_to_naive(monkeypatch):
@@ -287,8 +332,8 @@ def test_random_datasets_identical(rows):
         assert fast.hypergraph.violations == naive.hypergraph.violations, backend
         if dataset.num_tuples:
             naive_stats = Statistics(dataset)
-            fast_stats = engine.statistics()
             for attr in ("A", "B", "C"):
-                assert fast_stats.counts(attr) == naive_stats.counts(attr)
-            pair = ("A", "C")
-            assert fast_stats.pair_counts(*pair) == naive_stats.pair_counts(*pair)
+                expected = list(naive_stats.counts(attr).items())
+                assert decoded_counts(engine, attr) == expected
+            for pair in (("A", "C"), ("C", "A")):
+                assert decoded_pairs(engine, *pair) == naive_stats.pair_counts(*pair)

@@ -244,6 +244,25 @@ print(json.dumps(report))
         assert out["error"] == f"module {package!r} has no attribute 'no_such_export'"
 
 
+def test_row_scan_statistics_live_with_the_oracle():
+    # The engine's code tables are production's only statistics; the
+    # row-scan counters are a test reference, exported by repro.oracle.
+    script = """
+import repro, repro.dataset, repro.oracle
+print("Statistics" in repro.__all__, "Statistics" in repro.dataset.__all__)
+print(hasattr(repro, "Statistics"), hasattr(repro.dataset, "Statistics"))
+print("Statistics" in repro.oracle.__all__, repro.oracle.Statistics.__module__)
+"""
+    assert run_fresh(script).split() == [
+        "False",
+        "False",
+        "False",
+        "False",
+        "True",
+        "repro.oracle.stats",
+    ]
+
+
 def test_star_import_binds_every_export():
     script = """
 import repro

@@ -14,7 +14,7 @@ from repro.constraints.similarity import (
 from repro.oracle import DomainPruner
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
-from repro.dataset.stats import Statistics
+from repro.engine import Engine
 from repro.eval.metrics import evaluate_repairs
 from repro.inference.numerics import segment_logsumexp, segment_softmax
 
@@ -88,23 +88,23 @@ class TestStatisticsInvariants:
                     min_size=1, max_size=40))
     def test_conditionals_form_subdistribution(self, pairs):
         ds = Dataset(Schema(["A", "B"]), [[a, b] for a, b in pairs])
-        stats = Statistics(ds)
-        for given_value in "xyz":
-            if stats.frequency("B", given_value) == 0:
-                continue
-            total = sum(
-                stats.conditional("A", v, "B", given_value) for v in "abc")
-            assert total == pytest.approx(1.0)
+        stats = Engine(ds).statistics()
+        given_counts = stats.code_counts("B").tolist()
+        indptr, _codes, counts = stats.conditional_table("A", "B")
+        for g, denom in enumerate(given_counts):
+            # Pr[A = v | B = g] over the v seen with g sums to one.
+            joint = counts[indptr[g]:indptr[g + 1]].sum()
+            assert joint / denom == pytest.approx(1.0)
 
     @given(st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from("xy")),
                     min_size=1, max_size=30))
     def test_cooccurrence_symmetry(self, pairs):
         ds = Dataset(Schema(["A", "B"]), [[a, b] for a, b in pairs])
-        stats = Statistics(ds)
-        for a in "ab":
-            for b in "xy":
-                assert stats.cooccurrence("A", a, "B", b) == \
-                    stats.cooccurrence("B", b, "A", a)
+        stats = Engine(ds).statistics()
+        forward = stats.joint_code_counts("A", "B").tolist()
+        # The second orientation is derived from the first's rows.
+        swapped = stats.joint_code_counts("B", "A").tolist()
+        assert sorted([a, b, n] for b, a, n in swapped) == forward
 
 
 class TestDomainPruningMonotone:

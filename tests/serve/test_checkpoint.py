@@ -326,11 +326,13 @@ class TestStoreMechanics:
         assert current in meta.read_text()
         # Format 1 pickled the hypergraph as Violation objects, format 2
         # one VariableInfo per variable, format 3 one object per DC factor,
-        # format 4 the dataset as rows and the noisy cells as Cells and
-        # format 5 the external matches as a per-cell dict; all must stop
-        # at the version gate, not inside the unpickler.
-        assert FORMAT_VERSION == 6
-        for other in (1, 2, 3, 4, 5, 99):
+        # format 4 the dataset as rows and the noisy cells as Cells,
+        # format 5 the external matches as a per-cell dict and format 6 a
+        # config that may carry cooccur_tying; all must stop at the
+        # version gate, not inside the unpickler or in a run that silently
+        # ties weights another way.
+        assert FORMAT_VERSION == 7
+        for other in (1, 2, 3, 4, 5, 6, 99):
             meta.write_text(meta.read_text().replace(current, f'"version": {other}'))
             with pytest.raises(CheckpointError, match="format version"):
                 store.load("sid")
