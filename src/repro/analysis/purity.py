@@ -26,6 +26,7 @@ VECTORIZED_MODULES = frozenset(
     {
         "src/repro/engine/ops.py",
         "src/repro/core/partition.py",
+        "src/repro/core/compiler.py",
         "src/repro/core/factor_tables.py",
         "src/repro/core/vector_featurize.py",
         "src/repro/core/vector_domain.py",
@@ -34,6 +35,7 @@ VECTORIZED_MODULES = frozenset(
         "src/repro/detect/hypergraph.py",
         "src/repro/detect/nulls.py",
         "src/repro/engine/store.py",
+        "src/repro/engine/space.py",
         "src/repro/obs/fingerprint.py",
         "src/repro/inference/factor_graph.py",
         "src/repro/inference/gibbs.py",

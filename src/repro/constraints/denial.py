@@ -82,11 +82,6 @@ class DenialConstraint:
         """
         return all(p.evaluate(values1, values2) for p in self.predicates)
 
-    def violates_symmetric(self, values1: dict[str, str | None],
-                           values2: dict[str, str | None]) -> bool:
-        """Check the constraint in both tuple orders."""
-        return self.violates(values1, values2) or self.violates(values2, values1)
-
     # ------------------------------------------------------------------
     # Presentation
     # ------------------------------------------------------------------

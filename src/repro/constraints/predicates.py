@@ -242,8 +242,8 @@ class Predicate:
         """Vectorized :meth:`compare` over dictionary codes.
 
         Both code arrays must be drawn from one shared codebook (equal
-        strings ⇒ equal codes; see :meth:`ColumnStore.union_codebook
-        <repro.engine.store.ColumnStore.union_codebook>`); ordering
+        strings ⇒ equal codes; see :class:`CodeSpace
+        <repro.engine.space.CodeSpace>`); ordering
         operators additionally need that codebook's :class:`OrderKeys`,
         similarity its ``values`` (code ``i`` ↦ ``values[i]``), compared
         with :func:`similar` once per distinct non-NULL code pair.  NULL

@@ -12,7 +12,6 @@ the evidence labels for weight learning.
 from __future__ import annotations
 
 import copy
-import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -25,8 +24,11 @@ from repro.core.factor_tables import VectorFactorTableBuilder
 from repro.core.featurize import FeaturizationContext
 from repro.core.partition import make_pair_enumerator
 from repro.core.relations import CompiledRelations
-from repro.core.vector_domain import (EntityVoteModes, VectorDomainPruner,
-                                      merged_negative_domains)
+from repro.core.vector_domain import (
+    EntityVoteModes,
+    VectorDomainPruner,
+    merged_negative_domains,
+)
 from repro.core.vector_featurize import VectorFeaturizer
 from repro.core import rules as ddlog
 from repro.dataset.dataset import Dataset
@@ -90,8 +92,9 @@ def _relation(tables, tids, attribute_codes, indptr, codes) -> DomainRelation:
     cell that prunes to nothing gets no row, and so no variable."""
     rows = np.flatnonzero(np.diff(indptr))
     relation = DomainRelation(tables)
-    relation.append(tids[rows], attribute_codes[rows],
-                    *ops.take_csr(indptr, codes, rows))
+    relation.append(
+        tids[rows], attribute_codes[rows], *ops.take_csr(indptr, codes, rows)
+    )
     return relation
 
 
@@ -110,11 +113,16 @@ class ModelCompiler:
     them — from Algorithm 2 to the featurizer, with no string in between.
     """
 
-    def __init__(self, dataset: Dataset, constraints: list[DenialConstraint],
-                 config: HoloCleanConfig, detection: DetectionResult,
-                 dictionaries: list[ExternalDictionary] = (),
-                 matching_dependencies: list[MatchingDependency] = (),
-                 engine: Engine | None = None):
+    def __init__(
+        self,
+        dataset: Dataset,
+        constraints: list[DenialConstraint],
+        config: HoloCleanConfig,
+        detection: DetectionResult,
+        dictionaries: list[ExternalDictionary] = (),
+        matching_dependencies: list[MatchingDependency] = (),
+        engine: Engine | None = None,
+    ):
         self.dataset = dataset
         self.constraints = list(constraints)
         self.config = config
@@ -126,8 +134,11 @@ class ModelCompiler:
         # co-occurrence featurizers.
         self.stats = self.engine.statistics()
         self._pruner = VectorDomainPruner(
-            self.engine, tau=config.tau, max_domain=config.max_domain,
-            strategy=config.domain_strategy)
+            self.engine,
+            tau=config.tau,
+            max_domain=config.max_domain,
+            strategy=config.domain_strategy,
+        )
 
     # ------------------------------------------------------------------
     def compile(self) -> CompiledModel:
@@ -137,9 +148,11 @@ class ModelCompiler:
         # (tid, store attribute code) in (tid, attribute name) order.
         repairable = set(self.dataset.schema.data_attributes)
         code_of = {name: code for code, name in enumerate(store.attributes)}
-        flagged = [(np.flatnonzero(mask), code_of[attribute])
-                   for attribute, mask in self.detection.masks.items()
-                   if attribute in repairable]
+        flagged = [
+            (np.flatnonzero(mask), code_of[attribute])
+            for attribute, mask in self.detection.masks.items()
+            if attribute in repairable
+        ]
         empty = np.empty(0, dtype=np.int64)
         tids = np.concatenate([empty, *(t for t, _ in flagged)])
         codes = np.concatenate([empty, *(np.full(len(t), c) for t, c in flagged)])
@@ -153,8 +166,9 @@ class ModelCompiler:
             evidence_domains = self._prune_domains(*sampled)
 
         matched = self._ground_matched()
-        context = FeaturizationContext(self.dataset, self.stats, config,
-                                       matched=matched)
+        context = FeaturizationContext(
+            self.dataset, self.stats, config, matched=matched
+        )
         space = FeatureSpace()
         builder = FeatureMatrixBuilder(space)
         # Seeded with the store's dictionaries: every candidate the pruner
@@ -171,25 +185,33 @@ class ModelCompiler:
             variables = VariableBlock(tables)
             # Observed values as store codes (-1: NULL), by (tid, attribute).
             stored = np.stack([store.codes(a) for a in store.attributes], axis=1)
-            inits = ops.csr_positions(query.domain_indptr, query.domain_codes,
-                                      stored[query.tids, query.attribute_codes])
-            query_ids = list(variables.append(*query.take(), inits,
-                                              is_evidence=False))
+            inits = ops.csr_positions(
+                query.domain_indptr,
+                query.domain_codes,
+                stored[query.tids, query.attribute_codes],
+            )
+            query_ids = list(variables.append(*query.take(), inits, is_evidence=False))
             labels = self._weak_labels(context, query, inits)
-            weak = np.flatnonzero(
-                (labels >= 0) & (np.diff(query.domain_indptr) >= 2))
+            weak = np.flatnonzero((labels >= 0) & (np.diff(query.domain_indptr) >= 2))
 
             extended = self._evidence_negatives(evidence)
             observed = ops.csr_positions(
-                *extended, stored[evidence.tids, evidence.attribute_codes])
+                *extended, stored[evidence.tids, evidence.attribute_codes]
+            )
             # No training signal in a singleton or unlabelled cell; the
             # evidence variables follow the query ones in cell order.
             trains = (observed >= 0) & (np.diff(extended[0]) >= 2)
             order = self._cell_order(evidence.tids, evidence.attribute_codes)
             rows = order[trains[order]]
-            evidence_ids = list(variables.append(
-                evidence.tids[rows], evidence.attribute_codes[rows],
-                *ops.take_csr(*extended, rows), observed[rows], is_evidence=True))
+            evidence_ids = list(
+                variables.append(
+                    evidence.tids[rows],
+                    evidence.attribute_codes[rows],
+                    *ops.take_csr(*extended, rows),
+                    observed[rows],
+                    is_evidence=True,
+                )
+            )
             evidence_labels = observed[rows].tolist()
             builder.start_variables(np.diff(variables.domain_indptr).tolist())
 
@@ -201,14 +223,14 @@ class ModelCompiler:
         with deep_span("compile.build_matrix") as sp:
             matrix = builder.build()
             if sp is not None:
-                sp.attributes.update(entries=matrix.num_entries,
-                                     features=matrix.num_features)
+                sp.attributes.update(
+                    entries=matrix.num_entries, features=matrix.num_features
+                )
         space.freeze()
         graph = FactorGraph(variables, matrix, space)
 
         skipped = 0
-        grounding: dict[str, int | str] = {**feature_stats,
-                                           **self._pruner.stats}
+        grounding: dict[str, int | str] = {**feature_stats, **self._pruner.stats}
         if config.use_dc_factors:
             skipped, factor_grounding = self._ground_factors(graph, query)
             grounding.update(factor_grounding)
@@ -220,7 +242,8 @@ class ModelCompiler:
             use_dc_factors=config.use_dc_factors,
             use_external=bool(matched),
             use_minimality=config.use_minimality,
-            dc_factor_weight=config.dc_factor_weight)
+            dc_factor_weight=config.dc_factor_weight,
+        )
 
         # Weak supervision (auto mode): when clean evidence is too scarce
         # to train on — Flights flags every cell noisy — fall back to
@@ -234,34 +257,42 @@ class ModelCompiler:
                 queries = min(queries, config.max_training_cells)
             use_weak = len(evidence_ids) < max(50, queries // 20)
         if use_weak:
-            evidence_ids = evidence_ids + [query_ids[k] for k in weak.tolist()]
+            evidence_ids = evidence_ids + np.asarray(query_ids)[weak].tolist()
             evidence_labels = evidence_labels + labels[weak].tolist()
 
-        return CompiledModel(graph=graph, relations=relations,
-                             evidence_ids=evidence_ids,
-                             evidence_labels=evidence_labels,
-                             query_ids=query_ids, ddlog_program=program,
-                             skipped_factors=skipped, grounding=grounding)
+        return CompiledModel(
+            graph=graph,
+            relations=relations,
+            evidence_ids=evidence_ids,
+            evidence_labels=evidence_labels,
+            query_ids=query_ids,
+            ddlog_program=program,
+            skipped_factors=skipped,
+            grounding=grounding,
+        )
 
     # ------------------------------------------------------------------
-    def _cell_order(self, tids: np.ndarray,
-                    attribute_codes: np.ndarray) -> np.ndarray:
+    def _cell_order(self, tids: np.ndarray, attribute_codes: np.ndarray) -> np.ndarray:
         """The permutation sorting cells by ``(tid, attribute name)``."""
         names = self.engine.store.attributes
         rank = np.argsort(sorted(range(len(names)), key=names.__getitem__))
         return np.lexsort((rank[attribute_codes], tids))
 
-    def _prune_domains(self, tids: np.ndarray, attribute_codes: np.ndarray,
-                       ) -> tuple[np.ndarray, np.ndarray]:
+    def _prune_domains(
+        self, tids: np.ndarray, attribute_codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Algorithm 2 candidate domains of the cells ``(tids[i],
         store.attributes[attribute_codes[i]])``: a CSR of store codes, row
         ``i`` for cell ``i`` (empty when it prunes to nothing)."""
         return self._pruner.prune(tids, attribute_codes)
 
     # ------------------------------------------------------------------
-    def _featurize_all(self, context: FeaturizationContext,
-                       variables: VariableBlock,
-                       builder: FeatureMatrixBuilder) -> dict[str, int | str]:
+    def _featurize_all(
+        self,
+        context: FeaturizationContext,
+        variables: VariableBlock,
+        builder: FeatureMatrixBuilder,
+    ) -> dict[str, int | str]:
         """Ground the unary features of every variable in ``variables``.
 
         The whole stack grounds set-at-a-time over the column store
@@ -270,9 +301,12 @@ class ModelCompiler:
         featurizer = VectorFeaturizer(self.engine, context, self.constraints)
         return featurizer.featurize(variables, builder)
 
-    def _weak_labels(self, context: FeaturizationContext,
-                     query: DomainRelation,
-                     init_indices: np.ndarray) -> np.ndarray:
+    def _weak_labels(
+        self,
+        context: FeaturizationContext,
+        query: DomainRelation,
+        init_indices: np.ndarray,
+    ) -> np.ndarray:
         """Weak training label per query cell (candidate index, or -1).
 
         Default: the observed value (assumption (i) of Section 5.2 —
@@ -286,21 +320,22 @@ class ModelCompiler:
         :class:`EntityVoteModes`, looked up in the candidate codes.
         """
         entity_attrs = list(self.config.source_entity_attributes)
-        if (context.source_attribute is None or not entity_attrs
-                or not len(query)):
+        if context.source_attribute is None or not entity_attrs or not len(query):
             return init_indices
         voter = EntityVoteModes(self.engine, entity_attrs)
         modes = np.full(len(query), -1, dtype=np.int64)
         for code in np.flatnonzero(np.bincount(query.attribute_codes)):
             rows = np.flatnonzero(query.attribute_codes == code)
             attribute = query.attributes[code]
-            modes[rows] = voter.modes(attribute, query.tids[rows],
-                                      self._pruner._lex_rank(attribute))
+            modes[rows] = voter.modes(
+                attribute, query.tids[rows], self._pruner._lex_rank(attribute)
+            )
         voted = ops.csr_positions(query.domain_indptr, query.domain_codes, modes)
         return np.where(voted >= 0, voted, init_indices)
 
-    def _evidence_negatives(self, evidence: DomainRelation,
-                            ) -> tuple[np.ndarray, np.ndarray]:
+    def _evidence_negatives(
+        self, evidence: DomainRelation
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Every evidence domain extended with frequent negative candidates.
 
         Evidence cells in homogeneous attributes often prune down to a
@@ -311,12 +346,18 @@ class ModelCompiler:
         domains as a CSR in ``evidence``'s row order.
         """
         return merged_negative_domains(
-            self.engine, self.stats, evidence.attribute_codes,
-            evidence.domain_indptr, evidence.domain_codes,
-            self.config.evidence_negatives, self.config.max_domain)
+            self.engine,
+            self.stats,
+            evidence.attribute_codes,
+            evidence.domain_indptr,
+            evidence.domain_codes,
+            self.config.evidence_negatives,
+            self.config.max_domain,
+        )
 
-    def _sample_evidence(self, tids: np.ndarray, attribute_codes: np.ndarray,
-                         ) -> tuple[np.ndarray, np.ndarray]:
+    def _sample_evidence(
+        self, tids: np.ndarray, attribute_codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Clean cells used as ERM evidence, subsampled for scale.
 
         Every cell of a repairable attribute but the query cells ``(tids,
@@ -329,7 +370,8 @@ class ModelCompiler:
         store = self.engine.store
         repairable = np.array(
             [store.attributes.index(a) for a in self.dataset.schema.data_attributes],
-            dtype=np.int64)
+            dtype=np.int64,
+        )
         column = np.full(len(store.attributes), -1, dtype=np.int64)
         column[repairable] = np.arange(len(repairable))
         clean = np.ones((self.dataset.num_tuples, len(repairable)), dtype=bool)
@@ -344,8 +386,11 @@ class ModelCompiler:
         return flat // width, repairable[flat % width]
 
     def _ground_matched(self):
-        if not (self.config.use_external and self.dictionaries
-                and self.matching_dependencies):
+        if not (
+            self.config.use_external
+            and self.dictionaries
+            and self.matching_dependencies
+        ):
             return []
         return [
             match_dictionary(self.dataset, dictionary, self.matching_dependencies)
@@ -355,115 +400,58 @@ class ModelCompiler:
     # ------------------------------------------------------------------
     # Algorithm 1 grounding: denial constraints as factors
     # ------------------------------------------------------------------
-    def _ground_factors(self, graph: FactorGraph, query_domains: DomainRelation,
-                        ) -> tuple[int, dict[str, int | str]]:
+    def _ground_factors(
+        self, graph: FactorGraph, query_domains: DomainRelation
+    ) -> tuple[int, dict[str, int | str]]:
         config = self.config
         enumerator = make_pair_enumerator(
-            self.dataset, query_domains, engine=self.engine,
+            self.dataset,
+            query_domains,
+            engine=self.engine,
             max_pairs=config.max_factor_pairs,
             chunk_pairs=config.factor_chunk_pairs,
-            stream_budget=config.factor_stream_budget)
+            stream_budget=config.factor_stream_budget,
+        )
         hypergraph = self.detection.hypergraph
-        # Factor tables of two-tuple constraints are built set-at-a-time
-        # over the column store.
+        # Every factor table is built set-at-a-time over the column store:
+        # a two-tuple constraint's per enumerated pair, a single-tuple
+        # constraint's per tuple.
         builder = VectorFactorTableBuilder(
-            self.engine, self.dataset, graph.variables, query_domains,
+            self.engine,
+            self.dataset,
+            graph.variables,
+            query_domains,
             max_table_cells=config.max_factor_table,
-            weight=config.dc_factor_weight)
+            weight=config.dc_factor_weight,
+        )
         skipped = 0
         pairs = 0
         for dc in self.constraints:
             with deep_span("compile.ground_dc", constraint=dc.name) as sp:
                 dc_pairs = 0
                 if dc.is_single_tuple:
-                    skipped += self._ground_single_tuple_factors(graph, dc)
+                    factors, dc_skipped = builder.ground_tuples(dc)
+                    graph.add_factors(factors)
+                    skipped += dc_skipped
                 else:
                     for left, right in enumerator.pair_chunks(
-                            dc, use_partitioning=config.use_partitioning,
-                            hypergraph=hypergraph):
+                        dc,
+                        use_partitioning=config.use_partitioning,
+                        hypergraph=hypergraph,
+                    ):
                         dc_pairs += len(left)
-                        factors, chunk_skipped = builder.ground_chunk(
-                            dc, left, right)
+                        factors, chunk_skipped = builder.ground_chunk(dc, left, right)
                         graph.add_factors(factors)
                         skipped += chunk_skipped
                 pairs += dc_pairs
                 if sp is not None:
                     sp.attributes["pairs"] = dc_pairs
-        grounding: dict[str, int | str] = {
-            "enumerator": type(enumerator).__name__}
+        grounding: dict[str, int | str] = {"enumerator": type(enumerator).__name__}
         grounding.update(enumerator.stats)
         # The pairs actually walked by the grounding loop is authoritative
         # (the enumerator's own counter must not shadow it).
         grounding["pairs"] = pairs
         grounding.update(
-            {f"table_{key}": value for key, value in builder.stats.items()})
+            {f"table_{key}": value for key, value in builder.stats.items()}
+        )
         return skipped, grounding
-
-    def _ground_single_tuple_factors(self, graph: FactorGraph,
-                                     dc: DenialConstraint) -> int:
-        skipped = 0
-        attrs = sorted(dc.attributes_of(1))
-        variables = graph.variables
-        codes = [variables.attribute_code(name) for name in attrs]
-        touched = ~variables.is_evidence & np.isin(variables.attribute_codes, codes)
-        for tid in set(variables.tids[touched].tolist()):
-            if not self._ground_factor_for_cells(
-                    graph, dc, [(1, tid)], attrs_by_position={1: attrs}):
-                skipped += 1
-        return skipped
-
-    def _ground_factor_for_cells(self, graph: FactorGraph,
-                                 dc: DenialConstraint,
-                                 positions: list[tuple[int, int]],
-                                 attrs_by_position: dict[int, list[str]]) -> bool:
-        """Ground one factor; returns False when skipped (cap / constant).
-
-        Evidence cells and cells without variables are folded into the
-        table as fixed context, so the resulting factor spans only query
-        variables.
-        """
-        variables = graph.variables
-        axis_vars: list = []
-        # Only the constraint's attributes, each cell decoded on its own:
-        # a whole-row read would decode (and cache) every row.  All of them
-        # in every position, as the two-tuple check tries both orientations.
-        base_values = {
-            p: {a: self.dataset.value(tid, a) for a in dc.attributes}
-            for p, tid in positions
-        }
-        cell_axes: list[tuple[int, str, int]] = []  # (position, attr, axis)
-        wanted = [(position, tid, attr) for position, tid in positions
-                  for attr in attrs_by_position.get(position, ())]
-        vids = variables.rows_of([(tid, attr) for _, tid, attr in wanted])
-        for (position, _, attr), vid in zip(wanted, vids.tolist()):
-            if vid >= 0 and not variables.is_evidence[vid]:
-                cell_axes.append((position, attr, len(axis_vars)))
-                axis_vars.append(variables[vid])
-
-        if not axis_vars:
-            return False
-        shape = tuple(v.domain_size for v in axis_vars)
-        table_cells = int(np.prod(shape))
-        if table_cells > self.config.max_factor_table:
-            return False
-
-        table = np.ones(shape, dtype=np.int8)
-        two_tuple = len(positions) == 2
-        for combo in itertools.product(*(range(s) for s in shape)):
-            values = {p: dict(base_values[p]) for p in base_values}
-            for position, attr, axis in cell_axes:
-                var = axis_vars[axis]
-                values[position][attr] = var.domain[combo[axis]]
-            if two_tuple:
-                violated = (dc.violates(values[1], values[2])
-                            or dc.violates(values[2], values[1]))
-            else:
-                violated = dc.violates(values[1])
-            if violated:
-                table[combo] = -1
-
-        if np.all(table == 1) or np.all(table == -1):
-            return False  # constant factor: no effect on the distribution
-        graph.add_factor([v.vid for v in axis_vars], table,
-                         self.config.dc_factor_weight, dc.name)
-        return True

@@ -29,10 +29,10 @@ import numpy as np
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import TupleRef
-from repro.core.factor_tables import CodeSpace
 from repro.dataset.dataset import Cell, Dataset
 from repro.detect.hypergraph import ConflictHypergraph
 from repro.engine import Engine, engine_for, ops
+from repro.engine.space import CodeSpaces
 from repro.inference.variables import CellColumns, as_columns
 from repro.obs.trace import deep_enabled, deep_span
 
@@ -98,8 +98,9 @@ class VectorPairEnumerator:
         self.stream_budget = max(self.chunk_pairs, stream_budget)
         self._indexes: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
         # The query domains as a catalog (a mapping is encoded once): every
-        # join attribute's index is a gather of its codes.
-        self._catalog = as_columns(domains, self.engine.store)
+        # join attribute's index is a gather of its codes in a code space.
+        store = self.engine.store
+        self._space = CodeSpaces(store, as_columns(domains, store))
         #: Counters for the size report: emitted pairs, enumerated groups,
         #: groups that took the chunked streaming path, and streaming
         #: chunk calls (materialised groups take one call, not counted).
@@ -228,7 +229,7 @@ class VectorPairEnumerator:
         """CSR of candidate codes per tuple for the constraint's join key.
 
         Row ``t`` concatenates the candidates of ``(t, attr1)`` and — for
-        cross-attribute joins, over one shared codebook — ``(t, attr2)``,
+        cross-attribute joins, in the pair's one code space — ``(t, attr2)``,
         in the reference enumerator's scan order.  A constraint without an
         equality join gets one code 0 per tuple: the constant key that
         puts every tuple in one bucket.  Cached per attribute pair.
@@ -247,7 +248,7 @@ class VectorPairEnumerator:
                 cached = (np.arange(n + 1, dtype=np.int64), np.zeros(n, dtype=np.int64))
             else:
                 attr1, attr2 = key
-                space = CodeSpace(self.engine.store, key, self._catalog)
+                space = self._space(*key)
                 first = space.csr(attr1)
                 cached = (first.indptr, first.codes)
                 if attr2 != attr1:

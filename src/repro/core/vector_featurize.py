@@ -66,10 +66,10 @@ import numpy as np
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import TupleRef
-from repro.core.factor_tables import CodeSpace
 from repro.core.featurize import FeaturizationContext
 from repro.dataset.dataset import Cell
 from repro.engine import ops
+from repro.engine.space import CodeSpaces
 from repro.external.matcher import MatchedRelation
 from repro.inference.features import FeatureMatrixBuilder
 from repro.inference.variables import CellColumns, as_columns
@@ -226,8 +226,8 @@ class VectorFeaturizer:
         attrs = catalog.attribute_codes[live]
         _, first = np.unique(attrs, return_index=True)
         self._catalog, self._live = catalog, live
+        self._space = CodeSpaces(store, catalog)
         self._blocks: dict[str, _AttrBlock] = {}
-        self._spaces: dict[tuple[str, ...], CodeSpace] = {}
         for code in attrs[np.sort(first)]:
             attr = catalog.attributes[code]
             var_idx = live[attrs == code]
@@ -245,19 +245,6 @@ class VectorFeaturizer:
                 flat_init=np.repeat(store.codes(attr)[tids].astype(np.int64), sizes),
                 values=catalog.tables[code],
             )
-
-    def _space(self, *attrs: str) -> CodeSpace:
-        key = tuple(sorted(set(attrs)))
-        space = self._spaces.get(key)
-        if space is None:
-            space = CodeSpace(self.engine.store, key, self._catalog)
-            self._spaces[key] = space
-        return space
-
-    @staticmethod
-    def _cand_codes_in(space: CodeSpace, block: _AttrBlock) -> np.ndarray:
-        """The block's flat candidate codes re-coded into ``space``."""
-        return space.luts[block.attribute][block.flat_code]
 
     # ------------------------------------------------------------------
     # Families
@@ -519,7 +506,7 @@ class VectorFeaturizer:
 
                 def operand(ref) -> np.ndarray:
                     if ref.attribute == attr:
-                        return self._cand_codes_in(space, block)
+                        return space.luts[attr][block.flat_code]
                     fixed = space.fixed(ref.attribute)[block.tids]
                     return np.repeat(fixed, block.sizes)
 
@@ -569,7 +556,7 @@ class VectorFeaturizer:
             space = self._space(own_ref.attribute, partner_ref.attribute)
             partner_cols.append(space.fixed(partner_ref.attribute))
             if own_ref.attribute == block.attribute:
-                own_cols.append(self._cand_codes_in(space, block))
+                own_cols.append(space.luts[block.attribute][block.flat_code])
             else:
                 own_cols.append(space.fixed(own_ref.attribute)[flat_tids])
         if not own_cols:  # no equality predicate: every tuple is a join partner
@@ -664,7 +651,7 @@ class VectorFeaturizer:
                 if ref.tuple_index != own_pos:
                     return space.fixed(ref.attribute)[ptid]
                 if ref.attribute == block.attribute:
-                    return self._cand_codes_in(space, block)[rows]
+                    return space.luts[block.attribute][block.flat_code[rows]]
                 return space.fixed(ref.attribute)[flat_tids[rows]]
 
             lhs = operand(pred.left)

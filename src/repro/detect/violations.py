@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.constraints.denial import DenialConstraint
-from repro.constraints.predicates import CodedValues, Operator, Predicate, TupleRef
+from repro.constraints.predicates import Operator, Predicate, TupleRef
 from repro.dataset.dataset import Dataset
 from repro.detect.base import DetectionResult, ErrorDetector
 from repro.detect.hypergraph import ConflictHypergraph
@@ -166,13 +166,12 @@ class ViolationDetector(ErrorDetector):
         join_attrs = [_join_sides(p) for p in dc.equijoin_predicates]
         if not join_attrs:
             self._check_quadratic(dc, dataset.num_tuples)
-        books: dict[tuple[str, ...], CodedValues] = {}
         kept, room = [], self.max_pairs_per_constraint
         for t1s, t2s in engine.backend.join_chunks(join_attrs):
             with deep_span(
                 "detect.residual_mask", constraint=dc.name, pairs=len(t1s)
             ) as sp:
-                rows = self._residual_rows(engine, dc, t1s, t2s, books)
+                rows = self._residual_rows(engine, dc, t1s, t2s)
                 over = len(rows) > room
                 rows = rows[:room]
                 if sp is not None:
@@ -211,15 +210,13 @@ class ViolationDetector(ErrorDetector):
         dc: DenialConstraint,
         t1s: np.ndarray,
         t2s: np.ndarray,
-        books: dict[tuple[str, ...], CodedValues],
     ) -> np.ndarray:
         """The joined pairs that violate ``dc``'s residual predicates, as
         ``(n, 2)`` rows oriented the way they violate: forward when
         ``(t1, t2)`` does, else backward — the naive walk's order of
-        checks, as whole columns.  ``books`` is the constraint's codebook
-        memo, shared by its chunks."""
+        checks, as whole columns."""
         residuals = dc.residual_predicates
-        forward = _residual_mask(engine.store, residuals, t1s, t2s, books)
+        forward = _residual_mask(engine.store, residuals, t1s, t2s)
         violating = forward
         # Order-sensitive predicates (<, >) may fire only with the pair
         # flipped; only pairs the forward check rejects are re-checked, and
@@ -228,7 +225,7 @@ class ViolationDetector(ErrorDetector):
             reverse = np.flatnonzero(~forward)
             violating = forward.copy()
             violating[reverse] = _residual_mask(
-                engine.store, residuals, t2s[reverse], t1s[reverse], books
+                engine.store, residuals, t2s[reverse], t1s[reverse]
             )
         candidates = np.flatnonzero(violating)
         fwd = forward[candidates]
@@ -243,7 +240,6 @@ def _residual_mask(
     predicates: list[Predicate],
     rows1: np.ndarray,
     rows2: np.ndarray,
-    books: dict[tuple[str, ...], CodedValues] | None = None,
 ) -> np.ndarray:
     """Conjunction of ``predicates`` over candidate pairs, on codes.
 
@@ -252,37 +248,26 @@ def _residual_mask(
     the naive detector does).  The predicates' masks are conjoined over
     every pair until one lets fewer than ``_COMPACT_BELOW`` of them
     through; the rest run on those survivors alone.  NULL on either side
-    makes a predicate False, matching :meth:`Predicate.evaluate`.
-    ``books`` memoises each codebook's decoded values across calls.
+    makes a predicate False, matching :meth:`Predicate.evaluate`.  Each
+    predicate reads the store's code space of its attributes.
     """
-    books = {} if books is None else books
     rows = {1: rows1, 2: rows2}
     mask = np.ones(len(rows1), dtype=bool)
     for i, pred in enumerate(predicates):
-        key = tuple(sorted(pred.attributes))
-        book = books.get(key)
-        if book is None:
-            book = books[key] = CodedValues(
-                store.values(key[0])
-                if len(key) == 1
-                else list(store.union_codebook(*key))
-            )
-        left = pred.left
-        if isinstance(pred.right, TupleRef):
-            codes_left, codes_right = store.shared_codes(
-                left.attribute, pred.right.attribute
-            )
-            rhs = codes_right[rows[pred.right.tuple_index]]
-        else:
-            codes_left, rhs = store.codes(left.attribute), None
-        mask &= pred.evaluate_coded(codes_left[rows[left.tuple_index]], rhs, book)
+        space = store.space(*pred.attributes)
+        left, right = pred.left, pred.right
+        lhs = space.fixed(left.attribute)[rows[left.tuple_index]]
+        rhs = None
+        if isinstance(right, TupleRef):
+            rhs = space.fixed(right.attribute)[rows[right.tuple_index]]
+        mask &= pred.evaluate_coded(lhs, rhs, space)
         survivors = np.count_nonzero(mask)
         if survivors >= _COMPACT_BELOW * len(mask) or i + 1 == len(predicates):
             continue
         if survivors:
             alive = np.flatnonzero(mask)
             mask[alive] = _residual_mask(
-                store, predicates[i + 1 :], rows1[alive], rows2[alive], books
+                store, predicates[i + 1 :], rows1[alive], rows2[alive]
             )
         break
     return mask

@@ -8,6 +8,8 @@ reproduction's equivalent subsystem:
   a dataset's dictionary-encoded columns;
 * :mod:`~repro.engine.ops` — vectorized join / group-by / counting
   primitives over coded columns;
+* :mod:`~repro.engine.space` — :class:`~repro.engine.space.CodeSpace`,
+  the one builder of codes comparable across columns;
 * :mod:`~repro.engine.stats` — :class:`EngineStatistics`, the
   frequencies and co-occurrences as code tables (``code_counts``,
   ``joint_code_counts`` and ``conditional_table``, the full ``(attr,
@@ -27,9 +29,9 @@ equivalence tests compare against live in :mod:`repro.oracle`.
 
 from __future__ import annotations
 
-from repro.dataset.dataset import Dataset
+from repro.dataset.dataset import NULL_CODE, Dataset
 from repro.engine.backend import Backend
-from repro.engine.store import NULL_CODE, ColumnStore
+from repro.engine.store import ColumnStore
 from repro.obs.trace import deep_span
 
 

@@ -96,12 +96,11 @@ class Backend:
                 key = ops.combine_codes([self.store.codes(a) for a in t1_attrs])
                 cached = (key, key, True)
             else:
-                cols1, cols2 = [], []
-                for attr1, attr2 in join_attrs:
-                    shared1, shared2 = self.store.shared_codes(attr1, attr2)
-                    cols1.append(shared1)
-                    cols2.append(shared2)
-                key1, key2 = ops.combine_codes_pairwise(cols1, cols2)
+                spaces = [self.store.space(a, b) for a, b in join_attrs]
+                key1, key2 = ops.combine_codes_pairwise(
+                    [space.fixed(a) for space, a in zip(spaces, t1_attrs)],
+                    [space.fixed(b) for space, b in zip(spaces, t2_attrs)],
+                )
                 cached = (key1, key2, False)
             self._key_cache[cache_key] = cached
         return cached

@@ -167,7 +167,8 @@ def combine_codes_pairwise(columns1: list[np.ndarray],
     unrelated group ids; here both sides' rows are pooled before the
     :func:`numpy.unique` pass so ``key1[a] == key2[b]`` iff all components
     are pairwise equal.  Each per-position column pair must already share
-    a code space (see :meth:`ColumnStore.shared_codes`).
+    a code space (see :meth:`ColumnStore.space
+    <repro.engine.store.ColumnStore.space>`).
     """
     if len(columns1) != len(columns2):
         raise ValueError("both sides must have the same number of columns")

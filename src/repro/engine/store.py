@@ -20,8 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.dataset.dataset import NULL_CODE, Cell, Dataset
+from repro.dataset.dataset import Cell, Dataset
 from repro.engine.ops import expand_ranges
+from repro.engine.space import CodeSpace
 
 
 @dataclass(frozen=True)
@@ -32,19 +33,13 @@ class DomainCodeIndex:
     ``(t, attribute)`` may take under a set of pruned candidate domains —
     the join-feasibility side of Algorithm 1's grounding query.  Built by
     :meth:`ColumnStore.candidate_index` from a catalog's CSR of candidate
-    codes (:class:`~repro.core.factor_tables.CodeSpace`), or from
-    string-keyed domains by :meth:`ColumnStore.domain_code_index`.
+    codes in a code space's codes (:meth:`CodeSpace.csr
+    <repro.engine.space.CodeSpace.csr>`), or from string-keyed domains in
+    the attribute's own codes by :meth:`ColumnStore.domain_code_index`.
     """
 
     indptr: np.ndarray
     codes: np.ndarray
-
-    @property
-    def num_rows(self) -> int:
-        return len(self.indptr) - 1
-
-    def row(self, tid: int) -> np.ndarray:
-        return self.codes[self.indptr[tid] : self.indptr[tid + 1]]
 
 
 class ColumnStore:
@@ -68,8 +63,7 @@ class ColumnStore:
         for attribute in self.attributes:
             codes, values = dataset.encoded(attribute)
             self._codes[attribute], self._values[attribute] = codes, values
-        self._code_of: dict[str, dict[str, int]] = {}
-        self._shared: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
+        self._spaces: dict[tuple[str, ...], CodeSpace] = {}
 
     # ------------------------------------------------------------------
     # Access
@@ -90,18 +84,6 @@ class ColumnStore:
         """Number of distinct non-NULL values of ``attribute``."""
         return len(self._values[attribute])
 
-    def _codebook(self, attribute: str) -> dict[str, int]:
-        """Value → code of ``attribute``, built on first use."""
-        book = self._code_of.get(attribute)
-        if book is None:
-            values = self._values[attribute]
-            book = self._code_of[attribute] = dict(zip(values, range(len(values))))
-        return book
-
-    def code_of(self, attribute: str, value: str) -> int:
-        """The code of ``value`` in ``attribute`` (``-1`` if absent)."""
-        return self._codebook(attribute).get(value, NULL_CODE)
-
     def decode(self, attribute: str, code: int) -> str | None:
         return None if code < 0 else self._values[attribute][code]
 
@@ -111,60 +93,22 @@ class ColumnStore:
         return decoder[self._codes[attribute]].tolist()
 
     # ------------------------------------------------------------------
-    # Cross-attribute comparison
+    # Comparable codes
     # ------------------------------------------------------------------
-    def shared_codes(self, attr_a: str, attr_b: str) -> tuple[np.ndarray, np.ndarray]:
-        """Both columns re-coded over one shared dictionary.
-
-        Per-attribute codes are only comparable within their own column;
-        predicates like ``t1.A = t2.B`` need codes drawn from a dictionary
-        covering ``values(A) ∪ values(B)``.  Equal strings map to equal
-        shared codes; NULL stays ``-1``.  Results are cached per pair.
-        """
-        if attr_a == attr_b:
-            col = self._codes[attr_a]
-            return col, col
-        key = (attr_a, attr_b) if attr_a <= attr_b else (attr_b, attr_a)
-        cached = self._shared.get(key)
-        if cached is None:
-            union: dict[str, int] = {}
-            luts = []
-            for attr in key:
-                lut = np.empty(len(self._values[attr]), dtype=np.int64)
-                for code, value in enumerate(self._values[attr]):
-                    shared = union.setdefault(value, len(union))
-                    lut[code] = shared
-                luts.append(lut)
-            cols = []
-            for attr, lut in zip(key, luts):
-                codes = self._codes[attr]
-                out = np.full(len(codes), NULL_CODE, dtype=np.int64)
-                valid = codes >= 0
-                out[valid] = lut[codes[valid]]
-                cols.append(out)
-            cached = (cols[0], cols[1])
-            self._shared[key] = cached
-        if (attr_a, attr_b) == key:
-            return cached
-        return cached[1], cached[0]
+    def space(self, *attributes: str) -> CodeSpace:
+        """The store-level :class:`~repro.engine.space.CodeSpace` of
+        ``attributes``: one codebook over their values, in which equal
+        strings get equal codes and NULL stays ``-1``.  Cached per sorted
+        attribute tuple, so both argument orders give the same space."""
+        key = tuple(sorted(set(attributes)))
+        space = self._spaces.get(key)
+        if space is None:
+            space = self._spaces[key] = CodeSpace(self, key)
+        return space
 
     # ------------------------------------------------------------------
     # Candidate-domain indexing (DC-factor grounding)
     # ------------------------------------------------------------------
-    def union_codebook(self, *attributes: str) -> dict[str, int]:
-        """A value→code dictionary covering several attributes' values.
-
-        Codes follow the first attribute's dictionary order, then each
-        later attribute's yet-unseen values; equal strings always map to
-        equal codes, which is what cross-attribute join predicates
-        (``t1.A = t2.B``) need.
-        """
-        book: dict[str, int] = {}
-        for attr in attributes:
-            for value in self._values[attr]:
-                book.setdefault(value, len(book))
-        return book
-
     def candidate_index(
         self,
         attribute: str,
@@ -197,36 +141,24 @@ class ColumnStore:
         return DomainCodeIndex(indptr=out_indptr, codes=out)
 
     def domain_code_index(
-        self,
-        attribute: str,
-        domains: dict[Cell, list[str]],
-        codebook: dict[str, int] | None = None,
+        self, attribute: str, domains: dict[Cell, list[str]]
     ) -> DomainCodeIndex:
         """:meth:`candidate_index` over the cells of ``attribute`` in ``domains``.
 
         The string-keyed entry point: each candidate list is encoded once
-        into the attribute's dictionary.  Codes are drawn from ``codebook``
-        (default: this attribute's own dictionary); candidate values absent
-        from it extend it *in place*, so two indexes built over one shared
-        codebook — e.g. via :meth:`union_codebook` for a cross-attribute join
-        — stay in one code space.
+        into the attribute's dictionary, extended past it for candidate
+        values absent from the data.
         """
-        if codebook is None:
-            codebook = dict(self._codebook(attribute))
-        extended = dict(self._codebook(attribute))
-        mine = [
-            (cell.tid, domain)
-            for cell, domain in domains.items()
-            if cell.attribute == attribute
-        ]
-        flat = [extended.setdefault(v, len(extended)) for _, d in mine for v in d]
-        lut = [codebook.setdefault(value, len(codebook)) for value in extended]
+        values = self._values[attribute]
+        book = dict(zip(values, range(len(values))))
+        mine = [(c.tid, d) for c, d in domains.items() if c.attribute == attribute]
+        flat = [book.setdefault(v, len(book)) for _, d in mine for v in d]
         return self.candidate_index(
             attribute,
             np.array([tid for tid, _ in mine], dtype=np.int64),
             np.cumsum([0, *(len(d) for _, d in mine)], dtype=np.int64),
             np.array(flat, dtype=np.int64),
-            np.array(lut, dtype=np.int64),
+            np.arange(len(book), dtype=np.int64),
         )
 
     def __repr__(self) -> str:

@@ -10,11 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def segment_sizes(starts: np.ndarray) -> np.ndarray:
-    """Segment lengths from a boundary array ``starts`` (len = #segments+1)."""
-    return np.diff(starts)
-
-
 def segment_softmax(scores: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """Softmax within each segment of ``scores``.
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from repro.core.compiler import ModelCompiler
@@ -19,8 +21,10 @@ class NaiveModelCompiler(ModelCompiler):
     Same constructor, same :meth:`compile` skeleton; the step methods run
     the naive :class:`DomainPruner`, the :mod:`repro.oracle.featurize`
     stack cell by cell, the per-cell weak-label vote and negative-candidate
-    walk, and the per-pair factor loop over a :class:`PairEnumerator` —
-    all against row-scan :class:`Statistics`, none against the engine.
+    walk, and the factor loop — per pair of a :class:`PairEnumerator`, per
+    tuple of a single-tuple constraint, one :meth:`DenialConstraint.violates`
+    call per table cell — all against row-scan :class:`Statistics`, none
+    against the engine.
     The seams hand over columns; each step decodes them into cells and
     candidate lists and encodes its answer back, here at the edge.
     """
@@ -129,6 +133,19 @@ class NaiveModelCompiler(ModelCompiler):
                     skipped += 1
         return skipped, {"enumerator": "PairEnumerator", "pairs": pairs}
 
+    def _ground_single_tuple_factors(self, graph, dc):
+        """One factor per tuple with a query variable on an attribute the
+        constraint reads, walked in ascending tuple id."""
+        attrs = sorted(dc.attributes_of(1))
+        variables = graph.variables
+        codes = [variables.attribute_code(name) for name in attrs]
+        touched = ~variables.is_evidence & np.isin(variables.attribute_codes, codes)
+        skipped = 0
+        for tid in sorted(set(variables.tids[touched].tolist())):
+            if not self._ground_factor_for_cells(graph, dc, [(1, tid)], {1: attrs}):
+                skipped += 1
+        return skipped
+
     def _ground_pair_factor(self, graph, dc, t1, t2):
         attrs_by_position = {
             1: sorted(dc.attributes_of(1)),
@@ -137,3 +154,59 @@ class NaiveModelCompiler(ModelCompiler):
         return self._ground_factor_for_cells(
             graph, dc, [(1, t1), (2, t2)], attrs_by_position
         )
+
+    def _ground_factor_for_cells(self, graph, dc, positions, attrs_by_position):
+        """Ground one factor; returns False when skipped (cap / constant).
+
+        Evidence cells and cells without variables are folded into the
+        table as fixed context, so the resulting factor spans only query
+        variables.
+        """
+        variables = graph.variables
+        axis_vars = []
+        # Only the constraint's attributes, each cell decoded on its own:
+        # a whole-row read would decode (and cache) every row.  All of them
+        # in every position, as the two-tuple check tries both orientations.
+        base_values = {
+            p: {a: self.dataset.value(tid, a) for a in dc.attributes}
+            for p, tid in positions
+        }
+        cell_axes = []  # (position, attr, axis)
+        wanted = [
+            (position, tid, attr)
+            for position, tid in positions
+            for attr in attrs_by_position.get(position, ())
+        ]
+        vids = variables.rows_of([(tid, attr) for _, tid, attr in wanted])
+        for (position, _, attr), vid in zip(wanted, vids.tolist()):
+            if vid >= 0 and not variables.is_evidence[vid]:
+                cell_axes.append((position, attr, len(axis_vars)))
+                axis_vars.append(variables[vid])
+
+        if not axis_vars:
+            return False
+        shape = tuple(v.domain_size for v in axis_vars)
+        if int(np.prod(shape)) > self.config.max_factor_table:
+            return False
+
+        table = np.ones(shape, dtype=np.int8)
+        two_tuple = len(positions) == 2
+        for combo in itertools.product(*(range(s) for s in shape)):
+            values = {p: dict(base_values[p]) for p in base_values}
+            for position, attr, axis in cell_axes:
+                values[position][attr] = axis_vars[axis].domain[combo[axis]]
+            if two_tuple:
+                violated = dc.violates(values[1], values[2]) or dc.violates(
+                    values[2], values[1]
+                )
+            else:
+                violated = dc.violates(values[1])
+            if violated:
+                table[combo] = -1
+
+        if np.all(table == 1) or np.all(table == -1):
+            return False  # constant factor: no effect on the distribution
+        graph.add_factor(
+            [v.vid for v in axis_vars], table, self.config.dc_factor_weight, dc.name
+        )
+        return True

@@ -227,7 +227,7 @@ class TestColumnarCatalog:
             ):
                 lo, hi = columns.domain_indptr[row : row + 2]
                 assert columns.domain_codes[lo:hi].tolist() == [
-                    store.code_of(cell.attribute, value) for value in domain
+                    store.values(cell.attribute).index(value) for value in domain
                 ]
 
     def test_store_dictionaries_are_not_shared(self, pruned):

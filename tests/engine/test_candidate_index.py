@@ -3,11 +3,14 @@
 ``reference_index`` is ``ColumnStore.domain_code_index`` as it stood while
 candidate domains travelled as ``dict[Cell, list[str]]``: every domain
 encoded into a shared codebook cell by cell, in dict order, extending it
-with values absent from the data.  The catalog path — :class:`CodeSpace`'s
-lookup tables plus :meth:`ColumnStore.candidate_index`, and
+with values absent from the data.  The codebook starts as the store's value
+tables of the space's sorted attributes, merged in first-seen order
+(``store_codebook``).  The catalog path — :class:`CodeSpace`'s lookup
+tables plus :meth:`ColumnStore.candidate_index`, and
 ``VectorPairEnumerator._combined_index`` on top — must produce the same
 ``indptr``, ``codes`` and code → value list byte for byte, for single- and
-cross-attribute spaces, and so must the string-keyed adapter.
+cross-attribute spaces, and so must the string-keyed adapter in the
+attribute's own codes.
 """
 
 import numpy as np
@@ -16,11 +19,11 @@ from hypothesis import strategies as st
 
 from repro.constraints.denial import DenialConstraint
 from repro.constraints.predicates import Operator, Predicate, TupleRef
-from repro.core.factor_tables import CodeSpace
 from repro.core.partition import VectorPairEnumerator
 from repro.dataset.dataset import Cell, Dataset
 from repro.dataset.schema import Schema
 from repro.engine import Engine
+from repro.engine.space import CodeSpace
 from repro.inference.variables import VariableBlock, as_columns
 
 VALUE = st.sampled_from(["a", "b", "c", "1", None])
@@ -32,6 +35,16 @@ DOMAINS = st.dictionaries(
     max_size=10,
 )
 SPACES = [("A",), ("B",), ("A", "B"), ("C", "A"), ("B", "C")]
+
+
+def store_codebook(store, *attributes):
+    """Value → code over the sorted attributes' value tables: the first
+    table's values, then each later table's values not seen before."""
+    book = {}
+    for attribute in sorted(attributes):
+        for value in store.values(attribute):
+            book.setdefault(value, len(book))
+    return book
 
 
 def reference_index(store, attribute, domains, codebook):
@@ -94,21 +107,27 @@ def test_code_space_equals_the_string_walk(rows, raw_domains):
     for name in ("tids", "attribute_codes", "domain_indptr", "domain_codes"):
         assert np.array_equal(getattr(recoded, name), getattr(catalog, name))
     for attrs in SPACES:
-        codebook = store.union_codebook(*attrs)
-        expected = {a: reference_index(store, a, domains, codebook) for a in attrs}
+        codebook = store_codebook(store, *attrs)
+        expected = {
+            a: reference_index(store, a, domains, codebook) for a in sorted(attrs)
+        }
         space = CodeSpace(store, attrs, catalog)
         assert space.values == list(codebook)
-        adapter_book = store.union_codebook(*attrs)
+        # The store-level space: the same codes for the data's values.
+        base = store.space(*attrs)
+        assert base.values == list(store_codebook(store, *attrs))
         for attribute in attrs:
             index = space.csr(attribute)
             assert_same((index.indptr, index.codes), expected[attribute])
-            adapted = store.domain_code_index(attribute, domains, adapter_book)
-            assert_same((adapted.indptr, adapted.codes), expected[attribute])
+            own_book = store_codebook(store, attribute)
+            own = reference_index(store, attribute, domains, own_book)
+            adapted = store.domain_code_index(attribute, domains)
+            assert_same((adapted.indptr, adapted.codes), own)
             # Fixed context: the whole column in the space's codes.
             column = store.decoded_column(attribute)
             recoded = [-1 if value is None else codebook[value] for value in column]
             assert space.fixed(attribute).tolist() == recoded
-        assert adapter_book == codebook
+            assert base.fixed(attribute).tolist() == recoded
 
 
 @settings(max_examples=60, deadline=None)
@@ -121,13 +140,18 @@ def test_combined_index_equals_the_string_walk(rows, raw_domains):
             [Predicate(TupleRef(1, left), Operator.EQ, TupleRef(2, right))],
             name=f"{left}_{right}",
         )
-        codebook = store.union_codebook(left, right)
-        first = reference_index(store, left, domains, codebook)
+        # The space's codebook grows in sorted attribute order.
+        codebook = store_codebook(store, left, right)
+        index = {
+            a: reference_index(store, a, domains, codebook)
+            for a in sorted({left, right})
+        }
+        first = index[left]
         if left == right:
             expected = first
         else:
             # Row t: the candidates of (t, left), then those of (t, right).
-            second = reference_index(store, right, domains, codebook)
+            second = index[right]
             rows = [
                 [
                     *first[1][first[0][t] : first[0][t + 1]],

@@ -10,6 +10,7 @@ streams, engine-grounded factor graphs must equal naively grounded ones
 factor for factor.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -326,14 +327,50 @@ TABLE_DCS = [
         ],
         name="nsim_b",
     ),
-    # Single-tuple constraint (grounded per tuple, not per pair).
+    # Single-tuple constraints (grounded per tuple, not per pair).
     DenialConstraint(
         [
             Predicate(TupleRef(1, "A"), Operator.EQ, TupleRef(1, "B")),
         ],
         name="single_ab",
     ),
+    # ... against constants,
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "B"), Operator.EQ, Const("10")),
+            Predicate(TupleRef(1, "C"), Operator.NEQ, Const("9")),
+        ],
+        name="single_const",
+    ),
+    # ... through an order predicate (mixed coercion) and an ordered constant,
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "A"), Operator.LT, TupleRef(1, "C")),
+            Predicate(TupleRef(1, "B"), Operator.LTE, Const("9")),
+        ],
+        name="single_ord",
+    ),
+    # ... and through similarity (at 0.5, "1" ≈ "10").
+    DenialConstraint(
+        [
+            Predicate(TupleRef(1, "B"), Operator.SIM, TupleRef(1, "C"), 0.5),
+        ],
+        name="single_sim",
+    ),
 ]
+
+
+def single_tuple_rows(model, constraints):
+    """The tuples the single-tuple constraints ground over: per constraint,
+    every tuple with a query variable on an attribute it reads."""
+    variables = model.graph.variables
+    total = 0
+    for dc in constraints:
+        if dc.is_single_tuple:
+            codes = [variables.attribute_code(a) for a in dc.attributes_of(1)]
+            query = ~variables.is_evidence & np.isin(variables.attribute_codes, codes)
+            total += len(np.unique(variables.tids[query]))
+    return total
 
 
 @settings(max_examples=30, deadline=None)
@@ -366,9 +403,58 @@ def test_vectorized_tables_match_naive(rows, max_table, use_partitioning):
         assert factor_signature(engine_model.graph) == expected, where
         assert engine_model.skipped_factors == naive_model.skipped_factors
         assert engine_model.grounding["pairs"] == naive_model.grounding["pairs"]
-        # Every pair, similarity DCs included, went through the builder.
+        # Every pair, similarity DCs included, went through the builder, and
+        # so did every tuple of a single-tuple constraint.
         grounding = engine_model.grounding
-        assert grounding["table_pairs"] == grounding["pairs"], where
+        tuples = single_tuple_rows(engine_model, TABLE_DCS)
+        assert grounding["table_pairs"] == grounding["pairs"] + tuples, where
+
+
+def test_single_tuple_factors_identical_on_hospital():
+    """A single-tuple constraint grounds on the table builder, one factor
+    per touched tuple in ascending tuple id, like the per-cell oracle."""
+    generated = generate_hospital(num_rows=300)
+    dataset = generated.dirty
+    no_al = DenialConstraint(
+        [Predicate(TupleRef(1, "State"), Operator.EQ, Const("AL"))], name="no_al"
+    )
+    constraints = generated.constraints + [no_al]
+    detection = ViolationDetector(constraints).detect(dataset)
+    config = HoloCleanConfig(use_dc_factors=True, tau=generated.recommended_tau)
+    naive_model = NaiveModelCompiler(dataset, constraints, config, detection).compile()
+    engine_model = ModelCompiler(
+        dataset, constraints, config, detection, engine=Engine(dataset)
+    ).compile()
+    expected = factor_signature(naive_model.graph)
+    assert factor_signature(engine_model.graph) == expected
+    assert sum(name == "no_al" for name, *_ in expected) > 0
+    assert engine_model.skipped_factors == naive_model.skipped_factors
+    grounding = engine_model.grounding
+    assert grounding["pairs"] == naive_model.grounding["pairs"] > 0
+    tuples = single_tuple_rows(engine_model, [no_al])
+    assert tuples > 0
+    assert grounding["table_pairs"] == grounding["pairs"] + tuples
+
+
+def test_single_tuple_factors_ascend_by_tuple_id():
+    """Touched tuples are walked in ascending id on both paths, also where
+    a Python set of them would not iterate in that order."""
+    touched = [5, 17, 300, 1000]
+    rows = [[str(i % 10), "AL" if i in touched else "AK"] for i in range(1001)]
+    dataset = Dataset(Schema(["Zip", "State"]), rows)
+    no_al = DenialConstraint(
+        [Predicate(TupleRef(1, "State"), Operator.EQ, Const("AL"))], name="no_al"
+    )
+    detection = ViolationDetector([no_al]).detect(dataset)
+    config = HoloCleanConfig(use_dc_factors=True, tau=0.0)
+    for compiler in (NaiveModelCompiler, ModelCompiler):
+        model = compiler(dataset, [no_al], config, detection).compile()
+        graph = model.graph
+        tids = [
+            int(graph.variables.tids[graph.factor(i)[0][0]])
+            for i in range(len(graph.factors))
+        ]
+        assert tids == touched, compiler.__name__
 
 
 def test_binary_similarity_grounds_on_the_array_path():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.dataset.dataset import Dataset
+from repro.dataset.dataset import NULL_CODE, Dataset
 from repro.dataset.schema import Schema
-from repro.engine.store import NULL_CODE, ColumnStore
+from repro.engine.store import ColumnStore
 
 
 @pytest.fixture
@@ -35,11 +35,6 @@ class TestEncoding:
         assert store.cardinality("B") == 3
         assert store.cardinality("C") == 2
 
-    def test_code_of(self, store):
-        assert store.code_of("A", "a1") == 0
-        assert store.code_of("A", "a2") == 1
-        assert store.code_of("A", "missing") == NULL_CODE
-
     def test_dtype_and_shape(self, tiny_dataset, store):
         for attr in tiny_dataset.schema.names:
             col = store.codes(attr)
@@ -47,32 +42,35 @@ class TestEncoding:
             assert len(col) == tiny_dataset.num_tuples
 
 
-class TestSharedCodes:
-    def test_equal_values_get_equal_shared_codes(self):
+class TestStoreSpace:
+    def test_equal_values_get_equal_codes(self):
         ds = Dataset(Schema(["X", "Y"]), [
             ["a", "b"], ["b", "a"], ["c", None], ["a", "a"],
         ])
-        store = ColumnStore(ds)
-        sx, sy = store.shared_codes("X", "Y")
+        space = ColumnStore(ds).space("X", "Y")
+        sx, sy = space.fixed("X"), space.fixed("Y")
         # Row 3 has X == Y == "a": codes must coincide.
         assert sx[3] == sy[3]
         # Row 0: "a" vs "b" must differ; cross rows: X[0]=="a" == Y[1].
         assert sx[0] != sy[0]
         assert sx[0] == sy[1]
+        # One codebook, X's values first: code i decodes to values[i].
+        assert space.values == ["a", "b", "c"]
+        assert [space.values[c] for c in sy[[0, 1, 3]]] == ["b", "a", "a"]
         # NULL stays the sentinel.
         assert sy[2] == NULL_CODE
 
-    def test_same_attribute_returns_own_codes(self, store):
-        sa, sb = store.shared_codes("A", "A")
-        assert sa is sb
+    def test_single_attribute_is_the_store_code_space(self, store):
+        space = store.space("A", "A")
+        assert space.fixed("A") is store.codes("A")
+        assert space.values is store.values("A")
 
-    def test_symmetric_cache_swaps(self):
+    def test_both_argument_orders_give_one_space(self):
         ds = Dataset(Schema(["X", "Y"]), [["a", "b"], ["b", "a"]])
         store = ColumnStore(ds)
-        xy = store.shared_codes("X", "Y")
-        yx = store.shared_codes("Y", "X")
-        assert np.array_equal(xy[0], yx[1])
-        assert np.array_equal(xy[1], yx[0])
+        xy = store.space("X", "Y")
+        assert store.space("Y", "X") is xy
+        assert xy.attributes == ("X", "Y")
 
 
 class TestSnapshotSemantics:

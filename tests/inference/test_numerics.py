@@ -6,7 +6,6 @@ import pytest
 from repro.inference.numerics import (
     segment_argmax,
     segment_logsumexp,
-    segment_sizes,
     segment_softmax,
     softmax,
 )
@@ -80,9 +79,6 @@ class TestSegmentLogsumexp:
 
 
 class TestHelpers:
-    def test_segment_sizes(self):
-        assert list(segment_sizes(np.array([0, 2, 5]))) == [2, 3]
-
     def test_plain_softmax(self):
         p = softmax(np.array([0.0, np.log(3.0)]))
         assert p == pytest.approx([0.25, 0.75])
