@@ -34,6 +34,7 @@ from repro.core import rules as ddlog
 from repro.dataset.dataset import Dataset
 from repro.detect.base import DetectionResult
 from repro.engine import Engine, engine_for, ops
+from repro.engine.space import CodeSpaces
 from repro.external.dictionary import ExternalDictionary
 from repro.external.matcher import match_dictionary
 from repro.inference.factor_graph import FactorGraph
@@ -404,6 +405,10 @@ class ModelCompiler:
         self, graph: FactorGraph, query_domains: DomainRelation
     ) -> tuple[int, dict[str, int | str]]:
         config = self.config
+        # One set of code spaces over the query catalog (seeded with the
+        # store's dictionaries) for both of its readers: a join attribute's
+        # candidate index is built once.
+        spaces = CodeSpaces(self.engine.store, query_domains)
         enumerator = make_pair_enumerator(
             self.dataset,
             query_domains,
@@ -411,6 +416,7 @@ class ModelCompiler:
             max_pairs=config.max_factor_pairs,
             chunk_pairs=config.factor_chunk_pairs,
             stream_budget=config.factor_stream_budget,
+            spaces=spaces,
         )
         hypergraph = self.detection.hypergraph
         # Every factor table is built set-at-a-time over the column store:
@@ -423,6 +429,7 @@ class ModelCompiler:
             query_domains,
             max_table_cells=config.max_factor_table,
             weight=config.dc_factor_weight,
+            spaces=spaces,
         )
         skipped = 0
         pairs = 0

@@ -77,7 +77,9 @@ class VectorFactorTableBuilder:
     candidate domains (exactly the domains the variables were added
     with: a catalog, or a ``Mapping[Cell, list[str]]`` encoded once — see
     :func:`~repro.inference.variables.as_columns`), the
-    ``max_factor_table`` cap and the constant factor weight.  One builder
+    ``max_factor_table`` cap and the constant factor weight; ``spaces``,
+    when given, are that catalog's code spaces, shared with the pair
+    enumerator so each candidate index is built once.  One builder
     serves every constraint of a compile; code spaces, axis lookups and
     compiled plans are cached across chunks and constraints.
     """
@@ -90,13 +92,16 @@ class VectorFactorTableBuilder:
         domains: CellColumns | Mapping[Cell, list[str]],
         max_table_cells: int,
         weight: float,
+        spaces: CodeSpaces | None = None,
     ):
         self.engine = engine
         self.dataset = dataset
         self.variables = variables
         self.max_table_cells = max_table_cells
         self.weight = weight
-        self._space = CodeSpaces(engine.store, as_columns(domains, engine.store))
+        self._space = spaces or CodeSpaces(
+            engine.store, as_columns(domains, engine.store)
+        )
         self._plans: dict[DenialConstraint, _Plan] = {}
         self._axes: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         #: Table-construction counters surfaced as ``grounding_table_*``:

@@ -67,7 +67,7 @@ class VectorPairEnumerator:
       join attribute from the query catalog into a cell→domain-codes index
       (:meth:`~repro.engine.store.ColumnStore.candidate_index`, reused
       across constraints sharing the attribute and across Algorithm 3
-      groups);
+      groups, and by the factor-table builder handed the same ``spaces``);
     * Algorithm 3 tuple components are intersected with the join via one
       vectorized component-id lookup over the tuple-id space, not a
       per-component Python set scan;
@@ -90,6 +90,7 @@ class VectorPairEnumerator:
         max_pairs: int = 200_000,
         chunk_pairs: int = 65_536,
         stream_budget: int = 1_048_576,
+        spaces: CodeSpaces | None = None,
     ):
         self.dataset = dataset
         self.max_pairs = max_pairs
@@ -99,8 +100,9 @@ class VectorPairEnumerator:
         self._indexes: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
         # The query domains as a catalog (a mapping is encoded once): every
         # join attribute's index is a gather of its codes in a code space.
+        # ``spaces``, when given, are the ones of that catalog.
         store = self.engine.store
-        self._space = CodeSpaces(store, as_columns(domains, store))
+        self._space = spaces or CodeSpaces(store, as_columns(domains, store))
         #: Counters for the size report: emitted pairs, enumerated groups,
         #: groups that took the chunked streaming path, and streaming
         #: chunk calls (materialised groups take one call, not counted).
@@ -357,6 +359,7 @@ def make_pair_enumerator(
     max_pairs: int = 200_000,
     chunk_pairs: int = 65_536,
     stream_budget: int = 1_048_576,
+    spaces: CodeSpaces | None = None,
 ) -> VectorPairEnumerator:
     """:class:`VectorPairEnumerator` under its dataset-first call shape.
 
@@ -371,6 +374,7 @@ def make_pair_enumerator(
         max_pairs=max_pairs,
         chunk_pairs=chunk_pairs,
         stream_budget=stream_budget,
+        spaces=spaces,
     )
 
 

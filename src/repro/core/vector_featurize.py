@@ -32,19 +32,24 @@ them the same way over the engine's
   (:meth:`VectorFeaturizer._count_dc_violations`); single-tuple
   constraints are one mask per attribute.
 
-Each family emits batches of ``(var, candidate, key token, value)`` entry
-arrays plus the batch's weight keys.  The order contract is local: batches
-are appended in family order (minimality, frequency, cooccur, source,
-external, dc), and inside a family a row's entries appear in the order
-the reference featurizer's per-candidate list carries them
-(:mod:`repro.oracle.featurize`).  :meth:`VectorFeaturizer._emit`
-concatenates the batches as they stand, allocates a feature index for
-every key that still carries a non-zero entry — in (batch, token) order —
-and hands everything to one :meth:`FeatureMatrixBuilder.add_entries`
-call; the builder's stable sort by row is the only sort over the entry
-set.  Against the reference stack the matrix has the same rows, the same
-per-row entry order and values and the same key *set*; feature indices
-differ by a relabelling through the keys, which no consumer reads.
+Each family emits batches of ``(row, key token, value)`` entry arrays plus
+the batch's weight keys; a row is a catalog domain position, which is the
+matrix row of that (variable, candidate) when the builder's variables are
+the catalog's (checked once per call).  The order contract is local:
+batches are appended in family order (minimality, frequency, cooccur,
+source, external, dc), inside a family a row's entries appear in the
+order the reference featurizer's per-candidate list carries them
+(:mod:`repro.oracle.featurize`), and every batch lists its rows in
+ascending order.  No batch holds a zero value (leave-one-out frequencies
+are the only zeros a family computes, and ``_frequency`` drops them).
+:meth:`VectorFeaturizer._emit` allocates a feature index for every key
+that carries an entry — in (batch, token) order — and hands each batch to
+the builder as its own chunk (:meth:`FeatureMatrixBuilder.add_rows`), so
+no entry is copied before :meth:`FeatureMatrixBuilder.build`'s counting
+sort writes it once into place.  Against the reference stack the matrix
+has the same rows, the same per-row entry order and values and the same
+key *set*; feature indices differ by a relabelling through the keys,
+which no consumer reads.
 
 Only entries that can move an answer are emitted: one per (row, weight
 key) — a tied weight multiplies the *sum* of its values, so the pair-tied
@@ -85,15 +90,14 @@ _DENSE_JOINT_CELLS = 1 << 20
 class _Entries:
     """One batch of sparse feature entries.
 
-    Array order is the contract: the entries of one (variable,
-    candidate) row appear in the order the reference featurizer's
-    per-candidate list would carry them.  ``token`` indexes ``keys``
-    (batch-local weight keys; equal keys of different batches meet in
-    the feature space).
+    Array order is the contract: ``row`` ascends, and the entries of one
+    (variable, candidate) row appear in the order the reference
+    featurizer's per-candidate list would carry them.  ``token`` indexes
+    ``keys`` (batch-local weight keys; equal keys of different batches
+    meet in the feature space).  No value is zero.
     """
 
-    var: np.ndarray
-    cand: np.ndarray
+    row: np.ndarray
     token: np.ndarray
     value: np.ndarray
     keys: list[Hashable]
@@ -104,7 +108,8 @@ class _AttrBlock:
     """All variables of one attribute, columnarised.
 
     ``flat_*`` arrays have one element per (variable, candidate) row, in
-    row order; candidate codes live in the attribute's own dictionary,
+    row order: ``flat_row`` is the row's catalog domain position (its
+    matrix row); candidate codes live in the attribute's own dictionary,
     extended in place for candidate values absent from the data.
     """
 
@@ -112,8 +117,7 @@ class _AttrBlock:
     var_idx: np.ndarray
     tids: np.ndarray
     sizes: np.ndarray
-    flat_var: np.ndarray
-    flat_cand: np.ndarray
+    flat_row: np.ndarray
     flat_code: np.ndarray
     flat_init: np.ndarray
     values: list[str]  # extended code → value
@@ -126,8 +130,7 @@ def _keyed_entries(
     ``value`` (one per hit row; 1.0 when omitted)."""
     n = int(hit.sum())
     return _Entries(
-        block.flat_var[hit],
-        block.flat_cand[hit],
+        block.flat_row[hit],
         np.zeros(n, dtype=np.int64),
         np.ones(n, dtype=np.float64) if value is None else value,
         keys=[key],
@@ -164,13 +167,19 @@ class VectorFeaturizer:
 
         ``variables`` is the catalog — row ``i`` is variable ``i`` — or
         the ``(cell, domain)`` specs in variable-id order, encoded once
-        (:func:`~repro.inference.variables.as_columns`); entries arrive
-        through one batched :meth:`FeatureMatrixBuilder.add_entries`
-        call.  Everything but the engine's joint-count lookups is built
-        for this call alone.
+        (:func:`~repro.inference.variables.as_columns`).  The builder's
+        variables must be the catalog's, with its domain sizes: entries
+        arrive as one :meth:`FeatureMatrixBuilder.add_rows` chunk per
+        batch, addressed by catalog domain position.  Everything but the
+        engine's joint-count lookups is built for this call alone.
         """
         self.stats = {}
         self._build_blocks(variables)
+        if not np.array_equal(builder.var_row_start, self._catalog.domain_indptr):
+            raise ValueError(
+                f"the builder's {builder.num_vars} variables and their sizes "
+                f"differ from the catalog's {len(self._catalog)} domains"
+            )
         families = self._families()
         batches: list[_Entries] = []
         for name, family in families:
@@ -178,7 +187,7 @@ class VectorFeaturizer:
                 entries = family()
                 batches.extend(entries)
                 if sp is not None:
-                    sp.attributes["entries"] = int(sum(len(b.var) for b in entries))
+                    sp.attributes["entries"] = int(sum(len(b.row) for b in entries))
         with deep_span("featurize.emit", batches=len(batches)):
             emitted = self._emit(batches, builder)
         sizes = np.diff(self._catalog.domain_indptr)
@@ -239,8 +248,7 @@ class VectorFeaturizer:
                 var_idx=var_idx,
                 tids=tids,
                 sizes=sizes,
-                flat_var=np.repeat(var_idx, sizes),
-                flat_cand=ops.segment_positions(sizes),
+                flat_row=positions,
                 flat_code=catalog.domain_codes[positions].astype(np.int64),
                 flat_init=np.repeat(store.codes(attr)[tids].astype(np.int64), sizes),
                 values=catalog.tables[code],
@@ -258,6 +266,10 @@ class VectorFeaturizer:
         return out
 
     def _frequency(self) -> list[_Entries]:
+        """Per row ``("freq", attr)`` and the back-off ``("freq*",)``, both of
+        the candidate's leave-one-out relative frequency; a row whose
+        frequency is 0 (a value only its own cell holds, or one absent from
+        the data) gets neither."""
         out = []
         for attr, block in self._blocks.items():
             counts = self._stats.code_counts(attr)
@@ -266,13 +278,11 @@ class VectorFeaturizer:
             padded[: len(counts)] = counts
             count = padded[block.flat_code] - (block.flat_code == block.flat_init)
             denom = total - (block.flat_init >= 0).astype(np.int64)
-            rf = np.zeros(len(count), dtype=np.float64)
-            live = denom > 0
-            rf[live] = count[live] / denom[live]
+            live = np.flatnonzero((denom > 0) & (count != 0))
+            rf = count[live] / denom[live]
             out.append(
                 _Entries(
-                    np.repeat(block.flat_var, 2),
-                    np.repeat(block.flat_cand, 2),
+                    np.repeat(block.flat_row[live], 2),
                     np.tile(np.arange(2, dtype=np.int64), len(rf)),
                     np.repeat(rf, 2),
                     keys=[("freq", attr), ("freq*",)],
@@ -333,8 +343,8 @@ class VectorFeaturizer:
         Joint counts fill one ``others × rows`` array, one lookup per other
         (:meth:`_joint_counts`), less one where the candidate is the cell's
         own value (leave-one-out).  The positive counts are listed row by
-        row, so a row's per-pair entries come in schema order and the batch
-        is one run of the builder's stable sort by row.  The back-off
+        row, so a row's per-pair entries come in schema order and the
+        batch's rows ascend.  The back-off
         ``("cooc*",)`` batch follows: per row the sum of those entries,
         added in that same order by one ``bincount``.
         """
@@ -368,8 +378,7 @@ class VectorFeaturizer:
         summed = backoff > 0
         return [
             _Entries(
-                block.flat_var[row],
-                block.flat_cand[row],
+                block.flat_row[row],
                 column,
                 value,
                 keys=[("cooc", attr, o) for o in others],
@@ -432,8 +441,7 @@ class VectorFeaturizer:
             gkey = uk * card_a + uv  # ascending after the lexsort
             # Join candidates against the vote groups.
             keep_flat = np.repeat(keep, block.sizes)
-            fvar = block.flat_var[keep_flat]
-            fcand = block.flat_cand[keep_flat]
+            frow = block.flat_row[keep_flat]
             fcode = block.flat_code[keep_flat]
             fk = np.repeat(np.arange(len(own_tids), dtype=np.int64), block.sizes[keep])
             in_data = fcode < card_a  # extended codes never gather votes
@@ -446,8 +454,7 @@ class VectorFeaturizer:
             src_pos = ops.expand_ranges(lo, hits)
             out.append(
                 _Entries(
-                    np.repeat(fvar, hits),
-                    np.repeat(fcand, hits),
+                    np.repeat(frow, hits),
                     us[src_pos],
                     counts[src_pos].astype(np.float64),
                     keys=src_keys,
@@ -526,7 +533,7 @@ class VectorFeaturizer:
         for attr, block in self._blocks.items():
             if attr not in dc.attributes:
                 continue
-            totals = np.zeros(len(block.flat_var), dtype=np.int64)
+            totals = np.zeros(len(block.flat_row), dtype=np.int64)
             for own_pos in (1, 2):
                 if attr not in dc.attributes_of(own_pos):
                     continue
@@ -668,32 +675,19 @@ class VectorFeaturizer:
     def _emit(self, batches: list[_Entries], builder: FeatureMatrixBuilder) -> int:
         """Allocate feature keys in emission order and land every entry.
 
-        The batches are concatenated as they stand; every key that still
-        carries a non-zero entry gets its index in (batch, token) order,
-        and one :meth:`add_entries` call hands the entries over — the
-        builder's stable sort by row keeps each row's batch order.
+        Every key that carries an entry gets its index in (batch, token)
+        order, and each batch goes to the builder as its own chunk, rows
+        and values as they stand: the builder's counting sort keeps each
+        row's batch order.
         """
-        batches = [b for b in batches if len(b.var)]
-        if not batches:
-            return 0
-        offsets = np.cumsum([0] + [len(b.keys) for b in batches])
-        token = np.concatenate(
-            [b.token + offset for b, offset in zip(batches, offsets)]
-        )
-        value = np.concatenate([b.value for b in batches])
-        live = value != 0.0  # the reference loop drops zero-valued entries
-        token, value = token[live], value[live]
-        if not len(token):
-            return 0
-        var = np.concatenate([b.var for b in batches])[live]
-        cand = np.concatenate([b.cand for b in batches])[live]
-
-        all_keys: list[Hashable] = [k for b in batches for k in b.keys]
-        used = np.zeros(len(all_keys), dtype=bool)
-        used[token] = True
-        lut = np.full(len(all_keys), -1, dtype=np.int64)
-        # repro: allow-loop one space.index call per distinct live key
-        for tok in np.flatnonzero(used).tolist():
-            lut[tok] = builder.space.index(all_keys[tok])
-        builder.add_entries(var, cand, lut[token], value)
-        return len(token)
+        emitted = 0
+        for batch in batches:
+            used = np.zeros(len(batch.keys), dtype=bool)
+            used[batch.token] = True
+            lut = np.full(len(batch.keys), -1, dtype=np.int64)
+            # repro: allow-loop one space.index call per distinct live key
+            for tok in np.flatnonzero(used).tolist():
+                lut[tok] = builder.space.index(batch.keys[tok])
+            builder.add_rows(batch.row, lut[batch.token], batch.value)
+            emitted += len(batch.row)
+        return emitted

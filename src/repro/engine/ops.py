@@ -320,7 +320,9 @@ def bucket_extents(bucket_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     boundary[0] = True
     boundary[1:] = bucket_ids[1:] != bucket_ids[:-1]
     starts = np.nonzero(boundary)[0]
-    sizes = np.diff(np.append(starts, len(bucket_ids)))
+    sizes = np.empty(len(starts), dtype=np.int64)
+    sizes[:-1] = starts[1:] - starts[:-1]
+    sizes[-1] = len(bucket_ids) - starts[-1]
     return starts, sizes
 
 

@@ -8,9 +8,10 @@ stores, for every (variable, candidate) row, the sparse vector of feature
 values that ground the unary rules of Section 4.2.
 
 A weight is named by its key; its index is storage.  The one ordering
-decision lives in :meth:`FeatureMatrixBuilder.build`: entries are
-stable-sorted by row, so a row holds its entries in the order they were
-handed to the builder.
+decision lives in :meth:`FeatureMatrixBuilder.build`: a row holds its
+entries in the order they were handed to the builder.  The entries are
+laid out by a counting sort — per-row counts, one cumulative sum, one
+scatter per handed-in chunk — so no sort runs over the entry set.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.engine.ops import expand_ranges
+from repro.engine.ops import bucket_extents, expand_ranges
 
 
 class FeatureSpace:
@@ -34,11 +35,11 @@ class FeatureSpace:
     Indices are handed out in the order keys first reach :meth:`index`.
     The production featurizer allocates them in emission order: indices
     follow :class:`~repro.core.vector_featurize.VectorFeaturizer`'s family
-    order, then the family's emission order, then the batch's key list; a key with no
-    non-zero entry gets no index.  The order is otherwise an internal
-    detail — two models are equal when they agree after relabelling
-    indices through their keys — and :meth:`freeze` fixes it once the
-    matrix is built.
+    order, then the family's emission order, then the batch's key list; a
+    key with no non-zero entry gets no index.  The order is otherwise an
+    internal detail — two models are equal when they agree after
+    relabelling indices through their keys — and :meth:`freeze` fixes it
+    once the matrix is built.
     """
 
     def __init__(self):
@@ -108,8 +109,14 @@ class FeatureMatrix:
     beside ``indices`` and ``values``; row ids derive from ``row_ptr``.
     """
 
-    def __init__(self, var_row_start: np.ndarray, indices: np.ndarray,
-                 values: np.ndarray, row_ptr: np.ndarray, num_features: int):
+    def __init__(
+        self,
+        var_row_start: np.ndarray,
+        indices: np.ndarray,
+        values: np.ndarray,
+        row_ptr: np.ndarray,
+        num_features: int,
+    ):
         self.var_row_start = var_row_start
         self.indices = indices
         self.values = values
@@ -130,22 +137,24 @@ class FeatureMatrix:
 
     def entry_row_ids(self) -> np.ndarray:
         """Row id of every sparse entry (computed on each call)."""
-        return np.repeat(np.arange(self.num_rows, dtype=np.int64),
-                         np.diff(self.row_ptr))
+        return np.repeat(
+            np.arange(self.num_rows, dtype=np.int64), np.diff(self.row_ptr)
+        )
 
     def entries_of(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Storage positions of the given rows' entries, row after row in
         the given order, and each entry's position in ``rows``."""
         counts = self.row_ptr[rows + 1] - self.row_ptr[rows]
-        return (expand_ranges(self.row_ptr[rows], counts),
-                np.repeat(np.arange(len(rows), dtype=np.int64), counts))
+        return (
+            expand_ranges(self.row_ptr[rows], counts),
+            np.repeat(np.arange(len(rows), dtype=np.int64), counts),
+        )
 
     def scores(self, weights: np.ndarray) -> np.ndarray:
         """θ·x per row: the unary potential of every candidate."""
         return self.scores_for_rows(np.arange(self.num_rows), weights)
 
-    def scores_for_rows(self, rows: np.ndarray,
-                        weights: np.ndarray) -> np.ndarray:
+    def scores_for_rows(self, rows: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """θ·x for the given rows only, in the given row order.
 
         Gathers just those rows' sparse entries instead of scoring the
@@ -156,12 +165,14 @@ class FeatureMatrix:
         if len(weights) != self.num_features:
             raise ValueError(
                 f"weight vector has {len(weights)} entries, "
-                f"feature space has {self.num_features}")
+                f"feature space has {self.num_features}"
+            )
         source, compact_ids = self.entries_of(np.asarray(rows, dtype=np.int64))
         contributions = weights[self.indices[source]] * self.values[source]
         # ``astype`` matters without entries only: bincount then counts ints.
-        return np.bincount(compact_ids, weights=contributions,
-                           minlength=len(rows)).astype(np.float64, copy=False)
+        return np.bincount(
+            compact_ids, weights=contributions, minlength=len(rows)
+        ).astype(np.float64, copy=False)
 
 
 class FeatureMatrixBuilder:
@@ -174,20 +185,21 @@ class FeatureMatrixBuilder:
         builder.add(v, candidate_index, key, value)
         matrix = builder.build()
 
-    The vectorized featurization path lands whole entry batches at once
-    through :meth:`add_entries` instead.  Both mechanisms feed one
-    storage — array chunks in hand-in order — and :meth:`build` fixes the
-    layout with the only sort: a stable sort by row, so each row's
-    entries stay in the order they were handed in.
+    Row ``var_row_start[v] + c`` is candidate ``c`` of variable ``v``.
+    Entries are stored as chunks ``(rows, key indices, values)`` in
+    hand-in order: :meth:`add_rows` takes a chunk as it stands (the
+    vectorized featurizer's path), :meth:`add_entries` addresses its rows
+    by (variable, candidate), and :meth:`add` buffers one entry at a time
+    until the next chunk or :meth:`build`.  :meth:`build` is a counting
+    sort: each row holds its entries in the order they were handed in.
     """
 
     def __init__(self, space: FeatureSpace):
         self.space = space
         self._var_sizes: list[int] = []
-        #: Entry chunks ``(var ids, candidate indices, key indices,
-        #: values)`` in hand-in order.
-        self._chunks: list[tuple[np.ndarray, np.ndarray,
-                                 np.ndarray, np.ndarray]] = []
+        self._row_start: np.ndarray | None = None
+        #: Entry chunks ``(rows, key indices, values)`` in hand-in order.
+        self._chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         #: Per-entry :meth:`add` calls not yet turned into a chunk.
         self._pending: list[tuple[int, int, int, float]] = []
 
@@ -207,30 +219,45 @@ class FeatureMatrixBuilder:
             raise ValueError("variables need at least one candidate")
         first = len(self._var_sizes)
         self._var_sizes.extend(sizes)
+        self._row_start = None
         return first
+
+    @property
+    def var_row_start(self) -> np.ndarray:
+        """``int64[num_vars + 1]``: the first row of every variable."""
+        if self._row_start is None:
+            start = np.zeros(len(self._var_sizes) + 1, dtype=np.int64)
+            np.cumsum(self._var_sizes, out=start[1:])
+            self._row_start = start
+        return self._row_start
 
     def add(self, var: int, candidate: int, key, value: float) -> None:
         """Attach ``feature(key) = value`` to one candidate of a variable."""
         if not 0 <= candidate < self._var_sizes[var]:
             raise IndexError(
                 f"candidate {candidate} out of range for variable {var} "
-                f"(domain size {self._var_sizes[var]})")
-        self._pending.append(
-            (var, candidate, self.space.index(key), float(value)))
+                f"(domain size {self._var_sizes[var]})"
+            )
+        self._pending.append((var, candidate, self.space.index(key), float(value)))
 
     def _flush_pending(self) -> None:
         """Turn the :meth:`add` calls so far into one chunk."""
         if self._pending:
             var, cand, key_idx, values = zip(*self._pending)
-            self._chunks.append((np.asarray(var, dtype=np.int64),
-                                 np.asarray(cand, dtype=np.int64),
-                                 np.asarray(key_idx, dtype=np.int64),
-                                 np.asarray(values, dtype=np.float64)))
+            rows = self.var_row_start[np.asarray(var, dtype=np.int64)]
+            self._chunks.append(
+                (
+                    rows + np.asarray(cand, dtype=np.int64),
+                    np.asarray(key_idx, dtype=np.int64),
+                    np.asarray(values, dtype=np.float64),
+                )
+            )
             self._pending = []
 
-    def add_entries(self, var_ids: np.ndarray, cand_idx: np.ndarray,
-                    keys, values: np.ndarray) -> None:
-        """Attach a whole batch of entries at once (the vectorized path).
+    def add_entries(
+        self, var_ids: np.ndarray, cand_idx: np.ndarray, keys, values: np.ndarray
+    ) -> None:
+        """Attach a whole batch of entries, addressed by (variable, candidate).
 
         ``keys`` is either an integer array of feature-space indices the
         caller already allocated or a sequence of hashable weight keys
@@ -239,48 +266,91 @@ class FeatureMatrixBuilder:
         """
         var_ids = np.asarray(var_ids, dtype=np.int64)
         cand_idx = np.asarray(cand_idx, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
         # Validate everything before touching the feature space: a rejected
         # call must not allocate keys.
         if not (len(var_ids) == len(cand_idx) == len(values) == len(keys)):
             raise ValueError("add_entries arrays must align")
         if not len(var_ids):
             return
-        sizes = np.asarray(self._var_sizes, dtype=np.int64)
+        sizes = np.diff(self.var_row_start)
         if int(var_ids.min()) < 0 or int(var_ids.max()) >= len(sizes):
             raise IndexError("variable id out of range")
         if np.any((cand_idx < 0) | (cand_idx >= sizes[var_ids])):
             raise IndexError("a candidate index is outside its domain")
-        if isinstance(keys, np.ndarray) and keys.dtype.kind in "iu":
-            key_idx = keys.astype(np.int64, copy=False)
-            if int(key_idx.min()) < 0 or int(key_idx.max()) >= len(self.space):
-                raise IndexError("feature index outside the feature space")
-        else:
+        if not (isinstance(keys, np.ndarray) and keys.dtype.kind in "iu"):
             # Per key by nature; the production path hands in indices.
-            key_idx = np.fromiter((self.space.index(k) for k in keys),
-                                  dtype=np.int64, count=len(keys))
+            keys = np.fromiter(
+                (self.space.index(k) for k in keys), dtype=np.int64, count=len(keys)
+            )
+        self.add_rows(self.var_row_start[var_ids] + cand_idx, keys, values)
+
+    def add_rows(
+        self, rows: np.ndarray, key_idx: np.ndarray, values: np.ndarray
+    ) -> None:
+        """Attach one chunk of entries by matrix row (the vectorized path).
+
+        ``key_idx`` holds feature-space indices the caller allocated.  The
+        arrays are kept, not copied; a chunk whose rows ascend is laid out
+        without a sort, any other gets one stable sort of its own at
+        :meth:`build`.  Entries keep their chunk order inside each row,
+        after everything handed in before this call.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        key_idx = np.asarray(key_idx, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        if not (len(rows) == len(key_idx) == len(values)):
+            raise ValueError("add_rows arrays must align")
+        if not len(rows):
+            return
+        if int(rows.min()) < 0 or int(rows.max()) >= self.var_row_start[-1]:
+            raise IndexError("a row is outside the matrix")
+        if int(key_idx.min()) < 0 or int(key_idx.max()) >= len(self.space):
+            raise IndexError("feature index outside the feature space")
         self._flush_pending()
-        self._chunks.append((var_ids, cand_idx, key_idx, values))
+        self._chunks.append((rows, key_idx, values))
 
     @property
     def num_vars(self) -> int:
         return len(self._var_sizes)
 
     def build(self) -> FeatureMatrix:
+        """Lay the chunks out as CSR by a counting sort.
+
+        Each chunk's run heads give its per-row counts, one cumulative sum
+        gives ``row_ptr``, and each chunk scatters at a per-row cursor into
+        the preallocated ``indices`` / ``values`` — the layout a stable
+        sort of every entry by row would give, without that sort.
+        """
         self._flush_pending()
-        var_row_start = np.zeros(len(self._var_sizes) + 1, dtype=np.int64)
-        np.cumsum(self._var_sizes, out=var_row_start[1:])
+        var_row_start = self.var_row_start
         num_rows = int(var_row_start[-1])
-        if self._chunks:
-            var, cand, keys, vals = (
-                column[0] if len(column) == 1 else np.concatenate(column)
-                for column in zip(*self._chunks))
-        else:
-            var = cand = keys = np.empty(0, dtype=np.int64)
-            vals = np.empty(0, dtype=np.float64)
-        rows = var_row_start[var] + cand
-        order = np.argsort(rows, kind="stable")
+        chunks = [_row_sorted(*chunk) for chunk in self._chunks]
+        runs = [bucket_extents(rows) for rows, _, _ in chunks]
+        counts = np.zeros(num_rows, dtype=np.int64)
+        for (rows, _, _), (heads, run_sizes) in zip(chunks, runs):
+            counts[rows[heads]] += run_sizes  # a chunk's run rows are distinct
         row_ptr = np.zeros(num_rows + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=num_rows), out=row_ptr[1:])
-        return FeatureMatrix(var_row_start, keys[order], vals[order],
-                             row_ptr, num_features=len(self.space))
+        np.cumsum(counts, out=row_ptr[1:])
+        indices = np.empty(int(row_ptr[-1]), dtype=np.int64)
+        values = np.empty(len(indices), dtype=np.float64)
+        cursor = row_ptr[:-1].copy()
+        for (rows, key_idx, vals), (heads, run_sizes) in zip(chunks, runs):
+            run_rows = rows[heads]
+            dest = np.repeat(cursor[run_rows] - heads, run_sizes)
+            dest += np.arange(len(rows), dtype=np.int64)
+            indices[dest] = key_idx
+            values[dest] = vals
+            cursor[run_rows] += run_sizes
+        return FeatureMatrix(
+            var_row_start, indices, values, row_ptr, num_features=len(self.space)
+        )
+
+
+def _row_sorted(
+    rows: np.ndarray, key_idx: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chunk as it stands when its rows ascend, else stable-sorted by row."""
+    if np.any(rows[1:] < rows[:-1]):
+        order = np.argsort(rows, kind="stable")
+        return rows[order], key_idx[order], values[order]
+    return rows, key_idx, values

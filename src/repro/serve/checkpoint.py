@@ -24,6 +24,24 @@ On-disk layout, one directory per session id::
                       of the config and feedback they were learned from
         infer.pkl     marginals + the digest of the config and weights
                       they were inferred from
+        <stage>.bin   beside any of the above whose pickle holds an array
+                      of at least ``_OUT_OF_BAND_BYTES``: those arrays'
+                      raw bytes (format 8)
+
+Since format 8 a stage file is a protocol-5 pickle whose large buffers
+(the feature matrix's ``indices`` / ``values`` first of all) travel out
+of band, in a ``<stage>.bin`` sidecar: a header of little-endian
+``uint64`` words (the buffer count, then each buffer's size), padded to
+``_ALIGN`` bytes, then the buffers, each padded to ``_ALIGN``.  A load
+checks the sidecar's size against its header, maps it copy-on-write
+(``mmap.ACCESS_COPY``) and hands the unpickler slices of the mapping, so
+no array is copied and a page is read only when it is touched: an
+apply-only rehydrate never reads the matrix.  A loaded context's arrays
+keep the mapping, and its descriptor, alive until they are collected.
+Invariant: nothing rewrites a checkpoint file in place.  A save writes a
+new directory and swaps it in by renames, a delete unlinks, so the pages
+a live context maps stay the ones it loaded (a mapped file shrunk in
+place would fault the process with ``SIGBUS``).
 
 Since format 3 ``compile.pkl`` and ``infer.pkl`` hold no object per
 variable: the catalog and the marginals are columnar in memory
@@ -36,18 +54,17 @@ format 6 a compiled model's external-dictionary matches
 (:class:`~repro.external.matcher.MatchedRelation`) are fact columns, not
 a per-cell dict; since format 7 the pickled config has no
 ``cooccur_tying`` field, so a format-6 session saved with value tying
-cannot load and silently repair with pair tying.  Format 8 is to change
-the container (``.npz`` arrays and a JSON manifest), not the content.
-Stage
-files are written only for artifacts present on the context, so a
-session checkpointed mid-pipeline rehydrates mid-pipeline and the staged
-plan resumes from exactly where it stopped.  The digests
-(``weights_basis``, ``marginals_basis`` on the context) let a rehydrated
-session with unchanged config and feedback skip learn and infer and run
-apply alone.  Writes go to a temporary sibling directory; the previous
-checkpoint is renamed aside, the new one renamed in, and only then is the
-old one deleted, so a crash at any point leaves a complete checkpoint —
-between the two renames under its aside name, where :meth:`load` finds it.
+cannot load and silently repair with pair tying; since format 8 large
+arrays live in the ``.bin`` sidecars (above).  Stage files are written
+only for artifacts present on the context, so a session checkpointed
+mid-pipeline rehydrates mid-pipeline and the staged plan resumes from
+exactly where it stopped.  The digests (``weights_basis``,
+``marginals_basis`` on the context) let a rehydrated session with
+unchanged config and feedback skip learn and infer and run apply alone.
+Writes go to a temporary sibling directory; the previous checkpoint is
+renamed aside, the new one renamed in, and only then is the old one
+deleted, so a crash at any point leaves a complete checkpoint — between
+the two renames under its aside name, where :meth:`load` finds it.
 
 Rehydration is verified: the loaded context's content fingerprints
 must match the ones stamped at save time, and a loaded
@@ -59,9 +76,11 @@ checkpoint written for one problem cannot silently resurrect another.
 from __future__ import annotations
 
 import json
+import mmap
 import os
 import pickle
 import shutil
+import struct
 from pathlib import Path
 
 from repro.core.stages import RepairContext
@@ -71,7 +90,14 @@ log = get_logger("serve.checkpoint")
 
 #: Bump when the on-disk layout changes; mismatched checkpoints are
 #: rejected (the session simply pays a cold run).
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
+
+#: Smallest pickle buffer written out of band into a stage's ``.bin``
+#: sidecar; a smaller one stays inside the pickle.
+_OUT_OF_BAND_BYTES = 64 * 1024
+
+#: Alignment of the header end and of every buffer in a sidecar.
+_ALIGN = 64
 
 #: Stage name → the context artifacts serialized in that stage's file.
 STAGE_ARTIFACTS = (
@@ -224,17 +250,39 @@ class CheckpointStore:
     # ------------------------------------------------------------------
     @staticmethod
     def _dump(path: Path, payload: dict) -> None:
+        """Pickle ``payload`` to ``path``; its buffers of at least
+        ``_OUT_OF_BAND_BYTES`` go to the ``.bin`` sidecar, written only
+        when there is one."""
+        buffers: list[memoryview] = []
+
+        def out_of_band(buffer: pickle.PickleBuffer) -> bool:
+            raw = buffer.raw()
+            if raw.nbytes < _OUT_OF_BAND_BYTES:
+                return True  # in band
+            buffers.append(raw)
+            return False
+
         try:
             with path.open("wb") as handle:
-                pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump(payload, handle, protocol=5, buffer_callback=out_of_band)
         except (pickle.PicklingError, TypeError, AttributeError) as exc:
             raise CheckpointError(f"cannot serialize {path.name}: {exc}")
+        if buffers:
+            sizes = [raw.nbytes for raw in buffers]
+            with path.with_suffix(".bin").open("wb") as handle:
+                header = struct.pack(f"<{len(sizes) + 1}Q", len(sizes), *sizes)
+                handle.write(header + bytes(_pad(len(header))))
+                for raw in buffers:
+                    handle.write(raw)
+                    handle.write(bytes(_pad(raw.nbytes)))
 
     @staticmethod
     def _load(path: Path) -> dict:
         try:
+            sidecar = path.with_suffix(".bin")
+            buffers = _map_sidecar(sidecar) if sidecar.exists() else None
             with path.open("rb") as handle:
-                payload = pickle.load(handle)
+                payload = pickle.load(handle, buffers=buffers)
             if not isinstance(payload, dict):
                 raise TypeError(f"expected a dict, found {type(payload).__name__}")
         except Exception as exc:
@@ -263,3 +311,35 @@ class CheckpointStore:
                     f"checkpoint {sid} model fingerprint mismatch: "
                     f"saved {saved_model}, rehydrated {current_model}"
                 )
+
+
+def _pad(size: int) -> int:
+    """Bytes of zeros that bring ``size`` to a multiple of ``_ALIGN``."""
+    return -size % _ALIGN
+
+
+def _map_sidecar(path: Path) -> list[memoryview]:
+    """The buffers of a ``.bin`` sidecar, as slices of a copy-on-write map.
+
+    The file's size must be exactly what its header describes, so a
+    truncated, extended or empty sidecar (or a damaged header) is refused
+    before anything is mapped.
+    """
+    with path.open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size < 8:
+            raise ValueError(f"sidecar holds {size} bytes, no header")
+        (count,) = struct.unpack("<Q", handle.read(8))
+        if 8 * (count + 1) > size:
+            raise ValueError(f"sidecar header names {count} buffers in {size} bytes")
+        sizes = struct.unpack(f"<{count}Q", handle.read(8 * count))
+        offset = 8 * (count + 1) + _pad(8 * (count + 1))
+        starts = []
+        for nbytes in sizes:
+            starts.append(offset)
+            offset += nbytes + _pad(nbytes)
+        if offset != size:
+            raise ValueError(f"sidecar holds {size} bytes, its header {offset}")
+        mapped = mmap.mmap(handle.fileno(), size, access=mmap.ACCESS_COPY)
+    view = memoryview(mapped)
+    return [view[start : start + nbytes] for start, nbytes in zip(starts, sizes)]

@@ -359,3 +359,29 @@ class TestCodesFromPrunerToFeaturizer:
         assert model.graph.matrix.num_entries
         if name == "hospital":
             assert model.grounding["pairs"] and model.graph.factors
+
+    def test_dc_factor_grounding_builds_each_candidate_index_once(self, monkeypatch):
+        """The pair enumerator and the factor-table builder read one query
+        catalog through one set of code spaces: no join attribute's
+        candidate index is built twice in a compile."""
+        from repro.data import generate_hospital
+        from repro.engine.store import ColumnStore
+        from repro.eval.harness import holoclean_config_for
+
+        generated = generate_hospital(num_rows=200, seed=7000)
+        config = holoclean_config_for(generated).with_(
+            use_dc_factors=True, use_partitioning=True
+        )
+        detection = ViolationDetector(generated.constraints).detect(generated.dirty)
+        built, candidate_index = [], ColumnStore.candidate_index
+
+        def spy(self, attribute, *args, **kwargs):
+            built.append(attribute)
+            return candidate_index(self, attribute, *args, **kwargs)
+
+        monkeypatch.setattr(ColumnStore, "candidate_index", spy)
+        model = ModelCompiler(
+            generated.dirty, generated.constraints, config, detection
+        ).compile()
+        assert model.graph.factors and len(built) > 1
+        assert len(built) == len(set(built)), sorted(built)

@@ -257,7 +257,7 @@ def test_flights_evaluates_once_per_distinct_partner_group():
                         continue
                     del lengths[:]
                     fast._count_dc_violations(dc, pos, block)
-                    rows = len(block.flat_var)
+                    rows = len(block.flat_row)
                     groups = max_distinct_groups(dataset, dc, 3 - pos)
                     evaluated += sum(lengths)
                     residuals = len(dc.residual_predicates)

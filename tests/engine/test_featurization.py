@@ -346,6 +346,44 @@ def test_one_candidate_spec_allocates_no_key_and_emits_no_entry():
     assert np.diff(matrix.row_ptr).tolist() == [0, 3, 2]
 
 
+def test_frequency_emits_no_zero(hospital):
+    # Leave-one-out makes a value only its own cell holds, or one absent
+    # from the data, weigh 0: _frequency drops those rows where they arise,
+    # so no batch the emitter hands on holds a zero and every batch's rows
+    # ascend (the builder's counting sort needs no sort for them).
+    config = HoloCleanConfig(tau=hospital.recommended_tau)
+    dataset = hospital.dirty
+    detection = ViolationDetector(hospital.constraints).detect(dataset)
+    model = ModelCompiler(dataset, hospital.constraints, config, detection).compile()
+    engine = Engine(dataset)
+    context = FeaturizationContext(dataset, engine.statistics(), config)
+    featurizer = VectorFeaturizer(engine, context, hospital.constraints)
+    featurizer._build_blocks(model.graph.variables)
+    rows = sum(len(block.flat_row) for block in featurizer._blocks.values())
+    batches = featurizer._frequency()
+    assert batches
+    for batch in batches:
+        assert batch.value.all()
+        assert (np.diff(batch.row) >= 0).all()
+    assert 0 < sum(len(batch.row) for batch in batches) < 2 * rows
+
+
+def test_a_builder_of_other_variables_is_refused():
+    # Entries carry catalog domain positions as matrix rows, so the
+    # builder's variables must be the catalog's: one extra is a ValueError
+    # before any key is allocated.
+    dataset = Dataset(Schema(["A", "B"]), [["x", "1"], ["y", "1"], ["z", "2"]])
+    engine = Engine(dataset)
+    config = HoloCleanConfig(use_cooccur=False, use_dc_feats=False)
+    context = FeaturizationContext(dataset, engine.statistics(), config)
+    specs = [(Cell(0, "A"), ["x", "y"]), (Cell(1, "B"), ["1", "2"])]
+    builder = FeatureMatrixBuilder(FeatureSpace())
+    builder.start_variables([2, 2, 2])
+    with pytest.raises(ValueError, match="catalog"):
+        VectorFeaturizer(engine, context, []).featurize(specs, builder)
+    assert len(builder.space) == 0
+
+
 def featurize_with(featurizer, specs):
     builder = FeatureMatrixBuilder(FeatureSpace())
     builder.start_variables([len(domain) for _, domain in specs])

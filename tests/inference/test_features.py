@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.inference.features import FeatureMatrixBuilder, FeatureSpace
 
@@ -275,3 +277,119 @@ class TestFeatureMatrixBuilder:
         m._row_ids = m.entry_row_ids()
         loaded = pickle.loads(pickle.dumps(m))
         assert loaded.scores(np.array([2.0])).tolist() == [0.0, 1.5]
+
+
+KEYS = ["a", "b", "c", "d"]
+
+
+@st.composite
+def hand_ins(draw):
+    """Variable sizes and a sequence of builder calls over them.
+
+    Each call is ``(method, entries)`` with entries ``(var, candidate, key
+    index, value)``: ``add`` per entry, ``add_entries`` with hashable keys,
+    ``add_rows`` in the drawn order (sorted or not, empty allowed).  A
+    small key and value pool repeats (row, key) pairs; rows may get none.
+    """
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    entry = st.integers(0, len(sizes) - 1).flatmap(
+        lambda var: st.tuples(
+            st.just(var),
+            st.integers(0, sizes[var] - 1),
+            st.integers(0, len(KEYS) - 1),
+            st.sampled_from([0.25, 0.5, 1.0, -2.0, 3.0]),
+        )
+    )
+    calls = st.tuples(
+        st.sampled_from(["add", "add_entries", "add_rows", "add_rows_sorted"]),
+        st.lists(entry, max_size=12),
+    )
+    return sizes, draw(st.lists(calls, max_size=6))
+
+
+def reference_build(sizes, entries):
+    """The layout a stable sort of every entry by row gives."""
+    start = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=start[1:])
+    if entries:
+        var, cand, key, value = (np.array(column) for column in zip(*entries))
+    else:
+        var = cand = key = np.empty(0, dtype=np.int64)
+        value = np.empty(0, dtype=np.float64)
+    rows = start[var.astype(np.int64)] + cand.astype(np.int64)
+    order = np.argsort(rows, kind="stable")
+    row_ptr = np.zeros(start[-1] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=start[-1]), out=row_ptr[1:])
+    return {
+        "var_row_start": start,
+        "indices": key.astype(np.int64)[order],
+        "values": value.astype(np.float64)[order],
+        "row_ptr": row_ptr,
+    }
+
+
+@given(hand_ins())
+@settings(max_examples=150, deadline=None)
+def test_counting_sort_build_equals_a_stable_sort_by_row(case):
+    sizes, calls = case
+    space = FeatureSpace()
+    for key in KEYS:
+        space.index(key)
+    builder = FeatureMatrixBuilder(space)
+    builder.start_variables(sizes)
+    entries = []
+    for method, chunk in calls:
+        if method == "add_rows_sorted":
+            chunk = sorted(chunk, key=lambda e: builder.var_row_start[e[0]] + e[1])
+        entries += chunk
+        var, cand, key, value = (list(c) for c in zip(*chunk)) if chunk else [[]] * 4
+        if method == "add":
+            for args in zip(var, cand, (KEYS[k] for k in key), value):
+                builder.add(*args)
+        elif method == "add_entries":
+            builder.add_entries(
+                np.array(var, dtype=np.int64),
+                np.array(cand, dtype=np.int64),
+                [KEYS[k] for k in key],
+                np.array(value, dtype=np.float64),
+            )
+        else:
+            rows = builder.var_row_start[np.array(var, dtype=np.int64)]
+            builder.add_rows(rows + np.array(cand, dtype=np.int64), key, value)
+    matrix = builder.build()
+    for name, want in reference_build(sizes, entries).items():
+        got = getattr(matrix, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+    assert matrix.num_features == len(KEYS)
+
+
+class TestAddRows:
+    def test_validates(self):
+        space = FeatureSpace()
+        space.index("a")
+        builder = FeatureMatrixBuilder(space)
+        builder.start_variables([2, 1])
+        with pytest.raises(ValueError, match="align"):
+            builder.add_rows(np.array([0, 1]), np.array([0]), np.array([1.0]))
+        with pytest.raises(IndexError, match="row"):
+            builder.add_rows(np.array([3]), np.array([0]), np.array([1.0]))
+        with pytest.raises(IndexError, match="feature index"):
+            builder.add_rows(np.array([0]), np.array([1]), np.array([1.0]))
+        assert builder.build().num_entries == 0
+
+    def test_chunks_are_read_in_place(self):
+        # A chunk is scattered once into the matrix's arrays: the caller's
+        # arrays are neither copied into the builder nor reordered.
+        space = FeatureSpace()
+        builder = FeatureMatrixBuilder(space)
+        builder.start_variables([2, 2])
+        keys = np.array([space.index("a"), space.index("b"), space.index("a")])
+        rows, values = np.array([3, 0, 1]), np.array([1.0, 2.0, 3.0])
+        builder.add_rows(rows, keys, values)
+        assert builder._chunks[0][0] is rows and builder._chunks[0][2] is values
+        matrix = builder.build()
+        assert matrix.row_ptr.tolist() == [0, 1, 2, 2, 3]
+        assert matrix.indices.tolist() == [1, 0, 0]
+        assert matrix.values.tolist() == [2.0, 3.0, 1.0]
+        assert rows.tolist() == [3, 0, 1] and values.tolist() == [1.0, 2.0, 3.0]

@@ -11,9 +11,12 @@ path too.
 from __future__ import annotations
 
 import copyreg
+import gc
+import os
 import pickle
 import pickletools
 import random
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -236,16 +239,21 @@ class TestMidPipelineCheckpoint:
         _assert_same_outcome(warm, rehydrated)
 
 
-class _CachelessPickler(pickle.Pickler):
-    """Pickles a variable catalog the way it was pickled before the
+def _cacheless(block: VariableBlock):
+    """Reduces a variable catalog the way it was pickled before the
     catalog had lookup caches: its state holds ``_index: None`` and
     neither ``_cells`` nor ``_search``."""
+    state = {k: v for k, v in vars(block).items() if k not in ("_cells", "_search")}
+    return copyreg.__newobj__, (type(block),), {**state, "_index": None}
 
-    def reducer_override(self, obj):
-        if not isinstance(obj, VariableBlock):
-            return NotImplemented
-        state = {k: v for k, v in vars(obj).items() if k not in ("_cells", "_search")}
-        return copyreg.__newobj__, (type(obj),), {**state, "_index": None}
+
+def _replace(path: Path, data: bytes) -> None:
+    """Write ``data`` over ``path`` through a rename, never in place: a
+    loaded context may map the old file, and a mapped file shrunk in place
+    faults the process."""
+    staged = path.with_name(path.name + ".new")
+    staged.write_bytes(data)
+    staged.replace(path)
 
 
 class TestOlderCheckpoints:
@@ -268,19 +276,25 @@ class TestOlderCheckpoints:
         assert "parallel_workers" not in vars(rehydrated.config.with_(tau=0.4))
 
     def test_catalog_pickled_without_lookup_caches_serves_feedback(
-        self, hospital, tmp_path
+        self, hospital, tmp_path, monkeypatch
     ):
         """A catalog pickled before the lookup caches existed must
         rehydrate into a session that takes feedback and re-repairs
         exactly like the warm one."""
         warm = RepairPlan.default().run(_fresh_ctx(hospital))
-        store = CheckpointStore(tmp_path)
+        store = CheckpointStore(tmp_path / "store")
         store.save("sid", warm)
         compiled = store.path("sid") / "compile.pkl"
-        with compiled.open("rb") as handle:
-            payload = pickle.load(handle)
-        with compiled.open("wb") as handle:
-            _CachelessPickler(handle, pickle.HIGHEST_PROTOCOL).dump(payload)
+        payload = CheckpointStore._load(compiled)
+        # Re-pickled beside the checkpoint and renamed in: the payload's
+        # arrays map the sidecar being replaced.
+        aside = tmp_path / "aside"
+        aside.mkdir()
+        with monkeypatch.context() as patch:
+            patch.setitem(copyreg.dispatch_table, VariableBlock, _cacheless)
+            CheckpointStore._dump(aside / "compile.pkl", payload)
+        for written in aside.iterdir():
+            written.replace(compiled.with_name(written.name))
 
         rehydrated = store.load("sid")
         state = vars(rehydrated.model.graph.variables)
@@ -327,12 +341,12 @@ class TestStoreMechanics:
         # Format 1 pickled the hypergraph as Violation objects, format 2
         # one VariableInfo per variable, format 3 one object per DC factor,
         # format 4 the dataset as rows and the noisy cells as Cells,
-        # format 5 the external matches as a per-cell dict and format 6 a
-        # config that may carry cooccur_tying; all must stop at the
-        # version gate, not inside the unpickler or in a run that silently
-        # ties weights another way.
-        assert FORMAT_VERSION == 7
-        for other in (1, 2, 3, 4, 5, 6, 99):
+        # format 5 the external matches as a per-cell dict, format 6 a
+        # config that may carry cooccur_tying and format 7 its arrays in
+        # band; all must stop at the version gate, not inside the
+        # unpickler or in a run that silently ties weights another way.
+        assert FORMAT_VERSION == 8
+        for other in (1, 2, 3, 4, 5, 6, 7, 99):
             meta.write_text(meta.read_text().replace(current, f'"version": {other}'))
             with pytest.raises(CheckpointError, match="format version"):
                 store.load("sid")
@@ -522,3 +536,109 @@ class TestDamagedFiles:
                 saved.load("sid")
         finally:
             path.write_bytes(good)
+
+
+def _open_descriptors() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestSidecars:
+    """Format 8: a stage's large arrays live in a ``.bin`` sidecar that a
+    load maps copy-on-write instead of reading."""
+
+    @pytest.fixture
+    def saved(self, hospital, tmp_path):
+        store = CheckpointStore(tmp_path)
+        ctx = RepairPlan.default().run(_fresh_ctx(hospital))
+        store.save("sid", ctx)
+        return store, ctx
+
+    def test_only_large_arrays_leave_the_pickle(self, saved):
+        store, ctx = saved
+        directory = store.path("sid")
+        assert (directory / "compile.bin").is_file()
+        assert not (directory / "learn.bin").exists()  # no buffer, no sidecar
+        matrix = store.load("sid").model.graph.matrix
+        assert matrix.indices.nbytes >= 64 * 1024
+        for name in ("var_row_start", "indices", "values", "row_ptr"):
+            want = getattr(ctx.model.graph.matrix, name)
+            got = getattr(matrix, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_writes_to_a_loaded_array_never_reach_the_file(self, saved):
+        store, ctx = saved
+        loaded = store.load("sid")
+        loaded.model.graph.matrix.values[:] = -1.0
+        again = store.load("sid").model.graph.matrix.values
+        np.testing.assert_array_equal(again, ctx.model.graph.matrix.values)
+
+    @pytest.mark.parametrize(
+        "damage", ["empty", "truncated", "extended", "header", "data", "missing"]
+    )
+    def test_damaged_sidecar_is_a_context_or_a_checkpoint_error(self, saved, damage):
+        store, ctx = saved
+        alive = store.load("sid")  # maps the sidecar the damage replaces
+        kept = alive.model.graph.matrix.values.copy()
+        path = store.path("sid") / "compile.bin"
+        good = path.read_bytes()
+        (count,) = struct.unpack("<Q", good[:8])
+        rng = random.Random(damage)
+        for trial in range(12):
+            damaged = bytearray(good)
+            if damage == "empty":
+                damaged = bytearray()
+            elif damage == "truncated":
+                del damaged[rng.randrange(len(damaged)) :]
+            elif damage == "extended":
+                damaged += bytes(rng.randrange(1, 100))
+            elif damage == "header":  # the count or a size word
+                damaged[rng.randrange(8 * (count + 1))] ^= 1 << rng.randrange(8)
+            elif damage == "data":
+                for _ in range(3):
+                    damaged[rng.randrange(8 * (count + 1), len(damaged))] ^= 0xFF
+            if damage == "missing":
+                path.unlink()
+            else:
+                _replace(path, bytes(damaged))
+            if damage == "data":
+                # Flips inside array data still load; nothing but a context
+                # or a CheckpointError may come out.
+                try:
+                    assert isinstance(store.load("sid"), RepairContext)
+                except CheckpointError:
+                    pass
+            else:
+                with pytest.raises(CheckpointError, match="cannot deserialize"):
+                    store.load("sid")
+            _replace(path, good)
+        np.testing.assert_array_equal(alive.model.graph.matrix.values, kept)
+        assert isinstance(store.load("sid"), RepairContext)
+
+    def test_saving_over_a_session_keeps_a_loaded_context_intact(
+        self, hospital, saved
+    ):
+        store, ctx = saved
+        loaded = store.load("sid")
+        matrix = loaded.model.graph.matrix
+        kept = {name: getattr(matrix, name).copy() for name in ("indices", "values")}
+        for value in ("verified", "again"):
+            ctx.feedback[next(iter(ctx.result.inferences))] = value
+            store.save("sid", RepairPlan.default().run(ctx))
+        for name, want in kept.items():
+            np.testing.assert_array_equal(getattr(matrix, name), want)
+        warm = RepairPlan.default().run(_fresh_ctx(hospital))
+        _assert_same_outcome(warm, RepairPlan.default().run(loaded))
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_dropping_a_loaded_context_releases_its_descriptors(self, saved):
+        store, _ = saved
+        gc.collect()
+        before = _open_descriptors()
+        loaded = store.load("sid")
+        sidecars = len(list(store.path("sid").glob("*.bin")))
+        assert _open_descriptors() == before + sidecars
+        del loaded
+        gc.collect()
+        assert _open_descriptors() == before

@@ -345,6 +345,7 @@ class TestMarginals:
             assert renamed != detect.read_bytes()
             detect.write_bytes(renamed)
         else:
+            assert FORMAT_VERSION == 8
             meta = directory / "meta.json"
             current = f'"version": {FORMAT_VERSION}'
             assert current in meta.read_text()
