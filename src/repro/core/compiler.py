@@ -145,6 +145,12 @@ class ModelCompiler:
     def compile(self) -> CompiledModel:
         config = self.config
         store = self.engine.store
+        for name in config.source_entity_attributes:
+            if name not in store.attributes:
+                raise ValueError(
+                    f"source_entity_attributes names {name!r}, which is not an "
+                    f"attribute of the dataset"
+                )
         # Query cells: the noisy cells of repairable attributes, as
         # (tid, store attribute code) in (tid, attribute name) order.
         repairable = set(self.dataset.schema.data_attributes)

@@ -73,7 +73,8 @@ class HoloCleanConfig:
     cooccur_smoothing: float = 1.0
 
     #: Attributes identifying one real-world entity across tuples, used by
-    #: the source-reliability featurizer (e.g. ``["Flight"]``).
+    #: the source-reliability featurizer (e.g. ``["Flight"]``); a list or
+    #: tuple of names, stored as a tuple.
     source_entity_attributes: tuple[str, ...] = ()
 
     # --- DC factor grounding (Algorithm 1) ----------------------------------
@@ -123,33 +124,6 @@ class HoloCleanConfig:
     #: is a memory diagnostic, never a timing (the benchmark leaves it
     #: off).  Repairs are identical either way.
     trace_memory: bool = False
-
-    # --- serving (repro serve) ----------------------------------------------
-    #: Capacity of the serving layer's LRU session store: how many warm
-    #: :class:`~repro.core.stages.RepairContext`\ s are retained in
-    #: memory before the least-recently-used one is checkpointed (when a
-    #: checkpoint directory is configured) and evicted.
-    serve_max_sessions: int = 16
-
-    #: Worker processes of the serving job pool.  Cold repairs (full
-    #: detect→apply runs) execute on a bounded ``ProcessPoolExecutor``
-    #: of this size; ``0`` runs every job inline in the request thread
-    #: (no pool — the mode used by tests and single-tenant setups).
-    serve_workers: int = 2
-
-    #: Directory for per-stage session checkpoints; ``None`` (default)
-    #: disables checkpointing, so evicted sessions pay a full cold run
-    #: on their next request instead of rehydrating.
-    serve_checkpoint_dir: str | None = None
-
-    #: Queued jobs tolerated beyond the in-flight worker capacity
-    #: before the service sheds load (HTTP 429 + Retry-After).
-    serve_queue_depth: int = 8
-
-    #: Per-job wall-clock budget (seconds) enforced by the HTTP server;
-    #: jobs exceeding it are cancelled and reported as HTTP 504.
-    #: ``0`` disables the timeout.
-    serve_job_timeout: float = 300.0
 
     # --- learning -----------------------------------------------------------
     epochs: int = 60
@@ -263,21 +237,18 @@ class HoloCleanConfig:
                 or count < least
             ):
                 raise ValueError(f"{name} must be an integer >= {least}, got {count!r}")
-        if self.serve_max_sessions < 1:
+        # A bare string would key entities letter by letter, and a number
+        # or null would first fail inside a kernel.
+        entity = self.source_entity_attributes
+        if not (
+            isinstance(entity, (list, tuple))
+            and all(isinstance(name, str) for name in entity)
+        ):
             raise ValueError(
-                f"serve_max_sessions must be at least 1, got "
-                f"{self.serve_max_sessions}"
+                f"source_entity_attributes must be a list of attribute names, "
+                f"got {entity!r}"
             )
-        if self.serve_workers < 0:
-            raise ValueError(f"serve_workers must be >= 0, got {self.serve_workers}")
-        if self.serve_queue_depth < 0:
-            raise ValueError(
-                f"serve_queue_depth must be >= 0, got {self.serve_queue_depth}"
-            )
-        if self.serve_job_timeout < 0:
-            raise ValueError(
-                f"serve_job_timeout must be >= 0, got {self.serve_job_timeout}"
-            )
+        self.source_entity_attributes = tuple(entity)
 
     # ------------------------------------------------------------------
     @classmethod

@@ -188,9 +188,8 @@ class FeatureMatrixBuilder:
     Row ``var_row_start[v] + c`` is candidate ``c`` of variable ``v``.
     Entries are stored as chunks ``(rows, key indices, values)`` in
     hand-in order: :meth:`add_rows` takes a chunk as it stands (the
-    vectorized featurizer's path), :meth:`add_entries` addresses its rows
-    by (variable, candidate), and :meth:`add` buffers one entry at a time
-    until the next chunk or :meth:`build`.  :meth:`build` is a counting
+    vectorized featurizer's path), and :meth:`add` buffers one entry at a
+    time until the next chunk or :meth:`build`.  :meth:`build` is a counting
     sort: each row holds its entries in the order they were handed in.
     """
 
@@ -253,36 +252,6 @@ class FeatureMatrixBuilder:
                 )
             )
             self._pending = []
-
-    def add_entries(
-        self, var_ids: np.ndarray, cand_idx: np.ndarray, keys, values: np.ndarray
-    ) -> None:
-        """Attach a whole batch of entries, addressed by (variable, candidate).
-
-        ``keys`` is either an integer array of feature-space indices the
-        caller already allocated or a sequence of hashable weight keys
-        resolved here in batch order.  Entries keep their batch order
-        inside each row, after everything handed in before this call.
-        """
-        var_ids = np.asarray(var_ids, dtype=np.int64)
-        cand_idx = np.asarray(cand_idx, dtype=np.int64)
-        # Validate everything before touching the feature space: a rejected
-        # call must not allocate keys.
-        if not (len(var_ids) == len(cand_idx) == len(values) == len(keys)):
-            raise ValueError("add_entries arrays must align")
-        if not len(var_ids):
-            return
-        sizes = np.diff(self.var_row_start)
-        if int(var_ids.min()) < 0 or int(var_ids.max()) >= len(sizes):
-            raise IndexError("variable id out of range")
-        if np.any((cand_idx < 0) | (cand_idx >= sizes[var_ids])):
-            raise IndexError("a candidate index is outside its domain")
-        if not (isinstance(keys, np.ndarray) and keys.dtype.kind in "iu"):
-            # Per key by nature; the production path hands in indices.
-            keys = np.fromiter(
-                (self.space.index(k) for k in keys), dtype=np.int64, count=len(keys)
-            )
-        self.add_rows(self.var_row_start[var_ids] + cand_idx, keys, values)
 
     def add_rows(
         self, rows: np.ndarray, key_idx: np.ndarray, values: np.ndarray

@@ -55,12 +55,15 @@ format 6 a compiled model's external-dictionary matches
 a per-cell dict; since format 7 the pickled config has no
 ``cooccur_tying`` field, so a format-6 session saved with value tying
 cannot load and silently repair with pair tying; since format 8 large
-arrays live in the ``.bin`` sidecars (above).  Stage files are written
-only for artifacts present on the context, so a session checkpointed
-mid-pipeline rehydrates mid-pipeline and the staged plan resumes from
-exactly where it stopped.  The digests (``weights_basis``,
-``marginals_basis`` on the context) let a rehydrated session with
-unchanged config and feedback skip learn and infer and run apply alone.
+arrays live in the ``.bin`` sidecars (above); since format 9 the pickled
+config holds the repair's settings only, none of the serving process's
+(worker count, session capacity, checkpoint directory, queue depth, job
+timeout).  Stage files are written only for artifacts present on the
+context, so a session checkpointed mid-pipeline rehydrates mid-pipeline
+and the staged plan resumes from exactly where it stopped.  The digests
+(``weights_basis``, ``marginals_basis`` on the context) let a rehydrated
+session with unchanged config and feedback skip learn and infer and run
+apply alone.
 Writes go to a temporary sibling directory; the previous checkpoint is
 renamed aside, the new one renamed in, and only then is the old one
 deleted, so a crash at any point leaves a complete checkpoint — between
@@ -90,7 +93,7 @@ log = get_logger("serve.checkpoint")
 
 #: Bump when the on-disk layout changes; mismatched checkpoints are
 #: rejected (the session simply pays a cold run).
-FORMAT_VERSION = 8
+FORMAT_VERSION = 9
 
 #: Smallest pickle buffer written out of band into a stage's ``.bin``
 #: sidecar; a smaller one stays inside the pickle.

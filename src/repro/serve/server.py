@@ -18,7 +18,7 @@ method      path                               behaviour
 Job requests ride :meth:`RepairService.submit_repair` /
 ``submit_feedback`` futures bridged into the event loop with
 ``asyncio.wrap_future``, so the loop stays free while repairs run on
-the worker pool; ``serve_job_timeout`` bounds each job
+the worker pool; the server's ``job_timeout`` bounds each job
 (``asyncio.wait_for`` → 504), and a saturated pool surfaces as
 429 with a ``Retry-After`` header.  Error mapping is uniform:
 :class:`~repro.serve.service.ServiceError` carries its own status,
@@ -26,7 +26,9 @@ the worker pool; ``serve_job_timeout`` bounds each job
 anything else is a 500.
 
 ``python -m repro serve`` (see :func:`main`) is the operator entry
-point; ``port=0`` binds an ephemeral port, which tests and the load
+point: its flags are the parameters of :class:`RepairService` and
+:class:`RepairServer`, and their defaults live in :func:`build_parser`
+alone.  ``port=0`` binds an ephemeral port, which tests and the load
 benchmark use.
 """
 
@@ -35,9 +37,10 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import math
 import re
+from numbers import Real
 
-from repro.core.config import HoloCleanConfig
 from repro.obs import add_verbosity_flags, configure, get_logger, verbosity_from
 from repro.serve.service import RepairService, Saturated, ServiceError
 
@@ -70,14 +73,33 @@ _STATUS_TEXT = {
 
 
 class RepairServer:
-    """One service bound to one listening socket."""
+    """One service bound to one listening socket.
+
+    ``job_timeout`` is each job's wall-clock budget in seconds (``0``:
+    none); a job past it is cancelled and answered with 504.
+    """
 
     def __init__(
-        self, service: RepairService, host: str = "127.0.0.1", port: int = 8080
+        self,
+        service: RepairService,
+        host: str = "127.0.0.1",
+        port: int = 8080,
+        *,
+        job_timeout: float,
     ):
+        # NaN passes a ``< 0`` test, and ``wait_for`` times out at once on it.
+        if not (
+            isinstance(job_timeout, Real)
+            and math.isfinite(job_timeout)
+            and job_timeout >= 0
+        ):
+            raise ValueError(
+                f"job_timeout must be a finite number >= 0, got {job_timeout!r}"
+            )
         self.service = service
         self.host = host
         self.port = port
+        self.job_timeout = job_timeout
         self._server: asyncio.AbstractServer | None = None
 
     # ------------------------------------------------------------------
@@ -199,7 +221,7 @@ class RepairServer:
 
     async def _job(self, future) -> dict:
         """Await a service future with the configured per-job budget."""
-        timeout = self.service.config.serve_job_timeout or None
+        timeout = self.job_timeout or None
         wrapped = asyncio.wrap_future(future)
         try:
             return await asyncio.wait_for(wrapped, timeout)
@@ -290,16 +312,25 @@ async def _run(server: RepairServer) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     """``python -m repro serve``: run the HTTP repair service."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     configure(verbosity_from(args))
-    config = HoloCleanConfig(
-        serve_max_sessions=args.max_sessions,
-        serve_workers=args.workers,
-        serve_checkpoint_dir=args.checkpoint_dir,
-        serve_queue_depth=args.queue_depth,
-        serve_job_timeout=args.job_timeout,
-    )
-    server = RepairServer(RepairService(config), host=args.host, port=args.port)
+    try:
+        service = RepairService(
+            workers=args.workers,
+            max_sessions=args.max_sessions,
+            checkpoint_dir=args.checkpoint_dir,
+            queue_depth=args.queue_depth,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
+    try:
+        server = RepairServer(
+            service, host=args.host, port=args.port, job_timeout=args.job_timeout
+        )
+    except ValueError as exc:
+        service.close()
+        parser.error(str(exc))
     try:
         asyncio.run(_run(server))
     except KeyboardInterrupt:

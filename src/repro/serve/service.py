@@ -9,7 +9,7 @@ response and in the ``serve.*`` metrics:
 
 * **cold** — no warm session and no checkpoint: the full
   Detect→Compile→Learn→Infer→Apply plan runs, on a bounded
-  ``ProcessPoolExecutor`` when ``serve_workers > 0`` (the grounding
+  ``ProcessPoolExecutor`` when ``workers > 0`` (the grounding
   work happens off the serving process) or inline otherwise, and the
   finished context is admitted to the LRU session store.
 * **rehydrated** — no warm session but a checkpoint exists: the
@@ -29,8 +29,14 @@ A session's checkpoint is written after a cold, rehydrated or feedback
 request and on eviction, but only if a checkpointed stage ran since its
 last successful save: evicting an unchanged session writes nothing.
 
+The service's own settings are constructor parameters, not config
+fields: ``workers``, ``max_sessions``, ``checkpoint_dir`` and
+``queue_depth`` configure this process, and the config (the repair's
+settings, which every digest and fingerprint hashes) holds none of
+them, so a restart with other flags still rehydrates its sessions.
+
 Admission control is a simple bounded counter: at most
-``serve_workers`` jobs run while ``serve_queue_depth`` more may wait;
+``max(1, workers)`` jobs run while ``queue_depth`` more may wait;
 beyond that :class:`Saturated` is raised, which the HTTP layer maps to
 429 + ``Retry-After``.  Each completed job refreshes the ``serve.*``
 gauges and appends to the ``serve.job_seconds`` series; per-request
@@ -45,6 +51,7 @@ import threading
 import time
 from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from concurrent.futures import ThreadPoolExecutor
+from numbers import Integral
 
 import numpy as np
 
@@ -124,20 +131,34 @@ def _run_cold_job(ctx: RepairContext) -> RepairContext:
 
 
 class RepairService:
-    """Session-keyed repair execution behind a bounded worker pool."""
+    """Session-keyed repair execution behind a bounded worker pool.
 
-    def __init__(self, config: HoloCleanConfig | None = None):
+    ``config`` is the base every request's overrides apply to.
+    ``workers`` is the size of the cold-repair process pool (``0`` runs
+    every job inline in the request thread), ``max_sessions`` the LRU
+    store's capacity, ``checkpoint_dir`` where evicted sessions are
+    saved (``None``: nowhere, so they pay a cold run), and
+    ``queue_depth`` how many jobs may wait beyond the running ones
+    before :class:`Saturated`.
+    """
+
+    def __init__(
+        self,
+        config: HoloCleanConfig | None = None,
+        *,
+        workers: int,
+        max_sessions: int,
+        checkpoint_dir: str | None,
+        queue_depth: int,
+    ):
+        for name, count in (("workers", workers), ("queue_depth", queue_depth)):
+            if not isinstance(count, Integral) or isinstance(count, bool) or count < 0:
+                raise ValueError(f"{name} must be an integer >= 0, got {count!r}")
         self.config = config or HoloCleanConfig()
-        self.workers = self.config.serve_workers
-        self.queue_depth = self.config.serve_queue_depth
-        self.store = SessionStore(
-            capacity=self.config.serve_max_sessions, on_evict=self._on_evict
-        )
-        self.checkpoints = (
-            CheckpointStore(self.config.serve_checkpoint_dir)
-            if self.config.serve_checkpoint_dir
-            else None
-        )
+        self.workers = workers
+        self.queue_depth = queue_depth
+        self.store = SessionStore(capacity=max_sessions, on_evict=self._on_evict)
+        self.checkpoints = CheckpointStore(checkpoint_dir) if checkpoint_dir else None
         self.metrics = MetricsRegistry()
         self.started_at = time.time()
         self._jobs = ThreadPoolExecutor(
@@ -512,20 +533,6 @@ class RepairService:
         overrides = payload.get("config", {})
         if not isinstance(overrides, dict):
             raise BadRequest("'config' must be an object of field overrides")
-        for banned in (
-            "serve_max_sessions",
-            "serve_workers",
-            "serve_checkpoint_dir",
-            "serve_queue_depth",
-            "serve_job_timeout",
-        ):
-            if banned in overrides:
-                raise BadRequest(f"{banned!r} is operator-only, not per-request")
-        if "source_entity_attributes" in overrides:
-            overrides = dict(overrides)
-            overrides["source_entity_attributes"] = tuple(
-                overrides["source_entity_attributes"]
-            )
         try:
             return self.config.with_(**overrides)
         except TypeError as exc:

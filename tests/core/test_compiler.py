@@ -76,6 +76,15 @@ class TestEvidenceSampling:
         assert sizes and all(s >= 2 for s in sizes)
 
 
+def test_unknown_entity_attribute_is_named(figure1_dataset, figure1_constraints):
+    # It used to surface as a bare KeyError from inside the featurizer.
+    config = HoloCleanConfig(tau=0.3, source_entity_attributes=["NoSuchAttr"])
+    detection = ViolationDetector(figure1_constraints).detect(figure1_dataset)
+    compiler = ModelCompiler(figure1_dataset, figure1_constraints, config, detection)
+    with pytest.raises(ValueError, match="'NoSuchAttr'"):
+        compiler.compile()
+
+
 class TestFactors:
     def test_no_factors_for_dc_feats(self, compiled):
         model, _ = compiled

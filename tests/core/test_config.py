@@ -35,9 +35,13 @@ class TestValidation:
 
     def test_some_signal_required(self):
         with pytest.raises(ValueError, match="at least one"):
-            HoloCleanConfig(use_dc_feats=False, use_dc_factors=False,
-                            use_cooccur=False, use_minimality=False,
-                            use_frequency=False)
+            HoloCleanConfig(
+                use_dc_feats=False,
+                use_dc_factors=False,
+                use_cooccur=False,
+                use_minimality=False,
+                use_frequency=False,
+            )
 
     @pytest.mark.parametrize("field", ["epochs", "gibbs_burn_in", "gibbs_sweeps"])
     @pytest.mark.parametrize("count", [-3, 2.5, "4", True])
@@ -47,9 +51,9 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             HoloCleanConfig(**{field: count})
 
-    @pytest.mark.parametrize("field", ["max_dc_feature_partners",
-                                       "evidence_negatives",
-                                       "max_training_cells"])
+    @pytest.mark.parametrize(
+        "field", ["max_dc_feature_partners", "evidence_negatives", "max_training_cells"]
+    )
     @pytest.mark.parametrize("count", [-5, -1, 2.5, 1.5, 2.0, "4", True])
     def test_kernel_counts_are_non_negative_integers(self, field, count):
         # Each used to construct and then crash inside a kernel: a negative
@@ -67,11 +71,18 @@ class TestValidation:
             with pytest.raises(ValueError, match=field):
                 HoloCleanConfig(**{field: None})
 
-    @pytest.mark.parametrize("field,bad", [
-        ("dc_feature_cap", 0.0), ("dc_feature_cap", -1.0),
-        ("dc_feature_cap", float("inf")), ("dc_feature_cap", "10"),
-        ("cooccur_smoothing", -1.0), ("cooccur_smoothing", float("nan")),
-        ("cooccur_smoothing", None)])
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("dc_feature_cap", 0.0),
+            ("dc_feature_cap", -1.0),
+            ("dc_feature_cap", float("inf")),
+            ("dc_feature_cap", "10"),
+            ("cooccur_smoothing", -1.0),
+            ("cooccur_smoothing", float("nan")),
+            ("cooccur_smoothing", None),
+        ],
+    )
     def test_feature_value_divisors_are_validated(self, field, bad):
         # 0/0 in the DC feature and x/0 in the co-occurrence conditional
         # used to "succeed" with an all-NaN column and zero repairs.
@@ -80,13 +91,23 @@ class TestValidation:
         assert HoloCleanConfig(cooccur_smoothing=0).cooccur_smoothing == 0
         assert HoloCleanConfig(dc_feature_cap=np.float64(3)).dc_feature_cap == 3
 
-    @pytest.mark.parametrize("field,bad", [
-        ("learning_rate", float("nan")), ("learning_rate", -0.1),
-        ("learning_rate", 0.0), ("learning_rate", float("inf")),
-        ("l2", float("inf")), ("l2", float("nan")), ("l2", -1e-4),
-        ("minimality_weight", float("nan")), ("minimality_weight", float("inf")),
-        ("dc_factor_weight", float("nan")), ("dc_factor_weight", float("-inf")),
-        ("domain_strategy", "bogus")])
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("learning_rate", float("nan")),
+            ("learning_rate", -0.1),
+            ("learning_rate", 0.0),
+            ("learning_rate", float("inf")),
+            ("l2", float("inf")),
+            ("l2", float("nan")),
+            ("l2", -1e-4),
+            ("minimality_weight", float("nan")),
+            ("minimality_weight", float("inf")),
+            ("dc_factor_weight", float("nan")),
+            ("dc_factor_weight", float("-inf")),
+            ("domain_strategy", "bogus"),
+        ],
+    )
     def test_values_that_silently_break_a_repair(self, field, bad):
         # Each one used to construct, then repair nothing (NaN rate, inf
         # l2, NaN minimality weight), everything at precision 0 (negative
@@ -95,19 +116,34 @@ class TestValidation:
             HoloCleanConfig(**{field: bad})
 
     def test_learning_and_weight_edges_accepted(self):
-        config = HoloCleanConfig(learning_rate=np.float64(0.3), l2=0,
-                                 minimality_weight=-1.0, dc_factor_weight=0.0,
-                                 domain_strategy="active")
+        config = HoloCleanConfig(
+            learning_rate=np.float64(0.3),
+            l2=0,
+            minimality_weight=-1.0,
+            dc_factor_weight=0.0,
+            domain_strategy="active",
+        )
         assert (config.learning_rate, config.l2) == (0.3, 0)
         assert (config.minimality_weight, config.dc_factor_weight) == (-1.0, 0.0)
 
-    @pytest.mark.parametrize("field,bad", [
-        ("seed", -1), ("seed", 2.5), ("seed", True), ("seed", "7"),
-        ("max_factor_pairs", 2.5), ("max_factor_pairs", -5),
-        ("max_factor_pairs", 0), ("max_factor_table", 0),
-        ("max_factor_table", 1.5), ("factor_chunk_pairs", float("nan")),
-        ("factor_chunk_pairs", 0), ("factor_stream_budget", float("nan")),
-        ("factor_stream_budget", 2.0)])
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("seed", -1),
+            ("seed", 2.5),
+            ("seed", True),
+            ("seed", "7"),
+            ("max_factor_pairs", 2.5),
+            ("max_factor_pairs", -5),
+            ("max_factor_pairs", 0),
+            ("max_factor_table", 0),
+            ("max_factor_table", 1.5),
+            ("factor_chunk_pairs", float("nan")),
+            ("factor_chunk_pairs", 0),
+            ("factor_stream_budget", float("nan")),
+            ("factor_stream_budget", 2.0),
+        ],
+    )
     def test_seed_and_factor_budgets_are_integers(self, field, bad):
         # Each used to construct and then raise inside the evidence
         # sampler (a negative or fractional seed) or the pair enumerator
@@ -117,15 +153,20 @@ class TestValidation:
             HoloCleanConfig(**{field: bad})
 
     def test_seed_and_factor_budget_edges_accepted(self):
-        config = HoloCleanConfig(seed=0, max_factor_pairs=1, max_factor_table=1,
-                                 factor_chunk_pairs=np.int64(1),
-                                 factor_stream_budget=1)
-        assert (config.seed, config.max_factor_pairs, config.max_factor_table,
-                config.factor_chunk_pairs, config.factor_stream_budget) == (
-                    0, 1, 1, 1, 1)
+        config = HoloCleanConfig(
+            seed=0,
+            max_factor_pairs=1,
+            max_factor_table=1,
+            factor_chunk_pairs=np.int64(1),
+            factor_stream_budget=1,
+        )
+        assert (config.seed, config.max_factor_pairs) == (0, 1)
+        assert config.max_factor_table == 1
+        assert (config.factor_chunk_pairs, config.factor_stream_budget) == (1, 1)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 7.0,
-                                     "0.8", None])
+    @pytest.mark.parametrize(
+        "bad", [float("nan"), float("inf"), -0.1, 7.0, "0.8", None]
+    )
     def test_sim_threshold_in_unit_interval(self, bad):
         # NaN used to raise inside similar(); 7.0 silently stopped every
         # SIM match.
@@ -142,11 +183,24 @@ class TestValidation:
             HoloCleanConfig(**{field: False})
 
     @pytest.mark.parametrize(
-        "field, value", [("engine_backend", "numpy"), ("parallel_workers", 2)])
+        "field, value", [("engine_backend", "numpy"), ("parallel_workers", 2)]
+    )
     def test_removed_backend_knobs_are_not_fields(self, field, value):
         # One executor, one process: nothing to select.
         with pytest.raises(TypeError, match=field):
             HoloCleanConfig(**{field: value})
+
+    @pytest.mark.parametrize("bad", ["Flight", 5, None, ["Flight", 3]])
+    def test_entity_key_is_a_list_of_names(self, bad):
+        # A bare string used to key entities letter by letter ('F', ...).
+        with pytest.raises(ValueError, match="source_entity_attributes"):
+            HoloCleanConfig(source_entity_attributes=bad)
+
+    def test_entity_key_is_stored_as_a_tuple(self):
+        config = HoloCleanConfig(source_entity_attributes=["Flight", "Date"])
+        assert config.source_entity_attributes == ("Flight", "Date")
+        widened = HoloCleanConfig().with_(source_entity_attributes=["Flight"])
+        assert widened == HoloCleanConfig(source_entity_attributes=("Flight",))
 
 
 class TestVariants:

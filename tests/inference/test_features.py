@@ -62,7 +62,7 @@ class TestFeatureMatrixBuilder:
         with pytest.raises(IndexError):
             builder.add(v, 2, "f", 1.0)
 
-    def test_add_entries_matches_sequential_adds(self):
+    def test_add_rows_matches_sequential_adds(self):
         def sequential():
             builder = FeatureMatrixBuilder(FeatureSpace())
             builder.start_variable(2)
@@ -73,13 +73,12 @@ class TestFeatureMatrixBuilder:
             builder.add(0, 1, "c", 4.0)  # second entry of the same row
             return builder
 
-        batched = FeatureMatrixBuilder(FeatureSpace())
-        batched.start_variable(2)
-        batched.start_variable(3)
-        var_ids = np.array([0, 0, 1, 0])
-        cand_idx = np.array([0, 1, 2, 1])
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        batched.add_entries(var_ids, cand_idx, ["a", "b", "a", "c"], values)
+        space = FeatureSpace()
+        batched = FeatureMatrixBuilder(space)
+        batched.start_variables([2, 3])
+        rows = batched.var_row_start[[0, 0, 1, 0]] + np.array([0, 1, 2, 1])
+        keys = np.array([space.index(k) for k in ["a", "b", "a", "c"]])
+        batched.add_rows(rows, keys, np.array([1.0, 2.0, 3.0, 4.0]))
         reference = sequential()
         want = reference.build()
         got = batched.build()
@@ -88,25 +87,16 @@ class TestFeatureMatrixBuilder:
         assert np.array_equal(got.indices, want.indices)
         assert np.array_equal(got.values, want.values)
 
-    def test_add_entries_accepts_resolved_indices(self):
-        space = FeatureSpace()
-        ka, kb = space.index("a"), space.index("b")
-        builder = FeatureMatrixBuilder(space)
-        builder.start_variable(2)
-        keys = np.array([kb, ka])
-        builder.add_entries(np.array([0, 0]), np.array([0, 1]), keys, [1.0, 2.0])
-        matrix = builder.build()
-        assert matrix.indices.tolist() == [kb, ka]
-        assert matrix.values.tolist() == [1.0, 2.0]
-
     def test_one_chunk_builds_without_concatenating(self, monkeypatch):
         # The vectorized featurizer hands in one batch: copying it before
         # the sort added four entry-sized arrays to the compile stage's
         # memory peak.  The caller's arrays are read, never reordered.
-        builder = FeatureMatrixBuilder(FeatureSpace())
+        space = FeatureSpace()
+        builder = FeatureMatrixBuilder(space)
         builder.start_variable(2)
         values = np.array([1.0, 2.0])
-        builder.add_entries(np.array([0, 0]), np.array([1, 0]), ["a", "b"], values)
+        keys = np.array([space.index("a"), space.index("b")])
+        builder.add_rows(builder.var_row_start[[0, 0]] + [1, 0], keys, values)
 
         def refuse(*args, **kwargs):
             raise AssertionError("one chunk was concatenated")
@@ -117,12 +107,12 @@ class TestFeatureMatrixBuilder:
         assert matrix.values.tolist() == [2.0, 1.0]
         assert values.tolist() == [1.0, 2.0]
 
-    def test_add_entries_interleaves_with_add_chronologically(self):
+    def test_add_rows_interleaves_with_add_chronologically(self):
         space = FeatureSpace()
         builder = FeatureMatrixBuilder(space)
         builder.start_variable(1)
         builder.add(0, 0, "a", 1.0)
-        builder.add_entries(np.array([0]), np.array([0]), ["b"], [2.0])
+        builder.add_rows(np.array([0]), np.array([space.index("b")]), [2.0])
         builder.add(0, 0, "c", 3.0)
         matrix = builder.build()
         # One row, entries in insertion order across both mechanisms.
@@ -130,22 +120,11 @@ class TestFeatureMatrixBuilder:
         assert matrix.indices.tolist() == wanted
         assert matrix.values.tolist() == [1.0, 2.0, 3.0]
 
-    def test_add_entries_validates(self):
-        space = FeatureSpace()
-        builder = FeatureMatrixBuilder(space)
-        builder.start_variable(2)
-        with pytest.raises(IndexError):
-            builder.add_entries(np.array([0]), np.array([2]), ["a"], [1.0])
-        with pytest.raises(IndexError):  # unallocated feature index
-            builder.add_entries(np.array([0]), np.array([0]), np.array([5]), [1.0])
-        with pytest.raises(ValueError, match="align"):
-            builder.add_entries(np.array([0, 0]), np.array([0]), ["a"], [1.0])
-
-    def test_add_entries_empty_is_noop(self):
+    def test_add_rows_empty_is_noop(self):
         builder = FeatureMatrixBuilder(FeatureSpace())
         builder.start_variable(2)
         empty = np.array([], dtype=np.int64)
-        builder.add_entries(empty, empty, [], np.array([], dtype=np.float64))
+        builder.add_rows(empty, empty, np.array([], dtype=np.float64))
         matrix = builder.build()
         assert matrix.num_entries == 0
         assert matrix.num_rows == 2
@@ -287,9 +266,10 @@ def hand_ins(draw):
     """Variable sizes and a sequence of builder calls over them.
 
     Each call is ``(method, entries)`` with entries ``(var, candidate, key
-    index, value)``: ``add`` per entry, ``add_entries`` with hashable keys,
-    ``add_rows`` in the drawn order (sorted or not, empty allowed).  A
-    small key and value pool repeats (row, key) pairs; rows may get none.
+    index, value)``: ``add`` per entry with hashable keys, ``add_rows`` with
+    rows from ``var_row_start`` in the drawn order (sorted or not, empty
+    allowed).  A small key and value pool repeats (row, key) pairs; rows
+    may get none.
     """
     sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=6))
     entry = st.integers(0, len(sizes) - 1).flatmap(
@@ -301,7 +281,7 @@ def hand_ins(draw):
         )
     )
     calls = st.tuples(
-        st.sampled_from(["add", "add_entries", "add_rows", "add_rows_sorted"]),
+        st.sampled_from(["add", "add_rows", "add_rows_sorted"]),
         st.lists(entry, max_size=12),
     )
     return sizes, draw(st.lists(calls, max_size=6))
@@ -346,13 +326,6 @@ def test_counting_sort_build_equals_a_stable_sort_by_row(case):
         if method == "add":
             for args in zip(var, cand, (KEYS[k] for k in key), value):
                 builder.add(*args)
-        elif method == "add_entries":
-            builder.add_entries(
-                np.array(var, dtype=np.int64),
-                np.array(cand, dtype=np.int64),
-                [KEYS[k] for k in key],
-                np.array(value, dtype=np.float64),
-            )
         else:
             rows = builder.var_row_start[np.array(var, dtype=np.int64)]
             builder.add_rows(rows + np.array(cand, dtype=np.int64), key, value)

@@ -37,7 +37,8 @@ def build(num_features, sizes, entries):
     builder = FeatureMatrixBuilder(space)
     builder.start_variables(list(sizes))
     var, cand, key, value = entries
-    builder.add_entries(var, cand, np.asarray(key, dtype=np.int64), value)
+    rows = builder.var_row_start[np.asarray(var, dtype=np.int64)] + cand
+    builder.add_rows(rows, key, value)
     return builder.build()
 
 

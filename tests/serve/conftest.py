@@ -6,6 +6,15 @@ import pytest
 
 from repro.core.config import HoloCleanConfig
 from repro.data import generate_flights, generate_hospital
+from repro.serve.service import RepairService
+
+#: ``repro serve``'s defaults but with no worker pool: every job inline.
+SERVICE_OPTIONS = dict(workers=0, max_sessions=16, checkpoint_dir=None, queue_depth=8)
+
+
+def make_service(config=None, **options) -> RepairService:
+    """A service over ``config`` with ``SERVICE_OPTIONS`` but ``options``."""
+    return RepairService(config, **{**SERVICE_OPTIONS, **options})
 
 
 @pytest.fixture(scope="session")

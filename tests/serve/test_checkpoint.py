@@ -342,11 +342,12 @@ class TestStoreMechanics:
         # one VariableInfo per variable, format 3 one object per DC factor,
         # format 4 the dataset as rows and the noisy cells as Cells,
         # format 5 the external matches as a per-cell dict, format 6 a
-        # config that may carry cooccur_tying and format 7 its arrays in
-        # band; all must stop at the version gate, not inside the
-        # unpickler or in a run that silently ties weights another way.
-        assert FORMAT_VERSION == 8
-        for other in (1, 2, 3, 4, 5, 6, 7, 99):
+        # config that may carry cooccur_tying, format 7 its arrays in
+        # band and format 8 a config with the serving settings; all must
+        # stop at the version gate, not inside the unpickler or in a run
+        # that silently ties weights another way.
+        assert FORMAT_VERSION == 9
+        for other in (1, 2, 3, 4, 5, 6, 7, 8, 99):
             meta.write_text(meta.read_text().replace(current, f'"version": {other}'))
             with pytest.raises(CheckpointError, match="format version"):
                 store.load("sid")

@@ -9,14 +9,16 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.core.config import HoloCleanConfig
 from repro.serve.server import RepairServer
-from repro.serve.service import RepairService
 
-from tests.serve.conftest import payload_for
+from tests.serve.conftest import make_service, payload_for
 
 
 async def _request(port, method, path, body=None, raw: bytes | None = None):
@@ -46,12 +48,13 @@ async def _request(port, method, path, body=None, raw: bytes | None = None):
     return status, headers, json.loads(body_bytes)
 
 
-def serve(test_body, config=None):
-    """Run ``await test_body(server)`` against a live ephemeral server."""
+def serve(test_body, job_timeout=300.0, **options):
+    """Run ``await test_body(server)`` against a live ephemeral server
+    over ``make_service(**options)``."""
 
     async def scenario():
-        service = RepairService(config or HoloCleanConfig(serve_workers=0))
-        server = RepairServer(service, port=0)
+        service = make_service(**options)
+        server = RepairServer(service, port=0, job_timeout=job_timeout)
         await server.start()
         try:
             return await test_body(server)
@@ -307,6 +310,16 @@ class TestErrorMapping:
 
         serve(body)
 
+    def test_entity_key_naming_no_attribute_400(self, flights):
+        # A KeyError inside compile used to come back as a 500.
+        async def body(server):
+            request = payload_for(flights)
+            request["config"]["source_entity_attributes"] = ["NoSuchAttr"]
+            status, _, payload = await _request(server.port, "POST", "/repair", request)
+            assert status == 400 and "'NoSuchAttr'" in payload["error"]
+
+        serve(body)
+
     def test_kernel_crashing_config_values_400(self, hospital):
         # Each reached a kernel and came back as a 500 (a negative seed in
         # the evidence sampler, a fractional pair budget at a slice, a NaN
@@ -376,13 +389,12 @@ class TestErrorMapping:
             assert status == 504 and "budget" in payload["error"]
             assert server.service._counts["timeouts"] == 1
 
-        serve(body, HoloCleanConfig(serve_workers=0, serve_job_timeout=0.001))
+        serve(body, job_timeout=0.001)
 
 
 class TestRehydration:
     def test_restart_rehydrates_from_checkpoint(self, tmp_path, hospital):
         """A brand-new server process picks up the old server's session."""
-        config = HoloCleanConfig(serve_workers=0, serve_checkpoint_dir=str(tmp_path))
 
         async def first_life(server):
             _, _, response = await _request(
@@ -397,8 +409,8 @@ class TestRehydration:
             )
             return response
 
-        before = serve(first_life, config)
-        after = serve(second_life, config)
+        before = serve(first_life, checkpoint_dir=str(tmp_path))
+        after = serve(second_life, checkpoint_dir=str(tmp_path))
         assert after["path"] == "rehydrated"
         assert after["session"] == before["session"]
         assert after["repairs"] == before["repairs"]
@@ -408,7 +420,6 @@ class TestRehydration:
     ):
         """DELETE keeps the checkpoint; the next POST rebuilds the session
         from it, and every cell's marginal comes back unchanged."""
-        config = HoloCleanConfig(serve_workers=0, serve_checkpoint_dir=str(tmp_path))
 
         async def body(server):
             _, _, first = await _request(
@@ -427,7 +438,7 @@ class TestRehydration:
             _, _, after = await _request(server.port, "GET", marginals)
             assert before["cells"] and after["cells"] == before["cells"]
 
-        serve(body, config)
+        serve(body, checkpoint_dir=str(tmp_path))
 
 
 def test_cli_parser_defaults():
@@ -440,3 +451,28 @@ def test_cli_parser_defaults():
     assert args.queue_depth == 8
     assert args.job_timeout == 300.0
     assert args.checkpoint_dir is None
+
+
+@pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0, "5"])
+def test_job_timeout_must_be_finite_and_not_negative(timeout):
+    # asyncio.wait_for(..., nan) times out at once: every job a 504.
+    service = make_service()
+    try:
+        with pytest.raises(ValueError, match="job_timeout"):
+            RepairServer(service, port=0, job_timeout=timeout)
+    finally:
+        service.close()
+
+
+def test_cli_refuses_a_nan_job_timeout():
+    src = Path(__file__).resolve().parents[2] / "src"
+    command = ["serve", "--workers", "0", "--port", "0", "--job-timeout", "nan"]
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", *command],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 2
+    assert "job_timeout must be a finite number" in done.stderr

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import HoloCleanConfig
-from repro.core.stages import STAGE_ORDER
+from repro.core.stages import STAGE_ORDER, RepairContext, RepairPlan
 from repro.serve.checkpoint import FORMAT_VERSION, CheckpointError
 from repro.serve.service import (
     BadRequest,
@@ -20,21 +20,19 @@ from repro.serve.service import (
     Saturated,
 )
 
-from tests.serve.conftest import payload_for
+from tests.serve.conftest import make_service, payload_for
 
 
 @pytest.fixture
 def service(tmp_path):
-    svc = RepairService(
-        HoloCleanConfig(serve_workers=0, serve_checkpoint_dir=str(tmp_path))
-    )
+    svc = make_service(checkpoint_dir=str(tmp_path))
     yield svc
     svc.close()
 
 
 @pytest.fixture
 def ephemeral_service():
-    svc = RepairService(HoloCleanConfig(serve_workers=0))
+    svc = make_service()
     yield svc
     svc.close()
 
@@ -328,11 +326,12 @@ class TestMarginals:
         assert after == before
 
     @pytest.mark.parametrize(
-        "damage", ["truncated", "renamed", "version-1", "version-2"]
+        "damage", ["truncated", "renamed", "version-1", "version-2", "version-8"]
     )
     def test_bad_checkpoint_means_cold_run(self, service, hospital, damage):
-        """Format 2 pickled one object per variable; like any other mismatch
-        it is refused with a warning, discarded, and the request runs cold."""
+        """Format 2 pickled one object per variable, format 8 a config with
+        the serving settings; like any other mismatch it is refused with a
+        warning, discarded, and the request runs cold."""
         first = service.repair(payload_for(hospital))
         sid = first["session"]
         service.delete_session(sid)  # evict but keep the checkpoint
@@ -345,7 +344,7 @@ class TestMarginals:
             assert renamed != detect.read_bytes()
             detect.write_bytes(renamed)
         else:
-            assert FORMAT_VERSION == 8
+            assert FORMAT_VERSION == 9
             meta = directory / "meta.json"
             current = f'"version": {FORMAT_VERSION}'
             assert current in meta.read_text()
@@ -445,20 +444,104 @@ class TestValidation:
         with pytest.raises(BadRequest, match="config"):
             ephemeral_service.repair(payload)
 
-    def test_serve_knobs_are_operator_only(self, ephemeral_service, hospital):
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "serve_max_sessions",
+            "serve_workers",
+            "serve_checkpoint_dir",
+            "serve_queue_depth",
+            "serve_job_timeout",
+        ],
+    )
+    def test_serve_knobs_are_operator_only(self, ephemeral_service, hospital, field):
+        # Not config fields any more: a request that names one names an
+        # unknown field.
         payload = payload_for(hospital)
-        payload["config"]["serve_workers"] = 64
-        with pytest.raises(BadRequest, match="operator-only"):
+        payload["config"][field] = 64
+        with pytest.raises(BadRequest, match="config"):
             ephemeral_service.repair(payload)
+
+    @pytest.mark.parametrize("entity", ["Flight", 5, None])
+    def test_entity_key_that_is_not_a_list_of_names(
+        self, ephemeral_service, flights, entity
+    ):
+        # "Flight" used to key entities letter by letter (KeyError: 'F'
+        # inside compile), 5 and null a TypeError: each an HTTP 500.
+        payload = payload_for(flights)
+        payload["config"]["source_entity_attributes"] = entity
+        with pytest.raises(BadRequest, match="source_entity_attributes"):
+            ephemeral_service.repair(payload)
+
+    def test_entity_key_naming_no_attribute(self, ephemeral_service, flights):
+        # Compile names the attribute; a ValueError is the client's (400).
+        payload = payload_for(flights)
+        payload["config"]["source_entity_attributes"] = ["NoSuchAttr"]
+        with pytest.raises(ValueError, match="'NoSuchAttr'"):
+            ephemeral_service.repair(payload)
+        gauges = ephemeral_service.metrics_snapshot()["gauges"]
+        assert gauges["serve.errors_total"] == 0
 
     def test_delete_unknown_session(self, ephemeral_service):
         with pytest.raises(NotFound):
             ephemeral_service.delete_session("feedbeefcafe")
 
 
+class TestServiceOptions:
+    @pytest.mark.parametrize(
+        "options, name",
+        [
+            ({"workers": -1}, "workers"),
+            ({"workers": 1.5}, "workers"),
+            ({"workers": True}, "workers"),
+            ({"queue_depth": -1}, "queue_depth"),
+            ({"max_sessions": 0}, "capacity"),
+        ],
+    )
+    def test_invalid_options_are_refused(self, options, name):
+        with pytest.raises(ValueError, match=name):
+            make_service(**options)
+
+    def test_restart_with_other_options_runs_apply_only(self, tmp_path, hospital):
+        # The options configure the process, not the repair: a restart
+        # with another capacity and pool size reuses the learned weights
+        # and marginals of the checkpoint.
+        first = make_service(checkpoint_dir=str(tmp_path), max_sessions=16)
+        try:
+            cold = first.repair(payload_for(hospital))
+        finally:
+            first.close()
+        second = make_service(checkpoint_dir=str(tmp_path), max_sessions=8, workers=1)
+        try:
+            again = second.repair(payload_for(hospital))
+        finally:
+            second.close()
+        assert again["path"] == "rehydrated"
+        assert again["stage_status"]["learn"] == "skipped"
+        assert again["stage_status"]["infer"] == "skipped"
+        assert again["stage_status"]["apply"] == "ran"
+        assert again["repairs"] == cold["repairs"]
+
+    def test_served_config_fingerprint_is_the_batch_runs(
+        self, ephemeral_service, hospital
+    ):
+        payload = payload_for(hospital)
+        payload["report"] = True
+        served = ephemeral_service.repair(payload)["report"]
+        ctx = RepairPlan.default().run(
+            RepairContext(
+                dataset=hospital.dirty,
+                constraints=hospital.constraints,
+                config=HoloCleanConfig(**payload["config"]),
+            )
+        )
+        assert served["fingerprint"] == ctx.result.report.fingerprint
+        assert served["config"] == ctx.result.report.config
+
+
 class TestAdmissionControl:
     def test_saturation_raises_429(self, hospital):
-        svc = RepairService(HoloCleanConfig(serve_workers=0, serve_queue_depth=0))
+        svc = make_service(queue_depth=0)
         try:
             svc._admit()  # the single slot is now taken
             with pytest.raises(Saturated):
@@ -476,13 +559,7 @@ class TestAdmissionControl:
 
 class TestLifecycle:
     def test_eviction_checkpoints(self, tmp_path, hospital, flights):
-        svc = RepairService(
-            HoloCleanConfig(
-                serve_workers=0,
-                serve_max_sessions=1,
-                serve_checkpoint_dir=str(tmp_path),
-            )
-        )
+        svc = make_service(max_sessions=1, checkpoint_dir=str(tmp_path))
         try:
             first = svc.repair(payload_for(hospital))
             svc.repair(payload_for(flights))  # displaces the hospital session
@@ -494,9 +571,7 @@ class TestLifecycle:
             svc.close()
 
     def test_close_checkpoints_warm_sessions(self, tmp_path, hospital):
-        svc = RepairService(
-            HoloCleanConfig(serve_workers=0, serve_checkpoint_dir=str(tmp_path))
-        )
+        svc = make_service(checkpoint_dir=str(tmp_path))
         sid = svc.repair(payload_for(hospital))["session"]
         svc.close()
         assert svc.checkpoints.has(sid)
@@ -577,7 +652,7 @@ def pooled_service() -> RepairService:
     """
     if "fork" not in multiprocessing.get_all_start_methods():
         pytest.skip("fork-based pool unavailable on this platform")
-    svc = RepairService(HoloCleanConfig(serve_workers=1))
+    svc = make_service(workers=1)
     assert svc._process_pool() is not None, "the pool warmup did not run"
     return svc
 
@@ -597,7 +672,7 @@ class TestProcessPool:
 
     def test_pool_output_matches_inline(self, hospital):
         pooled = pooled_service()
-        inline = RepairService(HoloCleanConfig(serve_workers=0))
+        inline = make_service()
         try:
             a = pooled.repair(payload_for(hospital))
             b = inline.repair(payload_for(hospital))
